@@ -39,12 +39,12 @@ from .drag import DragLaw, ExponentialWakeDrag, gradient_flow_bound
 from .sim import (
     Event,
     SimResult,
-    TrajectoryRecord,
     WorldState,
     insert_vehicle,
     run,
     step,
 )
+from .trajectory import Trajectory, TrajectoryRecord
 
 __version__ = "0.1.0"
 
@@ -62,6 +62,7 @@ __all__ = [
     "SimParams",
     "SimResult",
     "SimulationError",
+    "Trajectory",
     "TrajectoryRecord",
     "VehicleMode",
     "VehicleState",

@@ -20,33 +20,54 @@ from ._kernels_py import SPEED_EDGE_TOL
 from .constraints import FeasibilityVerdict, stopping_margin
 from .core import SimParams
 from .drag import DragLaw, ExponentialWakeDrag
-from .sim import SimResult, TrajectoryRecord
+from .sim import SimResult
+from .trajectory import Trajectory, TrajectoryRecord, as_trajectory
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 _INEQ_TOL = 1e-9  # slack applied to every brute-force inequality
 
 
-def records_by_time(trajectory: Iterable[TrajectoryRecord]
+def records_by_time(trajectory: Trajectory | Iterable[TrajectoryRecord]
                     ) -> dict[float, list[TrajectoryRecord]]:
     """Group records into per-time snapshots ordered front to back."""
-    snapshots: dict[float, list[TrajectoryRecord]] = defaultdict(list)
-    for rec in trajectory:
-        snapshots[rec.time].append(rec)
-    for recs in snapshots.values():
-        recs.sort(key=lambda r: -r.p)
-    return dict(sorted(snapshots.items()))
+    tr = as_trajectory(trajectory)
+    return {time: [tr.record(i, time) for i in range(start, stop)]
+            for time, start, stop in tr.steps()}
 
 
-def records_by_vehicle(trajectory: Iterable[TrajectoryRecord]
+def records_by_vehicle(trajectory: Trajectory | Iterable[TrajectoryRecord]
                        ) -> dict[int, list[TrajectoryRecord]]:
     """Group records per vehicle in time order."""
     out: dict[int, list[TrajectoryRecord]] = defaultdict(list)
-    for rec in trajectory:
+    for rec in as_trajectory(trajectory):
         out[rec.vehicle_id].append(rec)
-    for recs in out.values():
-        recs.sort(key=lambda r: r.time)
     return dict(out)
+
+
+def rows_by_vehicle(tr: Trajectory) -> dict[int, np.ndarray]:
+    """Row indices of each vehicle in time order, keyed in order of first
+    appearance (time, then front to back)."""
+    vid = np.array(tr.vehicle_id)
+    ids, first, counts = np.unique(vid, return_index=True, return_counts=True)
+    rows = np.split(np.argsort(vid, kind="stable"), np.cumsum(counts)[:-1])
+    return {int(ids[g]): rows[g] for g in np.argsort(first)}
+
+
+def row_times(tr: Trajectory) -> np.ndarray:
+    """Time stamp of every row."""
+    return np.repeat(np.array(tr.times), np.diff(np.array(tr.offsets)))
+
+
+def consecutive_gap_excess(tr: Trajectory, params: SimParams) -> np.ndarray:
+    """Bumper-gap shortfall ``(p_back - p_front) + delta`` of every pair of
+    consecutive vehicles in every snapshot (positive means inside delta)."""
+    p = np.array(tr.p)
+    if len(p) < 2:
+        return np.empty(0)
+    same_step = np.ones(len(p) - 1, bool)
+    same_step[np.array(tr.offsets[1:-1], np.int64) - 1] = False
+    return ((p[1:] - p[:-1]) + params.delta)[same_step]
 
 
 def check_ordering(trajectory: Iterable[TrajectoryRecord]) -> list[str]:
@@ -118,16 +139,18 @@ class EnergySummary:
     positive_work: float  # integral of max(u, 0) * v dt
 
 
-def energy_summary(trajectory: Iterable[TrajectoryRecord]
+def energy_summary(trajectory: Trajectory | Iterable[TrajectoryRecord]
                    ) -> dict[int, EnergySummary]:
+    tr = as_trajectory(trajectory)
+    t = row_times(tr)
+    drag = np.array(tr.drag)
+    work = np.maximum(np.array(tr.u), 0.0) * np.array(tr.v)
     out: dict[int, EnergySummary] = {}
-    for vid, recs in records_by_vehicle(trajectory).items():
-        t = np.array([r.time for r in recs])
-        drag = np.array([r.drag for r in recs])
-        work = np.array([max(r.u, 0.0) * r.v for r in recs])
+    for vid, rows in rows_by_vehicle(tr).items():
+        d = drag[rows]
         out[vid] = EnergySummary(
-            drag_sq=float(_trapezoid(drag * drag, t)),
-            positive_work=float(_trapezoid(work, t)),
+            drag_sq=float(_trapezoid(d * d, t[rows])),
+            positive_work=float(_trapezoid(work[rows], t[rows])),
         )
     return out
 
@@ -212,12 +235,11 @@ def summarize(result: SimResult, params: SimParams) -> dict[str, object]:
     """Aggregate run metrics for reporting."""
     m = dict(result.metrics)
     attempts = m.get("spawned", 0) + m.get("discarded", 0)
-    energies = energy_summary(result.trajectory)
-    snapshots = records_by_time(result.trajectory)
+    tr = result.trajectory
+    energies = energy_summary(tr)
     final_formations: list[tuple[int, ...]] = []
-    if snapshots:
-        final_formations = detect_formations(
-            next(reversed(snapshots.values())), params)
+    if len(tr):
+        final_formations = detect_formations(tr.snapshot(-1), params)
     multi = [len(f) for f in final_formations if len(f) > 1]
     out: dict[str, object] = {
         "duration": params.duration,

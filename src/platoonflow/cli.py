@@ -22,8 +22,14 @@ import yaml
 
 from .analysis import summarize
 from .core import DragCoefficients, RoadNetwork, SimParams, validate_params
-from .sim import Event, SimResult, TrajectoryRecord, run
+from .sim import Event, SimResult, run
 from .svgplot import render_timespace
+from .trajectory import (
+    MODE_NAMES,
+    Trajectory,
+    TrajectoryRecord,
+    as_trajectory,
+)
 
 
 class ConfigError(ValueError):
@@ -33,7 +39,10 @@ class ConfigError(ValueError):
 def _need_number(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: {value} does not fit a float") from None
 
 
 def _need_int(value: object, path: str) -> int:
@@ -162,17 +171,22 @@ def _sig(x: float) -> str:
     return f"{x:.6g}"
 
 
-def trajectory_csv_text(trajectory: Iterable[TrajectoryRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    for rec in sorted(trajectory, key=lambda r: (r.time, r.vehicle_id)):
-        writer.writerow([
-            _sig(rec.time), rec.vehicle_id, rec.platoon_id, _sig(rec.p),
-            _sig(rec.v), _sig(rec.accel), _sig(rec.u), _sig(rec.drag),
-            _sig(rec.gs_margin), _sig(rec.deadline_margin), rec.mode,
-        ])
-    return buf.getvalue()
+def trajectory_csv_text(trajectory: Trajectory | Iterable[TrajectoryRecord]
+                        ) -> str:
+    """CSV of every record, ordered by time and then vehicle id."""
+    tr = as_trajectory(trajectory)
+    vid, pid, mode = tr.vehicle_id, tr.platoon_id, tr.mode
+    p, v, accel, u, drag = tr.p, tr.v, tr.accel, tr.u, tr.drag
+    gs, dm = tr.gs_margin, tr.deadline_margin
+    lines = [",".join(_CSV_HEADER) + "\n"]
+    for time, start, stop in tr.steps():
+        t = _sig(time)
+        lines.extend(
+            f"{t},{vid[i]},{pid[i]},{p[i]:.6g},{v[i]:.6g},{accel[i]:.6g},"
+            f"{u[i]:.6g},{drag[i]:.6g},{gs[i]:.6g},{dm[i]:.6g},"
+            f"{MODE_NAMES[mode[i]]}\n"
+            for i in sorted(range(start, stop), key=vid.__getitem__))
+    return "".join(lines)
 
 
 def events_csv_text(events: Iterable[Event]) -> str:

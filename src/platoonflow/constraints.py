@@ -47,6 +47,9 @@ class FeasibilityVerdict(enum.Enum):
         )
 
 
+SPLIT_CODES = frozenset(v.value for v in FeasibilityVerdict if v.splits)
+
+
 @dataclass(frozen=True, slots=True)
 class FeasibleInterval:
     lo: float

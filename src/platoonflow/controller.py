@@ -9,6 +9,10 @@ or accelerate to recover a relaxed deadline.
 The default drag law routes through the selected kernel backend in a
 single fused call; any other ``DragLaw`` takes the compositional path
 below, which is also the readable statement of the solve.
+``follower_step`` and ``leader_step`` are the one statement of each
+solve and return flat tuples, which the engine consumes directly;
+``solve_follower_control`` and ``leader_control`` wrap them in a
+``ControlDecision`` for callers that inspect one solve.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 from ._backend import kernels
 from .constraints import (
+    SPLIT_CODES,
     FeasibilityVerdict,
     FeasibleInterval,
     classify_feasibility,
@@ -57,36 +62,49 @@ class ControlDecision:
     flow_bound: float
 
 
-def solve_follower_control(state: VehicleState, p_hat: float, v_hat: float,
-                           pred_accel: float, deadline_active: bool,
-                           params: SimParams,
-                           law: DragLaw | None = None) -> ControlDecision:
-    """Minimum-magnitude feasible acceleration for a follower.
+def _decision(accel: float, code: int, mask: int, lo: float, hi: float,
+              g: float, bound: float) -> ControlDecision:
+    return ControlDecision(accel, FeasibilityVerdict(code), _active_set(mask),
+                           FeasibleInterval(lo, hi), g, bound)
+
+
+def follower_step(v: float, p_hat: float, v_hat: float, pred_accel: float,
+                  deadline_active: bool, params: SimParams,
+                  law: DragLaw | None = None
+                  ) -> tuple[float, int, int, float, float, float, float]:
+    """Minimum-magnitude feasible acceleration for a follower, flat.
 
     ``pred_accel`` is the predecessor's previous commanded acceleration
     (replaced by full braking under ``params.worst_case_pred_accel``).
+    Returns the kernel's ``(accel, verdict, active_mask, lo, hi, g,
+    bound)``.
     """
     if params.worst_case_pred_accel:
         pred_accel = params.a_min
     if law is None or isinstance(law, ExponentialWakeDrag):
-        coeffs = law.coeffs if law is not None else params.drag
-        accel, code, mask, lo, hi, g, bound = kernels.follower_decision(
-            state.v, p_hat, v_hat, pred_accel, deadline_active,
+        c = law.coeffs if law is not None else params.drag
+        return kernels.follower_decision(
+            v, p_hat, v_hat, pred_accel, deadline_active,
             params.v_min, params.v_max, params.a_min, params.a_max,
-            params.delta, params.eps_g, params.gamma,
-            coeffs.c0, coeffs.c1, coeffs.c2,
-        )
-        return ControlDecision(accel, FeasibilityVerdict(code),
-                               _active_set(mask), FeasibleInterval(lo, hi),
-                               g, bound)
-    return _solve_composed(state.v, p_hat, v_hat, pred_accel,
-                           deadline_active, params, law)
+            params.delta, params.eps_g, params.gamma, c.c0, c.c1, c.c2)
+    return _solve_composed(v, p_hat, v_hat, pred_accel, deadline_active,
+                           params, law)
+
+
+def solve_follower_control(state: VehicleState, p_hat: float, v_hat: float,
+                           pred_accel: float, deadline_active: bool,
+                           params: SimParams,
+                           law: DragLaw | None = None) -> ControlDecision:
+    """``follower_step`` as a ``ControlDecision``."""
+    return _decision(*follower_step(state.v, p_hat, v_hat, pred_accel,
+                                    deadline_active, params, law))
 
 
 def _solve_composed(v: float, p_hat: float, v_hat: float, pred_accel: float,
-                    deadline_active: bool, params: SimParams,
-                    law: DragLaw) -> ControlDecision:
-    # Compositional solve for swapped-in drag laws; mirrors the fused kernel.
+                    deadline_active: bool, params: SimParams, law: DragLaw
+                    ) -> tuple[float, int, int, float, float, float, float]:
+    # Compositional solve for swapped-in drag laws; mirrors the fused
+    # kernel and returns its flat tuple.
     g = stopping_margin(v, p_hat, v_hat, params)
     bound = law.descent_bound(v, p_hat, v_hat, True)
     safe = safe_accel_interval(v, p_hat, v_hat, pred_accel, True, params)
@@ -111,68 +129,81 @@ def _solve_composed(v: float, p_hat: float, v_hat: float, pred_accel: float,
         else:
             raise AssertionError("empty feasible interval with no verdict")
 
-    active = set()
+    mask = 0
     if accel == bound:
-        active.add("drag_flow")
+        mask |= kernels.ACTIVE_DRAG_FLOW
     if accel == safe.hi and safe.hi != params.a_max:
-        active.add("safety")
+        mask |= kernels.ACTIVE_SAFETY
     if deadline_active and accel == 0.0 \
             and verdict is not FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT:
-        active.add("deadline")
-    return ControlDecision(accel, verdict, frozenset(active), interval,
-                           g, bound)
+        mask |= kernels.ACTIVE_DEADLINE
+    return accel, verdict.value, mask, interval.lo, interval.hi, g, bound
+
+
+def leader_step(v: float, p_hat: float, v_hat: float,
+                pred_accel: float | None, recovering: bool,
+                deadline_active: bool, params: SimParams
+                ) -> tuple[float, int, float, float, float, float]:
+    """Platoon-head policy plus the merge-eligibility verdict, flat.
+
+    A LEADER brakes at the limit until the speed floor lifts the
+    admissible interval to zero; a ``recovering`` head
+    (LEADER_RECOVERING) applies the largest admissible acceleration.
+    Both respect the stopping envelope against the physical predecessor
+    when one exists (``pred_accel`` is None when there is none).
+
+    The verdict classifies the head as if it were following its physical
+    predecessor; resequencing merges platoons whose head comes back
+    FEASIBLE.  Returns ``(accel, verdict, lo, hi, g, bound)``.
+    """
+    has_pred = pred_accel is not None
+    if not has_pred or params.worst_case_pred_accel:
+        pred_accel = params.a_min
+    accel, lo, hi, g = kernels.leader_decision(
+        v, p_hat, v_hat, pred_accel, has_pred, recovering,
+        params.v_min, params.v_max, params.a_min, params.a_max,
+        params.delta, params.eps_g, params.gamma,
+    )
+    code = kernels.VERDICT_FEASIBLE
+    bound = 0.0
+    if has_pred:
+        c = params.drag
+        bound = kernels.flow_bound(v, p_hat, v_hat, True, c.c0, c.c1, c.c2)
+        safety_active = g == g and (g >= -params.eps_g or hi < 0.0)
+        code = kernels.classify(v, v_hat, bound, deadline_active,
+                                safety_active, params.v_min, params.a_min)
+    return accel, code, lo, hi, g, bound
 
 
 def leader_control(state: VehicleState, p_hat: float, v_hat: float,
                    pred_accel: float | None, deadline_active: bool,
                    params: SimParams) -> ControlDecision:
-    """Platoon-head policy plus the merge-eligibility verdict.
-
-    A LEADER brakes at the limit until the speed floor lifts the
-    admissible interval to zero; a LEADER_RECOVERING applies the largest
-    admissible acceleration.  Both respect the stopping envelope against
-    the physical predecessor when one exists.
-
-    The returned verdict classifies the head as if it were following its
-    physical predecessor; resequencing merges platoons whose head comes
-    back FEASIBLE.
-    """
-    has_pred = pred_accel is not None
-    eff_pred_accel = params.a_min if (pred_accel is None
-                                      or params.worst_case_pred_accel) \
-        else pred_accel
-    recovering = state.mode is VehicleMode.LEADER_RECOVERING
-    accel, lo, hi, g = kernels.leader_decision(
-        state.v, p_hat, v_hat, eff_pred_accel, has_pred, recovering,
-        params.v_min, params.v_max, params.a_min, params.a_max,
-        params.delta, params.eps_g, params.gamma,
-    )
-
-    verdict = FeasibilityVerdict.FEASIBLE
-    bound = 0.0
-    if has_pred:
-        c = params.drag
-        bound = kernels.flow_bound(state.v, p_hat, v_hat, True,
-                                   c.c0, c.c1, c.c2)
-        safety_active = g == g and (g >= -params.eps_g or hi < 0.0)
-        verdict = classify_feasibility(state.v, p_hat, v_hat, bound,
-                                       deadline_active, safety_active, params)
-
-    active = set()
-    if accel == 0.0 and lo == 0.0 and state.v <= params.v_min + kernels.SPEED_EDGE_TOL:
-        active.add("speed_floor")
+    """``leader_step`` as a ``ControlDecision``, with its active set."""
+    accel, code, lo, hi, g, bound = leader_step(
+        state.v, p_hat, v_hat, pred_accel,
+        state.mode is VehicleMode.LEADER_RECOVERING, deadline_active, params)
+    mask = 0
+    if accel == 0.0 and lo == 0.0 \
+            and state.v <= params.v_min + kernels.SPEED_EDGE_TOL:
+        mask |= kernels.ACTIVE_SPEED_FLOOR
     if accel == 0.0 and state.v >= params.v_max - kernels.SPEED_EDGE_TOL:
-        active.add("speed_ceiling")
-    if has_pred and accel == hi and hi != params.a_max:
-        active.add("safety")
-    return ControlDecision(accel, verdict, frozenset(active),
-                           FeasibleInterval(lo, hi), g, bound)
+        mask |= kernels.ACTIVE_SPEED_CEILING
+    if pred_accel is not None and accel == hi and hi != params.a_max:
+        mask |= kernels.ACTIVE_SAFETY
+    return _decision(accel, code, mask, lo, hi, g, bound)
 
 
 def update_mode(mode: VehicleMode, verdict: FeasibilityVerdict,
                 deadline_margin: float, is_head: bool,
                 params: SimParams) -> VehicleMode:
-    """Advance the mode state machine one step.
+    """Advance the mode state machine one step (see ``next_mode``)."""
+    return next_mode(mode, verdict.value, deadline_margin, is_head,
+                     params.eps_d)
+
+
+def next_mode(mode: VehicleMode, verdict: int, deadline_margin: float,
+              is_head: bool, eps_d: float) -> VehicleMode:
+    """Advance the mode state machine one step on a verdict code.
 
     Split verdicts turn followers into heads; the deadline-safety
     conflict relaxes the deadline in place; a relaxed follower reaching
@@ -181,9 +212,9 @@ def update_mode(mode: VehicleMode, verdict: FeasibilityVerdict,
     is sticky; demotion of a merged head is the engine's business.
     """
     if mode is VehicleMode.FOLLOWER:
-        if verdict.splits:
+        if verdict in SPLIT_CODES:
             return VehicleMode.LEADER
-        if verdict is FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT:
+        if verdict == kernels.VERDICT_DEADLINE_SAFETY_CONFLICT:
             # Promoted and conflicted in the same step: recover as head.
             if is_head:
                 return VehicleMode.LEADER_RECOVERING
@@ -192,11 +223,11 @@ def update_mode(mode: VehicleMode, verdict: FeasibilityVerdict,
             return VehicleMode.LEADER
         return mode
     if mode is VehicleMode.FOLLOWER_DEADLINE_RELAXED:
-        if verdict.splits or is_head:
+        if verdict in SPLIT_CODES or is_head:
             return VehicleMode.LEADER_RECOVERING
         return mode
     if mode is VehicleMode.LEADER_RECOVERING:
-        if deadline_margin <= -params.eps_d:
+        if deadline_margin <= -eps_d:
             return VehicleMode.LEADER
         return mode
     return mode

@@ -10,7 +10,9 @@ Units are SI throughout: metres, seconds, m/s, m/s^2.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from typing import Iterator
 
 
 class VehicleMode(enum.Enum):
@@ -142,37 +144,6 @@ class VehicleState:
     platoon_id: int
 
 
-@dataclass(frozen=True, slots=True)
-class RelativeKinematics:
-    """Pair state of a vehicle against the vehicle physically ahead.
-
-    For a vehicle with a predecessor, ``p_hat`` is the (negative) position
-    difference and ``v_hat`` the speed difference.  The front vehicle of
-    the road carries its absolute position and speed here with
-    ``leading=True``, so downstream code can treat both cases uniformly.
-    """
-
-    p_hat: float
-    v_hat: float
-    leading: bool
-
-
-def relative_kinematics(
-    state: VehicleState, pred: VehicleState | None
-) -> RelativeKinematics:
-    """Relative coordinates of ``state`` against its predecessor.
-
-    Differences only, no rounding tricks: with speeds confined to
-    [v_min, v_max] the subtraction is exact and adding the predecessor
-    speed back reproduces the absolute speed bit for bit.
-    """
-    if pred is None:
-        return RelativeKinematics(p_hat=state.p, v_hat=state.v, leading=True)
-    return RelativeKinematics(
-        p_hat=state.p - pred.p, v_hat=state.v - pred.v, leading=False
-    )
-
-
 class SimulationError(RuntimeError):
     """Base class for engine failures that indicate a bug, not an outcome."""
 
@@ -185,9 +156,30 @@ class SafetyAuditError(SimulationError):
     """A bumper gap shrank beyond the discretisation slack."""
 
 
+def _numbers(params: SimParams) -> Iterator[tuple[str, float]]:
+    """Every numeric setting with its dotted name, ramps one by one."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield f.name, value
+    for f in fields(params.drag):
+        yield f"drag.{f.name}", getattr(params.drag, f.name)
+    road = params.road
+    yield "road.length", road.length
+    for label, ramps in (("on_ramps", road.on_ramps),
+                         ("off_ramps", road.off_ramps)):
+        for r in ramps:
+            yield f"road.{label}", r
+
+
 def validate_params(params: SimParams) -> list[str]:
     """Check parameter sanity; returns a list of violations (empty if fine)."""
     bad: list[str] = []
+    for name, value in _numbers(params):
+        # nan slips through every comparison below; inf overflows the
+        # step count.  An int is always finite (and may not fit a float).
+        if isinstance(value, float) and not math.isfinite(value):
+            bad.append(f"{name} must be finite, got {value}")
     if not 0.0 < params.v_min < params.v_max:
         bad.append("speed bounds must satisfy 0 < v_min < v_max")
     if not params.a_min < 0.0 < params.a_max:

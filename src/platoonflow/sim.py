@@ -10,7 +10,10 @@ One step covers the interval [t, t + dt):
    outcomes, and raise);
 5. resequencing: splits, mode transitions, merges;
 6. spawn attempts due under the single arrival process;
-7. trajectory records.
+7. trajectory records, appended to the columns of ``world.trajectory``.
+
+Phases pass plain per-vehicle tuples (see ``Decision``) and kernel
+results between them; no object is built per vehicle and step.
 
 All emitted records and events are stamped with the post-step clock:
 whatever happens while processing a step takes effect at its end.
@@ -24,27 +27,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .constraints import FeasibilityVerdict, deadline_margin, stopping_margin
-from .controller import (
-    ControlDecision,
-    leader_control,
-    solve_follower_control,
-    update_mode,
-)
+from ._backend import kernels
+from .constraints import SPLIT_CODES, deadline_margin, stopping_margin
+from .controller import follower_step, leader_step, next_mode
 from .core import (
     OrderingError,
-    RelativeKinematics,
     SafetyAuditError,
     SimParams,
     VehicleMode,
     VehicleState,
-    relative_kinematics,
 )
 from .drag import DragLaw, ExponentialWakeDrag
+from .trajectory import MODE_CODES, MODES, Trajectory
+from .trajectory import TrajectoryRecord  # noqa: F401  (re-exported)
 
 NEAR_RANGE = 100.0  # on-ramp predecessor distance that caps the entry speed
 
@@ -63,29 +61,6 @@ class Event:
     kind: str
     vehicle_id: int
     detail: str
-
-
-@dataclass(frozen=True, slots=True)
-class TrajectoryRecord:
-    """Post-step snapshot of one vehicle.
-
-    ``accel`` is the command applied over the step that produced this
-    state; ``mode`` the mode that produced the command.  ``u`` is the
-    actuator effort implied by the dynamics (accel plus drag).
-    ``gs_margin`` is nan for the front vehicle of the road.
-    """
-
-    time: float
-    vehicle_id: int
-    platoon_id: int
-    p: float
-    v: float
-    accel: float
-    u: float
-    drag: float
-    gs_margin: float
-    deadline_margin: float
-    mode: str
 
 
 @dataclass(slots=True)
@@ -107,7 +82,7 @@ class WorldState:
     spawning: bool
     drag_law: DragLaw
     events: list[Event] = field(default_factory=list)
-    trajectory: list[TrajectoryRecord] = field(default_factory=list)
+    trajectory: Trajectory = field(default_factory=Trajectory)
     counters: dict[str, int] = field(default_factory=dict)
 
     @classmethod
@@ -138,7 +113,7 @@ class WorldState:
 
 @dataclass(frozen=True, slots=True)
 class SimResult:
-    trajectory: list[TrajectoryRecord]
+    trajectory: Trajectory
     events: list[Event]
     metrics: dict[str, int]
 
@@ -187,69 +162,86 @@ def draw_deadline(rng: np.random.Generator, p0: float, v0: float,
     return t0 + rng.uniform(dist / v0, dist / params.v_min)
 
 
-def _head_flags(vehicles: list[VehicleState]) -> list[bool]:
-    flags = []
-    for i, veh in enumerate(vehicles):
-        flags.append(i == 0 or vehicles[i - 1].platoon_id != veh.platoon_id)
-    return flags
+# What ``_decide`` hands the later phases, one entry per vehicle in
+# ``world.vehicles`` order: (command, verdict code, mode code at control,
+# heads a platoon).  Mode codes index ``trajectory.MODES``.
+Decision = tuple[float, int, int, bool]
 
 
-def _decide(world: WorldState, params: SimParams
-            ) -> dict[int, tuple[ControlDecision, VehicleMode, bool]]:
-    """Control decisions for all vehicles from the frozen pre-step state."""
-    decisions: dict[int, tuple[ControlDecision, VehicleMode, bool]] = {}
-    vehicles = world.vehicles
-    heads = _head_flags(vehicles)
-    for i, veh in enumerate(vehicles):
-        pred = vehicles[i - 1] if i > 0 else None
-        rel = relative_kinematics(veh, pred)
-        margin = deadline_margin(veh.p, veh.v, world.t,
-                                 veh.exit_pos, veh.deadline)
-        deadline_active = (params.enforce_deadlines
-                           and not veh.mode.deadline_relaxed
-                           and margin >= -params.eps_d)
-        if veh.mode.is_head:
-            pred_accel = pred.accel if pred is not None else None
-            dec = leader_control(veh, rel.p_hat, rel.v_hat, pred_accel,
-                                 deadline_active, params)
+def _decide(world: WorldState, params: SimParams) -> list[Decision]:
+    """Control decisions for all vehicles from the frozen pre-step state.
+
+    Followers run ``follower_step``; heads run ``leader_step`` and
+    classify themselves against their physical predecessor, which
+    decides merges.
+    """
+    t = world.t
+    neg_eps_d = -params.eps_d
+    enforce = params.enforce_deadlines
+    law = world.drag_law
+    follower = follower_step
+    leader = leader_step
+
+    decisions: list[Decision] = []
+    pred = None
+    for veh in world.vehicles:
+        # bit 0 of the mode code: heads a platoon; bit 1: deadline relaxed
+        mcode = MODES.index(veh.mode)
+        v = veh.v
+        deadline_active = (enforce and mcode < 2
+                           and deadline_margin(veh.p, v, t, veh.exit_pos,
+                                               veh.deadline) >= neg_eps_d)
+        if pred is None:
+            was_head = True
+            p_hat, v_hat = veh.p, v
+        else:
+            was_head = pred.platoon_id != veh.platoon_id
+            p_hat, v_hat = veh.p - pred.p, v - pred.v
+        if mcode & 1:
+            accel, code, _, _, _, _ = leader(
+                v, p_hat, v_hat, None if pred is None else pred.accel,
+                mcode == 3, deadline_active, params)
         else:
             if pred is None:
                 raise OrderingError(
-                    f"follower {veh.vid} has no predecessor at t={world.t:.3f}"
+                    f"follower {veh.vid} has no predecessor at t={t:.3f}"
                 )
-            dec = solve_follower_control(veh, rel.p_hat, rel.v_hat,
-                                         pred.accel, deadline_active,
-                                         params, world.drag_law)
-        decisions[veh.vid] = (dec, veh.mode, heads[i])
+            accel, code, _, _, _, _, _ = follower(
+                v, p_hat, v_hat, pred.accel, deadline_active, params, law)
+        decisions.append((accel, code, mcode, was_head))
+        pred = veh
     return decisions
 
 
 def _integrate(world: WorldState, params: SimParams,
-               decisions: dict[int, tuple[ControlDecision, VehicleMode, bool]]
-               ) -> None:
+               decisions: list[Decision]) -> None:
     dt = params.dt
-    for veh in world.vehicles:
-        a = decisions[veh.vid][0].accel
+    v_min, v_max = params.v_min, params.v_max
+    for veh, dec in zip(world.vehicles, decisions):
+        a = dec[0]
         veh.p = veh.p + veh.v * dt + 0.5 * a * dt * dt
         v_new = veh.v + a * dt
-        if v_new < params.v_min:
-            v_new = params.v_min
-        elif v_new > params.v_max:
-            v_new = params.v_max
+        if v_new < v_min:
+            v_new = v_min
+        elif v_new > v_max:
+            v_new = v_max
         veh.v = v_new
         veh.accel = a
 
 
-def _process_exits(world: WorldState, stamp: float) -> None:
-    remaining: list[VehicleState] = []
-    for veh in world.vehicles:
-        if veh.p >= veh.exit_pos:
-            world.events.append(Event(stamp, EVENT_EXIT, veh.vid,
-                                      f"at {veh.exit_pos:g}"))
-            world.counters["exited"] += 1
-        else:
-            remaining.append(veh)
-    world.vehicles = remaining
+def _process_exits(world: WorldState, stamp: float,
+                   decisions: list[Decision]) -> None:
+    """Remove vehicles past their exit, together with their decisions."""
+    vehicles = world.vehicles
+    gone = [i for i, veh in enumerate(vehicles) if veh.p >= veh.exit_pos]
+    for i in gone:
+        veh = vehicles[i]
+        world.events.append(Event(stamp, EVENT_EXIT, veh.vid,
+                                  f"at {veh.exit_pos:g}"))
+        world.counters["exited"] += 1
+    for i in reversed(gone):
+        del vehicles[i]
+        del decisions[i]
 
 
 def _audit(world: WorldState, params: SimParams, stamp: float) -> None:
@@ -275,23 +267,20 @@ def _audit(world: WorldState, params: SimParams, stamp: float) -> None:
 
 
 def resequence(world: WorldState, params: SimParams,
-               decisions: dict[int, tuple[ControlDecision, VehicleMode, bool]],
-               stamp: float) -> None:
+               decisions: list[Decision], stamp: float) -> None:
     """Apply splits, mode transitions and merges for this step.
 
-    Splits act on this step's follower verdicts; merges act on heads
-    whose against-predecessor classification came back feasible.  Heads
+    ``decisions`` line up with ``world.vehicles``.  Splits act on this
+    step's follower verdicts; merges act on heads whose
+    against-predecessor classification came back feasible.  Heads
     promoted only this step sit out the merge test until they have a
     head verdict of their own.
     """
     vehicles = world.vehicles
 
-    for i, veh in enumerate(vehicles):
-        info = decisions.get(veh.vid)
-        if info is None:
-            continue
-        dec, mode_ctrl, was_head = info
-        if not was_head and dec.verdict.splits:
+    for i, dec in enumerate(decisions):
+        if not dec[3] and dec[1] in SPLIT_CODES:
+            veh = vehicles[i]
             old = veh.platoon_id
             new = world.next_platoon_id
             world.next_platoon_id += 1
@@ -303,38 +292,37 @@ def resequence(world: WorldState, params: SimParams,
             world.events.append(Event(stamp, EVENT_SPLIT, veh.vid,
                                       f"platoon {old} -> {new}"))
 
-    heads = _head_flags(vehicles)
-    for veh, is_head in zip(vehicles, heads):
-        info = decisions.get(veh.vid)
-        if info is None:
-            continue
-        verdict = info[0].verdict
+    eps_d = params.eps_d
+    ahead_pid = None
+    for veh, dec in zip(vehicles, decisions):
+        is_head = veh.platoon_id != ahead_pid
+        ahead_pid = veh.platoon_id
         margin = deadline_margin(veh.p, veh.v, stamp,
                                  veh.exit_pos, veh.deadline)
-        new_mode = update_mode(veh.mode, verdict, margin, is_head, params)
-        if new_mode is veh.mode:
+        mode = veh.mode
+        new_mode = next_mode(mode, dec[1], margin, is_head, eps_d)
+        if new_mode is mode:
             continue
         if new_mode is VehicleMode.FOLLOWER_DEADLINE_RELAXED or (
                 new_mode is VehicleMode.LEADER_RECOVERING
-                and veh.mode is VehicleMode.FOLLOWER):
+                and mode is VehicleMode.FOLLOWER):
             world.counters["relaxations"] += 1
             world.events.append(Event(stamp, EVENT_RELAX, veh.vid,
                                       f"margin {margin:.3f}"))
-        elif (veh.mode is VehicleMode.LEADER_RECOVERING
+        elif (mode is VehicleMode.LEADER_RECOVERING
               and new_mode is VehicleMode.LEADER):
             world.counters["recoveries"] += 1
             world.events.append(Event(stamp, EVENT_RECOVER, veh.vid,
                                       f"margin {margin:.3f}"))
         veh.mode = new_mode
 
+    feasible = kernels.VERDICT_FEASIBLE
     for i in range(1, len(vehicles)):
         veh = vehicles[i]
         if vehicles[i - 1].platoon_id == veh.platoon_id:
             continue
-        info = decisions.get(veh.vid)
-        if info is None or not info[2]:
-            continue
-        if info[0].verdict is not FeasibilityVerdict.FEASIBLE:
+        _, code, _, was_head = decisions[i]
+        if not was_head or code != feasible:
             continue
         old = veh.platoon_id
         target = vehicles[i - 1].platoon_id
@@ -419,26 +407,55 @@ def try_spawn(world: WorldState, params: SimParams, stamp: float) -> None:
 
 
 def _record(world: WorldState, params: SimParams, stamp: float,
-            mode_at_control: dict[int, VehicleMode]) -> None:
-    law = world.drag_law
+            decisions: list[Decision]) -> None:
+    """Append the post-step snapshot to the trajectory columns.
+
+    ``decisions`` line up with the vehicles that were on the road at
+    control time.  Vehicles spawned this step hold the newest ids, have
+    no decision, and are recorded in their own mode.
+    """
     vehicles = world.vehicles
-    for i, veh in enumerate(vehicles):
-        pred = vehicles[i - 1] if i > 0 else None
-        in_wake = pred is not None
-        if in_wake:
-            rel = relative_kinematics(veh, pred)
-            gs = stopping_margin(veh.v, rel.p_hat, rel.v_hat, params)
-            drag = law.force(veh.v, rel.p_hat, True)
-        else:
-            gs = math.nan
-            drag = law.force(veh.v, 0.0, False)
-        dm = deadline_margin(veh.p, veh.v, stamp, veh.exit_pos, veh.deadline)
-        mode = mode_at_control.get(veh.vid, veh.mode)
-        world.trajectory.append(TrajectoryRecord(
-            time=stamp, vehicle_id=veh.vid, platoon_id=veh.platoon_id,
-            p=veh.p, v=veh.v, accel=veh.accel, u=veh.accel + drag,
-            drag=drag, gs_margin=gs, deadline_margin=dm, mode=mode.value,
-        ))
+    if not vehicles:
+        return
+    law = world.drag_law
+    fused = isinstance(law, ExponentialWakeDrag)
+    c = law.coeffs if fused else params.drag
+    c0, c1, c2 = c.c0, c.c1, c.c2
+    drag_force = kernels.drag_force
+    margin = kernels.stopping_margin
+    v_min, a_min, delta = params.v_min, params.a_min, params.delta
+
+    pred = vehicles[0]
+    drags = [law.force(pred.v, 0.0, False)]
+    gs = [math.nan]
+    for veh in vehicles[1:]:
+        v = veh.v
+        p_hat = veh.p - pred.p
+        gs.append(margin(v, p_hat, v - pred.v, v_min, a_min, delta))
+        drags.append(drag_force(v, p_hat, True, c0, c1, c2) if fused
+                     else law.force(v, p_hat, True))
+        pred = veh
+
+    first_new = world.next_vehicle_id - (len(vehicles) - len(decisions))
+    at_control = iter(decisions)
+    modes = [next(at_control)[2] if veh.vid < first_new
+             else MODE_CODES[veh.mode] for veh in vehicles]
+
+    accels = [veh.accel for veh in vehicles]
+    world.trajectory.append_step(
+        stamp,
+        [veh.vid for veh in vehicles],
+        [veh.platoon_id for veh in vehicles],
+        [veh.p for veh in vehicles],
+        [veh.v for veh in vehicles],
+        accels,
+        [a + d for a, d in zip(accels, drags)],
+        drags,
+        gs,
+        [deadline_margin(veh.p, veh.v, stamp, veh.exit_pos, veh.deadline)
+         for veh in vehicles],
+        modes,
+    )
 
 
 def step(world: WorldState, params: SimParams) -> None:
@@ -446,12 +463,11 @@ def step(world: WorldState, params: SimParams) -> None:
     stamp = world.t + params.dt
     decisions = _decide(world, params)
     _integrate(world, params, decisions)
-    _process_exits(world, stamp)
+    _process_exits(world, stamp, decisions)
     _audit(world, params, stamp)
     resequence(world, params, decisions, stamp)
     try_spawn(world, params, stamp)
-    mode_at_control = {vid: info[1] for vid, info in decisions.items()}
-    _record(world, params, stamp, mode_at_control)
+    _record(world, params, stamp, decisions)
     if len(world.vehicles) > world.counters["peak_vehicles"]:
         world.counters["peak_vehicles"] = len(world.vehicles)
     world.t = stamp

@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
-from .analysis import records_by_vehicle
 from .core import SimParams
-from .sim import TrajectoryRecord
+from .trajectory import Trajectory, TrajectoryRecord, as_trajectory
 
 WIDTH = 900.0
 HEIGHT = 520.0
@@ -50,12 +49,12 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}".rstrip("0").rstrip(".")
 
 
-def render_timespace(trajectory: Iterable[TrajectoryRecord],
+def render_timespace(trajectory: Trajectory | Iterable[TrajectoryRecord],
                      params: SimParams,
                      t0: Optional[float] = None,
                      t1: Optional[float] = None) -> str:
     """Render the run (optionally restricted to [t0, t1]) as SVG text."""
-    per_vehicle = records_by_vehicle(trajectory)
+    tr = as_trajectory(trajectory)
     lo_t = 0.0 if t0 is None else t0
     hi_t = params.duration if t1 is None else t1
     if hi_t <= lo_t:
@@ -94,18 +93,24 @@ def render_timespace(trajectory: Iterable[TrajectoryRecord],
             f'stroke="#bbbbbb" stroke-width="0.8" stroke-dasharray="2 4"/>'
         )
 
+    # (x, y) of each vehicle's states inside the window, in time order
+    per_vehicle: dict[int, list[tuple[float, float]]] = {}
+    vids, ps = tr.vehicle_id, tr.p
+    for time, start, stop in tr.steps():
+        if lo_t <= time <= hi_t:
+            x = sx(time)
+            for i in range(start, stop):
+                per_vehicle.setdefault(vids[i], []).append((x, sy(ps[i])))
+
     for vid in sorted(per_vehicle):
-        recs = [r for r in per_vehicle[vid] if lo_t <= r.time <= hi_t]
-        if not recs:
-            continue
+        xys = per_vehicle[vid]
         color = PALETTE[vid % len(PALETTE)]
-        pts = " ".join(f"{_fmt(sx(r.time))},{_fmt(sy(r.p))}" for r in recs)
+        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in xys)
         parts.append(
             f'<polyline points="{pts}" fill="none" '
             f'stroke="{color}" stroke-width="1.1"/>'
         )
-        for rec, fill in ((recs[0], color), (recs[-1], "none")):
-            x, y = sx(rec.time), sy(rec.p)
+        for (x, y), fill in ((xys[0], color), (xys[-1], "none")):
             parts.append(
                 f'<rect x="{_fmt(x - 2.2)}" y="{_fmt(y - 2.2)}" '
                 f'width="4.4" height="4.4" fill="{fill}" '

@@ -15,13 +15,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .analysis import brute_force_follower, records_by_time
+from .analysis import brute_force_follower, consecutive_gap_excess
 from .cli import trajectory_csv_text
 from .constraints import safe_accel_interval, stopping_margin
 from .controller import solve_follower_control
 from .core import SimParams, SimulationError, VehicleMode, VehicleState
 from .drag import ExponentialWakeDrag
 from .sim import WorldState, insert_vehicle, run, step
+from .trajectory import MODE_CODES
 
 N_CORPUS_SEEDS = 50
 SPAWN_COUNT_BAND = (120.0, 155.0)
@@ -80,13 +81,10 @@ def check_safety(params: SimParams, corpus: RunCorpus) -> CheckResult:
     worst = -math.inf
     bad = 0
     for res in corpus.results.values():
-        for recs in records_by_time(res.trajectory).values():
-            for front, back in zip(recs, recs[1:]):
-                excess = (back.p - front.p) + params.delta
-                if excess > worst:
-                    worst = excess
-                if excess > allowed:
-                    bad += 1
+        excess = consecutive_gap_excess(res.trajectory, params)
+        if len(excess):
+            worst = max(worst, float(excess.max()))
+            bad += int((excess > allowed).sum())
     detail = (f"{bad} gap violations in {N_CORPUS_SEEDS} runs, worst "
               f"gap excess {worst:.4f} m, allowed {allowed:.4f} m")
     return CheckResult(name, bad == 0, detail)
@@ -174,12 +172,13 @@ def check_braking_only(params: SimParams, corpus: RunCorpus) -> CheckResult:
         return CheckResult(name, False, f"corpus incomplete, {err}")
     worst = -math.inf
     total = 0
+    recovering = MODE_CODES[VehicleMode.LEADER_RECOVERING]
     for res in corpus.results.values():
-        for rec in res.trajectory:
-            total += 1
-            if rec.mode != VehicleMode.LEADER_RECOVERING.value:
-                if rec.accel > worst:
-                    worst = rec.accel
+        tr = res.trajectory
+        total += len(tr)
+        accel = np.array(tr.accel)[np.array(tr.mode) != recovering]
+        if len(accel):
+            worst = max(worst, float(accel.max()))
     ok = worst <= COMMAND_CEILING
     detail = (f"max non-recovering command {worst:.3e} over {total} records, "
               f"allowed {COMMAND_CEILING:.0e}")
@@ -251,11 +250,12 @@ def check_equilibrium_hold(params: SimParams) -> CheckResult:
     insert_vehicle(world, 100.0 - params.delta, params.v_min,
                    exit_pos=1e9, deadline=1e9)
     result = run(p6, world=world)
-    worst_a = max(abs(r.accel) for r in result.trajectory)
-    worst_v = max(abs(r.v - params.v_min) for r in result.trajectory)
+    tr = result.trajectory
+    worst_a = float(np.abs(np.array(tr.accel)).max())
+    worst_v = float(np.abs(np.array(tr.v) - params.v_min).max())
     worst_gap = 0.0
-    for recs in records_by_time(result.trajectory).values():
-        drift = abs((recs[1].p - recs[0].p) + params.delta)
+    for _, front, _ in tr.steps():
+        drift = abs((tr.p[front + 1] - tr.p[front]) + params.delta)
         if drift > worst_gap:
             worst_gap = drift
     ok = worst_a <= 1e-9 and worst_v <= 1e-6 and worst_gap <= 1e-6
@@ -325,34 +325,36 @@ def check_drag_descent(params: SimParams) -> CheckResult:
     name = "drag_descent_per_step"
     c = 8.0 * params.a_max * params.drag.c0 ** 2 * params.v_max ** 3
     allowed = c * params.dt * params.dt + 1e-12
+    follower = MODE_CODES[VehicleMode.FOLLOWER]
     worst = -math.inf
     pairs = 0
     for offset in range(N_DESCENT_SEEDS):
         p8 = replace(params, seed=7000 + offset, enforce_deadlines=False)
-        res = run(p8)
-        snaps = list(records_by_time(res.trajectory).values())
-        for prev, cur in zip(snaps, snaps[1:]):
-            prev_rec = {rec.vehicle_id: rec for rec in prev}
-            prev_ahead = {rec.vehicle_id: (prev[j - 1].vehicle_id if j else None)
-                          for j, rec in enumerate(prev)}
-            for j, rec in enumerate(cur):
-                if rec.mode != VehicleMode.FOLLOWER.value or j == 0:
-                    continue
-                before = prev_rec.get(rec.vehicle_id)
-                if before is None:
-                    continue
-                if prev_ahead.get(rec.vehicle_id) != cur[j - 1].vehicle_id:
-                    continue
-                rise = rec.drag ** 2 - before.drag ** 2
-                pairs += 1
-                if rise > worst:
-                    worst = rise
-                if rise > allowed:
-                    return CheckResult(name, False, (
-                        f"seed {7000 + offset}: F^2 rose {rise:.3e} in one "
-                        f"step for vehicle {rec.vehicle_id} at "
-                        f"t={rec.time:.1f} (allowed {allowed:.3e})"
-                    ))
+        tr = run(p8).trajectory
+        vids, drag, mode = tr.vehicle_id, tr.drag, tr.mode
+        # vehicle id -> (row, id of the vehicle ahead) in the previous step
+        before: dict[int, tuple[int, int | None]] = {}
+        for time, start, stop in tr.steps():
+            now: dict[int, tuple[int, int | None]] = {}
+            ahead = None
+            for i in range(start, stop):
+                vid = vids[i]
+                now[vid] = (i, ahead)
+                prev = before.get(vid)
+                if (mode[i] == follower and ahead is not None
+                        and prev is not None and prev[1] == ahead):
+                    rise = drag[i] ** 2 - drag[prev[0]] ** 2
+                    pairs += 1
+                    if rise > worst:
+                        worst = rise
+                    if rise > allowed:
+                        return CheckResult(name, False, (
+                            f"seed {7000 + offset}: F^2 rose {rise:.3e} in "
+                            f"one step for vehicle {vid} at t={time:.1f} "
+                            f"(allowed {allowed:.3e})"
+                        ))
+                ahead = vid
+            before = now
     detail = (f"{pairs} follower step pairs over {N_DESCENT_SEEDS} "
               f"deadline-free runs, worst F^2 rise {worst:.3e} of "
               f"{allowed:.3e} allowed")

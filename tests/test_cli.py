@@ -161,6 +161,44 @@ class TestRunCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("control:\n  delta: .nan\n", "delta must be finite"),
+        ("run:\n  duration: .inf\n", "duration must be finite"),
+    ])
+    def test_non_finite_values_exit_with_a_config_error(
+            self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_override_is_a_config_error(self, config_file,
+                                                   tmp_path, capsys):
+        rc = main(["run", "--config", str(config_file),
+                   "--out", str(tmp_path / "out"), "--dt", "nan"])
+        assert rc == 2
+        assert "dt must be finite" in capsys.readouterr().err
+
+    def test_oversized_seed_runs(self, tmp_path):
+        # An int seed is finite at any size; it never passes through float.
+        seed = 10 ** 400
+        cfg = tmp_path / "big.yaml"
+        cfg.write_text(f"run:\n  seed: {seed}\n  duration: 2.0\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        echo = yaml.safe_load((out / "config.echo").read_text())
+        assert echo["run"]["seed"] == seed
+
+    def test_oversized_float_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "big.yaml"
+        cfg.write_text(f"road:\n  length: {10 ** 400}\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "road.length" in capsys.readouterr().err
+
     def test_missing_config_is_a_config_error(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.yaml"),
                    "--out", str(tmp_path / "out")])

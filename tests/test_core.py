@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -6,16 +7,8 @@ from platoonflow import (
     RoadNetwork,
     SimParams,
     VehicleMode,
-    VehicleState,
     validate_params,
 )
-from platoonflow.core import RelativeKinematics, relative_kinematics
-
-
-def make_vehicle(vid=0, p=100.0, v=25.0, mode=VehicleMode.FOLLOWER):
-    return VehicleState(vid=vid, p=p, v=v, accel=0.0, spawn_time=0.0,
-                        deadline=100.0, exit_pos=1750.0, mode=mode,
-                        platoon_id=0)
 
 
 def test_default_params_validate_clean():
@@ -33,6 +26,10 @@ def test_default_params_validate_clean():
     ("seed", -1, "seed"),
     ("eps_g", 0.0, "eps_g"),
     ("gamma", -0.5, "gamma"),
+    ("delta", math.nan, "delta must be finite"),
+    ("duration", math.inf, "duration must be finite"),
+    ("eps_platoon_gap", math.nan, "eps_platoon_gap must be finite"),
+    ("gamma", math.inf, "gamma must be finite"),
 ])
 def test_bad_scalar_params_are_reported(field, value, fragment):
     params = dataclasses.replace(SimParams(), **{field: value})
@@ -51,6 +48,7 @@ def test_bad_drag_coefficients_are_reported():
         (DragCoefficients(c1=1.0), "c1"),
         (DragCoefficients(c1=-0.1), "c1"),
         (DragCoefficients(c2=0.0), "c2"),
+        (DragCoefficients(c2=math.inf), "drag.c2 must be finite"),
     ]:
         params = dataclasses.replace(SimParams(), drag=coeffs)
         assert any(fragment in m for m in validate_params(params))
@@ -64,6 +62,15 @@ def test_ramps_must_be_sorted_and_interior():
     road = RoadNetwork(off_ramps=(500.0, 2000.0))
     params = dataclasses.replace(SimParams(), road=road)
     assert any("off_ramps" in m for m in validate_params(params))
+
+    for road, fragment in [
+        (RoadNetwork(length=math.inf), "road.length must be finite"),
+        (RoadNetwork(on_ramps=(-math.inf,)), "road.on_ramps must be finite"),
+        (RoadNetwork(off_ramps=(500.0, math.nan)),
+         "road.off_ramps must be finite"),
+    ]:
+        params = dataclasses.replace(SimParams(), road=road)
+        assert any(fragment in m for m in validate_params(params))
 
 
 def test_entry_points_include_road_start():
@@ -90,17 +97,3 @@ def test_mode_head_and_relaxed_flags():
     assert VehicleMode.LEADER_RECOVERING.deadline_relaxed
     assert not VehicleMode.FOLLOWER.deadline_relaxed
     assert not VehicleMode.LEADER.deadline_relaxed
-
-
-def test_relative_kinematics_for_pair_and_front():
-    front = make_vehicle(vid=1, p=120.0, v=24.0)
-    back = make_vehicle(vid=2, p=100.0, v=26.0)
-
-    rel = relative_kinematics(back, front)
-    assert rel == RelativeKinematics(p_hat=-20.0, v_hat=2.0, leading=False)
-    assert rel.p_hat < 0
-
-    rel_front = relative_kinematics(front, None)
-    assert rel_front.leading
-    assert rel_front.p_hat == front.p
-    assert rel_front.v_hat == front.v

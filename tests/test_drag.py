@@ -1,6 +1,7 @@
 import math
+import sys
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from platoonflow import DragCoefficients, ExponentialWakeDrag
 from platoonflow.drag import drag_force, drag_partials, gradient_flow_bound
@@ -80,14 +81,20 @@ def test_partials_match_difference_quotient(v, p_hat):
 
 
 @given(v=speeds, p_hat=gaps, v_hat=st.floats(min_value=-15.0, max_value=15.0))
+@example(v=1.0, p_hat=-120.0, v_hat=5e-324)
+@example(v=1.0, p_hat=-120.0, v_hat=-5e-324)
 def test_flow_bound_sign_follows_closing_speed(v, p_hat, v_hat):
     bound = gradient_flow_bound(v, p_hat, v_hat, True, COEFFS)
-    if v_hat > 0:
-        assert bound > 0.0
-    elif v_hat < 0:
-        assert bound < 0.0
-    else:
+    if v_hat == 0:
         assert bound == 0.0
+    elif abs(v_hat) < sys.float_info.min:
+        # A subnormal closing speed can underflow the bound to a zero,
+        # which still carries the sign.
+        assert math.copysign(1.0, bound) == math.copysign(1.0, v_hat)
+    elif v_hat > 0:
+        assert bound > 0.0
+    else:
+        assert bound < 0.0
 
 
 @given(v=speeds, p_hat=gaps, v_hat=st.floats(min_value=-10.0, max_value=10.0))

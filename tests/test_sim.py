@@ -102,7 +102,7 @@ class TestStepDynamics:
 
     def test_zero_duration_run_is_empty(self):
         result = run(SimParams(duration=0.0))
-        assert result.trajectory == []
+        assert len(result.trajectory) == 0
         assert result.events == []
         assert result.metrics["spawned"] == 0
 
@@ -110,7 +110,7 @@ class TestStepDynamics:
         import dataclasses
         short = dataclasses.replace(params, duration=5.0)
         result = run(short, world=quiet_world(short))
-        assert result.trajectory == []
+        assert len(result.trajectory) == 0
         assert result.metrics["spawned"] == 0
 
 

@@ -1,0 +1,137 @@
+import math
+import random
+import sys
+
+import pytest
+
+from platoonflow import (
+    DragLaw,
+    ExponentialWakeDrag,
+    SimParams,
+    Trajectory,
+    TrajectoryRecord,
+    VehicleMode,
+    WorldState,
+    insert_vehicle,
+    run,
+    step,
+)
+from platoonflow.analysis import records_by_time, records_by_vehicle
+from platoonflow.constraints import deadline_margin, stopping_margin
+from platoonflow.trajectory import COLUMNS, MODES
+
+
+def columns(tr):
+    return {name: getattr(tr, name).tobytes()
+            for name in ("times", "offsets") + COLUMNS}
+
+
+def test_mode_codes_carry_the_head_and_relaxed_bits():
+    for code, mode in enumerate(MODES):
+        assert bool(code & 1) == mode.is_head
+        assert bool(code & 2) == mode.deadline_relaxed
+    assert set(MODES) == set(VehicleMode)
+
+
+class TestColumns:
+    def test_from_records_reproduces_the_columns(self, short_run):
+        tr = short_run.trajectory
+        rebuilt = Trajectory.from_records(list(tr))
+        assert columns(rebuilt) == columns(tr)
+        assert rebuilt == tr
+
+    def test_from_records_orders_shuffled_records(self, short_run):
+        records = list(short_run.trajectory)
+        random.Random(5).shuffle(records)
+        assert Trajectory.from_records(records) == short_run.trajectory
+
+    def test_from_records_rejects_an_unknown_mode(self):
+        rec = TrajectoryRecord(0.1, 1, 1, 0.0, 20.0, 0.0, 0.0, 0.0,
+                               math.nan, -1.0, "cruising")
+        with pytest.raises(ValueError, match="cruising"):
+            Trajectory.from_records([rec])
+
+    def test_indexing_matches_iteration(self, short_run):
+        tr = short_run.trajectory
+        records = list(tr)
+        assert len(records) == len(tr)
+        for i in (0, 1, 57, len(tr) // 2, len(tr) - 1):
+            assert tr[i] == records[i]
+        assert tr[-1] == records[-1]
+        with pytest.raises(IndexError):
+            tr[len(tr)]
+
+    def test_equality_is_per_run(self):
+        a = run(SimParams(duration=10.0, seed=2)).trajectory
+        b = run(SimParams(duration=10.0, seed=3)).trajectory
+        assert a != b
+        assert a == run(SimParams(duration=10.0, seed=2)).trajectory
+        assert a != list(a)
+
+    def test_records_stay_under_one_hundred_bytes(self, short_run):
+        tr = short_run.trajectory
+        held = sum(sys.getsizeof(getattr(tr, name))
+                   for name in ("times", "offsets") + COLUMNS)
+        assert held / len(tr) <= 100.0
+
+
+class TestRecordViews:
+    def test_views_carry_what_the_engine_recorded(self, params):
+        world = WorldState.initial(params, spawning=False)
+        law = ExponentialWakeDrag(params.drag)
+        insert_vehicle(world, 300.0, 24.0, exit_pos=1e9, deadline=1e9)
+        insert_vehicle(world, 280.0, 27.0, exit_pos=1e9, deadline=400.0)
+        for _ in range(3):
+            step(world, params)
+        front, rear = world.vehicles
+        snap = world.trajectory.snapshot(-1)
+        assert [r.vehicle_id for r in snap] == [front.vid, rear.vid]
+        for rec, veh in zip(snap, world.vehicles):
+            assert rec.time == world.t
+            assert (rec.platoon_id, rec.p, rec.v, rec.accel) == (
+                veh.platoon_id, veh.p, veh.v, veh.accel)
+            assert rec.u == rec.accel + rec.drag
+            assert rec.deadline_margin == deadline_margin(
+                veh.p, veh.v, world.t, veh.exit_pos, veh.deadline)
+            assert rec.mode == veh.mode.value
+        assert snap[0].drag == law.force(front.v, 0.0, False)
+        assert math.isnan(snap[0].gs_margin)
+        p_hat, v_hat = rear.p - front.p, rear.v - front.v
+        assert snap[1].drag == law.force(rear.v, p_hat, True)
+        assert snap[1].gs_margin == stopping_margin(rear.v, p_hat, v_hat,
+                                                    params)
+
+    def test_snapshots_match_those_of_the_record_list(self, short_run):
+        tr = short_run.trajectory
+        assert records_by_time(tr) == records_by_time(list(tr))
+        assert records_by_vehicle(tr) == records_by_vehicle(list(tr))
+        last = max(records_by_time(tr))
+        assert records_by_time(tr)[last] == tr.snapshot(-1)
+
+
+class ScaledWake(DragLaw):
+    """A law the fused kernel does not know: half the default drag."""
+
+    def __init__(self, params):
+        self.base = ExponentialWakeDrag(params.drag)
+
+    def force(self, v, p_hat, in_wake):
+        return 0.5 * self.base.force(v, p_hat, in_wake)
+
+    def partials(self, v, p_hat, in_wake):
+        f_v, f_p = self.base.partials(v, p_hat, in_wake)
+        return 0.5 * f_v, 0.5 * f_p
+
+
+def test_a_swapped_in_drag_law_runs_through_the_engine():
+    params = SimParams(duration=20.0, seed=1)
+    law = ScaledWake(params)
+    world = WorldState.initial(params, drag_law=law)
+    result = run(params, world=world)
+    assert len(result.trajectory) > 0
+    for snap in records_by_time(result.trajectory).values():
+        assert snap[0].drag == law.force(snap[0].v, 0.0, False)
+        for ahead, rec in zip(snap, snap[1:]):
+            assert rec.drag == law.force(rec.v, rec.p - ahead.p, True)
+    modes = {rec.mode for rec in result.trajectory}
+    assert VehicleMode.FOLLOWER.value in modes
