@@ -178,15 +178,17 @@ def trajectory_csv_text(trajectory: Trajectory | Iterable[TrajectoryRecord]
     vid, pid, mode = tr.vehicle_id, tr.platoon_id, tr.mode
     p, v, accel, u, drag = tr.p, tr.v, tr.accel, tr.u, tr.drag
     gs, dm = tr.gs_margin, tr.deadline_margin
-    lines = [",".join(_CSV_HEADER) + "\n"]
+    # One string per step, not per row: a list of rows would hold one
+    # string object per record until the final join.
+    steps = [",".join(_CSV_HEADER) + "\n"]
     for time, start, stop in tr.steps():
         t = _sig(time)
-        lines.extend(
+        steps.append("".join(
             f"{t},{vid[i]},{pid[i]},{p[i]:.6g},{v[i]:.6g},{accel[i]:.6g},"
             f"{u[i]:.6g},{drag[i]:.6g},{gs[i]:.6g},{dm[i]:.6g},"
             f"{MODE_NAMES[mode[i]]}\n"
-            for i in sorted(range(start, stop), key=vid.__getitem__))
-    return "".join(lines)
+            for i in sorted(range(start, stop), key=vid.__getitem__)))
+    return "".join(steps)
 
 
 def events_csv_text(events: Iterable[Event]) -> str:

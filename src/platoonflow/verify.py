@@ -4,7 +4,8 @@ Each check builds its own scenario against the public engine and
 controller surface and reports one pass/fail result with a short
 detail line.  Checks that need the seeded open-highway corpus (the
 default scenario run over many seeds) share one lazily built corpus so
-the expensive runs happen once per process.
+the expensive runs happen once per process; the corpus keeps only the
+few figures those checks read from each run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .constraints import safe_accel_interval, stopping_margin
 from .controller import solve_follower_control
 from .core import SimParams, SimulationError, VehicleMode, VehicleState
 from .drag import ExponentialWakeDrag
-from .sim import WorldState, insert_vehicle, run, step
+from .sim import SimResult, WorldState, insert_vehicle, run, step
 from .trajectory import MODE_CODES
 
 N_CORPUS_SEEDS = 50
@@ -43,13 +44,55 @@ class CheckResult:
     detail: str
 
 
+def gap_allowance(params: SimParams) -> float:
+    """Largest bumper-gap excess the safety check accepts: the envelope
+    band plus one step of drift at top speed."""
+    return params.eps_g + params.v_max * params.dt
+
+
+@dataclass(frozen=True, slots=True)
+class SeedSummary:
+    """The figures the corpus checks read from one seeded run.
+
+    ``worst_gap_excess`` is None when no step had two vehicles on the
+    road, ``worst_command`` when every record was a recovering head.
+    """
+
+    spawned: int
+    records: int
+    worst_gap_excess: float | None
+    gap_violations: int
+    worst_command: float | None
+
+
+def summarize_seed(result: SimResult, params: SimParams) -> SeedSummary:
+    """Fold one run into the figures the corpus checks aggregate."""
+    tr = result.trajectory
+    excess = consecutive_gap_excess(tr, params)
+    recovering = MODE_CODES[VehicleMode.LEADER_RECOVERING]
+    accel = np.array(tr.accel)[np.array(tr.mode) != recovering]
+    return SeedSummary(
+        spawned=result.metrics["spawned"],
+        records=len(tr),
+        worst_gap_excess=float(excess.max()) if len(excess) else None,
+        gap_violations=int((excess > gap_allowance(params)).sum()),
+        worst_command=float(accel.max()) if len(accel) else None,
+    )
+
+
 class RunCorpus:
-    """Seeded default-scenario runs, built once and shared across checks."""
+    """Seeded default-scenario runs, built once and shared across checks.
+
+    ``build`` folds each run into a ``SeedSummary`` as soon as it
+    returns and drops the run, so memory holds one run at a time, not
+    the whole corpus.  ``summaries`` maps seed to summary and ``errors``
+    seed to the message of the ``SimulationError`` that stopped it.
+    """
 
     def __init__(self, params: SimParams):
         self.params = params
-        self.results = {}
-        self.errors = {}
+        self.summaries: dict[int, SeedSummary] = {}
+        self.errors: dict[int, str] = {}
         self._built = False
 
     def build(self) -> None:
@@ -57,7 +100,8 @@ class RunCorpus:
             return
         for seed in range(N_CORPUS_SEEDS):
             try:
-                self.results[seed] = run(replace(self.params, seed=seed))
+                self.summaries[seed] = summarize_seed(
+                    run(replace(self.params, seed=seed)), self.params)
             except SimulationError as exc:
                 self.errors[seed] = str(exc)
         self._built = True
@@ -77,16 +121,15 @@ def check_safety(params: SimParams, corpus: RunCorpus) -> CheckResult:
     err = corpus.first_error()
     if err is not None:
         return CheckResult(name, False, f"engine audit tripped, {err}")
-    allowed = params.eps_g + params.v_max * params.dt
     worst = -math.inf
     bad = 0
-    for res in corpus.results.values():
-        excess = consecutive_gap_excess(res.trajectory, params)
-        if len(excess):
-            worst = max(worst, float(excess.max()))
-            bad += int((excess > allowed).sum())
+    for summary in corpus.summaries.values():
+        if summary.worst_gap_excess is not None:
+            worst = max(worst, summary.worst_gap_excess)
+        bad += summary.gap_violations
     detail = (f"{bad} gap violations in {N_CORPUS_SEEDS} runs, worst "
-              f"gap excess {worst:.4f} m, allowed {allowed:.4f} m")
+              f"gap excess {worst:.4f} m, allowed "
+              f"{gap_allowance(params):.4f} m")
     return CheckResult(name, bad == 0, detail)
 
 
@@ -98,7 +141,7 @@ def check_throughput(params: SimParams, corpus: RunCorpus) -> CheckResult:
     err = corpus.first_error()
     if err is not None:
         return CheckResult(name, False, f"corpus incomplete, {err}")
-    counts = [res.metrics["spawned"] for res in corpus.results.values()]
+    counts = [summary.spawned for summary in corpus.summaries.values()]
     mean = sum(counts) / len(counts)
     inflow = mean / params.duration * 3600.0
     lo, hi = SPAWN_COUNT_BAND
@@ -172,13 +215,10 @@ def check_braking_only(params: SimParams, corpus: RunCorpus) -> CheckResult:
         return CheckResult(name, False, f"corpus incomplete, {err}")
     worst = -math.inf
     total = 0
-    recovering = MODE_CODES[VehicleMode.LEADER_RECOVERING]
-    for res in corpus.results.values():
-        tr = res.trajectory
-        total += len(tr)
-        accel = np.array(tr.accel)[np.array(tr.mode) != recovering]
-        if len(accel):
-            worst = max(worst, float(accel.max()))
+    for summary in corpus.summaries.values():
+        total += summary.records
+        if summary.worst_command is not None:
+            worst = max(worst, summary.worst_command)
     ok = worst <= COMMAND_CEILING
     detail = (f"max non-recovering command {worst:.3e} over {total} records, "
               f"allowed {COMMAND_CEILING:.0e}")

@@ -2,14 +2,14 @@
 
 Each test prints a single PASS/FAIL line on the real stdout so the
 verdict list survives pytest's capture, then asserts.  The expensive
-50-seed run corpus is built once and shared by the checks that read it.
+50-seed run corpus (the session ``corpus`` fixture) is built once and
+shared by the checks that read it.
 """
 
 import pytest
 
 from platoonflow import SimParams
 from platoonflow.verify import (
-    RunCorpus,
     check_braking_only,
     check_determinism,
     check_drag_descent,
@@ -26,11 +26,6 @@ from platoonflow.verify import (
 @pytest.fixture(scope="module")
 def acceptance_params():
     return SimParams()
-
-
-@pytest.fixture(scope="module")
-def corpus(acceptance_params):
-    return RunCorpus(acceptance_params)
 
 
 def report(capsys, result):

@@ -9,6 +9,11 @@ a further digest covers every recorded field at full precision
 digests depend on libm's ``exp``, so the data file records the platform
 they were taken on, and a mismatch reports it next to the running one.
 
+The data file also pins the detail lines of the three ``verify`` checks
+that read the 50-seed corpus, for default parameters, as the code before
+the corpus was folded per seed printed them: the verify output must not
+just pass but stay the same.
+
 To print the digests of the current code (for instance after an
 intended change of behaviour, which must then be stated as such):
 
@@ -28,8 +33,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from platoonflow import backend_name, run
+from platoonflow import SimParams, backend_name, run
 from platoonflow.cli import main, parse_config
+from platoonflow.verify import (RunCorpus, check_braking_only, check_safety,
+                                check_throughput)
 
 DATA = Path(__file__).with_name("golden_digests.json")
 ARTIFACTS = ("trajectory.csv", "events.csv", "metrics.txt")
@@ -72,6 +79,14 @@ def records_digest(trajectory) -> str:
     return h.hexdigest()
 
 
+def verify_details(corpus: RunCorpus) -> dict[str, str]:
+    """Detail line of each corpus check for default parameters."""
+    params = SimParams()
+    return {r.name: r.detail for r in (check_safety(params, corpus),
+                                       check_throughput(params, corpus),
+                                       check_braking_only(params, corpus))}
+
+
 def current_platform() -> dict[str, str]:
     """The platform fields the data file records, for the running process."""
     return {
@@ -87,21 +102,32 @@ def test_matrix_is_pinned():
     assert set(json.loads(DATA.read_text())["digests"]) == set(CONFIGS)
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_artifacts_match_golden_digests(name, tmp_path):
-    data = json.loads(DATA.read_text())
+def platform_note(data: dict) -> str:
+    """Where the golden values were taken and where they run now."""
     recorded, running = data["platform"], current_platform()
     note = ("" if recorded == running else
             "; the platform differs from the one the digests were taken on, "
             "so libm or numpy may explain the mismatch")
+    return f"recorded on {recorded}, running on {running}{note}"
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_artifacts_match_golden_digests(name, tmp_path):
+    data = json.loads(DATA.read_text())
     assert artifact_digests(name, tmp_path) == data["digests"][name], (
-        f"digests of {name!r} changed; recorded on {recorded}, "
-        f"running on {running}{note}")
+        f"digests of {name!r} changed; {platform_note(data)}")
+
+
+def test_verify_corpus_details_match_golden(corpus):
+    data = json.loads(DATA.read_text())
+    assert verify_details(corpus) == data["verify"], (
+        f"verify corpus details changed; {platform_note(data)}")
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = {n: artifact_digests(n, Path(tmp)) for n in sorted(CONFIGS)}
-    json.dump({"digests": digests, "platform": current_platform()},
+    json.dump({"digests": digests, "platform": current_platform(),
+               "verify": verify_details(RunCorpus(SimParams()))},
               sys.stdout, indent=1, sort_keys=True)
     print()

@@ -1,0 +1,91 @@
+"""The verify corpus: the per-seed fold, its memory, and its error path."""
+
+import tracemalloc
+from dataclasses import replace
+
+import platoonflow.verify as verify
+from platoonflow import SimParams, run
+from platoonflow.core import SafetyAuditError, VehicleMode
+from platoonflow.verify import (RunCorpus, check_braking_only, check_safety,
+                                check_throughput)
+
+SHORT = SimParams(duration=20.0)
+
+
+def direct_figures(params: SimParams, seed: int) -> tuple:
+    """The per-seed figures, read record by record from a fresh run."""
+    result = run(replace(params, seed=seed))
+    allowed = params.eps_g + params.v_max * params.dt
+    excess = []
+    commands = []
+    for k in range(len(result.trajectory.times)):
+        snapshot = result.trajectory.snapshot(k)
+        excess += [(back.p - front.p) + params.delta
+                   for front, back in zip(snapshot, snapshot[1:])]
+        commands += [rec.accel for rec in snapshot
+                     if rec.mode != VehicleMode.LEADER_RECOVERING.value]
+    return (result.metrics["spawned"], len(result.trajectory),
+            max(excess, default=None), sum(e > allowed for e in excess),
+            max(commands, default=None))
+
+
+def test_fold_equals_figures_read_from_each_run(monkeypatch):
+    monkeypatch.setattr(verify, "N_CORPUS_SEEDS", 3)
+    corpus = RunCorpus(SHORT)
+    corpus.build()
+    assert corpus.errors == {}
+    assert list(corpus.summaries) == [0, 1, 2]
+    for seed, summary in corpus.summaries.items():
+        assert summary.worst_gap_excess is not None
+        assert (summary.spawned, summary.records, summary.worst_gap_excess,
+                summary.gap_violations, summary.worst_command) == \
+            direct_figures(SHORT, seed)
+
+
+def build_peak(monkeypatch, seeds: int) -> int:
+    """Peak traced bytes of building a corpus of 40 s runs."""
+    monkeypatch.setattr(verify, "N_CORPUS_SEEDS", seeds)
+    corpus = RunCorpus(replace(SHORT, duration=40.0))
+    tracemalloc.start()
+    try:
+        corpus.build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_memory_does_not_grow_with_the_seed_count(monkeypatch):
+    # A first build takes the one-time allocations (lazy imports, caches)
+    # out of the measured ones.
+    build_peak(monkeypatch, 1)
+    two = build_peak(monkeypatch, 2)
+    six = build_peak(monkeypatch, 6)
+    assert six <= 1.5 * two, (
+        f"peak {six} B for 6 seeds vs {two} B for 2 seeds")
+
+
+def test_corpus_checks_name_the_first_failed_seed(monkeypatch):
+    monkeypatch.setattr(verify, "N_CORPUS_SEEDS", 4)
+    calls = []
+
+    def failing_run(params):
+        calls.append(params.seed)
+        if params.seed in (1, 2):
+            raise SafetyAuditError(f"gap breach in seed {params.seed}")
+        return run(replace(params, duration=5.0))
+
+    monkeypatch.setattr(verify, "run", failing_run)
+    params = SimParams()
+    corpus = RunCorpus(params)
+    results = [check_safety(params, corpus), check_throughput(params, corpus),
+               check_braking_only(params, corpus)]
+    assert calls == [0, 1, 2, 3]
+    assert corpus.first_error() == "seed 1: gap breach in seed 1"
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("safety_50_seeds", False,
+         "engine audit tripped, seed 1: gap breach in seed 1"),
+        ("throughput_band", False,
+         "corpus incomplete, seed 1: gap breach in seed 1"),
+        ("braking_only_commands", False,
+         "corpus incomplete, seed 1: gap breach in seed 1"),
+    ]
