@@ -8,16 +8,19 @@ or accelerate to recover a relaxed deadline.
 
 The default drag law routes through the selected kernel backend in a
 single fused call; any other ``DragLaw`` takes the compositional path
-below, which is also the readable statement of the solve.
-``follower_step`` and ``leader_step`` are the one statement of each
-solve and return flat tuples, which the engine consumes directly;
-``solve_follower_control`` and ``leader_control`` wrap them in a
-``ControlDecision`` for callers that inspect one solve.
+below, which is also the readable statement of the solve.  ``bind``
+resolves that dispatch, the worst-case substitution and the parameter
+constants once per step; the engine then calls the kernels directly per
+vehicle, and ``follower_step``/``leader_step`` go through the same
+binding for a single solve.  ``solve_follower_control`` and
+``leader_control`` wrap those in a ``ControlDecision`` for callers that
+inspect one solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from ._backend import kernels
 from .constraints import (
@@ -30,6 +33,7 @@ from .constraints import (
 )
 from .core import SimParams, VehicleMode, VehicleState
 from .drag import DragLaw, ExponentialWakeDrag
+from .trajectory import MODES
 
 _ACTIVE_NAMES = (
     (kernels.ACTIVE_SPEED_FLOOR, "speed_floor"),
@@ -68,6 +72,62 @@ def _decision(accel: float, code: int, mask: int, lo: float, hi: float,
                            FeasibleInterval(lo, hi), g, bound)
 
 
+class Solves(NamedTuple):
+    """What every solve of one step shares, resolved by ``bind``.
+
+    ``follower`` and ``bound`` take the fused kernels' flat arguments
+    (``follower_decision`` and ``flow_bound``); for a law the kernels do
+    not implement they are closures over it that ignore ``c0, c1, c2``.
+    ``worst_pred`` is the predecessor command to assume in place of the
+    communicated one: ``a_min`` under ``worst_case_pred_accel``, else
+    None.  The fields from ``v_min`` on are the kernels' trailing
+    arguments in their order: ``s[4:]`` for the follower kernel,
+    ``s[4:11]`` for the leader kernel.
+    """
+
+    follower: Callable[..., tuple]
+    leader: Callable[..., tuple]
+    bound: Callable[..., float]
+    worst_pred: float | None
+    v_min: float
+    v_max: float
+    a_min: float
+    a_max: float
+    delta: float
+    eps_g: float
+    gamma: float
+    c0: float
+    c1: float
+    c2: float
+
+
+def bind(params: SimParams, law: DragLaw | None = None) -> Solves:
+    """The solves of one step under ``params`` and drag ``law``.
+
+    The kernels are looked up on every call, so a kernel rebound at run
+    time (a timing wrapper, say) is the one the next step calls.
+    """
+    if law is None or isinstance(law, ExponentialWakeDrag):
+        c = law.coeffs if law is not None else params.drag
+        follower = kernels.follower_decision
+        bound = kernels.flow_bound
+    else:
+        c = params.drag
+
+        def follower(v, p_hat, v_hat, pred_accel, deadline_active, *_):
+            return _solve_composed(v, p_hat, v_hat, pred_accel,
+                                   deadline_active, params, law)
+
+        def bound(v, p_hat, v_hat, in_wake, *_):
+            return law.descent_bound(v, p_hat, v_hat, in_wake)
+
+    return Solves(
+        follower, kernels.leader_decision, bound,
+        params.a_min if params.worst_case_pred_accel else None,
+        params.v_min, params.v_max, params.a_min, params.a_max,
+        params.delta, params.eps_g, params.gamma, c.c0, c.c1, c.c2)
+
+
 def follower_step(v: float, p_hat: float, v_hat: float, pred_accel: float,
                   deadline_active: bool, params: SimParams,
                   law: DragLaw | None = None
@@ -79,16 +139,10 @@ def follower_step(v: float, p_hat: float, v_hat: float, pred_accel: float,
     Returns the kernel's ``(accel, verdict, active_mask, lo, hi, g,
     bound)``.
     """
-    if params.worst_case_pred_accel:
-        pred_accel = params.a_min
-    if law is None or isinstance(law, ExponentialWakeDrag):
-        c = law.coeffs if law is not None else params.drag
-        return kernels.follower_decision(
-            v, p_hat, v_hat, pred_accel, deadline_active,
-            params.v_min, params.v_max, params.a_min, params.a_max,
-            params.delta, params.eps_g, params.gamma, c.c0, c.c1, c.c2)
-    return _solve_composed(v, p_hat, v_hat, pred_accel, deadline_active,
-                           params, law)
+    s = bind(params, law)
+    if s.worst_pred is not None:
+        pred_accel = s.worst_pred
+    return s.follower(v, p_hat, v_hat, pred_accel, deadline_active, *s[4:])
 
 
 def solve_follower_control(state: VehicleState, p_hat: float, v_hat: float,
@@ -142,7 +196,8 @@ def _solve_composed(v: float, p_hat: float, v_hat: float, pred_accel: float,
 
 def leader_step(v: float, p_hat: float, v_hat: float,
                 pred_accel: float | None, recovering: bool,
-                deadline_active: bool, params: SimParams
+                deadline_active: bool, params: SimParams,
+                law: DragLaw | None = None
                 ) -> tuple[float, int, float, float, float, float]:
     """Platoon-head policy plus the merge-eligibility verdict, flat.
 
@@ -153,35 +208,47 @@ def leader_step(v: float, p_hat: float, v_hat: float,
     when one exists (``pred_accel`` is None when there is none).
 
     The verdict classifies the head as if it were following its physical
-    predecessor; resequencing merges platoons whose head comes back
-    FEASIBLE.  Returns ``(accel, verdict, lo, hi, g, bound)``.
+    predecessor (see ``merge_verdict``); resequencing merges platoons
+    whose head comes back FEASIBLE.  Returns ``(accel, verdict, lo, hi,
+    g, bound)``.
     """
+    s = bind(params, law)
     has_pred = pred_accel is not None
-    if not has_pred or params.worst_case_pred_accel:
-        pred_accel = params.a_min
-    accel, lo, hi, g = kernels.leader_decision(
-        v, p_hat, v_hat, pred_accel, has_pred, recovering,
-        params.v_min, params.v_max, params.a_min, params.a_max,
-        params.delta, params.eps_g, params.gamma,
-    )
+    if not has_pred or s.worst_pred is not None:
+        pred_accel = s.a_min
+    accel, lo, hi, g = s.leader(v, p_hat, v_hat, pred_accel, has_pred,
+                                recovering, *s[4:11])
     code = kernels.VERDICT_FEASIBLE
     bound = 0.0
     if has_pred:
-        c = params.drag
-        bound = kernels.flow_bound(v, p_hat, v_hat, True, c.c0, c.c1, c.c2)
-        safety_active = g == g and (g >= -params.eps_g or hi < 0.0)
-        code = kernels.classify(v, v_hat, bound, deadline_active,
-                                safety_active, params.v_min, params.a_min)
+        code, bound = merge_verdict(v, p_hat, v_hat, g, hi, deadline_active,
+                                    s)
     return accel, code, lo, hi, g, bound
+
+
+def merge_verdict(v: float, p_hat: float, v_hat: float, g: float, hi: float,
+                  deadline_active: bool, s: Solves) -> tuple[int, float]:
+    """``(verdict, bound)`` of a head classified as a follower of its
+    physical predecessor, from its leader solve's ``g`` and ``hi``.
+
+    The descent bound comes from the same drag law a follower in that
+    slot would use.
+    """
+    bound = s.bound(v, p_hat, v_hat, True, s.c0, s.c1, s.c2)
+    safety_active = g == g and (g >= -s.eps_g or hi < 0.0)
+    return kernels.classify(v, v_hat, bound, deadline_active, safety_active,
+                            s.v_min, s.a_min), bound
 
 
 def leader_control(state: VehicleState, p_hat: float, v_hat: float,
                    pred_accel: float | None, deadline_active: bool,
-                   params: SimParams) -> ControlDecision:
+                   params: SimParams,
+                   law: DragLaw | None = None) -> ControlDecision:
     """``leader_step`` as a ``ControlDecision``, with its active set."""
     accel, code, lo, hi, g, bound = leader_step(
         state.v, p_hat, v_hat, pred_accel,
-        state.mode is VehicleMode.LEADER_RECOVERING, deadline_active, params)
+        state.mode is VehicleMode.LEADER_RECOVERING, deadline_active, params,
+        law)
     mask = 0
     if accel == 0.0 and lo == 0.0 \
             and state.v <= params.v_min + kernels.SPEED_EDGE_TOL:
@@ -231,3 +298,30 @@ def next_mode(mode: VehicleMode, verdict: int, deadline_margin: float,
             return VehicleMode.LEADER
         return mode
     return mode
+
+
+def keeps_mode(mode: VehicleMode, verdict: int, is_head: bool) -> bool:
+    """Whether ``next_mode`` leaves ``mode`` as it is for this verdict
+    code and head slot, whatever the deadline margin.
+
+    A LEADER never changes; a recovering head may graduate on its
+    margin; a follower in the head slot is promoted.  A follower behind
+    its platoon keeps its mode on a feasible verdict, and a relaxed one
+    also on a deadline-safety conflict.
+    """
+    if mode is VehicleMode.LEADER:
+        return True
+    if is_head or mode is VehicleMode.LEADER_RECOVERING:
+        return False
+    if mode is VehicleMode.FOLLOWER:
+        return verdict == kernels.VERDICT_FEASIBLE
+    return verdict not in SPLIT_CODES
+
+
+# ``keeps_mode`` as a table, ``KEEPS_MODE[is_head][mode code][verdict]``,
+# for the engine's per-vehicle test; mode codes index ``MODES``.
+KEEPS_MODE = tuple(
+    tuple(tuple(keeps_mode(mode, verdict.value, is_head)
+                for verdict in FeasibilityVerdict)
+          for mode in MODES)
+    for is_head in (False, True))

@@ -10,7 +10,12 @@ One step covers the interval [t, t + dt):
    outcomes, and raise);
 5. resequencing: splits, mode transitions, merges;
 6. spawn attempts due under the single arrival process;
-7. trajectory records, appended to the columns of ``world.trajectory``.
+7. trajectory records: the state columns of ``world.trajectory`` (ids,
+   position, speed, command, mode).  The physics a reader may want
+   besides (drag, actuator effort, stopping and deadline margins) is
+   not computed here: the trajectory derives it from the stored state
+   on its first read, with the vehicles' exit positions and deadlines
+   that the engine registers once when it places or spawns a vehicle.
 
 Phases pass plain per-vehicle tuples (see ``Decision``) and kernel
 results between them; no object is built per vehicle and step.
@@ -25,14 +30,13 @@ candidates only), so runs are reproducible byte for byte per seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._backend import kernels
 from .constraints import SPLIT_CODES, deadline_margin, stopping_margin
-from .controller import follower_step, leader_step, next_mode
+from .controller import KEEPS_MODE, bind, merge_verdict, next_mode
 from .core import (
     OrderingError,
     SafetyAuditError,
@@ -70,6 +74,8 @@ class WorldState:
     ``vehicles`` is ordered front to back: positions strictly decrease
     with list index, and platoons are contiguous runs of ``platoon_id``.
     ``next_spawn`` is the due time of the single arrival process.
+    ``trajectory`` knows the exit and deadline of every vehicle placed
+    by ``insert_vehicle`` or the spawn path.
     """
 
     params: SimParams
@@ -147,6 +153,7 @@ def insert_vehicle(world: WorldState, p: float, v: float, *,
     )
     world.next_vehicle_id += 1
     world.vehicles.insert(idx, veh)
+    world.trajectory.register(veh.vid, exit_pos, deadline)
     return veh
 
 
@@ -171,18 +178,20 @@ Decision = tuple[float, int, int, bool]
 def _decide(world: WorldState, params: SimParams) -> list[Decision]:
     """Control decisions for all vehicles from the frozen pre-step state.
 
-    Followers run ``follower_step``; heads run ``leader_step`` and
+    Followers run the follower kernel; heads run the leader kernel and
     classify themselves against their physical predecessor, which
-    decides merges.
+    decides merges.  ``controller.bind`` resolves the drag law and the
+    constants once for the step.
     """
     t = world.t
     neg_eps_d = -params.eps_d
     enforce = params.enforce_deadlines
-    law = world.drag_law
-    follower = follower_step
-    leader = leader_step
+    solves = bind(params, world.drag_law)
+    (follower, leader, _, worst_pred, v_min, v_max, a_min, a_max, delta,
+     eps_g, gamma, c0, c1, c2) = solves
 
     decisions: list[Decision] = []
+    append = decisions.append
     pred = None
     for veh in world.vehicles:
         # bit 0 of the mode code: heads a platoon; bit 1: deadline relaxed
@@ -192,23 +201,29 @@ def _decide(world: WorldState, params: SimParams) -> list[Decision]:
                            and deadline_margin(veh.p, v, t, veh.exit_pos,
                                                veh.deadline) >= neg_eps_d)
         if pred is None:
-            was_head = True
-            p_hat, v_hat = veh.p, v
-        else:
-            was_head = pred.platoon_id != veh.platoon_id
-            p_hat, v_hat = veh.p - pred.p, v - pred.v
-        if mcode & 1:
-            accel, code, _, _, _, _ = leader(
-                v, p_hat, v_hat, None if pred is None else pred.accel,
-                mcode == 3, deadline_active, params)
-        else:
-            if pred is None:
+            if not mcode & 1:
                 raise OrderingError(
                     f"follower {veh.vid} has no predecessor at t={t:.3f}"
                 )
+            accel = leader(v, veh.p, v, a_min, False, mcode == 3, v_min,
+                           v_max, a_min, a_max, delta, eps_g, gamma)[0]
+            append((accel, kernels.VERDICT_FEASIBLE, mcode, True))
+            pred = veh
+            continue
+        p_hat = veh.p - pred.p
+        v_hat = v - pred.v
+        pred_accel = pred.accel if worst_pred is None else worst_pred
+        if mcode & 1:
+            accel, _, hi, g = leader(v, p_hat, v_hat, pred_accel, True,
+                                     mcode == 3, v_min, v_max, a_min, a_max,
+                                     delta, eps_g, gamma)
+            code = merge_verdict(v, p_hat, v_hat, g, hi, deadline_active,
+                                 solves)[0]
+        else:
             accel, code, _, _, _, _, _ = follower(
-                v, p_hat, v_hat, pred.accel, deadline_active, params, law)
-        decisions.append((accel, code, mcode, was_head))
+                v, p_hat, v_hat, pred_accel, deadline_active, v_min, v_max,
+                a_min, a_max, delta, eps_g, gamma, c0, c1, c2)
+        append((accel, code, mcode, pred.platoon_id != veh.platoon_id))
         pred = veh
     return decisions
 
@@ -293,10 +308,15 @@ def resequence(world: WorldState, params: SimParams,
                                       f"platoon {old} -> {new}"))
 
     eps_d = params.eps_d
+    keeps = KEEPS_MODE
     ahead_pid = None
     for veh, dec in zip(vehicles, decisions):
-        is_head = veh.platoon_id != ahead_pid
-        ahead_pid = veh.platoon_id
+        pid = veh.platoon_id
+        is_head = pid != ahead_pid
+        ahead_pid = pid
+        # dec[2] is the code of veh.mode: splits above change only ids.
+        if keeps[is_head][dec[2]][dec[1]]:
+            continue
         margin = deadline_margin(veh.p, veh.v, stamp,
                                  veh.exit_pos, veh.deadline)
         mode = veh.mode
@@ -399,6 +419,7 @@ def try_spawn(world: WorldState, params: SimParams, stamp: float) -> None:
         )
         world.next_vehicle_id += 1
         world.vehicles.insert(idx, veh)
+        world.trajectory.register(veh.vid, exit_pos, t_f)
         world.counters["spawned"] += 1
         world.events.append(Event(
             stamp, EVENT_SPAWN, veh.vid,
@@ -408,52 +429,33 @@ def try_spawn(world: WorldState, params: SimParams, stamp: float) -> None:
 
 def _record(world: WorldState, params: SimParams, stamp: float,
             decisions: list[Decision]) -> None:
-    """Append the post-step snapshot to the trajectory columns.
+    """Append the post-step state to the trajectory columns.
 
     ``decisions`` line up with the vehicles that were on the road at
     control time.  Vehicles spawned this step hold the newest ids, have
-    no decision, and are recorded in their own mode.
+    no decision, and are recorded in their own mode.  The step's
+    ``params`` and the world's drag law are what the trajectory derives
+    this step's physics with.
     """
     vehicles = world.vehicles
     if not vehicles:
         return
-    law = world.drag_law
-    fused = isinstance(law, ExponentialWakeDrag)
-    c = law.coeffs if fused else params.drag
-    c0, c1, c2 = c.c0, c.c1, c.c2
-    drag_force = kernels.drag_force
-    margin = kernels.stopping_margin
-    v_min, a_min, delta = params.v_min, params.a_min, params.delta
-
-    pred = vehicles[0]
-    drags = [law.force(pred.v, 0.0, False)]
-    gs = [math.nan]
-    for veh in vehicles[1:]:
-        v = veh.v
-        p_hat = veh.p - pred.p
-        gs.append(margin(v, p_hat, v - pred.v, v_min, a_min, delta))
-        drags.append(drag_force(v, p_hat, True, c0, c1, c2) if fused
-                     else law.force(v, p_hat, True))
-        pred = veh
-
-    first_new = world.next_vehicle_id - (len(vehicles) - len(decisions))
-    at_control = iter(decisions)
-    modes = [next(at_control)[2] if veh.vid < first_new
-             else MODE_CODES[veh.mode] for veh in vehicles]
-
-    accels = [veh.accel for veh in vehicles]
-    world.trajectory.append_step(
+    if len(vehicles) == len(decisions):
+        modes = [dec[2] for dec in decisions]
+    else:
+        first_new = world.next_vehicle_id - (len(vehicles) - len(decisions))
+        at_control = iter(decisions)
+        modes = [next(at_control)[2] if veh.vid < first_new
+                 else MODE_CODES[veh.mode] for veh in vehicles]
+    trajectory = world.trajectory
+    trajectory.bind(params, world.drag_law)
+    trajectory.append_step(
         stamp,
         [veh.vid for veh in vehicles],
         [veh.platoon_id for veh in vehicles],
         [veh.p for veh in vehicles],
         [veh.v for veh in vehicles],
-        accels,
-        [a + d for a, d in zip(accels, drags)],
-        drags,
-        gs,
-        [deadline_margin(veh.p, veh.v, stamp, veh.exit_pos, veh.deadline)
-         for veh in vehicles],
+        [veh.accel for veh in vehicles],
         modes,
     )
 

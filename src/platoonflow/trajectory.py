@@ -7,6 +7,15 @@ reader takes step ``k`` as the row slice ``offsets[k]:offsets[k + 1]``,
 already ordered front to back.  ``TrajectoryRecord`` stays the row type
 for callers that want objects: indexing and iteration build one per row
 on demand.
+
+The engine stores only state: ids, position, speed, command and mode.
+The four physics columns (``u``, ``drag``, ``gs_margin`` and
+``deadline_margin``) are derived from that state, the drag law and
+parameters the engine binds, and the exit and deadline it registers per
+vehicle.  The first read of any of them derives every row appended
+since the last read, and the rows stay derived after that, so a run
+that nobody reads them from never pays for them.  ``from_records``
+stores the values it is given instead.
 """
 
 from __future__ import annotations
@@ -17,7 +26,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import VehicleMode
+from ._backend import kernels
+from .constraints import deadline_margin
+from .core import SimParams, VehicleMode
+from .drag import DragLaw, ExponentialWakeDrag
 
 # Codes of the ``mode`` column: bit 0 marks a platoon head, bit 1 a
 # relaxed deadline.
@@ -57,6 +69,20 @@ INT_COLUMNS = ("vehicle_id", "platoon_id")
 FLOAT_COLUMNS = ("p", "v", "accel", "u", "drag", "gs_margin",
                  "deadline_margin")
 COLUMNS = INT_COLUMNS + FLOAT_COLUMNS + ("mode",)
+# Columns derived on read from the stored ones, each held in ``_<name>``.
+DERIVED_COLUMNS = ("u", "drag", "gs_margin", "deadline_margin")
+STORED_COLUMNS = tuple(c for c in COLUMNS if c not in DERIVED_COLUMNS)
+
+
+def _derived(name: str) -> property:
+    slot = "_" + name
+
+    def get(self: "Trajectory") -> array:
+        if self._derived_steps != len(self.times):
+            self._derive()
+        return getattr(self, slot)
+
+    return property(get, doc=f"The ``{name}`` column, derived on read.")
 
 
 class Trajectory:
@@ -64,10 +90,19 @@ class Trajectory:
 
     ``times[k]`` is the stamp of step ``k`` and its rows are
     ``offsets[k]:offsets[k + 1]``; steps with no vehicle on the road are
-    not stored.  ``mode`` holds codes into ``MODES``.
+    not stored.  ``mode`` holds codes into ``MODES``.  The columns in
+    ``DERIVED_COLUMNS`` are filled up to the last stored step when one
+    of them is read (see the module docstring).
     """
 
-    __slots__ = ("times", "offsets") + COLUMNS
+    __slots__ = (("times", "offsets") + STORED_COLUMNS
+                 + tuple("_" + name for name in DERIVED_COLUMNS)
+                 + ("_derived_steps", "_params", "_law", "_targets"))
+
+    u = _derived("u")
+    drag = _derived("drag")
+    gs_margin = _derived("gs_margin")
+    deadline_margin = _derived("deadline_margin")
 
     def __init__(self) -> None:
         self.times = array("d")
@@ -75,27 +110,95 @@ class Trajectory:
         for name in INT_COLUMNS:
             setattr(self, name, array("q"))
         for name in FLOAT_COLUMNS:
-            setattr(self, name, array("d"))
+            setattr(self, name if name in STORED_COLUMNS else "_" + name,
+                    array("d"))
         self.mode = array("b")
+        self._derived_steps = 0
+        self._params: SimParams | None = None
+        self._law: DragLaw | None = None
+        self._targets: dict[int, tuple[float, float]] = {}
+
+    def bind(self, params: SimParams, law: DragLaw) -> None:
+        """Derive the physics of steps appended from now on with drag
+        ``law`` and the envelope constants of ``params``.
+
+        The engine binds before every step it appends; on a change of
+        binding the steps appended so far are derived first, under the
+        binding they were appended with.
+        """
+        if params is self._params and law is self._law:
+            return
+        if self._law is not None:
+            self._derive()
+        self._params = params
+        self._law = law
+
+    def register(self, vehicle_id: int, exit_pos: float,
+                 deadline: float) -> None:
+        """The exit position and deadline of a vehicle, for its
+        ``deadline_margin`` rows."""
+        self._targets[vehicle_id] = (exit_pos, deadline)
 
     def append_step(self, time: float, vehicle_id: list[int],
                     platoon_id: list[int], p: list[float], v: list[float],
-                    accel: list[float], u: list[float], drag: list[float],
-                    gs_margin: list[float], deadline_margin: list[float],
-                    mode: list[int]) -> None:
-        """Append one non-empty snapshot given as equal-length lists."""
+                    accel: list[float], mode: list[int]) -> None:
+        """Append one non-empty snapshot of state, as equal-length lists.
+
+        Every vehicle in it must be registered before its physics
+        columns are read.
+        """
         self.times.append(time)
         self.vehicle_id.fromlist(vehicle_id)
         self.platoon_id.fromlist(platoon_id)
         self.p.fromlist(p)
         self.v.fromlist(v)
         self.accel.fromlist(accel)
-        self.u.fromlist(u)
-        self.drag.fromlist(drag)
-        self.gs_margin.fromlist(gs_margin)
-        self.deadline_margin.fromlist(deadline_margin)
         self.mode.fromlist(mode)
         self.offsets.append(len(self.vehicle_id))
+
+    def _derive(self) -> None:
+        """Fill the derived columns for every step appended since the
+        last fill, with the same kernels the controller uses."""
+        law = self._law
+        if law is None:
+            raise ValueError("trajectory has rows to derive but no drag law "
+                             "bound; see Trajectory.bind")
+        v_min, a_min, delta = (self._params.v_min, self._params.a_min,
+                               self._params.delta)
+        margin = kernels.stopping_margin
+        fused = isinstance(law, ExponentialWakeDrag)
+        if fused:
+            c0, c1, c2 = law.coeffs.c0, law.coeffs.c1, law.coeffs.c2
+            drag_force = kernels.drag_force
+        targets = self._targets
+        times, offsets = self.times, self.offsets
+        for k in range(self._derived_steps, len(times)):
+            t = times[k]
+            start, stop = offsets[k], offsets[k + 1]
+            p = self.p[start:stop].tolist()
+            v = self.v[start:stop].tolist()
+            # Row i > 0 follows row i - 1; the front row has no wake.
+            pairs = list(zip(p[1:], v[1:], p, v))
+            drag = [law.force(v[0], 0.0, False)]
+            if fused:
+                drag += [drag_force(vb, pb - pa, True, c0, c1, c2)
+                         for pb, vb, pa, _ in pairs]
+            else:
+                drag += [law.force(vb, pb - pa, True)
+                         for pb, vb, pa, _ in pairs]
+            self._drag.fromlist(drag)
+            self._u.fromlist(
+                [a + d for a, d in zip(self.accel[start:stop], drag)])
+            self._gs_margin.append(math.nan)
+            self._gs_margin.fromlist(
+                [margin(vb, pb - pa, vb - va, v_min, a_min, delta)
+                 for pb, vb, pa, va in pairs])
+            self._deadline_margin.fromlist(
+                [deadline_margin(pi, vi, t, exit_pos, deadline)
+                 for pi, vi, (exit_pos, deadline)
+                 in zip(p, v, map(targets.__getitem__,
+                                  self.vehicle_id[start:stop]))])
+        self._derived_steps = len(times)
 
     @classmethod
     def from_records(cls, records: Iterable[TrajectoryRecord]
@@ -103,7 +206,8 @@ class Trajectory:
         """Columns for hand-built records, in any order.
 
         Records with equal ``time`` form one step, ordered front to back
-        (ties keep their input order), and steps run in time order.
+        (ties keep their input order), and steps run in time order.  The
+        physics columns hold the records' own values.
         """
         out = cls()
         rows = sorted(records, key=lambda r: (r.time, -r.p))
@@ -119,9 +223,13 @@ class Trajectory:
                 raise ValueError(f"unknown vehicle mode {exc}") from None
             out.append_step(
                 rows[start].time, *([getattr(r, name) for r in step]
-                                    for name in INT_COLUMNS + FLOAT_COLUMNS),
+                                    for name in STORED_COLUMNS[:-1]),
                 modes)
+            for name in DERIVED_COLUMNS:
+                getattr(out, "_" + name).fromlist(
+                    [getattr(r, name) for r in step])
             start = stop
+        out._derived_steps = len(out.times)
         return out
 
     def __len__(self) -> int:
@@ -134,14 +242,16 @@ class Trajectory:
 
     def record(self, i: int, time: float) -> TrajectoryRecord:
         """Row ``i`` as a record; ``time`` is the stamp of its step."""
-        gs = self.gs_margin[i]
+        if self._derived_steps != len(self.times):
+            self._derive()
+        gs = self._gs_margin[i]
         if gs != gs:
             # The shared nan object keeps front-vehicle records equal.
             gs = math.nan
         return TrajectoryRecord(
             time, self.vehicle_id[i], self.platoon_id[i], self.p[i],
-            self.v[i], self.accel[i], self.u[i], self.drag[i],
-            gs, self.deadline_margin[i], MODE_NAMES[self.mode[i]])
+            self.v[i], self.accel[i], self._u[i], self._drag[i],
+            gs, self._deadline_margin[i], MODE_NAMES[self.mode[i]])
 
     def snapshot(self, k: int) -> list[TrajectoryRecord]:
         """Records of step ``k``, front to back."""
@@ -169,7 +279,7 @@ class Trajectory:
             return NotImplemented
         return all(getattr(self, name).tobytes()
                    == getattr(other, name).tobytes()
-                   for name in self.__slots__)
+                   for name in ("times", "offsets") + COLUMNS)
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -1,6 +1,11 @@
+import math
+from array import array
+
 import pytest
 
-from platoonflow import SimParams, run
+from platoonflow import SimParams, run, step
+from platoonflow.constraints import deadline_margin, stopping_margin
+from platoonflow.trajectory import DERIVED_COLUMNS
 from platoonflow.verify import RunCorpus
 
 
@@ -20,3 +25,40 @@ def corpus():
     """The default-parameter verify corpus, built once per session by the
     first check that reads it."""
     return RunCorpus(SimParams())
+
+
+def derived_bytes(tr):
+    """The trajectory's derived columns as bytes, by column name."""
+    return {name: getattr(tr, name).tobytes() for name in DERIVED_COLUMNS}
+
+
+def step_world(world, params, n, targets):
+    """Step ``world`` ``n`` times, noting every vehicle on the road as
+    ``targets[vehicle id] = (exit_pos, deadline)``."""
+    for _ in range(n):
+        step(world, params)
+        for veh in world.vehicles:
+            targets[veh.vid] = (veh.exit_pos, veh.deadline)
+
+
+def recompute_derived(tr, law, params, targets):
+    """The derived columns of ``tr`` recomputed row by row from its state
+    columns, as bytes by column name."""
+    out = {name: array("d") for name in DERIVED_COLUMNS}
+    p, v = tr.p, tr.v
+    for time, start, stop in tr.steps():
+        for i in range(start, stop):
+            if i == start:
+                drag = law.force(v[i], 0.0, False)
+                gs = math.nan
+            else:
+                p_hat = p[i] - p[i - 1]
+                drag = law.force(v[i], p_hat, True)
+                gs = stopping_margin(v[i], p_hat, v[i] - v[i - 1], params)
+            exit_pos, deadline = targets[tr.vehicle_id[i]]
+            out["u"].append(tr.accel[i] + drag)
+            out["drag"].append(drag)
+            out["gs_margin"].append(gs)
+            out["deadline_margin"].append(
+                deadline_margin(p[i], v[i], time, exit_pos, deadline))
+    return {name: col.tobytes() for name, col in out.items()}

@@ -1,18 +1,31 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from platoonflow import (
+    DragCoefficients,
+    DragLaw,
+    ExponentialWakeDrag,
     FeasibilityVerdict,
     SimParams,
     VehicleMode,
     VehicleState,
+    classify_feasibility,
     leader_control,
     solve_follower_control,
+    stopping_margin,
     update_mode,
 )
 from platoonflow.constraints import SPEED_EDGE_TOL
+from platoonflow.controller import (
+    KEEPS_MODE,
+    follower_step,
+    keeps_mode,
+    leader_step,
+    next_mode,
+)
+from platoonflow.trajectory import MODES
 
 PARAMS = SimParams()
 
@@ -204,3 +217,82 @@ class TestModeMachine:
         out = update_mode(self.L, FeasibilityVerdict.BRAKE_CONFLICT, 5.0,
                           True, PARAMS)
         assert out is self.L
+
+
+class SteepWake(DragLaw):
+    """A wake law the fused kernel does not know, with its own descent
+    bound: the default shape at a shorter wake length."""
+
+    def __init__(self, coeffs):
+        self.inner = ExponentialWakeDrag(coeffs)
+
+    def force(self, v, p_hat, in_wake):
+        return self.inner.force(v, p_hat, in_wake)
+
+    def partials(self, v, p_hat, in_wake):
+        return self.inner.partials(v, p_hat, in_wake)
+
+
+class TestHeadsUseTheWorldsDragLaw:
+    """A head's merge verdict comes from the drag law a follower in its
+    slot would use, not from ``params.drag``."""
+
+    LAWS = {
+        "coefficients": ExponentialWakeDrag(DragCoefficients(c2=0.02)),
+        "custom_law": SteepWake(DragCoefficients(c2=0.02)),
+    }
+
+    @pytest.mark.parametrize("name", LAWS)
+    def test_the_head_verdict_matches_the_follower_verdict(self, name):
+        law = self.LAWS[name]
+        v, p_hat, v_hat = 22.0, -6.0, -10.0
+        bound = law.descent_bound(v, p_hat, v_hat, True)
+        default = ExponentialWakeDrag(PARAMS.drag)
+        assert bound != default.descent_bound(v, p_hat, v_hat, True)
+        follower = follower_step(v, p_hat, v_hat, 0.0, False, PARAMS, law)
+        head = leader_step(v, p_hat, v_hat, 0.0, False, False, PARAMS, law)
+        assert follower[1] == head[1] == FeasibilityVerdict.FEASIBLE.value
+        assert follower[6] == head[5] == bound
+        d = leader_control(make_state(v, VehicleMode.LEADER), p_hat, v_hat,
+                           0.0, False, PARAMS, law)
+        assert d.verdict is FeasibilityVerdict.FEASIBLE
+        # params.drag alone reads this state as a brake conflict.
+        assert leader_step(v, p_hat, v_hat, 0.0, False, False, PARAMS)[1] \
+            == FeasibilityVerdict.BRAKE_CONFLICT.value
+
+    @pytest.mark.parametrize("name", LAWS)
+    @given(v=st.floats(20.0, 35.0), v_pred=st.floats(20.0, 35.0),
+           p_hat=st.floats(-60.0, -5.0), deadline=st.booleans())
+    def test_the_head_verdict_classifies_with_the_laws_bound(
+            self, name, v, v_pred, p_hat, deadline):
+        law = self.LAWS[name]
+        v_hat = v - v_pred
+        # A closing pair cannot sit at the floor (see envelope_cap).
+        assume(v_hat <= 0.0 or v > PARAMS.v_min + SPEED_EDGE_TOL)
+        _, code, _, hi, g, bound = leader_step(v, p_hat, v_hat, 0.0, False,
+                                               deadline, PARAMS, law)
+        assert bound == law.descent_bound(v, p_hat, v_hat, True)
+        assert g == stopping_margin(v, p_hat, v_hat, PARAMS)
+        safety = g >= -PARAMS.eps_g or hi < 0.0
+        assert FeasibilityVerdict(code) is classify_feasibility(
+            v, p_hat, v_hat, bound, deadline, safety, PARAMS)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("is_head", [False, True], ids=["behind", "head"])
+def test_a_kept_mode_is_one_next_mode_keeps(mode, is_head):
+    eps_d = PARAMS.eps_d
+    margins = (-10.0, -2.0 * eps_d, -eps_d, math.nextafter(-eps_d, 0.0),
+               -eps_d / 2.0, 0.0, 10.0)
+    code = MODES.index(mode)
+    for verdict in FeasibilityVerdict:
+        keeps = KEEPS_MODE[is_head][code][verdict.value]
+        assert keeps == keeps_mode(mode, verdict.value, is_head)
+        if keeps:
+            for margin in margins:
+                assert next_mode(mode, verdict.value, margin, is_head,
+                                 eps_d) is mode
+    # The common cases are skipped: every LEADER, and a follower behind
+    # its platoon with a feasible verdict.
+    assert KEEPS_MODE[is_head][MODES.index(VehicleMode.LEADER)] == (True,) * 5
+    assert KEEPS_MODE[False][MODES.index(VehicleMode.FOLLOWER)][0]

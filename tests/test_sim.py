@@ -3,6 +3,8 @@ import collections
 import pytest
 
 from platoonflow import (
+    DragCoefficients,
+    ExponentialWakeDrag,
     OrderingError,
     SafetyAuditError,
     SimParams,
@@ -137,6 +139,21 @@ class TestSplitAndMerge:
         assert rear.platoon_id == front.platoon_id
         assert world.counters["splits"] == 1
         assert world.counters["merges"] == 1
+
+    @pytest.mark.parametrize("c2", [0.02, 0.08])
+    def test_a_head_merges_by_the_worlds_drag_law(self, params, c2):
+        # A head 6 m behind a predecessor 10 m/s faster: the wake law with
+        # c2=0.02 bounds its descent at -2.5 m/s^2 and lets it merge; the
+        # default c2=0.08 asks for -5.2, beyond the brakes, and keeps it
+        # heading its own platoon.
+        law = ExponentialWakeDrag(DragCoefficients(c2=c2))
+        world = WorldState.initial(params, spawning=False, drag_law=law)
+        front = place(world, 300.0, 32.0)
+        rear = place(world, 294.0, 22.0, mode=VehicleMode.LEADER)
+        step(world, params)
+        merged = rear.platoon_id == front.platoon_id
+        assert merged is (c2 == 0.02)
+        assert [e.kind for e in world.events] == ["merge"] * merged
 
 
 class TestRunInvariants:

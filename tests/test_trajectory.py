@@ -18,7 +18,9 @@ from platoonflow import (
 )
 from platoonflow.analysis import records_by_time, records_by_vehicle
 from platoonflow.constraints import deadline_margin, stopping_margin
-from platoonflow.trajectory import COLUMNS, MODES
+from platoonflow.trajectory import COLUMNS, DERIVED_COLUMNS, MODES
+
+from conftest import derived_bytes, recompute_derived, step_world
 
 
 def columns(tr):
@@ -135,3 +137,57 @@ def test_a_swapped_in_drag_law_runs_through_the_engine():
             assert rec.drag == law.force(rec.v, rec.p - ahead.p, True)
     modes = {rec.mode for rec in result.trajectory}
     assert VehicleMode.FOLLOWER.value in modes
+
+
+class TestDerivedColumns:
+    """The physics columns are derived on read, from a fill watermark."""
+
+    @pytest.mark.parametrize("custom", [False, True],
+                             ids=["default_law", "custom_law"])
+    def test_columns_fill_from_the_watermark(self, custom):
+        params = SimParams(seed=4)
+
+        def world():
+            return WorldState.initial(
+                params, drag_law=ScaledWake(params) if custom else None)
+
+        live, targets = world(), {}
+        step_world(live, params, 150, targets)
+        tr = live.trajectory
+        rows = len(tr)
+        first = derived_bytes(tr)
+        step_world(live, params, 100, targets)
+        assert 0 < rows < len(tr)
+        second = derived_bytes(tr)
+        for name in DERIVED_COLUMNS:
+            assert len(first[name]) == 8 * rows
+            assert second[name][:8 * rows] == first[name]
+
+        fresh = world()
+        step_world(fresh, params, 250, {})
+        assert fresh.trajectory == tr
+        assert derived_bytes(fresh.trajectory) == second
+        assert recompute_derived(tr, live.drag_law, params, targets) == second
+
+    def test_rows_keep_the_drag_law_they_were_recorded_under(self):
+        params = SimParams(seed=4)
+        world, targets = WorldState.initial(params), {}
+        step_world(world, params, 100, targets)
+        default, rows = world.drag_law, len(world.trajectory)
+        world.drag_law = ScaledWake(params)
+        step_world(world, params, 50, targets)
+        tr = world.trajectory
+        derived = derived_bytes(tr)
+        before = recompute_derived(tr, default, params, targets)
+        after = recompute_derived(tr, world.drag_law, params, targets)
+        assert derived["drag"] != before["drag"]
+        for name in DERIVED_COLUMNS:
+            assert derived[name][:8 * rows] == before[name][:8 * rows]
+            assert derived[name][8 * rows:] == after[name][8 * rows:]
+
+    def test_a_trajectory_without_a_drag_law_cannot_derive(self):
+        tr = Trajectory()
+        tr.append_step(0.1, [0], [0], [10.0], [25.0], [0.0], [1])
+        assert list(tr.p) == [10.0]
+        with pytest.raises(ValueError, match="drag law"):
+            tr.drag
