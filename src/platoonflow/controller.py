@@ -19,6 +19,7 @@ inspect one solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -75,19 +76,19 @@ def _decision(accel: float, code: int, mask: int, lo: float, hi: float,
 class Solves(NamedTuple):
     """What every solve of one step shares, resolved by ``bind``.
 
-    ``follower`` and ``bound`` take the fused kernels' flat arguments
-    (``follower_decision`` and ``flow_bound``); for a law the kernels do
-    not implement they are closures over it that ignore ``c0, c1, c2``.
+    ``follower`` takes the fused follower kernel's flat arguments
+    (``follower_decision``); for a law the kernels do not implement it
+    is a closure over that law that ignores ``c0, c1, c2``.  ``law`` is
+    the drag law whose descent bound classifies a head's merge.
     ``worst_pred`` is the predecessor command to assume in place of the
     communicated one: ``a_min`` under ``worst_case_pred_accel``, else
     None.  The fields from ``v_min`` on are the kernels' trailing
-    arguments in their order: ``s[4:]`` for the follower kernel,
-    ``s[4:11]`` for the leader kernel.
+    arguments in their order: ``s[3:]`` for the follower kernel,
+    ``s[3:10]`` for the leader kernel.
     """
 
     follower: Callable[..., tuple]
-    leader: Callable[..., tuple]
-    bound: Callable[..., float]
+    law: DragLaw
     worst_pred: float | None
     v_min: float
     v_max: float
@@ -102,15 +103,17 @@ class Solves(NamedTuple):
 
 
 def bind(params: SimParams, law: DragLaw | None = None) -> Solves:
-    """The solves of one step under ``params`` and drag ``law``.
+    """The solves of one step under ``params`` and drag ``law`` (the
+    exponential wake law with ``params.drag`` when None).
 
     The kernels are looked up on every call, so a kernel rebound at run
     time (a timing wrapper, say) is the one the next step calls.
     """
-    if law is None or isinstance(law, ExponentialWakeDrag):
-        c = law.coeffs if law is not None else params.drag
+    if law is None:
+        law = ExponentialWakeDrag(params.drag)
+    if isinstance(law, ExponentialWakeDrag):
+        c = law.coeffs
         follower = kernels.follower_decision
-        bound = kernels.flow_bound
     else:
         c = params.drag
 
@@ -118,11 +121,8 @@ def bind(params: SimParams, law: DragLaw | None = None) -> Solves:
             return _solve_composed(v, p_hat, v_hat, pred_accel,
                                    deadline_active, params, law)
 
-        def bound(v, p_hat, v_hat, in_wake, *_):
-            return law.descent_bound(v, p_hat, v_hat, in_wake)
-
     return Solves(
-        follower, kernels.leader_decision, bound,
+        follower, law,
         params.a_min if params.worst_case_pred_accel else None,
         params.v_min, params.v_max, params.a_min, params.a_max,
         params.delta, params.eps_g, params.gamma, c.c0, c.c1, c.c2)
@@ -142,7 +142,7 @@ def follower_step(v: float, p_hat: float, v_hat: float, pred_accel: float,
     s = bind(params, law)
     if s.worst_pred is not None:
         pred_accel = s.worst_pred
-    return s.follower(v, p_hat, v_hat, pred_accel, deadline_active, *s[4:])
+    return s.follower(v, p_hat, v_hat, pred_accel, deadline_active, *s[3:])
 
 
 def solve_follower_control(state: VehicleState, p_hat: float, v_hat: float,
@@ -216,8 +216,8 @@ def leader_step(v: float, p_hat: float, v_hat: float,
     has_pred = pred_accel is not None
     if not has_pred or s.worst_pred is not None:
         pred_accel = s.a_min
-    accel, lo, hi, g = s.leader(v, p_hat, v_hat, pred_accel, has_pred,
-                                recovering, *s[4:11])
+    accel, lo, hi, g = kernels.leader_decision(
+        v, p_hat, v_hat, pred_accel, has_pred, recovering, *s[3:10])
     code = kernels.VERDICT_FEASIBLE
     bound = 0.0
     if has_pred:
@@ -234,7 +234,7 @@ def merge_verdict(v: float, p_hat: float, v_hat: float, g: float, hi: float,
     The descent bound comes from the same drag law a follower in that
     slot would use.
     """
-    bound = s.bound(v, p_hat, v_hat, True, s.c0, s.c1, s.c2)
+    bound = s.law.descent_bound(v, p_hat, v_hat, True)
     safety_active = g == g and (g >= -s.eps_g or hi < 0.0)
     return kernels.classify(v, v_hat, bound, deadline_active, safety_active,
                             s.v_min, s.a_min), bound
@@ -300,28 +300,14 @@ def next_mode(mode: VehicleMode, verdict: int, deadline_margin: float,
     return mode
 
 
-def keeps_mode(mode: VehicleMode, verdict: int, is_head: bool) -> bool:
-    """Whether ``next_mode`` leaves ``mode`` as it is for this verdict
-    code and head slot, whatever the deadline margin.
-
-    A LEADER never changes; a recovering head may graduate on its
-    margin; a follower in the head slot is promoted.  A follower behind
-    its platoon keeps its mode on a feasible verdict, and a relaxed one
-    also on a deadline-safety conflict.
-    """
-    if mode is VehicleMode.LEADER:
-        return True
-    if is_head or mode is VehicleMode.LEADER_RECOVERING:
-        return False
-    if mode is VehicleMode.FOLLOWER:
-        return verdict == kernels.VERDICT_FEASIBLE
-    return verdict not in SPLIT_CODES
-
-
-# ``keeps_mode`` as a table, ``KEEPS_MODE[is_head][mode code][verdict]``,
-# for the engine's per-vehicle test; mode codes index ``MODES``.
+# ``KEEPS_MODE[is_head][mode code][verdict]``: whether ``next_mode``
+# leaves the mode as it is whatever the deadline margin, for the
+# engine's per-vehicle skip; mode codes index ``MODES``.  ``next_mode``
+# reads the margin only through ``margin <= -eps_d``, so the two
+# infinite margins cover both sides of that test.
 KEEPS_MODE = tuple(
-    tuple(tuple(keeps_mode(mode, verdict.value, is_head)
+    tuple(tuple(all(next_mode(mode, verdict.value, margin, is_head, 0.0)
+                    is mode for margin in (-math.inf, math.inf))
                 for verdict in FeasibilityVerdict)
           for mode in MODES)
     for is_head in (False, True))

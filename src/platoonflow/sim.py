@@ -187,8 +187,9 @@ def _decide(world: WorldState, params: SimParams) -> list[Decision]:
     neg_eps_d = -params.eps_d
     enforce = params.enforce_deadlines
     solves = bind(params, world.drag_law)
-    (follower, leader, _, worst_pred, v_min, v_max, a_min, a_max, delta,
-     eps_g, gamma, c0, c1, c2) = solves
+    (follower, _, worst_pred, v_min, v_max, a_min, a_max, delta, eps_g,
+     gamma, c0, c1, c2) = solves
+    leader = kernels.leader_decision
 
     decisions: list[Decision] = []
     append = decisions.append
@@ -440,13 +441,10 @@ def _record(world: WorldState, params: SimParams, stamp: float,
     vehicles = world.vehicles
     if not vehicles:
         return
-    if len(vehicles) == len(decisions):
-        modes = [dec[2] for dec in decisions]
-    else:
-        first_new = world.next_vehicle_id - (len(vehicles) - len(decisions))
-        at_control = iter(decisions)
-        modes = [next(at_control)[2] if veh.vid < first_new
-                 else MODE_CODES[veh.mode] for veh in vehicles]
+    first_new = world.next_vehicle_id - (len(vehicles) - len(decisions))
+    at_control = iter(decisions)
+    modes = [next(at_control)[2] if veh.vid < first_new
+             else MODE_CODES[veh.mode] for veh in vehicles]
     trajectory = world.trajectory
     trajectory.bind(params, world.drag_law)
     trajectory.append_step(

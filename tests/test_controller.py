@@ -21,7 +21,6 @@ from platoonflow.constraints import SPEED_EDGE_TOL
 from platoonflow.controller import (
     KEEPS_MODE,
     follower_step,
-    keeps_mode,
     leader_step,
     next_mode,
 )
@@ -286,9 +285,7 @@ def test_a_kept_mode_is_one_next_mode_keeps(mode, is_head):
                -eps_d / 2.0, 0.0, 10.0)
     code = MODES.index(mode)
     for verdict in FeasibilityVerdict:
-        keeps = KEEPS_MODE[is_head][code][verdict.value]
-        assert keeps == keeps_mode(mode, verdict.value, is_head)
-        if keeps:
+        if KEEPS_MODE[is_head][code][verdict.value]:
             for margin in margins:
                 assert next_mode(mode, verdict.value, margin, is_head,
                                  eps_d) is mode
