@@ -16,6 +16,7 @@ import io
 import sys
 from dataclasses import replace
 from pathlib import Path
+from time import perf_counter
 from typing import Iterable, Optional
 
 import yaml
@@ -62,7 +63,7 @@ def _need_positions(value: object, path: str) -> tuple[float, ...]:
             isinstance(x, bool) or not isinstance(x, (int, float))
             for x in value):
         raise ConfigError(f"{path}: expected a list of numbers, got {value!r}")
-    return tuple(float(x) for x in value)
+    return tuple(_need_number(x, path) for x in value)
 
 
 _SCHEMA = {
@@ -264,9 +265,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_all
     params = parse_config(args.config) if args.config else SimParams()
     failed = []
+    # Each check's wall time goes to stderr, so stdout stays the same
+    # from run to run.  The shared corpus is built inside the first
+    # check that reads it, and its time is counted there.
+    start = perf_counter()
     for check in run_all(params):
         status = "PASS" if check.passed else "FAIL"
         print(f"{status}  {check.name}: {check.detail}")
+        now = perf_counter()
+        print(f"time  {check.name}: {now - start:.2f} s", file=sys.stderr)
+        start = now
         if not check.passed:
             failed.append(check.name)
     if failed:

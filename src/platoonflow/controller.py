@@ -29,6 +29,7 @@ from .constraints import (
     FeasibilityVerdict,
     FeasibleInterval,
     classify_feasibility,
+    envelope_cap,
     safe_accel_interval,
     stopping_margin,
 )
@@ -158,10 +159,15 @@ def _solve_composed(v: float, p_hat: float, v_hat: float, pred_accel: float,
                     deadline_active: bool, params: SimParams, law: DragLaw
                     ) -> tuple[float, int, int, float, float, float, float]:
     # Compositional solve for swapped-in drag laws; mirrors the fused
-    # kernel and returns its flat tuple.
+    # kernel and returns its flat tuple, active mask included.
     g = stopping_margin(v, p_hat, v_hat, params)
     bound = law.descent_bound(v, p_hat, v_hat, True)
     safe = safe_accel_interval(v, p_hat, v_hat, pred_accel, True, params)
+    # The raw envelope cap, before the speed box clips it; inf where the
+    # envelope does not bind.
+    cap = math.inf
+    if v_hat > 0.0 and (g >= -params.eps_g or params.gamma > 0.0):
+        cap = envelope_cap(v, v_hat, g, pred_accel, params)
     lo, hi = safe.lo, min(safe.hi, bound)
     if deadline_active:
         lo = max(lo, 0.0)
@@ -171,7 +177,7 @@ def _solve_composed(v: float, p_hat: float, v_hat: float, pred_accel: float,
         accel = interval.clamp_to_zero()
         verdict = FeasibilityVerdict.FEASIBLE
     else:
-        safety_active = g >= -params.eps_g or safe.hi < 0.0
+        safety_active = g >= -params.eps_g or cap < 0.0
         verdict = classify_feasibility(v, p_hat, v_hat, bound,
                                        deadline_active, safety_active, params)
         if verdict is FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT:
@@ -184,10 +190,15 @@ def _solve_composed(v: float, p_hat: float, v_hat: float, pred_accel: float,
             raise AssertionError("empty feasible interval with no verdict")
 
     mask = 0
+    if interval.lo == 0.0 and accel == 0.0 \
+            and v <= params.v_min + kernels.SPEED_EDGE_TOL:
+        mask |= kernels.ACTIVE_SPEED_FLOOR
+    if accel == 0.0 and v >= params.v_max - kernels.SPEED_EDGE_TOL:
+        mask |= kernels.ACTIVE_SPEED_CEILING
+    if accel == cap:
+        mask |= kernels.ACTIVE_SAFETY
     if accel == bound:
         mask |= kernels.ACTIVE_DRAG_FLOW
-    if accel == safe.hi and safe.hi != params.a_max:
-        mask |= kernels.ACTIVE_SAFETY
     if deadline_active and accel == 0.0 \
             and verdict is not FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT:
         mask |= kernels.ACTIVE_DEADLINE

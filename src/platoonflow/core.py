@@ -131,6 +131,12 @@ class VehicleState:
     the communicated value on the following step.  ``exit_pos`` is where
     the vehicle intends to leave the road and is the distance target of
     its deadline.
+
+    ``last_solve`` is the engine's own: the binding, the kernel inputs
+    and the ``(accel, verdict)`` of this vehicle's latest follower
+    solve, which the engine reuses while all of them stand still (see
+    ``sim._decide``).  It takes no part in comparison or ``repr``;
+    ``None`` means there is nothing to reuse.
     """
 
     vid: int
@@ -142,6 +148,8 @@ class VehicleState:
     exit_pos: float
     mode: VehicleMode
     platoon_id: int
+    last_solve: tuple | None = field(default=None, compare=False,
+                                     repr=False)
 
 
 class SimulationError(RuntimeError):

@@ -3,7 +3,12 @@
 One step covers the interval [t, t + dt):
 
 1. control decisions for every vehicle, all read from the frozen
-   pre-step state (predecessor accelerations are the previous commands);
+   pre-step state (predecessor accelerations are the previous commands).
+   A follower whose kernel inputs and binding are those of its own
+   previous follower solve reuses that solve's command and verdict
+   instead of calling the kernel again: the kernel is a pure function of
+   them, so the reuse is exact (platoons at equilibrium repeat their
+   inputs step after step);
 2. explicit Euler integration with speed projection onto the box;
 3. exit removal (a vehicle leaves at its drawn exit position);
 4. ordering and bumper-gap audits (failures are engine bugs, not model
@@ -36,7 +41,7 @@ import numpy as np
 
 from ._backend import kernels
 from .constraints import SPLIT_CODES, deadline_margin, stopping_margin
-from .controller import KEEPS_MODE, bind, merge_verdict, next_mode
+from .controller import KEEPS_MODE, Solves, bind, merge_verdict, next_mode
 from .core import (
     OrderingError,
     SafetyAuditError,
@@ -75,7 +80,9 @@ class WorldState:
     with list index, and platoons are contiguous runs of ``platoon_id``.
     ``next_spawn`` is the due time of the single arrival process.
     ``trajectory`` knows the exit and deadline of every vehicle placed
-    by ``insert_vehicle`` or the spawn path.
+    by ``insert_vehicle`` or the spawn path.  ``solves`` is the binding
+    the last step decided under (see ``_decide``); None before the
+    first step.
     """
 
     params: SimParams
@@ -90,6 +97,7 @@ class WorldState:
     events: list[Event] = field(default_factory=list)
     trajectory: Trajectory = field(default_factory=Trajectory)
     counters: dict[str, int] = field(default_factory=dict)
+    solves: Solves | None = field(default=None, repr=False)
 
     @classmethod
     def initial(cls, params: SimParams, *, spawning: bool = True,
@@ -182,11 +190,39 @@ def _decide(world: WorldState, params: SimParams) -> list[Decision]:
     classify themselves against their physical predecessor, which
     decides merges.  ``controller.bind`` resolves the drag law and the
     constants once for the step.
+
+    A follower's kernel result is a pure function of its inputs ``(v,
+    p_hat, v_hat, pred_accel, deadline_active)`` and the binding, so a
+    follower whose inputs compare equal to those of its stored
+    ``last_solve`` (the deadline flag, a bool, by identity), under the
+    very same binding object, takes that solve's ``(accel, verdict)``
+    without calling the kernel.  The binding is carried over from the
+    last step while it compares equal (``world.solves``), so a swapped
+    drag law, other ``params`` or a kernel rebound at run time all
+    start afresh; a law the kernels do not implement binds a fresh
+    closure every step and never reuses.  Float ``==`` is exact here,
+    not just close:
+
+    - ``v >= v_min > 0``, and ``p_hat < 0`` strictly once the ordering
+      audit has run, so neither is a signed zero;
+    - ``v_hat = v - pred.v`` is ``+0.0`` whenever it is zero;
+    - no NaN reaches the kernel (``validate_params`` rejects it, and the
+      state is built from finite values);
+    - ``pred_accel`` may be ``0.0`` or ``-0.0``, which compare equal.  It
+      enters the kernel only through ``envelope_cap`` and only when
+      ``v_hat > 0``, where ``v_hat - pred_accel * x / a_min`` is exactly
+      ``v_hat`` for either zero, so both give the same result bit for
+      bit.
+
+    Heads are always solved: their inputs seldom repeat.
     """
     t = world.t
     neg_eps_d = -params.eps_d
     enforce = params.enforce_deadlines
     solves = bind(params, world.drag_law)
+    if solves != world.solves:
+        world.solves = solves
+    solves = world.solves
     (follower, _, worst_pred, v_min, v_max, a_min, a_max, delta, eps_g,
      gamma, c0, c1, c2) = solves
     leader = kernels.leader_decision
@@ -221,9 +257,19 @@ def _decide(world: WorldState, params: SimParams) -> list[Decision]:
             code = merge_verdict(v, p_hat, v_hat, g, hi, deadline_active,
                                  solves)[0]
         else:
-            accel, code, _, _, _, _, _ = follower(
-                v, p_hat, v_hat, pred_accel, deadline_active, v_min, v_max,
-                a_min, a_max, delta, eps_g, gamma, c0, c1, c2)
+            last = veh.last_solve
+            if (last is not None and last[0] is solves and last[1] == v
+                    and last[2] == p_hat and last[3] == v_hat
+                    and last[4] == pred_accel
+                    and last[5] is deadline_active):
+                accel = last[6]
+                code = last[7]
+            else:
+                accel, code, _, _, _, _, _ = follower(
+                    v, p_hat, v_hat, pred_accel, deadline_active, v_min,
+                    v_max, a_min, a_max, delta, eps_g, gamma, c0, c1, c2)
+                veh.last_solve = (solves, v, p_hat, v_hat, pred_accel,
+                                  deadline_active, accel, code)
         append((accel, code, mcode, pred.platoon_id != veh.platoon_id))
         pred = veh
     return decisions

@@ -3,9 +3,9 @@ from array import array
 
 import pytest
 
-from platoonflow import SimParams, run, step
+from platoonflow import DragLaw, ExponentialWakeDrag, SimParams, run, step
 from platoonflow.constraints import deadline_margin, stopping_margin
-from platoonflow.trajectory import DERIVED_COLUMNS
+from platoonflow.trajectory import COLUMNS, DERIVED_COLUMNS
 from platoonflow.verify import RunCorpus
 
 
@@ -27,18 +27,49 @@ def corpus():
     return RunCorpus(SimParams())
 
 
+class DelegatingWake(DragLaw):
+    """A law the fused kernel does not know that computes the default
+    law, so its composed solve must give the kernel's answer."""
+
+    def __init__(self, coeffs):
+        self.inner = ExponentialWakeDrag(coeffs)
+
+    def force(self, v, p_hat, in_wake):
+        return self.inner.force(v, p_hat, in_wake)
+
+    def partials(self, v, p_hat, in_wake):
+        return self.inner.partials(v, p_hat, in_wake)
+
+    def descent_bound(self, v, p_hat, v_hat, in_wake):
+        return self.inner.descent_bound(v, p_hat, v_hat, in_wake)
+
+
 def derived_bytes(tr):
     """The trajectory's derived columns as bytes, by column name."""
     return {name: getattr(tr, name).tobytes() for name in DERIVED_COLUMNS}
 
 
-def step_world(world, params, n, targets):
+def step_world(world, params, n, targets, *, fresh=False):
     """Step ``world`` ``n`` times, noting every vehicle on the road as
-    ``targets[vehicle id] = (exit_pos, deadline)``."""
+    ``targets[vehicle id] = (exit_pos, deadline)``.  With ``fresh`` every
+    stored follower solve is dropped before each step, so every follower
+    calls the kernel."""
     for _ in range(n):
+        if fresh:
+            for veh in world.vehicles:
+                veh.last_solve = None
         step(world, params)
         for veh in world.vehicles:
             targets[veh.vid] = (veh.exit_pos, veh.deadline)
+
+
+def world_bytes(world):
+    """Every trajectory column, the events and the counters of
+    ``world``, in a form that compares equal only when bitwise equal."""
+    tr = world.trajectory
+    columns = {name: getattr(tr, name).tobytes()
+               for name in ("times", "offsets") + COLUMNS}
+    return columns, [repr(e) for e in world.events], dict(world.counters)
 
 
 def recompute_derived(tr, law, params, targets):

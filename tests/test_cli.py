@@ -199,6 +199,14 @@ class TestRunCommand:
         assert rc == 2
         assert "road.length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ramps", ["on_ramps", "off_ramps"])
+    def test_oversized_ramp_is_a_config_error(self, tmp_path, capsys, ramps):
+        cfg = tmp_path / "big.yaml"
+        cfg.write_text(f"road:\n  {ramps}: [{10 ** 400}]\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"road.{ramps}" in capsys.readouterr().err
+
     def test_missing_config_is_a_config_error(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.yaml"),
                    "--out", str(tmp_path / "out")])
@@ -221,6 +229,24 @@ class TestVerifyCommand:
         assert "PASS  alpha: fine" in captured.out
         assert "FAIL  beta: broken" in captured.out
         assert "failing checks: beta" in captured.err
+
+    def test_reports_each_checks_wall_time_on_stderr(self, monkeypatch,
+                                                       capsys):
+        import platoonflow.cli as cli
+        import platoonflow.verify as verify
+
+        ticks = iter([10.0, 11.5, 14.0])
+        monkeypatch.setattr(cli, "perf_counter", lambda: next(ticks))
+        monkeypatch.setattr(
+            verify, "run_all",
+            lambda params: iter([CheckResult("alpha", True, "fine"),
+                                 CheckResult("beta", True, "also fine")]))
+        assert main(["verify"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ("PASS  alpha: fine\n"
+                                "PASS  beta: also fine\n"
+                                "all acceptance checks passed\n")
+        assert captured.err == "time  alpha: 1.50 s\ntime  beta: 2.50 s\n"
 
     def test_all_green_returns_zero(self, monkeypatch, capsys):
         import platoonflow.verify as verify

@@ -1,7 +1,8 @@
 import math
+from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from platoonflow import (
     DragCoefficients,
@@ -25,6 +26,8 @@ from platoonflow.controller import (
     next_mode,
 )
 from platoonflow.trajectory import MODES
+
+from conftest import DelegatingWake
 
 PARAMS = SimParams()
 
@@ -230,6 +233,31 @@ class SteepWake(DragLaw):
 
     def partials(self, v, p_hat, in_wake):
         return self.inner.partials(v, p_hat, in_wake)
+
+
+class TestComposedSolve:
+    LAW = DelegatingWake(PARAMS.drag)
+
+    @pytest.mark.parametrize("worst_case", [False, True],
+                             ids=["communicated", "worst_case"])
+    @settings(max_examples=300)
+    @given(v=st.one_of(st.just(PARAMS.v_min), st.just(PARAMS.v_max),
+                       st.floats(PARAMS.v_min, PARAMS.v_max)),
+           p_hat=st.floats(-80.0, -0.5),
+           v_hat=st.one_of(st.floats(-15.0, 0.0), st.floats(0.0, 15.0)),
+           pred_accel=st.floats(PARAMS.a_min, PARAMS.a_max),
+           deadline=st.booleans())
+    @example(v=20.0, p_hat=-32.503, v_hat=-3.826, pred_accel=-0.854,
+             deadline=False)
+    def test_returns_the_fused_kernels_whole_tuple(
+            self, worst_case, v, p_hat, v_hat, pred_accel, deadline):
+        params = replace(PARAMS, worst_case_pred_accel=worst_case)
+        # A closing pair cannot sit at the floor (see envelope_cap).
+        assume(v_hat <= 0.0 or v > params.v_min + SPEED_EDGE_TOL)
+        fused = follower_step(v, p_hat, v_hat, pred_accel, deadline, params)
+        composed = follower_step(v, p_hat, v_hat, pred_accel, deadline,
+                                 params, self.LAW)
+        assert [repr(x) for x in composed] == [repr(x) for x in fused]
 
 
 class TestHeadsUseTheWorldsDragLaw:

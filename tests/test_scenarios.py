@@ -6,6 +6,8 @@ on or off) and runs each for 20-30 simulated seconds.  Every run must
 finish without a ``SimulationError``, no vehicle outside
 LEADER_RECOVERING may ever command a positive acceleration, and the
 trajectory's derived columns must equal a row-by-row recomputation.
+A second sweep runs each scenario twice, once solving every follower
+afresh each step, and requires the same outcome bit for bit.
 """
 
 import math
@@ -16,13 +18,19 @@ from platoonflow import (
     DragCoefficients,
     RoadNetwork,
     SimParams,
+    SimulationError,
     VehicleMode,
     WorldState,
     validate_params,
 )
 from platoonflow.trajectory import MODE_CODES
 
-from conftest import derived_bytes, recompute_derived, step_world
+from conftest import (
+    derived_bytes,
+    recompute_derived,
+    step_world,
+    world_bytes,
+)
 
 RECOVERING = MODE_CODES[VehicleMode.LEADER_RECOVERING]
 
@@ -70,3 +78,24 @@ def test_valid_scenarios_run_clean_and_brake_only(params):
     assert worst <= 0.0
     assert derived_bytes(tr) == recompute_derived(tr, world.drag_law, params,
                                                   targets)
+
+
+def outcome(params, fresh):
+    """A run's columns, events and counters, and the engine error that
+    stopped it, if one did."""
+    world = WorldState.initial(params)
+    try:
+        step_world(world, params, round(params.duration / params.dt), {},
+                   fresh=fresh)
+    except SimulationError as exc:
+        return world_bytes(world), repr(exc)
+    return world_bytes(world), None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(params=scenarios())
+def test_reused_solves_change_nothing(params):
+    # Engine errors are compared here, not ruled out: the sweep above
+    # rules them out, and a run that stops must stop the same way.
+    assert outcome(params, fresh=False) == outcome(params, fresh=True)

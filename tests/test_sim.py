@@ -1,11 +1,15 @@
 import collections
+from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+import platoonflow.controller as controller
 from platoonflow import (
     DragCoefficients,
     ExponentialWakeDrag,
     OrderingError,
+    RoadNetwork,
     SafetyAuditError,
     SimParams,
     VehicleMode,
@@ -14,8 +18,12 @@ from platoonflow import (
     run,
     step,
 )
+from platoonflow._backend import kernels
 from platoonflow.analysis import records_by_time
 from platoonflow.constraints import SPEED_EDGE_TOL
+from platoonflow.sim import _decide
+
+from conftest import DelegatingWake, step_world, world_bytes
 
 FAR = 1e9
 
@@ -203,3 +211,142 @@ class TestRunInvariants:
     def test_same_seed_replays_identically(self):
         p = SimParams(duration=15.0, seed=4)
         assert run(p).trajectory == run(p).trajectory
+
+
+# A short, crowded road: the dense corridor's ramps on a 2.5 km road,
+# with exits far enough downstream that platoons form and hold.
+SHORT_DENSE = SimParams(duration=120.0, seed=3, road=RoadNetwork(
+    length=2500.0, on_ramps=(100.0, 600.0, 1100.0), off_ramps=(2000.0,)))
+
+# A second drag law that differs from the default by its wake length.
+LONG_WAKE = DragCoefficients(c2=0.02)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count the follower kernel's calls while the test runs."""
+    calls = [0]
+    solve = kernels.follower_decision
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(kernels, "follower_decision", counted)
+    return calls
+
+
+class TestSolveReuse:
+    """A follower whose kernel inputs and binding stand still reuses its
+    last solve instead of calling the kernel; nothing may tell."""
+
+    @pytest.mark.parametrize("params", [SimParams(), SHORT_DENSE],
+                             ids=["default", "short_dense"])
+    def test_reuse_equals_solving_every_step(self, params, kernel_calls):
+        n = round(params.duration / params.dt)
+        reused = WorldState.initial(params)
+        step_world(reused, params, n, {})
+        reusing_calls = kernel_calls[0]
+        fresh = WorldState.initial(params)
+        step_world(fresh, params, n, {}, fresh=True)
+        assert world_bytes(reused) == world_bytes(fresh)
+        # The reuse fired: at least a quarter of the solves were skipped.
+        assert reusing_calls < 0.75 * (kernel_calls[0] - reusing_calls)
+
+    def test_binding_changes_mid_run_equal_solving_every_step(self):
+        params = SimParams(duration=60.0, seed=2)
+
+        def stepped(fresh):
+            world = WorldState.initial(params)
+            step_world(world, params, 200, {}, fresh=fresh)
+            world.drag_law = ExponentialWakeDrag(LONG_WAKE)
+            step_world(world, params, 200, {}, fresh=fresh)
+            step_world(world, replace(params, gamma=0.5), 200, {},
+                       fresh=fresh)
+            return world_bytes(world)
+
+        assert stepped(False) == stepped(True)
+
+    def followers(self, params, law=None):
+        # Behind a head, a follower closing in on it inside the envelope
+        # (its command is the envelope cap, which gamma scales) and one
+        # falling back (its command is the drag-descent bound, which
+        # depends on c2).
+        world = WorldState.initial(params, spawning=False, drag_law=law)
+        place(world, 300.0, 30.0)
+        place(world, 290.0, 33.0)
+        place(world, 270.0, 30.0)
+        return world
+
+    def test_repeated_inputs_skip_the_kernel(self, params, kernel_calls):
+        world = self.followers(params)
+        first = _decide(world, params)
+        assert kernel_calls[0] == 2
+        assert _decide(world, params) == first
+        assert kernel_calls[0] == 2
+
+    @pytest.mark.parametrize("change", [
+        "v", "p_hat", "v_hat", "pred_accel", "deadline",
+        "drag_law", "params", "kernel"])
+    def test_a_changed_input_or_binding_solves_afresh(self, params, change,
+                                                      monkeypatch):
+        world = self.followers(params)
+        head, closing, opening = world.vehicles
+        first = _decide(world, params)
+        if change == "v":
+            # Both followers speed up alike: the opening one's v_hat holds.
+            closing.v += 1.0
+            opening.v += 1.0
+        elif change == "p_hat":
+            opening.p -= 1.0
+        elif change == "v_hat":
+            closing.v += 1.0
+        elif change == "pred_accel":
+            head.accel = -2.0
+        elif change == "deadline":
+            opening.deadline = world.t
+        elif change == "drag_law":
+            world.drag_law = ExponentialWakeDrag(LONG_WAKE)
+        elif change == "params":
+            params = replace(params, gamma=0.5)
+        else:
+            solve = kernels.follower_decision
+            monkeypatch.setattr(
+                kernels, "follower_decision",
+                lambda *args: (-1.0,) + solve(*args)[1:])
+        again = _decide(world, params)
+        for veh in world.vehicles:
+            veh.last_solve = None
+        assert again == _decide(world, params)
+        assert again != first
+
+    def test_a_law_the_kernels_do_not_know_solves_every_step(
+            self, params, monkeypatch):
+        calls = []
+        composed = controller._solve_composed
+
+        def counted(*args):
+            calls.append(args)
+            return composed(*args)
+
+        monkeypatch.setattr(controller, "_solve_composed", counted)
+        world = self.followers(params, DelegatingWake(params.drag))
+        assert _decide(world, params) == _decide(world, params)
+        assert len(calls) == 4
+
+    @given(v=st.one_of(st.just(20.0), st.just(35.0), st.floats(20.0, 35.0)),
+           p_hat=st.floats(-80.0, -0.5), v_hat=st.floats(-15.0, 15.0),
+           deadline=st.booleans(),
+           gamma=st.one_of(st.just(0.0), st.floats(0.1, 3.0)))
+    def test_the_kernel_cannot_tell_the_two_zero_commands_apart(
+            self, v, p_hat, v_hat, deadline, gamma):
+        p = SimParams()
+        # A closing pair cannot sit at the floor (see envelope_cap).
+        assume(v_hat <= 0.0 or v > p.v_min + SPEED_EDGE_TOL)
+        consts = (p.v_min, p.v_max, p.a_min, p.a_max, p.delta, p.eps_g,
+                  gamma, p.drag.c0, p.drag.c1, p.drag.c2)
+        plus = kernels.follower_decision(v, p_hat, v_hat, 0.0, deadline,
+                                         *consts)
+        minus = kernels.follower_decision(v, p_hat, v_hat, -0.0, deadline,
+                                          *consts)
+        assert [repr(x) for x in plus] == [repr(x) for x in minus]
