@@ -7,7 +7,6 @@ arrival deadline.  Platoons form, split, and merge purely from those
 local decisions; the engine only integrates, audits, and bookkeeps.
 """
 
-from ._backend import backend_name
 from .constraints import (
     FeasibilityVerdict,
     FeasibleInterval,
@@ -35,7 +34,7 @@ from .core import (
     VehicleState,
     validate_params,
 )
-from .drag import DragLaw, ExponentialWakeDrag, gradient_flow_bound
+from .drag import ExponentialWakeDrag, gradient_flow_bound
 from .sim import (
     Event,
     SimResult,
@@ -48,10 +47,15 @@ from .trajectory import Trajectory, TrajectoryRecord
 
 __version__ = "0.1.0"
 
+
+def backend_name() -> str:
+    """Name of the kernel implementation; there is only ``"python"``."""
+    return "python"
+
+
 __all__ = [
     "ControlDecision",
     "DragCoefficients",
-    "DragLaw",
     "Event",
     "ExponentialWakeDrag",
     "FeasibilityVerdict",

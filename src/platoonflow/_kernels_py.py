@@ -1,12 +1,9 @@
-"""Pure-Python scalar kernels for the per-vehicle hot path.
+"""Scalar kernels for the per-vehicle hot path.
 
-These functions carry the entire numerical semantics of the controller:
-the compiled twin in ``_kernels_cy`` mirrors them expression for
-expression, and the test suite pins the two backends against each other.
-Keep any change here in lockstep with the .pyx file.
-
-All functions take flat float arguments so both backends share one
-calling convention.  No objects, no allocation beyond result tuples.
+These functions carry the entire numerical semantics of the controller;
+the rest of the package binds parameters and interprets their results.
+They take flat float arguments and allocate nothing beyond result
+tuples, so the engine can call them per vehicle and step.
 """
 
 from __future__ import annotations
@@ -17,8 +14,9 @@ import math
 SPEED_EDGE_TOL = 1e-9
 
 INF = float("inf")
+NAN = float("nan")
 
-# Verdict codes shared by both backends.
+# Verdict codes of the follower feasibility test.
 VERDICT_FEASIBLE = 0
 VERDICT_FLOOR_CONFLICT = 1
 VERDICT_BRAKE_CONFLICT = 2
@@ -120,6 +118,26 @@ def envelope_cap(v: float, v_hat: float, g: float, pred_accel: float,
     return cap
 
 
+def envelope(v: float, p_hat: float, v_hat: float, pred_accel: float,
+             has_pred: bool, v_min: float, a_min: float, delta: float,
+             eps_g: float, gamma: float) -> tuple[float, float]:
+    """``(g, cap)``: the stopping-envelope margin and the acceleration
+    cap it imposes.
+
+    ``g`` is nan without a predecessor.  ``cap`` is inf where the
+    envelope does not bind: without a predecessor, for a pair that is
+    not closing, and with ``gamma == 0`` outside the ``eps_g`` band.
+    With ``gamma > 0`` it binds every closing pair, engaging smoothly
+    ahead of the boundary.
+    """
+    if not has_pred:
+        return NAN, INF
+    g = stopping_margin(v, p_hat, v_hat, v_min, a_min, delta)
+    if v_hat > 0.0 and (g >= -eps_g or gamma > 0.0):
+        return g, envelope_cap(v, v_hat, g, pred_accel, v_min, a_min, gamma)
+    return g, INF
+
+
 def safe_interval(v: float, p_hat: float, v_hat: float,
                   pred_accel: float, has_pred: bool,
                   v_min: float, v_max: float, a_min: float, a_max: float,
@@ -128,8 +146,7 @@ def safe_interval(v: float, p_hat: float, v_hat: float,
     """Admissible acceleration interval from speed box plus envelope.
 
     Returns (lo, hi); the interval is never empty for states reachable by
-    the engine.  With gamma > 0 the envelope cap engages smoothly ahead
-    of the boundary; with gamma == 0 only inside the eps_g band.
+    the engine.  The envelope binds as ``envelope`` says.
     """
     lo = a_min
     hi = a_max
@@ -137,12 +154,10 @@ def safe_interval(v: float, p_hat: float, v_hat: float,
         lo = 0.0
     if v >= v_max - SPEED_EDGE_TOL:
         hi = 0.0
-    if has_pred and v_hat > 0.0:
-        g = stopping_margin(v, p_hat, v_hat, v_min, a_min, delta)
-        if g >= -eps_g or gamma > 0.0:
-            cap = envelope_cap(v, v_hat, g, pred_accel, v_min, a_min, gamma)
-            if cap < hi:
-                hi = cap
+    cap = envelope(v, p_hat, v_hat, pred_accel, has_pred, v_min, a_min,
+                   delta, eps_g, gamma)[1]
+    if cap < hi:
+        hi = cap
     return lo, hi
 
 
@@ -189,7 +204,8 @@ def follower_decision(v: float, p_hat: float, v_hat: float,
     policy; an envelope-vs-deadline conflict drops the deadline and
     re-solves.
     """
-    g = stopping_margin(v, p_hat, v_hat, v_min, a_min, delta)
+    g, cap = envelope(v, p_hat, v_hat, pred_accel, True, v_min, a_min,
+                      delta, eps_g, gamma)
     bound = flow_bound(v, p_hat, v_hat, True, c0, c1, c2)
 
     lo = a_min
@@ -198,11 +214,8 @@ def follower_decision(v: float, p_hat: float, v_hat: float,
         lo = 0.0
     if v >= v_max - SPEED_EDGE_TOL:
         hi_safe = 0.0
-    cap = INF
-    if v_hat > 0.0 and (g >= -eps_g or gamma > 0.0):
-        cap = envelope_cap(v, v_hat, g, pred_accel, v_min, a_min, gamma)
-        if cap < hi_safe:
-            hi_safe = cap
+    if cap < hi_safe:
+        hi_safe = cap
 
     hi = hi_safe
     if bound < hi:
@@ -256,21 +269,16 @@ def leader_decision(v: float, p_hat: float, v_hat: float,
     admissible interval is the speed box intersected with the envelope
     cap against the physical predecessor, when one exists.
     """
-    g = float("nan")
+    g, cap = envelope(v, p_hat, v_hat, pred_accel, has_pred, v_min, a_min,
+                      delta, eps_g, gamma)
     lo = a_min
     hi = a_max
     if v <= v_min + SPEED_EDGE_TOL:
         lo = 0.0
     if v >= v_max - SPEED_EDGE_TOL:
         hi = 0.0
-    if has_pred and v_hat > 0.0:
-        g = stopping_margin(v, p_hat, v_hat, v_min, a_min, delta)
-        if g >= -eps_g or gamma > 0.0:
-            cap = envelope_cap(v, v_hat, g, pred_accel, v_min, a_min, gamma)
-            if cap < hi:
-                hi = cap
-    elif has_pred:
-        g = stopping_margin(v, p_hat, v_hat, v_min, a_min, delta)
+    if cap < hi:
+        hi = cap
 
     if recovering:
         accel = hi

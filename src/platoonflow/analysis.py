@@ -9,7 +9,6 @@ shares no code path with the closed-form controller it checks.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -19,7 +18,7 @@ import numpy as np
 from ._kernels_py import SPEED_EDGE_TOL
 from .constraints import FeasibilityVerdict, stopping_margin
 from .core import SimParams
-from .drag import DragLaw, ExponentialWakeDrag
+from .drag import ExponentialWakeDrag
 from .sim import SimResult
 from .trajectory import Trajectory, TrajectoryRecord, as_trajectory
 
@@ -165,7 +164,8 @@ class OracleDecision:
 
 def brute_force_follower(v: float, p_hat: float, v_hat: float,
                          pred_accel: float, deadline_active: bool,
-                         params: SimParams, law: DragLaw | None = None,
+                         params: SimParams,
+                         law: ExponentialWakeDrag | None = None,
                          n: int = 10001) -> OracleDecision:
     """Reference follower decision by dense grid search.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .core import SimParams
 
 SPEED_EDGE_TOL = kernels.SPEED_EDGE_TOL

@@ -6,15 +6,13 @@ drag-descent cap and (when active) the deadline, apply the one of least
 magnitude.  Platoon heads instead brake to the speed floor and cruise,
 or accelerate to recover a relaxed deadline.
 
-The default drag law routes through the selected kernel backend in a
-single fused call; any other ``DragLaw`` takes the compositional path
-below, which is also the readable statement of the solve.  ``bind``
-resolves that dispatch, the worst-case substitution and the parameter
-constants once per step; the engine then calls the kernels directly per
-vehicle, and ``follower_step``/``leader_step`` go through the same
-binding for a single solve.  ``solve_follower_control`` and
-``leader_control`` wrap those in a ``ControlDecision`` for callers that
-inspect one solve.
+The kernels in ``_kernels_py`` state that solve; this module binds
+their arguments.  ``bind`` resolves the drag coefficients, the
+worst-case substitution and the parameter constants once per step; the
+engine then calls the kernels directly per vehicle, and
+``follower_step``/``leader_step`` go through the same binding for a
+single solve.  ``solve_follower_control`` and ``leader_control`` wrap
+those in a ``ControlDecision`` for callers that inspect one solve.
 """
 
 from __future__ import annotations
@@ -23,18 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from ._backend import kernels
-from .constraints import (
-    SPLIT_CODES,
-    FeasibilityVerdict,
-    FeasibleInterval,
-    classify_feasibility,
-    envelope_cap,
-    safe_accel_interval,
-    stopping_margin,
-)
+from . import _kernels_py as kernels
+from .constraints import SPLIT_CODES, FeasibilityVerdict, FeasibleInterval
 from .core import SimParams, VehicleMode, VehicleState
-from .drag import DragLaw, ExponentialWakeDrag
+from .drag import ExponentialWakeDrag
 from .trajectory import MODES
 
 _ACTIVE_NAMES = (
@@ -77,10 +67,10 @@ def _decision(accel: float, code: int, mask: int, lo: float, hi: float,
 class Solves(NamedTuple):
     """What every solve of one step shares, resolved by ``bind``.
 
-    ``follower`` takes the fused follower kernel's flat arguments
-    (``follower_decision``); for a law the kernels do not implement it
-    is a closure over that law that ignores ``c0, c1, c2``.  ``law`` is
-    the drag law whose descent bound classifies a head's merge.
+    ``follower`` is the follower kernel (``follower_decision``) as it
+    was bound when ``bind`` ran.  ``law`` is the drag law whose
+    coefficients are ``c0, c1, c2`` and whose descent bound classifies
+    a head's merge.
     ``worst_pred`` is the predecessor command to assume in place of the
     communicated one: ``a_min`` under ``worst_case_pred_accel``, else
     None.  The fields from ``v_min`` on are the kernels' trailing
@@ -89,7 +79,7 @@ class Solves(NamedTuple):
     """
 
     follower: Callable[..., tuple]
-    law: DragLaw
+    law: ExponentialWakeDrag
     worst_pred: float | None
     v_min: float
     v_max: float
@@ -103,27 +93,19 @@ class Solves(NamedTuple):
     c2: float
 
 
-def bind(params: SimParams, law: DragLaw | None = None) -> Solves:
+def bind(params: SimParams, law: ExponentialWakeDrag | None = None
+         ) -> Solves:
     """The solves of one step under ``params`` and drag ``law`` (the
-    exponential wake law with ``params.drag`` when None).
+    wake law with ``params.drag`` when None).
 
     The kernels are looked up on every call, so a kernel rebound at run
     time (a timing wrapper, say) is the one the next step calls.
     """
     if law is None:
         law = ExponentialWakeDrag(params.drag)
-    if isinstance(law, ExponentialWakeDrag):
-        c = law.coeffs
-        follower = kernels.follower_decision
-    else:
-        c = params.drag
-
-        def follower(v, p_hat, v_hat, pred_accel, deadline_active, *_):
-            return _solve_composed(v, p_hat, v_hat, pred_accel,
-                                   deadline_active, params, law)
-
+    c = law.coeffs
     return Solves(
-        follower, law,
+        kernels.follower_decision, law,
         params.a_min if params.worst_case_pred_accel else None,
         params.v_min, params.v_max, params.a_min, params.a_max,
         params.delta, params.eps_g, params.gamma, c.c0, c.c1, c.c2)
@@ -131,7 +113,7 @@ def bind(params: SimParams, law: DragLaw | None = None) -> Solves:
 
 def follower_step(v: float, p_hat: float, v_hat: float, pred_accel: float,
                   deadline_active: bool, params: SimParams,
-                  law: DragLaw | None = None
+                  law: ExponentialWakeDrag | None = None
                   ) -> tuple[float, int, int, float, float, float, float]:
     """Minimum-magnitude feasible acceleration for a follower, flat.
 
@@ -149,66 +131,17 @@ def follower_step(v: float, p_hat: float, v_hat: float, pred_accel: float,
 def solve_follower_control(state: VehicleState, p_hat: float, v_hat: float,
                            pred_accel: float, deadline_active: bool,
                            params: SimParams,
-                           law: DragLaw | None = None) -> ControlDecision:
+                           law: ExponentialWakeDrag | None = None
+                           ) -> ControlDecision:
     """``follower_step`` as a ``ControlDecision``."""
     return _decision(*follower_step(state.v, p_hat, v_hat, pred_accel,
                                     deadline_active, params, law))
 
 
-def _solve_composed(v: float, p_hat: float, v_hat: float, pred_accel: float,
-                    deadline_active: bool, params: SimParams, law: DragLaw
-                    ) -> tuple[float, int, int, float, float, float, float]:
-    # Compositional solve for swapped-in drag laws; mirrors the fused
-    # kernel and returns its flat tuple, active mask included.
-    g = stopping_margin(v, p_hat, v_hat, params)
-    bound = law.descent_bound(v, p_hat, v_hat, True)
-    safe = safe_accel_interval(v, p_hat, v_hat, pred_accel, True, params)
-    # The raw envelope cap, before the speed box clips it; inf where the
-    # envelope does not bind.
-    cap = math.inf
-    if v_hat > 0.0 and (g >= -params.eps_g or params.gamma > 0.0):
-        cap = envelope_cap(v, v_hat, g, pred_accel, params)
-    lo, hi = safe.lo, min(safe.hi, bound)
-    if deadline_active:
-        lo = max(lo, 0.0)
-
-    if lo <= hi:
-        interval = FeasibleInterval(lo, hi)
-        accel = interval.clamp_to_zero()
-        verdict = FeasibilityVerdict.FEASIBLE
-    else:
-        safety_active = g >= -params.eps_g or cap < 0.0
-        verdict = classify_feasibility(v, p_hat, v_hat, bound,
-                                       deadline_active, safety_active, params)
-        if verdict is FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT:
-            interval = FeasibleInterval(safe.lo, min(safe.hi, bound))
-            accel = interval.clamp_to_zero()
-        elif verdict.splits:
-            interval = safe
-            accel = max(params.a_min, safe.lo)
-        else:
-            raise AssertionError("empty feasible interval with no verdict")
-
-    mask = 0
-    if interval.lo == 0.0 and accel == 0.0 \
-            and v <= params.v_min + kernels.SPEED_EDGE_TOL:
-        mask |= kernels.ACTIVE_SPEED_FLOOR
-    if accel == 0.0 and v >= params.v_max - kernels.SPEED_EDGE_TOL:
-        mask |= kernels.ACTIVE_SPEED_CEILING
-    if accel == cap:
-        mask |= kernels.ACTIVE_SAFETY
-    if accel == bound:
-        mask |= kernels.ACTIVE_DRAG_FLOW
-    if deadline_active and accel == 0.0 \
-            and verdict is not FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT:
-        mask |= kernels.ACTIVE_DEADLINE
-    return accel, verdict.value, mask, interval.lo, interval.hi, g, bound
-
-
 def leader_step(v: float, p_hat: float, v_hat: float,
                 pred_accel: float | None, recovering: bool,
                 deadline_active: bool, params: SimParams,
-                law: DragLaw | None = None
+                law: ExponentialWakeDrag | None = None
                 ) -> tuple[float, int, float, float, float, float]:
     """Platoon-head policy plus the merge-eligibility verdict, flat.
 
@@ -254,7 +187,8 @@ def merge_verdict(v: float, p_hat: float, v_hat: float, g: float, hi: float,
 def leader_control(state: VehicleState, p_hat: float, v_hat: float,
                    pred_accel: float | None, deadline_active: bool,
                    params: SimParams,
-                   law: DragLaw | None = None) -> ControlDecision:
+                   law: ExponentialWakeDrag | None = None
+                   ) -> ControlDecision:
     """``leader_step`` as a ``ControlDecision``, with its active set."""
     accel, code, lo, hi, g, bound = leader_step(
         state.v, p_hat, v_hat, pred_accel,

@@ -198,6 +198,11 @@ def validate_params(params: SimParams) -> list[str]:
         bad.append("dt must be positive")
     if params.duration < 0.0:
         bad.append("duration must be non-negative")
+    if (params.dt > 0.0 and math.isfinite(params.duration)
+            and not math.isfinite(params.duration / params.dt)):
+        # Each finite alone, the two can still overflow the step count.
+        bad.append("duration / dt must be finite, got "
+                   f"{params.duration / params.dt}")
     if params.seed < 0:
         bad.append("seed must be non-negative")
     for name in ("eps_g", "eps_d", "eps_platoon_gap", "eps_platoon_speed"):

@@ -1,47 +1,23 @@
 """Aerodynamic drag model and the drag-descent acceleration bound.
 
-The default law is quadratic in speed with an exponential wake discount:
-a trailing vehicle sees less drag the smaller its gap.  The controller
-never needs more than the force and its two partials, so alternative
-laws can be swapped in through the small ``DragLaw`` interface; the
-engine fast-path recognises the default law and routes it through the
-selected kernel backend.
+The law is quadratic in speed with an exponential wake discount: a
+trailing vehicle sees less drag the smaller its gap.  The controller
+never needs more than the force, its two partials and the descent bound
+they give, all computed by the kernels from the law's coefficients.
 """
 
 from __future__ import annotations
 
-import abc
-
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .core import DragCoefficients
 
 
-class DragLaw(abc.ABC):
-    """Minimal interface the controller requires of a drag model."""
+class ExponentialWakeDrag:
+    """The wake drag law under one set of coefficients.
 
-    @abc.abstractmethod
-    def force(self, v: float, p_hat: float, in_wake: bool) -> float:
-        """Drag force (m/s^2, force per unit mass) at the given state."""
-
-    @abc.abstractmethod
-    def partials(self, v: float, p_hat: float, in_wake: bool) -> tuple[float, float]:
-        """(dF/dv, dF/dp_hat) at the given state."""
-
-    def descent_bound(self, v: float, p_hat: float, v_hat: float,
-                      in_wake: bool) -> float:
-        """Largest acceleration keeping squared drag non-increasing.
-
-        Derived from d(F^2)/dt <= 0 with dF/dv > 0: for a wake follower
-        a <= (|dF/dp_hat| / dF/dv) * v_hat, for a solo vehicle a <= 0.
-        """
-        if not in_wake:
-            return 0.0
-        f_v, f_p = self.partials(v, p_hat, True)
-        return (-f_p / f_v) * v_hat
-
-
-class ExponentialWakeDrag(DragLaw):
-    """The default law, delegating to the selected kernel backend."""
+    The engine, the trajectory and the controller's entry points take an
+    instance, so a world can swap coefficients mid-run.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -49,29 +25,20 @@ class ExponentialWakeDrag(DragLaw):
         self.coeffs = coeffs if coeffs is not None else DragCoefficients()
 
     def force(self, v: float, p_hat: float, in_wake: bool) -> float:
+        """Drag force (m/s^2, force per unit mass) at the given state."""
         c = self.coeffs
         return kernels.drag_force(v, p_hat, in_wake, c.c0, c.c1, c.c2)
 
     def partials(self, v: float, p_hat: float, in_wake: bool) -> tuple[float, float]:
+        """(dF/dv, dF/dp_hat) at the given state."""
         c = self.coeffs
         return kernels.drag_partials(v, p_hat, in_wake, c.c0, c.c1, c.c2)
 
     def descent_bound(self, v: float, p_hat: float, v_hat: float,
                       in_wake: bool) -> float:
+        """Largest acceleration keeping squared drag non-increasing."""
         c = self.coeffs
         return kernels.flow_bound(v, p_hat, v_hat, in_wake, c.c0, c.c1, c.c2)
-
-
-def drag_force(v: float, p_hat: float, in_wake: bool,
-               coeffs: DragCoefficients) -> float:
-    """Module-level convenience over the default law."""
-    return kernels.drag_force(v, p_hat, in_wake, coeffs.c0, coeffs.c1, coeffs.c2)
-
-
-def drag_partials(v: float, p_hat: float, in_wake: bool,
-                  coeffs: DragCoefficients) -> tuple[float, float]:
-    return kernels.drag_partials(v, p_hat, in_wake,
-                                 coeffs.c0, coeffs.c1, coeffs.c2)
 
 
 def gradient_flow_bound(v: float, p_hat: float, v_hat: float, in_wake: bool,

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .constraints import SPLIT_CODES, deadline_margin, stopping_margin
 from .controller import KEEPS_MODE, Solves, bind, merge_verdict, next_mode
 from .core import (
@@ -49,7 +49,7 @@ from .core import (
     VehicleMode,
     VehicleState,
 )
-from .drag import DragLaw, ExponentialWakeDrag
+from .drag import ExponentialWakeDrag
 from .trajectory import MODE_CODES, MODES, Trajectory
 from .trajectory import TrajectoryRecord  # noqa: F401  (re-exported)
 
@@ -93,7 +93,7 @@ class WorldState:
     next_vehicle_id: int
     next_platoon_id: int
     spawning: bool
-    drag_law: DragLaw
+    drag_law: ExponentialWakeDrag
     events: list[Event] = field(default_factory=list)
     trajectory: Trajectory = field(default_factory=Trajectory)
     counters: dict[str, int] = field(default_factory=dict)
@@ -101,7 +101,8 @@ class WorldState:
 
     @classmethod
     def initial(cls, params: SimParams, *, spawning: bool = True,
-                drag_law: DragLaw | None = None) -> "WorldState":
+                drag_law: ExponentialWakeDrag | None = None
+                ) -> "WorldState":
         return cls(
             params=params,
             t=0.0,
@@ -199,9 +200,7 @@ def _decide(world: WorldState, params: SimParams) -> list[Decision]:
     without calling the kernel.  The binding is carried over from the
     last step while it compares equal (``world.solves``), so a swapped
     drag law, other ``params`` or a kernel rebound at run time all
-    start afresh; a law the kernels do not implement binds a fresh
-    closure every step and never reuses.  Float ``==`` is exact here,
-    not just close:
+    start afresh.  Float ``==`` is exact here, not just close:
 
     - ``v >= v_min > 0``, and ``p_hat < 0`` strictly once the ordering
       audit has run, so neither is a signed zero;

@@ -26,10 +26,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .constraints import deadline_margin
 from .core import SimParams, VehicleMode
-from .drag import DragLaw, ExponentialWakeDrag
+from .drag import ExponentialWakeDrag
 
 # Codes of the ``mode`` column: bit 0 marks a platoon head, bit 1 a
 # relaxed deadline.
@@ -115,10 +115,10 @@ class Trajectory:
         self.mode = array("b")
         self._derived_steps = 0
         self._params: SimParams | None = None
-        self._law: DragLaw | None = None
+        self._law: ExponentialWakeDrag | None = None
         self._targets: dict[int, tuple[float, float]] = {}
 
-    def bind(self, params: SimParams, law: DragLaw) -> None:
+    def bind(self, params: SimParams, law: ExponentialWakeDrag) -> None:
         """Derive the physics of steps appended from now on with drag
         ``law`` and the envelope constants of ``params``.
 
@@ -166,10 +166,8 @@ class Trajectory:
         v_min, a_min, delta = (self._params.v_min, self._params.a_min,
                                self._params.delta)
         margin = kernels.stopping_margin
-        fused = isinstance(law, ExponentialWakeDrag)
-        if fused:
-            c0, c1, c2 = law.coeffs.c0, law.coeffs.c1, law.coeffs.c2
-            drag_force = kernels.drag_force
+        c0, c1, c2 = law.coeffs.c0, law.coeffs.c1, law.coeffs.c2
+        drag_force = kernels.drag_force
         targets = self._targets
         times, offsets = self.times, self.offsets
         for k in range(self._derived_steps, len(times)):
@@ -179,13 +177,9 @@ class Trajectory:
             v = self.v[start:stop].tolist()
             # Row i > 0 follows row i - 1; the front row has no wake.
             pairs = list(zip(p[1:], v[1:], p, v))
-            drag = [law.force(v[0], 0.0, False)]
-            if fused:
-                drag += [drag_force(vb, pb - pa, True, c0, c1, c2)
-                         for pb, vb, pa, _ in pairs]
-            else:
-                drag += [law.force(vb, pb - pa, True)
-                         for pb, vb, pa, _ in pairs]
+            drag = [drag_force(v[0], 0.0, False, c0, c1, c2)]
+            drag += [drag_force(vb, pb - pa, True, c0, c1, c2)
+                     for pb, vb, pa, _ in pairs]
             self._drag.fromlist(drag)
             self._u.fromlist(
                 [a + d for a, d in zip(self.accel[start:stop], drag)])

@@ -3,7 +3,7 @@ from array import array
 
 import pytest
 
-from platoonflow import DragLaw, ExponentialWakeDrag, SimParams, run, step
+from platoonflow import SimParams, run, step
 from platoonflow.constraints import deadline_margin, stopping_margin
 from platoonflow.trajectory import COLUMNS, DERIVED_COLUMNS
 from platoonflow.verify import RunCorpus
@@ -25,23 +25,6 @@ def corpus():
     """The default-parameter verify corpus, built once per session by the
     first check that reads it."""
     return RunCorpus(SimParams())
-
-
-class DelegatingWake(DragLaw):
-    """A law the fused kernel does not know that computes the default
-    law, so its composed solve must give the kernel's answer."""
-
-    def __init__(self, coeffs):
-        self.inner = ExponentialWakeDrag(coeffs)
-
-    def force(self, v, p_hat, in_wake):
-        return self.inner.force(v, p_hat, in_wake)
-
-    def partials(self, v, p_hat, in_wake):
-        return self.inner.partials(v, p_hat, in_wake)
-
-    def descent_bound(self, v, p_hat, v_hat, in_wake):
-        return self.inner.descent_bound(v, p_hat, v_hat, in_wake)
 
 
 def derived_bytes(tr):

@@ -164,6 +164,9 @@ class TestRunCommand:
     @pytest.mark.parametrize("text,message", [
         ("control:\n  delta: .nan\n", "delta must be finite"),
         ("run:\n  duration: .inf\n", "duration must be finite"),
+        # Each finite alone, these overflow the step count.
+        ("run:\n  duration: 1.0e+308\n", "duration / dt must be finite"),
+        ("run:\n  dt: 1.0e-310\n", "duration / dt must be finite"),
     ])
     def test_non_finite_values_exit_with_a_config_error(
             self, tmp_path, capsys, text, message):

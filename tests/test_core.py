@@ -30,6 +30,7 @@ def test_default_params_validate_clean():
     ("duration", math.inf, "duration must be finite"),
     ("eps_platoon_gap", math.nan, "eps_platoon_gap must be finite"),
     ("gamma", math.inf, "gamma must be finite"),
+    ("dt", 1e-310, "duration / dt must be finite"),
 ])
 def test_bad_scalar_params_are_reported(field, value, fragment):
     params = dataclasses.replace(SimParams(), **{field: value})

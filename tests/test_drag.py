@@ -4,24 +4,26 @@ import sys
 from hypothesis import example, given, strategies as st
 
 from platoonflow import DragCoefficients, ExponentialWakeDrag
-from platoonflow.drag import drag_force, drag_partials, gradient_flow_bound
+from platoonflow import _kernels_py as kernels
+from platoonflow.drag import gradient_flow_bound
 
 COEFFS = DragCoefficients()
+LAW = ExponentialWakeDrag(COEFFS)
 
 speeds = st.floats(min_value=1.0, max_value=40.0)
 gaps = st.floats(min_value=-120.0, max_value=-0.5)
 
 
 def test_solo_force_reference_value():
-    assert drag_force(30.0, 0.0, False, COEFFS) == 0.36
+    assert LAW.force(30.0, 0.0, False) == 0.36
 
 
 def test_wake_force_reference_value():
-    assert drag_force(30.0, -20.0, True, COEFFS) == 0.3163903521131544
+    assert LAW.force(30.0, -20.0, True) == 0.3163903521131544
 
 
 def test_partials_reference_values():
-    f_v, f_p = drag_partials(30.0, -20.0, True, COEFFS)
+    f_v, f_p = LAW.partials(30.0, -20.0, True)
     assert f_v == 0.021092690140876964
     assert f_p == -0.003488771830947645
 
@@ -40,30 +42,31 @@ def test_flow_bound_scales_with_closing_speed():
 
 
 def test_law_object_matches_module_functions():
-    law = ExponentialWakeDrag(COEFFS)
-    assert law.force(22.0, -6.0, True) == 0.1217221212077987
-    assert law.force(22.0, -6.0, True) == drag_force(22.0, -6.0, True, COEFFS)
-    assert law.partials(30.0, -20.0, True) == drag_partials(30.0, -20.0, True,
-                                                            COEFFS)
+    c = (COEFFS.c0, COEFFS.c1, COEFFS.c2)
+    assert LAW.force(22.0, -6.0, True) == 0.1217221212077987
+    assert LAW.force(22.0, -6.0, True) \
+        == kernels.drag_force(22.0, -6.0, True, *c)
+    assert LAW.partials(30.0, -20.0, True) == kernels.drag_partials(
+        30.0, -20.0, True, *c)
+    assert LAW.descent_bound(30.0, -20.0, 2.0, True) \
+        == gradient_flow_bound(30.0, -20.0, 2.0, True, COEFFS)
 
 
 def test_solo_vehicle_ignores_gap():
-    law = ExponentialWakeDrag(COEFFS)
-    assert law.force(28.0, -3.0, False) == law.force(28.0, -900.0, False)
-    f_v, f_p = law.partials(28.0, -3.0, False)
+    assert LAW.force(28.0, -3.0, False) == LAW.force(28.0, -900.0, False)
+    f_v, f_p = LAW.partials(28.0, -3.0, False)
     assert f_p == 0.0
     assert f_v > 0.0
 
 
 @given(v=speeds, p_hat=gaps)
 def test_wake_discount_reduces_drag(v, p_hat):
-    assert drag_force(v, p_hat, True, COEFFS) < drag_force(v, p_hat, False,
-                                                           COEFFS)
+    assert LAW.force(v, p_hat, True) < LAW.force(v, p_hat, False)
 
 
 @given(v=speeds, p_hat=gaps)
 def test_force_increases_with_speed_decreases_with_gap(v, p_hat):
-    f_v, f_p = drag_partials(v, p_hat, True, COEFFS)
+    f_v, f_p = LAW.partials(v, p_hat, True)
     assert f_v > 0.0
     assert f_p < 0.0
 
@@ -71,11 +74,11 @@ def test_force_increases_with_speed_decreases_with_gap(v, p_hat):
 @given(v=speeds, p_hat=gaps)
 def test_partials_match_difference_quotient(v, p_hat):
     h = 1e-5
-    f_v, f_p = drag_partials(v, p_hat, True, COEFFS)
-    fd_v = (drag_force(v + h, p_hat, True, COEFFS)
-            - drag_force(v - h, p_hat, True, COEFFS)) / (2 * h)
-    fd_p = (drag_force(v, p_hat + h, True, COEFFS)
-            - drag_force(v, p_hat - h, True, COEFFS)) / (2 * h)
+    f_v, f_p = LAW.partials(v, p_hat, True)
+    fd_v = (LAW.force(v + h, p_hat, True)
+            - LAW.force(v - h, p_hat, True)) / (2 * h)
+    fd_p = (LAW.force(v, p_hat + h, True)
+            - LAW.force(v, p_hat - h, True)) / (2 * h)
     assert math.isclose(f_v, fd_v, rel_tol=1e-5)
     assert math.isclose(f_p, fd_p, rel_tol=1e-5)
 
@@ -99,7 +102,7 @@ def test_flow_bound_sign_follows_closing_speed(v, p_hat, v_hat):
 
 @given(v=speeds, p_hat=gaps, v_hat=st.floats(min_value=-10.0, max_value=10.0))
 def test_flow_bound_agrees_with_partial_ratio(v, p_hat, v_hat):
-    f_v, f_p = drag_partials(v, p_hat, True, COEFFS)
+    f_v, f_p = LAW.partials(v, p_hat, True)
     expected = -f_p * v_hat / f_v
     bound = gradient_flow_bound(v, p_hat, v_hat, True, COEFFS)
     assert math.isclose(bound, expected, rel_tol=1e-9, abs_tol=1e-12)

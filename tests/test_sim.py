@@ -4,7 +4,6 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, strategies as st
 
-import platoonflow.controller as controller
 from platoonflow import (
     DragCoefficients,
     ExponentialWakeDrag,
@@ -18,12 +17,12 @@ from platoonflow import (
     run,
     step,
 )
-from platoonflow._backend import kernels
+from platoonflow import _kernels_py as kernels
 from platoonflow.analysis import records_by_time
 from platoonflow.constraints import SPEED_EDGE_TOL
 from platoonflow.sim import _decide
 
-from conftest import DelegatingWake, step_world, world_bytes
+from conftest import step_world, world_bytes
 
 FAR = 1e9
 
@@ -267,12 +266,12 @@ class TestSolveReuse:
 
         assert stepped(False) == stepped(True)
 
-    def followers(self, params, law=None):
+    def followers(self, params):
         # Behind a head, a follower closing in on it inside the envelope
         # (its command is the envelope cap, which gamma scales) and one
         # falling back (its command is the drag-descent bound, which
         # depends on c2).
-        world = WorldState.initial(params, spawning=False, drag_law=law)
+        world = WorldState.initial(params, spawning=False)
         place(world, 300.0, 30.0)
         place(world, 290.0, 33.0)
         place(world, 270.0, 30.0)
@@ -319,20 +318,6 @@ class TestSolveReuse:
             veh.last_solve = None
         assert again == _decide(world, params)
         assert again != first
-
-    def test_a_law_the_kernels_do_not_know_solves_every_step(
-            self, params, monkeypatch):
-        calls = []
-        composed = controller._solve_composed
-
-        def counted(*args):
-            calls.append(args)
-            return composed(*args)
-
-        monkeypatch.setattr(controller, "_solve_composed", counted)
-        world = self.followers(params, DelegatingWake(params.drag))
-        assert _decide(world, params) == _decide(world, params)
-        assert len(calls) == 4
 
     @given(v=st.one_of(st.just(20.0), st.just(35.0), st.floats(20.0, 35.0)),
            p_hat=st.floats(-80.0, -0.5), v_hat=st.floats(-15.0, 15.0),

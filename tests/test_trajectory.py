@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from platoonflow import (
-    DragLaw,
+    DragCoefficients,
     ExponentialWakeDrag,
     SimParams,
     Trajectory,
@@ -111,30 +111,19 @@ class TestRecordViews:
         assert records_by_time(tr)[last] == tr.snapshot(-1)
 
 
-class ScaledWake(DragLaw):
-    """A law the fused kernel does not know: half the default drag."""
-
-    def __init__(self, params):
-        self.base = ExponentialWakeDrag(params.drag)
-
-    def force(self, v, p_hat, in_wake):
-        return 0.5 * self.base.force(v, p_hat, in_wake)
-
-    def partials(self, v, p_hat, in_wake):
-        f_v, f_p = self.base.partials(v, p_hat, in_wake)
-        return 0.5 * f_v, 0.5 * f_p
+# A law that differs from the default by its wake length.
+LONG_WAKE = ExponentialWakeDrag(DragCoefficients(c2=0.02))
 
 
 def test_a_swapped_in_drag_law_runs_through_the_engine():
     params = SimParams(duration=20.0, seed=1)
-    law = ScaledWake(params)
-    world = WorldState.initial(params, drag_law=law)
+    world = WorldState.initial(params, drag_law=LONG_WAKE)
     result = run(params, world=world)
     assert len(result.trajectory) > 0
     for snap in records_by_time(result.trajectory).values():
-        assert snap[0].drag == law.force(snap[0].v, 0.0, False)
+        assert snap[0].drag == LONG_WAKE.force(snap[0].v, 0.0, False)
         for ahead, rec in zip(snap, snap[1:]):
-            assert rec.drag == law.force(rec.v, rec.p - ahead.p, True)
+            assert rec.drag == LONG_WAKE.force(rec.v, rec.p - ahead.p, True)
     modes = {rec.mode for rec in result.trajectory}
     assert VehicleMode.FOLLOWER.value in modes
 
@@ -149,7 +138,7 @@ class TestDerivedColumns:
 
         def world():
             return WorldState.initial(
-                params, drag_law=ScaledWake(params) if custom else None)
+                params, drag_law=LONG_WAKE if custom else None)
 
         live, targets = world(), {}
         step_world(live, params, 150, targets)
@@ -174,7 +163,7 @@ class TestDerivedColumns:
         world, targets = WorldState.initial(params), {}
         step_world(world, params, 100, targets)
         default, rows = world.drag_law, len(world.trajectory)
-        world.drag_law = ScaledWake(params)
+        world.drag_law = LONG_WAKE
         step_world(world, params, 50, targets)
         tr = world.trajectory
         derived = derived_bytes(tr)

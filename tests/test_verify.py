@@ -3,11 +3,13 @@
 import tracemalloc
 from dataclasses import replace
 
+import pytest
+
 import platoonflow.verify as verify
 from platoonflow import SimParams, run
 from platoonflow.core import SafetyAuditError, VehicleMode
 from platoonflow.verify import (RunCorpus, check_braking_only, check_safety,
-                                check_throughput)
+                                check_solver_oracle, check_throughput)
 
 SHORT = SimParams(duration=20.0)
 
@@ -89,3 +91,16 @@ def test_corpus_checks_name_the_first_failed_seed(monkeypatch):
         ("braking_only_commands", False,
          "corpus incomplete, seed 1: gap breach in seed 1"),
     ]
+
+
+@pytest.mark.parametrize("gamma,worst", [
+    (1.0, True), (0.0, False), (0.0, True),
+], ids=["gamma1-worst_case", "gamma0-communicated", "gamma0-worst_case"])
+def test_the_solver_matches_the_grid_oracle_on_both_band_branches(gamma,
+                                                                  worst):
+    # With gamma > 0 the envelope binds every closing pair; with gamma = 0
+    # only inside the eps_g band.  The default, gamma = 1 on communicated
+    # commands, is acceptance criterion 07.
+    params = replace(SimParams(), gamma=gamma, worst_case_pred_accel=worst)
+    result = check_solver_oracle(params)
+    assert result.passed, result.detail
