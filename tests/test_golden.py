@@ -1,9 +1,10 @@
 """Golden SHA-256 digests of the run artifacts for a small config matrix.
 
-The digests pin trajectories, events and metrics byte for byte across
-refactors: a change of behaviour anywhere in the engine, the controller
-kernels or the writers fails here, even when two runs in one process
-still agree with each other.  The CSV keeps six significant digits, so
+The digests pin trajectories, events, metrics and the time-space SVG
+(over the whole run) byte for byte across refactors: a change of
+behaviour anywhere in the engine, the controller kernels or the writers
+fails here, even when two runs in one process still agree with each
+other.  The CSV keeps six significant digits, so
 a further digest covers every recorded field at full precision
 (``float.hex``), which a one-ulp change in a kernel already moves.  The
 digests depend on libm's ``exp``, so the data file records the platform
@@ -39,7 +40,7 @@ from platoonflow.verify import (RunCorpus, check_braking_only, check_safety,
                                 check_throughput)
 
 DATA = Path(__file__).with_name("golden_digests.json")
-ARTIFACTS = ("trajectory.csv", "events.csv", "metrics.txt")
+ARTIFACTS = ("trajectory.csv", "events.csv", "metrics.txt", "timespace.svg")
 DURATION = 40.0
 
 # name -> YAML config body; every run lasts DURATION simulated seconds.
@@ -57,7 +58,7 @@ def artifact_digests(name: str, workdir: Path) -> dict[str, str]:
     config.write_text(CONFIGS[name])
     out = workdir / name
     argv = ["run", "--config", str(config), "--out", str(out),
-            "--duration", str(DURATION)]
+            "--duration", str(DURATION), "--plot", f"0:{DURATION:g}"]
     with redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     digests = {a: hashlib.sha256((out / a).read_bytes()).hexdigest()
