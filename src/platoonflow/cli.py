@@ -166,6 +166,8 @@ def params_to_dict(params: SimParams) -> dict[str, dict[str, object]]:
 
 _CSV_HEADER = ("t", "id", "platoon_id", "p", "v", "a", "u", "drag",
                "gs_margin", "deadline_margin", "mode")
+# One row of _CSV_HEADER's columns; ``%.6g`` formats a float as _sig does.
+_CSV_ROW = "%s,%d,%d,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%s\n"
 
 
 def _sig(x: float) -> str:
@@ -184,11 +186,10 @@ def trajectory_csv_text(trajectory: Trajectory | Iterable[TrajectoryRecord]
     steps = [",".join(_CSV_HEADER) + "\n"]
     for time, start, stop in tr.steps():
         t = _sig(time)
-        steps.append("".join(
-            f"{t},{vid[i]},{pid[i]},{p[i]:.6g},{v[i]:.6g},{accel[i]:.6g},"
-            f"{u[i]:.6g},{drag[i]:.6g},{gs[i]:.6g},{dm[i]:.6g},"
-            f"{MODE_NAMES[mode[i]]}\n"
-            for i in sorted(range(start, stop), key=vid.__getitem__)))
+        steps.append("".join([
+            _CSV_ROW % (t, vid[i], pid[i], p[i], v[i], accel[i], u[i],
+                        drag[i], gs[i], dm[i], MODE_NAMES[mode[i]])
+            for i in sorted(range(start, stop), key=vid.__getitem__)]))
     return "".join(steps)
 
 
@@ -209,18 +210,47 @@ def metrics_text(result: SimResult, params: SimParams) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _make_out_dir(out_dir: Path) -> None:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc}") from exc
+
+
+def _replace(path: Path, text: Optional[str]) -> None:
+    """Replace ``path`` by a new file holding ``text``, or only remove it
+    when ``text`` is None.
+
+    Unlinking first makes every write one to a fresh file.  Truncating
+    a file written moments before costs a flush of its old blocks on
+    ext4 (``auto_da_alloc``), many times the write itself.  So a symlink
+    or hard link at ``path`` is replaced, and its target left alone.
+    """
+    try:
+        path.unlink(missing_ok=True)
+        if text is not None:
+            path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def emit_outputs(result: SimResult, params: SimParams, out_dir: Path,
                  plot_window: Optional[tuple[float, float]] = None) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "trajectory.csv").write_text(
-        trajectory_csv_text(result.trajectory))
-    (out_dir / "events.csv").write_text(events_csv_text(result.events))
-    (out_dir / "metrics.txt").write_text(metrics_text(result, params))
-    (out_dir / "config.echo").write_text(
-        yaml.safe_dump(params_to_dict(params), sort_keys=False))
-    if plot_window is not None:
-        (out_dir / "timespace.svg").write_text(render_timespace(
-            result.trajectory, params, plot_window[0], plot_window[1]))
+    """Write the run's artifacts into ``out_dir``, replacing earlier ones.
+
+    Without ``plot_window`` an earlier run's ``timespace.svg`` is
+    removed, so the directory never mixes two runs.
+    """
+    _make_out_dir(out_dir)
+    _replace(out_dir / "trajectory.csv",
+             trajectory_csv_text(result.trajectory))
+    _replace(out_dir / "events.csv", events_csv_text(result.events))
+    _replace(out_dir / "metrics.txt", metrics_text(result, params))
+    _replace(out_dir / "config.echo",
+             yaml.safe_dump(params_to_dict(params), sort_keys=False))
+    _replace(out_dir / "timespace.svg", None if plot_window is None else
+             render_timespace(result.trajectory, params, plot_window[0],
+                              plot_window[1]))
 
 
 def _parse_window(text: str) -> tuple[float, float]:
@@ -254,6 +284,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"horizon [0, {params.duration:g}]"
             )
         window = (t0, t1)
+    # An unwritable --out fails now, not after the whole simulation.
+    _make_out_dir(args.out)
     result = run(params)
     emit_outputs(result, params, args.out, window)
     print(f"wrote {args.out}/trajectory.csv "

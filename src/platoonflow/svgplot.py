@@ -93,24 +93,34 @@ def render_timespace(trajectory: Trajectory | Iterable[TrajectoryRecord],
             f'stroke="#bbbbbb" stroke-width="0.8" stroke-dasharray="2 4"/>'
         )
 
-    # (x, y) of each vehicle's states inside the window, in time order
-    per_vehicle: dict[int, list[tuple[float, float]]] = {}
+    # Each vehicle's "x,y" points inside the window, in time order, and
+    # the (x, y) of its first and last one for the marker squares.
+    points: dict[int, list[str]] = {}
+    first: dict[int, tuple[float, float]] = {}
+    last: dict[int, tuple[float, float]] = {}
     vids, ps = tr.vehicle_id, tr.p
     for time, start, stop in tr.steps():
         if lo_t <= time <= hi_t:
             x = sx(time)
+            x_text = _fmt(x) + ","
             for i in range(start, stop):
-                per_vehicle.setdefault(vids[i], []).append((x, sy(ps[i])))
+                vid = vids[i]
+                y = sy(ps[i])
+                pts = points.get(vid)
+                if pts is None:
+                    points[vid] = pts = []
+                    first[vid] = (x, y)
+                pts.append(x_text + _fmt(y))
+                last[vid] = (x, y)
 
-    for vid in sorted(per_vehicle):
-        xys = per_vehicle[vid]
+    for vid in sorted(points):
         color = PALETTE[vid % len(PALETTE)]
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in xys)
+        pts = " ".join(points[vid])
         parts.append(
             f'<polyline points="{pts}" fill="none" '
             f'stroke="{color}" stroke-width="1.1"/>'
         )
-        for (x, y), fill in ((xys[0], color), (xys[-1], "none")):
+        for (x, y), fill in ((first[vid], color), (last[vid], "none")):
             parts.append(
                 f'<rect x="{_fmt(x - 2.2)}" y="{_fmt(y - 2.2)}" '
                 f'width="4.4" height="4.4" fill="{fill}" '

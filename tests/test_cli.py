@@ -3,7 +3,7 @@ import math
 import pytest
 import yaml
 
-from platoonflow import SimParams, TrajectoryRecord
+from platoonflow import SimParams, TrajectoryRecord, run
 from platoonflow.cli import (
     ConfigError,
     _parse_window,
@@ -98,6 +98,20 @@ class TestCsvWriters:
         assert line.startswith("0.3,1,1,123.457,20,")
         assert "nan" in line
 
+    def test_extreme_values_format_like_six_digit_f_strings(self):
+        values = (-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300)
+        records = [TrajectoryRecord(time=0.1 * (k + 1), vehicle_id=k,
+                                    platoon_id=-k, p=x, v=x, accel=x, u=x,
+                                    drag=x, gs_margin=x, deadline_margin=x,
+                                    mode="follower")
+                   for k, x in enumerate(values)]
+        rows = trajectory_csv_text(records).splitlines()[1:]
+        assert rows == [
+            f"{r.time:.6g},{r.vehicle_id},{r.platoon_id},{r.p:.6g},"
+            f"{r.v:.6g},{r.accel:.6g},{r.u:.6g},{r.drag:.6g},"
+            f"{r.gs_margin:.6g},{r.deadline_margin:.6g},{r.mode}"
+            for r in records]
+
     def test_events_header_is_stable(self):
         assert events_csv_text([]) == "t,kind,id,detail\n"
 
@@ -113,6 +127,10 @@ class TestWindowParsing:
     def test_rejects_non_numbers(self):
         with pytest.raises(ConfigError, match="numbers"):
             _parse_window("a:b")
+
+
+ARTIFACTS = ("trajectory.csv", "events.csv", "metrics.txt", "config.echo",
+             "timespace.svg")
 
 
 @pytest.fixture()
@@ -145,6 +163,66 @@ class TestRunCommand:
             == (b / "trajectory.csv").read_bytes()
         assert (a / "events.csv").read_bytes() \
             == (b / "events.csv").read_bytes()
+
+    def test_a_rerun_into_one_out_leaves_no_stale_tail(self, config_file,
+                                                        tmp_path):
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        base = ["run", "--config", str(config_file)]
+        assert main(base + ["--out", str(shared), "--duration", "30",
+                            "--plot", "0:30"]) == 0
+        for out in (shared, fresh):
+            assert main(base + ["--out", str(out), "--duration", "20",
+                                "--seed", "3", "--plot", "0:20"]) == 0
+        for name in ARTIFACTS:
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_a_symlinked_artifact_is_replaced_not_written_through(
+            self, config_file, tmp_path):
+        out, target = tmp_path / "out", tmp_path / "keep.csv"
+        target.write_bytes(b"keep me\n")
+        out.mkdir()
+        (out / "trajectory.csv").symlink_to(target)
+        assert main(["run", "--config", str(config_file),
+                     "--out", str(out)]) == 0
+        assert not (out / "trajectory.csv").is_symlink()
+        assert (out / "trajectory.csv").read_text().startswith("t,id,")
+        assert target.read_bytes() == b"keep me\n"
+
+    def test_a_run_without_plot_removes_a_stale_svg(self, config_file,
+                                                    tmp_path):
+        out = tmp_path / "out"
+        base = ["run", "--config", str(config_file), "--out", str(out)]
+        assert main(base + ["--seed", "1", "--plot", "0:8"]) == 0
+        assert (out / "timespace.svg").exists()
+        assert main(base + ["--seed", "2"]) == 0
+        assert not (out / "timespace.svg").exists()
+        assert yaml.safe_load(
+            (out / "config.echo").read_text())["run"]["seed"] == 2
+
+    @pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file",
+                                      "artifact_is_a_directory"])
+    def test_an_unwritable_out_is_a_config_error(
+            self, config_file, tmp_path, capsys, monkeypatch, case):
+        import platoonflow.cli as cli
+
+        runs = []
+        monkeypatch.setattr(
+            cli, "run", lambda params: runs.append(params) or run(params))
+        a_file = tmp_path / "a_file"
+        a_file.write_text("not a directory\n")
+        out = {"out_is_a_file": a_file,
+               "out_under_a_file": a_file / "out",
+               "artifact_is_a_directory": tmp_path / "out"}[case]
+        bad = out
+        if case == "artifact_is_a_directory":
+            bad = out / "trajectory.csv"
+            bad.mkdir(parents=True)
+        rc = main(["run", "--config", str(config_file), "--out", str(out)])
+        assert rc == 2
+        assert f"error: cannot write {bad}: " in capsys.readouterr().err
+        # The directory is made before the simulation starts.
+        assert len(runs) == (case == "artifact_is_a_directory")
+        assert a_file.read_text() == "not a directory\n"
 
     def test_seed_override_lands_in_the_echo(self, config_file, tmp_path):
         out = tmp_path / "out"
