@@ -4,11 +4,11 @@ The digests pin trajectories, events, metrics and the time-space SVG
 (over the whole run) byte for byte across refactors: a change of
 behaviour anywhere in the engine, the controller kernels or the writers
 fails here, even when two runs in one process still agree with each
-other.  The CSV keeps six significant digits, so
-a further digest covers every recorded field at full precision
-(``float.hex``), which a one-ulp change in a kernel already moves.  The
-digests depend on libm's ``exp``, so the data file records the platform
-they were taken on, and a mismatch reports it next to the running one.
+other.  The CSV keeps six significant digits, so a further digest
+covers every recorded field at full precision (``float.hex``), which a
+one-ulp change in a kernel already moves.  The digests depend on libm's
+``exp``, so the data file records the platform they were taken on, and
+a mismatch reports it next to the running one.
 
 The data file also pins the detail lines of the three ``verify`` checks
 that read the 50-seed corpus, for default parameters, as the code before
