@@ -10,7 +10,10 @@ guide lines (dash-dot for entries, dotted for exits).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from bisect import bisect_left, bisect_right
+from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 from .core import SimParams
 from .trajectory import Trajectory, TrajectoryRecord, as_trajectory
@@ -47,6 +50,51 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}".rstrip("0").rstrip(".")
+
+
+def _vehicle_paths(tr: Trajectory, lo_t: float, hi_t: float,
+                   sx: Callable, sy: Callable) -> list[str]:
+    """Each vehicle's polyline through its points in [lo_t, hi_t], then
+    the squares at its first and last one, in ascending vehicle id.
+
+    The rows of the steps in the window are grouped per vehicle by one
+    stable sort on the id, which keeps each vehicle's rows in time
+    order.  ``sy`` maps the window's positions as one array, each
+    step's x is formatted once, and each vehicle's points are formatted
+    only while its polyline is joined.
+    """
+    k0 = bisect_left(tr.times, lo_t)
+    k1 = bisect_right(tr.times, hi_t)
+    start, stop = tr.offsets[k0], tr.offsets[k1]
+    xs = [sx(time) for time in tr.times[k0:k1]]
+    x_texts = np.array([_fmt(x) + "," for x in xs], dtype=object)
+    counts = np.diff(np.frombuffer(tr.offsets[k0:k1 + 1], np.int64))
+    vids = np.frombuffer(tr.vehicle_id[start:stop], np.int64)
+    order = np.argsort(vids, kind="stable")
+    vids = vids[order]
+    steps = np.repeat(np.arange(k1 - k0), counts)[order]
+    row_x_texts = x_texts[steps].tolist()
+    y = sy(np.frombuffer(tr.p[start:stop]))[order]
+    new = np.ones(len(vids), np.bool_)
+    new[1:] = vids[1:] != vids[:-1]
+    firsts = np.flatnonzero(new).tolist()
+    parts = []
+    for a, b in zip(firsts, firsts[1:] + [len(vids)]):
+        ys = y[a:b].tolist()
+        points = " ".join(map(str.__add__, row_x_texts[a:b], map(_fmt, ys)))
+        color = PALETTE[int(vids[a]) % len(PALETTE)]
+        parts.append(
+            f'<polyline points="{points}" fill="none" '
+            f'stroke="{color}" stroke-width="1.1"/>'
+        )
+        for x, y_end, fill in ((xs[steps[a]], ys[0], color),
+                               (xs[steps[b - 1]], ys[-1], "none")):
+            parts.append(
+                f'<rect x="{_fmt(x - 2.2)}" y="{_fmt(y_end - 2.2)}" '
+                f'width="4.4" height="4.4" fill="{fill}" '
+                f'stroke="{color}" stroke-width="0.9"/>'
+            )
+    return parts
 
 
 def render_timespace(trajectory: Trajectory | Iterable[TrajectoryRecord],
@@ -93,39 +141,7 @@ def render_timespace(trajectory: Trajectory | Iterable[TrajectoryRecord],
             f'stroke="#bbbbbb" stroke-width="0.8" stroke-dasharray="2 4"/>'
         )
 
-    # Each vehicle's "x,y" points inside the window, in time order, and
-    # the (x, y) of its first and last one for the marker squares.
-    points: dict[int, list[str]] = {}
-    first: dict[int, tuple[float, float]] = {}
-    last: dict[int, tuple[float, float]] = {}
-    vids, ps = tr.vehicle_id, tr.p
-    for time, start, stop in tr.steps():
-        if lo_t <= time <= hi_t:
-            x = sx(time)
-            x_text = _fmt(x) + ","
-            for i in range(start, stop):
-                vid = vids[i]
-                y = sy(ps[i])
-                pts = points.get(vid)
-                if pts is None:
-                    points[vid] = pts = []
-                    first[vid] = (x, y)
-                pts.append(x_text + _fmt(y))
-                last[vid] = (x, y)
-
-    for vid in sorted(points):
-        color = PALETTE[vid % len(PALETTE)]
-        pts = " ".join(points[vid])
-        parts.append(
-            f'<polyline points="{pts}" fill="none" '
-            f'stroke="{color}" stroke-width="1.1"/>'
-        )
-        for (x, y), fill in ((first[vid], color), (last[vid], "none")):
-            parts.append(
-                f'<rect x="{_fmt(x - 2.2)}" y="{_fmt(y - 2.2)}" '
-                f'width="4.4" height="4.4" fill="{fill}" '
-                f'stroke="{color}" stroke-width="0.9"/>'
-            )
+    parts += _vehicle_paths(tr, lo_t, hi_t, sx, sy)
 
     axis = '#333333'
     parts.append(

@@ -14,8 +14,10 @@ The four physics columns (``u``, ``drag``, ``gs_margin`` and
 parameters the engine binds, and the exit and deadline it registers per
 vehicle.  The first read of any of them derives every row appended
 since the last read, and the rows stay derived after that, so a run
-that nobody reads them from never pays for them.  ``from_records``
-stores the values it is given instead.
+that nobody reads them from never pays for them.  The fill works on
+whole columns, a bounded block of rows at a time, so its temporaries do
+not grow with the trajectory.  ``from_records`` stores the values it is
+given instead.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from . import _kernels_py as kernels
+import numpy as np
+
 from .constraints import deadline_margin
 from .core import SimParams, VehicleMode
 from .drag import ExponentialWakeDrag
@@ -72,6 +75,8 @@ COLUMNS = INT_COLUMNS + FLOAT_COLUMNS + ("mode",)
 # Columns derived on read from the stored ones, each held in ``_<name>``.
 DERIVED_COLUMNS = ("u", "drag", "gs_margin", "deadline_margin")
 STORED_COLUMNS = tuple(c for c in COLUMNS if c not in DERIVED_COLUMNS)
+# Rows per block of a derive: whole steps up to about this many rows.
+DERIVE_BLOCK_ROWS = 8192
 
 
 def _derived(name: str) -> property:
@@ -97,7 +102,8 @@ class Trajectory:
 
     __slots__ = (("times", "offsets") + STORED_COLUMNS
                  + tuple("_" + name for name in DERIVED_COLUMNS)
-                 + ("_derived_steps", "_params", "_law", "_targets"))
+                 + ("_derived_steps", "_params", "_law", "_exit_pos",
+                    "_deadline", "_registered"))
 
     u = _derived("u")
     drag = _derived("drag")
@@ -116,7 +122,11 @@ class Trajectory:
         self._derived_steps = 0
         self._params: SimParams | None = None
         self._law: ExponentialWakeDrag | None = None
-        self._targets: dict[int, tuple[float, float]] = {}
+        # Exit position and deadline by vehicle id, and whether the id
+        # was registered at all: engine ids are dense from 0.
+        self._exit_pos = array("d")
+        self._deadline = array("d")
+        self._registered = array("b")
 
     def bind(self, params: SimParams, law: ExponentialWakeDrag) -> None:
         """Derive the physics of steps appended from now on with drag
@@ -136,8 +146,21 @@ class Trajectory:
     def register(self, vehicle_id: int, exit_pos: float,
                  deadline: float) -> None:
         """The exit position and deadline of a vehicle, for its
-        ``deadline_margin`` rows."""
-        self._targets[vehicle_id] = (exit_pos, deadline)
+        ``deadline_margin`` rows.
+
+        Ids index a table, so they must be non-negative, and small like
+        the engine's, which count up from 0.
+        """
+        if vehicle_id < 0:
+            raise ValueError(f"vehicle id {vehicle_id} is negative")
+        grow = vehicle_id + 1 - len(self._registered)
+        if grow > 0:
+            self._exit_pos.extend([math.nan] * grow)
+            self._deadline.extend([math.nan] * grow)
+            self._registered.extend([0] * grow)
+        self._exit_pos[vehicle_id] = exit_pos
+        self._deadline[vehicle_id] = deadline
+        self._registered[vehicle_id] = 1
 
     def append_step(self, time: float, vehicle_id: list[int],
                     platoon_id: list[int], p: list[float], v: list[float],
@@ -158,41 +181,77 @@ class Trajectory:
 
     def _derive(self) -> None:
         """Fill the derived columns for every step appended since the
-        last fill, with the same kernels the controller uses."""
-        law = self._law
-        if law is None:
+        last fill, block by block of whole steps."""
+        if self._law is None:
             raise ValueError("trajectory has rows to derive but no drag law "
                              "bound; see Trajectory.bind")
-        v_min, a_min, delta = (self._params.v_min, self._params.a_min,
-                               self._params.delta)
-        margin = kernels.stopping_margin
-        c0, c1, c2 = law.coeffs.c0, law.coeffs.c1, law.coeffs.c2
-        drag_force = kernels.drag_force
-        targets = self._targets
-        times, offsets = self.times, self.offsets
-        for k in range(self._derived_steps, len(times)):
-            t = times[k]
-            start, stop = offsets[k], offsets[k + 1]
-            p = self.p[start:stop].tolist()
-            v = self.v[start:stop].tolist()
-            # Row i > 0 follows row i - 1; the front row has no wake.
-            pairs = list(zip(p[1:], v[1:], p, v))
-            drag = [drag_force(v[0], 0.0, False, c0, c1, c2)]
-            drag += [drag_force(vb, pb - pa, True, c0, c1, c2)
-                     for pb, vb, pa, _ in pairs]
-            self._drag.fromlist(drag)
-            self._u.fromlist(
-                [a + d for a, d in zip(self.accel[start:stop], drag)])
-            self._gs_margin.append(math.nan)
-            self._gs_margin.fromlist(
-                [margin(vb, pb - pa, vb - va, v_min, a_min, delta)
-                 for pb, vb, pa, va in pairs])
-            self._deadline_margin.fromlist(
-                [deadline_margin(pi, vi, t, exit_pos, deadline)
-                 for pi, vi, (exit_pos, deadline)
-                 in zip(p, v, map(targets.__getitem__,
-                                  self.vehicle_id[start:stop]))])
-        self._derived_steps = len(times)
+        offsets, n_steps = self.offsets, len(self.times)
+        k = self._derived_steps
+        while k < n_steps:
+            stop = bisect_right(offsets, offsets[k] + DERIVE_BLOCK_ROWS,
+                                k + 2, n_steps + 1) - 1
+            self._derive_block(k, stop)
+            # The watermark moves after each block has reached all four
+            # columns, so a block that raises leaves them whole.
+            self._derived_steps = k = stop
+
+    def _derive_block(self, k: int, stop: int) -> None:
+        """Append the derived rows of steps ``k:stop``.
+
+        Every numpy array here reads a slice copy of a column, never the
+        live column: an exported buffer would make the engine's next
+        ``append_step`` raise ``BufferError``.
+        """
+        lo, hi = self.offsets[k], self.offsets[stop]
+        bounds = np.frombuffer(self.offsets[k:stop + 1], np.int64) - lo
+        front = bounds[:-1]
+        time = np.repeat(np.frombuffer(self.times[k:stop]), np.diff(bounds))
+        exit_pos, deadline = self._targets(
+            np.frombuffer(self.vehicle_id[lo:hi], np.int64))
+        p = np.frombuffer(self.p[lo:hi])
+        v = np.frombuffer(self.v[lo:hi])
+        # Row i follows row i - 1, except the front row of each step: its
+        # drag and margin are overwritten below, and its p_hat is 0 so
+        # that exp never sees the jump back to the step before.
+        p_hat = np.diff(p, prepend=p[0])
+        p_hat[front] = 0.0
+        v_hat = np.diff(v, prepend=v[0])
+
+        # Column forms of kernels.drag_force and kernels.stopping_margin,
+        # in the kernels' own operation order; tests/conftest.py
+        # recompute_derived, which calls the kernels row by row, is their
+        # reference.  The wake takes libm's exp, not np.exp, which
+        # differs from it in the last bit on some wake-range inputs.
+        c = self._law.coeffs
+        c0, c1 = c.c0, c.c1
+        w = np.fromiter(map(math.exp, (c.c2 * p_hat).tolist()), np.float64,
+                        len(p_hat))
+        solo = c0 * v * v
+        drag = solo * (1.0 - c1 * w)
+        drag[front] = solo[front]
+        params = self._params
+        v_min, a_min, delta = params.v_min, params.a_min, params.delta
+        gs = np.where(v_hat <= 0.0, p_hat + delta,
+                      p_hat + delta + v_hat * (v_min - v) / a_min
+                      + v_hat * v_hat / (2.0 * a_min))
+        gs[front] = math.nan
+
+        self._drag.frombytes(drag.tobytes())
+        self._u.frombytes((np.frombuffer(self.accel[lo:hi]) + drag).tobytes())
+        self._gs_margin.frombytes(gs.tobytes())
+        self._deadline_margin.frombytes(
+            deadline_margin(p, v, time, exit_pos, deadline).tobytes())
+
+    def _targets(self, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exit positions and deadlines of ``vids``; ``KeyError`` names
+        the first id never registered."""
+        registered = np.array(self._registered, np.bool_)
+        known = (vids >= 0) & (vids < len(registered))
+        known[known] = registered[vids[known]]
+        if not known.all():
+            raise KeyError(int(vids[np.argmin(known)]))
+        return (np.array(self._exit_pos)[vids],
+                np.array(self._deadline)[vids])
 
     @classmethod
     def from_records(cls, records: Iterable[TrajectoryRecord]

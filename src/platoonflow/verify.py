@@ -31,6 +31,8 @@ TARGET_INFLOW_PER_HOUR = 3500.0
 INFLOW_TOLERANCE = 0.15
 N_FEASIBILITY_EPISODES = 10_000
 N_PURSUITS = 500
+# A pursuit's follower starts at least this much above the speed floor.
+PURSUIT_HEADROOM = 2.0
 N_ORACLE_STATES = 10_000
 EQUILIBRIUM_STEPS = 1000
 N_DESCENT_SEEDS = 5
@@ -141,6 +143,10 @@ def check_throughput(params: SimParams, corpus: RunCorpus) -> CheckResult:
     err = corpus.first_error()
     if err is not None:
         return CheckResult(name, False, f"corpus incomplete, {err}")
+    if params.duration <= 0.0:
+        return CheckResult(name, False, (
+            f"run.duration is {params.duration:g} s, so no inflow per "
+            f"hour can be measured"))
     counts = [summary.spawned for summary in corpus.summaries.values()]
     mean = sum(counts) / len(counts)
     inflow = mean / params.duration * 3600.0
@@ -229,13 +235,19 @@ def check_pursuit_convergence(params: SimParams) -> CheckResult:
     """A faster follower behind a cruising-down head always settles to
     the target gap and speed without overshooting into falling back."""
     name = "pursuit_convergence"
+    if params.v_max < params.v_min + PURSUIT_HEADROOM:
+        return CheckResult(name, False, (
+            f"speed box [{params.v_min:g}, {params.v_max:g}] m/s is "
+            f"narrower than the {PURSUIT_HEADROOM:g} m/s a pursuit's "
+            f"follower needs above the floor"))
     rng = np.random.default_rng(90005)
     p5 = replace(params, duration=75.0)
     n_steps = round(p5.duration / p5.dt)
     undershoot_floor = -(params.eps_platoon_speed + 1e-9)
     slowest = 0.0
     for scenario in range(N_PURSUITS):
-        v_f = float(rng.uniform(params.v_min + 2.0, params.v_max))
+        v_f = float(rng.uniform(params.v_min + PURSUIT_HEADROOM,
+                                params.v_max))
         v_p = float(rng.uniform(params.v_min, v_f - 0.5))
         v_hat = v_f - v_p
         kin = (v_hat * (params.v_min - v_f) / params.a_min
@@ -413,6 +425,14 @@ def check_determinism(params: SimParams) -> CheckResult:
                        f"two seeded runs, {len(first)} CSV bytes {state}")
 
 
+def _partial_error(fd: float, exact: float) -> float:
+    """Relative error of a finite difference, absolute where the
+    analytic partial is exactly 0 (the wake partial at ``c1 == 0``)."""
+    if exact == 0.0:
+        return abs(fd - exact)
+    return abs(fd - exact) / abs(exact)
+
+
 def check_partials(params: SimParams) -> CheckResult:
     """Analytic drag partials must match central finite differences."""
     name = "partials_match_finite_difference"
@@ -429,7 +449,7 @@ def check_partials(params: SimParams) -> CheckResult:
                     - law.force(v - h, p_hat, True)) / (2.0 * h)
             fd_p = (law.force(v, p_hat + h, True)
                     - law.force(v, p_hat - h, True)) / (2.0 * h)
-            err = max(abs(fd_v - f_v) / abs(f_v), abs(fd_p - f_p) / abs(f_p))
+            err = max(_partial_error(fd_v, f_v), _partial_error(fd_p, f_p))
             if err > worst:
                 worst = err
     ok = worst <= rel_tol

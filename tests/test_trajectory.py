@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from platoonflow import (
     Trajectory,
     TrajectoryRecord,
     VehicleMode,
+    VehicleState,
     WorldState,
     insert_vehicle,
     run,
@@ -18,6 +20,7 @@ from platoonflow import (
 )
 from platoonflow.analysis import records_by_time, records_by_vehicle
 from platoonflow.constraints import deadline_margin, stopping_margin
+from platoonflow import trajectory
 from platoonflow.trajectory import COLUMNS, DERIVED_COLUMNS, MODES
 
 from conftest import derived_bytes, recompute_derived, step_world
@@ -180,3 +183,146 @@ class TestDerivedColumns:
         assert list(tr.p) == [10.0]
         with pytest.raises(ValueError, match="drag law"):
             tr.drag
+
+
+def hand_built(steps, params, law, registered=None):
+    """A trajectory of ``steps``, each ``(time, [(vid, p, v), ...])``
+    front to back, bound to ``params`` and ``law``; every vehicle is
+    registered unless ``registered`` names the ids to register."""
+    tr = Trajectory()
+    targets = {}
+    vids = sorted({vid for _, rows in steps for vid, _, _ in rows})
+    for vid in vids if registered is None else registered:
+        targets[vid] = (1000.0 + 10.0 * vid, 50.0 + vid)
+        tr.register(vid, *targets[vid])
+    tr.bind(params, law)
+    for time, rows in steps:
+        tr.append_step(time, [r[0] for r in rows], [0] * len(rows),
+                       [r[1] for r in rows], [r[2] for r in rows],
+                       [0.25 * (r[0] % 3) - 0.25 for r in rows],
+                       [0] * len(rows))
+    return tr, targets
+
+
+class TestDeriveEdges:
+    """Whole-column derives against the row-by-row kernels."""
+
+    params = SimParams()
+    law = ExponentialWakeDrag(params.drag)
+
+    def check(self, steps, registered_order=None):
+        tr, targets = hand_built(steps, self.params, self.law,
+                                 registered_order)
+        assert derived_bytes(tr) == recompute_derived(tr, self.law,
+                                                      self.params, targets)
+        return tr
+
+    def test_equal_speeds_and_a_gap_of_exactly_delta(self):
+        delta = self.params.delta
+        tr = self.check([(0.1, [(0, 300.0, 25.0), (1, 300.0 - delta, 25.0),
+                                (2, 250.0, 24.0), (3, 240.0, 24.0)])])
+        assert list(tr.gs_margin)[1:] == [0.0, -45.0 + delta, -10.0 + delta]
+
+    def test_steps_of_one_vehicle(self):
+        tr = self.check([(0.1, [(0, 100.0, 22.0)]),
+                         (0.2, [(0, 102.2, 22.0)]),
+                         (0.3, [(0, 104.4, 22.5), (1, 90.0, 23.0)]),
+                         (0.4, [(1, 92.3, 23.0)])])
+        assert [math.isnan(g) for g in tr.gs_margin] == [
+            True, True, True, False, True]
+
+    @pytest.mark.parametrize("block", [1, 5, 6, 7, 100])
+    def test_steps_that_straddle_a_block_boundary(self, monkeypatch, block):
+        monkeypatch.setattr(trajectory, "DERIVE_BLOCK_ROWS", block)
+        rng = random.Random(block)
+        steps = []
+        for k in range(12):
+            n = rng.randint(1, 8)
+            steps.append((0.1 * (k + 1), [
+                (vid, 500.0 - 7.5 * vid + rng.uniform(-1.0, 1.0),
+                 rng.uniform(20.0, 30.0)) for vid in range(n)]))
+        self.check(steps)
+
+    def test_ids_registered_out_of_order(self):
+        steps = [(0.1, [(5, 400.0, 25.0), (2, 390.0, 26.0),
+                        (0, 350.0, 24.0), (3, 340.0, 24.5)])]
+        self.check(steps, registered_order=[3, 0, 5, 2])
+
+    def test_a_drag_law_swap_between_reads(self):
+        steps = [(0.1 * k, [(0, 300.0 + 2.5 * k, 25.0),
+                            (1, 290.0 + 2.6 * k, 26.0)]) for k in range(1, 4)]
+        tr, targets = hand_built(steps[:2], self.params, self.law)
+        tr.bind(self.params, LONG_WAKE)
+        time, rows = steps[2]
+        tr.append_step(time, [0, 1], [0, 0], [r[1] for r in rows],
+                       [r[2] for r in rows], [0.0, 0.0], [0, 0])
+        derived = derived_bytes(tr)
+        before = recompute_derived(tr, self.law, self.params, targets)
+        after = recompute_derived(tr, LONG_WAKE, self.params, targets)
+        for name in DERIVED_COLUMNS:
+            assert derived[name][:32] == before[name][:32]
+            assert derived[name][32:] == after[name][32:]
+
+    @pytest.mark.parametrize("vid", [-1, 2, 9, 10 ** 12])
+    def test_an_unregistered_vehicle_is_a_key_error(self, vid):
+        tr, _ = hand_built([(0.1, [(3, 100.0, 25.0), (vid, 90.0, 25.0)])],
+                           self.params, self.law, registered=[0, 1, 3])
+        with pytest.raises(KeyError, match=str(vid)):
+            tr.deadline_margin
+
+    def test_a_negative_id_cannot_be_registered(self):
+        with pytest.raises(ValueError, match="negative"):
+            Trajectory().register(-1, 100.0, 10.0)
+
+
+def test_reads_between_steps_leave_the_world_steppable():
+    params = SimParams(seed=4)
+    world, targets = WorldState.initial(params), {}
+    step_world(world, params, 40, targets)
+    tr = world.trajectory
+    tr.drag
+    step_world(world, params, 40, targets)
+    # A vehicle put on the road by hand is unknown to the trajectory.
+    front = world.vehicles[0]
+    stray = VehicleState(vid=world.next_vehicle_id, p=front.p + 200.0,
+                         v=front.v, accel=0.0, spawn_time=world.t,
+                         deadline=1e9, exit_pos=1e9,
+                         mode=VehicleMode.LEADER, platoon_id=999)
+    world.next_vehicle_id += 1
+    world.vehicles.insert(0, stray)
+    step(world, params)
+    with pytest.raises(KeyError, match=str(stray.vid)):
+        tr.u
+    step_world(world, params, 40, targets)
+    tr.register(stray.vid, stray.exit_pos, stray.deadline)
+    targets[stray.vid] = (stray.exit_pos, stray.deadline)
+    assert derived_bytes(tr) == recompute_derived(tr, world.drag_law, params,
+                                                  targets)
+    step_world(world, params, 1, targets)
+
+
+def derive_peak(n_steps: int) -> int:
+    """Peak traced bytes of deriving a hand-built trajectory of
+    ``n_steps`` steps of 40 vehicles, less the derived columns' own."""
+    params = SimParams()
+    steps = [(0.1 * k, [(vid, 3000.0 - 7.0 * vid + 0.01 * k, 25.0)
+                        for vid in range(40)]) for k in range(n_steps)]
+    tr, _ = hand_built(steps, params, ExponentialWakeDrag(params.drag))
+    tracemalloc.start()
+    try:
+        tr.drag
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(sys.getsizeof(getattr(tr, name))
+                      for name in DERIVED_COLUMNS)
+
+
+def test_derive_memory_does_not_grow_with_the_trajectory():
+    # A first derive takes the one-time allocations out of the measured
+    # ones.  400 steps are 16,000 rows, already more than one block.
+    derive_peak(10)
+    one = derive_peak(400)
+    four = derive_peak(1600)
+    assert four <= 1.5 * one, (
+        f"transient peak {four} B for 64,000 rows vs {one} B for 16,000")

@@ -6,9 +6,10 @@ from dataclasses import replace
 import pytest
 
 import platoonflow.verify as verify
-from platoonflow import SimParams, run
+from platoonflow import DragCoefficients, SimParams, run
 from platoonflow.core import SafetyAuditError, VehicleMode
-from platoonflow.verify import (RunCorpus, check_braking_only, check_safety,
+from platoonflow.verify import (RunCorpus, check_braking_only, check_partials,
+                                check_pursuit_convergence, check_safety,
                                 check_solver_oracle, check_throughput)
 
 SHORT = SimParams(duration=20.0)
@@ -104,3 +105,32 @@ def test_the_solver_matches_the_grid_oracle_on_both_band_branches(gamma,
     params = replace(SimParams(), gamma=gamma, worst_case_pred_accel=worst)
     result = check_solver_oracle(params)
     assert result.passed, result.detail
+
+
+def test_a_zero_duration_fails_the_throughput_check(monkeypatch):
+    monkeypatch.setattr(verify, "N_CORPUS_SEEDS", 2)
+    params = replace(SimParams(), duration=0.0)
+    result = check_throughput(params, RunCorpus(params))
+    assert (result.passed, result.detail) == (
+        False, "run.duration is 0 s, so no inflow per hour can be measured")
+
+
+def test_a_narrow_speed_box_fails_the_pursuit_check():
+    result = check_pursuit_convergence(
+        replace(SimParams(), v_min=1.0, v_max=2.0))
+    assert not result.passed
+    assert result.detail.startswith("speed box [1, 2] m/s is narrower")
+
+
+@pytest.mark.parametrize("c1,detail", [
+    (0.6, "50x50 grid, worst relative error 4.99e-09 of 1e-06 allowed"),
+    (0.0, None),
+], ids=["default", "no_wake"])
+def test_the_partials_check_holds_where_the_gap_partial_is_zero(c1, detail):
+    # At c1 = 0 the analytic gap partial and its finite difference are
+    # both exactly 0.
+    result = check_partials(replace(SimParams(),
+                                    drag=DragCoefficients(c1=c1)))
+    assert result.passed, result.detail
+    if detail is not None:
+        assert result.detail == detail
