@@ -20,8 +20,8 @@ from .constraints import (
 from .controller import (
     ControlDecision,
     leader_control,
+    next_mode,
     solve_follower_control,
-    update_mode,
 )
 from .core import (
     DragCoefficients,
@@ -34,7 +34,7 @@ from .core import (
     VehicleState,
     validate_params,
 )
-from .drag import ExponentialWakeDrag, gradient_flow_bound
+from .drag import ExponentialWakeDrag
 from .sim import (
     Event,
     SimResult,
@@ -76,14 +76,13 @@ __all__ = [
     "critical_relative_speed",
     "deadline_margin",
     "envelope_cap",
-    "gradient_flow_bound",
     "insert_vehicle",
     "leader_control",
+    "next_mode",
     "run",
     "safe_accel_interval",
     "solve_follower_control",
     "step",
     "stopping_margin",
-    "update_mode",
     "validate_params",
 ]

@@ -11,35 +11,32 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ._kernels_py import SPEED_EDGE_TOL
-from .constraints import FeasibilityVerdict, stopping_margin
+from .constraints import FeasibilityVerdict, gap_allowance, stopping_margin
 from .core import SimParams
 from .drag import ExponentialWakeDrag
 from .sim import SimResult
-from .trajectory import Trajectory, TrajectoryRecord, as_trajectory
+from .trajectory import Trajectory, TrajectoryRecord
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 _INEQ_TOL = 1e-9  # slack applied to every brute-force inequality
 
 
-def records_by_time(trajectory: Trajectory | Iterable[TrajectoryRecord]
-                    ) -> dict[float, list[TrajectoryRecord]]:
+def records_by_time(tr: Trajectory) -> dict[float, list[TrajectoryRecord]]:
     """Group records into per-time snapshots ordered front to back."""
-    tr = as_trajectory(trajectory)
     return {time: [tr.record(i, time) for i in range(start, stop)]
             for time, start, stop in tr.steps()}
 
 
-def records_by_vehicle(trajectory: Trajectory | Iterable[TrajectoryRecord]
-                       ) -> dict[int, list[TrajectoryRecord]]:
+def records_by_vehicle(tr: Trajectory) -> dict[int, list[TrajectoryRecord]]:
     """Group records per vehicle in time order."""
     out: dict[int, list[TrajectoryRecord]] = defaultdict(list)
-    for rec in as_trajectory(trajectory):
+    for rec in tr:
         out[rec.vehicle_id].append(rec)
     return dict(out)
 
@@ -69,35 +66,34 @@ def consecutive_gap_excess(tr: Trajectory, params: SimParams) -> np.ndarray:
     return ((p[1:] - p[:-1]) + params.delta)[same_step]
 
 
-def check_ordering(trajectory: Iterable[TrajectoryRecord]) -> list[str]:
+def check_ordering(tr: Trajectory) -> list[str]:
     """Positions must strictly decrease front to back in every snapshot."""
+    vid, p = tr.vehicle_id, tr.p
     problems = []
-    for t, recs in records_by_time(trajectory).items():
-        for a, b in zip(recs, recs[1:]):
-            if b.p >= a.p:
+    for t, start, stop in tr.steps():
+        for a in range(start, stop - 1):
+            if p[a + 1] >= p[a]:
                 problems.append(
-                    f"t={t:.3f}: vehicle {b.vehicle_id} (p={b.p:.6f}) not "
-                    f"behind vehicle {a.vehicle_id} (p={a.p:.6f})"
+                    f"t={t:.3f}: vehicle {vid[a + 1]} (p={p[a + 1]:.6f}) "
+                    f"not behind vehicle {vid[a]} (p={p[a]:.6f})"
                 )
     return problems
 
 
-def check_safety(trajectory: Iterable[TrajectoryRecord],
-                 params: SimParams) -> list[str]:
-    """Stopping-envelope audit over all consecutive pairs at all times.
-
-    The allowed excursion is the band tolerance plus one step of drift
-    at top speed, the tightest bound a sampled-data controller can hold.
-    """
-    allowed = params.eps_g + params.v_max * params.dt
+def check_safety(tr: Trajectory, params: SimParams) -> list[str]:
+    """Stopping-envelope audit over all consecutive pairs at all times,
+    allowing ``gap_allowance(params)``."""
+    allowed = gap_allowance(params)
+    vid, p, v = tr.vehicle_id, tr.p, tr.v
     problems = []
-    for t, recs in records_by_time(trajectory).items():
-        for a, b in zip(recs, recs[1:]):
-            g = stopping_margin(b.v, b.p - a.p, b.v - a.v, params)
+    for t, start, stop in tr.steps():
+        for a in range(start, stop - 1):
+            b = a + 1
+            g = stopping_margin(v[b], p[b] - p[a], v[b] - v[a], params)
             if g > allowed:
                 problems.append(
                     f"t={t:.3f}: margin {g:.6f} > {allowed:.6f} between "
-                    f"{a.vehicle_id} and {b.vehicle_id}"
+                    f"{vid[a]} and {vid[b]}"
                 )
     return problems
 
@@ -138,9 +134,7 @@ class EnergySummary:
     positive_work: float  # integral of max(u, 0) * v dt
 
 
-def energy_summary(trajectory: Trajectory | Iterable[TrajectoryRecord]
-                   ) -> dict[int, EnergySummary]:
-    tr = as_trajectory(trajectory)
+def energy_summary(tr: Trajectory) -> dict[int, EnergySummary]:
     t = row_times(tr)
     drag = np.array(tr.drag)
     work = np.maximum(np.array(tr.u), 0.0) * np.array(tr.v)

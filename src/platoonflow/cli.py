@@ -25,12 +25,7 @@ from .analysis import summarize
 from .core import DragCoefficients, RoadNetwork, SimParams, validate_params
 from .sim import Event, SimResult, run
 from .svgplot import render_timespace
-from .trajectory import (
-    MODE_NAMES,
-    Trajectory,
-    TrajectoryRecord,
-    as_trajectory,
-)
+from .trajectory import MODE_NAMES, Trajectory
 
 
 class ConfigError(ValueError):
@@ -85,6 +80,8 @@ _FIELD_NAMES = {
     ("formation", "gap_tol"): "eps_platoon_gap",
     ("formation", "speed_tol"): "eps_platoon_speed",
 }
+# sections held in a SimParams field of their own type
+_NESTED = {"drag": DragCoefficients, "road": RoadNetwork}
 
 
 def params_from_dict(raw: object) -> SimParams:
@@ -94,8 +91,7 @@ def params_from_dict(raw: object) -> SimParams:
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be a mapping")
     kwargs: dict[str, object] = {}
-    drag_kw: dict[str, float] = {}
-    road_kw: dict[str, object] = {}
+    nested: dict[str, dict[str, object]] = {name: {} for name in _NESTED}
     for section, content in raw.items():
         schema = _SCHEMA.get(section)
         if schema is None:
@@ -109,16 +105,13 @@ def params_from_dict(raw: object) -> SimParams:
             if convert is None:
                 raise ConfigError(f"unknown config key: {section}.{key}")
             parsed = convert(value, f"{section}.{key}")
-            if section == "drag":
-                drag_kw[key] = parsed
-            elif section == "road":
-                road_kw[key] = parsed
+            if section in nested:
+                nested[section][key] = parsed
             else:
                 kwargs[_FIELD_NAMES.get((section, key), key)] = parsed
-    if drag_kw:
-        kwargs["drag"] = DragCoefficients(**drag_kw)
-    if road_kw:
-        kwargs["road"] = RoadNetwork(**road_kw)
+    for section, fields in nested.items():
+        if fields:
+            kwargs[section] = _NESTED[section](**fields)
     params = SimParams(**kwargs)
     _validate_or_raise(params)
     return params
@@ -145,23 +138,14 @@ def parse_config(path: str | Path) -> SimParams:
 
 def params_to_dict(params: SimParams) -> dict[str, dict[str, object]]:
     """Inverse of params_from_dict, used for the config echo."""
-    return {
-        "run": {"seed": params.seed, "duration": params.duration,
-                "dt": params.dt},
-        "vehicle": {"v_min": params.v_min, "v_max": params.v_max,
-                    "a_min": params.a_min, "a_max": params.a_max},
-        "control": {"delta": params.delta, "eps_g": params.eps_g,
-                    "eps_d": params.eps_d, "gamma": params.gamma,
-                    "worst_case_pred_accel": params.worst_case_pred_accel,
-                    "enforce_deadlines": params.enforce_deadlines},
-        "formation": {"gap_tol": params.eps_platoon_gap,
-                      "speed_tol": params.eps_platoon_speed},
-        "drag": {"c0": params.drag.c0, "c1": params.drag.c1,
-                 "c2": params.drag.c2},
-        "road": {"length": params.road.length,
-                 "on_ramps": list(params.road.on_ramps),
-                 "off_ramps": list(params.road.off_ramps)},
-    }
+    out: dict[str, dict[str, object]] = {}
+    for section, schema in _SCHEMA.items():
+        source = getattr(params, section) if section in _NESTED else params
+        out[section] = fields = {}
+        for key in schema:
+            value = getattr(source, _FIELD_NAMES.get((section, key), key))
+            fields[key] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 _CSV_HEADER = ("t", "id", "platoon_id", "p", "v", "a", "u", "drag",
@@ -174,10 +158,8 @@ def _sig(x: float) -> str:
     return f"{x:.6g}"
 
 
-def trajectory_csv_text(trajectory: Trajectory | Iterable[TrajectoryRecord]
-                        ) -> str:
+def trajectory_csv_text(tr: Trajectory) -> str:
     """CSV of every record, ordered by time and then vehicle id."""
-    tr = as_trajectory(trajectory)
     vid, pid, mode = tr.vehicle_id, tr.platoon_id, tr.mode
     p, v, accel, u, drag = tr.p, tr.v, tr.accel, tr.u, tr.drag
     gs, dm = tr.gs_margin, tr.deadline_margin

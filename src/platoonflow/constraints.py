@@ -77,6 +77,13 @@ def stopping_margin(v: float, p_hat: float, v_hat: float,
                                    params.v_min, params.a_min, params.delta)
 
 
+def gap_allowance(params: SimParams) -> float:
+    """Largest stopping margin or bumper-gap shortfall the audits
+    accept: the band tolerance plus one step of drift at top speed, the
+    tightest bound a sampled-data controller can hold."""
+    return params.eps_g + params.v_max * params.dt
+
+
 def critical_relative_speed(v: float, p_hat: float, params: SimParams) -> float:
     """Closing speed at which the envelope margin hits zero.
 

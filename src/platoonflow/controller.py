@@ -9,10 +9,10 @@ or accelerate to recover a relaxed deadline.
 The kernels in ``_kernels_py`` state that solve; this module binds
 their arguments.  ``bind`` resolves the drag coefficients, the
 worst-case substitution and the parameter constants once per step; the
-engine then calls the kernels directly per vehicle, and
-``follower_step``/``leader_step`` go through the same binding for a
-single solve.  ``solve_follower_control`` and ``leader_control`` wrap
-those in a ``ControlDecision`` for callers that inspect one solve.
+engine then calls the kernels directly per vehicle.  For one solve,
+``solve_follower_control`` and ``leader_control`` go through the same
+binding and return a ``ControlDecision``; ``next_mode`` advances the
+mode state machine on its verdict.
 """
 
 from __future__ import annotations
@@ -111,63 +111,21 @@ def bind(params: SimParams, law: ExponentialWakeDrag | None = None
         params.delta, params.eps_g, params.gamma, c.c0, c.c1, c.c2)
 
 
-def follower_step(v: float, p_hat: float, v_hat: float, pred_accel: float,
-                  deadline_active: bool, params: SimParams,
-                  law: ExponentialWakeDrag | None = None
-                  ) -> tuple[float, int, int, float, float, float, float]:
-    """Minimum-magnitude feasible acceleration for a follower, flat.
-
-    ``pred_accel`` is the predecessor's previous commanded acceleration
-    (replaced by full braking under ``params.worst_case_pred_accel``).
-    Returns the kernel's ``(accel, verdict, active_mask, lo, hi, g,
-    bound)``.
-    """
-    s = bind(params, law)
-    if s.worst_pred is not None:
-        pred_accel = s.worst_pred
-    return s.follower(v, p_hat, v_hat, pred_accel, deadline_active, *s[3:])
-
-
 def solve_follower_control(state: VehicleState, p_hat: float, v_hat: float,
                            pred_accel: float, deadline_active: bool,
                            params: SimParams,
                            law: ExponentialWakeDrag | None = None
                            ) -> ControlDecision:
-    """``follower_step`` as a ``ControlDecision``."""
-    return _decision(*follower_step(state.v, p_hat, v_hat, pred_accel,
-                                    deadline_active, params, law))
+    """Minimum-magnitude feasible acceleration for a follower.
 
-
-def leader_step(v: float, p_hat: float, v_hat: float,
-                pred_accel: float | None, recovering: bool,
-                deadline_active: bool, params: SimParams,
-                law: ExponentialWakeDrag | None = None
-                ) -> tuple[float, int, float, float, float, float]:
-    """Platoon-head policy plus the merge-eligibility verdict, flat.
-
-    A LEADER brakes at the limit until the speed floor lifts the
-    admissible interval to zero; a ``recovering`` head
-    (LEADER_RECOVERING) applies the largest admissible acceleration.
-    Both respect the stopping envelope against the physical predecessor
-    when one exists (``pred_accel`` is None when there is none).
-
-    The verdict classifies the head as if it were following its physical
-    predecessor (see ``merge_verdict``); resequencing merges platoons
-    whose head comes back FEASIBLE.  Returns ``(accel, verdict, lo, hi,
-    g, bound)``.
+    ``pred_accel`` is the predecessor's previous commanded acceleration
+    (replaced by full braking under ``params.worst_case_pred_accel``).
     """
     s = bind(params, law)
-    has_pred = pred_accel is not None
-    if not has_pred or s.worst_pred is not None:
-        pred_accel = s.a_min
-    accel, lo, hi, g = kernels.leader_decision(
-        v, p_hat, v_hat, pred_accel, has_pred, recovering, *s[3:10])
-    code = kernels.VERDICT_FEASIBLE
-    bound = 0.0
-    if has_pred:
-        code, bound = merge_verdict(v, p_hat, v_hat, g, hi, deadline_active,
-                                    s)
-    return accel, code, lo, hi, g, bound
+    if s.worst_pred is not None:
+        pred_accel = s.worst_pred
+    return _decision(*s.follower(state.v, p_hat, v_hat, pred_accel,
+                                 deadline_active, *s[3:]))
 
 
 def merge_verdict(v: float, p_hat: float, v_hat: float, g: float, hi: float,
@@ -189,28 +147,37 @@ def leader_control(state: VehicleState, p_hat: float, v_hat: float,
                    params: SimParams,
                    law: ExponentialWakeDrag | None = None
                    ) -> ControlDecision:
-    """``leader_step`` as a ``ControlDecision``, with its active set."""
-    accel, code, lo, hi, g, bound = leader_step(
-        state.v, p_hat, v_hat, pred_accel,
-        state.mode is VehicleMode.LEADER_RECOVERING, deadline_active, params,
-        law)
+    """Platoon-head policy plus the merge-eligibility verdict.
+
+    A LEADER brakes at the limit until the speed floor lifts the
+    admissible interval to zero; a LEADER_RECOVERING head applies the
+    largest admissible acceleration.  Both respect the stopping envelope
+    against the physical predecessor when one exists (``pred_accel`` is
+    None when there is none).
+
+    The verdict classifies the head as if it were following its physical
+    predecessor (see ``merge_verdict``); resequencing merges platoons
+    whose head comes back FEASIBLE.
+    """
+    s = bind(params, law)
+    v = state.v
+    has_pred = pred_accel is not None
+    accel, lo, hi, g = kernels.leader_decision(
+        v, p_hat, v_hat,
+        pred_accel if has_pred and s.worst_pred is None else s.a_min,
+        has_pred, state.mode is VehicleMode.LEADER_RECOVERING, *s[3:10])
+    code, bound = kernels.VERDICT_FEASIBLE, 0.0
+    if has_pred:
+        code, bound = merge_verdict(v, p_hat, v_hat, g, hi, deadline_active,
+                                    s)
     mask = 0
-    if accel == 0.0 and lo == 0.0 \
-            and state.v <= params.v_min + kernels.SPEED_EDGE_TOL:
+    if accel == 0.0 and lo == 0.0 and v <= s.v_min + kernels.SPEED_EDGE_TOL:
         mask |= kernels.ACTIVE_SPEED_FLOOR
-    if accel == 0.0 and state.v >= params.v_max - kernels.SPEED_EDGE_TOL:
+    if accel == 0.0 and v >= s.v_max - kernels.SPEED_EDGE_TOL:
         mask |= kernels.ACTIVE_SPEED_CEILING
-    if pred_accel is not None and accel == hi and hi != params.a_max:
+    if has_pred and accel == hi and hi != s.a_max:
         mask |= kernels.ACTIVE_SAFETY
     return _decision(accel, code, mask, lo, hi, g, bound)
-
-
-def update_mode(mode: VehicleMode, verdict: FeasibilityVerdict,
-                deadline_margin: float, is_head: bool,
-                params: SimParams) -> VehicleMode:
-    """Advance the mode state machine one step (see ``next_mode``)."""
-    return next_mode(mode, verdict.value, deadline_margin, is_head,
-                     params.eps_d)
 
 
 def next_mode(mode: VehicleMode, verdict: int, deadline_margin: float,

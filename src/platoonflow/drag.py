@@ -40,9 +40,3 @@ class ExponentialWakeDrag:
         c = self.coeffs
         return kernels.flow_bound(v, p_hat, v_hat, in_wake, c.c0, c.c1, c.c2)
 
-
-def gradient_flow_bound(v: float, p_hat: float, v_hat: float, in_wake: bool,
-                        coeffs: DragCoefficients) -> float:
-    """Acceleration cap that keeps a vehicle descending the drag gradient."""
-    return kernels.flow_bound(v, p_hat, v_hat, in_wake,
-                              coeffs.c0, coeffs.c1, coeffs.c2)

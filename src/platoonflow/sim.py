@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels_py as kernels
-from .constraints import SPLIT_CODES, deadline_margin, stopping_margin
+from .constraints import (SPLIT_CODES, deadline_margin, gap_allowance,
+                          stopping_margin)
 from .controller import KEEPS_MODE, Solves, bind, merge_verdict, next_mode
 from .core import (
     OrderingError,
@@ -309,7 +310,7 @@ def _audit(world: WorldState, params: SimParams, stamp: float) -> None:
     # One step of drift at top speed is legitimate discretisation slack
     # (the final closing step shrinks the gap with the pre-step relative
     # speed); anything past it is an engine bug.
-    slack = params.eps_g + params.v_max * params.dt
+    slack = gap_allowance(params)
     vehicles = world.vehicles
     for i in range(1, len(vehicles)):
         ahead, veh = vehicles[i - 1], vehicles[i]

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .core import SimParams
-from .trajectory import Trajectory, TrajectoryRecord, as_trajectory
+from .trajectory import Trajectory
 
 WIDTH = 900.0
 HEIGHT = 520.0
@@ -97,12 +97,10 @@ def _vehicle_paths(tr: Trajectory, lo_t: float, hi_t: float,
     return parts
 
 
-def render_timespace(trajectory: Trajectory | Iterable[TrajectoryRecord],
-                     params: SimParams,
+def render_timespace(tr: Trajectory, params: SimParams,
                      t0: Optional[float] = None,
                      t1: Optional[float] = None) -> str:
     """Render the run (optionally restricted to [t0, t1]) as SVG text."""
-    tr = as_trajectory(trajectory)
     lo_t = 0.0 if t0 is None else t0
     hi_t = params.duration if t1 is None else t1
     if hi_t <= lo_t:

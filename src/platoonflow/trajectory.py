@@ -339,10 +339,3 @@ class Trajectory:
     def __repr__(self) -> str:
         return f"<Trajectory: {len(self)} records in {len(self.times)} steps>"
 
-
-def as_trajectory(trajectory: Trajectory | Iterable[TrajectoryRecord]
-                  ) -> Trajectory:
-    """The columns themselves, or columns built from plain records."""
-    if isinstance(trajectory, Trajectory):
-        return trajectory
-    return Trajectory.from_records(trajectory)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import brute_force_follower, consecutive_gap_excess
 from .cli import trajectory_csv_text
-from .constraints import safe_accel_interval, stopping_margin
+from .constraints import gap_allowance, safe_accel_interval, stopping_margin
 from .controller import solve_follower_control
 from .core import SimParams, SimulationError, VehicleMode, VehicleState
 from .drag import ExponentialWakeDrag
@@ -44,12 +44,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def gap_allowance(params: SimParams) -> float:
-    """Largest bumper-gap excess the safety check accepts: the envelope
-    band plus one step of drift at top speed."""
-    return params.eps_g + params.v_max * params.dt
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,6 +123,10 @@ def check_safety(params: SimParams, corpus: RunCorpus) -> CheckResult:
         if summary.worst_gap_excess is not None:
             worst = max(worst, summary.worst_gap_excess)
         bad += summary.gap_violations
+    if worst == -math.inf:
+        return CheckResult(name, False, (
+            f"no step in {N_CORPUS_SEEDS} runs had two vehicles on the "
+            f"road, so no gap was checked"))
     detail = (f"{bad} gap violations in {N_CORPUS_SEEDS} runs, worst "
               f"gap excess {worst:.4f} m, allowed "
               f"{gap_allowance(params):.4f} m")
@@ -176,8 +174,7 @@ def check_recursive_feasibility(params: SimParams) -> CheckResult:
         v = max(a_draw, b_draw)
         v_pred = min(a_draw, b_draw)
         v_hat = v - v_pred
-        kin = (v_hat * (params.v_min - v) / params.a_min
-               + v_hat * v_hat / (2.0 * params.a_min))
+        kin = stopping_margin(v, -params.delta, v_hat, params)
         p_hat = -params.delta - max(kin, 0.0) - float(rng.uniform(0.5, 50.0))
         floored = 0
         for _ in range(80):
@@ -225,6 +222,10 @@ def check_braking_only(params: SimParams, corpus: RunCorpus) -> CheckResult:
         total += summary.records
         if summary.worst_command is not None:
             worst = max(worst, summary.worst_command)
+    if worst == -math.inf:
+        return CheckResult(name, False, (
+            f"no command outside a recovering head in {total} records, "
+            f"so no command was checked"))
     ok = worst <= COMMAND_CEILING
     detail = (f"max non-recovering command {worst:.3e} over {total} records, "
               f"allowed {COMMAND_CEILING:.0e}")
@@ -250,8 +251,7 @@ def check_pursuit_convergence(params: SimParams) -> CheckResult:
                                 params.v_max))
         v_p = float(rng.uniform(params.v_min, v_f - 0.5))
         v_hat = v_f - v_p
-        kin = (v_hat * (params.v_min - v_f) / params.a_min
-               + v_hat * v_hat / (2.0 * params.a_min))
+        kin = stopping_margin(v_f, -params.delta, v_hat, params)
         gap = params.delta + max(kin, 0.0) + float(rng.uniform(1.0, 40.0))
         world = WorldState.initial(p5, spawning=False)
         exit_pos = params.road.length
@@ -340,10 +340,7 @@ def check_solver_oracle(params: SimParams) -> CheckResult:
         v_hat = v - v_pred
         pred_accel = float(rng.uniform(params.a_min, params.a_max))
         deadline_active = bool(rng.random() < 0.4)
-        kin = 0.0
-        if v_hat > 0.0:
-            kin = (v_hat * (params.v_min - v) / params.a_min
-                   + v_hat * v_hat / (2.0 * params.a_min))
+        kin = stopping_margin(v, -params.delta, v_hat, params)
         p_hat = float(rng.uniform(-40.0, 2.0)) - params.delta - kin
         probe.v = v
         dec = solve_follower_control(probe, p_hat, v_hat, pred_accel,
@@ -407,18 +404,32 @@ def check_drag_descent(params: SimParams) -> CheckResult:
                         ))
                 ahead = vid
             before = now
+    if not pairs:
+        return CheckResult(name, False, (
+            f"no follower step pairs in {N_DESCENT_SEEDS} deadline-free "
+            f"runs, so no drag rise was checked"))
     detail = (f"{pairs} follower step pairs over {N_DESCENT_SEEDS} "
               f"deadline-free runs, worst F^2 rise {worst:.3e} of "
               f"{allowed:.3e} allowed")
     return CheckResult(name, True, detail)
 
 
+def _csv_bytes(params: SimParams) -> tuple[int, bytes]:
+    """Record count and trajectory CSV bytes of one seeded run."""
+    tr = run(params).trajectory
+    return len(tr), trajectory_csv_text(tr).encode()
+
+
 def check_determinism(params: SimParams) -> CheckResult:
     """Identical config and seed must reproduce the trajectory CSV byte
     for byte."""
     name = "determinism_bytes"
-    first = trajectory_csv_text(run(params).trajectory).encode()
-    second = trajectory_csv_text(run(params).trajectory).encode()
+    rows, first = _csv_bytes(params)
+    if not rows:
+        return CheckResult(name, False, (
+            "the seeded run recorded no rows, so there were no bytes to "
+            "compare"))
+    second = _csv_bytes(params)[1]
     ok = first == second
     state = "identical" if ok else "differ"
     return CheckResult(name, ok,

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from platoonflow import FeasibilityVerdict, SimParams, TrajectoryRecord
+from platoonflow import (FeasibilityVerdict, SimParams, Trajectory,
+                         TrajectoryRecord)
 from platoonflow.analysis import (
     brute_force_follower,
     check_ordering,
@@ -32,14 +33,14 @@ class TestGrouping:
         rows = [rec(time=0.1, vehicle_id=1, p=50.0),
                 rec(time=0.1, vehicle_id=2, p=80.0),
                 rec(time=0.2, vehicle_id=1, p=52.0)]
-        snaps = records_by_time(rows)
+        snaps = records_by_time(Trajectory.from_records(rows))
         assert list(snaps) == [0.1, 0.2]
         assert [r.vehicle_id for r in snaps[0.1]] == [2, 1]
 
     def test_histories_sort_by_time(self):
         rows = [rec(time=0.2, vehicle_id=7), rec(time=0.1, vehicle_id=7),
                 rec(time=0.1, vehicle_id=9)]
-        hist = records_by_vehicle(rows)
+        hist = records_by_vehicle(Trajectory.from_records(rows))
         assert [r.time for r in hist[7]] == [0.1, 0.2]
         assert set(hist) == {7, 9}
 
@@ -51,14 +52,24 @@ class TestAudits:
 
     def test_ordering_flags_a_swap(self):
         rows = [rec(vehicle_id=1, p=100.0), rec(vehicle_id=2, p=100.0)]
-        problems = check_ordering(rows)
+        problems = check_ordering(Trajectory.from_records(rows))
         assert len(problems) == 1
         assert "not behind" in problems[0]
+
+    def test_ordering_reads_the_rows_in_stored_order(self):
+        # from_records orders each step front to back, so only stored
+        # columns can hold a vehicle ahead of the one in front of it.
+        tr = Trajectory()
+        tr.append_step(0.5, [1, 2, 3], [1, 1, 1], [100.0, 90.0, 95.0],
+                       [25.0] * 3, [0.0] * 3, [0] * 3)
+        assert check_ordering(tr) == [
+            "t=0.500: vehicle 3 (p=95.000000) not behind vehicle 2 "
+            "(p=90.000000)"]
 
     def test_safety_flags_a_crushed_gap(self):
         rows = [rec(vehicle_id=1, p=100.0, v=20.0),
                 rec(vehicle_id=2, p=99.0, v=20.0)]
-        problems = check_safety(rows, PARAMS)
+        problems = check_safety(Trajectory.from_records(rows), PARAMS)
         assert len(problems) == 1
         assert "margin" in problems[0]
 
@@ -87,16 +98,19 @@ class TestEnergy:
     def test_drag_square_integral_matches_hand_value(self):
         rows = [rec(time=0.0, drag=0.3), rec(time=0.1, drag=0.4),
                 rec(time=0.2, drag=0.5)]
-        assert energy_summary(rows)[1].drag_sq == pytest.approx(0.033)
+        out = energy_summary(Trajectory.from_records(rows))
+        assert out[1].drag_sq == pytest.approx(0.033)
 
     def test_positive_work_ignores_regeneration(self):
         rows = [rec(time=0.0, u=1.0, v=20.0),
                 rec(time=0.1, u=-0.5, v=21.0),
                 rec(time=0.2, u=2.0, v=22.0)]
-        assert energy_summary(rows)[1].positive_work == pytest.approx(3.2)
+        out = energy_summary(Trajectory.from_records(rows))
+        assert out[1].positive_work == pytest.approx(3.2)
 
     def test_single_sample_integrates_to_zero(self):
-        out = energy_summary([rec(time=0.0, drag=0.9, u=3.0)])
+        out = energy_summary(Trajectory.from_records(
+            [rec(time=0.0, drag=0.9, u=3.0)]))
         assert out[1].drag_sq == 0.0
         assert out[1].positive_work == 0.0
 

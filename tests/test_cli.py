@@ -3,7 +3,7 @@ import math
 import pytest
 import yaml
 
-from platoonflow import SimParams, TrajectoryRecord, run
+from platoonflow import SimParams, Trajectory, TrajectoryRecord, run
 from platoonflow.cli import (
     ConfigError,
     _parse_window,
@@ -74,7 +74,7 @@ class TestConfigParsing:
 
 class TestCsvWriters:
     def test_trajectory_header_is_stable(self):
-        text = trajectory_csv_text([])
+        text = trajectory_csv_text(Trajectory())
         assert text == ("t,id,platoon_id,p,v,a,u,drag,"
                         "gs_margin,deadline_margin,mode\n")
 
@@ -84,7 +84,8 @@ class TestCsvWriters:
                                     p=0.0, v=20.0, accel=0.0, u=0.0,
                                     drag=0.0, gs_margin=math.nan,
                                     deadline_margin=-1.0, mode="leader")
-        text = trajectory_csv_text([row(0.2, 1), row(0.1, 2), row(0.1, 1)])
+        text = trajectory_csv_text(Trajectory.from_records(
+            [row(0.2, 1), row(0.1, 2), row(0.1, 1)]))
         ids = [line.split(",")[:2] for line in text.splitlines()[1:]]
         assert ids == [["0.1", "1"], ["0.1", "2"], ["0.2", "1"]]
 
@@ -94,7 +95,8 @@ class TestCsvWriters:
                                accel=0.0, u=0.0, drag=0.0,
                                gs_margin=math.nan, deadline_margin=-1.0,
                                mode="leader")
-        line = trajectory_csv_text([rec]).splitlines()[1]
+        line = trajectory_csv_text(
+            Trajectory.from_records([rec])).splitlines()[1]
         assert line.startswith("0.3,1,1,123.457,20,")
         assert "nan" in line
 
@@ -105,7 +107,8 @@ class TestCsvWriters:
                                     drag=x, gs_margin=x, deadline_margin=x,
                                     mode="follower")
                    for k, x in enumerate(values)]
-        rows = trajectory_csv_text(records).splitlines()[1:]
+        rows = trajectory_csv_text(
+            Trajectory.from_records(records)).splitlines()[1:]
         assert rows == [
             f"{r.time:.6g},{r.vehicle_id},{r.platoon_id},{r.p:.6g},"
             f"{r.v:.6g},{r.accel:.6g},{r.u:.6g},{r.drag:.6g},"

@@ -13,19 +13,15 @@ from platoonflow import (
     classify_feasibility,
     leader_control,
     solve_follower_control,
+    next_mode,
     stopping_margin,
-    update_mode,
 )
 from platoonflow.constraints import SPEED_EDGE_TOL
-from platoonflow.controller import (
-    KEEPS_MODE,
-    follower_step,
-    leader_step,
-    next_mode,
-)
+from platoonflow.controller import KEEPS_MODE
 from platoonflow.trajectory import MODES
 
 PARAMS = SimParams()
+EPS_D = PARAMS.eps_d
 
 
 def make_state(v, mode=VehicleMode.FOLLOWER, p=500.0):
@@ -170,50 +166,47 @@ class TestModeMachine:
     L = VehicleMode.LEADER
     R = VehicleMode.FOLLOWER_DEADLINE_RELAXED
     REC = VehicleMode.LEADER_RECOVERING
+    FEASIBLE = FeasibilityVerdict.FEASIBLE.value
+    CONFLICT = FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT.value
 
     def test_follower_splits_to_leader(self):
         for verdict in (FeasibilityVerdict.FLOOR_CONFLICT,
                         FeasibilityVerdict.BRAKE_CONFLICT,
                         FeasibilityVerdict.DEADLINE_DRAG_CONFLICT):
-            assert update_mode(self.F, verdict, -1.0, False, PARAMS) is self.L
+            assert next_mode(self.F, verdict.value, -1.0, False,
+                             EPS_D) is self.L
 
     def test_follower_relaxes_deadline_in_place(self):
-        out = update_mode(self.F, FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT,
-                          -1.0, False, PARAMS)
+        out = next_mode(self.F, self.CONFLICT, -1.0, False, EPS_D)
         assert out is self.R
 
     def test_follower_promoted_and_conflicted_recovers_as_head(self):
-        out = update_mode(self.F, FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT,
-                          -1.0, True, PARAMS)
+        out = next_mode(self.F, self.CONFLICT, -1.0, True, EPS_D)
         assert out is self.REC
 
     def test_follower_at_the_head_slot_leads(self):
-        out = update_mode(self.F, FeasibilityVerdict.FEASIBLE, -1.0, True,
-                          PARAMS)
+        out = next_mode(self.F, self.FEASIBLE, -1.0, True, EPS_D)
         assert out is self.L
 
     def test_follower_is_otherwise_sticky(self):
-        out = update_mode(self.F, FeasibilityVerdict.FEASIBLE, -1.0, False,
-                          PARAMS)
+        out = next_mode(self.F, self.FEASIBLE, -1.0, False, EPS_D)
         assert out is self.F
 
     def test_relaxed_follower_recovers_when_split_or_promoted(self):
-        assert update_mode(self.R, FeasibilityVerdict.FLOOR_CONFLICT, -1.0,
-                           False, PARAMS) is self.REC
-        assert update_mode(self.R, FeasibilityVerdict.FEASIBLE, -1.0,
-                           True, PARAMS) is self.REC
-        assert update_mode(self.R, FeasibilityVerdict.FEASIBLE, -1.0,
-                           False, PARAMS) is self.R
+        floor = FeasibilityVerdict.FLOOR_CONFLICT.value
+        assert next_mode(self.R, floor, -1.0, False, EPS_D) is self.REC
+        assert next_mode(self.R, self.FEASIBLE, -1.0, True, EPS_D) is self.REC
+        assert next_mode(self.R, self.FEASIBLE, -1.0, False, EPS_D) is self.R
 
     def test_recovery_graduates_on_comfortable_margin(self):
-        assert update_mode(self.REC, FeasibilityVerdict.FEASIBLE,
-                           -PARAMS.eps_d, False, PARAMS) is self.L
-        assert update_mode(self.REC, FeasibilityVerdict.FEASIBLE,
-                           -PARAMS.eps_d / 2.0, False, PARAMS) is self.REC
+        assert next_mode(self.REC, self.FEASIBLE, -EPS_D, False,
+                         EPS_D) is self.L
+        assert next_mode(self.REC, self.FEASIBLE, -EPS_D / 2.0, False,
+                         EPS_D) is self.REC
 
     def test_leader_is_sticky(self):
-        out = update_mode(self.L, FeasibilityVerdict.BRAKE_CONFLICT, 5.0,
-                          True, PARAMS)
+        out = next_mode(self.L, FeasibilityVerdict.BRAKE_CONFLICT.value, 5.0,
+                        True, EPS_D)
         assert out is self.L
 
 
@@ -232,16 +225,16 @@ class TestHeadsUseTheWorldsDragLaw:
         bound = law.descent_bound(v, p_hat, v_hat, True)
         default = ExponentialWakeDrag(PARAMS.drag)
         assert bound != default.descent_bound(v, p_hat, v_hat, True)
-        follower = follower_step(v, p_hat, v_hat, 0.0, False, PARAMS, law)
-        head = leader_step(v, p_hat, v_hat, 0.0, False, False, PARAMS, law)
-        assert follower[1] == head[1] == FeasibilityVerdict.FEASIBLE.value
-        assert follower[6] == head[5] == bound
-        d = leader_control(make_state(v, VehicleMode.LEADER), p_hat, v_hat,
-                           0.0, False, PARAMS, law)
-        assert d.verdict is FeasibilityVerdict.FEASIBLE
+        follower = solve_follower_control(make_state(v), p_hat, v_hat, 0.0,
+                                          False, PARAMS, law)
+        head = leader_control(make_state(v, VehicleMode.LEADER), p_hat,
+                              v_hat, 0.0, False, PARAMS, law)
+        assert follower.verdict is head.verdict is FeasibilityVerdict.FEASIBLE
+        assert follower.flow_bound == head.flow_bound == bound
         # params.drag alone reads this state as a brake conflict.
-        assert leader_step(v, p_hat, v_hat, 0.0, False, False, PARAMS)[1] \
-            == FeasibilityVerdict.BRAKE_CONFLICT.value
+        assert leader_control(make_state(v, VehicleMode.LEADER), p_hat,
+                              v_hat, 0.0, False, PARAMS).verdict \
+            is FeasibilityVerdict.BRAKE_CONFLICT
 
     @pytest.mark.parametrize("name", LAWS)
     @given(v=st.floats(20.0, 35.0), v_pred=st.floats(20.0, 35.0),
@@ -252,12 +245,13 @@ class TestHeadsUseTheWorldsDragLaw:
         v_hat = v - v_pred
         # A closing pair cannot sit at the floor (see envelope_cap).
         assume(v_hat <= 0.0 or v > PARAMS.v_min + SPEED_EDGE_TOL)
-        _, code, _, hi, g, bound = leader_step(v, p_hat, v_hat, 0.0, False,
-                                               deadline, PARAMS, law)
+        d = leader_control(make_state(v, VehicleMode.LEADER), p_hat, v_hat,
+                           0.0, deadline, PARAMS, law)
+        bound, g = d.flow_bound, d.gs_margin
         assert bound == law.descent_bound(v, p_hat, v_hat, True)
         assert g == stopping_margin(v, p_hat, v_hat, PARAMS)
-        safety = g >= -PARAMS.eps_g or hi < 0.0
-        assert FeasibilityVerdict(code) is classify_feasibility(
+        safety = g >= -PARAMS.eps_g or d.interval.hi < 0.0
+        assert d.verdict is classify_feasibility(
             v, p_hat, v_hat, bound, deadline, safety, PARAMS)
 
 

@@ -5,7 +5,6 @@ from hypothesis import example, given, strategies as st
 
 from platoonflow import DragCoefficients, ExponentialWakeDrag
 from platoonflow import _kernels_py as kernels
-from platoonflow.drag import gradient_flow_bound
 
 COEFFS = DragCoefficients()
 LAW = ExponentialWakeDrag(COEFFS)
@@ -30,14 +29,14 @@ def test_partials_reference_values():
 
 def test_flow_bound_reference_value():
     # closing at 2 m/s the ceiling is |F_p|/F_v * v_hat
-    bound = gradient_flow_bound(30.0, -20.0, 2.0, True, COEFFS)
+    bound = LAW.descent_bound(30.0, -20.0, 2.0, True)
     assert math.isclose(bound, 0.33080387638052067, rel_tol=1e-12)
 
 
 def test_flow_bound_scales_with_closing_speed():
-    one = gradient_flow_bound(22.0, -6.0, 1.0, True, COEFFS)
+    one = LAW.descent_bound(22.0, -6.0, 1.0, True)
     assert math.isclose(one, 0.5196469853590147, rel_tol=1e-12)
-    assert math.isclose(gradient_flow_bound(22.0, -6.0, -3.0, True, COEFFS),
+    assert math.isclose(LAW.descent_bound(22.0, -6.0, -3.0, True),
                         -3.0 * one, rel_tol=1e-12)
 
 
@@ -49,7 +48,7 @@ def test_law_object_matches_module_functions():
     assert LAW.partials(30.0, -20.0, True) == kernels.drag_partials(
         30.0, -20.0, True, *c)
     assert LAW.descent_bound(30.0, -20.0, 2.0, True) \
-        == gradient_flow_bound(30.0, -20.0, 2.0, True, COEFFS)
+        == kernels.flow_bound(30.0, -20.0, 2.0, True, *c)
 
 
 def test_solo_vehicle_ignores_gap():
@@ -87,7 +86,7 @@ def test_partials_match_difference_quotient(v, p_hat):
 @example(v=1.0, p_hat=-120.0, v_hat=5e-324)
 @example(v=1.0, p_hat=-120.0, v_hat=-5e-324)
 def test_flow_bound_sign_follows_closing_speed(v, p_hat, v_hat):
-    bound = gradient_flow_bound(v, p_hat, v_hat, True, COEFFS)
+    bound = LAW.descent_bound(v, p_hat, v_hat, True)
     if v_hat == 0:
         assert bound == 0.0
     elif abs(v_hat) < sys.float_info.min:
@@ -104,5 +103,5 @@ def test_flow_bound_sign_follows_closing_speed(v, p_hat, v_hat):
 def test_flow_bound_agrees_with_partial_ratio(v, p_hat, v_hat):
     f_v, f_p = LAW.partials(v, p_hat, True)
     expected = -f_p * v_hat / f_v
-    bound = gradient_flow_bound(v, p_hat, v_hat, True, COEFFS)
+    bound = LAW.descent_bound(v, p_hat, v_hat, True)
     assert math.isclose(bound, expected, rel_tol=1e-9, abs_tol=1e-12)

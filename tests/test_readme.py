@@ -1,0 +1,18 @@
+"""The README's Python examples run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_python_blocks_run_in_order_in_one_namespace():
+    text = README.read_text()
+    blocks = list(re.finditer(r"^```python\n(.*?)^```$", text, re.M | re.S))
+    assert blocks, "README has no python blocks"
+    namespace: dict[str, object] = {}
+    for block in blocks:
+        # Leading newlines keep traceback line numbers those of README.
+        line = text.count("\n", 0, block.start(1))
+        code = compile("\n" * line + block.group(1), str(README), "exec")
+        exec(code, namespace)

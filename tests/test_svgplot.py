@@ -3,7 +3,7 @@
 import pytest
 
 import platoonflow.svgplot as svgplot
-from platoonflow import SimParams, TrajectoryRecord
+from platoonflow import SimParams, Trajectory, TrajectoryRecord
 from platoonflow.svgplot import PALETTE, _fmt, render_timespace
 
 SHORT = SimParams(duration=40.0, seed=1)
@@ -89,13 +89,15 @@ def test_a_window_with_no_steps(monkeypatch, short_run, where):
 
 
 def hand_records():
-    """Vehicles 4 and 1 in two steps; 7 and 12 in one step each."""
+    """Vehicles 4 and 1 in two steps; 7 and 12 in one step each, as
+    columns built from hand-made records."""
     def rec(time, vid, p):
         return TrajectoryRecord(time, vid, 0, p, 25.0, 0.0, 0.0, 0.0,
                                 0.0, -1.0, "follower")
-    return [rec(0.1, 4, 300.0), rec(0.1, 1, 250.0),
-            rec(0.2, 7, 400.0), rec(0.2, 4, 302.5), rec(0.2, 1, 252.5),
-            rec(0.3, 12, 120.0)]
+    return Trajectory.from_records([
+        rec(0.1, 4, 300.0), rec(0.1, 1, 250.0),
+        rec(0.2, 7, 400.0), rec(0.2, 4, 302.5), rec(0.2, 1, 252.5),
+        rec(0.3, 12, 120.0)])
 
 
 def test_record_lists_and_one_step_vehicles(monkeypatch):

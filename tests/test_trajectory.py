@@ -108,8 +108,9 @@ class TestRecordViews:
 
     def test_snapshots_match_those_of_the_record_list(self, short_run):
         tr = short_run.trajectory
-        assert records_by_time(tr) == records_by_time(list(tr))
-        assert records_by_vehicle(tr) == records_by_vehicle(list(tr))
+        rebuilt = Trajectory.from_records(list(tr))
+        assert records_by_time(tr) == records_by_time(rebuilt)
+        assert records_by_vehicle(tr) == records_by_vehicle(rebuilt)
         last = max(records_by_time(tr))
         assert records_by_time(tr)[last] == tr.snapshot(-1)
 

@@ -8,9 +8,11 @@ import pytest
 import platoonflow.verify as verify
 from platoonflow import DragCoefficients, SimParams, run
 from platoonflow.core import SafetyAuditError, VehicleMode
-from platoonflow.verify import (RunCorpus, check_braking_only, check_partials,
-                                check_pursuit_convergence, check_safety,
-                                check_solver_oracle, check_throughput)
+from platoonflow.verify import (RunCorpus, check_braking_only,
+                                check_determinism, check_drag_descent,
+                                check_partials, check_pursuit_convergence,
+                                check_safety, check_solver_oracle,
+                                check_throughput)
 
 SHORT = SimParams(duration=20.0)
 
@@ -113,6 +115,32 @@ def test_a_zero_duration_fails_the_throughput_check(monkeypatch):
     result = check_throughput(params, RunCorpus(params))
     assert (result.passed, result.detail) == (
         False, "run.duration is 0 s, so no inflow per hour can be measured")
+
+
+def test_checks_with_nothing_to_check_fail(monkeypatch):
+    # A run of zero duration records nothing, so these four checks have
+    # no gap, command, step pair or CSV row to judge.
+    monkeypatch.setattr(verify, "N_CORPUS_SEEDS", 2)
+    monkeypatch.setattr(verify, "N_DESCENT_SEEDS", 1)
+    params = replace(SimParams(), duration=0.0)
+    corpus = RunCorpus(params)
+    results = [check_safety(params, corpus),
+               check_braking_only(params, corpus),
+               check_drag_descent(params), check_determinism(params)]
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("safety_50_seeds", False,
+         "no step in 2 runs had two vehicles on the road, so no gap was "
+         "checked"),
+        ("braking_only_commands", False,
+         "no command outside a recovering head in 0 records, so no command "
+         "was checked"),
+        ("drag_descent_per_step", False,
+         "no follower step pairs in 1 deadline-free runs, so no drag rise "
+         "was checked"),
+        ("determinism_bytes", False,
+         "the seeded run recorded no rows, so there were no bytes to "
+         "compare"),
+    ]
 
 
 def test_a_narrow_speed_box_fails_the_pursuit_check():
