@@ -34,7 +34,6 @@ from .core import (
     VehicleState,
     validate_params,
 )
-from .drag import ExponentialWakeDrag
 from .sim import (
     Event,
     SimResult,
@@ -57,7 +56,6 @@ __all__ = [
     "ControlDecision",
     "DragCoefficients",
     "Event",
-    "ExponentialWakeDrag",
     "FeasibilityVerdict",
     "FeasibleInterval",
     "OrderingError",

@@ -2,8 +2,11 @@
 
 These functions carry the entire numerical semantics of the controller;
 the rest of the package binds parameters and interprets their results.
-They take flat float arguments and allocate nothing beyond result
-tuples, so the engine can call them per vehicle and step.
+Each rule is stated once: ``safe_interval`` is the speed box
+intersected with the stopping envelope, which both decisions start
+from, and ``drag_force``, ``drag_partials`` and ``flow_bound`` are the
+wake drag law.  They take flat float arguments and allocate nothing
+beyond result tuples, so the engine can call them per vehicle and step.
 """
 
 from __future__ import annotations
@@ -118,35 +121,21 @@ def envelope_cap(v: float, v_hat: float, g: float, pred_accel: float,
     return cap
 
 
-def envelope(v: float, p_hat: float, v_hat: float, pred_accel: float,
-             has_pred: bool, v_min: float, a_min: float, delta: float,
-             eps_g: float, gamma: float) -> tuple[float, float]:
-    """``(g, cap)``: the stopping-envelope margin and the acceleration
-    cap it imposes.
+def safe_interval(v: float, p_hat: float, v_hat: float,
+                  pred_accel: float, has_pred: bool,
+                  v_min: float, v_max: float, a_min: float, a_max: float,
+                  delta: float, eps_g: float, gamma: float
+                  ) -> tuple[float, float, float, float]:
+    """``(lo, hi, g, cap)``: the admissible acceleration interval from
+    the speed box and the stopping envelope, the envelope margin and the
+    acceleration cap it imposes.
 
     ``g`` is nan without a predecessor.  ``cap`` is inf where the
     envelope does not bind: without a predecessor, for a pair that is
     not closing, and with ``gamma == 0`` outside the ``eps_g`` band.
     With ``gamma > 0`` it binds every closing pair, engaging smoothly
-    ahead of the boundary.
-    """
-    if not has_pred:
-        return NAN, INF
-    g = stopping_margin(v, p_hat, v_hat, v_min, a_min, delta)
-    if v_hat > 0.0 and (g >= -eps_g or gamma > 0.0):
-        return g, envelope_cap(v, v_hat, g, pred_accel, v_min, a_min, gamma)
-    return g, INF
-
-
-def safe_interval(v: float, p_hat: float, v_hat: float,
-                  pred_accel: float, has_pred: bool,
-                  v_min: float, v_max: float, a_min: float, a_max: float,
-                  delta: float, eps_g: float, gamma: float
-                  ) -> tuple[float, float]:
-    """Admissible acceleration interval from speed box plus envelope.
-
-    Returns (lo, hi); the interval is never empty for states reachable by
-    the engine.  The envelope binds as ``envelope`` says.
+    ahead of the boundary.  The interval is never empty for states
+    reachable by the engine.
     """
     lo = a_min
     hi = a_max
@@ -154,11 +143,15 @@ def safe_interval(v: float, p_hat: float, v_hat: float,
         lo = 0.0
     if v >= v_max - SPEED_EDGE_TOL:
         hi = 0.0
-    cap = envelope(v, p_hat, v_hat, pred_accel, has_pred, v_min, a_min,
-                   delta, eps_g, gamma)[1]
-    if cap < hi:
-        hi = cap
-    return lo, hi
+    if not has_pred:
+        return lo, hi, NAN, INF
+    g = stopping_margin(v, p_hat, v_hat, v_min, a_min, delta)
+    if v_hat > 0.0 and (g >= -eps_g or gamma > 0.0):
+        cap = envelope_cap(v, v_hat, g, pred_accel, v_min, a_min, gamma)
+        if cap < hi:
+            hi = cap
+        return lo, hi, g, cap
+    return lo, hi, g, INF
 
 
 def classify(v: float, v_hat: float, bound: float,
@@ -204,18 +197,10 @@ def follower_decision(v: float, p_hat: float, v_hat: float,
     policy; an envelope-vs-deadline conflict drops the deadline and
     re-solves.
     """
-    g, cap = envelope(v, p_hat, v_hat, pred_accel, True, v_min, a_min,
-                      delta, eps_g, gamma)
+    lo, hi_safe, g, cap = safe_interval(v, p_hat, v_hat, pred_accel, True,
+                                        v_min, v_max, a_min, a_max, delta,
+                                        eps_g, gamma)
     bound = flow_bound(v, p_hat, v_hat, True, c0, c1, c2)
-
-    lo = a_min
-    hi_safe = a_max
-    if v <= v_min + SPEED_EDGE_TOL:
-        lo = 0.0
-    if v >= v_max - SPEED_EDGE_TOL:
-        hi_safe = 0.0
-    if cap < hi_safe:
-        hi_safe = cap
 
     hi = hi_safe
     if bound < hi:
@@ -269,17 +254,9 @@ def leader_decision(v: float, p_hat: float, v_hat: float,
     admissible interval is the speed box intersected with the envelope
     cap against the physical predecessor, when one exists.
     """
-    g, cap = envelope(v, p_hat, v_hat, pred_accel, has_pred, v_min, a_min,
-                      delta, eps_g, gamma)
-    lo = a_min
-    hi = a_max
-    if v <= v_min + SPEED_EDGE_TOL:
-        lo = 0.0
-    if v >= v_max - SPEED_EDGE_TOL:
-        hi = 0.0
-    if cap < hi:
-        hi = cap
-
+    lo, hi, g, _ = safe_interval(v, p_hat, v_hat, pred_accel, has_pred,
+                                 v_min, v_max, a_min, a_max, delta, eps_g,
+                                 gamma)
     if recovering:
         accel = hi
     else:

@@ -17,8 +17,7 @@ import numpy as np
 
 from ._kernels_py import SPEED_EDGE_TOL
 from .constraints import FeasibilityVerdict, gap_allowance, stopping_margin
-from .core import SimParams
-from .drag import ExponentialWakeDrag
+from .core import DragCoefficients, SimParams
 from .sim import SimResult
 from .trajectory import Trajectory, TrajectoryRecord
 
@@ -159,7 +158,7 @@ class OracleDecision:
 def brute_force_follower(v: float, p_hat: float, v_hat: float,
                          pred_accel: float, deadline_active: bool,
                          params: SimParams,
-                         law: ExponentialWakeDrag | None = None,
+                         law: DragCoefficients | None = None,
                          n: int = 10001) -> OracleDecision:
     """Reference follower decision by dense grid search.
 
@@ -174,7 +173,7 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
     spacing are still found.  The verdict is re-derived from the grid
     masks in the same precedence the controller documents.
     """
-    law = law or ExponentialWakeDrag(params.drag)
+    law = law or params.drag
     g = stopping_margin(v, p_hat, v_hat, params)
     f_v, f_p = law.partials(v, p_hat, True)
     pred = params.a_min if params.worst_case_pred_accel else pred_accel

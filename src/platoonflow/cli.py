@@ -22,7 +22,8 @@ from typing import Iterable, Optional
 import yaml
 
 from .analysis import summarize
-from .core import DragCoefficients, RoadNetwork, SimParams, validate_params
+from .core import (DragCoefficients, RoadNetwork, SimParams, SimulationError,
+                   validate_params)
 from .sim import Event, SimResult, run
 from .svgplot import render_timespace
 from .trajectory import MODE_NAMES, Trajectory
@@ -330,6 +331,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SimulationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

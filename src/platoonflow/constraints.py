@@ -63,11 +63,7 @@ class FeasibleInterval:
         """The element of least magnitude: the feasible value closest to 0."""
         if self.empty:
             raise ValueError("empty interval")
-        if self.lo > 0.0:
-            return self.lo
-        if self.hi < 0.0:
-            return self.hi
-        return 0.0
+        return kernels._clamp_to_zero(self.lo, self.hi)
 
 
 def stopping_margin(v: float, p_hat: float, v_hat: float,
@@ -117,7 +113,7 @@ def safe_accel_interval(v: float, p_hat: float, v_hat: float,
     """
     if pred_accel is None or params.worst_case_pred_accel:
         pred_accel = params.a_min
-    lo, hi = kernels.safe_interval(
+    lo, hi, _, _ = kernels.safe_interval(
         v, p_hat, v_hat, pred_accel, has_pred,
         params.v_min, params.v_max, params.a_min, params.a_max,
         params.delta, params.eps_g, params.gamma,

@@ -23,8 +23,7 @@ from typing import Callable, NamedTuple
 
 from . import _kernels_py as kernels
 from .constraints import SPLIT_CODES, FeasibilityVerdict, FeasibleInterval
-from .core import SimParams, VehicleMode, VehicleState
-from .drag import ExponentialWakeDrag
+from .core import DragCoefficients, SimParams, VehicleMode, VehicleState
 from .trajectory import MODES
 
 _ACTIVE_NAMES = (
@@ -68,18 +67,16 @@ class Solves(NamedTuple):
     """What every solve of one step shares, resolved by ``bind``.
 
     ``follower`` is the follower kernel (``follower_decision``) as it
-    was bound when ``bind`` ran.  ``law`` is the drag law whose
-    coefficients are ``c0, c1, c2`` and whose descent bound classifies
-    a head's merge.
-    ``worst_pred`` is the predecessor command to assume in place of the
-    communicated one: ``a_min`` under ``worst_case_pred_accel``, else
-    None.  The fields from ``v_min`` on are the kernels' trailing
-    arguments in their order: ``s[3:]`` for the follower kernel,
-    ``s[3:10]`` for the leader kernel.
+    was bound when ``bind`` ran.  ``worst_pred`` is the predecessor
+    command to assume in place of the communicated one: ``a_min`` under
+    ``worst_case_pred_accel``, else None.  The fields from ``v_min`` on
+    are the kernels' trailing arguments in their order: ``s[2:]`` for
+    the follower kernel, ``s[2:9]`` for the leader kernel.  ``c0, c1,
+    c2`` are the drag law's coefficients, so two bindings compare equal
+    under equal laws.
     """
 
     follower: Callable[..., tuple]
-    law: ExponentialWakeDrag
     worst_pred: float | None
     v_min: float
     v_max: float
@@ -93,28 +90,27 @@ class Solves(NamedTuple):
     c2: float
 
 
-def bind(params: SimParams, law: ExponentialWakeDrag | None = None
+def bind(params: SimParams, law: DragCoefficients | None = None
          ) -> Solves:
-    """The solves of one step under ``params`` and drag ``law`` (the
-    wake law with ``params.drag`` when None).
+    """The solves of one step under ``params`` and drag ``law``
+    (``params.drag`` when None).
 
     The kernels are looked up on every call, so a kernel rebound at run
     time (a timing wrapper, say) is the one the next step calls.
     """
     if law is None:
-        law = ExponentialWakeDrag(params.drag)
-    c = law.coeffs
+        law = params.drag
     return Solves(
-        kernels.follower_decision, law,
+        kernels.follower_decision,
         params.a_min if params.worst_case_pred_accel else None,
         params.v_min, params.v_max, params.a_min, params.a_max,
-        params.delta, params.eps_g, params.gamma, c.c0, c.c1, c.c2)
+        params.delta, params.eps_g, params.gamma, law.c0, law.c1, law.c2)
 
 
 def solve_follower_control(state: VehicleState, p_hat: float, v_hat: float,
                            pred_accel: float, deadline_active: bool,
                            params: SimParams,
-                           law: ExponentialWakeDrag | None = None
+                           law: DragCoefficients | None = None
                            ) -> ControlDecision:
     """Minimum-magnitude feasible acceleration for a follower.
 
@@ -125,7 +121,7 @@ def solve_follower_control(state: VehicleState, p_hat: float, v_hat: float,
     if s.worst_pred is not None:
         pred_accel = s.worst_pred
     return _decision(*s.follower(state.v, p_hat, v_hat, pred_accel,
-                                 deadline_active, *s[3:]))
+                                 deadline_active, *s[2:]))
 
 
 def merge_verdict(v: float, p_hat: float, v_hat: float, g: float, hi: float,
@@ -136,7 +132,7 @@ def merge_verdict(v: float, p_hat: float, v_hat: float, g: float, hi: float,
     The descent bound comes from the same drag law a follower in that
     slot would use.
     """
-    bound = s.law.descent_bound(v, p_hat, v_hat, True)
+    bound = kernels.flow_bound(v, p_hat, v_hat, True, s.c0, s.c1, s.c2)
     safety_active = g == g and (g >= -s.eps_g or hi < 0.0)
     return kernels.classify(v, v_hat, bound, deadline_active, safety_active,
                             s.v_min, s.a_min), bound
@@ -145,7 +141,7 @@ def merge_verdict(v: float, p_hat: float, v_hat: float, g: float, hi: float,
 def leader_control(state: VehicleState, p_hat: float, v_hat: float,
                    pred_accel: float | None, deadline_active: bool,
                    params: SimParams,
-                   law: ExponentialWakeDrag | None = None
+                   law: DragCoefficients | None = None
                    ) -> ControlDecision:
     """Platoon-head policy plus the merge-eligibility verdict.
 
@@ -165,7 +161,7 @@ def leader_control(state: VehicleState, p_hat: float, v_hat: float,
     accel, lo, hi, g = kernels.leader_decision(
         v, p_hat, v_hat,
         pred_accel if has_pred and s.worst_pred is None else s.a_min,
-        has_pred, state.mode is VehicleMode.LEADER_RECOVERING, *s[3:10])
+        has_pred, state.mode is VehicleMode.LEADER_RECOVERING, *s[2:9])
     code, bound = kernels.VERDICT_FEASIBLE, 0.0
     if has_pred:
         code, bound = merge_verdict(v, p_hat, v_hat, g, hi, deadline_active,

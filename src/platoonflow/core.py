@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Iterator
 
+from . import _kernels_py as kernels
+
 
 class VehicleMode(enum.Enum):
     """Role of a vehicle inside the platoon partition.
@@ -52,16 +54,36 @@ class VehicleMode(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class DragCoefficients:
-    """Coefficients of the quadratic drag law with exponential wake relief.
+    """The quadratic drag law with exponential wake relief.
 
     Solo vehicles see ``c0 * v**2``.  A vehicle a gap ``-p_hat`` behind its
     predecessor sees ``c0 * v**2 * (1 - c1 * exp(c2 * p_hat))``: the wake
-    discount decays exponentially as the gap opens.
+    discount decays exponentially as the gap opens.  The controller needs
+    no more than the force, its two partials and the descent bound they
+    give, all computed by the kernels from these coefficients.  A world
+    may swap its law mid-run; laws compare by their coefficients.
     """
 
     c0: float = 4.0e-4
     c1: float = 0.6
     c2: float = 0.08
+
+    def force(self, v: float, p_hat: float, in_wake: bool) -> float:
+        """Drag force (m/s^2, force per unit mass) at the given state."""
+        return kernels.drag_force(v, p_hat, in_wake, self.c0, self.c1,
+                                  self.c2)
+
+    def partials(self, v: float, p_hat: float,
+                 in_wake: bool) -> tuple[float, float]:
+        """(dF/dv, dF/dp_hat) at the given state."""
+        return kernels.drag_partials(v, p_hat, in_wake, self.c0, self.c1,
+                                     self.c2)
+
+    def descent_bound(self, v: float, p_hat: float, v_hat: float,
+                      in_wake: bool) -> float:
+        """Largest acceleration keeping squared drag non-increasing."""
+        return kernels.flow_bound(v, p_hat, v_hat, in_wake, self.c0,
+                                  self.c1, self.c2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,7 +165,6 @@ class VehicleState:
     p: float
     v: float
     accel: float
-    spawn_time: float
     deadline: float
     exit_pos: float
     mode: VehicleMode

@@ -44,13 +44,13 @@ from .constraints import (SPLIT_CODES, deadline_margin, gap_allowance,
                           stopping_margin)
 from .controller import KEEPS_MODE, Solves, bind, merge_verdict, next_mode
 from .core import (
+    DragCoefficients,
     OrderingError,
     SafetyAuditError,
     SimParams,
     VehicleMode,
     VehicleState,
 )
-from .drag import ExponentialWakeDrag
 from .trajectory import MODE_CODES, MODES, Trajectory
 from .trajectory import TrajectoryRecord  # noqa: F401  (re-exported)
 
@@ -94,7 +94,7 @@ class WorldState:
     next_vehicle_id: int
     next_platoon_id: int
     spawning: bool
-    drag_law: ExponentialWakeDrag
+    drag_law: DragCoefficients
     events: list[Event] = field(default_factory=list)
     trajectory: Trajectory = field(default_factory=Trajectory)
     counters: dict[str, int] = field(default_factory=dict)
@@ -102,7 +102,7 @@ class WorldState:
 
     @classmethod
     def initial(cls, params: SimParams, *, spawning: bool = True,
-                drag_law: ExponentialWakeDrag | None = None
+                drag_law: DragCoefficients | None = None
                 ) -> "WorldState":
         return cls(
             params=params,
@@ -113,7 +113,7 @@ class WorldState:
             next_vehicle_id=0,
             next_platoon_id=0,
             spawning=spawning,
-            drag_law=drag_law or ExponentialWakeDrag(params.drag),
+            drag_law=drag_law or params.drag,
             counters={
                 "spawned": 0,
                 "discarded": 0,
@@ -144,9 +144,24 @@ def insert_vehicle(world: WorldState, p: float, v: float, *,
     follows the vehicle ahead (joining its platoon) or heads a fresh
     platoon when the road ahead is empty.
     """
+    return _place(world, _slot(world, p), p, v, exit_pos, deadline, mode,
+                  platoon_id)
+
+
+def _slot(world: WorldState, p: float) -> int:
+    """List index a vehicle at position ``p`` slots into: behind every
+    vehicle at or ahead of ``p``."""
     idx = 0
     while idx < len(world.vehicles) and world.vehicles[idx].p >= p:
         idx += 1
+    return idx
+
+
+def _place(world: WorldState, idx: int, p: float, v: float,
+           exit_pos: float, deadline: float, mode: VehicleMode | None = None,
+           platoon_id: int | None = None) -> VehicleState:
+    """Insert a fresh vehicle at list index ``idx`` with the next id and
+    register its exit and deadline with the trajectory."""
     ahead = world.vehicles[idx - 1] if idx > 0 else None
     if platoon_id is None:
         if ahead is not None and mode is None:
@@ -157,9 +172,8 @@ def insert_vehicle(world: WorldState, p: float, v: float, *,
     if mode is None:
         mode = VehicleMode.FOLLOWER if ahead is not None else VehicleMode.LEADER
     veh = VehicleState(
-        vid=world.next_vehicle_id, p=p, v=v, accel=0.0,
-        spawn_time=world.t, deadline=deadline, exit_pos=exit_pos,
-        mode=mode, platoon_id=platoon_id,
+        vid=world.next_vehicle_id, p=p, v=v, accel=0.0, deadline=deadline,
+        exit_pos=exit_pos, mode=mode, platoon_id=platoon_id,
     )
     world.next_vehicle_id += 1
     world.vehicles.insert(idx, veh)
@@ -223,8 +237,8 @@ def _decide(world: WorldState, params: SimParams) -> list[Decision]:
     if solves != world.solves:
         world.solves = solves
     solves = world.solves
-    (follower, _, worst_pred, v_min, v_max, a_min, a_max, delta, eps_g,
-     gamma, c0, c1, c2) = solves
+    (follower, worst_pred, v_min, v_max, a_min, a_max, delta, eps_g, gamma,
+     c0, c1, c2) = solves
     leader = kernels.leader_decision
 
     decisions: list[Decision] = []
@@ -423,9 +437,7 @@ def try_spawn(world: WorldState, params: SimParams, stamp: float) -> None:
         world.next_spawn = world.next_spawn + delay
         entry = entries[int(rng.integers(0, len(entries)))]
 
-        idx = 0
-        while idx < len(world.vehicles) and world.vehicles[idx].p >= entry:
-            idx += 1
+        idx = _slot(world, entry)
         ahead = world.vehicles[idx - 1] if idx > 0 else None
         behind = world.vehicles[idx] if idx < len(world.vehicles) else None
 
@@ -452,21 +464,7 @@ def try_spawn(world: WorldState, params: SimParams, stamp: float) -> None:
             continue
 
         t_f = draw_deadline(rng, entry, v0, exit_pos, stamp, params)
-        if ahead is not None:
-            platoon_id = ahead.platoon_id
-            mode = VehicleMode.FOLLOWER
-        else:
-            platoon_id = world.next_platoon_id
-            world.next_platoon_id += 1
-            mode = VehicleMode.LEADER
-        veh = VehicleState(
-            vid=world.next_vehicle_id, p=entry, v=v0, accel=0.0,
-            spawn_time=stamp, deadline=t_f, exit_pos=exit_pos,
-            mode=mode, platoon_id=platoon_id,
-        )
-        world.next_vehicle_id += 1
-        world.vehicles.insert(idx, veh)
-        world.trajectory.register(veh.vid, exit_pos, t_f)
+        veh = _place(world, idx, entry, v0, exit_pos, t_f)
         world.counters["spawned"] += 1
         world.events.append(Event(
             stamp, EVENT_SPAWN, veh.vid,

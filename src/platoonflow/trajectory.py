@@ -31,8 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .constraints import deadline_margin
-from .core import SimParams, VehicleMode
-from .drag import ExponentialWakeDrag
+from .core import DragCoefficients, SimParams, VehicleMode
 
 # Codes of the ``mode`` column: bit 0 marks a platoon head, bit 1 a
 # relaxed deadline.
@@ -121,14 +120,14 @@ class Trajectory:
         self.mode = array("b")
         self._derived_steps = 0
         self._params: SimParams | None = None
-        self._law: ExponentialWakeDrag | None = None
+        self._law: DragCoefficients | None = None
         # Exit position and deadline by vehicle id, and whether the id
         # was registered at all: engine ids are dense from 0.
         self._exit_pos = array("d")
         self._deadline = array("d")
         self._registered = array("b")
 
-    def bind(self, params: SimParams, law: ExponentialWakeDrag) -> None:
+    def bind(self, params: SimParams, law: DragCoefficients) -> None:
         """Derive the physics of steps appended from now on with drag
         ``law`` and the envelope constants of ``params``.
 
@@ -222,9 +221,9 @@ class Trajectory:
         # recompute_derived, which calls the kernels row by row, is their
         # reference.  The wake takes libm's exp, not np.exp, which
         # differs from it in the last bit on some wake-range inputs.
-        c = self._law.coeffs
-        c0, c1 = c.c0, c.c1
-        w = np.fromiter(map(math.exp, (c.c2 * p_hat).tolist()), np.float64,
+        law = self._law
+        c0, c1 = law.c0, law.c1
+        w = np.fromiter(map(math.exp, (law.c2 * p_hat).tolist()), np.float64,
                         len(p_hat))
         solo = c0 * v * v
         drag = solo * (1.0 - c1 * w)

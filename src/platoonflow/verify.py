@@ -21,7 +21,6 @@ from .cli import trajectory_csv_text
 from .constraints import gap_allowance, safe_accel_interval, stopping_margin
 from .controller import solve_follower_control
 from .core import SimParams, SimulationError, VehicleMode, VehicleState
-from .drag import ExponentialWakeDrag
 from .sim import SimResult, WorldState, insert_vehicle, run, step
 from .trajectory import MODE_CODES
 
@@ -245,6 +244,8 @@ def check_pursuit_convergence(params: SimParams) -> CheckResult:
     p5 = replace(params, duration=75.0)
     n_steps = round(p5.duration / p5.dt)
     undershoot_floor = -(params.eps_platoon_speed + 1e-9)
+    # The exit lies far beyond any pursuit, whatever the road's length.
+    exit_pos = 1e9
     slowest = 0.0
     for scenario in range(N_PURSUITS):
         v_f = float(rng.uniform(params.v_min + PURSUIT_HEADROOM,
@@ -254,14 +255,17 @@ def check_pursuit_convergence(params: SimParams) -> CheckResult:
         kin = stopping_margin(v_f, -params.delta, v_hat, params)
         gap = params.delta + max(kin, 0.0) + float(rng.uniform(1.0, 40.0))
         world = WorldState.initial(p5, spawning=False)
-        exit_pos = params.road.length
         insert_vehicle(world, 160.0, v_p, exit_pos=exit_pos,
                        deadline=10.0 * (exit_pos - 160.0) / v_p)
         insert_vehicle(world, 160.0 - gap, v_f, exit_pos=exit_pos,
                        deadline=10.0 * (exit_pos - 160.0 + gap) / v_f)
         formed_at = None
         for _ in range(n_steps):
-            step(world, p5)
+            try:
+                step(world, p5)
+            except SimulationError as exc:
+                return CheckResult(name, False, (
+                    f"engine audit tripped, scenario {scenario}: {exc}"))
             if len(world.vehicles) != 2:
                 return CheckResult(name, False, (
                     f"scenario {scenario}: vehicle count changed at "
@@ -301,8 +305,10 @@ def check_equilibrium_hold(params: SimParams) -> CheckResult:
     insert_vehicle(world, 100.0, params.v_min, exit_pos=1e9, deadline=1e9)
     insert_vehicle(world, 100.0 - params.delta, params.v_min,
                    exit_pos=1e9, deadline=1e9)
-    result = run(p6, world=world)
-    tr = result.trajectory
+    try:
+        tr = run(p6, world=world).trajectory
+    except SimulationError as exc:
+        return CheckResult(name, False, f"engine audit tripped, {exc}")
     worst_a = float(np.abs(np.array(tr.accel)).max())
     worst_v = float(np.abs(np.array(tr.v) - params.v_min).max())
     worst_gap = 0.0
@@ -323,10 +329,9 @@ def check_solver_oracle(params: SimParams) -> CheckResult:
     name = "solver_matches_grid_oracle"
     rng = np.random.default_rng(90007)
     tol = (params.a_max - params.a_min) / 1e4 + 1e-12
-    law = ExponentialWakeDrag(params.drag)
-    probe = VehicleState(vid=0, p=0.0, v=0.0, accel=0.0, spawn_time=0.0,
-                         deadline=0.0, exit_pos=0.0,
-                         mode=VehicleMode.FOLLOWER, platoon_id=0)
+    probe = VehicleState(vid=0, p=0.0, v=0.0, accel=0.0, deadline=0.0,
+                         exit_pos=0.0, mode=VehicleMode.FOLLOWER,
+                         platoon_id=0)
     worst = 0.0
     for i in range(N_ORACLE_STATES):
         pick = rng.random()
@@ -344,9 +349,9 @@ def check_solver_oracle(params: SimParams) -> CheckResult:
         p_hat = float(rng.uniform(-40.0, 2.0)) - params.delta - kin
         probe.v = v
         dec = solve_follower_control(probe, p_hat, v_hat, pred_accel,
-                                     deadline_active, params, law)
+                                     deadline_active, params)
         ref = brute_force_follower(v, p_hat, v_hat, pred_accel,
-                                   deadline_active, params, law)
+                                   deadline_active, params)
         if dec.verdict is not ref.verdict:
             return CheckResult(name, False, (
                 f"state {i}: verdict {dec.verdict.name} vs grid "
@@ -379,7 +384,11 @@ def check_drag_descent(params: SimParams) -> CheckResult:
     pairs = 0
     for offset in range(N_DESCENT_SEEDS):
         p8 = replace(params, seed=7000 + offset, enforce_deadlines=False)
-        tr = run(p8).trajectory
+        try:
+            tr = run(p8).trajectory
+        except SimulationError as exc:
+            return CheckResult(name, False, (
+                f"engine audit tripped, seed {p8.seed}: {exc}"))
         vids, drag, mode = tr.vehicle_id, tr.drag, tr.mode
         # vehicle id -> (row, id of the vehicle ahead) in the previous step
         before: dict[int, tuple[int, int | None]] = {}
@@ -424,12 +433,16 @@ def check_determinism(params: SimParams) -> CheckResult:
     """Identical config and seed must reproduce the trajectory CSV byte
     for byte."""
     name = "determinism_bytes"
-    rows, first = _csv_bytes(params)
-    if not rows:
+    try:
+        rows, first = _csv_bytes(params)
+        if not rows:
+            return CheckResult(name, False, (
+                "the seeded run recorded no rows, so there were no bytes "
+                "to compare"))
+        second = _csv_bytes(params)[1]
+    except SimulationError as exc:
         return CheckResult(name, False, (
-            "the seeded run recorded no rows, so there were no bytes to "
-            "compare"))
-    second = _csv_bytes(params)[1]
+            f"engine audit tripped, seed {params.seed}: {exc}"))
     ok = first == second
     state = "identical" if ok else "differ"
     return CheckResult(name, ok,
@@ -447,7 +460,7 @@ def _partial_error(fd: float, exact: float) -> float:
 def check_partials(params: SimParams) -> CheckResult:
     """Analytic drag partials must match central finite differences."""
     name = "partials_match_finite_difference"
-    law = ExponentialWakeDrag(params.drag)
+    law = params.drag
     h = 1e-5
     rel_tol = 1e-6
     worst = 0.0

@@ -117,9 +117,9 @@ class TestEnergy:
 
 class TestBruteForce:
     def make_state(self, v):
-        return VehicleState(vid=1, p=500.0, v=v, accel=0.0, spawn_time=0.0,
-                            deadline=1e9, exit_pos=1750.0,
-                            mode=VehicleMode.FOLLOWER, platoon_id=1)
+        return VehicleState(vid=1, p=500.0, v=v, accel=0.0, deadline=1e9,
+                            exit_pos=1750.0, mode=VehicleMode.FOLLOWER,
+                            platoon_id=1)
 
     @pytest.mark.parametrize("v,p_hat,v_hat,pred,deadline", [
         (30.0, -20.0, 1.0, 0.0, False),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 import yaml
@@ -296,6 +297,37 @@ class TestRunCommand:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "cannot read config" in capsys.readouterr().err
+
+
+class TestEngineFailure:
+    """A run whose engine audit trips (a 5 s step lets vehicles overtake)
+    ends in one error line, never a traceback."""
+
+    @pytest.fixture()
+    def coarse_config(self, tmp_path):
+        cfg = tmp_path / "coarse.yaml"
+        cfg.write_text(yaml.safe_dump({"run": {"dt": 5.0}}))
+        return cfg
+
+    def test_run_prints_the_audits_message_and_exits_1(
+            self, coarse_config, tmp_path, capsys):
+        rc = main(["run", "--config", str(coarse_config),
+                   "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert re.fullmatch(r"error: t=\S+: vehicle \d+ at p=\S+ reached "
+                            r"vehicle \d+ at p=\S+\n", captured.err)
+
+    def test_verify_reports_all_ten_checks_and_exits_1(self, coarse_config,
+                                                       capsys):
+        rc = main(["verify", "--config", str(coarse_config)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert len(lines) == 10
+        assert all(line.startswith(("PASS  ", "FAIL  ")) for line in lines)
+        assert "FAIL  pursuit_convergence: engine audit tripped" in \
+            "\n".join(lines)
 
 
 class TestVerifyCommand:

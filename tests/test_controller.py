@@ -5,7 +5,6 @@ from hypothesis import assume, given, strategies as st
 
 from platoonflow import (
     DragCoefficients,
-    ExponentialWakeDrag,
     FeasibilityVerdict,
     SimParams,
     VehicleMode,
@@ -25,9 +24,8 @@ EPS_D = PARAMS.eps_d
 
 
 def make_state(v, mode=VehicleMode.FOLLOWER, p=500.0):
-    return VehicleState(vid=1, p=p, v=v, accel=0.0, spawn_time=0.0,
-                        deadline=1e9, exit_pos=1750.0, mode=mode,
-                        platoon_id=1)
+    return VehicleState(vid=1, p=p, v=v, accel=0.0, deadline=1e9,
+                        exit_pos=1750.0, mode=mode, platoon_id=1)
 
 
 class TestFollowerSolve:
@@ -215,7 +213,7 @@ class TestHeadsUseTheWorldsDragLaw:
     slot would use, not from ``params.drag``."""
 
     LAWS = {
-        "coefficients": ExponentialWakeDrag(DragCoefficients(c2=0.02)),
+        "coefficients": DragCoefficients(c2=0.02),
     }
 
     @pytest.mark.parametrize("name", LAWS)
@@ -223,7 +221,7 @@ class TestHeadsUseTheWorldsDragLaw:
         law = self.LAWS[name]
         v, p_hat, v_hat = 22.0, -6.0, -10.0
         bound = law.descent_bound(v, p_hat, v_hat, True)
-        default = ExponentialWakeDrag(PARAMS.drag)
+        default = PARAMS.drag
         assert bound != default.descent_bound(v, p_hat, v_hat, True)
         follower = solve_follower_control(make_state(v), p_hat, v_hat, 0.0,
                                           False, PARAMS, law)

@@ -3,11 +3,10 @@ import sys
 
 from hypothesis import example, given, strategies as st
 
-from platoonflow import DragCoefficients, ExponentialWakeDrag
+from platoonflow import DragCoefficients
 from platoonflow import _kernels_py as kernels
 
-COEFFS = DragCoefficients()
-LAW = ExponentialWakeDrag(COEFFS)
+LAW = DragCoefficients()
 
 speeds = st.floats(min_value=1.0, max_value=40.0)
 gaps = st.floats(min_value=-120.0, max_value=-0.5)
@@ -41,7 +40,7 @@ def test_flow_bound_scales_with_closing_speed():
 
 
 def test_law_object_matches_module_functions():
-    c = (COEFFS.c0, COEFFS.c1, COEFFS.c2)
+    c = (LAW.c0, LAW.c1, LAW.c2)
     assert LAW.force(22.0, -6.0, True) == 0.1217221212077987
     assert LAW.force(22.0, -6.0, True) \
         == kernels.drag_force(22.0, -6.0, True, *c)

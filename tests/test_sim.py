@@ -6,7 +6,6 @@ from hypothesis import assume, given, strategies as st
 
 from platoonflow import (
     DragCoefficients,
-    ExponentialWakeDrag,
     OrderingError,
     RoadNetwork,
     SafetyAuditError,
@@ -153,7 +152,7 @@ class TestSplitAndMerge:
         # c2=0.02 bounds its descent at -2.5 m/s^2 and lets it merge; the
         # default c2=0.08 asks for -5.2, beyond the brakes, and keeps it
         # heading its own platoon.
-        law = ExponentialWakeDrag(DragCoefficients(c2=c2))
+        law = DragCoefficients(c2=c2)
         world = WorldState.initial(params, spawning=False, drag_law=law)
         front = place(world, 300.0, 32.0)
         rear = place(world, 294.0, 22.0, mode=VehicleMode.LEADER)
@@ -258,13 +257,33 @@ class TestSolveReuse:
         def stepped(fresh):
             world = WorldState.initial(params)
             step_world(world, params, 200, {}, fresh=fresh)
-            world.drag_law = ExponentialWakeDrag(LONG_WAKE)
+            world.drag_law = LONG_WAKE
             step_world(world, params, 200, {}, fresh=fresh)
             step_world(world, replace(params, gamma=0.5), 200, {},
                        fresh=fresh)
             return world_bytes(world)
 
         assert stepped(False) == stepped(True)
+
+    def test_an_equal_drag_law_keeps_reusing_solves(self, kernel_calls):
+        # Laws compare by their coefficients, so a swap to an equal one
+        # keeps the binding and with it every stored solve.
+        params = SimParams(duration=60.0, seed=2)
+
+        def stepped(swap, fresh=False):
+            world = WorldState.initial(params)
+            step_world(world, params, 200, {}, fresh=fresh)
+            if swap:
+                world.drag_law = replace(params.drag)
+                assert world.drag_law is not params.drag
+            step_world(world, params, 200, {}, fresh=fresh)
+            return world_bytes(world)
+
+        kept = stepped(False)
+        calls = kernel_calls[0]
+        swapped = stepped(True)
+        assert kernel_calls[0] == 2 * calls
+        assert swapped == kept == stepped(True, fresh=True)
 
     def followers(self, params):
         # Behind a head, a follower closing in on it inside the envelope
@@ -305,7 +324,7 @@ class TestSolveReuse:
         elif change == "deadline":
             opening.deadline = world.t
         elif change == "drag_law":
-            world.drag_law = ExponentialWakeDrag(LONG_WAKE)
+            world.drag_law = LONG_WAKE
         elif change == "params":
             params = replace(params, gamma=0.5)
         else:

@@ -7,7 +7,6 @@ import pytest
 
 from platoonflow import (
     DragCoefficients,
-    ExponentialWakeDrag,
     SimParams,
     Trajectory,
     TrajectoryRecord,
@@ -83,7 +82,7 @@ class TestColumns:
 class TestRecordViews:
     def test_views_carry_what_the_engine_recorded(self, params):
         world = WorldState.initial(params, spawning=False)
-        law = ExponentialWakeDrag(params.drag)
+        law = params.drag
         insert_vehicle(world, 300.0, 24.0, exit_pos=1e9, deadline=1e9)
         insert_vehicle(world, 280.0, 27.0, exit_pos=1e9, deadline=400.0)
         for _ in range(3):
@@ -116,7 +115,7 @@ class TestRecordViews:
 
 
 # A law that differs from the default by its wake length.
-LONG_WAKE = ExponentialWakeDrag(DragCoefficients(c2=0.02))
+LONG_WAKE = DragCoefficients(c2=0.02)
 
 
 def test_a_swapped_in_drag_law_runs_through_the_engine():
@@ -209,7 +208,7 @@ class TestDeriveEdges:
     """Whole-column derives against the row-by-row kernels."""
 
     params = SimParams()
-    law = ExponentialWakeDrag(params.drag)
+    law = params.drag
 
     def check(self, steps, registered_order=None):
         tr, targets = hand_built(steps, self.params, self.law,
@@ -286,8 +285,7 @@ def test_reads_between_steps_leave_the_world_steppable():
     # A vehicle put on the road by hand is unknown to the trajectory.
     front = world.vehicles[0]
     stray = VehicleState(vid=world.next_vehicle_id, p=front.p + 200.0,
-                         v=front.v, accel=0.0, spawn_time=world.t,
-                         deadline=1e9, exit_pos=1e9,
+                         v=front.v, accel=0.0, deadline=1e9, exit_pos=1e9,
                          mode=VehicleMode.LEADER, platoon_id=999)
     world.next_vehicle_id += 1
     world.vehicles.insert(0, stray)
@@ -308,7 +306,7 @@ def derive_peak(n_steps: int) -> int:
     params = SimParams()
     steps = [(0.1 * k, [(vid, 3000.0 - 7.0 * vid + 0.01 * k, 25.0)
                         for vid in range(40)]) for k in range(n_steps)]
-    tr, _ = hand_built(steps, params, ExponentialWakeDrag(params.drag))
+    tr, _ = hand_built(steps, params, params.drag)
     tracemalloc.start()
     try:
         tr.drag

@@ -5,14 +5,15 @@ from dataclasses import replace
 
 import pytest
 
+import platoonflow.sim as sim
 import platoonflow.verify as verify
-from platoonflow import DragCoefficients, SimParams, run
+from platoonflow import DragCoefficients, RoadNetwork, SimParams, run
 from platoonflow.core import SafetyAuditError, VehicleMode
 from platoonflow.verify import (RunCorpus, check_braking_only,
                                 check_determinism, check_drag_descent,
-                                check_partials, check_pursuit_convergence,
-                                check_safety, check_solver_oracle,
-                                check_throughput)
+                                check_equilibrium_hold, check_partials,
+                                check_pursuit_convergence, check_safety,
+                                check_solver_oracle, check_throughput)
 
 SHORT = SimParams(duration=20.0)
 
@@ -141,6 +142,36 @@ def test_checks_with_nothing_to_check_fail(monkeypatch):
          "the seeded run recorded no rows, so there were no bytes to "
          "compare"),
     ]
+
+
+def test_stepping_checks_fail_with_the_audits_message(monkeypatch):
+    def tripped(world, params, stamp):
+        raise SafetyAuditError(f"t={stamp:.3f}: gap breach")
+
+    monkeypatch.setattr(sim, "_audit", tripped)
+    params = SimParams()
+    results = [check_pursuit_convergence(params),
+               check_equilibrium_hold(params), check_drag_descent(params),
+               check_determinism(params)]
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("pursuit_convergence", False,
+         "engine audit tripped, scenario 0: t=0.100: gap breach"),
+        ("equilibrium_hold", False,
+         "engine audit tripped, t=0.100: gap breach"),
+        ("drag_descent_per_step", False,
+         "engine audit tripped, seed 7000: t=0.100: gap breach"),
+        ("determinism_bytes", False,
+         "engine audit tripped, seed 0: t=0.100: gap breach"),
+    ]
+
+
+def test_the_pursuit_check_does_not_depend_on_the_road_length():
+    # On a road of 150 m both vehicles would start past an exit at the
+    # road's end.
+    short = replace(SimParams(), road=RoadNetwork(
+        length=150.0, on_ramps=(), off_ramps=()))
+    assert check_pursuit_convergence(short) == \
+        check_pursuit_convergence(SimParams())
 
 
 def test_a_narrow_speed_box_fails_the_pursuit_check():
