@@ -10,10 +10,7 @@ local decisions; the engine only integrates, audits, and bookkeeps.
 from .constraints import (
     FeasibilityVerdict,
     FeasibleInterval,
-    classify_feasibility,
-    critical_relative_speed,
     deadline_margin,
-    envelope_cap,
     safe_accel_interval,
     stopping_margin,
 )
@@ -70,10 +67,7 @@ __all__ = [
     "VehicleState",
     "WorldState",
     "backend_name",
-    "classify_feasibility",
-    "critical_relative_speed",
     "deadline_margin",
-    "envelope_cap",
     "insert_vehicle",
     "leader_control",
     "next_mode",

@@ -83,20 +83,6 @@ def stopping_margin(v: float, p_hat: float, v_hat: float,
             + v_hat * v_hat / (2.0 * a_min))
 
 
-def critical_relative_speed(v: float, p_hat: float,
-                            v_min: float, a_min: float, delta: float) -> float:
-    """Closing speed at which the stopping envelope is exactly met.
-
-    Root in v_hat > 0 of the envelope margin.  Raises ValueError when the
-    gap already violates the envelope (no real root).
-    """
-    s = v - v_min
-    radicand = s * s + 2.0 * abs(a_min) * (p_hat + delta)
-    if radicand < 0.0:
-        raise ValueError("state is inside the stopping envelope; no root")
-    return s - math.sqrt(radicand)
-
-
 def envelope_cap(v: float, v_hat: float, g: float, pred_accel: float,
                  v_min: float, a_min: float, gamma: float) -> float:
     """Acceleration cap keeping the envelope margin from growing.

@@ -2,6 +2,9 @@
 
 Everything here works from trajectory records alone, so it audits what
 the engine actually emitted rather than trusting its internal state.
+The audits of consecutive vehicles work on whole columns: each pairs
+the rows that ``trajectory.pair_rows`` gives with the row ahead of
+them, one row up in the same step.
 The brute-force solver deliberately re-states each control constraint
 as a pointwise inequality and scans a dense acceleration grid; it
 shares no code path with the closed-form controller it checks.
@@ -19,7 +22,8 @@ from ._kernels_py import SPEED_EDGE_TOL
 from .constraints import FeasibilityVerdict, gap_allowance, stopping_margin
 from .core import DragCoefficients, SimParams
 from .sim import SimResult
-from .trajectory import Trajectory, TrajectoryRecord
+from .trajectory import (Trajectory, TrajectoryRecord, _stopping_margins,
+                         pair_rows)
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -58,43 +62,33 @@ def consecutive_gap_excess(tr: Trajectory, params: SimParams) -> np.ndarray:
     """Bumper-gap shortfall ``(p_back - p_front) + delta`` of every pair of
     consecutive vehicles in every snapshot (positive means inside delta)."""
     p = np.array(tr.p)
-    if len(p) < 2:
-        return np.empty(0)
-    same_step = np.ones(len(p) - 1, bool)
-    same_step[np.array(tr.offsets[1:-1], np.int64) - 1] = False
-    return ((p[1:] - p[:-1]) + params.delta)[same_step]
+    back = pair_rows(tr.offsets)
+    return (p[back] - p[back - 1]) + params.delta
 
 
 def check_ordering(tr: Trajectory) -> list[str]:
     """Positions must strictly decrease front to back in every snapshot."""
-    vid, p = tr.vehicle_id, tr.p
-    problems = []
-    for t, start, stop in tr.steps():
-        for a in range(start, stop - 1):
-            if p[a + 1] >= p[a]:
-                problems.append(
-                    f"t={t:.3f}: vehicle {vid[a + 1]} (p={p[a + 1]:.6f}) "
-                    f"not behind vehicle {vid[a]} (p={p[a]:.6f})"
-                )
-    return problems
+    p = np.array(tr.p)
+    back = pair_rows(tr.offsets)
+    t, vid = row_times(tr), tr.vehicle_id
+    return [f"t={t[b]:.3f}: vehicle {vid[b]} (p={p[b]:.6f}) "
+            f"not behind vehicle {vid[b - 1]} (p={p[b - 1]:.6f})"
+            for b in back[p[back] >= p[back - 1]].tolist()]
 
 
 def check_safety(tr: Trajectory, params: SimParams) -> list[str]:
     """Stopping-envelope audit over all consecutive pairs at all times,
     allowing ``gap_allowance(params)``."""
     allowed = gap_allowance(params)
-    vid, p, v = tr.vehicle_id, tr.p, tr.v
-    problems = []
-    for t, start, stop in tr.steps():
-        for a in range(start, stop - 1):
-            b = a + 1
-            g = stopping_margin(v[b], p[b] - p[a], v[b] - v[a], params)
-            if g > allowed:
-                problems.append(
-                    f"t={t:.3f}: margin {g:.6f} > {allowed:.6f} between "
-                    f"{vid[a]} and {vid[b]}"
-                )
-    return problems
+    p, v = np.array(tr.p), np.array(tr.v)
+    back = pair_rows(tr.offsets)
+    g = _stopping_margins(v[back], p[back] - p[back - 1],
+                          v[back] - v[back - 1], params)
+    bad = g > allowed
+    t, vid = row_times(tr), tr.vehicle_id
+    return [f"t={t[b]:.3f}: margin {gb:.6f} > {allowed:.6f} between "
+            f"{vid[b - 1]} and {vid[b]}"
+            for b, gb in zip(back[bad].tolist(), g[bad].tolist())]
 
 
 def detect_formations(snapshot: Sequence[TrajectoryRecord],

@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import yaml
 
@@ -217,6 +217,24 @@ def _replace(path: Path, text: Optional[str]) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+# The files a run writes into its output directory, in writing order.
+_ARTIFACTS = ("trajectory.csv", "events.csv", "metrics.txt", "config.echo",
+              "timespace.svg")
+
+
+def _artifact_texts(result: SimResult, params: SimParams,
+                    plot_window: Optional[tuple[float, float]]
+                    ) -> Iterator[Optional[str]]:
+    """The text of each of ``_ARTIFACTS`` in turn, built when asked for;
+    None for the plot without ``plot_window``."""
+    yield trajectory_csv_text(result.trajectory)
+    yield events_csv_text(result.events)
+    yield metrics_text(result, params)
+    yield yaml.safe_dump(params_to_dict(params), sort_keys=False)
+    yield None if plot_window is None else render_timespace(
+        result.trajectory, params, plot_window[0], plot_window[1])
+
+
 def emit_outputs(result: SimResult, params: SimParams, out_dir: Path,
                  plot_window: Optional[tuple[float, float]] = None) -> None:
     """Write the run's artifacts into ``out_dir``, replacing earlier ones.
@@ -225,15 +243,9 @@ def emit_outputs(result: SimResult, params: SimParams, out_dir: Path,
     removed, so the directory never mixes two runs.
     """
     _make_out_dir(out_dir)
-    _replace(out_dir / "trajectory.csv",
-             trajectory_csv_text(result.trajectory))
-    _replace(out_dir / "events.csv", events_csv_text(result.events))
-    _replace(out_dir / "metrics.txt", metrics_text(result, params))
-    _replace(out_dir / "config.echo",
-             yaml.safe_dump(params_to_dict(params), sort_keys=False))
-    _replace(out_dir / "timespace.svg", None if plot_window is None else
-             render_timespace(result.trajectory, params, plot_window[0],
-                              plot_window[1]))
+    for name, text in zip(_ARTIFACTS,
+                          _artifact_texts(result, params, plot_window)):
+        _replace(out_dir / name, text)
 
 
 def _parse_window(text: str) -> tuple[float, float]:
@@ -267,9 +279,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"horizon [0, {params.duration:g}]"
             )
         window = (t0, t1)
-    # An unwritable --out fails now, not after the whole simulation.
+    # An unwritable --out fails now, not after the whole simulation, and
+    # a run stopped by an engine audit leaves no earlier run's artifacts.
     _make_out_dir(args.out)
-    result = run(params)
+    for name in _ARTIFACTS:
+        _replace(args.out / name, None)
+    try:
+        result = run(params)
+    except SimulationError as exc:
+        raise SimulationError(
+            f"{exc}; no artifacts written to {args.out}") from exc
     emit_outputs(result, params, args.out, window)
     print(f"wrote {args.out}/trajectory.csv "
           f"({len(result.trajectory)} records, {len(result.events)} events)")

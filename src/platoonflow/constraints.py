@@ -80,17 +80,6 @@ def gap_allowance(params: SimParams) -> float:
     return params.eps_g + params.v_max * params.dt
 
 
-def critical_relative_speed(v: float, p_hat: float, params: SimParams) -> float:
-    """Closing speed at which the envelope margin hits zero.
-
-    Root of the closing-branch margin in v_hat; raises ValueError when
-    the gap is already inside the envelope.
-    """
-    return kernels.critical_relative_speed(v, p_hat,
-                                           params.v_min, params.a_min,
-                                           params.delta)
-
-
 def deadline_margin(p: float, v: float, t: float,
                     exit_pos: float, deadline: float) -> float:
     """Slack on reaching ``exit_pos`` by ``deadline`` at current speed.
@@ -120,24 +109,3 @@ def safe_accel_interval(v: float, p_hat: float, v_hat: float,
     )
     return FeasibleInterval(lo, hi)
 
-
-def envelope_cap(v: float, v_hat: float, g: float, pred_accel: float,
-                 params: SimParams) -> float:
-    """Raw acceleration cap from the envelope-derivative condition."""
-    return kernels.envelope_cap(v, v_hat, g, pred_accel,
-                                params.v_min, params.a_min, params.gamma)
-
-
-def classify_feasibility(v: float, p_hat: float, v_hat: float,
-                         grad_bound: float, deadline_active: bool,
-                         safety_active: bool,
-                         params: SimParams) -> FeasibilityVerdict:
-    """Explain an empty follower constraint set.
-
-    Checked in order: floor conflict, brake-authority conflict, the
-    deadline-vs-descent conflict, and last the deadline-vs-envelope
-    conflict.  Returns FEASIBLE when none applies.
-    """
-    code = kernels.classify(v, v_hat, grad_bound, deadline_active,
-                            safety_active, params.v_min, params.a_min)
-    return FeasibilityVerdict(code)

@@ -52,7 +52,6 @@ from .core import (
     VehicleState,
 )
 from .trajectory import MODE_CODES, MODES, Trajectory
-from .trajectory import TrajectoryRecord  # noqa: F401  (re-exported)
 
 NEAR_RANGE = 100.0  # on-ramp predecessor distance that caps the entry speed
 

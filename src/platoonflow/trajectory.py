@@ -78,6 +78,31 @@ STORED_COLUMNS = tuple(c for c in COLUMNS if c not in DERIVED_COLUMNS)
 DERIVE_BLOCK_ROWS = 8192
 
 
+def pair_rows(offsets: Iterable[int]) -> np.ndarray:
+    """Rows that have a row ahead of them in their own step, in row order.
+
+    ``offsets`` are step bounds from 0, as ``Trajectory.offsets``: step
+    ``k`` is rows ``offsets[k]:offsets[k + 1]``, front to back.  So the
+    row ahead of each returned row ``i`` is ``i - 1``, and the only rows
+    left out are the front row of each step.
+    """
+    offsets = np.array(offsets, np.int64)
+    behind = np.ones(offsets[-1], np.bool_)
+    behind[offsets[:-1]] = False
+    return np.flatnonzero(behind)
+
+
+def _stopping_margins(v: np.ndarray, p_hat: np.ndarray, v_hat: np.ndarray,
+                      params: SimParams) -> np.ndarray:
+    """Column form of ``kernels.stopping_margin``, in the kernel's own
+    operation order, so every element has the kernel's bits.  The derive
+    and ``analysis.check_safety`` both call it."""
+    v_min, a_min, delta = params.v_min, params.a_min, params.delta
+    return np.where(v_hat <= 0.0, p_hat + delta,
+                    p_hat + delta + v_hat * (v_min - v) / a_min
+                    + v_hat * v_hat / (2.0 * a_min))
+
+
 def _derived(name: str) -> property:
     slot = "_" + name
 
@@ -203,37 +228,29 @@ class Trajectory:
         """
         lo, hi = self.offsets[k], self.offsets[stop]
         bounds = np.frombuffer(self.offsets[k:stop + 1], np.int64) - lo
-        front = bounds[:-1]
         time = np.repeat(np.frombuffer(self.times[k:stop]), np.diff(bounds))
         exit_pos, deadline = self._targets(
             np.frombuffer(self.vehicle_id[lo:hi], np.int64))
         p = np.frombuffer(self.p[lo:hi])
         v = np.frombuffer(self.v[lo:hi])
-        # Row i follows row i - 1, except the front row of each step: its
-        # drag and margin are overwritten below, and its p_hat is 0 so
-        # that exp never sees the jump back to the step before.
-        p_hat = np.diff(p, prepend=p[0])
-        p_hat[front] = 0.0
-        v_hat = np.diff(v, prepend=v[0])
+        # The front row of each step has the solo drag and no margin.
+        back = pair_rows(bounds)
+        p_hat = p[back] - p[back - 1]
 
-        # Column forms of kernels.drag_force and kernels.stopping_margin,
-        # in the kernels' own operation order; tests/conftest.py
-        # recompute_derived, which calls the kernels row by row, is their
-        # reference.  The wake takes libm's exp, not np.exp, which
-        # differs from it in the last bit on some wake-range inputs.
+        # Column forms of kernels.drag_force and (in _stopping_margins)
+        # kernels.stopping_margin, in the kernels' own operation order;
+        # tests/conftest.py recompute_derived, which calls the kernels row
+        # by row, is their reference.  The wake takes libm's exp, not
+        # np.exp, which differs from it in the last bit on some
+        # wake-range inputs.
         law = self._law
-        c0, c1 = law.c0, law.c1
         w = np.fromiter(map(math.exp, (law.c2 * p_hat).tolist()), np.float64,
                         len(p_hat))
-        solo = c0 * v * v
-        drag = solo * (1.0 - c1 * w)
-        drag[front] = solo[front]
-        params = self._params
-        v_min, a_min, delta = params.v_min, params.a_min, params.delta
-        gs = np.where(v_hat <= 0.0, p_hat + delta,
-                      p_hat + delta + v_hat * (v_min - v) / a_min
-                      + v_hat * v_hat / (2.0 * a_min))
-        gs[front] = math.nan
+        drag = law.c0 * v * v
+        drag[back] *= 1.0 - law.c1 * w
+        gs = np.full(len(p), math.nan)
+        gs[back] = _stopping_margins(v[back], p_hat, v[back] - v[back - 1],
+                                     self._params)
 
         self._drag.frombytes(drag.tobytes())
         self._u.frombytes((np.frombuffer(self.accel[lo:hi]) + drag).tobytes())

@@ -16,13 +16,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .analysis import brute_force_follower, consecutive_gap_excess
+from .analysis import (brute_force_follower, consecutive_gap_excess,
+                       rows_by_vehicle)
 from .cli import trajectory_csv_text
 from .constraints import gap_allowance, safe_accel_interval, stopping_margin
 from .controller import solve_follower_control
 from .core import SimParams, SimulationError, VehicleMode, VehicleState
 from .sim import SimResult, WorldState, insert_vehicle, run, step
-from .trajectory import MODE_CODES
+from .trajectory import MODE_CODES, pair_rows
 
 N_CORPUS_SEEDS = 50
 SPAWN_COUNT_BAND = (120.0, 155.0)
@@ -311,11 +312,8 @@ def check_equilibrium_hold(params: SimParams) -> CheckResult:
         return CheckResult(name, False, f"engine audit tripped, {exc}")
     worst_a = float(np.abs(np.array(tr.accel)).max())
     worst_v = float(np.abs(np.array(tr.v) - params.v_min).max())
-    worst_gap = 0.0
-    for _, front, _ in tr.steps():
-        drift = abs((tr.p[front + 1] - tr.p[front]) + params.delta)
-        if drift > worst_gap:
-            worst_gap = drift
+    worst_gap = float(np.abs(consecutive_gap_excess(tr, params)).max(
+        initial=0.0))
     ok = worst_a <= 1e-9 and worst_v <= 1e-6 and worst_gap <= 1e-6
     detail = (f"{EQUILIBRIUM_STEPS} steps: max command {worst_a:.1e} "
               f"(allow 1e-09), speed drift {worst_v:.1e} and gap drift "
@@ -389,30 +387,35 @@ def check_drag_descent(params: SimParams) -> CheckResult:
         except SimulationError as exc:
             return CheckResult(name, False, (
                 f"engine audit tripped, seed {p8.seed}: {exc}"))
-        vids, drag, mode = tr.vehicle_id, tr.drag, tr.mode
-        # vehicle id -> (row, id of the vehicle ahead) in the previous step
-        before: dict[int, tuple[int, int | None]] = {}
-        for time, start, stop in tr.steps():
-            now: dict[int, tuple[int, int | None]] = {}
-            ahead = None
-            for i in range(start, stop):
-                vid = vids[i]
-                now[vid] = (i, ahead)
-                prev = before.get(vid)
-                if (mode[i] == follower and ahead is not None
-                        and prev is not None and prev[1] == ahead):
-                    rise = drag[i] ** 2 - drag[prev[0]] ** 2
-                    pairs += 1
-                    if rise > worst:
-                        worst = rise
-                    if rise > allowed:
-                        return CheckResult(name, False, (
-                            f"seed {7000 + offset}: F^2 rose {rise:.3e} in "
-                            f"one step for vehicle {vid} at t={time:.1f} "
-                            f"(allowed {allowed:.3e})"
-                        ))
-                ahead = vid
-            before = now
+        n = len(tr)
+        back = pair_rows(tr.offsets)
+        has_ahead = np.zeros(n, np.bool_)
+        has_ahead[back] = True
+        # Each row's previous row of the same vehicle, or -1 at its first.
+        last = np.full(n, -1)
+        for rows in rows_by_vehicle(tr).values():
+            last[rows[1:]] = rows[:-1]
+        step = np.repeat(np.arange(len(tr.times)), np.diff(tr.offsets))
+        vid = np.array(tr.vehicle_id)
+        # Follower rows whose previous row is in the step before and had
+        # the same vehicle ahead.
+        back = back[np.array(tr.mode)[back] == follower]
+        prev = last[back]
+        keep = ((prev >= 0) & (step[prev] == step[back] - 1)
+                & has_ahead[prev] & (vid[prev - 1] == vid[back - 1]))
+        back, prev = back[keep], prev[keep]
+        drag = np.array(tr.drag)
+        rise = drag[back] ** 2 - drag[prev] ** 2
+        pairs += len(rise)
+        worst = max(worst, rise.max(initial=-math.inf))
+        over = np.flatnonzero(rise > allowed)
+        if len(over):
+            i = back[over[0]]
+            return CheckResult(name, False, (
+                f"seed {p8.seed}: F^2 rose {rise[over[0]]:.3e} in one step "
+                f"for vehicle {vid[i]} at t={tr.times[step[i]]:.1f} "
+                f"(allowed {allowed:.3e})"
+            ))
     if not pairs:
         return CheckResult(name, False, (
             f"no follower step pairs in {N_DESCENT_SEEDS} deadline-free "

@@ -66,12 +66,36 @@ class TestAudits:
             "t=0.500: vehicle 3 (p=95.000000) not behind vehicle 2 "
             "(p=90.000000)"]
 
+    def test_ordering_lists_every_violation_in_row_order(self):
+        tr = Trajectory()
+        tr.append_step(0.5, [1, 2, 3], [1, 1, 1], [100.0, 90.0, 95.0],
+                       [25.0] * 3, [0.0] * 3, [0] * 3)
+        tr.append_step(0.6, [1, 2], [1, 1], [103.0, 93.0], [25.0] * 2,
+                       [0.0] * 2, [0] * 2)
+        tr.append_step(0.7, [4, 1, 2], [4, 1, 1], [90.0, 105.5, 96.0],
+                       [25.0] * 3, [0.0] * 3, [0] * 3)
+        assert check_ordering(tr) == [
+            "t=0.500: vehicle 3 (p=95.000000) not behind vehicle 2 "
+            "(p=90.000000)",
+            "t=0.700: vehicle 1 (p=105.500000) not behind vehicle 4 "
+            "(p=90.000000)",
+        ]
+
     def test_safety_flags_a_crushed_gap(self):
         rows = [rec(vehicle_id=1, p=100.0, v=20.0),
                 rec(vehicle_id=2, p=99.0, v=20.0)]
         problems = check_safety(Trajectory.from_records(rows), PARAMS)
         assert len(problems) == 1
         assert "margin" in problems[0]
+
+    def test_safety_flags_a_closing_pair_outside_its_stopping_margin(self):
+        # Both bumper gaps exceed delta; only the pair closing at 10 m/s
+        # would cede more than the allowance while braking to the floor.
+        rows = [rec(time=0.2, vehicle_id=1, p=100.0, v=20.0, gs_margin=0.0),
+                rec(time=0.2, vehicle_id=2, p=90.0, v=30.0, gs_margin=0.0),
+                rec(time=0.2, vehicle_id=3, p=70.0, v=31.0, gs_margin=0.0)]
+        assert check_safety(Trajectory.from_records(rows), PARAMS) == [
+            "t=0.200: margin 7.500000 > 3.510000 between 1 and 2"]
 
 
 class TestFormations:

@@ -224,8 +224,9 @@ class TestRunCommand:
         rc = main(["run", "--config", str(config_file), "--out", str(out)])
         assert rc == 2
         assert f"error: cannot write {bad}: " in capsys.readouterr().err
-        # The directory is made before the simulation starts.
-        assert len(runs) == (case == "artifact_is_a_directory")
+        # The directory is made, and earlier artifacts removed, before
+        # the simulation starts.
+        assert runs == []
         assert a_file.read_text() == "not a directory\n"
 
     def test_seed_override_lands_in_the_echo(self, config_file, tmp_path):
@@ -317,7 +318,20 @@ class TestEngineFailure:
         assert rc == 1
         assert captured.out == ""
         assert re.fullmatch(r"error: t=\S+: vehicle \d+ at p=\S+ reached "
-                            r"vehicle \d+ at p=\S+\n", captured.err)
+                            r"vehicle \d+ at p=\S+; no artifacts written "
+                            r"to \S+\n", captured.err)
+
+    def test_a_stopped_run_leaves_no_earlier_runs_artifacts(
+            self, coarse_config, tmp_path, capsys):
+        short = tmp_path / "short.yaml"
+        short.write_text(yaml.safe_dump({"run": {"duration": 10}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(short), "--out", str(out),
+                     "--plot", "0:10"]) == 0
+        assert len(list(out.iterdir())) == 5
+        assert main(["run", "--config", str(coarse_config),
+                     "--out", str(out)]) == 1
+        assert list(out.iterdir()) == []
 
     def test_verify_reports_all_ten_checks_and_exits_1(self, coarse_config,
                                                        capsys):

@@ -7,12 +7,11 @@ from platoonflow import (
     FeasibilityVerdict,
     FeasibleInterval,
     SimParams,
-    critical_relative_speed,
     deadline_margin,
-    envelope_cap,
     safe_accel_interval,
     stopping_margin,
 )
+from platoonflow import _kernels_py as kernels
 from platoonflow.constraints import SPEED_EDGE_TOL
 
 PARAMS = SimParams()
@@ -47,26 +46,6 @@ class TestStoppingMargin:
         assert wider < stopping_margin(v, p_hat, v_hat, PARAMS)
 
 
-class TestCriticalRelativeSpeed:
-    def test_reference_values(self):
-        assert critical_relative_speed(30.0, -17.5, PARAMS) == 10.0
-        assert critical_relative_speed(35.0, -30.0, PARAMS) == 10.0
-
-    @given(v=st.floats(min_value=20.5, max_value=35.0),
-           frac=st.floats(min_value=0.01, max_value=0.99))
-    def test_is_a_root_of_the_margin(self, v, frac):
-        # place the gap inside the band where a real root exists
-        s = v - PARAMS.v_min
-        p_hat = -PARAMS.delta - frac * s * s / (2.0 * -PARAMS.a_min)
-        v_hat = critical_relative_speed(v, p_hat, PARAMS)
-        assert 0.0 < v_hat < s
-        assert abs(stopping_margin(v, p_hat, v_hat, PARAMS)) <= 1e-9
-
-    def test_rejects_gap_too_wide_to_ever_reach_the_envelope(self):
-        with pytest.raises(ValueError):
-            critical_relative_speed(21.0, -20.0, PARAMS)
-
-
 class TestDeadlineMargin:
     def test_relaxed_deadline_is_negative(self):
         assert deadline_margin(0.0, 35.0, 0.0, 1400.0, 50.0) == -350.0
@@ -84,22 +63,27 @@ class TestDeadlineMargin:
         assert late > early
 
 
+def envelope_cap(v, v_hat, g, pred_accel):
+    return kernels.envelope_cap(v, v_hat, g, pred_accel, PARAMS.v_min,
+                                PARAMS.a_min, PARAMS.gamma)
+
+
 class TestEnvelopeCap:
     def test_worst_case_pred_at_boundary_allows_full_brake_only(self):
-        assert envelope_cap(30.0, 5.0, 0.0, -4.0, PARAMS) == -4.0
+        assert envelope_cap(30.0, 5.0, 0.0, -4.0) == -4.0
 
     def test_cruising_pred_at_boundary(self):
-        assert envelope_cap(30.0, 5.0, 0.0, 0.0, PARAMS) == -2.0
+        assert envelope_cap(30.0, 5.0, 0.0, 0.0) == -2.0
 
     def test_cap_clips_at_brake_limit(self):
-        assert envelope_cap(22.0, 2.0, 0.0, 0.0, PARAMS) == -4.0
+        assert envelope_cap(22.0, 2.0, 0.0, 0.0) == -4.0
 
     def test_accelerating_pred_can_lift_cap_to_zero(self):
-        assert envelope_cap(30.0, 2.0, 0.0, 1.0, PARAMS) == -0.0
+        assert envelope_cap(30.0, 2.0, 0.0, 1.0) == -0.0
 
     def test_negative_margin_relaxes_the_cap(self):
-        tight = envelope_cap(30.0, 5.0, 0.0, 0.0, PARAMS)
-        loose = envelope_cap(30.0, 5.0, -10.0, 0.0, PARAMS)
+        tight = envelope_cap(30.0, 5.0, 0.0, 0.0)
+        loose = envelope_cap(30.0, 5.0, -10.0, 0.0)
         assert loose > tight
 
 
@@ -143,7 +127,9 @@ class TestSafeAccelInterval:
         assert interval.hi == 0.0
 
     def test_closing_near_boundary_forces_braking(self):
-        v_hat = critical_relative_speed(30.0, -17.5, PARAMS)
+        # The closing speed at which this state meets the envelope (see
+        # TestStoppingMargin.test_zero_at_the_critical_state).
+        v_hat = 10.0
         interval = safe_accel_interval(30.0, -17.5, v_hat, -4.0, True, PARAMS)
         assert interval.hi == -4.0
         assert not interval.empty

@@ -9,12 +9,12 @@ from platoonflow import (
     SimParams,
     VehicleMode,
     VehicleState,
-    classify_feasibility,
     leader_control,
     solve_follower_control,
     next_mode,
     stopping_margin,
 )
+from platoonflow import _kernels_py as kernels
 from platoonflow.constraints import SPEED_EDGE_TOL
 from platoonflow.controller import KEEPS_MODE
 from platoonflow.trajectory import MODES
@@ -249,8 +249,8 @@ class TestHeadsUseTheWorldsDragLaw:
         assert bound == law.descent_bound(v, p_hat, v_hat, True)
         assert g == stopping_margin(v, p_hat, v_hat, PARAMS)
         safety = g >= -PARAMS.eps_g or d.interval.hi < 0.0
-        assert d.verdict is classify_feasibility(
-            v, p_hat, v_hat, bound, deadline, safety, PARAMS)
+        assert d.verdict is FeasibilityVerdict(kernels.classify(
+            v, v_hat, bound, deadline, safety, PARAMS.v_min, PARAMS.a_min))
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)

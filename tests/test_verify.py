@@ -2,12 +2,14 @@
 
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 import platoonflow.sim as sim
 import platoonflow.verify as verify
-from platoonflow import DragCoefficients, RoadNetwork, SimParams, run
+from platoonflow import (DragCoefficients, RoadNetwork, SimParams, Trajectory,
+                         TrajectoryRecord, run)
 from platoonflow.core import SafetyAuditError, VehicleMode
 from platoonflow.verify import (RunCorpus, check_braking_only,
                                 check_determinism, check_drag_descent,
@@ -163,6 +165,56 @@ def test_stepping_checks_fail_with_the_audits_message(monkeypatch):
         ("determinism_bytes", False,
          "engine audit tripped, seed 0: t=0.100: gap breach"),
     ]
+
+
+# (time, vehicle id, p, mode) of every row of a short road: vehicle 1
+# leaves after 0.2 s, so vehicle 2 then follows vehicle 0, and vehicle 3
+# joins at 0.2 s and relaxes its deadline at 0.4 s.  Only four rows are
+# follower rows behind the same vehicle as one step before: vehicles 1
+# and 2 at 0.2 s, 3 at 0.3 s and 2 at 0.4 s.  The rises of every other
+# row are far past the allowance.
+DESCENT_ROWS = [
+    (0.1, 0, 300.0, "leader"), (0.1, 1, 290.0, "follower"),
+    (0.1, 2, 280.0, "follower"),
+    (0.2, 0, 302.0, "leader"), (0.2, 1, 292.0, "follower"),
+    (0.2, 2, 282.0, "follower"), (0.2, 3, 270.0, "follower"),
+    (0.3, 0, 304.0, "leader"), (0.3, 2, 284.0, "follower"),
+    (0.3, 3, 272.0, "follower"),
+    (0.4, 0, 306.0, "leader"), (0.4, 2, 286.0, "follower"),
+    (0.4, 3, 274.0, "follower_relaxed"),
+]
+# The drag of each row of DESCENT_ROWS, with small rises on the four
+# pairs, and the same with two rises past the allowance planted: on
+# vehicle 3 at 0.3 s, the first in row order, and on vehicle 2 at 0.4 s.
+DESCENT_DRAG = [0.3, 0.2, 0.2, 0.6, 0.2005, 0.201, 0.2, 0.9, 0.9, 0.2003,
+                1.2, 0.9001, 1.5]
+PLANTED_DRAG = [0.3, 0.2, 0.2, 0.6, 0.2005, 0.201, 0.2, 0.9, 0.9, 0.21,
+                1.2, 0.91, 1.5]
+
+
+def descent_trajectory(drag: list[float]) -> Trajectory:
+    return Trajectory.from_records(
+        TrajectoryRecord(time, vid, 0, p, 25.0, 0.0, 0.0, d, 0.0, 0.0, mode)
+        for (time, vid, p, mode), d in zip(DESCENT_ROWS, drag))
+
+
+@pytest.mark.parametrize("drag,expected", [
+    (DESCENT_DRAG,
+     (True, "8 follower step pairs over 2 deadline-free runs, worst F^2 "
+            "rise 4.010e-04 of 1.646e-03 allowed")),
+    (PLANTED_DRAG,
+     (False, "seed 7001: F^2 rose 4.100e-03 in one step for vehicle 3 at "
+             "t=0.3 (allowed 1.646e-03)")),
+], ids=["small_rises", "two_planted_rises"])
+def test_drag_descent_pairs_each_follower_with_its_previous_step(
+        monkeypatch, drag, expected):
+    runs = {7000: descent_trajectory(DESCENT_DRAG),
+            7001: descent_trajectory(drag)}
+    monkeypatch.setattr(verify, "N_DESCENT_SEEDS", 2)
+    monkeypatch.setattr(verify, "run", lambda params: SimpleNamespace(
+        trajectory=runs[params.seed]))
+    result = check_drag_descent(SimParams())
+    assert (result.passed, result.detail) == expected
 
 
 def test_the_pursuit_check_does_not_depend_on_the_road_length():
