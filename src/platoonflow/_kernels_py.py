@@ -89,16 +89,13 @@ def envelope_cap(v: float, v_hat: float, g: float, pred_accel: float,
 
     Solves d(g)/dt <= -gamma * g for the ego acceleration, given the
     predecessor's commanded acceleration.  Only meaningful for a closing
-    pair (v_hat > 0); the caller guards that.
+    pair (v_hat > 0) whose ego is above the speed floor; the caller
+    guards that.
 
     The raw bound is floored at a_min: a discrete overshoot past the
     envelope can push it lower, but full braking is the strongest
     recovery physically available and never grows the margin.
     """
-    if v <= v_min + SPEED_EDGE_TOL:
-        # A closing vehicle at the floor would need a predecessor below
-        # v_min, which the projection step rules out.
-        raise ValueError("closing pair with ego speed at the floor")
     k = (v_min - v) / a_min
     r = v_hat - pred_accel * (v_min - v + v_hat) / a_min
     cap = (-gamma * g - r) / k
@@ -118,21 +115,27 @@ def safe_interval(v: float, p_hat: float, v_hat: float,
 
     ``g`` is nan without a predecessor.  ``cap`` is inf where the
     envelope does not bind: without a predecessor, for a pair that is
-    not closing, and with ``gamma == 0`` outside the ``eps_g`` band.
-    With ``gamma > 0`` it binds every closing pair, engaging smoothly
-    ahead of the boundary.  The interval is never empty for states
-    reachable by the engine.
+    not closing, for an ego at the speed floor, and with ``gamma == 0``
+    outside the ``eps_g`` band.  With ``gamma > 0`` it binds every other
+    closing pair, engaging smoothly ahead of the boundary.  The interval
+    is never empty for states reachable by the engine.
+
+    An ego at the floor may still close on a predecessor parked at the
+    floor a little below it, by less than ``SPEED_EDGE_TOL``.  It cannot
+    brake any further, and the cap, which divides by the ego's headroom
+    above the floor, is undefined there.
     """
     lo = a_min
     hi = a_max
-    if v <= v_min + SPEED_EDGE_TOL:
+    at_floor = v <= v_min + SPEED_EDGE_TOL
+    if at_floor:
         lo = 0.0
     if v >= v_max - SPEED_EDGE_TOL:
         hi = 0.0
     if not has_pred:
         return lo, hi, NAN, INF
     g = stopping_margin(v, p_hat, v_hat, v_min, a_min, delta)
-    if v_hat > 0.0 and (g >= -eps_g or gamma > 0.0):
+    if v_hat > 0.0 and not at_floor and (g >= -eps_g or gamma > 0.0):
         cap = envelope_cap(v, v_hat, g, pred_accel, v_min, a_min, gamma)
         if cap < hi:
             hi = cap

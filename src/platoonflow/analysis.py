@@ -20,7 +20,7 @@ import numpy as np
 
 from ._kernels_py import SPEED_EDGE_TOL
 from .constraints import FeasibilityVerdict, gap_allowance, stopping_margin
-from .core import DragCoefficients, SimParams
+from .core import SimParams
 from .sim import SimResult
 from .trajectory import (Trajectory, TrajectoryRecord, _stopping_margins,
                          pair_rows)
@@ -152,34 +152,33 @@ class OracleDecision:
 def brute_force_follower(v: float, p_hat: float, v_hat: float,
                          pred_accel: float, deadline_active: bool,
                          params: SimParams,
-                         law: DragCoefficients | None = None,
                          n: int = 10001) -> OracleDecision:
     """Reference follower decision by dense grid search.
 
     Every candidate acceleration is tested against the raw constraint
     inequalities (no interval algebra): hold the speed box when pinned
     to an edge, keep the stopping margin decaying at rate ``gamma``
-    whenever closing (full braking is always admissible there, since
-    the envelope is defined by the full-brake stopping distance), keep
-    drag non-increasing, and hold speed when a deadline binds.  The
+    whenever closing above the floor (full braking is always admissible
+    there, since the envelope is defined by the full-brake stopping
+    distance), keep drag non-increasing, and hold speed when a deadline
+    binds.  The
     candidate set is the dense grid plus zero plus each inequality's
     own boundary point, so feasible slivers narrower than the grid
     spacing are still found.  The verdict is re-derived from the grid
     masks in the same precedence the controller documents.
     """
-    law = law or params.drag
     g = stopping_margin(v, p_hat, v_hat, params)
-    f_v, f_p = law.partials(v, p_hat, True)
+    f_v, f_p = params.drag.partials(v, p_hat, True)
     pred = params.a_min if params.worst_case_pred_accel else pred_accel
     at_floor = v <= params.v_min + SPEED_EDGE_TOL
     at_ceiling = v >= params.v_max - SPEED_EDGE_TOL
-    decays = v_hat > 0.0 and (params.gamma > 0.0 or g >= -params.eps_g)
+    decays = (v_hat > 0.0 and not at_floor
+              and (params.gamma > 0.0 or g >= -params.eps_g))
 
     cand = [np.linspace(params.a_min, params.a_max, n), [0.0]]
     if f_v > 0.0:
         cand.append([-f_p * v_hat / f_v])
-    k = r = 0.0
-    if decays and not at_floor:
+    if decays:
         k = (params.v_min - v) / params.a_min
         r = v_hat - pred * (params.v_min - v + v_hat) / params.a_min
         cand.append([(-params.gamma * g - r) / k])

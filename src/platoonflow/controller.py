@@ -7,12 +7,14 @@ magnitude.  Platoon heads instead brake to the speed floor and cruise,
 or accelerate to recover a relaxed deadline.
 
 The kernels in ``_kernels_py`` state that solve; this module binds
-their arguments.  ``bind`` resolves the drag coefficients, the
-worst-case substitution and the parameter constants once per step; the
+their arguments.  ``bind`` resolves the drag coefficients of
+``params.drag``, the worst-case substitution and the parameter
+constants once per world, when ``WorldState.initial`` builds it; the
 engine then calls the kernels directly per vehicle.  For one solve,
-``solve_follower_control`` and ``leader_control`` go through the same
-binding and return a ``ControlDecision``; ``next_mode`` advances the
-mode state machine on its verdict.
+``solve_follower_control`` and ``leader_control`` bind their ``params``
+the same way and return a ``ControlDecision``; ``next_mode`` advances
+the mode state machine on its verdict.  To solve under another drag
+law, pass ``replace(params, drag=law)``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, NamedTuple
 
 from . import _kernels_py as kernels
 from .constraints import SPLIT_CODES, FeasibilityVerdict, FeasibleInterval
-from .core import DragCoefficients, SimParams, VehicleMode, VehicleState
+from .core import SimParams, VehicleMode, VehicleState
 from .trajectory import MODES
 
 _ACTIVE_NAMES = (
@@ -64,7 +66,7 @@ def _decision(accel: float, code: int, mask: int, lo: float, hi: float,
 
 
 class Solves(NamedTuple):
-    """What every solve of one step shares, resolved by ``bind``.
+    """What every solve under one ``params`` shares, resolved by ``bind``.
 
     ``follower`` is the follower kernel (``follower_decision``) as it
     was bound when ``bind`` ran.  ``worst_pred`` is the predecessor
@@ -72,8 +74,7 @@ class Solves(NamedTuple):
     ``worst_case_pred_accel``, else None.  The fields from ``v_min`` on
     are the kernels' trailing arguments in their order: ``s[2:]`` for
     the follower kernel, ``s[2:9]`` for the leader kernel.  ``c0, c1,
-    c2`` are the drag law's coefficients, so two bindings compare equal
-    under equal laws.
+    c2`` are the coefficients of ``params.drag``.
     """
 
     follower: Callable[..., tuple]
@@ -90,16 +91,14 @@ class Solves(NamedTuple):
     c2: float
 
 
-def bind(params: SimParams, law: DragCoefficients | None = None
-         ) -> Solves:
-    """The solves of one step under ``params`` and drag ``law``
-    (``params.drag`` when None).
+def bind(params: SimParams) -> Solves:
+    """The solves under ``params``, with its drag law.
 
-    The kernels are looked up on every call, so a kernel rebound at run
-    time (a timing wrapper, say) is the one the next step calls.
+    The follower kernel is looked up on the call, so a kernel rebound
+    before a world is made (a timing wrapper, say) is the one its steps
+    call.
     """
-    if law is None:
-        law = params.drag
+    law = params.drag
     return Solves(
         kernels.follower_decision,
         params.a_min if params.worst_case_pred_accel else None,
@@ -109,15 +108,13 @@ def bind(params: SimParams, law: DragCoefficients | None = None
 
 def solve_follower_control(state: VehicleState, p_hat: float, v_hat: float,
                            pred_accel: float, deadline_active: bool,
-                           params: SimParams,
-                           law: DragCoefficients | None = None
-                           ) -> ControlDecision:
+                           params: SimParams) -> ControlDecision:
     """Minimum-magnitude feasible acceleration for a follower.
 
     ``pred_accel`` is the predecessor's previous commanded acceleration
     (replaced by full braking under ``params.worst_case_pred_accel``).
     """
-    s = bind(params, law)
+    s = bind(params)
     if s.worst_pred is not None:
         pred_accel = s.worst_pred
     return _decision(*s.follower(state.v, p_hat, v_hat, pred_accel,
@@ -140,9 +137,7 @@ def merge_verdict(v: float, p_hat: float, v_hat: float, g: float, hi: float,
 
 def leader_control(state: VehicleState, p_hat: float, v_hat: float,
                    pred_accel: float | None, deadline_active: bool,
-                   params: SimParams,
-                   law: DragCoefficients | None = None
-                   ) -> ControlDecision:
+                   params: SimParams) -> ControlDecision:
     """Platoon-head policy plus the merge-eligibility verdict.
 
     A LEADER brakes at the limit until the speed floor lifts the
@@ -155,7 +150,7 @@ def leader_control(state: VehicleState, p_hat: float, v_hat: float,
     predecessor (see ``merge_verdict``); resequencing merges platoons
     whose head comes back FEASIBLE.
     """
-    s = bind(params, law)
+    s = bind(params)
     v = state.v
     has_pred = pred_accel is not None
     accel, lo, hi, g = kernels.leader_decision(

@@ -60,8 +60,8 @@ class DragCoefficients:
     predecessor sees ``c0 * v**2 * (1 - c1 * exp(c2 * p_hat))``: the wake
     discount decays exponentially as the gap opens.  The controller needs
     no more than the force, its two partials and the descent bound they
-    give, all computed by the kernels from these coefficients.  A world
-    may swap its law mid-run; laws compare by their coefficients.
+    give, all computed by the kernels from these coefficients.  A run's
+    law is its ``SimParams.drag``, fixed with the rest of its params.
     """
 
     c0: float = 4.0e-4
@@ -154,9 +154,9 @@ class VehicleState:
     the vehicle intends to leave the road and is the distance target of
     its deadline.
 
-    ``last_solve`` is the engine's own: the binding, the kernel inputs
-    and the ``(accel, verdict)`` of this vehicle's latest follower
-    solve, which the engine reuses while all of them stand still (see
+    ``last_solve`` is the engine's own: the kernel inputs and the
+    ``(accel, verdict)`` of this vehicle's latest follower solve, which
+    the engine reuses while the inputs stand still (see
     ``sim._decide``).  It takes no part in comparison or ``repr``;
     ``None`` means there is nothing to reuse.
     """

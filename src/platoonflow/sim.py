@@ -1,14 +1,18 @@
 """Open-system highway engine: spawning, stepping, resequencing, exits.
 
+A world's ``params``, and with them its drag law ``params.drag``, are
+fixed when ``WorldState.initial`` builds it: the controller binding
+(``world.solves``) and the trajectory's derive are made from them there,
+once, and every phase of ``step(world)`` reads them from the world.
+
 One step covers the interval [t, t + dt):
 
 1. control decisions for every vehicle, all read from the frozen
    pre-step state (predecessor accelerations are the previous commands).
-   A follower whose kernel inputs and binding are those of its own
-   previous follower solve reuses that solve's command and verdict
-   instead of calling the kernel again: the kernel is a pure function of
-   them, so the reuse is exact (platoons at equilibrium repeat their
-   inputs step after step);
+   A follower whose kernel inputs are those of its own previous follower
+   solve reuses that solve's command and verdict instead of calling the
+   kernel again: the kernel is a pure function of them, so the reuse is
+   exact (platoons at equilibrium repeat their inputs step after step);
 2. explicit Euler integration with speed projection onto the box;
 3. exit removal (a vehicle leaves at its drawn exit position);
 4. ordering and bumper-gap audits (failures are engine bugs, not model
@@ -44,7 +48,6 @@ from .constraints import (SPLIT_CODES, deadline_margin, gap_allowance,
                           stopping_margin)
 from .controller import KEEPS_MODE, Solves, bind, merge_verdict, next_mode
 from .core import (
-    DragCoefficients,
     OrderingError,
     SafetyAuditError,
     SimParams,
@@ -76,13 +79,14 @@ class Event:
 class WorldState:
     """Complete mutable engine state.
 
+    ``params`` holds every constant of the run, its drag law included.
     ``vehicles`` is ordered front to back: positions strictly decrease
     with list index, and platoons are contiguous runs of ``platoon_id``.
     ``next_spawn`` is the due time of the single arrival process.
-    ``trajectory`` knows the exit and deadline of every vehicle placed
-    by ``insert_vehicle`` or the spawn path.  ``solves`` is the binding
-    the last step decided under (see ``_decide``); None before the
-    first step.
+    ``trajectory`` derives its physics under ``params`` and knows the
+    exit and deadline of every vehicle placed by ``insert_vehicle`` or
+    the spawn path.  ``solves`` is ``controller.bind(params)``, which
+    every step decides under (see ``_decide``).
     """
 
     params: SimParams
@@ -93,15 +97,13 @@ class WorldState:
     next_vehicle_id: int
     next_platoon_id: int
     spawning: bool
-    drag_law: DragCoefficients
+    trajectory: Trajectory
+    solves: Solves = field(repr=False)
     events: list[Event] = field(default_factory=list)
-    trajectory: Trajectory = field(default_factory=Trajectory)
     counters: dict[str, int] = field(default_factory=dict)
-    solves: Solves | None = field(default=None, repr=False)
 
     @classmethod
-    def initial(cls, params: SimParams, *, spawning: bool = True,
-                drag_law: DragCoefficients | None = None
+    def initial(cls, params: SimParams, *, spawning: bool = True
                 ) -> "WorldState":
         return cls(
             params=params,
@@ -112,7 +114,8 @@ class WorldState:
             next_vehicle_id=0,
             next_platoon_id=0,
             spawning=spawning,
-            drag_law=drag_law or params.drag,
+            trajectory=Trajectory(params),
+            solves=bind(params),
             counters={
                 "spawned": 0,
                 "discarded": 0,
@@ -198,23 +201,19 @@ def draw_deadline(rng: np.random.Generator, p0: float, v0: float,
 Decision = tuple[float, int, int, bool]
 
 
-def _decide(world: WorldState, params: SimParams) -> list[Decision]:
+def _decide(world: WorldState) -> list[Decision]:
     """Control decisions for all vehicles from the frozen pre-step state.
 
     Followers run the follower kernel; heads run the leader kernel and
     classify themselves against their physical predecessor, which
-    decides merges.  ``controller.bind`` resolves the drag law and the
-    constants once for the step.
+    decides merges.  All of them solve under ``world.solves``.
 
     A follower's kernel result is a pure function of its inputs ``(v,
-    p_hat, v_hat, pred_accel, deadline_active)`` and the binding, so a
-    follower whose inputs compare equal to those of its stored
-    ``last_solve`` (the deadline flag, a bool, by identity), under the
-    very same binding object, takes that solve's ``(accel, verdict)``
-    without calling the kernel.  The binding is carried over from the
-    last step while it compares equal (``world.solves``), so a swapped
-    drag law, other ``params`` or a kernel rebound at run time all
-    start afresh.  Float ``==`` is exact here, not just close:
+    p_hat, v_hat, pred_accel, deadline_active)`` under the world's fixed
+    binding, so a follower whose inputs compare equal to those of its
+    stored ``last_solve`` (the deadline flag, a bool, by identity) takes
+    that solve's ``(accel, verdict)`` without calling the kernel.  Float
+    ``==`` is exact here, not just close:
 
     - ``v >= v_min > 0``, and ``p_hat < 0`` strictly once the ordering
       audit has run, so neither is a signed zero;
@@ -229,12 +228,10 @@ def _decide(world: WorldState, params: SimParams) -> list[Decision]:
 
     Heads are always solved: their inputs seldom repeat.
     """
+    params = world.params
     t = world.t
     neg_eps_d = -params.eps_d
     enforce = params.enforce_deadlines
-    solves = bind(params, world.drag_law)
-    if solves != world.solves:
-        world.solves = solves
     solves = world.solves
     (follower, worst_pred, v_min, v_max, a_min, a_max, delta, eps_g, gamma,
      c0, c1, c2) = solves
@@ -271,25 +268,24 @@ def _decide(world: WorldState, params: SimParams) -> list[Decision]:
                                  solves)[0]
         else:
             last = veh.last_solve
-            if (last is not None and last[0] is solves and last[1] == v
-                    and last[2] == p_hat and last[3] == v_hat
-                    and last[4] == pred_accel
-                    and last[5] is deadline_active):
-                accel = last[6]
-                code = last[7]
+            if (last is not None and last[0] == v and last[1] == p_hat
+                    and last[2] == v_hat and last[3] == pred_accel
+                    and last[4] is deadline_active):
+                accel = last[5]
+                code = last[6]
             else:
                 accel, code, _, _, _, _, _ = follower(
                     v, p_hat, v_hat, pred_accel, deadline_active, v_min,
                     v_max, a_min, a_max, delta, eps_g, gamma, c0, c1, c2)
-                veh.last_solve = (solves, v, p_hat, v_hat, pred_accel,
+                veh.last_solve = (v, p_hat, v_hat, pred_accel,
                                   deadline_active, accel, code)
         append((accel, code, mcode, pred.platoon_id != veh.platoon_id))
         pred = veh
     return decisions
 
 
-def _integrate(world: WorldState, params: SimParams,
-               decisions: list[Decision]) -> None:
+def _integrate(world: WorldState, decisions: list[Decision]) -> None:
+    params = world.params
     dt = params.dt
     v_min, v_max = params.v_min, params.v_max
     for veh, dec in zip(world.vehicles, decisions):
@@ -319,7 +315,8 @@ def _process_exits(world: WorldState, stamp: float,
         del decisions[i]
 
 
-def _audit(world: WorldState, params: SimParams, stamp: float) -> None:
+def _audit(world: WorldState, stamp: float) -> None:
+    params = world.params
     # One step of drift at top speed is legitimate discretisation slack
     # (the final closing step shrinks the gap with the pre-step relative
     # speed); anything past it is an engine bug.
@@ -341,8 +338,19 @@ def _audit(world: WorldState, params: SimParams, stamp: float) -> None:
             )
 
 
-def resequence(world: WorldState, params: SimParams,
-               decisions: list[Decision], stamp: float) -> None:
+def _relabel(vehicles: list[VehicleState], i: int, new: int) -> int:
+    """Move the run of vehicles that share ``vehicles[i]``'s platoon id,
+    from index ``i`` back, to platoon ``new``; return the old id."""
+    old = vehicles[i].platoon_id
+    j = i
+    while j < len(vehicles) and vehicles[j].platoon_id == old:
+        vehicles[j].platoon_id = new
+        j += 1
+    return old
+
+
+def resequence(world: WorldState, decisions: list[Decision],
+               stamp: float) -> None:
     """Apply splits, mode transitions and merges for this step.
 
     ``decisions`` line up with ``world.vehicles``.  Splits act on this
@@ -355,19 +363,14 @@ def resequence(world: WorldState, params: SimParams,
 
     for i, dec in enumerate(decisions):
         if not dec[3] and dec[1] in SPLIT_CODES:
-            veh = vehicles[i]
-            old = veh.platoon_id
             new = world.next_platoon_id
             world.next_platoon_id += 1
-            j = i
-            while j < len(vehicles) and vehicles[j].platoon_id == old:
-                vehicles[j].platoon_id = new
-                j += 1
+            old = _relabel(vehicles, i, new)
             world.counters["splits"] += 1
-            world.events.append(Event(stamp, EVENT_SPLIT, veh.vid,
+            world.events.append(Event(stamp, EVENT_SPLIT, vehicles[i].vid,
                                       f"platoon {old} -> {new}"))
 
-    eps_d = params.eps_d
+    eps_d = world.params.eps_d
     keeps = KEEPS_MODE
     ahead_pid = None
     for veh, dec in zip(vehicles, decisions):
@@ -404,12 +407,8 @@ def resequence(world: WorldState, params: SimParams,
         _, code, _, was_head = decisions[i]
         if not was_head or code != feasible:
             continue
-        old = veh.platoon_id
         target = vehicles[i - 1].platoon_id
-        j = i
-        while j < len(vehicles) and vehicles[j].platoon_id == old:
-            vehicles[j].platoon_id = target
-            j += 1
+        old = _relabel(vehicles, i, target)
         # Merging re-arms the deadline even for a recovering head: if it
         # still cannot be met the next solve routes through a fresh
         # conflict instead of resuming the recovery burst, which is what
@@ -421,13 +420,14 @@ def resequence(world: WorldState, params: SimParams,
                                   f"platoon {old} -> {target}"))
 
 
-def try_spawn(world: WorldState, params: SimParams, stamp: float) -> None:
+def try_spawn(world: WorldState, stamp: float) -> None:
     """Process every due arrival of the single spawn process.
 
     A candidate is discarded when inserting it would violate the
     stopping envelope for itself or for the vehicle it would cut off;
     discarded arrivals consume no vehicle id and no deadline draw.
     """
+    params = world.params
     road = params.road
     entries = road.entry_points()
     while world.spawning and world.next_spawn <= world.t + 1e-9:
@@ -471,15 +471,13 @@ def try_spawn(world: WorldState, params: SimParams, stamp: float) -> None:
         ))
 
 
-def _record(world: WorldState, params: SimParams, stamp: float,
+def _record(world: WorldState, stamp: float,
             decisions: list[Decision]) -> None:
     """Append the post-step state to the trajectory columns.
 
     ``decisions`` line up with the vehicles that were on the road at
     control time.  Vehicles spawned this step hold the newest ids, have
-    no decision, and are recorded in their own mode.  The step's
-    ``params`` and the world's drag law are what the trajectory derives
-    this step's physics with.
+    no decision, and are recorded in their own mode.
     """
     vehicles = world.vehicles
     if not vehicles:
@@ -488,9 +486,7 @@ def _record(world: WorldState, params: SimParams, stamp: float,
     at_control = iter(decisions)
     modes = [next(at_control)[2] if veh.vid < first_new
              else MODE_CODES[veh.mode] for veh in vehicles]
-    trajectory = world.trajectory
-    trajectory.bind(params, world.drag_law)
-    trajectory.append_step(
+    world.trajectory.append_step(
         stamp,
         [veh.vid for veh in vehicles],
         [veh.platoon_id for veh in vehicles],
@@ -501,16 +497,16 @@ def _record(world: WorldState, params: SimParams, stamp: float,
     )
 
 
-def step(world: WorldState, params: SimParams) -> None:
+def step(world: WorldState) -> None:
     """Advance the world by one control period."""
-    stamp = world.t + params.dt
-    decisions = _decide(world, params)
-    _integrate(world, params, decisions)
+    stamp = world.t + world.params.dt
+    decisions = _decide(world)
+    _integrate(world, decisions)
     _process_exits(world, stamp, decisions)
-    _audit(world, params, stamp)
-    resequence(world, params, decisions, stamp)
-    try_spawn(world, params, stamp)
-    _record(world, params, stamp, decisions)
+    _audit(world, stamp)
+    resequence(world, decisions, stamp)
+    try_spawn(world, stamp)
+    _record(world, stamp, decisions)
     if len(world.vehicles) > world.counters["peak_vehicles"]:
         world.counters["peak_vehicles"] = len(world.vehicles)
     world.t = stamp
@@ -520,13 +516,15 @@ def run(params: SimParams, *, world: WorldState | None = None) -> SimResult:
     """Run a full simulation and return trajectory, events and counters.
 
     A pre-built world (e.g. with seeded vehicles or spawning disabled)
-    may be passed in; otherwise an empty world is created from the
-    parameters.
+    may be passed in, built from these very ``params`` (``ValueError``
+    otherwise); without one an empty world is created from them.
     """
     if world is None:
         world = WorldState.initial(params)
+    elif world.params != params:
+        raise ValueError("world was built from other params than the run's")
     n_steps = round(params.duration / params.dt)
     for _ in range(n_steps):
-        step(world, params)
+        step(world)
     return SimResult(trajectory=world.trajectory, events=world.events,
                      metrics=dict(world.counters))

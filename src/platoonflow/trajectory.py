@@ -10,14 +10,14 @@ on demand.
 
 The engine stores only state: ids, position, speed, command and mode.
 The four physics columns (``u``, ``drag``, ``gs_margin`` and
-``deadline_margin``) are derived from that state, the drag law and
-parameters the engine binds, and the exit and deadline it registers per
-vehicle.  The first read of any of them derives every row appended
-since the last read, and the rows stay derived after that, so a run
-that nobody reads them from never pays for them.  The fill works on
-whole columns, a bounded block of rows at a time, so its temporaries do
-not grow with the trajectory.  ``from_records`` stores the values it is
-given instead.
+``deadline_margin``) are derived from that state, the ``params`` the
+trajectory is built with (its envelope constants and ``params.drag``),
+and the exit and deadline the engine registers per vehicle.  The first
+read of any of them derives every row appended since the last read, and
+the rows stay derived after that, so a run that nobody reads them from
+never pays for them.  The fill works on whole columns, a bounded block
+of rows at a time, so its temporaries do not grow with the trajectory.
+``from_records`` stores the values it is given instead.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .constraints import deadline_margin
-from .core import DragCoefficients, SimParams, VehicleMode
+from .core import SimParams, VehicleMode
 
 # Codes of the ``mode`` column: bit 0 marks a platoon head, bit 1 a
 # relaxed deadline.
@@ -121,20 +121,21 @@ class Trajectory:
     ``offsets[k]:offsets[k + 1]``; steps with no vehicle on the road are
     not stored.  ``mode`` holds codes into ``MODES``.  The columns in
     ``DERIVED_COLUMNS`` are filled up to the last stored step when one
-    of them is read (see the module docstring).
+    of them is read (see the module docstring), under ``params``; a
+    trajectory built without it cannot derive them.
     """
 
     __slots__ = (("times", "offsets") + STORED_COLUMNS
                  + tuple("_" + name for name in DERIVED_COLUMNS)
-                 + ("_derived_steps", "_params", "_law", "_exit_pos",
-                    "_deadline", "_registered"))
+                 + ("_derived_steps", "_params", "_exit_pos", "_deadline",
+                    "_registered"))
 
     u = _derived("u")
     drag = _derived("drag")
     gs_margin = _derived("gs_margin")
     deadline_margin = _derived("deadline_margin")
 
-    def __init__(self) -> None:
+    def __init__(self, params: SimParams | None = None) -> None:
         self.times = array("d")
         self.offsets = array("q", [0])
         for name in INT_COLUMNS:
@@ -144,28 +145,12 @@ class Trajectory:
                     array("d"))
         self.mode = array("b")
         self._derived_steps = 0
-        self._params: SimParams | None = None
-        self._law: DragCoefficients | None = None
+        self._params = params
         # Exit position and deadline by vehicle id, and whether the id
         # was registered at all: engine ids are dense from 0.
         self._exit_pos = array("d")
         self._deadline = array("d")
         self._registered = array("b")
-
-    def bind(self, params: SimParams, law: DragCoefficients) -> None:
-        """Derive the physics of steps appended from now on with drag
-        ``law`` and the envelope constants of ``params``.
-
-        The engine binds before every step it appends; on a change of
-        binding the steps appended so far are derived first, under the
-        binding they were appended with.
-        """
-        if params is self._params and law is self._law:
-            return
-        if self._law is not None:
-            self._derive()
-        self._params = params
-        self._law = law
 
     def register(self, vehicle_id: int, exit_pos: float,
                  deadline: float) -> None:
@@ -206,9 +191,9 @@ class Trajectory:
     def _derive(self) -> None:
         """Fill the derived columns for every step appended since the
         last fill, block by block of whole steps."""
-        if self._law is None:
-            raise ValueError("trajectory has rows to derive but no drag law "
-                             "bound; see Trajectory.bind")
+        if self._params is None:
+            raise ValueError("trajectory has rows to derive but no drag law: "
+                             "build it as Trajectory(params)")
         offsets, n_steps = self.offsets, len(self.times)
         k = self._derived_steps
         while k < n_steps:
@@ -243,7 +228,7 @@ class Trajectory:
         # by row, is their reference.  The wake takes libm's exp, not
         # np.exp, which differs from it in the last bit on some
         # wake-range inputs.
-        law = self._law
+        law = self._params.drag
         w = np.fromiter(map(math.exp, (law.c2 * p_hat).tolist()), np.float64,
                         len(p_hat))
         drag = law.c0 * v * v

@@ -263,7 +263,7 @@ def check_pursuit_convergence(params: SimParams) -> CheckResult:
         formed_at = None
         for _ in range(n_steps):
             try:
-                step(world, p5)
+                step(world)
             except SimulationError as exc:
                 return CheckResult(name, False, (
                     f"engine audit tripped, scenario {scenario}: {exc}"))

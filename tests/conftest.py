@@ -32,7 +32,7 @@ def derived_bytes(tr):
     return {name: getattr(tr, name).tobytes() for name in DERIVED_COLUMNS}
 
 
-def step_world(world, params, n, targets, *, fresh=False):
+def step_world(world, n, targets, *, fresh=False):
     """Step ``world`` ``n`` times, noting every vehicle on the road as
     ``targets[vehicle id] = (exit_pos, deadline)``.  With ``fresh`` every
     stored follower solve is dropped before each step, so every follower
@@ -41,7 +41,7 @@ def step_world(world, params, n, targets, *, fresh=False):
         if fresh:
             for veh in world.vehicles:
                 veh.last_solve = None
-        step(world, params)
+        step(world)
         for veh in world.vehicles:
             targets[veh.vid] = (veh.exit_pos, veh.deadline)
 
@@ -55,9 +55,10 @@ def world_bytes(world):
     return columns, [repr(e) for e in world.events], dict(world.counters)
 
 
-def recompute_derived(tr, law, params, targets):
+def recompute_derived(tr, params, targets):
     """The derived columns of ``tr`` recomputed row by row from its state
-    columns, as bytes by column name."""
+    columns under ``params``, as bytes by column name."""
+    law = params.drag
     out = {name: array("d") for name in DERIVED_COLUMNS}
     p, v = tr.p, tr.v
     for time, start, stop in tr.steps():

@@ -278,6 +278,17 @@ class TestRunCommand:
         echo = yaml.safe_load((out / "config.echo").read_text())
         assert echo["run"]["seed"] == seed
 
+    def test_a_closing_pair_parked_at_the_floor_runs(self, tmp_path):
+        # In a box this narrow a head parks within the edge tolerance of
+        # v_min by t=7 s, and a vehicle spawned ahead of it runs at exactly
+        # v_min: the pair closes with its ego at the floor.
+        cfg = tmp_path / "narrow.yaml"
+        cfg.write_text("run:\n  duration: 10.0\nvehicle:\n  v_min: 20.0\n"
+                       "  v_max: 20.00000002\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "trajectory.csv").stat().st_size > 0
+
     def test_oversized_float_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "big.yaml"
         cfg.write_text(f"road:\n  length: {10 ** 400}\n")

@@ -12,7 +12,6 @@ from platoonflow import (
     stopping_margin,
 )
 from platoonflow import _kernels_py as kernels
-from platoonflow.constraints import SPEED_EDGE_TOL
 
 PARAMS = SimParams()
 
@@ -144,12 +143,6 @@ class TestSafeAccelInterval:
     @given(v=speeds, p_hat=gaps, v_hat=rel_speeds,
            pred=st.floats(min_value=-4.0, max_value=3.0))
     def test_interval_stays_inside_the_box(self, v, p_hat, v_hat, pred):
-        # a closing pair needs a predecessor above the speed floor; speeds
-        # within the edge tolerance count as parked there
-        if v - PARAMS.v_min <= SPEED_EDGE_TOL:
-            v_hat = min(v_hat, 0.0)
-        else:
-            v_hat = min(v_hat, v - PARAMS.v_min)
         interval = safe_accel_interval(v, p_hat, v_hat, pred, True, PARAMS)
         if not interval.empty:
             assert interval.lo >= PARAMS.a_min - 1e-12

@@ -1,7 +1,8 @@
 import math
+from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from platoonflow import (
     DragCoefficients,
@@ -15,7 +16,6 @@ from platoonflow import (
     stopping_margin,
 )
 from platoonflow import _kernels_py as kernels
-from platoonflow.constraints import SPEED_EDGE_TOL
 from platoonflow.controller import KEEPS_MODE
 from platoonflow.trajectory import MODES
 
@@ -102,12 +102,8 @@ class TestFollowerSolve:
     def test_command_stays_inside_the_actuator_box(self, v, p_hat,
                                                    closing_frac, pred,
                                                    deadline):
-        # predecessor speed must respect the floor, so v_hat <= v - v_min,
-        # with speeds inside the edge tolerance counting as parked there
-        headroom = v - PARAMS.v_min
-        if headroom <= SPEED_EDGE_TOL:
-            headroom = 0.0
-        v_hat = closing_frac * headroom if closing_frac > 0 \
+        # predecessor speed must respect the floor, so v_hat <= v - v_min
+        v_hat = closing_frac * (v - PARAMS.v_min) if closing_frac > 0 \
             else closing_frac * 15.0
         d = solve_follower_control(make_state(v), p_hat, v_hat, pred,
                                    deadline, PARAMS)
@@ -210,7 +206,7 @@ class TestModeMachine:
 
 class TestHeadsUseTheWorldsDragLaw:
     """A head's merge verdict comes from the drag law a follower in its
-    slot would use, not from ``params.drag``."""
+    slot would use: that of its ``params``."""
 
     LAWS = {
         "coefficients": DragCoefficients(c2=0.02),
@@ -219,17 +215,18 @@ class TestHeadsUseTheWorldsDragLaw:
     @pytest.mark.parametrize("name", LAWS)
     def test_the_head_verdict_matches_the_follower_verdict(self, name):
         law = self.LAWS[name]
+        params = replace(PARAMS, drag=law)
         v, p_hat, v_hat = 22.0, -6.0, -10.0
         bound = law.descent_bound(v, p_hat, v_hat, True)
         default = PARAMS.drag
         assert bound != default.descent_bound(v, p_hat, v_hat, True)
         follower = solve_follower_control(make_state(v), p_hat, v_hat, 0.0,
-                                          False, PARAMS, law)
+                                          False, params)
         head = leader_control(make_state(v, VehicleMode.LEADER), p_hat,
-                              v_hat, 0.0, False, PARAMS, law)
+                              v_hat, 0.0, False, params)
         assert follower.verdict is head.verdict is FeasibilityVerdict.FEASIBLE
         assert follower.flow_bound == head.flow_bound == bound
-        # params.drag alone reads this state as a brake conflict.
+        # The default law reads this state as a brake conflict.
         assert leader_control(make_state(v, VehicleMode.LEADER), p_hat,
                               v_hat, 0.0, False, PARAMS).verdict \
             is FeasibilityVerdict.BRAKE_CONFLICT
@@ -241,10 +238,8 @@ class TestHeadsUseTheWorldsDragLaw:
             self, name, v, v_pred, p_hat, deadline):
         law = self.LAWS[name]
         v_hat = v - v_pred
-        # A closing pair cannot sit at the floor (see envelope_cap).
-        assume(v_hat <= 0.0 or v > PARAMS.v_min + SPEED_EDGE_TOL)
         d = leader_control(make_state(v, VehicleMode.LEADER), p_hat, v_hat,
-                           0.0, deadline, PARAMS, law)
+                           0.0, deadline, replace(PARAMS, drag=law))
         bound, g = d.flow_bound, d.gs_margin
         assert bound == law.descent_bound(v, p_hat, v_hat, True)
         assert g == stopping_margin(v, p_hat, v_hat, PARAMS)

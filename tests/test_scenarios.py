@@ -71,13 +71,12 @@ def scenarios(draw):
 def test_valid_scenarios_run_clean_and_brake_only(params):
     assert validate_params(params) == []
     world, targets = WorldState.initial(params), {}
-    step_world(world, params, round(params.duration / params.dt), targets)
+    step_world(world, round(params.duration / params.dt), targets)
     tr = world.trajectory
     worst = max((a for a, m in zip(tr.accel, tr.mode) if m != RECOVERING),
                 default=-math.inf)
     assert worst <= 0.0
-    assert derived_bytes(tr) == recompute_derived(tr, world.drag_law, params,
-                                                  targets)
+    assert derived_bytes(tr) == recompute_derived(tr, params, targets)
 
 
 def outcome(params, fresh):
@@ -85,7 +84,7 @@ def outcome(params, fresh):
     stopped it, if one did."""
     world = WorldState.initial(params)
     try:
-        step_world(world, params, round(params.duration / params.dt), {},
+        step_world(world, round(params.duration / params.dt), {},
                    fresh=fresh)
     except SimulationError as exc:
         return world_bytes(world), repr(exc)

@@ -2,7 +2,7 @@ import collections
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from platoonflow import (
     DragCoefficients,
@@ -68,13 +68,13 @@ class TestStepDynamics:
     def test_lone_head_brakes_to_the_floor_and_parks(self, params):
         world = quiet_world(params)
         place(world, 100.0, 30.0)
-        step(world, params)
+        step(world)
         veh = world.vehicles[0]
         assert veh.accel == params.a_min
         assert veh.p == 100.0 + 30.0 * 0.1 + 0.5 * -4.0 * 0.1 * 0.1
         assert veh.v == 30.0 + -4.0 * 0.1
         for _ in range(40):
-            step(world, params)
+            step(world)
         # fp residue from 25 brake steps parks it within the edge tolerance
         assert abs(veh.v - params.v_min) <= SPEED_EDGE_TOL
         assert veh.accel == 0.0
@@ -83,7 +83,7 @@ class TestStepDynamics:
     def test_vehicle_leaves_at_its_exit(self, params):
         world = quiet_world(params)
         insert_vehicle(world, 498.0, 20.0, exit_pos=500.0, deadline=FAR)
-        step(world, params)
+        step(world)
         assert world.vehicles == []
         assert [e.kind for e in world.events] == ["exit"]
         assert world.counters["exited"] == 1
@@ -93,20 +93,20 @@ class TestStepDynamics:
         place(world, 100.0, 20.0)
         place(world, 99.5, 35.0)
         with pytest.raises(OrderingError):
-            step(world, params)
+            step(world)
 
     def test_sub_margin_gap_fails_the_audit(self, params):
         world = quiet_world(params)
         place(world, 100.0, 20.0)
         place(world, 99.0, 20.0)
         with pytest.raises(SafetyAuditError, match="gap between"):
-            step(world, params)
+            step(world)
 
     def test_front_follower_is_rejected(self, params):
         world = quiet_world(params)
         place(world, 100.0, 25.0, mode=VehicleMode.FOLLOWER)
         with pytest.raises(OrderingError, match="no predecessor"):
-            step(world, params)
+            step(world)
 
     def test_zero_duration_run_is_empty(self):
         result = run(SimParams(duration=0.0))
@@ -129,7 +129,7 @@ class TestSplitAndMerge:
         rear = place(world, 200.0 - params.delta, params.v_min)
         front.v = params.v_min + 0.002
 
-        step(world, params)
+        step(world)
         assert [e.kind for e in world.events] == ["split"]
         assert rear.mode is VehicleMode.LEADER
         assert rear.platoon_id != front.platoon_id
@@ -139,7 +139,7 @@ class TestSplitAndMerge:
         assert rear_record.mode == "follower"
         assert front.v == params.v_min
 
-        step(world, params)
+        step(world)
         assert [e.kind for e in world.events] == ["split", "merge"]
         assert rear.mode is VehicleMode.FOLLOWER
         assert rear.platoon_id == front.platoon_id
@@ -152,11 +152,10 @@ class TestSplitAndMerge:
         # c2=0.02 bounds its descent at -2.5 m/s^2 and lets it merge; the
         # default c2=0.08 asks for -5.2, beyond the brakes, and keeps it
         # heading its own platoon.
-        law = DragCoefficients(c2=c2)
-        world = WorldState.initial(params, spawning=False, drag_law=law)
+        world = quiet_world(replace(params, drag=DragCoefficients(c2=c2)))
         front = place(world, 300.0, 32.0)
         rear = place(world, 294.0, 22.0, mode=VehicleMode.LEADER)
-        step(world, params)
+        step(world)
         merged = rear.platoon_id == front.platoon_id
         assert merged is (c2 == 0.02)
         assert [e.kind for e in world.events] == ["merge"] * merged
@@ -210,14 +209,19 @@ class TestRunInvariants:
         p = SimParams(duration=15.0, seed=4)
         assert run(p).trajectory == run(p).trajectory
 
+    def test_a_world_runs_only_under_its_own_params(self, params):
+        short = replace(params, duration=1.0)
+        world = quiet_world(short)
+        with pytest.raises(ValueError, match="other params"):
+            run(replace(short, drag=DragCoefficients(c2=0.02)), world=world)
+        assert world.t == 0.0
+        assert run(replace(short), world=world).events == []
+
 
 # A short, crowded road: the dense corridor's ramps on a 2.5 km road,
 # with exits far enough downstream that platoons form and hold.
 SHORT_DENSE = SimParams(duration=120.0, seed=3, road=RoadNetwork(
     length=2500.0, on_ramps=(100.0, 600.0, 1100.0), off_ramps=(2000.0,)))
-
-# A second drag law that differs from the default by its wake length.
-LONG_WAKE = DragCoefficients(c2=0.02)
 
 
 @pytest.fixture
@@ -235,55 +239,21 @@ def kernel_calls(monkeypatch):
 
 
 class TestSolveReuse:
-    """A follower whose kernel inputs and binding stand still reuses its
-    last solve instead of calling the kernel; nothing may tell."""
+    """A follower whose kernel inputs stand still reuses its last solve
+    instead of calling the kernel; nothing may tell."""
 
     @pytest.mark.parametrize("params", [SimParams(), SHORT_DENSE],
                              ids=["default", "short_dense"])
     def test_reuse_equals_solving_every_step(self, params, kernel_calls):
         n = round(params.duration / params.dt)
         reused = WorldState.initial(params)
-        step_world(reused, params, n, {})
+        step_world(reused, n, {})
         reusing_calls = kernel_calls[0]
         fresh = WorldState.initial(params)
-        step_world(fresh, params, n, {}, fresh=True)
+        step_world(fresh, n, {}, fresh=True)
         assert world_bytes(reused) == world_bytes(fresh)
         # The reuse fired: at least a quarter of the solves were skipped.
         assert reusing_calls < 0.75 * (kernel_calls[0] - reusing_calls)
-
-    def test_binding_changes_mid_run_equal_solving_every_step(self):
-        params = SimParams(duration=60.0, seed=2)
-
-        def stepped(fresh):
-            world = WorldState.initial(params)
-            step_world(world, params, 200, {}, fresh=fresh)
-            world.drag_law = LONG_WAKE
-            step_world(world, params, 200, {}, fresh=fresh)
-            step_world(world, replace(params, gamma=0.5), 200, {},
-                       fresh=fresh)
-            return world_bytes(world)
-
-        assert stepped(False) == stepped(True)
-
-    def test_an_equal_drag_law_keeps_reusing_solves(self, kernel_calls):
-        # Laws compare by their coefficients, so a swap to an equal one
-        # keeps the binding and with it every stored solve.
-        params = SimParams(duration=60.0, seed=2)
-
-        def stepped(swap, fresh=False):
-            world = WorldState.initial(params)
-            step_world(world, params, 200, {}, fresh=fresh)
-            if swap:
-                world.drag_law = replace(params.drag)
-                assert world.drag_law is not params.drag
-            step_world(world, params, 200, {}, fresh=fresh)
-            return world_bytes(world)
-
-        kept = stepped(False)
-        calls = kernel_calls[0]
-        swapped = stepped(True)
-        assert kernel_calls[0] == 2 * calls
-        assert swapped == kept == stepped(True, fresh=True)
 
     def followers(self, params):
         # Behind a head, a follower closing in on it inside the envelope
@@ -298,19 +268,17 @@ class TestSolveReuse:
 
     def test_repeated_inputs_skip_the_kernel(self, params, kernel_calls):
         world = self.followers(params)
-        first = _decide(world, params)
+        first = _decide(world)
         assert kernel_calls[0] == 2
-        assert _decide(world, params) == first
+        assert _decide(world) == first
         assert kernel_calls[0] == 2
 
     @pytest.mark.parametrize("change", [
-        "v", "p_hat", "v_hat", "pred_accel", "deadline",
-        "drag_law", "params", "kernel"])
-    def test_a_changed_input_or_binding_solves_afresh(self, params, change,
-                                                      monkeypatch):
+        "v", "p_hat", "v_hat", "pred_accel", "deadline"])
+    def test_a_changed_input_or_binding_solves_afresh(self, params, change):
         world = self.followers(params)
         head, closing, opening = world.vehicles
-        first = _decide(world, params)
+        first = _decide(world)
         if change == "v":
             # Both followers speed up alike: the opening one's v_hat holds.
             closing.v += 1.0
@@ -321,21 +289,12 @@ class TestSolveReuse:
             closing.v += 1.0
         elif change == "pred_accel":
             head.accel = -2.0
-        elif change == "deadline":
-            opening.deadline = world.t
-        elif change == "drag_law":
-            world.drag_law = LONG_WAKE
-        elif change == "params":
-            params = replace(params, gamma=0.5)
         else:
-            solve = kernels.follower_decision
-            monkeypatch.setattr(
-                kernels, "follower_decision",
-                lambda *args: (-1.0,) + solve(*args)[1:])
-        again = _decide(world, params)
+            opening.deadline = world.t
+        again = _decide(world)
         for veh in world.vehicles:
             veh.last_solve = None
-        assert again == _decide(world, params)
+        assert again == _decide(world)
         assert again != first
 
     @given(v=st.one_of(st.just(20.0), st.just(35.0), st.floats(20.0, 35.0)),
@@ -345,8 +304,6 @@ class TestSolveReuse:
     def test_the_kernel_cannot_tell_the_two_zero_commands_apart(
             self, v, p_hat, v_hat, deadline, gamma):
         p = SimParams()
-        # A closing pair cannot sit at the floor (see envelope_cap).
-        assume(v_hat <= 0.0 or v > p.v_min + SPEED_EDGE_TOL)
         consts = (p.v_min, p.v_max, p.a_min, p.a_max, p.delta, p.eps_g,
                   gamma, p.drag.c0, p.drag.c1, p.drag.c2)
         plus = kernels.follower_decision(v, p_hat, v_hat, 0.0, deadline,

@@ -86,7 +86,7 @@ class TestRecordViews:
         insert_vehicle(world, 300.0, 24.0, exit_pos=1e9, deadline=1e9)
         insert_vehicle(world, 280.0, 27.0, exit_pos=1e9, deadline=400.0)
         for _ in range(3):
-            step(world, params)
+            step(world)
         front, rear = world.vehicles
         snap = world.trajectory.snapshot(-1)
         assert [r.vehicle_id for r in snap] == [front.vid, rear.vid]
@@ -119,9 +119,7 @@ LONG_WAKE = DragCoefficients(c2=0.02)
 
 
 def test_a_swapped_in_drag_law_runs_through_the_engine():
-    params = SimParams(duration=20.0, seed=1)
-    world = WorldState.initial(params, drag_law=LONG_WAKE)
-    result = run(params, world=world)
+    result = run(SimParams(duration=20.0, seed=1, drag=LONG_WAKE))
     assert len(result.trajectory) > 0
     for snap in records_by_time(result.trajectory).values():
         assert snap[0].drag == LONG_WAKE.force(snap[0].v, 0.0, False)
@@ -137,45 +135,25 @@ class TestDerivedColumns:
     @pytest.mark.parametrize("custom", [False, True],
                              ids=["default_law", "custom_law"])
     def test_columns_fill_from_the_watermark(self, custom):
-        params = SimParams(seed=4)
-
-        def world():
-            return WorldState.initial(
-                params, drag_law=LONG_WAKE if custom else None)
-
-        live, targets = world(), {}
-        step_world(live, params, 150, targets)
+        params = SimParams(seed=4, drag=LONG_WAKE if custom
+                           else DragCoefficients())
+        live, targets = WorldState.initial(params), {}
+        step_world(live, 150, targets)
         tr = live.trajectory
         rows = len(tr)
         first = derived_bytes(tr)
-        step_world(live, params, 100, targets)
+        step_world(live, 100, targets)
         assert 0 < rows < len(tr)
         second = derived_bytes(tr)
         for name in DERIVED_COLUMNS:
             assert len(first[name]) == 8 * rows
             assert second[name][:8 * rows] == first[name]
 
-        fresh = world()
-        step_world(fresh, params, 250, {})
+        fresh = WorldState.initial(params)
+        step_world(fresh, 250, {})
         assert fresh.trajectory == tr
         assert derived_bytes(fresh.trajectory) == second
-        assert recompute_derived(tr, live.drag_law, params, targets) == second
-
-    def test_rows_keep_the_drag_law_they_were_recorded_under(self):
-        params = SimParams(seed=4)
-        world, targets = WorldState.initial(params), {}
-        step_world(world, params, 100, targets)
-        default, rows = world.drag_law, len(world.trajectory)
-        world.drag_law = LONG_WAKE
-        step_world(world, params, 50, targets)
-        tr = world.trajectory
-        derived = derived_bytes(tr)
-        before = recompute_derived(tr, default, params, targets)
-        after = recompute_derived(tr, world.drag_law, params, targets)
-        assert derived["drag"] != before["drag"]
-        for name in DERIVED_COLUMNS:
-            assert derived[name][:8 * rows] == before[name][:8 * rows]
-            assert derived[name][8 * rows:] == after[name][8 * rows:]
+        assert recompute_derived(tr, params, targets) == second
 
     def test_a_trajectory_without_a_drag_law_cannot_derive(self):
         tr = Trajectory()
@@ -185,17 +163,16 @@ class TestDerivedColumns:
             tr.drag
 
 
-def hand_built(steps, params, law, registered=None):
+def hand_built(steps, params, registered=None):
     """A trajectory of ``steps``, each ``(time, [(vid, p, v), ...])``
-    front to back, bound to ``params`` and ``law``; every vehicle is
-    registered unless ``registered`` names the ids to register."""
-    tr = Trajectory()
+    front to back, derived under ``params``; every vehicle is registered
+    unless ``registered`` names the ids to register."""
+    tr = Trajectory(params)
     targets = {}
     vids = sorted({vid for _, rows in steps for vid, _, _ in rows})
     for vid in vids if registered is None else registered:
         targets[vid] = (1000.0 + 10.0 * vid, 50.0 + vid)
         tr.register(vid, *targets[vid])
-    tr.bind(params, law)
     for time, rows in steps:
         tr.append_step(time, [r[0] for r in rows], [0] * len(rows),
                        [r[1] for r in rows], [r[2] for r in rows],
@@ -208,13 +185,11 @@ class TestDeriveEdges:
     """Whole-column derives against the row-by-row kernels."""
 
     params = SimParams()
-    law = params.drag
 
     def check(self, steps, registered_order=None):
-        tr, targets = hand_built(steps, self.params, self.law,
-                                 registered_order)
-        assert derived_bytes(tr) == recompute_derived(tr, self.law,
-                                                      self.params, targets)
+        tr, targets = hand_built(steps, self.params, registered_order)
+        assert derived_bytes(tr) == recompute_derived(tr, self.params,
+                                                      targets)
         return tr
 
     def test_equal_speeds_and_a_gap_of_exactly_delta(self):
@@ -248,25 +223,10 @@ class TestDeriveEdges:
                         (0, 350.0, 24.0), (3, 340.0, 24.5)])]
         self.check(steps, registered_order=[3, 0, 5, 2])
 
-    def test_a_drag_law_swap_between_reads(self):
-        steps = [(0.1 * k, [(0, 300.0 + 2.5 * k, 25.0),
-                            (1, 290.0 + 2.6 * k, 26.0)]) for k in range(1, 4)]
-        tr, targets = hand_built(steps[:2], self.params, self.law)
-        tr.bind(self.params, LONG_WAKE)
-        time, rows = steps[2]
-        tr.append_step(time, [0, 1], [0, 0], [r[1] for r in rows],
-                       [r[2] for r in rows], [0.0, 0.0], [0, 0])
-        derived = derived_bytes(tr)
-        before = recompute_derived(tr, self.law, self.params, targets)
-        after = recompute_derived(tr, LONG_WAKE, self.params, targets)
-        for name in DERIVED_COLUMNS:
-            assert derived[name][:32] == before[name][:32]
-            assert derived[name][32:] == after[name][32:]
-
     @pytest.mark.parametrize("vid", [-1, 2, 9, 10 ** 12])
     def test_an_unregistered_vehicle_is_a_key_error(self, vid):
         tr, _ = hand_built([(0.1, [(3, 100.0, 25.0), (vid, 90.0, 25.0)])],
-                           self.params, self.law, registered=[0, 1, 3])
+                           self.params, registered=[0, 1, 3])
         with pytest.raises(KeyError, match=str(vid)):
             tr.deadline_margin
 
@@ -278,10 +238,10 @@ class TestDeriveEdges:
 def test_reads_between_steps_leave_the_world_steppable():
     params = SimParams(seed=4)
     world, targets = WorldState.initial(params), {}
-    step_world(world, params, 40, targets)
+    step_world(world, 40, targets)
     tr = world.trajectory
     tr.drag
-    step_world(world, params, 40, targets)
+    step_world(world, 40, targets)
     # A vehicle put on the road by hand is unknown to the trajectory.
     front = world.vehicles[0]
     stray = VehicleState(vid=world.next_vehicle_id, p=front.p + 200.0,
@@ -289,15 +249,14 @@ def test_reads_between_steps_leave_the_world_steppable():
                          mode=VehicleMode.LEADER, platoon_id=999)
     world.next_vehicle_id += 1
     world.vehicles.insert(0, stray)
-    step(world, params)
+    step(world)
     with pytest.raises(KeyError, match=str(stray.vid)):
         tr.u
-    step_world(world, params, 40, targets)
+    step_world(world, 40, targets)
     tr.register(stray.vid, stray.exit_pos, stray.deadline)
     targets[stray.vid] = (stray.exit_pos, stray.deadline)
-    assert derived_bytes(tr) == recompute_derived(tr, world.drag_law, params,
-                                                  targets)
-    step_world(world, params, 1, targets)
+    assert derived_bytes(tr) == recompute_derived(tr, params, targets)
+    step_world(world, 1, targets)
 
 
 def derive_peak(n_steps: int) -> int:
@@ -306,7 +265,7 @@ def derive_peak(n_steps: int) -> int:
     params = SimParams()
     steps = [(0.1 * k, [(vid, 3000.0 - 7.0 * vid + 0.01 * k, 25.0)
                         for vid in range(40)]) for k in range(n_steps)]
-    tr, _ = hand_built(steps, params, params.drag)
+    tr, _ = hand_built(steps, params)
     tracemalloc.start()
     try:
         tr.drag

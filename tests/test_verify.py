@@ -147,7 +147,7 @@ def test_checks_with_nothing_to_check_fail(monkeypatch):
 
 
 def test_stepping_checks_fail_with_the_audits_message(monkeypatch):
-    def tripped(world, params, stamp):
+    def tripped(world, stamp):
         raise SafetyAuditError(f"t={stamp:.3f}: gap breach")
 
     monkeypatch.setattr(sim, "_audit", tripped)
