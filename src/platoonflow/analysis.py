@@ -219,8 +219,7 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
 
 def summarize(result: SimResult, params: SimParams) -> dict[str, object]:
     """Aggregate run metrics for reporting."""
-    m = dict(result.metrics)
-    attempts = m.get("spawned", 0) + m.get("discarded", 0)
+    m = result.metrics
     tr = result.trajectory
     energies = energy_summary(tr)
     final_formations: list[tuple[int, ...]] = []
@@ -229,15 +228,15 @@ def summarize(result: SimResult, params: SimParams) -> dict[str, object]:
     multi = [len(f) for f in final_formations if len(f) > 1]
     out: dict[str, object] = {
         "duration": params.duration,
-        "spawn_attempts": attempts,
-        "vehicles_spawned": m.get("spawned", 0),
-        "spawns_discarded": m.get("discarded", 0),
-        "vehicles_exited": m.get("exited", 0),
-        "peak_vehicle_count": m.get("peak_vehicles", 0),
-        "platoon_splits": m.get("splits", 0),
-        "platoon_merges": m.get("merges", 0),
-        "deadline_relaxations": m.get("relaxations", 0),
-        "deadline_recoveries": m.get("recoveries", 0),
+        "spawn_attempts": m["spawned"] + m["discarded"],
+        "vehicles_spawned": m["spawned"],
+        "spawns_discarded": m["discarded"],
+        "vehicles_exited": m["exited"],
+        "peak_vehicle_count": m["peak_vehicles"],
+        "platoon_splits": m["splits"],
+        "platoon_merges": m["merges"],
+        "deadline_relaxations": m["relaxations"],
+        "deadline_recoveries": m["recoveries"],
         "final_formation_count": len(multi),
         "largest_final_formation": max(multi, default=0),
         "total_drag_sq_integral": sum(e.drag_sq for e in energies.values()),

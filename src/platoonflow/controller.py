@@ -6,27 +6,22 @@ drag-descent cap and (when active) the deadline, apply the one of least
 magnitude.  Platoon heads instead brake to the speed floor and cruise,
 or accelerate to recover a relaxed deadline.
 
-The kernels in ``_kernels_py`` state that solve; this module binds
-their arguments.  ``bind`` resolves the drag coefficients of
-``params.drag``, the worst-case substitution and the parameter
-constants once per world, when ``WorldState.initial`` builds it; the
-engine then calls the kernels directly per vehicle.  For one solve,
-``solve_follower_control`` and ``leader_control`` bind their ``params``
-the same way and return a ``ControlDecision``; ``next_mode`` advances
-the mode state machine on its verdict.  To solve under another drag
-law, pass ``replace(params, drag=law)``.
+The kernels in ``_kernels_py`` state that solve; this module passes
+them a solve's state and the constants of its ``params``, drag law
+included.  ``solve_follower_control`` and ``leader_control`` return a
+``ControlDecision``; ``next_mode`` advances the mode state machine on
+its verdict.  To solve under another drag law, pass
+``replace(params, drag=law)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 from . import _kernels_py as kernels
 from .constraints import SPLIT_CODES, FeasibilityVerdict, FeasibleInterval
 from .core import SimParams, VehicleMode, VehicleState
-from .trajectory import MODES
 
 _ACTIVE_NAMES = (
     (kernels.ACTIVE_SPEED_FLOOR, "speed_floor"),
@@ -65,47 +60,6 @@ def _decision(accel: float, code: int, mask: int, lo: float, hi: float,
                            FeasibleInterval(lo, hi), g, bound)
 
 
-class Solves(NamedTuple):
-    """What every solve under one ``params`` shares, resolved by ``bind``.
-
-    ``follower`` is the follower kernel (``follower_decision``) as it
-    was bound when ``bind`` ran.  ``worst_pred`` is the predecessor
-    command to assume in place of the communicated one: ``a_min`` under
-    ``worst_case_pred_accel``, else None.  The fields from ``v_min`` on
-    are the kernels' trailing arguments in their order: ``s[2:]`` for
-    the follower kernel, ``s[2:9]`` for the leader kernel.  ``c0, c1,
-    c2`` are the coefficients of ``params.drag``.
-    """
-
-    follower: Callable[..., tuple]
-    worst_pred: float | None
-    v_min: float
-    v_max: float
-    a_min: float
-    a_max: float
-    delta: float
-    eps_g: float
-    gamma: float
-    c0: float
-    c1: float
-    c2: float
-
-
-def bind(params: SimParams) -> Solves:
-    """The solves under ``params``, with its drag law.
-
-    The follower kernel is looked up on the call, so a kernel rebound
-    before a world is made (a timing wrapper, say) is the one its steps
-    call.
-    """
-    law = params.drag
-    return Solves(
-        kernels.follower_decision,
-        params.a_min if params.worst_case_pred_accel else None,
-        params.v_min, params.v_max, params.a_min, params.a_max,
-        params.delta, params.eps_g, params.gamma, law.c0, law.c1, law.c2)
-
-
 def solve_follower_control(state: VehicleState, p_hat: float, v_hat: float,
                            pred_accel: float, deadline_active: bool,
                            params: SimParams) -> ControlDecision:
@@ -114,25 +68,29 @@ def solve_follower_control(state: VehicleState, p_hat: float, v_hat: float,
     ``pred_accel`` is the predecessor's previous commanded acceleration
     (replaced by full braking under ``params.worst_case_pred_accel``).
     """
-    s = bind(params)
-    if s.worst_pred is not None:
-        pred_accel = s.worst_pred
-    return _decision(*s.follower(state.v, p_hat, v_hat, pred_accel,
-                                 deadline_active, *s[2:]))
+    p, law = params, params.drag
+    if p.worst_case_pred_accel:
+        pred_accel = p.a_min
+    return _decision(*kernels.follower_decision(
+        state.v, p_hat, v_hat, pred_accel, deadline_active, p.v_min,
+        p.v_max, p.a_min, p.a_max, p.delta, p.eps_g, p.gamma, law.c0,
+        law.c1, law.c2))
 
 
 def merge_verdict(v: float, p_hat: float, v_hat: float, g: float, hi: float,
-                  deadline_active: bool, s: Solves) -> tuple[int, float]:
+                  deadline_active: bool, params: SimParams
+                  ) -> tuple[int, float]:
     """``(verdict, bound)`` of a head classified as a follower of its
     physical predecessor, from its leader solve's ``g`` and ``hi``.
 
     The descent bound comes from the same drag law a follower in that
     slot would use.
     """
-    bound = kernels.flow_bound(v, p_hat, v_hat, True, s.c0, s.c1, s.c2)
-    safety_active = g == g and (g >= -s.eps_g or hi < 0.0)
+    law = params.drag
+    bound = kernels.flow_bound(v, p_hat, v_hat, True, law.c0, law.c1, law.c2)
+    safety_active = g == g and (g >= -params.eps_g or hi < 0.0)
     return kernels.classify(v, v_hat, bound, deadline_active, safety_active,
-                            s.v_min, s.a_min), bound
+                            params.v_min, params.a_min), bound
 
 
 def leader_control(state: VehicleState, p_hat: float, v_hat: float,
@@ -150,23 +108,24 @@ def leader_control(state: VehicleState, p_hat: float, v_hat: float,
     predecessor (see ``merge_verdict``); resequencing merges platoons
     whose head comes back FEASIBLE.
     """
-    s = bind(params)
+    p = params
     v = state.v
     has_pred = pred_accel is not None
     accel, lo, hi, g = kernels.leader_decision(
         v, p_hat, v_hat,
-        pred_accel if has_pred and s.worst_pred is None else s.a_min,
-        has_pred, state.mode is VehicleMode.LEADER_RECOVERING, *s[2:9])
+        pred_accel if has_pred and not p.worst_case_pred_accel else p.a_min,
+        has_pred, state.mode is VehicleMode.LEADER_RECOVERING, p.v_min,
+        p.v_max, p.a_min, p.a_max, p.delta, p.eps_g, p.gamma)
     code, bound = kernels.VERDICT_FEASIBLE, 0.0
     if has_pred:
         code, bound = merge_verdict(v, p_hat, v_hat, g, hi, deadline_active,
-                                    s)
+                                    p)
     mask = 0
-    if accel == 0.0 and lo == 0.0 and v <= s.v_min + kernels.SPEED_EDGE_TOL:
+    if accel == 0.0 and lo == 0.0 and v <= p.v_min + kernels.SPEED_EDGE_TOL:
         mask |= kernels.ACTIVE_SPEED_FLOOR
-    if accel == 0.0 and v >= s.v_max - kernels.SPEED_EDGE_TOL:
+    if accel == 0.0 and v >= p.v_max - kernels.SPEED_EDGE_TOL:
         mask |= kernels.ACTIVE_SPEED_CEILING
-    if has_pred and accel == hi and hi != s.a_max:
+    if has_pred and accel == hi and hi != p.a_max:
         mask |= kernels.ACTIVE_SAFETY
     return _decision(accel, code, mask, lo, hi, g, bound)
 
@@ -203,14 +162,14 @@ def next_mode(mode: VehicleMode, verdict: int, deadline_margin: float,
     return mode
 
 
-# ``KEEPS_MODE[is_head][mode code][verdict]``: whether ``next_mode``
-# leaves the mode as it is whatever the deadline margin, for the
-# engine's per-vehicle skip; mode codes index ``MODES``.  ``next_mode``
+# ``KEEPS_MODE[is_head][mode][verdict]``: whether ``next_mode`` leaves
+# the mode as it is whatever the deadline margin, for the engine's
+# per-vehicle skip; a ``VehicleMode`` indexes it.  ``next_mode``
 # reads the margin only through ``margin <= -eps_d``, so the two
 # infinite margins cover both sides of that test.
 KEEPS_MODE = tuple(
     tuple(tuple(all(next_mode(mode, verdict.value, margin, is_head, 0.0)
                     is mode for margin in (-math.inf, math.inf))
                 for verdict in FeasibilityVerdict)
-          for mode in MODES)
+          for mode in VehicleMode)
     for is_head in (False, True))

@@ -17,8 +17,11 @@ from typing import Iterator
 from . import _kernels_py as kernels
 
 
-class VehicleMode(enum.Enum):
+class VehicleMode(enum.IntEnum):
     """Role of a vehicle inside the platoon partition.
+
+    A mode's value is its code in the trajectory's ``mode`` column: bit
+    0 marks a platoon head, bit 1 a relaxed deadline.
 
     FOLLOWER
         Solves the constrained minimum-effort problem against the vehicle
@@ -35,21 +38,10 @@ class VehicleMode(enum.Enum):
         then becomes a plain LEADER.
     """
 
-    FOLLOWER = "follower"
-    LEADER = "leader"
-    FOLLOWER_DEADLINE_RELAXED = "follower_relaxed"
-    LEADER_RECOVERING = "leader_recovering"
-
-    @property
-    def is_head(self) -> bool:
-        return self in (VehicleMode.LEADER, VehicleMode.LEADER_RECOVERING)
-
-    @property
-    def deadline_relaxed(self) -> bool:
-        return self in (
-            VehicleMode.FOLLOWER_DEADLINE_RELAXED,
-            VehicleMode.LEADER_RECOVERING,
-        )
+    FOLLOWER = 0
+    LEADER = 1
+    FOLLOWER_DEADLINE_RELAXED = 2
+    LEADER_RECOVERING = 3
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,9 +1,9 @@
 """Open-system highway engine: spawning, stepping, resequencing, exits.
 
 A world's ``params``, and with them its drag law ``params.drag``, are
-fixed when ``WorldState.initial`` builds it: the controller binding
-(``world.solves``) and the trajectory's derive are made from them there,
-once, and every phase of ``step(world)`` reads them from the world.
+fixed when ``WorldState.initial`` builds it: they are its trajectory's
+``params``, which the trajectory derives under and which every phase of
+``step(world)`` reads through ``world.params``.
 
 One step covers the interval [t, t + dt):
 
@@ -39,6 +39,7 @@ candidates only), so runs are reproducible byte for byte per seed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,15 +47,16 @@ import numpy as np
 from . import _kernels_py as kernels
 from .constraints import (SPLIT_CODES, deadline_margin, gap_allowance,
                           stopping_margin)
-from .controller import KEEPS_MODE, Solves, bind, merge_verdict, next_mode
+from .controller import KEEPS_MODE, merge_verdict, next_mode
 from .core import (
     OrderingError,
     SafetyAuditError,
     SimParams,
     VehicleMode,
     VehicleState,
+    validate_params,
 )
-from .trajectory import MODE_CODES, MODES, Trajectory
+from .trajectory import Trajectory
 
 NEAR_RANGE = 100.0  # on-ramp predecessor distance that caps the entry speed
 
@@ -79,17 +81,14 @@ class Event:
 class WorldState:
     """Complete mutable engine state.
 
-    ``params`` holds every constant of the run, its drag law included.
     ``vehicles`` is ordered front to back: positions strictly decrease
     with list index, and platoons are contiguous runs of ``platoon_id``.
     ``next_spawn`` is the due time of the single arrival process.
-    ``trajectory`` derives its physics under ``params`` and knows the
-    exit and deadline of every vehicle placed by ``insert_vehicle`` or
-    the spawn path.  ``solves`` is ``controller.bind(params)``, which
-    every step decides under (see ``_decide``).
+    ``trajectory`` holds the run's ``params``, derives its physics under
+    them, and knows the exit and deadline of every vehicle placed by
+    ``insert_vehicle`` or the spawn path.
     """
 
-    params: SimParams
     t: float
     vehicles: list[VehicleState]
     rng: np.random.Generator
@@ -98,15 +97,22 @@ class WorldState:
     next_platoon_id: int
     spawning: bool
     trajectory: Trajectory
-    solves: Solves = field(repr=False)
     events: list[Event] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def params(self) -> SimParams:
+        """Every constant of the run, its drag law included; read-only."""
+        return self.trajectory.params
 
     @classmethod
     def initial(cls, params: SimParams, *, spawning: bool = True
                 ) -> "WorldState":
+        """An empty world at t=0; ``ValueError`` lists what
+        ``validate_params`` finds wrong with ``params``."""
+        problems = validate_params(params)
+        if problems:
+            raise ValueError("; ".join(problems))
         return cls(
-            params=params,
             t=0.0,
             vehicles=[],
             rng=np.random.default_rng(params.seed),
@@ -115,25 +121,32 @@ class WorldState:
             next_platoon_id=0,
             spawning=spawning,
             trajectory=Trajectory(params),
-            solves=bind(params),
-            counters={
-                "spawned": 0,
-                "discarded": 0,
-                "exited": 0,
-                "splits": 0,
-                "merges": 0,
-                "relaxations": 0,
-                "recoveries": 0,
-                "peak_vehicles": 0,
-            },
         )
+
+
+# ``SimResult.metrics`` keys in report order, each with the event kind
+# it counts.
+_METRIC_KINDS = (("spawned", EVENT_SPAWN), ("discarded", EVENT_DISCARD),
+                 ("exited", EVENT_EXIT), ("splits", EVENT_SPLIT),
+                 ("merges", EVENT_MERGE), ("relaxations", EVENT_RELAX),
+                 ("recoveries", EVENT_RECOVER))
 
 
 @dataclass(frozen=True, slots=True)
 class SimResult:
     trajectory: Trajectory
     events: list[Event]
-    metrics: dict[str, int]
+
+    @property
+    def metrics(self) -> dict[str, int]:
+        """Events counted by kind, plus the most vehicles on the road at
+        the end of any step."""
+        by_kind = Counter(e.kind for e in self.events)
+        out = {key: by_kind[kind] for key, kind in _METRIC_KINDS}
+        offsets = self.trajectory.offsets
+        out["peak_vehicles"] = max(
+            (b - a for a, b in zip(offsets, offsets[1:])), default=0)
+        return out
 
 
 def insert_vehicle(world: WorldState, p: float, v: float, *,
@@ -196,9 +209,9 @@ def draw_deadline(rng: np.random.Generator, p0: float, v0: float,
 
 
 # What ``_decide`` hands the later phases, one entry per vehicle in
-# ``world.vehicles`` order: (command, verdict code, mode code at control,
-# heads a platoon).  Mode codes index ``trajectory.MODES``.
-Decision = tuple[float, int, int, bool]
+# ``world.vehicles`` order: (command, verdict code, mode at control,
+# heads a platoon).
+Decision = tuple[float, int, VehicleMode, bool]
 
 
 def _decide(world: WorldState) -> list[Decision]:
@@ -206,11 +219,11 @@ def _decide(world: WorldState) -> list[Decision]:
 
     Followers run the follower kernel; heads run the leader kernel and
     classify themselves against their physical predecessor, which
-    decides merges.  All of them solve under ``world.solves``.
+    decides merges.  All of them solve under ``world.params``.
 
     A follower's kernel result is a pure function of its inputs ``(v,
     p_hat, v_hat, pred_accel, deadline_active)`` under the world's fixed
-    binding, so a follower whose inputs compare equal to those of its
+    params, so a follower whose inputs compare equal to those of its
     stored ``last_solve`` (the deadline flag, a bool, by identity) takes
     that solve's ``(accel, verdict)`` without calling the kernel.  Float
     ``==`` is exact here, not just close:
@@ -232,40 +245,44 @@ def _decide(world: WorldState) -> list[Decision]:
     t = world.t
     neg_eps_d = -params.eps_d
     enforce = params.enforce_deadlines
-    solves = world.solves
-    (follower, worst_pred, v_min, v_max, a_min, a_max, delta, eps_g, gamma,
-     c0, c1, c2) = solves
+    v_min, v_max, a_min, a_max = (params.v_min, params.v_max, params.a_min,
+                                  params.a_max)
+    delta, eps_g, gamma = params.delta, params.eps_g, params.gamma
+    law = params.drag
+    c0, c1, c2 = law.c0, law.c1, law.c2
+    worst_pred = a_min if params.worst_case_pred_accel else None
+    follower = kernels.follower_decision
     leader = kernels.leader_decision
 
     decisions: list[Decision] = []
     append = decisions.append
     pred = None
     for veh in world.vehicles:
-        # bit 0 of the mode code: heads a platoon; bit 1: deadline relaxed
-        mcode = MODES.index(veh.mode)
+        # bit 0 of the mode: heads a platoon; bit 1: deadline relaxed
+        mode = veh.mode
         v = veh.v
-        deadline_active = (enforce and mcode < 2
+        deadline_active = (enforce and mode < 2
                            and deadline_margin(veh.p, v, t, veh.exit_pos,
                                                veh.deadline) >= neg_eps_d)
         if pred is None:
-            if not mcode & 1:
+            if not mode & 1:
                 raise OrderingError(
                     f"follower {veh.vid} has no predecessor at t={t:.3f}"
                 )
-            accel = leader(v, veh.p, v, a_min, False, mcode == 3, v_min,
+            accel = leader(v, veh.p, v, a_min, False, mode == 3, v_min,
                            v_max, a_min, a_max, delta, eps_g, gamma)[0]
-            append((accel, kernels.VERDICT_FEASIBLE, mcode, True))
+            append((accel, kernels.VERDICT_FEASIBLE, mode, True))
             pred = veh
             continue
         p_hat = veh.p - pred.p
         v_hat = v - pred.v
         pred_accel = pred.accel if worst_pred is None else worst_pred
-        if mcode & 1:
+        if mode & 1:
             accel, _, hi, g = leader(v, p_hat, v_hat, pred_accel, True,
-                                     mcode == 3, v_min, v_max, a_min, a_max,
+                                     mode == 3, v_min, v_max, a_min, a_max,
                                      delta, eps_g, gamma)
             code = merge_verdict(v, p_hat, v_hat, g, hi, deadline_active,
-                                 solves)[0]
+                                 params)[0]
         else:
             last = veh.last_solve
             if (last is not None and last[0] == v and last[1] == p_hat
@@ -279,7 +296,7 @@ def _decide(world: WorldState) -> list[Decision]:
                     v_max, a_min, a_max, delta, eps_g, gamma, c0, c1, c2)
                 veh.last_solve = (v, p_hat, v_hat, pred_accel,
                                   deadline_active, accel, code)
-        append((accel, code, mcode, pred.platoon_id != veh.platoon_id))
+        append((accel, code, mode, pred.platoon_id != veh.platoon_id))
         pred = veh
     return decisions
 
@@ -309,7 +326,6 @@ def _process_exits(world: WorldState, stamp: float,
         veh = vehicles[i]
         world.events.append(Event(stamp, EVENT_EXIT, veh.vid,
                                   f"at {veh.exit_pos:g}"))
-        world.counters["exited"] += 1
     for i in reversed(gone):
         del vehicles[i]
         del decisions[i]
@@ -366,7 +382,6 @@ def resequence(world: WorldState, decisions: list[Decision],
             new = world.next_platoon_id
             world.next_platoon_id += 1
             old = _relabel(vehicles, i, new)
-            world.counters["splits"] += 1
             world.events.append(Event(stamp, EVENT_SPLIT, vehicles[i].vid,
                                       f"platoon {old} -> {new}"))
 
@@ -377,7 +392,7 @@ def resequence(world: WorldState, decisions: list[Decision],
         pid = veh.platoon_id
         is_head = pid != ahead_pid
         ahead_pid = pid
-        # dec[2] is the code of veh.mode: splits above change only ids.
+        # dec[2] is veh.mode: splits above change only ids.
         if keeps[is_head][dec[2]][dec[1]]:
             continue
         margin = deadline_margin(veh.p, veh.v, stamp,
@@ -389,12 +404,10 @@ def resequence(world: WorldState, decisions: list[Decision],
         if new_mode is VehicleMode.FOLLOWER_DEADLINE_RELAXED or (
                 new_mode is VehicleMode.LEADER_RECOVERING
                 and mode is VehicleMode.FOLLOWER):
-            world.counters["relaxations"] += 1
             world.events.append(Event(stamp, EVENT_RELAX, veh.vid,
                                       f"margin {margin:.3f}"))
         elif (mode is VehicleMode.LEADER_RECOVERING
               and new_mode is VehicleMode.LEADER):
-            world.counters["recoveries"] += 1
             world.events.append(Event(stamp, EVENT_RECOVER, veh.vid,
                                       f"margin {margin:.3f}"))
         veh.mode = new_mode
@@ -415,7 +428,6 @@ def resequence(world: WorldState, decisions: list[Decision],
         # keeps a hopeless deadline from ratcheting a vehicle into the
         # gap ahead one burst at a time.
         veh.mode = VehicleMode.FOLLOWER
-        world.counters["merges"] += 1
         world.events.append(Event(stamp, EVENT_MERGE, veh.vid,
                                   f"platoon {old} -> {target}"))
 
@@ -457,14 +469,12 @@ def try_spawn(world: WorldState, stamp: float) -> None:
                                 behind.v - v0, params)
             ok = g <= 0.0
         if not ok:
-            world.counters["discarded"] += 1
             world.events.append(Event(stamp, EVENT_DISCARD, -1,
                                       f"entry={entry:g} v={v0:.3f}"))
             continue
 
         t_f = draw_deadline(rng, entry, v0, exit_pos, stamp, params)
         veh = _place(world, idx, entry, v0, exit_pos, t_f)
-        world.counters["spawned"] += 1
         world.events.append(Event(
             stamp, EVENT_SPAWN, veh.vid,
             f"entry={entry:g} exit={exit_pos:g} v={v0:.3f}",
@@ -484,8 +494,8 @@ def _record(world: WorldState, stamp: float,
         return
     first_new = world.next_vehicle_id - (len(vehicles) - len(decisions))
     at_control = iter(decisions)
-    modes = [next(at_control)[2] if veh.vid < first_new
-             else MODE_CODES[veh.mode] for veh in vehicles]
+    modes = [next(at_control)[2] if veh.vid < first_new else veh.mode
+             for veh in vehicles]
     world.trajectory.append_step(
         stamp,
         [veh.vid for veh in vehicles],
@@ -507,13 +517,11 @@ def step(world: WorldState) -> None:
     resequence(world, decisions, stamp)
     try_spawn(world, stamp)
     _record(world, stamp, decisions)
-    if len(world.vehicles) > world.counters["peak_vehicles"]:
-        world.counters["peak_vehicles"] = len(world.vehicles)
     world.t = stamp
 
 
 def run(params: SimParams, *, world: WorldState | None = None) -> SimResult:
-    """Run a full simulation and return trajectory, events and counters.
+    """Run a full simulation and return its trajectory and events.
 
     A pre-built world (e.g. with seeded vehicles or spawning disabled)
     may be passed in, built from these very ``params`` (``ValueError``
@@ -526,5 +534,4 @@ def run(params: SimParams, *, world: WorldState | None = None) -> SimResult:
     n_steps = round(params.duration / params.dt)
     for _ in range(n_steps):
         step(world)
-    return SimResult(trajectory=world.trajectory, events=world.events,
-                     metrics=dict(world.counters))
+    return SimResult(trajectory=world.trajectory, events=world.events)

@@ -31,15 +31,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .constraints import deadline_margin
-from .core import SimParams, VehicleMode
+from .core import SimParams
 
-# Codes of the ``mode`` column: bit 0 marks a platoon head, bit 1 a
-# relaxed deadline.
-MODES = (VehicleMode.FOLLOWER, VehicleMode.LEADER,
-         VehicleMode.FOLLOWER_DEADLINE_RELAXED,
-         VehicleMode.LEADER_RECOVERING)
-MODE_NAMES = tuple(mode.value for mode in MODES)
-MODE_CODES = {mode: code for code, mode in enumerate(MODES)}
+# Labels of the ``mode`` column's codes, which are ``VehicleMode``
+# values: ``MODE_NAMES[mode]``.
+MODE_NAMES = ("follower", "leader", "follower_relaxed", "leader_recovering")
 _NAME_CODES = {name: code for code, name in enumerate(MODE_NAMES)}
 
 
@@ -119,7 +115,7 @@ class Trajectory:
 
     ``times[k]`` is the stamp of step ``k`` and its rows are
     ``offsets[k]:offsets[k + 1]``; steps with no vehicle on the road are
-    not stored.  ``mode`` holds codes into ``MODES``.  The columns in
+    not stored.  ``mode`` holds ``VehicleMode`` values.  The columns in
     ``DERIVED_COLUMNS`` are filled up to the last stored step when one
     of them is read (see the module docstring), under ``params``; a
     trajectory built without it cannot derive them.
@@ -127,7 +123,7 @@ class Trajectory:
 
     __slots__ = (("times", "offsets") + STORED_COLUMNS
                  + tuple("_" + name for name in DERIVED_COLUMNS)
-                 + ("_derived_steps", "_params", "_exit_pos", "_deadline",
+                 + ("_derived_steps", "params", "_exit_pos", "_deadline",
                     "_registered"))
 
     u = _derived("u")
@@ -145,7 +141,7 @@ class Trajectory:
                     array("d"))
         self.mode = array("b")
         self._derived_steps = 0
-        self._params = params
+        self.params = params
         # Exit position and deadline by vehicle id, and whether the id
         # was registered at all: engine ids are dense from 0.
         self._exit_pos = array("d")
@@ -191,7 +187,7 @@ class Trajectory:
     def _derive(self) -> None:
         """Fill the derived columns for every step appended since the
         last fill, block by block of whole steps."""
-        if self._params is None:
+        if self.params is None:
             raise ValueError("trajectory has rows to derive but no drag law: "
                              "build it as Trajectory(params)")
         offsets, n_steps = self.offsets, len(self.times)
@@ -228,14 +224,14 @@ class Trajectory:
         # by row, is their reference.  The wake takes libm's exp, not
         # np.exp, which differs from it in the last bit on some
         # wake-range inputs.
-        law = self._params.drag
+        law = self.params.drag
         w = np.fromiter(map(math.exp, (law.c2 * p_hat).tolist()), np.float64,
                         len(p_hat))
         drag = law.c0 * v * v
         drag[back] *= 1.0 - law.c1 * w
         gs = np.full(len(p), math.nan)
         gs[back] = _stopping_margins(v[back], p_hat, v[back] - v[back - 1],
-                                     self._params)
+                                     self.params)
 
         self._drag.frombytes(drag.tobytes())
         self._u.frombytes((np.frombuffer(self.accel[lo:hi]) + drag).tobytes())

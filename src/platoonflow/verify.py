@@ -23,7 +23,7 @@ from .constraints import gap_allowance, safe_accel_interval, stopping_margin
 from .controller import solve_follower_control
 from .core import SimParams, SimulationError, VehicleMode, VehicleState
 from .sim import SimResult, WorldState, insert_vehicle, run, step
-from .trajectory import MODE_CODES, pair_rows
+from .trajectory import pair_rows
 
 N_CORPUS_SEEDS = 50
 SPAWN_COUNT_BAND = (120.0, 155.0)
@@ -65,8 +65,8 @@ def summarize_seed(result: SimResult, params: SimParams) -> SeedSummary:
     """Fold one run into the figures the corpus checks aggregate."""
     tr = result.trajectory
     excess = consecutive_gap_excess(tr, params)
-    recovering = MODE_CODES[VehicleMode.LEADER_RECOVERING]
-    accel = np.array(tr.accel)[np.array(tr.mode) != recovering]
+    accel = np.array(tr.accel)[np.array(tr.mode)
+                               != VehicleMode.LEADER_RECOVERING]
     return SeedSummary(
         spawned=result.metrics["spawned"],
         records=len(tr),
@@ -377,7 +377,6 @@ def check_drag_descent(params: SimParams) -> CheckResult:
     name = "drag_descent_per_step"
     c = 8.0 * params.a_max * params.drag.c0 ** 2 * params.v_max ** 3
     allowed = c * params.dt * params.dt + 1e-12
-    follower = MODE_CODES[VehicleMode.FOLLOWER]
     worst = -math.inf
     pairs = 0
     for offset in range(N_DESCENT_SEEDS):
@@ -399,7 +398,7 @@ def check_drag_descent(params: SimParams) -> CheckResult:
         vid = np.array(tr.vehicle_id)
         # Follower rows whose previous row is in the step before and had
         # the same vehicle ahead.
-        back = back[np.array(tr.mode)[back] == follower]
+        back = back[np.array(tr.mode)[back] == VehicleMode.FOLLOWER]
         prev = last[back]
         keep = ((prev >= 0) & (step[prev] == step[back] - 1)
                 & has_ahead[prev] & (vid[prev - 1] == vid[back - 1]))

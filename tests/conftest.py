@@ -47,12 +47,12 @@ def step_world(world, n, targets, *, fresh=False):
 
 
 def world_bytes(world):
-    """Every trajectory column, the events and the counters of
-    ``world``, in a form that compares equal only when bitwise equal."""
+    """Every trajectory column and the events of ``world``, in a form
+    that compares equal only when bitwise equal."""
     tr = world.trajectory
     columns = {name: getattr(tr, name).tobytes()
                for name in ("times", "offsets") + COLUMNS}
-    return columns, [repr(e) for e in world.events], dict(world.counters)
+    return columns, [repr(e) for e in world.events]
 
 
 def recompute_derived(tr, params, targets):

@@ -17,7 +17,7 @@ from platoonflow import (
 )
 from platoonflow import _kernels_py as kernels
 from platoonflow.controller import KEEPS_MODE
-from platoonflow.trajectory import MODES
+from platoonflow.trajectory import MODE_NAMES
 
 PARAMS = SimParams()
 EPS_D = PARAMS.eps_d
@@ -248,19 +248,18 @@ class TestHeadsUseTheWorldsDragLaw:
             v, v_hat, bound, deadline, safety, PARAMS.v_min, PARAMS.a_min))
 
 
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("mode", VehicleMode, ids=lambda m: MODE_NAMES[m])
 @pytest.mark.parametrize("is_head", [False, True], ids=["behind", "head"])
 def test_a_kept_mode_is_one_next_mode_keeps(mode, is_head):
     eps_d = PARAMS.eps_d
     margins = (-10.0, -2.0 * eps_d, -eps_d, math.nextafter(-eps_d, 0.0),
                -eps_d / 2.0, 0.0, 10.0)
-    code = MODES.index(mode)
     for verdict in FeasibilityVerdict:
-        if KEEPS_MODE[is_head][code][verdict.value]:
+        if KEEPS_MODE[is_head][mode][verdict.value]:
             for margin in margins:
                 assert next_mode(mode, verdict.value, margin, is_head,
                                  eps_d) is mode
     # The common cases are skipped: every LEADER, and a follower behind
     # its platoon with a feasible verdict.
-    assert KEEPS_MODE[is_head][MODES.index(VehicleMode.LEADER)] == (True,) * 5
-    assert KEEPS_MODE[False][MODES.index(VehicleMode.FOLLOWER)][0]
+    assert KEEPS_MODE[is_head][VehicleMode.LEADER] == (True,) * 5
+    assert KEEPS_MODE[False][VehicleMode.FOLLOWER][0]

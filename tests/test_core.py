@@ -89,12 +89,12 @@ def test_exit_choices_are_strictly_downstream():
 
 
 def test_mode_head_and_relaxed_flags():
-    assert VehicleMode.LEADER.is_head
-    assert VehicleMode.LEADER_RECOVERING.is_head
-    assert not VehicleMode.FOLLOWER.is_head
-    assert not VehicleMode.FOLLOWER_DEADLINE_RELAXED.is_head
-
-    assert VehicleMode.FOLLOWER_DEADLINE_RELAXED.deadline_relaxed
-    assert VehicleMode.LEADER_RECOVERING.deadline_relaxed
-    assert not VehicleMode.FOLLOWER.deadline_relaxed
-    assert not VehicleMode.LEADER.deadline_relaxed
+    # Bit 0 of a mode's code marks a platoon head, bit 1 a relaxed
+    # deadline; the four modes are the four codes.
+    heads = {VehicleMode.LEADER, VehicleMode.LEADER_RECOVERING}
+    relaxed = {VehicleMode.FOLLOWER_DEADLINE_RELAXED,
+               VehicleMode.LEADER_RECOVERING}
+    assert sorted(VehicleMode) == [0, 1, 2, 3]
+    for mode in VehicleMode:
+        assert bool(mode & 1) == (mode in heads)
+        assert bool(mode & 2) == (mode in relaxed)

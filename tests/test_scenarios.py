@@ -23,16 +23,12 @@ from platoonflow import (
     WorldState,
     validate_params,
 )
-from platoonflow.trajectory import MODE_CODES
-
 from conftest import (
     derived_bytes,
     recompute_derived,
     step_world,
     world_bytes,
 )
-
-RECOVERING = MODE_CODES[VehicleMode.LEADER_RECOVERING]
 
 
 @st.composite
@@ -73,14 +69,14 @@ def test_valid_scenarios_run_clean_and_brake_only(params):
     world, targets = WorldState.initial(params), {}
     step_world(world, round(params.duration / params.dt), targets)
     tr = world.trajectory
-    worst = max((a for a, m in zip(tr.accel, tr.mode) if m != RECOVERING),
+    worst = max((a for a, m in zip(tr.accel, tr.mode) if m != VehicleMode.LEADER_RECOVERING),
                 default=-math.inf)
     assert worst <= 0.0
     assert derived_bytes(tr) == recompute_derived(tr, params, targets)
 
 
 def outcome(params, fresh):
-    """A run's columns, events and counters, and the engine error that
+    """A run's columns and events, and the engine error that
     stopped it, if one did."""
     world = WorldState.initial(params)
     try:

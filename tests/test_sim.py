@@ -1,4 +1,3 @@
-import collections
 from dataclasses import replace
 
 import pytest
@@ -10,11 +9,13 @@ from platoonflow import (
     RoadNetwork,
     SafetyAuditError,
     SimParams,
+    SimResult,
     VehicleMode,
     WorldState,
     insert_vehicle,
     run,
     step,
+    validate_params,
 )
 from platoonflow import _kernels_py as kernels
 from platoonflow.analysis import records_by_time
@@ -86,7 +87,8 @@ class TestStepDynamics:
         step(world)
         assert world.vehicles == []
         assert [e.kind for e in world.events] == ["exit"]
-        assert world.counters["exited"] == 1
+        metrics = SimResult(world.trajectory, world.events).metrics
+        assert metrics["exited"] == 1
 
     def test_overtaking_is_an_ordering_error(self, params):
         world = quiet_world(params)
@@ -143,8 +145,9 @@ class TestSplitAndMerge:
         assert [e.kind for e in world.events] == ["split", "merge"]
         assert rear.mode is VehicleMode.FOLLOWER
         assert rear.platoon_id == front.platoon_id
-        assert world.counters["splits"] == 1
-        assert world.counters["merges"] == 1
+        metrics = SimResult(world.trajectory, world.events).metrics
+        assert metrics["splits"] == 1
+        assert metrics["merges"] == 1
 
     @pytest.mark.parametrize("c2", [0.02, 0.08])
     def test_a_head_merges_by_the_worlds_drag_law(self, params, c2):
@@ -184,17 +187,6 @@ class TestRunInvariants:
                     assert rec.platoon_id not in seen
                     seen.append(rec.platoon_id)
 
-    def test_counters_agree_with_the_event_log(self, short_run):
-        by_kind = collections.Counter(e.kind for e in short_run.events)
-        m = short_run.metrics
-        assert m["spawned"] == by_kind["spawn"]
-        assert m["discarded"] == by_kind["discard"]
-        assert m["exited"] == by_kind["exit"]
-        assert m["splits"] == by_kind["split"]
-        assert m["merges"] == by_kind["merge"]
-        assert m["relaxations"] == by_kind["deadline_relax"]
-        assert m["recoveries"] == by_kind["deadline_recover"]
-
     def test_discards_carry_no_vehicle_id(self, short_run):
         discards = [e for e in short_run.events if e.kind == "discard"]
         assert all(e.vehicle_id == -1 for e in discards)
@@ -216,6 +208,25 @@ class TestRunInvariants:
             run(replace(short, drag=DragCoefficients(c2=0.02)), world=world)
         assert world.t == 0.0
         assert run(replace(short), world=world).events == []
+
+    def test_a_worlds_params_cannot_be_reassigned(self, params):
+        short = replace(params, duration=1.0)
+        world = quiet_world(short)
+        with pytest.raises(AttributeError):
+            world.params = replace(short, v_min=25.0)
+        assert world.params is short is world.trajectory.params
+        with pytest.raises(ValueError, match="other params"):
+            run(replace(short, v_min=25.0), world=world)
+
+    @pytest.mark.parametrize("bad", [
+        {"dt": -0.1}, {"duration": -5.0}, {"dt": 0.0},
+        {"v_min": 30.0, "v_max": 20.0}],
+        ids=["negative_dt", "negative_duration", "zero_dt", "empty_box"])
+    def test_a_run_refuses_params_that_fail_validation(self, bad):
+        params = SimParams(**bad)
+        with pytest.raises(ValueError) as exc:
+            run(params)
+        assert str(exc.value) == "; ".join(validate_params(params))
 
 
 # A short, crowded road: the dense corridor's ramps on a 2.5 km road,

@@ -20,7 +20,7 @@ from platoonflow import (
 from platoonflow.analysis import records_by_time, records_by_vehicle
 from platoonflow.constraints import deadline_margin, stopping_margin
 from platoonflow import trajectory
-from platoonflow.trajectory import COLUMNS, DERIVED_COLUMNS, MODES
+from platoonflow.trajectory import COLUMNS, DERIVED_COLUMNS, MODE_NAMES
 
 from conftest import derived_bytes, recompute_derived, step_world
 
@@ -31,10 +31,18 @@ def columns(tr):
 
 
 def test_mode_codes_carry_the_head_and_relaxed_bits():
-    for code, mode in enumerate(MODES):
-        assert bool(code & 1) == mode.is_head
-        assert bool(code & 2) == mode.deadline_relaxed
-    assert set(MODES) == set(VehicleMode)
+    # A record's mode label is read back into the VehicleMode code, whose
+    # bit 0 marks a platoon head and bit 1 a relaxed deadline.
+    assert len(MODE_NAMES) == len(VehicleMode)
+    for mode in VehicleMode:
+        rec = TrajectoryRecord(0.1, 1, 1, 0.0, 20.0, 0.0, 0.0, 0.0,
+                               math.nan, -1.0, MODE_NAMES[mode])
+        code = Trajectory.from_records([rec]).mode[0]
+        assert code == mode
+        assert bool(code & 1) == MODE_NAMES[mode].startswith("leader")
+        assert bool(code & 2) == (mode in (
+            VehicleMode.FOLLOWER_DEADLINE_RELAXED,
+            VehicleMode.LEADER_RECOVERING))
 
 
 class TestColumns:
@@ -97,7 +105,7 @@ class TestRecordViews:
             assert rec.u == rec.accel + rec.drag
             assert rec.deadline_margin == deadline_margin(
                 veh.p, veh.v, world.t, veh.exit_pos, veh.deadline)
-            assert rec.mode == veh.mode.value
+            assert rec.mode == MODE_NAMES[veh.mode]
         assert snap[0].drag == law.force(front.v, 0.0, False)
         assert math.isnan(snap[0].gs_margin)
         p_hat, v_hat = rear.p - front.p, rear.v - front.v
@@ -126,7 +134,7 @@ def test_a_swapped_in_drag_law_runs_through_the_engine():
         for ahead, rec in zip(snap, snap[1:]):
             assert rec.drag == LONG_WAKE.force(rec.v, rec.p - ahead.p, True)
     modes = {rec.mode for rec in result.trajectory}
-    assert VehicleMode.FOLLOWER.value in modes
+    assert MODE_NAMES[VehicleMode.FOLLOWER] in modes
 
 
 class TestDerivedColumns:

@@ -10,7 +10,7 @@ import platoonflow.sim as sim
 import platoonflow.verify as verify
 from platoonflow import (DragCoefficients, RoadNetwork, SimParams, Trajectory,
                          TrajectoryRecord, run)
-from platoonflow.core import SafetyAuditError, VehicleMode
+from platoonflow.core import SafetyAuditError
 from platoonflow.verify import (RunCorpus, check_braking_only,
                                 check_determinism, check_drag_descent,
                                 check_equilibrium_hold, check_partials,
@@ -31,7 +31,7 @@ def direct_figures(params: SimParams, seed: int) -> tuple:
         excess += [(back.p - front.p) + params.delta
                    for front, back in zip(snapshot, snapshot[1:])]
         commands += [rec.accel for rec in snapshot
-                     if rec.mode != VehicleMode.LEADER_RECOVERING.value]
+                     if rec.mode != "leader_recovering"]
     return (result.metrics["spawned"], len(result.trajectory),
             max(excess, default=None), sum(e > allowed for e in excess),
             max(commands, default=None))
