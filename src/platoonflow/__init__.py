@@ -7,18 +7,16 @@ arrival deadline.  Platoons form, split, and merge purely from those
 local decisions; the engine only integrates, audits, and bookkeeps.
 """
 
-from .constraints import (
-    FeasibilityVerdict,
-    FeasibleInterval,
-    deadline_margin,
-    safe_accel_interval,
-    stopping_margin,
-)
+from ._kernels_py import deadline_margin
 from .controller import (
     ControlDecision,
+    FeasibilityVerdict,
+    FeasibleInterval,
     leader_control,
     next_mode,
+    safe_accel_interval,
     solve_follower_control,
+    stopping_margin,
 )
 from .core import (
     DragCoefficients,

@@ -1,12 +1,14 @@
 """Scalar kernels for the per-vehicle hot path.
 
 These functions carry the entire numerical semantics of the controller;
-the rest of the package binds parameters and interprets their results.
+the rest of the package binds parameters and reports their results.
 Each rule is stated once: ``safe_interval`` is the speed box
 intersected with the stopping envelope, which both decisions start
-from, and ``drag_force``, ``drag_partials`` and ``flow_bound`` are the
-wake drag law.  They take flat float arguments and allocate nothing
-beyond result tuples, so the engine can call them per vehicle and step.
+from; ``drag_force``, ``drag_partials`` and ``flow_bound`` are the wake
+drag law; ``classify`` is the verdict both decisions return, a split
+for a follower and a merge for a head.  They take flat float arguments
+and allocate nothing beyond result tuples, so the engine can call them
+per vehicle and step.
 """
 
 from __future__ import annotations
@@ -25,13 +27,6 @@ VERDICT_FLOOR_CONFLICT = 1
 VERDICT_BRAKE_CONFLICT = 2
 VERDICT_DEADLINE_DRAG_CONFLICT = 3
 VERDICT_DEADLINE_SAFETY_CONFLICT = 4
-
-# Active-constraint mask bits.
-ACTIVE_SPEED_FLOOR = 1
-ACTIVE_SPEED_CEILING = 2
-ACTIVE_SAFETY = 4
-ACTIVE_DRAG_FLOW = 8
-ACTIVE_DEADLINE = 16
 
 
 def drag_force(v: float, p_hat: float, in_wake: bool,
@@ -81,6 +76,17 @@ def stopping_margin(v: float, p_hat: float, v_hat: float,
     return (p_hat + delta
             + v_hat * (v_min - v) / a_min
             + v_hat * v_hat / (2.0 * a_min))
+
+
+def deadline_margin(p: float, v: float, t: float,
+                    exit_pos: float, deadline: float) -> float:
+    """Slack on reaching ``exit_pos`` by ``deadline`` at current speed.
+
+    Negative while cruising at v covers the remaining distance in time;
+    zero on the boundary; positive once the deadline cannot be met
+    without accelerating.  The derive calls it on numpy columns.
+    """
+    return (exit_pos - p) - (deadline - t) * v
 
 
 def envelope_cap(v: float, v_hat: float, g: float, pred_accel: float,
@@ -143,17 +149,19 @@ def safe_interval(v: float, p_hat: float, v_hat: float,
     return lo, hi, g, INF
 
 
-def classify(v: float, v_hat: float, bound: float,
-             deadline_active: bool, safety_active: bool,
-             v_min: float, a_min: float) -> int:
-    """Feasibility verdict for the follower problem, in precedence order."""
+def classify(v: float, v_hat: float, bound: float, deadline_active: bool,
+             g: float, cap: float, v_min: float, a_min: float,
+             eps_g: float) -> int:
+    """Feasibility verdict for the follower problem, in precedence order.
+    The envelope binds a closing pair in the ``eps_g`` band or capped
+    below zero."""
     if v <= v_min + SPEED_EDGE_TOL and bound < 0.0:
         return VERDICT_FLOOR_CONFLICT
     if bound < a_min:
         return VERDICT_BRAKE_CONFLICT
     if deadline_active and bound < 0.0:
         return VERDICT_DEADLINE_DRAG_CONFLICT
-    if deadline_active and safety_active and v_hat > 0.0:
+    if deadline_active and v_hat > 0.0 and (g >= -eps_g or cap < 0.0):
         return VERDICT_DEADLINE_SAFETY_CONFLICT
     return VERDICT_FEASIBLE
 
@@ -173,12 +181,14 @@ def follower_decision(v: float, p_hat: float, v_hat: float,
                       a_min: float, a_max: float,
                       delta: float, eps_g: float, gamma: float,
                       c0: float, c1: float, c2: float
-                      ) -> tuple[float, int, int, float, float, float, float]:
+                      ) -> tuple[float, int, float, float, float, float,
+                                 float]:
     """Full follower control decision.
 
-    Returns (accel, verdict, active_mask, lo, hi, g, bound) where [lo, hi]
-    is the final feasible interval (after any deadline relaxation), ``g``
-    the stopping-envelope margin and ``bound`` the drag-descent cap.
+    Returns (accel, verdict, lo, hi, g, cap, bound) where [lo, hi] is the
+    final feasible interval (after any deadline relaxation), ``g`` the
+    stopping-envelope margin, ``cap`` the envelope's acceleration cap
+    (inf where it does not bind) and ``bound`` the drag-descent cap.
 
     The command is the feasible acceleration of least magnitude.  When the
     constraint set is empty, the verdict explains why and the command
@@ -203,9 +213,8 @@ def follower_decision(v: float, p_hat: float, v_hat: float,
         accel = _clamp_to_zero(lo_full, hi)
         lo = lo_full
     else:
-        safety_active = g >= -eps_g or cap < 0.0
-        verdict = classify(v, v_hat, bound, deadline_active, safety_active,
-                           v_min, a_min)
+        verdict = classify(v, v_hat, bound, deadline_active, g, cap, v_min,
+                           a_min, eps_g)
         if verdict == VERDICT_DEADLINE_SAFETY_CONFLICT:
             # Drop the deadline and re-solve; the caller flips the mode.
             accel = _clamp_to_zero(lo, hi)
@@ -215,41 +224,37 @@ def follower_decision(v: float, p_hat: float, v_hat: float,
             hi = hi_safe
         else:
             raise AssertionError("empty feasible interval with no verdict")
-
-    mask = 0
-    if lo == 0.0 and accel == 0.0 and v <= v_min + SPEED_EDGE_TOL:
-        mask |= ACTIVE_SPEED_FLOOR
-    if accel == 0.0 and v >= v_max - SPEED_EDGE_TOL:
-        mask |= ACTIVE_SPEED_CEILING
-    if cap != INF and accel == cap:
-        mask |= ACTIVE_SAFETY
-    if accel == bound:
-        mask |= ACTIVE_DRAG_FLOW
-    if deadline_active and verdict != VERDICT_DEADLINE_SAFETY_CONFLICT \
-            and accel == 0.0:
-        mask |= ACTIVE_DEADLINE
-    return accel, verdict, mask, lo, hi, g, bound
+    return accel, verdict, lo, hi, g, cap, bound
 
 
 def leader_decision(v: float, p_hat: float, v_hat: float,
                     pred_accel: float, has_pred: bool, recovering: bool,
-                    v_min: float, v_max: float,
+                    deadline_active: bool, v_min: float, v_max: float,
                     a_min: float, a_max: float,
-                    delta: float, eps_g: float, gamma: float
-                    ) -> tuple[float, float, float, float]:
+                    delta: float, eps_g: float, gamma: float,
+                    c0: float, c1: float, c2: float
+                    ) -> tuple[float, int, float, float, float, float,
+                               float]:
     """Platoon-head control: brake to the floor, or accelerate to recover.
 
-    Returns (accel, lo, hi, g); ``g`` is nan without a predecessor.  The
-    admissible interval is the speed box intersected with the envelope
-    cap against the physical predecessor, when one exists.
+    Returns the tuple of ``follower_decision``.  The admissible interval
+    is the speed box intersected with the envelope cap against the
+    physical predecessor, when one exists.  The verdict, which decides
+    merges, classifies the head as a follower of that predecessor;
+    without one it is FEASIBLE, with ``bound`` 0 and ``g`` nan.
     """
-    lo, hi, g, _ = safe_interval(v, p_hat, v_hat, pred_accel, has_pred,
-                                 v_min, v_max, a_min, a_max, delta, eps_g,
-                                 gamma)
+    lo, hi, g, cap = safe_interval(v, p_hat, v_hat, pred_accel, has_pred,
+                                   v_min, v_max, a_min, a_max, delta, eps_g,
+                                   gamma)
     if recovering:
         accel = hi
     else:
         accel = a_min if a_min > lo else lo
         if accel > hi:
             accel = hi
-    return accel, lo, hi, g
+    if not has_pred:
+        return accel, VERDICT_FEASIBLE, lo, hi, g, cap, 0.0
+    bound = flow_bound(v, p_hat, v_hat, True, c0, c1, c2)
+    return (accel, classify(v, v_hat, bound, deadline_active, g, cap, v_min,
+                            a_min, eps_g),
+            lo, hi, g, cap, bound)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._kernels_py import SPEED_EDGE_TOL
-from .constraints import FeasibilityVerdict, gap_allowance, stopping_margin
+from .controller import FeasibilityVerdict, gap_allowance, stopping_margin
 from .core import SimParams
 from .sim import SimResult
 from .trajectory import (Trajectory, TrajectoryRecord, _stopping_margins,

@@ -1,4 +1,4 @@
-"""Per-vehicle control policies and the mode state machine.
+"""Per-vehicle control policies, their typed reports and the mode machine.
 
 Followers solve a one-dimensional constrained problem each step: among
 accelerations admitted by the speed box, the stopping envelope, the
@@ -6,34 +6,69 @@ drag-descent cap and (when active) the deadline, apply the one of least
 magnitude.  Platoon heads instead brake to the speed floor and cruise,
 or accelerate to recover a relaxed deadline.
 
-The kernels in ``_kernels_py`` state that solve; this module passes
-them a solve's state and the constants of its ``params``, drag law
-included.  ``solve_follower_control`` and ``leader_control`` return a
-``ControlDecision``; ``next_mode`` advances the mode state machine on
-its verdict.  To solve under another drag law, pass
-``replace(params, drag=law)``.
+The kernels in ``_kernels_py`` decide every solve, its verdict
+included; this module passes them a solve's state and the constants of
+its ``params``, drag law included.  ``solve_follower_control`` and
+``leader_control`` report the result as a ``ControlDecision``;
+``next_mode`` advances the mode state machine on its verdict.  To solve
+under another drag law, pass ``replace(params, drag=law)``.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
 from . import _kernels_py as kernels
-from .constraints import SPLIT_CODES, FeasibilityVerdict, FeasibleInterval
 from .core import SimParams, VehicleMode, VehicleState
 
-_ACTIVE_NAMES = (
-    (kernels.ACTIVE_SPEED_FLOOR, "speed_floor"),
-    (kernels.ACTIVE_SPEED_CEILING, "speed_ceiling"),
-    (kernels.ACTIVE_SAFETY, "safety"),
-    (kernels.ACTIVE_DRAG_FLOW, "drag_flow"),
-    (kernels.ACTIVE_DEADLINE, "deadline"),
-)
+
+class FeasibilityVerdict(enum.Enum):
+    """Outcome of the follower feasibility test, in precedence order.
+
+    The three split verdicts mean the follower must give up drafting and
+    head its own platoon; the deadline-safety conflict instead drops the
+    deadline and keeps following.
+    """
+
+    FEASIBLE = 0
+    #: Parked at the speed floor while drag descent demands deceleration.
+    FLOOR_CONFLICT = 1
+    #: Drag descent demands more braking than the actuator has.
+    BRAKE_CONFLICT = 2
+    #: Holding the deadline needs a >= 0, drag descent needs a < 0.
+    DEADLINE_DRAG_CONFLICT = 3
+    #: Holding the deadline needs a >= 0, the stopping envelope forbids it.
+    DEADLINE_SAFETY_CONFLICT = 4
+
+    @property
+    def splits(self) -> bool:
+        """Whether this verdict makes the follower head a new platoon."""
+        return self in (
+            FeasibilityVerdict.FLOOR_CONFLICT,
+            FeasibilityVerdict.BRAKE_CONFLICT,
+            FeasibilityVerdict.DEADLINE_DRAG_CONFLICT,
+        )
 
 
-def _active_set(mask: int) -> frozenset[str]:
-    return frozenset(name for bit, name in _ACTIVE_NAMES if mask & bit)
+SPLIT_CODES = frozenset(v.value for v in FeasibilityVerdict if v.splits)
+
+
+@dataclass(frozen=True, slots=True)
+class FeasibleInterval:
+    lo: float
+    hi: float
+
+    @property
+    def empty(self) -> bool:
+        return self.lo > self.hi
+
+    def clamp_to_zero(self) -> float:
+        """The element of least magnitude: the feasible value closest to 0."""
+        if self.empty:
+            raise ValueError("empty interval")
+        return kernels._clamp_to_zero(self.lo, self.hi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,9 +89,35 @@ class ControlDecision:
     flow_bound: float
 
 
-def _decision(accel: float, code: int, mask: int, lo: float, hi: float,
-              g: float, bound: float) -> ControlDecision:
-    return ControlDecision(accel, FeasibilityVerdict(code), _active_set(mask),
+def _assumed(pred_accel: float | None, params: SimParams) -> float:
+    """The predecessor command a solve assumes: full braking when there
+    is none to trust (``None``, or ``params.worst_case_pred_accel``)."""
+    if pred_accel is None or params.worst_case_pred_accel:
+        return params.a_min
+    return pred_accel
+
+
+def _decision(solve: tuple[float, int, float, float, float, float, float],
+              v: float, deadline_active: bool, follower: bool,
+              params: SimParams) -> ControlDecision:
+    """Report a kernel's ``(accel, verdict, lo, hi, g, cap, bound)``,
+    naming in ``active`` what binds the command, by one rule for both
+    solves; the descent bound and the deadline bind followers only."""
+    accel, code, lo, hi, g, cap, bound = solve
+    active = []
+    if accel == 0.0 and lo == 0.0 \
+            and v <= params.v_min + kernels.SPEED_EDGE_TOL:
+        active.append("speed_floor")
+    if accel == 0.0 and v >= params.v_max - kernels.SPEED_EDGE_TOL:
+        active.append("speed_ceiling")
+    if accel == cap:
+        active.append("safety")
+    if follower and accel == bound:
+        active.append("drag_flow")
+    if follower and deadline_active and accel == 0.0 \
+            and code != kernels.VERDICT_DEADLINE_SAFETY_CONFLICT:
+        active.append("deadline")
+    return ControlDecision(accel, FeasibilityVerdict(code), frozenset(active),
                            FeasibleInterval(lo, hi), g, bound)
 
 
@@ -69,28 +130,10 @@ def solve_follower_control(state: VehicleState, p_hat: float, v_hat: float,
     (replaced by full braking under ``params.worst_case_pred_accel``).
     """
     p, law = params, params.drag
-    if p.worst_case_pred_accel:
-        pred_accel = p.a_min
-    return _decision(*kernels.follower_decision(
-        state.v, p_hat, v_hat, pred_accel, deadline_active, p.v_min,
-        p.v_max, p.a_min, p.a_max, p.delta, p.eps_g, p.gamma, law.c0,
-        law.c1, law.c2))
-
-
-def merge_verdict(v: float, p_hat: float, v_hat: float, g: float, hi: float,
-                  deadline_active: bool, params: SimParams
-                  ) -> tuple[int, float]:
-    """``(verdict, bound)`` of a head classified as a follower of its
-    physical predecessor, from its leader solve's ``g`` and ``hi``.
-
-    The descent bound comes from the same drag law a follower in that
-    slot would use.
-    """
-    law = params.drag
-    bound = kernels.flow_bound(v, p_hat, v_hat, True, law.c0, law.c1, law.c2)
-    safety_active = g == g and (g >= -params.eps_g or hi < 0.0)
-    return kernels.classify(v, v_hat, bound, deadline_active, safety_active,
-                            params.v_min, params.a_min), bound
+    return _decision(kernels.follower_decision(
+        state.v, p_hat, v_hat, _assumed(pred_accel, p), deadline_active,
+        p.v_min, p.v_max, p.a_min, p.a_max, p.delta, p.eps_g, p.gamma,
+        law.c0, law.c1, law.c2), state.v, deadline_active, True, p)
 
 
 def leader_control(state: VehicleState, p_hat: float, v_hat: float,
@@ -105,29 +148,46 @@ def leader_control(state: VehicleState, p_hat: float, v_hat: float,
     None when there is none).
 
     The verdict classifies the head as if it were following its physical
-    predecessor (see ``merge_verdict``); resequencing merges platoons
-    whose head comes back FEASIBLE.
+    predecessor, under the descent bound of ``params.drag``;
+    resequencing merges platoons whose head comes back FEASIBLE.
+    """
+    p, law = params, params.drag
+    return _decision(kernels.leader_decision(
+        state.v, p_hat, v_hat, _assumed(pred_accel, p), pred_accel is not None,
+        state.mode is VehicleMode.LEADER_RECOVERING, deadline_active,
+        p.v_min, p.v_max, p.a_min, p.a_max, p.delta, p.eps_g, p.gamma,
+        law.c0, law.c1, law.c2), state.v, deadline_active, False, p)
+
+
+def stopping_margin(v: float, p_hat: float, v_hat: float,
+                    params: SimParams) -> float:
+    """Stopping-envelope margin; safe iff <= 0, which implies a gap of
+    at least delta even if both vehicles brake to the speed floor."""
+    return kernels.stopping_margin(v, p_hat, v_hat,
+                                   params.v_min, params.a_min, params.delta)
+
+
+def gap_allowance(params: SimParams) -> float:
+    """Largest stopping margin or bumper-gap shortfall the audits
+    accept: the band tolerance plus one step of drift at top speed, the
+    tightest bound a sampled-data controller can hold."""
+    return params.eps_g + params.v_max * params.dt
+
+
+def safe_accel_interval(v: float, p_hat: float, v_hat: float,
+                        pred_accel: float | None, has_pred: bool,
+                        params: SimParams) -> FeasibleInterval:
+    """Admissible accelerations from the speed box and stopping envelope.
+
+    ``pred_accel`` is the predecessor's communicated command; pass None
+    (or set ``params.worst_case_pred_accel``) to assume full braking.
+    Never empty for engine-reachable states.
     """
     p = params
-    v = state.v
-    has_pred = pred_accel is not None
-    accel, lo, hi, g = kernels.leader_decision(
-        v, p_hat, v_hat,
-        pred_accel if has_pred and not p.worst_case_pred_accel else p.a_min,
-        has_pred, state.mode is VehicleMode.LEADER_RECOVERING, p.v_min,
+    lo, hi, _, _ = kernels.safe_interval(
+        v, p_hat, v_hat, _assumed(pred_accel, p), has_pred, p.v_min,
         p.v_max, p.a_min, p.a_max, p.delta, p.eps_g, p.gamma)
-    code, bound = kernels.VERDICT_FEASIBLE, 0.0
-    if has_pred:
-        code, bound = merge_verdict(v, p_hat, v_hat, g, hi, deadline_active,
-                                    p)
-    mask = 0
-    if accel == 0.0 and lo == 0.0 and v <= p.v_min + kernels.SPEED_EDGE_TOL:
-        mask |= kernels.ACTIVE_SPEED_FLOOR
-    if accel == 0.0 and v >= p.v_max - kernels.SPEED_EDGE_TOL:
-        mask |= kernels.ACTIVE_SPEED_CEILING
-    if has_pred and accel == hi and hi != p.a_max:
-        mask |= kernels.ACTIVE_SAFETY
-    return _decision(accel, code, mask, lo, hi, g, bound)
+    return FeasibleInterval(lo, hi)
 
 
 def next_mode(mode: VehicleMode, verdict: int, deadline_margin: float,

@@ -45,9 +45,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels_py as kernels
-from .constraints import (SPLIT_CODES, deadline_margin, gap_allowance,
-                          stopping_margin)
-from .controller import KEEPS_MODE, merge_verdict, next_mode
+from ._kernels_py import deadline_margin
+from .controller import (KEEPS_MODE, SPLIT_CODES, gap_allowance, next_mode,
+                         stopping_margin)
 from .core import (
     OrderingError,
     SafetyAuditError,
@@ -217,9 +217,9 @@ Decision = tuple[float, int, VehicleMode, bool]
 def _decide(world: WorldState) -> list[Decision]:
     """Control decisions for all vehicles from the frozen pre-step state.
 
-    Followers run the follower kernel; heads run the leader kernel and
-    classify themselves against their physical predecessor, which
-    decides merges.  All of them solve under ``world.params``.
+    Followers run the follower kernel; heads run the leader kernel,
+    whose verdict against their physical predecessor decides merges.
+    All of them solve under ``world.params``.
 
     A follower's kernel result is a pure function of its inputs ``(v,
     p_hat, v_hat, pred_accel, deadline_active)`` under the world's fixed
@@ -269,8 +269,9 @@ def _decide(world: WorldState) -> list[Decision]:
                 raise OrderingError(
                     f"follower {veh.vid} has no predecessor at t={t:.3f}"
                 )
-            accel = leader(v, veh.p, v, a_min, False, mode == 3, v_min,
-                           v_max, a_min, a_max, delta, eps_g, gamma)[0]
+            accel = leader(v, veh.p, v, a_min, False, mode == 3, False,
+                           v_min, v_max, a_min, a_max, delta, eps_g, gamma,
+                           c0, c1, c2)[0]
             append((accel, kernels.VERDICT_FEASIBLE, mode, True))
             pred = veh
             continue
@@ -278,11 +279,9 @@ def _decide(world: WorldState) -> list[Decision]:
         v_hat = v - pred.v
         pred_accel = pred.accel if worst_pred is None else worst_pred
         if mode & 1:
-            accel, _, hi, g = leader(v, p_hat, v_hat, pred_accel, True,
-                                     mode == 3, v_min, v_max, a_min, a_max,
-                                     delta, eps_g, gamma)
-            code = merge_verdict(v, p_hat, v_hat, g, hi, deadline_active,
-                                 params)[0]
+            accel, code, _, _, _, _, _ = leader(
+                v, p_hat, v_hat, pred_accel, True, mode == 3, deadline_active,
+                v_min, v_max, a_min, a_max, delta, eps_g, gamma, c0, c1, c2)
         else:
             last = veh.last_solve
             if (last is not None and last[0] == v and last[1] == p_hat

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .constraints import deadline_margin
+from ._kernels_py import deadline_margin
 from .core import SimParams
 
 # Labels of the ``mode`` column's codes, which are ``VehicleMode``
@@ -123,7 +123,7 @@ class Trajectory:
 
     __slots__ = (("times", "offsets") + STORED_COLUMNS
                  + tuple("_" + name for name in DERIVED_COLUMNS)
-                 + ("_derived_steps", "params", "_exit_pos", "_deadline",
+                 + ("_derived_steps", "_params", "_exit_pos", "_deadline",
                     "_registered"))
 
     u = _derived("u")
@@ -141,12 +141,17 @@ class Trajectory:
                     array("d"))
         self.mode = array("b")
         self._derived_steps = 0
-        self.params = params
+        self._params = params
         # Exit position and deadline by vehicle id, and whether the id
         # was registered at all: engine ids are dense from 0.
         self._exit_pos = array("d")
         self._deadline = array("d")
         self._registered = array("b")
+
+    @property
+    def params(self) -> SimParams | None:
+        """The run's constants every row derives under; read-only."""
+        return self._params
 
     def register(self, vehicle_id: int, exit_pos: float,
                  deadline: float) -> None:

@@ -19,8 +19,8 @@ import numpy as np
 from .analysis import (brute_force_follower, consecutive_gap_excess,
                        rows_by_vehicle)
 from .cli import trajectory_csv_text
-from .constraints import gap_allowance, safe_accel_interval, stopping_margin
-from .controller import solve_follower_control
+from .controller import (gap_allowance, safe_accel_interval,
+                         solve_follower_control, stopping_margin)
 from .core import SimParams, SimulationError, VehicleMode, VehicleState
 from .sim import SimResult, WorldState, insert_vehicle, run, step
 from .trajectory import pair_rows

@@ -4,7 +4,7 @@ from array import array
 import pytest
 
 from platoonflow import SimParams, run, step
-from platoonflow.constraints import deadline_margin, stopping_margin
+from platoonflow import deadline_margin, stopping_margin
 from platoonflow.trajectory import COLUMNS, DERIVED_COLUMNS
 from platoonflow.verify import RunCorpus
 

@@ -141,6 +141,15 @@ class TestLeaderPolicy:
         assert d.accel == -3.4
         assert "safety" in d.active
 
+    def test_a_head_held_at_the_ceiling_names_only_the_ceiling(self):
+        # Falling back from its predecessor, the envelope does not bind
+        # (its cap is inf): only the speed ceiling holds the command at 0.
+        d = leader_control(make_state(PARAMS.v_max,
+                                      VehicleMode.LEADER_RECOVERING),
+                           -200.0, -1.0, 0.0, False, PARAMS)
+        assert d.accel == 0.0
+        assert d.active == frozenset({"speed_ceiling"})
+
     def test_parked_head_behind_parked_pred_stays_split(self):
         # opening or steady at the floor reads as a floor conflict, which
         # is what keeps a parked pair from merging and re-arming deadlines
@@ -243,9 +252,9 @@ class TestHeadsUseTheWorldsDragLaw:
         bound, g = d.flow_bound, d.gs_margin
         assert bound == law.descent_bound(v, p_hat, v_hat, True)
         assert g == stopping_margin(v, p_hat, v_hat, PARAMS)
-        safety = g >= -PARAMS.eps_g or d.interval.hi < 0.0
         assert d.verdict is FeasibilityVerdict(kernels.classify(
-            v, v_hat, bound, deadline, safety, PARAMS.v_min, PARAMS.a_min))
+            v, v_hat, bound, deadline, g, d.interval.hi, PARAMS.v_min,
+            PARAMS.a_min, PARAMS.eps_g))
 
 
 @pytest.mark.parametrize("mode", VehicleMode, ids=lambda m: MODE_NAMES[m])

@@ -16,3 +16,13 @@ def test_python_blocks_run_in_order_in_one_namespace():
         line = text.count("\n", 0, block.start(1))
         code = compile("\n" * line + block.group(1), str(README), "exec")
         exec(code, namespace)
+
+
+def test_layout_names_every_module_of_the_package():
+    block = re.search(r"^## Layout\n\n```\nsrc/platoonflow/\n(.*?)^```$",
+                      README.read_text(), re.M | re.S)
+    assert block, "README has no Layout block"
+    listed = set(re.findall(r"^  (\S+\.py) ", block.group(1), re.M))
+    package = README.parent / "src" / "platoonflow"
+    modules = {path.name for path in package.glob("*.py")}
+    assert listed == modules - {"__init__.py"}

@@ -12,14 +12,17 @@ from platoonflow import (
     SimResult,
     VehicleMode,
     WorldState,
+    deadline_margin,
     insert_vehicle,
+    leader_control,
     run,
+    solve_follower_control,
     step,
     validate_params,
 )
 from platoonflow import _kernels_py as kernels
 from platoonflow.analysis import records_by_time
-from platoonflow.constraints import SPEED_EDGE_TOL
+from platoonflow._kernels_py import SPEED_EDGE_TOL
 from platoonflow.sim import _decide
 
 from conftest import step_world, world_bytes
@@ -322,3 +325,37 @@ class TestSolveReuse:
         minus = kernels.follower_decision(v, p_hat, v_hat, -0.0, deadline,
                                           *consts)
         assert [repr(x) for x in plus] == [repr(x) for x in minus]
+
+
+@pytest.mark.parametrize("params", [
+    SimParams(duration=60.0, seed=1),
+    SimParams(duration=60.0, seed=2, gamma=0.0, worst_case_pred_accel=True)],
+    ids=["default", "worst_case_gamma0"])
+def test_the_engine_solves_what_the_public_api_reports(params):
+    """Every engine decision is the ``(accel, verdict)`` that
+    ``solve_follower_control`` or ``leader_control`` reports for the same
+    pre-step state."""
+    world = WorldState.initial(params)
+    solved = {"follower": 0, "head": 0}
+    for _ in range(round(params.duration / params.dt)):
+        for veh in world.vehicles:
+            veh.last_solve = None
+        pred = None
+        for veh, dec in zip(world.vehicles, _decide(world)):
+            deadline_active = (
+                params.enforce_deadlines and veh.mode < 2
+                and deadline_margin(veh.p, veh.v, world.t, veh.exit_pos,
+                                    veh.deadline) >= -params.eps_d)
+            if pred is None:
+                d = leader_control(veh, veh.p, veh.v, None, deadline_active,
+                                   params)
+            else:
+                solve, role = ((leader_control, "head") if veh.mode & 1
+                               else (solve_follower_control, "follower"))
+                d = solve(veh, veh.p - pred.p, veh.v - pred.v, pred.accel,
+                          deadline_active, params)
+                solved[role] += 1
+            assert dec[:2] == (d.accel, d.verdict.value)
+            pred = veh
+        step(world)
+    assert solved["follower"] > 1000 and solved["head"] > 100

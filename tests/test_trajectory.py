@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from platoonflow import (
     step,
 )
 from platoonflow.analysis import records_by_time, records_by_vehicle
-from platoonflow.constraints import deadline_margin, stopping_margin
+from platoonflow import deadline_margin, stopping_margin
 from platoonflow import trajectory
 from platoonflow.trajectory import COLUMNS, DERIVED_COLUMNS, MODE_NAMES
 
@@ -169,6 +170,17 @@ class TestDerivedColumns:
         assert list(tr.p) == [10.0]
         with pytest.raises(ValueError, match="drag law"):
             tr.drag
+
+    def test_the_params_a_trajectory_derives_under_are_read_only(self):
+        params = SimParams(duration=20.0, seed=1)
+        world = WorldState.initial(params)
+        step_world(world, 50, {})
+        tr = world.trajectory
+        with pytest.raises(AttributeError):
+            tr.params = replace(params, v_min=25.0)
+        assert tr.params is world.params is params
+        assert Trajectory().params is None
+        assert Trajectory.from_records(list(tr)).params is None
 
 
 def hand_built(steps, params, registered=None):
