@@ -146,11 +146,13 @@ class VehicleState:
     the vehicle intends to leave the road and is the distance target of
     its deadline.
 
-    ``last_solve`` is the engine's own: the kernel inputs and the
-    ``(accel, verdict)`` of this vehicle's latest follower solve, which
-    the engine reuses while the inputs stand still (see
-    ``sim._decide``).  It takes no part in comparison or ``repr``;
-    ``None`` means there is nothing to reuse.
+    The last four fields are the engine's own and take no part in
+    comparison or ``repr``.  ``command``, ``verdict`` and
+    ``control_mode`` are this step's decision (see ``sim._decide``):
+    the command, the kernel's verdict code and the mode that produced
+    them, which the trajectory records.  ``last_solve`` holds the inputs
+    and ``(accel, verdict)`` of the latest follower solve, reused while
+    the inputs stand still; ``None`` means there is nothing to reuse.
     """
 
     vid: int
@@ -161,6 +163,10 @@ class VehicleState:
     exit_pos: float
     mode: VehicleMode
     platoon_id: int
+    command: float = field(default=0.0, compare=False, repr=False)
+    verdict: int = field(default=0, compare=False, repr=False)
+    control_mode: VehicleMode | None = field(default=None, compare=False,
+                                             repr=False)
     last_solve: tuple | None = field(default=None, compare=False,
                                      repr=False)
 

@@ -26,8 +26,9 @@ One step covers the interval [t, t + dt):
    on its first read, with the vehicles' exit positions and deadlines
    that the engine registers once when it places or spawns a vehicle.
 
-Phases pass plain per-vehicle tuples (see ``Decision``) and kernel
-results between them; no object is built per vehicle and step.
+Each vehicle carries its own decision: the decide pass leaves it on
+``VehicleState.command``, ``verdict`` and ``control_mode``, where the
+later phases read it; no object is built per vehicle and step.
 
 All emitted records and events are stamped with the post-step clock:
 whatever happens while processing a step takes effect at its end.
@@ -151,16 +152,16 @@ class SimResult:
 
 def insert_vehicle(world: WorldState, p: float, v: float, *,
                    exit_pos: float, deadline: float,
-                   mode: VehicleMode | None = None,
-                   platoon_id: int | None = None) -> VehicleState:
+                   mode: VehicleMode | None = None) -> VehicleState:
     """Place a vehicle directly; harness entry point, not the spawn path.
 
     The vehicle is slotted by position.  Without an explicit mode it
-    follows the vehicle ahead (joining its platoon) or heads a fresh
-    platoon when the road ahead is empty.
+    follows the vehicle ahead or heads a platoon when the road ahead is
+    empty.  A head mode starts a fresh platoon, which the rest of a
+    platoon it cuts into follows; a follower mode joins the platoon of
+    the vehicle ahead.
     """
-    return _place(world, _slot(world, p), p, v, exit_pos, deadline, mode,
-                  platoon_id)
+    return _place(world, _slot(world, p), p, v, exit_pos, deadline, mode)
 
 
 def _slot(world: WorldState, p: float) -> int:
@@ -173,25 +174,27 @@ def _slot(world: WorldState, p: float) -> int:
 
 
 def _place(world: WorldState, idx: int, p: float, v: float,
-           exit_pos: float, deadline: float, mode: VehicleMode | None = None,
-           platoon_id: int | None = None) -> VehicleState:
+           exit_pos: float, deadline: float, mode: VehicleMode | None = None
+           ) -> VehicleState:
     """Insert a fresh vehicle at list index ``idx`` with the next id and
     register its exit and deadline with the trajectory."""
-    ahead = world.vehicles[idx - 1] if idx > 0 else None
-    if platoon_id is None:
-        if ahead is not None and mode is None:
-            platoon_id = ahead.platoon_id
-        else:
-            platoon_id = world.next_platoon_id
-            world.next_platoon_id += 1
+    vehicles = world.vehicles
+    ahead = vehicles[idx - 1] if idx > 0 else None
     if mode is None:
         mode = VehicleMode.FOLLOWER if ahead is not None else VehicleMode.LEADER
     veh = VehicleState(
         vid=world.next_vehicle_id, p=p, v=v, accel=0.0, deadline=deadline,
-        exit_pos=exit_pos, mode=mode, platoon_id=platoon_id,
+        exit_pos=exit_pos, mode=mode, control_mode=mode,
+        platoon_id=(world.next_platoon_id if ahead is None
+                    else ahead.platoon_id),
     )
     world.next_vehicle_id += 1
-    world.vehicles.insert(idx, veh)
+    vehicles.insert(idx, veh)
+    if ahead is None or mode & 1:
+        # A fresh platoon; a head placed inside one splits it there, as
+        # resequencing would, and heads the vehicles behind it.
+        _relabel(vehicles, idx, world.next_platoon_id)
+        world.next_platoon_id += 1
     world.trajectory.register(veh.vid, exit_pos, deadline)
     return veh
 
@@ -208,18 +211,16 @@ def draw_deadline(rng: np.random.Generator, p0: float, v0: float,
     return t0 + rng.uniform(dist / v0, dist / params.v_min)
 
 
-# What ``_decide`` hands the later phases, one entry per vehicle in
-# ``world.vehicles`` order: (command, verdict code, mode at control,
-# heads a platoon).
-Decision = tuple[float, int, VehicleMode, bool]
-
-
-def _decide(world: WorldState) -> list[Decision]:
+def _decide(world: WorldState) -> None:
     """Control decisions for all vehicles from the frozen pre-step state.
 
     Followers run the follower kernel; heads run the leader kernel,
     whose verdict against their physical predecessor decides merges.
-    All of them solve under ``world.params``.
+    All of them solve under ``world.params``.  The decision goes onto
+    each vehicle's ``command``, ``verdict`` and ``control_mode``; the
+    state the pass reads (``p``, ``v``, ``accel``, ``mode``) stays as it
+    was, so a follower reads its predecessor's ``accel`` as the previous
+    command and deciding twice gives the same result.
 
     A follower's kernel result is a pure function of its inputs ``(v,
     p_hat, v_hat, pred_accel, deadline_active)`` under the world's fixed
@@ -254,8 +255,6 @@ def _decide(world: WorldState) -> list[Decision]:
     follower = kernels.follower_decision
     leader = kernels.leader_decision
 
-    decisions: list[Decision] = []
-    append = decisions.append
     pred = None
     for veh in world.vehicles:
         # bit 0 of the mode: heads a platoon; bit 1: deadline relaxed
@@ -264,24 +263,22 @@ def _decide(world: WorldState) -> list[Decision]:
         deadline_active = (enforce and mode < 2
                            and deadline_margin(veh.p, v, t, veh.exit_pos,
                                                veh.deadline) >= neg_eps_d)
-        if pred is None:
-            if not mode & 1:
-                raise OrderingError(
-                    f"follower {veh.vid} has no predecessor at t={t:.3f}"
-                )
-            accel = leader(v, veh.p, v, a_min, False, mode == 3, False,
-                           v_min, v_max, a_min, a_max, delta, eps_g, gamma,
-                           c0, c1, c2)[0]
-            append((accel, kernels.VERDICT_FEASIBLE, mode, True))
-            pred = veh
-            continue
-        p_hat = veh.p - pred.p
-        v_hat = v - pred.v
-        pred_accel = pred.accel if worst_pred is None else worst_pred
+        if pred is not None:
+            p_hat = veh.p - pred.p
+            v_hat = v - pred.v
+            pred_accel = pred.accel if worst_pred is None else worst_pred
+        elif mode & 1:
+            # The leader kernel reads no predecessor input without one.
+            p_hat = v_hat = pred_accel = 0.0
+        else:
+            raise OrderingError(
+                f"follower {veh.vid} has no predecessor at t={t:.3f}"
+            )
         if mode & 1:
             accel, code, _, _, _, _, _ = leader(
-                v, p_hat, v_hat, pred_accel, True, mode == 3, deadline_active,
-                v_min, v_max, a_min, a_max, delta, eps_g, gamma, c0, c1, c2)
+                v, p_hat, v_hat, pred_accel, pred is not None, mode == 3,
+                deadline_active, v_min, v_max, a_min, a_max, delta, eps_g,
+                gamma, c0, c1, c2)
         else:
             last = veh.last_solve
             if (last is not None and last[0] == v and last[1] == p_hat
@@ -295,17 +292,16 @@ def _decide(world: WorldState) -> list[Decision]:
                     v_max, a_min, a_max, delta, eps_g, gamma, c0, c1, c2)
                 veh.last_solve = (v, p_hat, v_hat, pred_accel,
                                   deadline_active, accel, code)
-        append((accel, code, mode, pred.platoon_id != veh.platoon_id))
+        veh.command, veh.verdict, veh.control_mode = accel, code, mode
         pred = veh
-    return decisions
 
 
-def _integrate(world: WorldState, decisions: list[Decision]) -> None:
+def _integrate(world: WorldState) -> None:
     params = world.params
     dt = params.dt
     v_min, v_max = params.v_min, params.v_max
-    for veh, dec in zip(world.vehicles, decisions):
-        a = dec[0]
+    for veh in world.vehicles:
+        a = veh.command
         veh.p = veh.p + veh.v * dt + 0.5 * a * dt * dt
         v_new = veh.v + a * dt
         if v_new < v_min:
@@ -316,9 +312,8 @@ def _integrate(world: WorldState, decisions: list[Decision]) -> None:
         veh.accel = a
 
 
-def _process_exits(world: WorldState, stamp: float,
-                   decisions: list[Decision]) -> None:
-    """Remove vehicles past their exit, together with their decisions."""
+def _process_exits(world: WorldState, stamp: float) -> None:
+    """Remove vehicles past their exit."""
     vehicles = world.vehicles
     gone = [i for i, veh in enumerate(vehicles) if veh.p >= veh.exit_pos]
     for i in gone:
@@ -327,7 +322,6 @@ def _process_exits(world: WorldState, stamp: float,
                                   f"at {veh.exit_pos:g}"))
     for i in reversed(gone):
         del vehicles[i]
-        del decisions[i]
 
 
 def _audit(world: WorldState, stamp: float) -> None:
@@ -364,20 +358,18 @@ def _relabel(vehicles: list[VehicleState], i: int, new: int) -> int:
     return old
 
 
-def resequence(world: WorldState, decisions: list[Decision],
-               stamp: float) -> None:
+def resequence(world: WorldState, stamp: float) -> None:
     """Apply splits, mode transitions and merges for this step.
 
-    ``decisions`` line up with ``world.vehicles``.  Splits act on this
-    step's follower verdicts; merges act on heads whose
-    against-predecessor classification came back feasible.  Heads
-    promoted only this step sit out the merge test until they have a
-    head verdict of their own.
+    Splits act on this step's follower verdicts; merges act on heads
+    whose against-predecessor classification came back feasible.  Bit 0
+    of ``control_mode`` says who headed a platoon at control, so heads
+    promoted only this step sit out the merge test.
     """
     vehicles = world.vehicles
 
-    for i, dec in enumerate(decisions):
-        if not dec[3] and dec[1] in SPLIT_CODES:
+    for i, veh in enumerate(vehicles):
+        if not veh.control_mode & 1 and veh.verdict in SPLIT_CODES:
             new = world.next_platoon_id
             world.next_platoon_id += 1
             old = _relabel(vehicles, i, new)
@@ -387,17 +379,16 @@ def resequence(world: WorldState, decisions: list[Decision],
     eps_d = world.params.eps_d
     keeps = KEEPS_MODE
     ahead_pid = None
-    for veh, dec in zip(vehicles, decisions):
+    for veh in vehicles:
         pid = veh.platoon_id
         is_head = pid != ahead_pid
         ahead_pid = pid
-        # dec[2] is veh.mode: splits above change only ids.
-        if keeps[is_head][dec[2]][dec[1]]:
+        mode = veh.mode
+        if keeps[is_head][mode][veh.verdict]:
             continue
         margin = deadline_margin(veh.p, veh.v, stamp,
                                  veh.exit_pos, veh.deadline)
-        mode = veh.mode
-        new_mode = next_mode(mode, dec[1], margin, is_head, eps_d)
+        new_mode = next_mode(mode, veh.verdict, margin, is_head, eps_d)
         if new_mode is mode:
             continue
         if new_mode is VehicleMode.FOLLOWER_DEADLINE_RELAXED or (
@@ -414,10 +405,7 @@ def resequence(world: WorldState, decisions: list[Decision],
     feasible = kernels.VERDICT_FEASIBLE
     for i in range(1, len(vehicles)):
         veh = vehicles[i]
-        if vehicles[i - 1].platoon_id == veh.platoon_id:
-            continue
-        _, code, _, was_head = decisions[i]
-        if not was_head or code != feasible:
+        if not veh.control_mode & 1 or veh.verdict != feasible:
             continue
         target = vehicles[i - 1].platoon_id
         old = _relabel(vehicles, i, target)
@@ -480,21 +468,12 @@ def try_spawn(world: WorldState, stamp: float) -> None:
         ))
 
 
-def _record(world: WorldState, stamp: float,
-            decisions: list[Decision]) -> None:
-    """Append the post-step state to the trajectory columns.
-
-    ``decisions`` line up with the vehicles that were on the road at
-    control time.  Vehicles spawned this step hold the newest ids, have
-    no decision, and are recorded in their own mode.
-    """
+def _record(world: WorldState, stamp: float) -> None:
+    """Append the post-step state to the trajectory columns, each
+    vehicle in the mode that produced its command."""
     vehicles = world.vehicles
     if not vehicles:
         return
-    first_new = world.next_vehicle_id - (len(vehicles) - len(decisions))
-    at_control = iter(decisions)
-    modes = [next(at_control)[2] if veh.vid < first_new else veh.mode
-             for veh in vehicles]
     world.trajectory.append_step(
         stamp,
         [veh.vid for veh in vehicles],
@@ -502,20 +481,20 @@ def _record(world: WorldState, stamp: float,
         [veh.p for veh in vehicles],
         [veh.v for veh in vehicles],
         [veh.accel for veh in vehicles],
-        modes,
+        [veh.control_mode for veh in vehicles],
     )
 
 
 def step(world: WorldState) -> None:
     """Advance the world by one control period."""
     stamp = world.t + world.params.dt
-    decisions = _decide(world)
-    _integrate(world, decisions)
-    _process_exits(world, stamp, decisions)
+    _decide(world)
+    _integrate(world)
+    _process_exits(world, stamp)
     _audit(world, stamp)
-    resequence(world, decisions, stamp)
+    resequence(world, stamp)
     try_spawn(world, stamp)
-    _record(world, stamp, decisions)
+    _record(world, stamp)
     world.t = stamp
 
 

@@ -11,6 +11,7 @@ from platoonflow import (
     SimParams,
     SimResult,
     VehicleMode,
+    VehicleState,
     WorldState,
     deadline_margin,
     insert_vehicle,
@@ -38,6 +39,13 @@ def place(world, p, v, mode=None):
     return insert_vehicle(world, p, v, exit_pos=FAR, deadline=FAR, mode=mode)
 
 
+def decided(world):
+    """Run the decide pass and return each vehicle's ``(command,
+    verdict)``, front to back."""
+    _decide(world)
+    return [(veh.command, veh.verdict) for veh in world.vehicles]
+
+
 class TestInsertVehicle:
     def test_front_of_empty_road_heads_a_platoon(self, params):
         world = quiet_world(params)
@@ -60,12 +68,37 @@ class TestInsertVehicle:
         b = place(world, 200.0, 25.0)
         assert [v.vid for v in world.vehicles] == [a.vid, b.vid, c.vid]
 
-    def test_explicit_mode_gets_its_own_platoon(self, params):
+    def test_an_explicit_head_starts_a_fresh_platoon(self, params):
         world = quiet_world(params)
         front = place(world, 300.0, 25.0)
         rear = place(world, 200.0, 25.0, mode=VehicleMode.LEADER)
         assert rear.mode is VehicleMode.LEADER
         assert rear.platoon_id != front.platoon_id
+        assert world.next_platoon_id == rear.platoon_id + 1
+
+    def test_a_head_placed_inside_a_platoon_heads_the_rest(self, params):
+        world = quiet_world(params)
+        front = place(world, 300.0, 25.0)
+        rear = place(world, 200.0, 25.0)
+        middle = place(world, 250.0, 25.0, mode=VehicleMode.LEADER)
+        assert middle.platoon_id != front.platoon_id
+        assert rear.platoon_id == middle.platoon_id
+        assert rear.mode is VehicleMode.FOLLOWER
+        step(world)
+        assert [(e.kind, e.vehicle_id) for e in world.events] == [
+            ("merge", middle.vid)]
+        assert rear.mode is VehicleMode.FOLLOWER
+        assert front.platoon_id == middle.platoon_id == rear.platoon_id
+
+    def test_an_explicit_follower_joins_the_platoon_ahead(self, params):
+        world = quiet_world(params)
+        front = place(world, 300.0, 25.0)
+        rear = place(world, 200.0, 25.0, mode=VehicleMode.FOLLOWER)
+        assert rear.platoon_id == front.platoon_id
+        step(world)
+        assert rear.mode is VehicleMode.FOLLOWER
+        assert rear.platoon_id == front.platoon_id
+        assert world.events == []
 
 
 class TestStepDynamics:
@@ -200,6 +233,44 @@ class TestRunInvariants:
         recorded = {r.vehicle_id for r in short_run.trajectory}
         assert spawned == recorded
 
+    @pytest.mark.parametrize("params", [
+        SimParams(duration=60.0),
+        SimParams(duration=60.0, gamma=0.0, worst_case_pred_accel=True),
+        SimParams(duration=60.0, enforce_deadlines=False)],
+        ids=["default", "worst_case_gamma0", "no_deadlines"])
+    def test_a_head_by_mode_is_a_head_by_platoon_id(self, params):
+        # The engine reads "heads a platoon" from bit 0 of the mode alone;
+        # that is sound only while the platoon ids say the same.
+        world = WorldState.initial(params)
+        for _ in range(round(params.duration / params.dt)):
+            step(world)
+            ahead = None
+            for veh in world.vehicles:
+                heads = ahead is None or ahead.platoon_id != veh.platoon_id
+                assert bool(veh.mode & 1) is heads, (world.t, veh)
+                ahead = veh
+
+    def test_each_vehicle_is_recorded_in_its_mode_at_control(self):
+        # A vehicle put into world.vehicles by hand does not take the
+        # next id; every vehicle must still be recorded in the mode that
+        # produced its command.
+        params = SimParams(seed=4)
+        world = WorldState.initial(params)
+        for _ in range(300):
+            step(world)
+        front = world.vehicles[0]
+        world.vehicles.insert(0, VehicleState(
+            vid=10**6, p=front.p + 200.0, v=front.v, accel=0.0,
+            deadline=FAR, exit_pos=FAR, mode=VehicleMode.LEADER,
+            platoon_id=10**6))
+        at_control = {veh.vid: veh.mode for veh in world.vehicles}
+        step(world)
+        tr = world.trajectory
+        rows = range(tr.offsets[-2], tr.offsets[-1])
+        recorded = {tr.vehicle_id[i]: tr.mode[i] for i in rows}
+        assert len(recorded) > 20
+        assert {vid: recorded[vid] for vid in at_control} == at_control
+
     def test_same_seed_replays_identically(self):
         p = SimParams(duration=15.0, seed=4)
         assert run(p).trajectory == run(p).trajectory
@@ -282,17 +353,22 @@ class TestSolveReuse:
 
     def test_repeated_inputs_skip_the_kernel(self, params, kernel_calls):
         world = self.followers(params)
-        first = _decide(world)
+        state = [(veh.p, veh.v, veh.accel, veh.mode, veh.platoon_id)
+                 for veh in world.vehicles]
+        first = decided(world)
         assert kernel_calls[0] == 2
-        assert _decide(world) == first
+        assert decided(world) == first
         assert kernel_calls[0] == 2
+        # Deciding leaves the pre-step state it reads as it found it.
+        assert [(veh.p, veh.v, veh.accel, veh.mode, veh.platoon_id)
+                for veh in world.vehicles] == state
 
     @pytest.mark.parametrize("change", [
         "v", "p_hat", "v_hat", "pred_accel", "deadline"])
     def test_a_changed_input_or_binding_solves_afresh(self, params, change):
         world = self.followers(params)
         head, closing, opening = world.vehicles
-        first = _decide(world)
+        first = decided(world)
         if change == "v":
             # Both followers speed up alike: the opening one's v_hat holds.
             closing.v += 1.0
@@ -305,10 +381,10 @@ class TestSolveReuse:
             head.accel = -2.0
         else:
             opening.deadline = world.t
-        again = _decide(world)
+        again = decided(world)
         for veh in world.vehicles:
             veh.last_solve = None
-        assert again == _decide(world)
+        assert again == decided(world)
         assert again != first
 
     @given(v=st.one_of(st.just(20.0), st.just(35.0), st.floats(20.0, 35.0)),
@@ -340,8 +416,9 @@ def test_the_engine_solves_what_the_public_api_reports(params):
     for _ in range(round(params.duration / params.dt)):
         for veh in world.vehicles:
             veh.last_solve = None
+        _decide(world)
         pred = None
-        for veh, dec in zip(world.vehicles, _decide(world)):
+        for veh in world.vehicles:
             deadline_active = (
                 params.enforce_deadlines and veh.mode < 2
                 and deadline_margin(veh.p, veh.v, world.t, veh.exit_pos,
@@ -355,7 +432,7 @@ def test_the_engine_solves_what_the_public_api_reports(params):
                 d = solve(veh, veh.p - pred.p, veh.v - pred.v, pred.accel,
                           deadline_active, params)
                 solved[role] += 1
-            assert dec[:2] == (d.accel, d.verdict.value)
+            assert (veh.command, veh.verdict) == (d.accel, d.verdict.value)
             pred = veh
         step(world)
     assert solved["follower"] > 1000 and solved["head"] > 100
