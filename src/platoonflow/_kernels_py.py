@@ -2,11 +2,13 @@
 
 These functions carry the entire numerical semantics of the controller;
 the rest of the package binds parameters and reports their results.
-Each rule is stated once: ``safe_interval`` is the speed box
-intersected with the stopping envelope, which both decisions start
-from; ``drag_force``, ``drag_partials`` and ``flow_bound`` are the wake
-drag law; ``classify`` is the verdict both decisions return, a split
-for a follower and a merge for a head.  They take flat float arguments
+Each rule is stated once: ``advance`` is the vehicle update, which
+moves the engine's vehicles and those of the feasibility check;
+``safe_interval`` is the speed box intersected with the stopping
+envelope, which both decisions start from; ``drag_force``,
+``drag_partials`` and ``flow_bound`` are the wake drag law;
+``classify`` is the verdict both decisions return, a split for a
+follower and a merge for a head.  They take flat float arguments
 and allocate nothing beyond result tuples, so the engine can call them
 per vehicle and step.
 """
@@ -27,6 +29,23 @@ VERDICT_FLOOR_CONFLICT = 1
 VERDICT_BRAKE_CONFLICT = 2
 VERDICT_DEADLINE_DRAG_CONFLICT = 3
 VERDICT_DEADLINE_SAFETY_CONFLICT = 4
+
+
+def advance(p: float, v: float, a: float, dt: float,
+            v_min: float, v_max: float) -> tuple[float, float]:
+    """Position and speed ``(p', v')`` after one step of ``dt`` under
+    the command ``a``.
+
+    Position takes the double-integrator step under the raw command;
+    speed takes ``v + a * dt`` projected onto ``[v_min, v_max]``.  The
+    position does not see that projection.
+    """
+    v_new = v + a * dt
+    if v_new < v_min:
+        v_new = v_min
+    elif v_new > v_max:
+        v_new = v_max
+    return p + v * dt + 0.5 * a * dt * dt, v_new
 
 
 def drag_force(v: float, p_hat: float, in_wake: bool,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -91,32 +91,34 @@ def check_safety(tr: Trajectory, params: SimParams) -> list[str]:
             for b, gb in zip(back[bad].tolist(), g[bad].tolist())]
 
 
-def detect_formations(snapshot: Sequence[TrajectoryRecord],
-                      params: SimParams) -> list[tuple[int, ...]]:
-    """Group a snapshot into tight formations by observed gap and speed.
+def in_formation(p_ahead, v_ahead, p, v, params: SimParams):
+    """Whether a vehicle forms a pair with the vehicle ahead of it: the
+    bumper gap sits within ``eps_platoon_gap`` of the target spacing and
+    the speeds agree within ``eps_platoon_speed``.
 
-    Consecutive vehicles belong together when the bumper gap sits within
-    ``eps_platoon_gap`` of the target spacing and speeds agree within
-    ``eps_platoon_speed``.  This is measured from positions alone and is
-    independent of the engine's platoon bookkeeping.
+    Works on floats and on numpy columns alike.
     """
-    groups: list[tuple[int, ...]] = []
-    current: list[int] = []
-    for i, rec in enumerate(snapshot):
-        if not current:
-            current = [rec.vehicle_id]
-            continue
-        prev = snapshot[i - 1]
-        gap_err = abs((rec.p - prev.p) + params.delta)
-        if (gap_err <= params.eps_platoon_gap
-                and abs(rec.v - prev.v) <= params.eps_platoon_speed):
-            current.append(rec.vehicle_id)
-        else:
-            groups.append(tuple(current))
-            current = [rec.vehicle_id]
-    if current:
-        groups.append(tuple(current))
-    return groups
+    return ((abs((p - p_ahead) + params.delta) <= params.eps_platoon_gap)
+            & (abs(v - v_ahead) <= params.eps_platoon_speed))
+
+
+def detect_formations(tr: Trajectory, k: int,
+                      params: SimParams) -> list[tuple[int, ...]]:
+    """Group step ``k`` into tight formations by observed gap and speed.
+
+    The step's vehicles, front to back, are split wherever a vehicle is
+    not ``in_formation`` with the one ahead.  ``k`` may be negative, as
+    in ``Trajectory.snapshot``.  This is measured from positions alone
+    and is independent of the engine's platoon bookkeeping.
+    """
+    k = range(len(tr.times))[k]
+    start, stop = tr.offsets[k], tr.offsets[k + 1]
+    p, v = np.array(tr.p[start:stop]), np.array(tr.v[start:stop])
+    vid = tr.vehicle_id[start:stop]
+    cuts = np.flatnonzero(~in_formation(p[:-1], v[:-1], p[1:], v[1:],
+                                        params)) + 1
+    bounds = [0, *cuts.tolist(), len(vid)]
+    return [tuple(vid[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,6 +168,14 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
     own boundary point, so feasible slivers narrower than the grid
     spacing are still found.  The verdict is re-derived from the grid
     masks in the same precedence the controller documents.
+
+    The drag inequality ``f_p * v_hat + f_v * a <= 0`` is stated per
+    unit of acceleration, divided by ``f_v``, as the box and deadline
+    inequalities are, so its slack ``_INEQ_TOL`` is in m/s^2.  ``f_v``
+    is positive on every validated parameter set (``v_min > 0``,
+    ``c0 > 0``, ``c1 < 1``).  Left in units of dF/dt, the slack would
+    admit ``_INEQ_TOL / f_v`` m/s^2 beyond the bound: about 1e-6 m/s^2
+    on a speed box as narrow as [1, 2] m/s.
     """
     g = stopping_margin(v, p_hat, v_hat, params)
     f_v, f_p = params.drag.partials(v, p_hat, True)
@@ -175,9 +185,8 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
     decays = (v_hat > 0.0 and not at_floor
               and (params.gamma > 0.0 or g >= -params.eps_g))
 
-    cand = [np.linspace(params.a_min, params.a_max, n), [0.0]]
-    if f_v > 0.0:
-        cand.append([-f_p * v_hat / f_v])
+    cand = [np.linspace(params.a_min, params.a_max, n), [0.0],
+            [-f_p * v_hat / f_v]]
     if decays:
         k = (params.v_min - v) / params.a_min
         r = v_hat - pred * (params.v_min - v + v_hat) / params.a_min
@@ -192,7 +201,7 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
         safety_ok = decay_ok | (grid <= params.a_min + _INEQ_TOL)
     else:
         decay_ok = safety_ok = np.ones(grid.shape, bool)
-    flow_ok = f_p * v_hat + f_v * grid <= _INEQ_TOL
+    flow_ok = f_p * v_hat / f_v + grid <= _INEQ_TOL
     dl_ok = grid >= -_INEQ_TOL if deadline_active else np.ones(grid.shape,
                                                                bool)
 
@@ -224,7 +233,7 @@ def summarize(result: SimResult, params: SimParams) -> dict[str, object]:
     energies = energy_summary(tr)
     final_formations: list[tuple[int, ...]] = []
     if len(tr):
-        final_formations = detect_formations(tr.snapshot(-1), params)
+        final_formations = detect_formations(tr, -1, params)
     multi = [len(f) for f in final_formations if len(f) > 1]
     out: dict[str, object] = {
         "duration": params.duration,

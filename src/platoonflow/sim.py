@@ -13,7 +13,9 @@ One step covers the interval [t, t + dt):
    solve reuses that solve's command and verdict instead of calling the
    kernel again: the kernel is a pure function of them, so the reuse is
    exact (platoons at equilibrium repeat their inputs step after step);
-2. explicit Euler integration with speed projection onto the box;
+2. integration by ``_kernels_py.advance``: each vehicle's position
+   moves by ``v*dt + a*dt**2/2`` under its raw command, and its speed
+   by ``a*dt``, projected onto the speed box;
 3. exit removal (a vehicle leaves at its drawn exit position);
 4. ordering and bumper-gap audits (failures are engine bugs, not model
    outcomes, and raise);
@@ -300,15 +302,10 @@ def _integrate(world: WorldState) -> None:
     params = world.params
     dt = params.dt
     v_min, v_max = params.v_min, params.v_max
+    advance = kernels.advance
     for veh in world.vehicles:
         a = veh.command
-        veh.p = veh.p + veh.v * dt + 0.5 * a * dt * dt
-        v_new = veh.v + a * dt
-        if v_new < v_min:
-            v_new = v_min
-        elif v_new > v_max:
-            v_new = v_max
-        veh.v = v_new
+        veh.p, veh.v = advance(veh.p, veh.v, a, dt, v_min, v_max)
         veh.accel = a
 
 

@@ -16,8 +16,9 @@ from typing import Iterator
 
 import numpy as np
 
+from ._kernels_py import advance
 from .analysis import (brute_force_follower, consecutive_gap_excess,
-                       rows_by_vehicle)
+                       in_formation, rows_by_vehicle)
 from .cli import trajectory_csv_text
 from .controller import (gap_allowance, safe_accel_interval,
                          solve_follower_control, stopping_margin)
@@ -176,6 +177,8 @@ def check_recursive_feasibility(params: SimParams) -> CheckResult:
         v_hat = v - v_pred
         kin = stopping_margin(v, -params.delta, v_hat, params)
         p_hat = -params.delta - max(kin, 0.0) - float(rng.uniform(0.5, 50.0))
+        # The ego starts at p_hat, its predecessor at 0.
+        p, p_pred = p_hat, 0.0
         floored = 0
         for _ in range(80):
             pred_cmd = params.a_min if v_pred > params.v_min else 0.0
@@ -187,9 +190,11 @@ def check_recursive_feasibility(params: SimParams) -> CheckResult:
                     f"p_hat={p_hat:.3f}, v_hat={v_hat:.3f}"
                 ))
             g_pre = stopping_margin(v, p_hat, v_hat, params)
-            p_hat += v_hat * dt + 0.5 * (params.a_min - pred_cmd) * dt * dt
-            v = max(params.v_min, v + params.a_min * dt)
-            v_pred = max(params.v_min, v_pred + pred_cmd * dt)
+            p, v = advance(p, v, params.a_min, dt, params.v_min,
+                           params.v_max)
+            p_pred, v_pred = advance(p_pred, v_pred, pred_cmd, dt,
+                                     params.v_min, params.v_max)
+            p_hat = p - p_pred
             v_hat = v - v_pred
             jump = abs(stopping_margin(v, p_hat, v_hat, params) - g_pre)
             if jump > worst_jump:
@@ -279,9 +284,7 @@ def check_pursuit_convergence(params: SimParams) -> CheckResult:
                     f"scenario {scenario}: fell back at {v_rel:.4f} m/s "
                     f"(t={world.t:.1f})"
                 ))
-            if (abs(v_rel) <= params.eps_platoon_speed
-                    and abs((back.p - front.p) + params.delta)
-                    <= params.eps_platoon_gap):
+            if in_formation(front.p, front.v, back.p, back.v, params):
                 formed_at = world.t
                 break
         if formed_at is None:

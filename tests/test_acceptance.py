@@ -1,10 +1,15 @@
 """Acceptance gate: the ten release criteria, one test each.
 
 Each test prints a single PASS/FAIL line on the real stdout so the
-verdict list survives pytest's capture, then asserts.  The expensive
-50-seed run corpus (the session ``corpus`` fixture) is built once and
-shared by the checks that read it.
+verdict list survives pytest's capture, then asserts that the check
+passed and that its detail line is the one ``golden_digests.json`` pins
+for default parameters: the verify output must not just pass but stay
+the same.  The expensive 50-seed run corpus (the session ``corpus``
+fixture) is built once and shared by the checks that read it.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,9 @@ from platoonflow.verify import (
     check_throughput,
 )
 
+GOLDEN = json.loads(
+    Path(__file__).with_name("golden_digests.json").read_text())
+
 
 @pytest.fixture(scope="module")
 def acceptance_params():
@@ -33,6 +41,9 @@ def report(capsys, result):
     with capsys.disabled():
         print(f"{status}  {result.name}: {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
+    assert result.detail == GOLDEN["verify"][result.name], (
+        f"{result.name}: detail changed from the golden line; the golden "
+        f"lines were taken on {GOLDEN['platform']}")
 
 
 def test_criterion_01_no_safety_violations_across_seeds(

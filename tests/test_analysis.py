@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from platoonflow import (FeasibilityVerdict, SimParams, Trajectory,
@@ -10,11 +11,13 @@ from platoonflow.analysis import (
     check_safety,
     detect_formations,
     energy_summary,
+    in_formation,
     records_by_time,
     records_by_vehicle,
     summarize,
 )
 from platoonflow import solve_follower_control, VehicleMode, VehicleState
+from platoonflow.trajectory import pair_rows
 
 PARAMS = SimParams()
 
@@ -98,6 +101,10 @@ class TestAudits:
             "t=0.200: margin 7.500000 > 3.510000 between 1 and 2"]
 
 
+def formations(snap):
+    return detect_formations(Trajectory.from_records(snap), -1, PARAMS)
+
+
 class TestFormations:
     def test_groups_tight_consecutive_pairs(self):
         snap = [rec(vehicle_id=1, p=100.0, v=20.0),
@@ -105,17 +112,38 @@ class TestFormations:
                 rec(vehicle_id=3, p=90.0, v=20.0),
                 rec(vehicle_id=4, p=60.0, v=20.0),
                 rec(vehicle_id=5, p=55.0, v=20.0)]
-        assert detect_formations(snap, PARAMS) == [(1, 2, 3), (4, 5)]
+        assert formations(snap) == [(1, 2, 3), (4, 5)]
 
     def test_speed_mismatch_splits_the_partition(self):
         snap = [rec(vehicle_id=1, p=100.0, v=20.0),
                 rec(vehicle_id=2, p=95.0, v=20.2)]
-        assert detect_formations(snap, PARAMS) == [(1,), (2,)]
+        assert formations(snap) == [(1,), (2,)]
 
     def test_gap_slack_is_tolerated_up_to_the_band(self):
         snap = [rec(vehicle_id=1, p=100.0, v=20.0),
                 rec(vehicle_id=2, p=95.0 - 0.09, v=20.0)]
-        assert detect_formations(snap, PARAMS) == [(1, 2)]
+        assert formations(snap) == [(1, 2)]
+
+    def test_reads_the_step_it_is_given(self):
+        tr = Trajectory.from_records([
+            rec(time=0.1, vehicle_id=1, p=100.0, v=20.0),
+            rec(time=0.1, vehicle_id=2, p=95.0, v=20.0),
+            rec(time=0.1, vehicle_id=3, p=80.0, v=20.0),
+            rec(time=0.2, vehicle_id=4, p=50.0, v=20.0)])
+        assert detect_formations(tr, 0, PARAMS) == [(1, 2), (3,)]
+        assert detect_formations(tr, -2, PARAMS) == [(1, 2), (3,)]
+        assert detect_formations(tr, 1, PARAMS) == [(4,)]
+
+    def test_columns_and_floats_agree_pair_by_pair(self, short_run):
+        tr = short_run.trajectory
+        back = pair_rows(tr.offsets)
+        p, v = np.array(tr.p), np.array(tr.v)
+        columns = in_formation(p[back - 1], v[back - 1], p[back], v[back],
+                               PARAMS)
+        floats = [in_formation(tr.p[b - 1], tr.v[b - 1], tr.p[b], tr.v[b],
+                               PARAMS) for b in back.tolist()]
+        assert columns.any() and not columns.all()
+        assert columns.tolist() == floats
 
 
 class TestEnergy:

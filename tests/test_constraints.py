@@ -62,6 +62,33 @@ class TestDeadlineMargin:
         assert late > early
 
 
+def advance(p, v, a):
+    return kernels.advance(p, v, a, PARAMS.dt, PARAMS.v_min, PARAMS.v_max)
+
+
+class TestAdvance:
+    # Each case compares bit for bit with the update written out.
+    def test_inside_the_box(self):
+        p, v, a, dt = 120.0, 27.3, -1.7, PARAMS.dt
+        assert advance(p, v, a) == (p + v * dt + 0.5 * a * dt * dt,
+                                    v + a * dt)
+
+    def test_clipped_at_the_floor_position_follows_the_raw_command(self):
+        # Defect B of ROADMAP item 2 (sampled-data safety): the speed
+        # stops at v_min, but the position still takes the whole braking
+        # command.  That item changes this case on purpose.
+        p, v, a, dt = 120.0, 20.2, -4.0, PARAMS.dt
+        assert v + a * dt < PARAMS.v_min
+        assert advance(p, v, a) == (p + v * dt + 0.5 * a * dt * dt,
+                                    PARAMS.v_min)
+
+    def test_clipped_at_the_ceiling(self):
+        p, v, a, dt = 120.0, 34.9, 3.0, PARAMS.dt
+        assert v + a * dt > PARAMS.v_max
+        assert advance(p, v, a) == (p + v * dt + 0.5 * a * dt * dt,
+                                    PARAMS.v_max)
+
+
 def envelope_cap(v, v_hat, g, pred_accel):
     return kernels.envelope_cap(v, v_hat, g, pred_accel, PARAMS.v_min,
                                 PARAMS.a_min, PARAMS.gamma)

@@ -10,10 +10,9 @@ one-ulp change in a kernel already moves.  The digests depend on libm's
 ``exp``, so the data file records the platform they were taken on, and
 a mismatch reports it next to the running one.
 
-The data file also pins the detail lines of the three ``verify`` checks
-that read the 50-seed corpus, for default parameters, as the code before
-the corpus was folded per seed printed them: the verify output must not
-just pass but stay the same.
+The data file also pins the detail line of each of the ten ``verify``
+checks for default parameters; ``test_acceptance.py`` asserts every
+check's line against it where it runs the check.
 
 To print the digests of the current code (for instance after an
 intended change of behaviour, which must then be stated as such):
@@ -36,8 +35,7 @@ import pytest
 
 from platoonflow import SimParams, backend_name, run
 from platoonflow.cli import main, parse_config
-from platoonflow.verify import (RunCorpus, check_braking_only, check_safety,
-                                check_throughput)
+from platoonflow.verify import run_all
 
 DATA = Path(__file__).with_name("golden_digests.json")
 ARTIFACTS = ("trajectory.csv", "events.csv", "metrics.txt", "timespace.svg")
@@ -80,14 +78,6 @@ def records_digest(trajectory) -> str:
     return h.hexdigest()
 
 
-def verify_details(corpus: RunCorpus) -> dict[str, str]:
-    """Detail line of each corpus check for default parameters."""
-    params = SimParams()
-    return {r.name: r.detail for r in (check_safety(params, corpus),
-                                       check_throughput(params, corpus),
-                                       check_braking_only(params, corpus))}
-
-
 def current_platform() -> dict[str, str]:
     """The platform fields the data file records, for the running process."""
     return {
@@ -119,16 +109,10 @@ def test_artifacts_match_golden_digests(name, tmp_path):
         f"digests of {name!r} changed; {platform_note(data)}")
 
 
-def test_verify_corpus_details_match_golden(corpus):
-    data = json.loads(DATA.read_text())
-    assert verify_details(corpus) == data["verify"], (
-        f"verify corpus details changed; {platform_note(data)}")
-
-
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = {n: artifact_digests(n, Path(tmp)) for n in sorted(CONFIGS)}
     json.dump({"digests": digests, "platform": current_platform(),
-               "verify": verify_details(RunCorpus(SimParams()))},
+               "verify": {r.name: r.detail for r in run_all(SimParams())}},
               sys.stdout, indent=1, sort_keys=True)
     print()
