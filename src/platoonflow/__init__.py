@@ -13,7 +13,6 @@ from .controller import (
     FeasibilityVerdict,
     FeasibleInterval,
     leader_control,
-    next_mode,
     safe_accel_interval,
     solve_follower_control,
     stopping_margin,
@@ -68,7 +67,6 @@ __all__ = [
     "deadline_margin",
     "insert_vehicle",
     "leader_control",
-    "next_mode",
     "run",
     "safe_accel_interval",
     "solve_follower_control",

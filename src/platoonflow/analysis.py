@@ -28,6 +28,7 @@ from .trajectory import (Trajectory, TrajectoryRecord, _stopping_margins,
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 _INEQ_TOL = 1e-9  # slack applied to every brute-force inequality
+_GRID_POINTS = 10001  # evenly spaced candidates from a_min to a_max
 
 
 def records_by_time(tr: Trajectory) -> dict[float, list[TrajectoryRecord]]:
@@ -153,8 +154,7 @@ class OracleDecision:
 
 def brute_force_follower(v: float, p_hat: float, v_hat: float,
                          pred_accel: float, deadline_active: bool,
-                         params: SimParams,
-                         n: int = 10001) -> OracleDecision:
+                         params: SimParams) -> OracleDecision:
     """Reference follower decision by dense grid search.
 
     Every candidate acceleration is tested against the raw constraint
@@ -185,7 +185,7 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
     decays = (v_hat > 0.0 and not at_floor
               and (params.gamma > 0.0 or g >= -params.eps_g))
 
-    cand = [np.linspace(params.a_min, params.a_max, n), [0.0],
+    cand = [np.linspace(params.a_min, params.a_max, _GRID_POINTS), [0.0],
             [-f_p * v_hat / f_v]]
     if decays:
         k = (params.v_min - v) / params.a_min

@@ -1,4 +1,4 @@
-"""Per-vehicle control policies, their typed reports and the mode machine.
+"""Per-vehicle control policies and their typed reports.
 
 Followers solve a one-dimensional constrained problem each step: among
 accelerations admitted by the speed box, the stopping envelope, the
@@ -9,15 +9,14 @@ or accelerate to recover a relaxed deadline.
 The kernels in ``_kernels_py`` decide every solve, its verdict
 included; this module passes them a solve's state and the constants of
 its ``params``, drag law included.  ``solve_follower_control`` and
-``leader_control`` report the result as a ``ControlDecision``;
-``next_mode`` advances the mode state machine on its verdict.  To solve
-under another drag law, pass ``replace(params, drag=law)``.
+``leader_control`` report the result as a ``ControlDecision``, whose
+verdict the engine's resequencing acts on.  To solve under another drag
+law, pass ``replace(params, drag=law)``.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from . import _kernels_py as kernels
@@ -189,47 +188,3 @@ def safe_accel_interval(v: float, p_hat: float, v_hat: float,
         p.v_max, p.a_min, p.a_max, p.delta, p.eps_g, p.gamma)
     return FeasibleInterval(lo, hi)
 
-
-def next_mode(mode: VehicleMode, verdict: int, deadline_margin: float,
-              is_head: bool, eps_d: float) -> VehicleMode:
-    """Advance the mode state machine one step on a verdict code.
-
-    Split verdicts turn followers into heads; the deadline-safety
-    conflict relaxes the deadline in place; a relaxed follower reaching
-    the head slot accelerates to recover, and graduates to plain LEADER
-    once its deadline margin is comfortably negative.  Everything else
-    is sticky; demotion of a merged head is the engine's business.
-    """
-    if mode is VehicleMode.FOLLOWER:
-        if verdict in SPLIT_CODES:
-            return VehicleMode.LEADER
-        if verdict == kernels.VERDICT_DEADLINE_SAFETY_CONFLICT:
-            # Promoted and conflicted in the same step: recover as head.
-            if is_head:
-                return VehicleMode.LEADER_RECOVERING
-            return VehicleMode.FOLLOWER_DEADLINE_RELAXED
-        if is_head:
-            return VehicleMode.LEADER
-        return mode
-    if mode is VehicleMode.FOLLOWER_DEADLINE_RELAXED:
-        if verdict in SPLIT_CODES or is_head:
-            return VehicleMode.LEADER_RECOVERING
-        return mode
-    if mode is VehicleMode.LEADER_RECOVERING:
-        if deadline_margin <= -eps_d:
-            return VehicleMode.LEADER
-        return mode
-    return mode
-
-
-# ``KEEPS_MODE[is_head][mode][verdict]``: whether ``next_mode`` leaves
-# the mode as it is whatever the deadline margin, for the engine's
-# per-vehicle skip; a ``VehicleMode`` indexes it.  ``next_mode``
-# reads the margin only through ``margin <= -eps_d``, so the two
-# infinite margins cover both sides of that test.
-KEEPS_MODE = tuple(
-    tuple(tuple(all(next_mode(mode, verdict.value, margin, is_head, 0.0)
-                    is mode for margin in (-math.inf, math.inf))
-                for verdict in FeasibilityVerdict)
-          for mode in VehicleMode)
-    for is_head in (False, True))

@@ -19,7 +19,8 @@ One step covers the interval [t, t + dt):
 3. exit removal (a vehicle leaves at its drawn exit position);
 4. ordering and bumper-gap audits (failures are engine bugs, not model
    outcomes, and raise);
-5. resequencing: splits, mode transitions, merges;
+5. resequencing: splits, then each vehicle's two mode bits by their
+   rules in ``resequence``, then merges;
 6. spawn attempts due under the single arrival process;
 7. trajectory records: the state columns of ``world.trajectory`` (ids,
    position, speed, command, mode).  The physics a reader may want
@@ -49,8 +50,7 @@ import numpy as np
 
 from . import _kernels_py as kernels
 from ._kernels_py import deadline_margin
-from .controller import (KEEPS_MODE, SPLIT_CODES, gap_allowance, next_mode,
-                         stopping_margin)
+from .controller import SPLIT_CODES, gap_allowance, stopping_margin
 from .core import (
     OrderingError,
     SafetyAuditError,
@@ -161,9 +161,12 @@ def insert_vehicle(world: WorldState, p: float, v: float, *,
     follows the vehicle ahead or heads a platoon when the road ahead is
     empty.  A head mode starts a fresh platoon, which the rest of a
     platoon it cuts into follows; a follower mode joins the platoon of
-    the vehicle ahead.
+    the vehicle ahead, and raises ``ValueError`` when none is ahead.
     """
-    return _place(world, _slot(world, p), p, v, exit_pos, deadline, mode)
+    idx = _slot(world, p)
+    if idx == 0 and mode is not None and not mode & 1:
+        raise ValueError(f"a {mode.name} at p={p:g} has no vehicle ahead")
+    return _place(world, idx, p, v, exit_pos, deadline, mode)
 
 
 def _slot(world: WorldState, p: float) -> int:
@@ -362,42 +365,50 @@ def resequence(world: WorldState, stamp: float) -> None:
     whose against-predecessor classification came back feasible.  Bit 0
     of ``control_mode`` says who headed a platoon at control, so heads
     promoted only this step sit out the merge test.
+
+    Between the two, each vehicle's mode takes its two bits by one rule
+    each.  Bit 0, "heads a platoon", is what the platoon ids say once the
+    splits are in: a split, or its head's exit, makes a vehicle a head.
+    Bit 1, "deadline relaxed", is set by a ``FOLLOWER``'s deadline-safety
+    conflict and cleared once a ``LEADER_RECOVERING`` head's deadline
+    margin is at most ``-eps_d``; every other mode keeps it.  A
+    ``deadline_relax`` event marks it turning on, a ``deadline_recover``
+    event turning off.  A merge then makes its head a plain ``FOLLOWER``,
+    clearing both bits.
     """
     vehicles = world.vehicles
 
     for i, veh in enumerate(vehicles):
-        if not veh.control_mode & 1 and veh.verdict in SPLIT_CODES:
+        if veh.verdict in SPLIT_CODES and not veh.control_mode & 1:
             new = world.next_platoon_id
             world.next_platoon_id += 1
             old = _relabel(vehicles, i, new)
             world.events.append(Event(stamp, EVENT_SPLIT, vehicles[i].vid,
                                       f"platoon {old} -> {new}"))
 
-    eps_d = world.params.eps_d
-    keeps = KEEPS_MODE
+    neg_eps_d = -world.params.eps_d
+    conflict = kernels.VERDICT_DEADLINE_SAFETY_CONFLICT
     ahead_pid = None
     for veh in vehicles:
         pid = veh.platoon_id
-        is_head = pid != ahead_pid
+        head = pid != ahead_pid
         ahead_pid = pid
         mode = veh.mode
-        if keeps[is_head][mode][veh.verdict]:
-            continue
-        margin = deadline_margin(veh.p, veh.v, stamp,
-                                 veh.exit_pos, veh.deadline)
-        new_mode = next_mode(mode, veh.verdict, margin, is_head, eps_d)
-        if new_mode is mode:
-            continue
-        if new_mode is VehicleMode.FOLLOWER_DEADLINE_RELAXED or (
-                new_mode is VehicleMode.LEADER_RECOVERING
-                and mode is VehicleMode.FOLLOWER):
-            world.events.append(Event(stamp, EVENT_RELAX, veh.vid,
-                                      f"margin {margin:.3f}"))
-        elif (mode is VehicleMode.LEADER_RECOVERING
-              and new_mode is VehicleMode.LEADER):
-            world.events.append(Event(stamp, EVENT_RECOVER, veh.vid,
-                                      f"margin {margin:.3f}"))
-        veh.mode = new_mode
+        if (veh.verdict == conflict and mode == 0) or mode == 3:
+            margin = deadline_margin(veh.p, veh.v, stamp,
+                                     veh.exit_pos, veh.deadline)
+            relaxed = 2
+            if mode == 0:
+                world.events.append(Event(stamp, EVENT_RELAX, veh.vid,
+                                          f"margin {margin:.3f}"))
+            elif margin <= neg_eps_d:
+                relaxed = 0
+                world.events.append(Event(stamp, EVENT_RECOVER, veh.vid,
+                                          f"margin {margin:.3f}"))
+            veh.mode = VehicleMode(head | relaxed)
+        elif head != mode & 1:
+            # Outside bit 1's rules only bit 0 can change.
+            veh.mode = VehicleMode(head | mode & 2)
 
     feasible = kernels.VERDICT_FEASIBLE
     for i in range(1, len(vehicles)):

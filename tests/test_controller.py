@@ -6,21 +6,21 @@ from hypothesis import given, strategies as st
 
 from platoonflow import (
     DragCoefficients,
+    Event,
     FeasibilityVerdict,
     SimParams,
     VehicleMode,
     VehicleState,
     leader_control,
+    WorldState,
     solve_follower_control,
-    next_mode,
     stopping_margin,
 )
 from platoonflow import _kernels_py as kernels
-from platoonflow.controller import KEEPS_MODE
+from platoonflow.sim import resequence
 from platoonflow.trajectory import MODE_NAMES
 
 PARAMS = SimParams()
-EPS_D = PARAMS.eps_d
 
 
 def make_state(v, mode=VehicleMode.FOLLOWER, p=500.0):
@@ -164,53 +164,120 @@ class TestLeaderPolicy:
         assert d.verdict is FeasibilityVerdict.FEASIBLE
 
 
+STAMP = 1.0
+
+
+def decided(vid, mode, platoon_id, verdict=FeasibilityVerdict.FEASIBLE,
+            margin=-100.0):
+    """A vehicle 100 m behind vehicle ``vid - 1``, decided in ``mode``
+    with ``verdict``, whose deadline margin at STAMP is ``margin``
+    (exactly, for a whole number)."""
+    p = 1000.0 - 100.0 * vid
+    veh = VehicleState(vid=vid, p=p, v=25.0, accel=0.0, deadline=STAMP + 40.0,
+                       exit_pos=p + 1000.0 + margin, mode=mode,
+                       platoon_id=platoon_id)
+    veh.verdict, veh.control_mode = verdict.value, mode
+    return veh
+
+
+def resequenced(*vehicles, params=PARAMS):
+    """Resequence a hand-built world of ``vehicles``, front to back;
+    return their modes and the events as ``(kind, vehicle_id)``."""
+    world = WorldState.initial(params, spawning=False)
+    world.vehicles.extend(vehicles)
+    world.next_platoon_id = 100  # above every hand-set platoon id
+    resequence(world, STAMP)
+    return ([veh.mode for veh in vehicles],
+            [(e.kind, e.vehicle_id) for e in world.events])
+
+
 class TestModeMachine:
+    """``resequence`` takes each mode's two bits by one rule each: bit 0
+    from the platoon ids once the splits are in, bit 1 set by a
+    follower's deadline-safety conflict and cleared by a recovering
+    head's comfortable margin."""
+
     F = VehicleMode.FOLLOWER
     L = VehicleMode.LEADER
     R = VehicleMode.FOLLOWER_DEADLINE_RELAXED
     REC = VehicleMode.LEADER_RECOVERING
-    FEASIBLE = FeasibilityVerdict.FEASIBLE.value
-    CONFLICT = FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT.value
+    CONFLICT = FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT
 
     def test_follower_splits_to_leader(self):
         for verdict in (FeasibilityVerdict.FLOOR_CONFLICT,
                         FeasibilityVerdict.BRAKE_CONFLICT,
                         FeasibilityVerdict.DEADLINE_DRAG_CONFLICT):
-            assert next_mode(self.F, verdict.value, -1.0, False,
-                             EPS_D) is self.L
+            modes, events = resequenced(decided(0, self.L, 0),
+                                        decided(1, self.F, 0, verdict))
+            assert modes == [self.L, self.L]
+            assert events == [("split", 1)]
 
     def test_follower_relaxes_deadline_in_place(self):
-        out = next_mode(self.F, self.CONFLICT, -1.0, False, EPS_D)
-        assert out is self.R
+        world = WorldState.initial(PARAMS, spawning=False)
+        world.vehicles.extend([decided(0, self.L, 0),
+                               decided(1, self.F, 0, self.CONFLICT, -3.0)])
+        resequence(world, STAMP)
+        assert world.vehicles[1].mode is self.R
+        assert world.events == [Event(STAMP, "deadline_relax", 1,
+                                      "margin -3.000")]
 
     def test_follower_promoted_and_conflicted_recovers_as_head(self):
-        out = next_mode(self.F, self.CONFLICT, -1.0, True, EPS_D)
-        assert out is self.REC
+        # Its head exited this step, so it heads the platoon now.
+        modes, events = resequenced(decided(1, self.F, 0, self.CONFLICT))
+        assert modes == [self.REC]
+        assert events == [("deadline_relax", 1)]
 
     def test_follower_at_the_head_slot_leads(self):
-        out = next_mode(self.F, self.FEASIBLE, -1.0, True, EPS_D)
-        assert out is self.L
+        # Its head exited this step.
+        assert resequenced(decided(1, self.F, 0)) == ([self.L], [])
 
     def test_follower_is_otherwise_sticky(self):
-        out = next_mode(self.F, self.FEASIBLE, -1.0, False, EPS_D)
-        assert out is self.F
+        modes, events = resequenced(decided(0, self.L, 0),
+                                    decided(1, self.F, 0))
+        assert (modes, events) == ([self.L, self.F], [])
 
     def test_relaxed_follower_recovers_when_split_or_promoted(self):
-        floor = FeasibilityVerdict.FLOOR_CONFLICT.value
-        assert next_mode(self.R, floor, -1.0, False, EPS_D) is self.REC
-        assert next_mode(self.R, self.FEASIBLE, -1.0, True, EPS_D) is self.REC
-        assert next_mode(self.R, self.FEASIBLE, -1.0, False, EPS_D) is self.R
+        floor = FeasibilityVerdict.FLOOR_CONFLICT
+        assert resequenced(decided(0, self.L, 0),
+                           decided(1, self.R, 0, floor)) == (
+            [self.L, self.REC], [("split", 1)])
+        assert resequenced(decided(1, self.R, 0)) == ([self.REC], [])
+        assert resequenced(decided(0, self.L, 0), decided(1, self.R, 0)) == (
+            [self.L, self.R], [])
 
     def test_recovery_graduates_on_comfortable_margin(self):
-        assert next_mode(self.REC, self.FEASIBLE, -EPS_D, False,
-                         EPS_D) is self.L
-        assert next_mode(self.REC, self.FEASIBLE, -EPS_D / 2.0, False,
-                         EPS_D) is self.REC
+        params = replace(PARAMS, eps_d=2.0)
+        assert resequenced(decided(0, self.REC, 0, margin=-2.0),
+                           params=params) == (
+            [self.L], [("deadline_recover", 0)])
+        assert resequenced(decided(0, self.REC, 0, margin=-1.0),
+                           params=params) == ([self.REC], [])
 
     def test_leader_is_sticky(self):
-        out = next_mode(self.L, FeasibilityVerdict.BRAKE_CONFLICT.value, 5.0,
-                        True, EPS_D)
-        assert out is self.L
+        # Neither a conflict verdict nor a margin moves a head that is
+        # not recovering; a non-feasible verdict keeps it from merging.
+        for verdict in (FeasibilityVerdict.BRAKE_CONFLICT, self.CONFLICT):
+            modes, events = resequenced(
+                decided(0, self.L, 0, verdict, 5.0),
+                decided(1, self.L, 1, verdict, 5.0))
+            assert (modes, events) == ([self.L, self.L], [])
+
+    @pytest.mark.parametrize("mode", VehicleMode,
+                             ids=lambda m: MODE_NAMES[m])
+    @pytest.mark.parametrize("is_head", [False, True],
+                             ids=["behind", "head"])
+    def test_a_mode_keeps_bit_1_and_takes_bit_0_from_the_platoon_ids(
+            self, mode, is_head):
+        # With no rule of bit 1 firing, every mode leaves as its platoon
+        # ids say, even one the engine never reaches (a LEADER inside a
+        # platoon).  A head's non-feasible verdict keeps it from merging.
+        verdict = (FeasibilityVerdict.BRAKE_CONFLICT if mode & 1
+                   else FeasibilityVerdict.FEASIBLE)
+        modes, events = resequenced(
+            decided(0, self.L, 0),
+            decided(1, mode, int(is_head), verdict, margin=0.0))
+        assert modes[1] is VehicleMode(is_head | mode & 2)
+        assert events == []
 
 
 class TestHeadsUseTheWorldsDragLaw:
@@ -255,20 +322,3 @@ class TestHeadsUseTheWorldsDragLaw:
         assert d.verdict is FeasibilityVerdict(kernels.classify(
             v, v_hat, bound, deadline, g, d.interval.hi, PARAMS.v_min,
             PARAMS.a_min, PARAMS.eps_g))
-
-
-@pytest.mark.parametrize("mode", VehicleMode, ids=lambda m: MODE_NAMES[m])
-@pytest.mark.parametrize("is_head", [False, True], ids=["behind", "head"])
-def test_a_kept_mode_is_one_next_mode_keeps(mode, is_head):
-    eps_d = PARAMS.eps_d
-    margins = (-10.0, -2.0 * eps_d, -eps_d, math.nextafter(-eps_d, 0.0),
-               -eps_d / 2.0, 0.0, 10.0)
-    for verdict in FeasibilityVerdict:
-        if KEEPS_MODE[is_head][mode][verdict.value]:
-            for margin in margins:
-                assert next_mode(mode, verdict.value, margin, is_head,
-                                 eps_d) is mode
-    # The common cases are skipped: every LEADER, and a follower behind
-    # its platoon with a feasible verdict.
-    assert KEEPS_MODE[is_head][VehicleMode.LEADER] == (True,) * 5
-    assert KEEPS_MODE[False][VehicleMode.FOLLOWER][0]

@@ -14,8 +14,9 @@ The data file also pins the detail line of each of the ten ``verify``
 checks for default parameters; ``test_acceptance.py`` asserts every
 check's line against it where it runs the check.
 
-To print the digests of the current code (for instance after an
-intended change of behaviour, which must then be stated as such):
+To print the data file for the current code (for instance after an
+intended change of behaviour, which must then be stated as such), with
+its ``source`` note carried over from the file as it stands:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -90,7 +91,9 @@ def current_platform() -> dict[str, str]:
 
 
 def test_matrix_is_pinned():
-    assert set(json.loads(DATA.read_text())["digests"]) == set(CONFIGS)
+    data = json.loads(DATA.read_text())
+    assert set(data["digests"]) == set(CONFIGS)
+    assert data["duration_s"] == DURATION
 
 
 def platform_note(data: dict) -> str:
@@ -112,7 +115,9 @@ def test_artifacts_match_golden_digests(name, tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = {n: artifact_digests(n, Path(tmp)) for n in sorted(CONFIGS)}
-    json.dump({"digests": digests, "platform": current_platform(),
+    json.dump({"digests": digests, "duration_s": DURATION,
+               "platform": current_platform(),
+               "source": json.loads(DATA.read_text())["source"],
                "verify": {r.name: r.detail for r in run_all(SimParams())}},
               sys.stdout, indent=1, sort_keys=True)
     print()

@@ -90,6 +90,19 @@ class TestInsertVehicle:
         assert rear.mode is VehicleMode.FOLLOWER
         assert front.platoon_id == middle.platoon_id == rear.platoon_id
 
+    @pytest.mark.parametrize("mode", [
+        VehicleMode.FOLLOWER, VehicleMode.FOLLOWER_DEADLINE_RELAXED],
+        ids=["follower", "follower_relaxed"])
+    def test_a_follower_mode_needs_a_vehicle_ahead(self, params, mode):
+        world = quiet_world(params)
+        with pytest.raises(ValueError, match="no vehicle ahead"):
+            place(world, 100.0, 25.0, mode=mode)
+        front = place(world, 100.0, 25.0)
+        with pytest.raises(ValueError, match="no vehicle ahead"):
+            place(world, 200.0, 25.0, mode=mode)
+        assert world.vehicles == [front]
+        assert world.next_vehicle_id == 1
+
     def test_an_explicit_follower_joins_the_platoon_ahead(self, params):
         world = quiet_world(params)
         front = place(world, 300.0, 25.0)
@@ -141,8 +154,12 @@ class TestStepDynamics:
             step(world)
 
     def test_front_follower_is_rejected(self, params):
+        # insert_vehicle refuses one; a vehicle put in by hand meets the
+        # decide pass's guard.
         world = quiet_world(params)
-        place(world, 100.0, 25.0, mode=VehicleMode.FOLLOWER)
+        world.vehicles.append(VehicleState(
+            vid=0, p=100.0, v=25.0, accel=0.0, deadline=FAR, exit_pos=FAR,
+            mode=VehicleMode.FOLLOWER, platoon_id=0))
         with pytest.raises(OrderingError, match="no predecessor"):
             step(world)
 
@@ -234,13 +251,15 @@ class TestRunInvariants:
         assert spawned == recorded
 
     @pytest.mark.parametrize("params", [
-        SimParams(duration=60.0),
+        SimParams(),
         SimParams(duration=60.0, gamma=0.0, worst_case_pred_accel=True),
-        SimParams(duration=60.0, enforce_deadlines=False)],
-        ids=["default", "worst_case_gamma0", "no_deadlines"])
+        SimParams(duration=60.0, enforce_deadlines=False),
+        *(SimParams(seed=s) for s in range(1, 5))],
+        ids=["default", "worst_case_gamma0", "no_deadlines",
+             "seed1", "seed2", "seed3", "seed4"])
     def test_a_head_by_mode_is_a_head_by_platoon_id(self, params):
-        # The engine reads "heads a platoon" from bit 0 of the mode alone;
-        # that is sound only while the platoon ids say the same.
+        # The engine reads "heads a platoon" from bit 0 of the mode alone,
+        # which resequence must leave equal to what the platoon ids say.
         world = WorldState.initial(params)
         for _ in range(round(params.duration / params.dt)):
             step(world)
