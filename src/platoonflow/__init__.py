@@ -11,7 +11,6 @@ from ._kernels_py import deadline_margin
 from .controller import (
     ControlDecision,
     FeasibilityVerdict,
-    FeasibleInterval,
     leader_control,
     safe_accel_interval,
     solve_follower_control,
@@ -51,7 +50,6 @@ __all__ = [
     "DragCoefficients",
     "Event",
     "FeasibilityVerdict",
-    "FeasibleInterval",
     "OrderingError",
     "RoadNetwork",
     "SafetyAuditError",

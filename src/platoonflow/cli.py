@@ -11,8 +11,6 @@ from its artifacts alone.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +19,7 @@ from typing import Iterable, Iterator, Optional
 
 import yaml
 
+from . import sim
 from .analysis import summarize
 from .core import (DragCoefficients, RoadNetwork, SimParams, SimulationError,
                    validate_params)
@@ -176,13 +175,22 @@ def trajectory_csv_text(tr: Trajectory) -> str:
     return "".join(steps)
 
 
+# The ``detail`` column of each event kind, formatted from its facts.
+_EVENT_DETAIL = {
+    sim.EVENT_SPAWN: "entry=%g exit=%g v=%.3f",
+    sim.EVENT_DISCARD: "entry=%g v=%.3f",
+    sim.EVENT_EXIT: "at %g",
+    sim.EVENT_SPLIT: "platoon %d -> %d",
+    sim.EVENT_MERGE: "platoon %d -> %d",
+    sim.EVENT_RELAX: "margin %.3f",
+    sim.EVENT_RECOVER: "margin %.3f",
+}
+
+
 def events_csv_text(events: Iterable[Event]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("t", "kind", "id", "detail"))
-    for ev in events:
-        writer.writerow([_sig(ev.time), ev.kind, ev.vehicle_id, ev.detail])
-    return buf.getvalue()
+    return "t,kind,id,detail\n" + "".join([
+        f"{_sig(ev.time)},{ev.kind},{ev.vehicle_id},"
+        f"{_EVENT_DETAIL[ev.kind] % ev.facts}\n" for ev in events])
 
 
 def metrics_text(result: SimResult, params: SimParams) -> str:

@@ -9,9 +9,9 @@ or accelerate to recover a relaxed deadline.
 The kernels in ``_kernels_py`` decide every solve, its verdict
 included; this module passes them a solve's state and the constants of
 its ``params``, drag law included.  ``solve_follower_control`` and
-``leader_control`` report the result as a ``ControlDecision``, whose
-verdict the engine's resequencing acts on.  To solve under another drag
-law, pass ``replace(params, drag=law)``.
+``leader_control`` report the result as a ``ControlDecision`` of plain
+numbers, whose verdict the engine's resequencing acts on.  To solve
+under another drag law, pass ``replace(params, drag=law)``.
 """
 
 from __future__ import annotations
@@ -55,26 +55,10 @@ SPLIT_CODES = frozenset(v.value for v in FeasibilityVerdict if v.splits)
 
 
 @dataclass(frozen=True, slots=True)
-class FeasibleInterval:
-    lo: float
-    hi: float
-
-    @property
-    def empty(self) -> bool:
-        return self.lo > self.hi
-
-    def clamp_to_zero(self) -> float:
-        """The element of least magnitude: the feasible value closest to 0."""
-        if self.empty:
-            raise ValueError("empty interval")
-        return kernels._clamp_to_zero(self.lo, self.hi)
-
-
-@dataclass(frozen=True, slots=True)
 class ControlDecision:
     """Outcome of one control solve.
 
-    ``interval`` is the final feasible interval the command was drawn
+    ``[lo, hi]`` is the final feasible interval the command was drawn
     from; when the verdict is not FEASIBLE the command came from the
     fallback policy instead and the interval reflects the relaxation.
     ``gs_margin`` is nan for a vehicle with no predecessor.
@@ -83,7 +67,8 @@ class ControlDecision:
     accel: float
     verdict: FeasibilityVerdict
     active: frozenset[str]
-    interval: FeasibleInterval
+    lo: float
+    hi: float
     gs_margin: float
     flow_bound: float
 
@@ -117,7 +102,7 @@ def _decision(solve: tuple[float, int, float, float, float, float, float],
             and code != kernels.VERDICT_DEADLINE_SAFETY_CONFLICT:
         active.append("deadline")
     return ControlDecision(accel, FeasibilityVerdict(code), frozenset(active),
-                           FeasibleInterval(lo, hi), g, bound)
+                           lo, hi, g, bound)
 
 
 def solve_follower_control(state: VehicleState, p_hat: float, v_hat: float,
@@ -175,16 +160,15 @@ def gap_allowance(params: SimParams) -> float:
 
 def safe_accel_interval(v: float, p_hat: float, v_hat: float,
                         pred_accel: float | None, has_pred: bool,
-                        params: SimParams) -> FeasibleInterval:
-    """Admissible accelerations from the speed box and stopping envelope.
+                        params: SimParams) -> tuple[float, float]:
+    """Admissible ``(lo, hi)`` from the speed box and stopping envelope.
 
     ``pred_accel`` is the predecessor's communicated command; pass None
     (or set ``params.worst_case_pred_accel``) to assume full braking.
-    Never empty for engine-reachable states.
+    Never empty (``lo > hi``) for engine-reachable states.
     """
     p = params
-    lo, hi, _, _ = kernels.safe_interval(
+    return kernels.safe_interval(
         v, p_hat, v_hat, _assumed(pred_accel, p), has_pred, p.v_min,
-        p.v_max, p.a_min, p.a_max, p.delta, p.eps_g, p.gamma)
-    return FeasibleInterval(lo, hi)
+        p.v_max, p.a_min, p.a_max, p.delta, p.eps_g, p.gamma)[:2]
 

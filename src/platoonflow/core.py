@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Iterator
 
@@ -222,7 +223,10 @@ def validate_params(params: SimParams) -> list[str]:
         # Each finite alone, the two can still overflow the step count.
         bad.append("duration / dt must be finite, got "
                    f"{params.duration / params.dt}")
-    if params.seed < 0:
+    seed = params.seed
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        bad.append(f"seed must be an integer, got {seed!r}")
+    elif seed < 0:
         bad.append("seed must be non-negative")
     for name in ("eps_g", "eps_d", "eps_platoon_gap", "eps_platoon_speed"):
         if getattr(params, name) <= 0.0:

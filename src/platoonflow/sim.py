@@ -34,7 +34,10 @@ Each vehicle carries its own decision: the decide pass leaves it on
 later phases read it; no object is built per vehicle and step.
 
 All emitted records and events are stamped with the post-step clock:
-whatever happens while processing a step takes effect at its end.
+whatever happens while processing a step takes effect at its end.  An
+event's ``facts`` are numbers, formatted only by ``cli``: spawn ``(entry,
+exit_pos, v0)``, discard ``(entry, v0)``, exit ``(exit_pos,)``, split
+and merge ``(old_platoon, new_platoon)``, relax and recover ``(margin,)``.
 
 The random stream is consumed in a fixed order per spawn attempt
 (delay, entry point, speed, exit choice, then the deadline for accepted
@@ -77,7 +80,7 @@ class Event:
     time: float
     kind: str
     vehicle_id: int
-    detail: str
+    facts: tuple
 
 
 @dataclass(slots=True)
@@ -161,11 +164,17 @@ def insert_vehicle(world: WorldState, p: float, v: float, *,
     follows the vehicle ahead or heads a platoon when the road ahead is
     empty.  A head mode starts a fresh platoon, which the rest of a
     platoon it cuts into follows; a follower mode joins the platoon of
-    the vehicle ahead, and raises ``ValueError`` when none is ahead.
+    the vehicle ahead.  ``ValueError`` refuses a follower with none
+    ahead, a position taken, and a speed outside ``[v_min, v_max]``.
     """
     idx = _slot(world, p)
-    if idx == 0 and mode is not None and not mode & 1:
+    ahead = world.vehicles[idx - 1] if idx else None
+    if ahead is None and mode is not None and not mode & 1:
         raise ValueError(f"a {mode.name} at p={p:g} has no vehicle ahead")
+    if ahead is not None and ahead.p == p:
+        raise ValueError(f"vehicle {ahead.vid} already holds p={p:g}")
+    if not world.params.v_min <= v <= world.params.v_max:
+        raise ValueError(f"v={v:g} lies outside the speed box")
     return _place(world, idx, p, v, exit_pos, deadline, mode)
 
 
@@ -234,8 +243,8 @@ def _decide(world: WorldState) -> None:
     that solve's ``(accel, verdict)`` without calling the kernel.  Float
     ``==`` is exact here, not just close:
 
-    - ``v >= v_min > 0``, and ``p_hat < 0`` strictly once the ordering
-      audit has run, so neither is a signed zero;
+    - ``v >= v_min > 0`` and ``p_hat < 0`` strictly, as placement,
+      integration and the ordering audit ensure, so neither is a signed zero;
     - ``v_hat = v - pred.v`` is ``+0.0`` whenever it is zero;
     - no NaN reaches the kernel (``validate_params`` rejects it, and the
       state is built from finite values);
@@ -318,8 +327,7 @@ def _process_exits(world: WorldState, stamp: float) -> None:
     gone = [i for i, veh in enumerate(vehicles) if veh.p >= veh.exit_pos]
     for i in gone:
         veh = vehicles[i]
-        world.events.append(Event(stamp, EVENT_EXIT, veh.vid,
-                                  f"at {veh.exit_pos:g}"))
+        world.events.append(Event(stamp, EVENT_EXIT, veh.vid, (veh.exit_pos,)))
     for i in reversed(gone):
         del vehicles[i]
 
@@ -384,7 +392,7 @@ def resequence(world: WorldState, stamp: float) -> None:
             world.next_platoon_id += 1
             old = _relabel(vehicles, i, new)
             world.events.append(Event(stamp, EVENT_SPLIT, vehicles[i].vid,
-                                      f"platoon {old} -> {new}"))
+                                      (old, new)))
 
     neg_eps_d = -world.params.eps_d
     conflict = kernels.VERDICT_DEADLINE_SAFETY_CONFLICT
@@ -400,11 +408,11 @@ def resequence(world: WorldState, stamp: float) -> None:
             relaxed = 2
             if mode == 0:
                 world.events.append(Event(stamp, EVENT_RELAX, veh.vid,
-                                          f"margin {margin:.3f}"))
+                                          (margin,)))
             elif margin <= neg_eps_d:
                 relaxed = 0
                 world.events.append(Event(stamp, EVENT_RECOVER, veh.vid,
-                                          f"margin {margin:.3f}"))
+                                          (margin,)))
             veh.mode = VehicleMode(head | relaxed)
         elif head != mode & 1:
             # Outside bit 1's rules only bit 0 can change.
@@ -424,7 +432,7 @@ def resequence(world: WorldState, stamp: float) -> None:
         # gap ahead one burst at a time.
         veh.mode = VehicleMode.FOLLOWER
         world.events.append(Event(stamp, EVENT_MERGE, veh.vid,
-                                  f"platoon {old} -> {target}"))
+                                  (old, target)))
 
 
 def try_spawn(world: WorldState, stamp: float) -> None:
@@ -464,16 +472,13 @@ def try_spawn(world: WorldState, stamp: float) -> None:
                                 behind.v - v0, params)
             ok = g <= 0.0
         if not ok:
-            world.events.append(Event(stamp, EVENT_DISCARD, -1,
-                                      f"entry={entry:g} v={v0:.3f}"))
+            world.events.append(Event(stamp, EVENT_DISCARD, -1, (entry, v0)))
             continue
 
         t_f = draw_deadline(rng, entry, v0, exit_pos, stamp, params)
         veh = _place(world, idx, entry, v0, exit_pos, t_f)
-        world.events.append(Event(
-            stamp, EVENT_SPAWN, veh.vid,
-            f"entry={entry:g} exit={exit_pos:g} v={v0:.3f}",
-        ))
+        world.events.append(Event(stamp, EVENT_SPAWN, veh.vid,
+                                  (entry, exit_pos, v0)))
 
 
 def _record(world: WorldState, stamp: float) -> None:

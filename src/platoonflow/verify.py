@@ -182,9 +182,9 @@ def check_recursive_feasibility(params: SimParams) -> CheckResult:
         floored = 0
         for _ in range(80):
             pred_cmd = params.a_min if v_pred > params.v_min else 0.0
-            interval = safe_accel_interval(v, p_hat, v_hat, pred_cmd, True,
-                                           params)
-            if interval.empty:
+            lo, hi = safe_accel_interval(v, p_hat, v_hat, pred_cmd, True,
+                                         params)
+            if lo > hi:
                 return CheckResult(name, False, (
                     f"episode {episode}: empty safe interval at v={v:.3f}, "
                     f"p_hat={p_hat:.3f}, v_hat={v_hat:.3f}"

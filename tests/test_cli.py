@@ -4,7 +4,7 @@ import re
 import pytest
 import yaml
 
-from platoonflow import SimParams, Trajectory, TrajectoryRecord, run
+from platoonflow import Event, SimParams, Trajectory, TrajectoryRecord, run
 from platoonflow.cli import (
     ConfigError,
     _parse_window,
@@ -118,6 +118,26 @@ class TestCsvWriters:
 
     def test_events_header_is_stable(self):
         assert events_csv_text([]) == "t,kind,id,detail\n"
+
+    def test_each_event_kind_formats_its_facts(self):
+        events = [
+            Event(0.1, "spawn", 0, (0.0, 1750.0, 27.12345)),
+            Event(0.2, "discard", -1, (1e6, 20.0)),
+            Event(0.30000000000000004, "exit", 0, (1750.0,)),
+            Event(0.4, "split", 3, (0, 7)),
+            Event(0.5, "merge", 3, (7, 0)),
+            Event(0.6, "deadline_relax", 4, (-0.0004,)),
+            Event(0.7, "deadline_recover", 4, (-2.5,)),
+        ]
+        assert events_csv_text(events).splitlines()[1:] == [
+            "0.1,spawn,0,entry=0 exit=1750 v=27.123",
+            "0.2,discard,-1,entry=1e+06 v=20.000",
+            "0.3,exit,0,at 1750",
+            "0.4,split,3,platoon 0 -> 7",
+            "0.5,merge,3,platoon 7 -> 0",
+            "0.6,deadline_relax,4,margin -0.000",
+            "0.7,deadline_recover,4,margin -2.500",
+        ]
 
 
 class TestWindowParsing:

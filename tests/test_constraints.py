@@ -1,11 +1,9 @@
 import math
 
-import pytest
 from hypothesis import given, strategies as st
 
 from platoonflow import (
     FeasibilityVerdict,
-    FeasibleInterval,
     SimParams,
     deadline_margin,
     safe_accel_interval,
@@ -113,26 +111,20 @@ class TestEnvelopeCap:
         assert loose > tight
 
 
-class TestFeasibleInterval:
+class TestClampToZero:
     def test_clamp_prefers_zero_when_interior(self):
-        assert FeasibleInterval(-4.0, 3.0).clamp_to_zero() == 0.0
+        assert kernels._clamp_to_zero(-4.0, 3.0) == 0.0
 
     def test_clamp_takes_nearest_endpoint(self):
-        assert FeasibleInterval(0.5, 3.0).clamp_to_zero() == 0.5
-        assert FeasibleInterval(-4.0, -0.25).clamp_to_zero() == -0.25
-
-    def test_empty_interval_raises(self):
-        interval = FeasibleInterval(1.0, 0.0)
-        assert interval.empty
-        with pytest.raises(ValueError):
-            interval.clamp_to_zero()
+        assert kernels._clamp_to_zero(0.5, 3.0) == 0.5
+        assert kernels._clamp_to_zero(-4.0, -0.25) == -0.25
 
     @given(lo=st.floats(min_value=-4.0, max_value=3.0),
            hi=st.floats(min_value=-4.0, max_value=3.0))
     def test_clamp_is_the_minimum_magnitude_element(self, lo, hi):
         if lo > hi:
             return
-        a = FeasibleInterval(lo, hi).clamp_to_zero()
+        a = kernels._clamp_to_zero(lo, hi)
         assert lo <= a <= hi
         for probe in (lo, hi, min(max(0.0, lo), hi)):
             assert abs(a) <= abs(probe) + 1e-15
@@ -140,40 +132,40 @@ class TestFeasibleInterval:
 
 class TestSafeAccelInterval:
     def test_far_apart_leaves_full_box(self):
-        interval = safe_accel_interval(30.0, -150.0, 1.0, 0.0, True, PARAMS)
-        assert interval.lo == PARAMS.a_min
-        assert interval.hi == PARAMS.a_max
+        assert safe_accel_interval(30.0, -150.0, 1.0, 0.0, True, PARAMS) \
+            == (PARAMS.a_min, PARAMS.a_max)
 
     def test_speed_floor_lifts_lower_bound(self):
-        interval = safe_accel_interval(20.0, -50.0, -2.0, 0.0, True, PARAMS)
-        assert interval.lo == 0.0
+        lo, _ = safe_accel_interval(20.0, -50.0, -2.0, 0.0, True, PARAMS)
+        assert lo == 0.0
 
     def test_speed_ceiling_drops_upper_bound(self):
-        interval = safe_accel_interval(35.0, -50.0, 5.0, -4.0, False, PARAMS)
-        assert interval.hi == 0.0
+        _, hi = safe_accel_interval(35.0, -50.0, 5.0, -4.0, False, PARAMS)
+        assert hi == 0.0
 
     def test_closing_near_boundary_forces_braking(self):
         # The closing speed at which this state meets the envelope (see
         # TestStoppingMargin.test_zero_at_the_critical_state).
         v_hat = 10.0
-        interval = safe_accel_interval(30.0, -17.5, v_hat, -4.0, True, PARAMS)
-        assert interval.hi == -4.0
-        assert not interval.empty
+        lo, hi = safe_accel_interval(30.0, -17.5, v_hat, -4.0, True, PARAMS)
+        assert hi == -4.0
+        assert lo <= hi
 
     def test_worst_case_switch_overrides_communication(self):
         import dataclasses
         worst = dataclasses.replace(PARAMS, worst_case_pred_accel=True)
-        optimistic = safe_accel_interval(30.0, -18.0, 9.0, 3.0, True, PARAMS)
-        forced = safe_accel_interval(30.0, -18.0, 9.0, 3.0, True, worst)
-        assert forced.hi <= optimistic.hi
+        _, optimistic = safe_accel_interval(30.0, -18.0, 9.0, 3.0, True,
+                                            PARAMS)
+        _, forced = safe_accel_interval(30.0, -18.0, 9.0, 3.0, True, worst)
+        assert forced <= optimistic
 
     @given(v=speeds, p_hat=gaps, v_hat=rel_speeds,
            pred=st.floats(min_value=-4.0, max_value=3.0))
     def test_interval_stays_inside_the_box(self, v, p_hat, v_hat, pred):
-        interval = safe_accel_interval(v, p_hat, v_hat, pred, True, PARAMS)
-        if not interval.empty:
-            assert interval.lo >= PARAMS.a_min - 1e-12
-            assert interval.hi <= PARAMS.a_max + 1e-12
+        lo, hi = safe_accel_interval(v, p_hat, v_hat, pred, True, PARAMS)
+        if lo <= hi:
+            assert lo >= PARAMS.a_min - 1e-12
+            assert hi <= PARAMS.a_max + 1e-12
 
 
 class TestVerdicts:

@@ -82,7 +82,7 @@ class TestFollowerSolve:
         assert d.gs_margin == 2.5
         # the command comes from the solve with the deadline dropped
         assert d.accel == -3.4
-        assert d.interval.hi == -3.4
+        assert d.hi == -3.4
         assert "safety" in d.active
 
     def test_worst_case_switch_ignores_communicated_command(self):
@@ -218,8 +218,7 @@ class TestModeMachine:
                                decided(1, self.F, 0, self.CONFLICT, -3.0)])
         resequence(world, STAMP)
         assert world.vehicles[1].mode is self.R
-        assert world.events == [Event(STAMP, "deadline_relax", 1,
-                                      "margin -3.000")]
+        assert world.events == [Event(STAMP, "deadline_relax", 1, (-3.0,))]
 
     def test_follower_promoted_and_conflicted_recovers_as_head(self):
         # Its head exited this step, so it heads the platoon now.
@@ -320,5 +319,5 @@ class TestHeadsUseTheWorldsDragLaw:
         assert bound == law.descent_bound(v, p_hat, v_hat, True)
         assert g == stopping_margin(v, p_hat, v_hat, PARAMS)
         assert d.verdict is FeasibilityVerdict(kernels.classify(
-            v, v_hat, bound, deadline, g, d.interval.hi, PARAMS.v_min,
+            v, v_hat, bound, deadline, g, d.hi, PARAMS.v_min,
             PARAMS.a_min, PARAMS.eps_g))

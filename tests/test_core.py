@@ -1,12 +1,14 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from platoonflow import (
     RoadNetwork,
     SimParams,
     VehicleMode,
+    run,
     validate_params,
 )
 
@@ -36,6 +38,20 @@ def test_bad_scalar_params_are_reported(field, value, fragment):
     params = dataclasses.replace(SimParams(), **{field: value})
     messages = validate_params(params)
     assert any(fragment in m for m in messages)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "3", math.nan])
+def test_a_seed_that_is_not_an_integer_is_reported(seed):
+    params = dataclasses.replace(SimParams(), seed=seed)
+    assert f"seed must be an integer, got {seed!r}" in validate_params(params)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run(params)
+
+
+def test_a_numpy_integer_seed_is_valid():
+    params = dataclasses.replace(SimParams(duration=1.0), seed=np.int64(7))
+    assert validate_params(params) == []
+    assert run(params).events == run(SimParams(duration=1.0, seed=7)).events
 
 
 def test_zero_duration_is_allowed():

@@ -103,6 +103,30 @@ class TestInsertVehicle:
         assert world.vehicles == [front]
         assert world.next_vehicle_id == 1
 
+    def test_a_position_another_vehicle_holds_is_refused(self, params):
+        world = quiet_world(params)
+        front = place(world, 102.5, 25.0)
+        with pytest.raises(ValueError, match="already holds p=102.5"):
+            place(world, 102.5, 25.0)
+        assert world.vehicles == [front]
+        assert world.next_vehicle_id == 1
+
+    @pytest.mark.parametrize("v", [99.0, -5.0, 19.999, 35.001, float("nan")])
+    def test_a_speed_outside_the_box_is_refused(self, params, v):
+        world = quiet_world(params)
+        front = place(world, 102.5, 25.0)
+        with pytest.raises(ValueError, match="outside the speed box"):
+            place(world, 82.5, v)
+        assert world.vehicles == [front]
+        assert world.next_vehicle_id == 1
+
+    def test_the_speed_box_edges_are_placeable(self, params):
+        world = quiet_world(params)
+        place(world, 200.0, params.v_max)
+        place(world, 100.0, params.v_min)
+        assert [veh.v for veh in world.vehicles] == [params.v_max,
+                                                     params.v_min]
+
     def test_an_explicit_follower_joins_the_platoon_ahead(self, params):
         world = quiet_world(params)
         front = place(world, 300.0, 25.0)
@@ -185,9 +209,11 @@ class TestSplitAndMerge:
         front.v = params.v_min + 0.002
 
         step(world)
-        assert [e.kind for e in world.events] == ["split"]
+        split = rear.platoon_id
+        assert split != front.platoon_id
+        assert [(e.kind, e.vehicle_id, e.facts) for e in world.events] == [
+            ("split", rear.vid, (front.platoon_id, split))]
         assert rear.mode is VehicleMode.LEADER
-        assert rear.platoon_id != front.platoon_id
         # the record carries the mode that produced the command
         rear_record = [r for r in world.trajectory
                        if r.vehicle_id == rear.vid][-1]
@@ -195,7 +221,8 @@ class TestSplitAndMerge:
         assert front.v == params.v_min
 
         step(world)
-        assert [e.kind for e in world.events] == ["split", "merge"]
+        assert [(e.kind, e.facts) for e in world.events[1:]] == [
+            ("merge", (split, front.platoon_id))]
         assert rear.mode is VehicleMode.FOLLOWER
         assert rear.platoon_id == front.platoon_id
         metrics = SimResult(world.trajectory, world.events).metrics
