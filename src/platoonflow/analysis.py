@@ -1,10 +1,13 @@
 """Post-run analysis and independent cross-checks.
 
-Everything here works from trajectory records alone, so it audits what
-the engine actually emitted rather than trusting its internal state.
-The audits of consecutive vehicles work on whole columns: each pairs
-the rows that ``trajectory.pair_rows`` gives with the row ahead of
-them, one row up in the same step.
+Everything here works from the engine's output alone, its trajectory
+columns and events, so it audits what the engine actually emitted
+rather than trusting its internal state.  The audits of consecutive
+vehicles work on whole columns: each pairs the rows that
+``trajectory.pair_rows`` gives with the row ahead of them, one row up
+in the same step.  ``summarize`` integrates along time over the pairs
+that ``previous_rows`` gives: each row with the same vehicle's row
+before it.
 The brute-force solver deliberately re-states each control constraint
 as a pointwise inequality and scans a dense acceleration grid; it
 shares no code path with the closed-form controller it checks.
@@ -12,7 +15,7 @@ shares no code path with the closed-form controller it checks.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,11 +24,10 @@ import numpy as np
 from ._kernels_py import SPEED_EDGE_TOL
 from .controller import FeasibilityVerdict, gap_allowance, stopping_margin
 from .core import SimParams
-from .sim import SimResult
+from .sim import (EVENT_DISCARD, EVENT_EXIT, EVENT_MERGE, EVENT_RECOVER,
+                  EVENT_RELAX, EVENT_SPAWN, EVENT_SPLIT, SimResult)
 from .trajectory import (Trajectory, TrajectoryRecord, _stopping_margins,
                          pair_rows)
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 _INEQ_TOL = 1e-9  # slack applied to every brute-force inequality
 _GRID_POINTS = 10001  # evenly spaced candidates from a_min to a_max
@@ -45,13 +47,16 @@ def records_by_vehicle(tr: Trajectory) -> dict[int, list[TrajectoryRecord]]:
     return dict(out)
 
 
-def rows_by_vehicle(tr: Trajectory) -> dict[int, np.ndarray]:
-    """Row indices of each vehicle in time order, keyed in order of first
-    appearance (time, then front to back)."""
+def previous_rows(tr: Trajectory) -> np.ndarray:
+    """Each row's previous row of the same vehicle, or -1 at the
+    vehicle's first row."""
     vid = np.array(tr.vehicle_id)
-    ids, first, counts = np.unique(vid, return_index=True, return_counts=True)
-    rows = np.split(np.argsort(vid, kind="stable"), np.cumsum(counts)[:-1])
-    return {int(ids[g]): rows[g] for g in np.argsort(first)}
+    order = np.argsort(vid, kind="stable")
+    later, earlier = order[1:], order[:-1]
+    same = vid[later] == vid[earlier]
+    prev = np.full(len(vid), -1)
+    prev[later[same]] = earlier[same]
+    return prev
 
 
 def row_times(tr: Trajectory) -> np.ndarray:
@@ -120,28 +125,6 @@ def detect_formations(tr: Trajectory, k: int,
                                         params)) + 1
     bounds = [0, *cuts.tolist(), len(vid)]
     return [tuple(vid[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-
-@dataclass(frozen=True, slots=True)
-class EnergySummary:
-    """Trapezoidal integrals over one vehicle's lifetime."""
-
-    drag_sq: float       # integral of F^2 dt
-    positive_work: float  # integral of max(u, 0) * v dt
-
-
-def energy_summary(tr: Trajectory) -> dict[int, EnergySummary]:
-    t = row_times(tr)
-    drag = np.array(tr.drag)
-    work = np.maximum(np.array(tr.u), 0.0) * np.array(tr.v)
-    out: dict[int, EnergySummary] = {}
-    for vid, rows in rows_by_vehicle(tr).items():
-        d = drag[rows]
-        out[vid] = EnergySummary(
-            drag_sq=float(_trapezoid(d * d, t[rows])),
-            positive_work=float(_trapezoid(work[rows], t[rows])),
-        )
-    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,29 +210,40 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
 
 
 def summarize(result: SimResult, params: SimParams) -> dict[str, object]:
-    """Aggregate run metrics for reporting."""
-    m = result.metrics
+    """Aggregate run metrics for reporting: events counted by kind, the
+    most vehicles on the road at the end of any step, the final
+    formations, and two trapezoidal integrals over every vehicle's
+    lifetime, of ``drag**2`` and of ``max(u, 0) * v``, summed over all
+    vehicles."""
+    n = Counter(e.kind for e in result.events)
     tr = result.trajectory
-    energies = energy_summary(tr)
-    final_formations: list[tuple[int, ...]] = []
-    if len(tr):
-        final_formations = detect_formations(tr, -1, params)
-    multi = [len(f) for f in final_formations if len(f) > 1]
-    out: dict[str, object] = {
+    final = detect_formations(tr, -1, params) if len(tr) else []
+    multi = [len(f) for f in final if len(f) > 1]
+    prev = previous_rows(tr)
+    rows = np.flatnonzero(prev >= 0)
+    prev = prev[rows]
+    t = row_times(tr)
+    dt = t[rows] - t[prev]
+    drag = np.array(tr.drag)
+    work = np.maximum(np.array(tr.u), 0.0) * np.array(tr.v)
+
+    def integral(y: np.ndarray) -> float:
+        # ``np.trapezoid``'s term, over every vehicle's row pairs at once.
+        return float((dt * (y[rows] + y[prev]) / 2.0).sum())
+
+    return {
         "duration": params.duration,
-        "spawn_attempts": m["spawned"] + m["discarded"],
-        "vehicles_spawned": m["spawned"],
-        "spawns_discarded": m["discarded"],
-        "vehicles_exited": m["exited"],
-        "peak_vehicle_count": m["peak_vehicles"],
-        "platoon_splits": m["splits"],
-        "platoon_merges": m["merges"],
-        "deadline_relaxations": m["relaxations"],
-        "deadline_recoveries": m["recoveries"],
+        "spawn_attempts": n[EVENT_SPAWN] + n[EVENT_DISCARD],
+        "vehicles_spawned": n[EVENT_SPAWN],
+        "spawns_discarded": n[EVENT_DISCARD],
+        "vehicles_exited": n[EVENT_EXIT],
+        "peak_vehicle_count": int(np.diff(tr.offsets).max(initial=0)),
+        "platoon_splits": n[EVENT_SPLIT],
+        "platoon_merges": n[EVENT_MERGE],
+        "deadline_relaxations": n[EVENT_RELAX],
+        "deadline_recoveries": n[EVENT_RECOVER],
         "final_formation_count": len(multi),
         "largest_final_formation": max(multi, default=0),
-        "total_drag_sq_integral": sum(e.drag_sq for e in energies.values()),
-        "total_positive_work": sum(e.positive_work
-                                   for e in energies.values()),
+        "total_drag_sq_integral": integral(drag * drag),
+        "total_positive_work": integral(work),
     }
-    return out

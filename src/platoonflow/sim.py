@@ -46,7 +46,6 @@ candidates only), so runs are reproducible byte for byte per seed.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,29 +129,10 @@ class WorldState:
         )
 
 
-# ``SimResult.metrics`` keys in report order, each with the event kind
-# it counts.
-_METRIC_KINDS = (("spawned", EVENT_SPAWN), ("discarded", EVENT_DISCARD),
-                 ("exited", EVENT_EXIT), ("splits", EVENT_SPLIT),
-                 ("merges", EVENT_MERGE), ("relaxations", EVENT_RELAX),
-                 ("recoveries", EVENT_RECOVER))
-
-
 @dataclass(frozen=True, slots=True)
 class SimResult:
     trajectory: Trajectory
     events: list[Event]
-
-    @property
-    def metrics(self) -> dict[str, int]:
-        """Events counted by kind, plus the most vehicles on the road at
-        the end of any step."""
-        by_kind = Counter(e.kind for e in self.events)
-        out = {key: by_kind[kind] for key, kind in _METRIC_KINDS}
-        offsets = self.trajectory.offsets
-        out["peak_vehicles"] = max(
-            (b - a for a, b in zip(offsets, offsets[1:])), default=0)
-        return out
 
 
 def insert_vehicle(world: WorldState, p: float, v: float, *,
@@ -165,14 +145,25 @@ def insert_vehicle(world: WorldState, p: float, v: float, *,
     empty.  A head mode starts a fresh platoon, which the rest of a
     platoon it cuts into follows; a follower mode joins the platoon of
     the vehicle ahead.  ``ValueError`` refuses a follower with none
-    ahead, a position taken, and a speed outside ``[v_min, v_max]``.
+    ahead, a position taken, a gap under ``delta`` to the vehicle ahead
+    or behind (exactly ``delta`` is placeable), and a speed outside
+    ``[v_min, v_max]``.
     """
     idx = _slot(world, p)
-    ahead = world.vehicles[idx - 1] if idx else None
+    vehicles = world.vehicles
+    ahead = vehicles[idx - 1] if idx else None
+    behind = vehicles[idx] if idx < len(vehicles) else None
+    delta = world.params.delta
     if ahead is None and mode is not None and not mode & 1:
         raise ValueError(f"a {mode.name} at p={p:g} has no vehicle ahead")
     if ahead is not None and ahead.p == p:
         raise ValueError(f"vehicle {ahead.vid} already holds p={p:g}")
+    if ahead is not None and p > ahead.p - delta:
+        raise ValueError(f"p={p:g} lies {ahead.p - p:g} m behind vehicle "
+                         f"{ahead.vid}, under delta={delta:g}")
+    if behind is not None and behind.p > p - delta:
+        raise ValueError(f"p={p:g} lies {p - behind.p:g} m ahead of vehicle "
+                         f"{behind.vid}, under delta={delta:g}")
     if not world.params.v_min <= v <= world.params.v_max:
         raise ValueError(f"v={v:g} lies outside the speed box")
     return _place(world, idx, p, v, exit_pos, deadline, mode)

@@ -18,12 +18,13 @@ import numpy as np
 
 from ._kernels_py import advance
 from .analysis import (brute_force_follower, consecutive_gap_excess,
-                       in_formation, rows_by_vehicle)
+                       in_formation, previous_rows)
 from .cli import trajectory_csv_text
 from .controller import (gap_allowance, safe_accel_interval,
                          solve_follower_control, stopping_margin)
 from .core import SimParams, SimulationError, VehicleMode, VehicleState
-from .sim import SimResult, WorldState, insert_vehicle, run, step
+from .sim import (EVENT_SPAWN, SimResult, WorldState, insert_vehicle, run,
+                  step)
 from .trajectory import pair_rows
 
 N_CORPUS_SEEDS = 50
@@ -69,7 +70,7 @@ def summarize_seed(result: SimResult, params: SimParams) -> SeedSummary:
     accel = np.array(tr.accel)[np.array(tr.mode)
                                != VehicleMode.LEADER_RECOVERING]
     return SeedSummary(
-        spawned=result.metrics["spawned"],
+        spawned=sum(e.kind == EVENT_SPAWN for e in result.events),
         records=len(tr),
         worst_gap_excess=float(excess.max()) if len(excess) else None,
         gap_violations=int((excess > gap_allowance(params)).sum()),
@@ -393,10 +394,7 @@ def check_drag_descent(params: SimParams) -> CheckResult:
         back = pair_rows(tr.offsets)
         has_ahead = np.zeros(n, np.bool_)
         has_ahead[back] = True
-        # Each row's previous row of the same vehicle, or -1 at its first.
-        last = np.full(n, -1)
-        for rows in rows_by_vehicle(tr).values():
-            last[rows[1:]] = rows[:-1]
+        last = previous_rows(tr)
         step = np.repeat(np.arange(len(tr.times)), np.diff(tr.offsets))
         vid = np.array(tr.vehicle_id)
         # Follower rows whose previous row is in the step before and had

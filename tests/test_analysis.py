@@ -1,17 +1,18 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from platoonflow import (FeasibilityVerdict, SimParams, Trajectory,
-                         TrajectoryRecord)
+from platoonflow import (FeasibilityVerdict, SimParams, SimResult,
+                         Trajectory, TrajectoryRecord, run)
 from platoonflow.analysis import (
     brute_force_follower,
     check_ordering,
     check_safety,
     detect_formations,
-    energy_summary,
     in_formation,
+    previous_rows,
     records_by_time,
     records_by_vehicle,
     summarize,
@@ -146,25 +147,59 @@ class TestFormations:
         assert columns.tolist() == floats
 
 
+def summary_of(rows):
+    """``summarize`` of hand-built records and no events."""
+    return summarize(SimResult(Trajectory.from_records(rows), []), PARAMS)
+
+
 class TestEnergy:
     def test_drag_square_integral_matches_hand_value(self):
         rows = [rec(time=0.0, drag=0.3), rec(time=0.1, drag=0.4),
                 rec(time=0.2, drag=0.5)]
-        out = energy_summary(Trajectory.from_records(rows))
-        assert out[1].drag_sq == pytest.approx(0.033)
+        out = summary_of(rows)
+        assert out["total_drag_sq_integral"] == pytest.approx(0.033)
 
     def test_positive_work_ignores_regeneration(self):
         rows = [rec(time=0.0, u=1.0, v=20.0),
                 rec(time=0.1, u=-0.5, v=21.0),
                 rec(time=0.2, u=2.0, v=22.0)]
-        out = energy_summary(Trajectory.from_records(rows))
-        assert out[1].positive_work == pytest.approx(3.2)
+        out = summary_of(rows)
+        assert out["total_positive_work"] == pytest.approx(3.2)
 
     def test_single_sample_integrates_to_zero(self):
-        out = energy_summary(Trajectory.from_records(
-            [rec(time=0.0, drag=0.9, u=3.0)]))
-        assert out[1].drag_sq == 0.0
-        assert out[1].positive_work == 0.0
+        out = summary_of([rec(time=0.0, drag=0.9, u=3.0)])
+        assert out["total_drag_sq_integral"] == 0.0
+        assert out["total_positive_work"] == 0.0
+
+    def test_no_link_crosses_vehicles(self):
+        # Vehicle 2 drives ahead of vehicle 1 and joins a step later, so
+        # the two vehicles' rows interleave in every step they share.
+        one = [rec(time=t, vehicle_id=1, p=50.0 + t, v=20.0, u=u, drag=d)
+               for t, u, d in ((0.0, 1.0, 0.3), (0.1, -0.5, 0.4),
+                               (0.2, 2.0, 0.5), (0.3, 0.5, 0.1))]
+        two = [rec(time=t, vehicle_id=2, p=90.0 + t, v=25.0, u=u, drag=d)
+               for t, u, d in ((0.1, 3.0, 0.9), (0.2, 0.2, 0.7),
+                               (0.3, -1.0, 0.8))]
+        both = summary_of(one + two)
+        apart = [summary_of(one), summary_of(two)]
+        for key in ("total_drag_sq_integral", "total_positive_work"):
+            assert both[key] == pytest.approx(sum(s[key] for s in apart))
+
+
+class TestPreviousRows:
+    def test_links_each_row_to_the_same_vehicles_row_before(self,
+                                                            short_run):
+        tr = short_run.trajectory
+        last_row, expected = {}, []
+        for _, start, stop in tr.steps():
+            for i in range(start, stop):
+                expected.append(last_row.get(tr.vehicle_id[i], -1))
+                last_row[tr.vehicle_id[i]] = i
+        assert previous_rows(tr).tolist() == expected
+
+    def test_an_empty_trajectory_has_no_links(self):
+        tr = run(SimParams(duration=0.0)).trajectory
+        assert previous_rows(tr).tolist() == []
 
 
 class TestBruteForce:
@@ -196,9 +231,14 @@ class TestBruteForce:
 class TestSummarize:
     def test_reports_counters_and_final_formations(self, short_run):
         out = summarize(short_run, SimParams(duration=40.0, seed=1))
-        assert out["vehicles_spawned"] == short_run.metrics["spawned"]
+        kinds = Counter(e.kind for e in short_run.events)
+        assert out["vehicles_spawned"] == kinds["spawn"]
         assert out["duration"] == pytest.approx(40.0)
-        assert out["spawn_attempts"] == (short_run.metrics["spawned"]
-                                         + short_run.metrics["discarded"])
+        assert out["spawn_attempts"] == kinds["spawn"] + kinds["discard"]
         assert out["final_formation_count"] >= 0
         assert out["total_drag_sq_integral"] > 0.0
+
+    def test_peak_vehicle_count_is_the_largest_step(self, short_run):
+        out = summarize(short_run, SimParams(duration=40.0, seed=1))
+        assert out["peak_vehicle_count"] == max(
+            stop - start for _, start, stop in short_run.trajectory.steps())

@@ -4,31 +4,62 @@ Hypothesis draws whole scenarios (speed and actuator box, envelope
 rate, spacing, time step, ramp layout, the worst-case switch, deadlines
 on or off) and runs each for 20-30 simulated seconds.  Every run must
 finish without a ``SimulationError``, no vehicle outside
-LEADER_RECOVERING may ever command a positive acceleration, and the
-trajectory's derived columns must equal a row-by-row recomputation.
+LEADER_RECOVERING may ever command a positive acceleration, the
+trajectory's derived columns must equal a row-by-row recomputation, and
+``summarize`` must report what a per-vehicle reference finds.
 A second sweep runs each scenario twice, once solving every follower
 afresh each step, and requires the same outcome bit for bit.
 """
 
 import math
+from collections import Counter
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from platoonflow import (
     DragCoefficients,
     RoadNetwork,
     SimParams,
+    SimResult,
     SimulationError,
     VehicleMode,
     WorldState,
     validate_params,
 )
+from platoonflow.analysis import row_times, summarize
 from conftest import (
     derived_bytes,
     recompute_derived,
     step_world,
     world_bytes,
 )
+
+trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2
+
+# The event kind each count of ``summarize`` reports.
+REPORTED_KINDS = {
+    "vehicles_spawned": "spawn", "spawns_discarded": "discard",
+    "vehicles_exited": "exit", "platoon_splits": "split",
+    "platoon_merges": "merge", "deadline_relaxations": "deadline_relax",
+    "deadline_recoveries": "deadline_recover",
+}
+
+
+def per_vehicle_energy(tr):
+    """Reference for ``summarize``'s two integrals: each vehicle's rows
+    integrated apart by ``numpy``'s trapezoid rule, then summed."""
+    t = row_times(tr)
+    drag = np.array(tr.drag)
+    work = np.maximum(np.array(tr.u), 0.0) * np.array(tr.v)
+    vid = np.array(tr.vehicle_id)
+    drag_sq = positive_work = 0.0
+    for v in np.unique(vid):
+        rows = np.flatnonzero(vid == v)
+        drag_sq += float(trapezoid(drag[rows] * drag[rows], t[rows]))
+        positive_work += float(trapezoid(work[rows], t[rows]))
+    return drag_sq, positive_work
 
 
 @st.composite
@@ -73,6 +104,14 @@ def test_valid_scenarios_run_clean_and_brake_only(params):
                 default=-math.inf)
     assert worst <= 0.0
     assert derived_bytes(tr) == recompute_derived(tr, params, targets)
+    out = summarize(SimResult(tr, world.events), params)
+    assert (out["total_drag_sq_integral"], out["total_positive_work"]) == \
+        pytest.approx(per_vehicle_energy(tr), rel=1e-12, abs=0.0)
+    kinds = Counter(e.kind for e in world.events)
+    assert set(kinds) <= set(REPORTED_KINDS.values())
+    assert {key: out[key] for key in REPORTED_KINDS} == {
+        key: kinds[kind] for key, kind in REPORTED_KINDS.items()}
+    assert out["spawn_attempts"] == kinds["spawn"] + kinds["discard"]
 
 
 def outcome(params, fresh):

@@ -9,7 +9,6 @@ from platoonflow import (
     RoadNetwork,
     SafetyAuditError,
     SimParams,
-    SimResult,
     VehicleMode,
     VehicleState,
     WorldState,
@@ -37,6 +36,16 @@ def quiet_world(params):
 
 def place(world, p, v, mode=None):
     return insert_vehicle(world, p, v, exit_pos=FAR, deadline=FAR, mode=mode)
+
+
+def hand_pair(p_front, v_front, p_rear, v_rear):
+    """A head and its follower built by hand, past ``insert_vehicle``'s
+    checks."""
+    return [VehicleState(vid=vid, p=p, v=v, accel=0.0, deadline=FAR,
+                         exit_pos=FAR, mode=mode, platoon_id=0)
+            for vid, p, v, mode in ((0, p_front, v_front, VehicleMode.LEADER),
+                                    (1, p_rear, v_rear,
+                                     VehicleMode.FOLLOWER))]
 
 
 def decided(world):
@@ -111,6 +120,26 @@ class TestInsertVehicle:
         assert world.vehicles == [front]
         assert world.next_vehicle_id == 1
 
+    def test_a_gap_under_delta_to_the_vehicle_ahead_is_refused(self, params):
+        world = quiet_world(params)
+        front = place(world, 100.0, 25.0)
+        with pytest.raises(ValueError, match="4 m behind vehicle 0"):
+            place(world, 96.0, 25.0)
+        assert world.vehicles == [front]
+        assert world.next_vehicle_id == 1
+        place(world, 100.0 - params.delta, 25.0)
+        assert len(world.vehicles) == 2
+
+    def test_a_gap_under_delta_to_the_vehicle_behind_is_refused(self, params):
+        world = quiet_world(params)
+        rear = place(world, 100.0, 25.0)
+        with pytest.raises(ValueError, match="4 m ahead of vehicle 0"):
+            place(world, 104.0, 25.0)
+        assert world.vehicles == [rear]
+        assert world.next_vehicle_id == 1
+        place(world, 100.0 + params.delta, 25.0)
+        assert len(world.vehicles) == 2
+
     @pytest.mark.parametrize("v", [99.0, -5.0, 19.999, 35.001, float("nan")])
     def test_a_speed_outside_the_box_is_refused(self, params, v):
         world = quiet_world(params)
@@ -160,20 +189,18 @@ class TestStepDynamics:
         step(world)
         assert world.vehicles == []
         assert [e.kind for e in world.events] == ["exit"]
-        metrics = SimResult(world.trajectory, world.events).metrics
-        assert metrics["exited"] == 1
 
     def test_overtaking_is_an_ordering_error(self, params):
+        # insert_vehicle refuses a pair this close; one put in by hand
+        # reaches the engine's ordering audit.
         world = quiet_world(params)
-        place(world, 100.0, 20.0)
-        place(world, 99.5, 35.0)
+        world.vehicles += hand_pair(100.0, 20.0, 99.5, 35.0)
         with pytest.raises(OrderingError):
             step(world)
 
     def test_sub_margin_gap_fails_the_audit(self, params):
         world = quiet_world(params)
-        place(world, 100.0, 20.0)
-        place(world, 99.0, 20.0)
+        world.vehicles += hand_pair(100.0, 20.0, 99.0, 20.0)
         with pytest.raises(SafetyAuditError, match="gap between"):
             step(world)
 
@@ -191,14 +218,13 @@ class TestStepDynamics:
         result = run(SimParams(duration=0.0))
         assert len(result.trajectory) == 0
         assert result.events == []
-        assert result.metrics["spawned"] == 0
 
     def test_disabled_spawning_keeps_the_road_empty(self, params):
         import dataclasses
         short = dataclasses.replace(params, duration=5.0)
         result = run(short, world=quiet_world(short))
         assert len(result.trajectory) == 0
-        assert result.metrics["spawned"] == 0
+        assert result.events == []
 
 
 class TestSplitAndMerge:
@@ -225,9 +251,7 @@ class TestSplitAndMerge:
             ("merge", (split, front.platoon_id))]
         assert rear.mode is VehicleMode.FOLLOWER
         assert rear.platoon_id == front.platoon_id
-        metrics = SimResult(world.trajectory, world.events).metrics
-        assert metrics["splits"] == 1
-        assert metrics["merges"] == 1
+        assert [e.kind for e in world.events] == ["split", "merge"]
 
     @pytest.mark.parametrize("c2", [0.02, 0.08])
     def test_a_head_merges_by_the_worlds_drag_law(self, params, c2):

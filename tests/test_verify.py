@@ -32,7 +32,8 @@ def direct_figures(params: SimParams, seed: int) -> tuple:
                    for front, back in zip(snapshot, snapshot[1:])]
         commands += [rec.accel for rec in snapshot
                      if rec.mode != "leader_recovering"]
-    return (result.metrics["spawned"], len(result.trajectory),
+    spawned = [e.kind for e in result.events].count(sim.EVENT_SPAWN)
+    return (spawned, len(result.trajectory),
             max(excess, default=None), sum(e > allowed for e in excess),
             max(commands, default=None))
 
