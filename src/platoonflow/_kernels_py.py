@@ -56,26 +56,21 @@ def drag_force(v: float, p_hat: float, in_wake: bool,
     return c0 * v * v
 
 
-def drag_partials(v: float, p_hat: float, in_wake: bool,
+def drag_partials(v: float, p_hat: float,
                   c0: float, c1: float, c2: float) -> tuple[float, float]:
-    """Closed-form partials of the drag force w.r.t. speed and gap."""
-    if in_wake:
-        w = math.exp(c2 * p_hat)
-        f_v = 2.0 * c0 * v * (1.0 - c1 * w)
-        f_p = -c0 * v * v * c1 * c2 * w
-        return f_v, f_p
-    return 2.0 * c0 * v, 0.0
+    """Closed-form partials of the wake drag force w.r.t. speed and gap."""
+    w = math.exp(c2 * p_hat)
+    return 2.0 * c0 * v * (1.0 - c1 * w), -c0 * v * v * c1 * c2 * w
 
 
-def flow_bound(v: float, p_hat: float, v_hat: float, in_wake: bool,
+def flow_bound(v: float, p_hat: float, v_hat: float,
                c0: float, c1: float, c2: float) -> float:
     """Upper bound on acceleration that keeps drag energy non-increasing.
 
     Requiring d(F^2)/dt <= 0 for the wake drag law yields
-    a <= (|dF/dp_hat| / dF/dv) * v_hat; a solo vehicle gets a <= 0.
+    a <= (|dF/dp_hat| / dF/dv) * v_hat.  A vehicle with no predecessor
+    has no wake to hold; ``leader_decision`` gives it the bound 0.
     """
-    if not in_wake:
-        return 0.0
     w = math.exp(c2 * p_hat)
     # dF/dv > 0 on the admissible domain (v >= v_min > 0, c1 < 1).
     ratio = (v * c1 * c2 * w) / (2.0 * (1.0 - c1 * w))
@@ -218,7 +213,7 @@ def follower_decision(v: float, p_hat: float, v_hat: float,
     lo, hi_safe, g, cap = safe_interval(v, p_hat, v_hat, pred_accel, True,
                                         v_min, v_max, a_min, a_max, delta,
                                         eps_g, gamma)
-    bound = flow_bound(v, p_hat, v_hat, True, c0, c1, c2)
+    bound = flow_bound(v, p_hat, v_hat, c0, c1, c2)
 
     hi = hi_safe
     if bound < hi:
@@ -273,7 +268,7 @@ def leader_decision(v: float, p_hat: float, v_hat: float,
             accel = hi
     if not has_pred:
         return accel, VERDICT_FEASIBLE, lo, hi, g, cap, 0.0
-    bound = flow_bound(v, p_hat, v_hat, True, c0, c1, c2)
+    bound = flow_bound(v, p_hat, v_hat, c0, c1, c2)
     return (accel, classify(v, v_hat, bound, deadline_active, g, cap, v_min,
                             a_min, eps_g),
             lo, hi, g, cap, bound)

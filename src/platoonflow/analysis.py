@@ -2,8 +2,9 @@
 
 Everything here works from the engine's output alone, its trajectory
 columns and events, so it audits what the engine actually emitted
-rather than trusting its internal state.  The audits of consecutive
-vehicles work on whole columns: each pairs the rows that
+rather than trusting its internal state; each reader judges a run by
+the params its trajectory holds, ``tr.params``.  The audits of
+consecutive vehicles work on whole columns: each pairs the rows that
 ``trajectory.pair_rows`` gives with the row ahead of them, one row up
 in the same step.  ``summarize`` integrates along time over the pairs
 that ``previous_rows`` gives: each row with the same vehicle's row
@@ -64,12 +65,12 @@ def row_times(tr: Trajectory) -> np.ndarray:
     return np.repeat(np.array(tr.times), np.diff(np.array(tr.offsets)))
 
 
-def consecutive_gap_excess(tr: Trajectory, params: SimParams) -> np.ndarray:
+def consecutive_gap_excess(tr: Trajectory) -> np.ndarray:
     """Bumper-gap shortfall ``(p_back - p_front) + delta`` of every pair of
     consecutive vehicles in every snapshot (positive means inside delta)."""
     p = np.array(tr.p)
     back = pair_rows(tr.offsets)
-    return (p[back] - p[back - 1]) + params.delta
+    return (p[back] - p[back - 1]) + tr.params.delta
 
 
 def check_ordering(tr: Trajectory) -> list[str]:
@@ -82,14 +83,14 @@ def check_ordering(tr: Trajectory) -> list[str]:
             for b in back[p[back] >= p[back - 1]].tolist()]
 
 
-def check_safety(tr: Trajectory, params: SimParams) -> list[str]:
+def check_safety(tr: Trajectory) -> list[str]:
     """Stopping-envelope audit over all consecutive pairs at all times,
-    allowing ``gap_allowance(params)``."""
-    allowed = gap_allowance(params)
+    allowing ``gap_allowance(tr.params)``."""
+    allowed = gap_allowance(tr.params)
     p, v = np.array(tr.p), np.array(tr.v)
     back = pair_rows(tr.offsets)
     g = _stopping_margins(v[back], p[back] - p[back - 1],
-                          v[back] - v[back - 1], params)
+                          v[back] - v[back - 1], tr.params)
     bad = g > allowed
     t, vid = row_times(tr), tr.vehicle_id
     return [f"t={t[b]:.3f}: margin {gb:.6f} > {allowed:.6f} between "
@@ -108,8 +109,7 @@ def in_formation(p_ahead, v_ahead, p, v, params: SimParams):
             & (abs(v - v_ahead) <= params.eps_platoon_speed))
 
 
-def detect_formations(tr: Trajectory, k: int,
-                      params: SimParams) -> list[tuple[int, ...]]:
+def detect_formations(tr: Trajectory, k: int) -> list[tuple[int, ...]]:
     """Group step ``k`` into tight formations by observed gap and speed.
 
     The step's vehicles, front to back, are split wherever a vehicle is
@@ -122,7 +122,7 @@ def detect_formations(tr: Trajectory, k: int,
     p, v = np.array(tr.p[start:stop]), np.array(tr.v[start:stop])
     vid = tr.vehicle_id[start:stop]
     cuts = np.flatnonzero(~in_formation(p[:-1], v[:-1], p[1:], v[1:],
-                                        params)) + 1
+                                        tr.params)) + 1
     bounds = [0, *cuts.tolist(), len(vid)]
     return [tuple(vid[a:b]) for a, b in zip(bounds, bounds[1:])]
 
@@ -161,7 +161,7 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
     on a speed box as narrow as [1, 2] m/s.
     """
     g = stopping_margin(v, p_hat, v_hat, params)
-    f_v, f_p = params.drag.partials(v, p_hat, True)
+    f_v, f_p = params.drag.partials(v, p_hat)
     pred = params.a_min if params.worst_case_pred_accel else pred_accel
     at_floor = v <= params.v_min + SPEED_EDGE_TOL
     at_ceiling = v >= params.v_max - SPEED_EDGE_TOL
@@ -209,15 +209,15 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
     return OracleDecision(None, verdict)
 
 
-def summarize(result: SimResult, params: SimParams) -> dict[str, object]:
-    """Aggregate run metrics for reporting: events counted by kind, the
-    most vehicles on the road at the end of any step, the final
-    formations, and two trapezoidal integrals over every vehicle's
-    lifetime, of ``drag**2`` and of ``max(u, 0) * v``, summed over all
-    vehicles."""
+def summarize(result: SimResult) -> dict[str, object]:
+    """Aggregate run metrics for reporting: the run's duration, events
+    counted by kind, the most vehicles on the road at the end of any
+    step, the final formations, and two trapezoidal integrals over every
+    vehicle's lifetime, of ``drag**2`` and of ``max(u, 0) * v``, summed
+    over all vehicles."""
     n = Counter(e.kind for e in result.events)
     tr = result.trajectory
-    final = detect_formations(tr, -1, params) if len(tr) else []
+    final = detect_formations(tr, -1) if len(tr) else []
     multi = [len(f) for f in final if len(f) > 1]
     prev = previous_rows(tr)
     rows = np.flatnonzero(prev >= 0)
@@ -232,7 +232,7 @@ def summarize(result: SimResult, params: SimParams) -> dict[str, object]:
         return float((dt * (y[rows] + y[prev]) / 2.0).sum())
 
     return {
-        "duration": params.duration,
+        "duration": tr.params.duration,
         "spawn_attempts": n[EVENT_SPAWN] + n[EVENT_DISCARD],
         "vehicles_spawned": n[EVENT_SPAWN],
         "spawns_discarded": n[EVENT_DISCARD],

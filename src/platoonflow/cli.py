@@ -193,9 +193,9 @@ def events_csv_text(events: Iterable[Event]) -> str:
         f"{_EVENT_DETAIL[ev.kind] % ev.facts}\n" for ev in events])
 
 
-def metrics_text(result: SimResult, params: SimParams) -> str:
+def metrics_text(result: SimResult) -> str:
     lines = []
-    for key, value in summarize(result, params).items():
+    for key, value in summarize(result).items():
         text = _sig(value) if isinstance(value, float) else str(value)
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
@@ -230,29 +230,30 @@ _ARTIFACTS = ("trajectory.csv", "events.csv", "metrics.txt", "config.echo",
               "timespace.svg")
 
 
-def _artifact_texts(result: SimResult, params: SimParams,
+def _artifact_texts(result: SimResult,
                     plot_window: Optional[tuple[float, float]]
                     ) -> Iterator[Optional[str]]:
     """The text of each of ``_ARTIFACTS`` in turn, built when asked for;
     None for the plot without ``plot_window``."""
-    yield trajectory_csv_text(result.trajectory)
+    tr = result.trajectory
+    yield trajectory_csv_text(tr)
     yield events_csv_text(result.events)
-    yield metrics_text(result, params)
-    yield yaml.safe_dump(params_to_dict(params), sort_keys=False)
+    yield metrics_text(result)
+    yield yaml.safe_dump(params_to_dict(tr.params), sort_keys=False)
     yield None if plot_window is None else render_timespace(
-        result.trajectory, params, plot_window[0], plot_window[1])
+        tr, plot_window[0], plot_window[1])
 
 
-def emit_outputs(result: SimResult, params: SimParams, out_dir: Path,
+def emit_outputs(result: SimResult, out_dir: Path,
                  plot_window: Optional[tuple[float, float]] = None) -> None:
-    """Write the run's artifacts into ``out_dir``, replacing earlier ones.
+    """Write the run's artifacts into ``out_dir``, replacing earlier ones;
+    the config echo holds the run's params, ``result.trajectory.params``.
 
     Without ``plot_window`` an earlier run's ``timespace.svg`` is
     removed, so the directory never mixes two runs.
     """
     _make_out_dir(out_dir)
-    for name, text in zip(_ARTIFACTS,
-                          _artifact_texts(result, params, plot_window)):
+    for name, text in zip(_ARTIFACTS, _artifact_texts(result, plot_window)):
         _replace(out_dir / name, text)
 
 
@@ -297,7 +298,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except SimulationError as exc:
         raise SimulationError(
             f"{exc}; no artifacts written to {args.out}") from exc
-    emit_outputs(result, params, args.out, window)
+    emit_outputs(result, args.out, window)
     print(f"wrote {args.out}/trajectory.csv "
           f"({len(result.trajectory)} records, {len(result.events)} events)")
     return 0

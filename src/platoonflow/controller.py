@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass
 
 from . import _kernels_py as kernels
-from .core import SimParams, VehicleMode, VehicleState
+from .core import SimParams
 
 
 class FeasibilityVerdict(enum.Enum):
@@ -105,7 +105,7 @@ def _decision(solve: tuple[float, int, float, float, float, float, float],
                            lo, hi, g, bound)
 
 
-def solve_follower_control(state: VehicleState, p_hat: float, v_hat: float,
+def solve_follower_control(v: float, p_hat: float, v_hat: float,
                            pred_accel: float, deadline_active: bool,
                            params: SimParams) -> ControlDecision:
     """Minimum-magnitude feasible acceleration for a follower.
@@ -115,21 +115,22 @@ def solve_follower_control(state: VehicleState, p_hat: float, v_hat: float,
     """
     p, law = params, params.drag
     return _decision(kernels.follower_decision(
-        state.v, p_hat, v_hat, _assumed(pred_accel, p), deadline_active,
+        v, p_hat, v_hat, _assumed(pred_accel, p), deadline_active,
         p.v_min, p.v_max, p.a_min, p.a_max, p.delta, p.eps_g, p.gamma,
-        law.c0, law.c1, law.c2), state.v, deadline_active, True, p)
+        law.c0, law.c1, law.c2), v, deadline_active, True, p)
 
 
-def leader_control(state: VehicleState, p_hat: float, v_hat: float,
-                   pred_accel: float | None, deadline_active: bool,
+def leader_control(v: float, p_hat: float, v_hat: float,
+                   pred_accel: float | None, recovering: bool,
+                   deadline_active: bool,
                    params: SimParams) -> ControlDecision:
     """Platoon-head policy plus the merge-eligibility verdict.
 
     A LEADER brakes at the limit until the speed floor lifts the
-    admissible interval to zero; a LEADER_RECOVERING head applies the
-    largest admissible acceleration.  Both respect the stopping envelope
-    against the physical predecessor when one exists (``pred_accel`` is
-    None when there is none).
+    admissible interval to zero; a LEADER_RECOVERING head
+    (``recovering``) applies the largest admissible acceleration.  Both
+    respect the stopping envelope against the physical predecessor when
+    one exists (``pred_accel`` is None when there is none).
 
     The verdict classifies the head as if it were following its physical
     predecessor, under the descent bound of ``params.drag``;
@@ -137,10 +138,10 @@ def leader_control(state: VehicleState, p_hat: float, v_hat: float,
     """
     p, law = params, params.drag
     return _decision(kernels.leader_decision(
-        state.v, p_hat, v_hat, _assumed(pred_accel, p), pred_accel is not None,
-        state.mode is VehicleMode.LEADER_RECOVERING, deadline_active,
-        p.v_min, p.v_max, p.a_min, p.a_max, p.delta, p.eps_g, p.gamma,
-        law.c0, law.c1, law.c2), state.v, deadline_active, False, p)
+        v, p_hat, v_hat, _assumed(pred_accel, p), pred_accel is not None,
+        recovering, deadline_active, p.v_min, p.v_max, p.a_min, p.a_max,
+        p.delta, p.eps_g, p.gamma, law.c0, law.c1, law.c2),
+        v, deadline_active, False, p)
 
 
 def stopping_margin(v: float, p_hat: float, v_hat: float,

@@ -66,17 +66,14 @@ class DragCoefficients:
         return kernels.drag_force(v, p_hat, in_wake, self.c0, self.c1,
                                   self.c2)
 
-    def partials(self, v: float, p_hat: float,
-                 in_wake: bool) -> tuple[float, float]:
-        """(dF/dv, dF/dp_hat) at the given state."""
-        return kernels.drag_partials(v, p_hat, in_wake, self.c0, self.c1,
-                                     self.c2)
+    def partials(self, v: float, p_hat: float) -> tuple[float, float]:
+        """(dF/dv, dF/dp_hat) in the wake at the given state."""
+        return kernels.drag_partials(v, p_hat, self.c0, self.c1, self.c2)
 
-    def descent_bound(self, v: float, p_hat: float, v_hat: float,
-                      in_wake: bool) -> float:
-        """Largest acceleration keeping squared drag non-increasing."""
-        return kernels.flow_bound(v, p_hat, v_hat, in_wake, self.c0,
-                                  self.c1, self.c2)
+    def descent_bound(self, v: float, p_hat: float, v_hat: float) -> float:
+        """Largest acceleration keeping squared drag in the wake
+        non-increasing."""
+        return kernels.flow_bound(v, p_hat, v_hat, self.c0, self.c1, self.c2)
 
 
 @dataclass(frozen=True, slots=True)

@@ -46,6 +46,7 @@ candidates only), so runs are reproducible byte for byte per seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,11 +145,17 @@ def insert_vehicle(world: WorldState, p: float, v: float, *,
     follows the vehicle ahead or heads a platoon when the road ahead is
     empty.  A head mode starts a fresh platoon, which the rest of a
     platoon it cuts into follows; a follower mode joins the platoon of
-    the vehicle ahead.  ``ValueError`` refuses a follower with none
-    ahead, a position taken, a gap under ``delta`` to the vehicle ahead
-    or behind (exactly ``delta`` is placeable), and a speed outside
-    ``[v_min, v_max]``.
+    the vehicle ahead.  ``ValueError`` refuses a position, exit or
+    deadline that is not finite, a mode that is no ``VehicleMode`` code,
+    a follower with none ahead, a position taken, a gap under ``delta``
+    to the vehicle ahead or behind (exactly ``delta`` is placeable), and
+    a speed outside ``[v_min, v_max]``.
     """
+    for name, x in (("p", p), ("exit_pos", exit_pos), ("deadline", deadline)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name}={x} is not finite")
+    if mode is not None:
+        mode = VehicleMode(mode)
     idx = _slot(world, p)
     vehicles = world.vehicles
     ahead = vehicles[idx - 1] if idx else None

@@ -15,7 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import SimParams
 from .trajectory import Trajectory
 
 WIDTH = 900.0
@@ -97,10 +96,11 @@ def _vehicle_paths(tr: Trajectory, lo_t: float, hi_t: float,
     return parts
 
 
-def render_timespace(tr: Trajectory, params: SimParams,
-                     t0: Optional[float] = None,
+def render_timespace(tr: Trajectory, t0: Optional[float] = None,
                      t1: Optional[float] = None) -> str:
-    """Render the run (optionally restricted to [t0, t1]) as SVG text."""
+    """Render the run over [t0, t1], by default its whole horizon [0,
+    ``tr.params.duration``], as SVG text."""
+    params = tr.params
     lo_t = 0.0 if t0 is None else t0
     hi_t = params.duration if t1 is None else t1
     if hi_t <= lo_t:

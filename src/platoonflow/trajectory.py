@@ -10,7 +10,7 @@ on demand.
 
 The engine stores only state: ids, position, speed, command and mode.
 The four physics columns (``u``, ``drag``, ``gs_margin`` and
-``deadline_margin``) are derived from that state, the ``params`` the
+``deadline_margin``) are derived from that state, the ``params`` every
 trajectory is built with (its envelope constants and ``params.drag``),
 and the exit and deadline the engine registers per vehicle.  The first
 read of any of them derives every row appended since the last read, and
@@ -117,8 +117,8 @@ class Trajectory:
     ``offsets[k]:offsets[k + 1]``; steps with no vehicle on the road are
     not stored.  ``mode`` holds ``VehicleMode`` values.  The columns in
     ``DERIVED_COLUMNS`` are filled up to the last stored step when one
-    of them is read (see the module docstring), under ``params``; a
-    trajectory built without it cannot derive them.
+    of them is read (see the module docstring), under ``params``, the
+    run's constants that every reader of the trajectory takes.
     """
 
     __slots__ = (("times", "offsets") + STORED_COLUMNS
@@ -131,7 +131,7 @@ class Trajectory:
     gs_margin = _derived("gs_margin")
     deadline_margin = _derived("deadline_margin")
 
-    def __init__(self, params: SimParams | None = None) -> None:
+    def __init__(self, params: SimParams) -> None:
         self.times = array("d")
         self.offsets = array("q", [0])
         for name in INT_COLUMNS:
@@ -149,7 +149,7 @@ class Trajectory:
         self._registered = array("b")
 
     @property
-    def params(self) -> SimParams | None:
+    def params(self) -> SimParams:
         """The run's constants every row derives under; read-only."""
         return self._params
 
@@ -192,9 +192,6 @@ class Trajectory:
     def _derive(self) -> None:
         """Fill the derived columns for every step appended since the
         last fill, block by block of whole steps."""
-        if self.params is None:
-            raise ValueError("trajectory has rows to derive but no drag law: "
-                             "build it as Trajectory(params)")
         offsets, n_steps = self.offsets, len(self.times)
         k = self._derived_steps
         while k < n_steps:
@@ -256,15 +253,15 @@ class Trajectory:
                 np.array(self._deadline)[vids])
 
     @classmethod
-    def from_records(cls, records: Iterable[TrajectoryRecord]
-                     ) -> "Trajectory":
-        """Columns for hand-built records, in any order.
+    def from_records(cls, records: Iterable[TrajectoryRecord],
+                     params: SimParams) -> "Trajectory":
+        """Columns for hand-built records, in any order, under ``params``.
 
         Records with equal ``time`` form one step, ordered front to back
         (ties keep their input order), and steps run in time order.  The
         physics columns hold the records' own values.
         """
-        out = cls()
+        out = cls(params)
         rows = sorted(records, key=lambda r: (r.time, -r.p))
         start = 0
         while start < len(rows):

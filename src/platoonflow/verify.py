@@ -22,7 +22,7 @@ from .analysis import (brute_force_follower, consecutive_gap_excess,
 from .cli import trajectory_csv_text
 from .controller import (gap_allowance, safe_accel_interval,
                          solve_follower_control, stopping_margin)
-from .core import SimParams, SimulationError, VehicleMode, VehicleState
+from .core import SimParams, SimulationError, VehicleMode
 from .sim import (EVENT_SPAWN, SimResult, WorldState, insert_vehicle, run,
                   step)
 from .trajectory import pair_rows
@@ -63,17 +63,17 @@ class SeedSummary:
     worst_command: float | None
 
 
-def summarize_seed(result: SimResult, params: SimParams) -> SeedSummary:
+def summarize_seed(result: SimResult) -> SeedSummary:
     """Fold one run into the figures the corpus checks aggregate."""
     tr = result.trajectory
-    excess = consecutive_gap_excess(tr, params)
+    excess = consecutive_gap_excess(tr)
     accel = np.array(tr.accel)[np.array(tr.mode)
                                != VehicleMode.LEADER_RECOVERING]
     return SeedSummary(
         spawned=sum(e.kind == EVENT_SPAWN for e in result.events),
         records=len(tr),
         worst_gap_excess=float(excess.max()) if len(excess) else None,
-        gap_violations=int((excess > gap_allowance(params)).sum()),
+        gap_violations=int((excess > gap_allowance(tr.params)).sum()),
         worst_command=float(accel.max()) if len(accel) else None,
     )
 
@@ -99,7 +99,7 @@ class RunCorpus:
         for seed in range(N_CORPUS_SEEDS):
             try:
                 self.summaries[seed] = summarize_seed(
-                    run(replace(self.params, seed=seed)), self.params)
+                    run(replace(self.params, seed=seed)))
             except SimulationError as exc:
                 self.errors[seed] = str(exc)
         self._built = True
@@ -316,8 +316,7 @@ def check_equilibrium_hold(params: SimParams) -> CheckResult:
         return CheckResult(name, False, f"engine audit tripped, {exc}")
     worst_a = float(np.abs(np.array(tr.accel)).max())
     worst_v = float(np.abs(np.array(tr.v) - params.v_min).max())
-    worst_gap = float(np.abs(consecutive_gap_excess(tr, params)).max(
-        initial=0.0))
+    worst_gap = float(np.abs(consecutive_gap_excess(tr)).max(initial=0.0))
     ok = worst_a <= 1e-9 and worst_v <= 1e-6 and worst_gap <= 1e-6
     detail = (f"{EQUILIBRIUM_STEPS} steps: max command {worst_a:.1e} "
               f"(allow 1e-09), speed drift {worst_v:.1e} and gap drift "
@@ -331,9 +330,6 @@ def check_solver_oracle(params: SimParams) -> CheckResult:
     name = "solver_matches_grid_oracle"
     rng = np.random.default_rng(90007)
     tol = (params.a_max - params.a_min) / 1e4 + 1e-12
-    probe = VehicleState(vid=0, p=0.0, v=0.0, accel=0.0, deadline=0.0,
-                         exit_pos=0.0, mode=VehicleMode.FOLLOWER,
-                         platoon_id=0)
     worst = 0.0
     for i in range(N_ORACLE_STATES):
         pick = rng.random()
@@ -349,8 +345,7 @@ def check_solver_oracle(params: SimParams) -> CheckResult:
         deadline_active = bool(rng.random() < 0.4)
         kin = stopping_margin(v, -params.delta, v_hat, params)
         p_hat = float(rng.uniform(-40.0, 2.0)) - params.delta - kin
-        probe.v = v
-        dec = solve_follower_control(probe, p_hat, v_hat, pred_accel,
+        dec = solve_follower_control(v, p_hat, v_hat, pred_accel,
                                      deadline_active, params)
         ref = brute_force_follower(v, p_hat, v_hat, pred_accel,
                                    deadline_active, params)
@@ -471,7 +466,7 @@ def check_partials(params: SimParams) -> CheckResult:
         v = float(v)
         for p_hat in np.linspace(-40.0, -1.0, 50):
             p_hat = float(p_hat)
-            f_v, f_p = law.partials(v, p_hat, True)
+            f_v, f_p = law.partials(v, p_hat)
             fd_v = (law.force(v + h, p_hat, True)
                     - law.force(v - h, p_hat, True)) / (2.0 * h)
             fd_p = (law.force(v, p_hat + h, True)

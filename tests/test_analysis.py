@@ -1,11 +1,14 @@
+import inspect
 import math
+import typing
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from platoonflow import (FeasibilityVerdict, SimParams, SimResult,
-                         Trajectory, TrajectoryRecord, run)
+                         Trajectory, TrajectoryRecord, analysis, cli, run,
+                         svgplot, verify)
 from platoonflow.analysis import (
     brute_force_follower,
     check_ordering,
@@ -17,7 +20,7 @@ from platoonflow.analysis import (
     records_by_vehicle,
     summarize,
 )
-from platoonflow import solve_follower_control, VehicleMode, VehicleState
+from platoonflow import solve_follower_control
 from platoonflow.trajectory import pair_rows
 
 PARAMS = SimParams()
@@ -37,33 +40,33 @@ class TestGrouping:
         rows = [rec(time=0.1, vehicle_id=1, p=50.0),
                 rec(time=0.1, vehicle_id=2, p=80.0),
                 rec(time=0.2, vehicle_id=1, p=52.0)]
-        snaps = records_by_time(Trajectory.from_records(rows))
+        snaps = records_by_time(Trajectory.from_records(rows, PARAMS))
         assert list(snaps) == [0.1, 0.2]
         assert [r.vehicle_id for r in snaps[0.1]] == [2, 1]
 
     def test_histories_sort_by_time(self):
         rows = [rec(time=0.2, vehicle_id=7), rec(time=0.1, vehicle_id=7),
                 rec(time=0.1, vehicle_id=9)]
-        hist = records_by_vehicle(Trajectory.from_records(rows))
+        hist = records_by_vehicle(Trajectory.from_records(rows, PARAMS))
         assert [r.time for r in hist[7]] == [0.1, 0.2]
         assert set(hist) == {7, 9}
 
 
 class TestAudits:
-    def test_clean_trajectory_has_no_problems(self, short_run, params):
+    def test_clean_trajectory_has_no_problems(self, short_run):
         assert check_ordering(short_run.trajectory) == []
-        assert check_safety(short_run.trajectory, params) == []
+        assert check_safety(short_run.trajectory) == []
 
     def test_ordering_flags_a_swap(self):
         rows = [rec(vehicle_id=1, p=100.0), rec(vehicle_id=2, p=100.0)]
-        problems = check_ordering(Trajectory.from_records(rows))
+        problems = check_ordering(Trajectory.from_records(rows, PARAMS))
         assert len(problems) == 1
         assert "not behind" in problems[0]
 
     def test_ordering_reads_the_rows_in_stored_order(self):
         # from_records orders each step front to back, so only stored
         # columns can hold a vehicle ahead of the one in front of it.
-        tr = Trajectory()
+        tr = Trajectory(PARAMS)
         tr.append_step(0.5, [1, 2, 3], [1, 1, 1], [100.0, 90.0, 95.0],
                        [25.0] * 3, [0.0] * 3, [0] * 3)
         assert check_ordering(tr) == [
@@ -71,7 +74,7 @@ class TestAudits:
             "(p=90.000000)"]
 
     def test_ordering_lists_every_violation_in_row_order(self):
-        tr = Trajectory()
+        tr = Trajectory(PARAMS)
         tr.append_step(0.5, [1, 2, 3], [1, 1, 1], [100.0, 90.0, 95.0],
                        [25.0] * 3, [0.0] * 3, [0] * 3)
         tr.append_step(0.6, [1, 2], [1, 1], [103.0, 93.0], [25.0] * 2,
@@ -88,7 +91,7 @@ class TestAudits:
     def test_safety_flags_a_crushed_gap(self):
         rows = [rec(vehicle_id=1, p=100.0, v=20.0),
                 rec(vehicle_id=2, p=99.0, v=20.0)]
-        problems = check_safety(Trajectory.from_records(rows), PARAMS)
+        problems = check_safety(Trajectory.from_records(rows, PARAMS))
         assert len(problems) == 1
         assert "margin" in problems[0]
 
@@ -98,12 +101,12 @@ class TestAudits:
         rows = [rec(time=0.2, vehicle_id=1, p=100.0, v=20.0, gs_margin=0.0),
                 rec(time=0.2, vehicle_id=2, p=90.0, v=30.0, gs_margin=0.0),
                 rec(time=0.2, vehicle_id=3, p=70.0, v=31.0, gs_margin=0.0)]
-        assert check_safety(Trajectory.from_records(rows), PARAMS) == [
+        assert check_safety(Trajectory.from_records(rows, PARAMS)) == [
             "t=0.200: margin 7.500000 > 3.510000 between 1 and 2"]
 
 
 def formations(snap):
-    return detect_formations(Trajectory.from_records(snap), -1, PARAMS)
+    return detect_formations(Trajectory.from_records(snap, PARAMS), -1)
 
 
 class TestFormations:
@@ -130,10 +133,10 @@ class TestFormations:
             rec(time=0.1, vehicle_id=1, p=100.0, v=20.0),
             rec(time=0.1, vehicle_id=2, p=95.0, v=20.0),
             rec(time=0.1, vehicle_id=3, p=80.0, v=20.0),
-            rec(time=0.2, vehicle_id=4, p=50.0, v=20.0)])
-        assert detect_formations(tr, 0, PARAMS) == [(1, 2), (3,)]
-        assert detect_formations(tr, -2, PARAMS) == [(1, 2), (3,)]
-        assert detect_formations(tr, 1, PARAMS) == [(4,)]
+            rec(time=0.2, vehicle_id=4, p=50.0, v=20.0)], PARAMS)
+        assert detect_formations(tr, 0) == [(1, 2), (3,)]
+        assert detect_formations(tr, -2) == [(1, 2), (3,)]
+        assert detect_formations(tr, 1) == [(4,)]
 
     def test_columns_and_floats_agree_pair_by_pair(self, short_run):
         tr = short_run.trajectory
@@ -149,7 +152,7 @@ class TestFormations:
 
 def summary_of(rows):
     """``summarize`` of hand-built records and no events."""
-    return summarize(SimResult(Trajectory.from_records(rows), []), PARAMS)
+    return summarize(SimResult(Trajectory.from_records(rows, PARAMS), []))
 
 
 class TestEnergy:
@@ -203,11 +206,6 @@ class TestPreviousRows:
 
 
 class TestBruteForce:
-    def make_state(self, v):
-        return VehicleState(vid=1, p=500.0, v=v, accel=0.0, deadline=1e9,
-                            exit_pos=1750.0, mode=VehicleMode.FOLLOWER,
-                            platoon_id=1)
-
     @pytest.mark.parametrize("v,p_hat,v_hat,pred,deadline", [
         (30.0, -20.0, 1.0, 0.0, False),
         (30.0, -20.0, -1.0, 0.0, False),
@@ -219,8 +217,8 @@ class TestBruteForce:
     def test_agrees_with_the_closed_form_solver(self, v, p_hat, v_hat,
                                                 pred, deadline):
         oracle = brute_force_follower(v, p_hat, v_hat, pred, deadline, PARAMS)
-        solved = solve_follower_control(self.make_state(v), p_hat, v_hat,
-                                        pred, deadline, PARAMS)
+        solved = solve_follower_control(v, p_hat, v_hat, pred, deadline,
+                                        PARAMS)
         assert oracle.verdict is solved.verdict
         if oracle.verdict is FeasibilityVerdict.FEASIBLE:
             assert solved.accel == pytest.approx(oracle.accel, abs=1e-3)
@@ -230,7 +228,7 @@ class TestBruteForce:
 
 class TestSummarize:
     def test_reports_counters_and_final_formations(self, short_run):
-        out = summarize(short_run, SimParams(duration=40.0, seed=1))
+        out = summarize(short_run)
         kinds = Counter(e.kind for e in short_run.events)
         assert out["vehicles_spawned"] == kinds["spawn"]
         assert out["duration"] == pytest.approx(40.0)
@@ -239,6 +237,30 @@ class TestSummarize:
         assert out["total_drag_sq_integral"] > 0.0
 
     def test_peak_vehicle_count_is_the_largest_step(self, short_run):
-        out = summarize(short_run, SimParams(duration=40.0, seed=1))
+        out = summarize(short_run)
         assert out["peak_vehicle_count"] == max(
             stop - start for _, start, stop in short_run.trajectory.steps())
+
+    def test_reports_the_duration_its_trajectory_was_run_for(self):
+        result = run(SimParams(duration=3.5, seed=2))
+        assert summarize(result)["duration"] \
+            == result.trajectory.params.duration == 3.5
+
+
+
+@pytest.mark.parametrize("module", [analysis, cli, svgplot, verify],
+                         ids=lambda m: m.__name__.rsplit(".", 1)[-1])
+def test_no_reader_of_a_run_takes_params_besides(module):
+    # A run's params are its trajectory's: a reader that took them as
+    # well could judge the run under another run's params.
+    readers = {}
+    for name, fn in vars(module).items():
+        if (inspect.isfunction(fn) and not name.startswith("_")
+                and fn.__module__ == module.__name__):
+            hints = typing.get_type_hints(fn)
+            args = inspect.signature(fn).parameters
+            if any(hints.get(arg) in (Trajectory, SimResult) for arg in args):
+                readers[name] = list(args)
+    assert readers
+    assert {name: args for name, args in readers.items()
+            if "params" in args} == {}

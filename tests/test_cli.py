@@ -75,7 +75,7 @@ class TestConfigParsing:
 
 class TestCsvWriters:
     def test_trajectory_header_is_stable(self):
-        text = trajectory_csv_text(Trajectory())
+        text = trajectory_csv_text(Trajectory(SimParams()))
         assert text == ("t,id,platoon_id,p,v,a,u,drag,"
                         "gs_margin,deadline_margin,mode\n")
 
@@ -86,7 +86,7 @@ class TestCsvWriters:
                                     drag=0.0, gs_margin=math.nan,
                                     deadline_margin=-1.0, mode="leader")
         text = trajectory_csv_text(Trajectory.from_records(
-            [row(0.2, 1), row(0.1, 2), row(0.1, 1)]))
+            [row(0.2, 1), row(0.1, 2), row(0.1, 1)], SimParams()))
         ids = [line.split(",")[:2] for line in text.splitlines()[1:]]
         assert ids == [["0.1", "1"], ["0.1", "2"], ["0.2", "1"]]
 
@@ -97,7 +97,7 @@ class TestCsvWriters:
                                gs_margin=math.nan, deadline_margin=-1.0,
                                mode="leader")
         line = trajectory_csv_text(
-            Trajectory.from_records([rec])).splitlines()[1]
+            Trajectory.from_records([rec], SimParams())).splitlines()[1]
         assert line.startswith("0.3,1,1,123.457,20,")
         assert "nan" in line
 
@@ -109,7 +109,7 @@ class TestCsvWriters:
                                     mode="follower")
                    for k, x in enumerate(values)]
         rows = trajectory_csv_text(
-            Trajectory.from_records(records)).splitlines()[1:]
+            Trajectory.from_records(records, SimParams())).splitlines()[1:]
         assert rows == [
             f"{r.time:.6g},{r.vehicle_id},{r.platoon_id},{r.p:.6g},"
             f"{r.v:.6g},{r.accel:.6g},{r.u:.6g},{r.drag:.6g},"

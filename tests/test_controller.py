@@ -23,14 +23,9 @@ from platoonflow.trajectory import MODE_NAMES
 PARAMS = SimParams()
 
 
-def make_state(v, mode=VehicleMode.FOLLOWER, p=500.0):
-    return VehicleState(vid=1, p=p, v=v, accel=0.0, deadline=1e9,
-                        exit_pos=1750.0, mode=mode, platoon_id=1)
-
-
 class TestFollowerSolve:
     def test_unconstrained_interior_coasts(self):
-        d = solve_follower_control(make_state(30.0), -20.0, 1.0, 0.0,
+        d = solve_follower_control(30.0, -20.0, 1.0, 0.0,
                                    False, PARAMS)
         assert d.accel == 0.0
         assert d.verdict is FeasibilityVerdict.FEASIBLE
@@ -39,7 +34,7 @@ class TestFollowerSolve:
         assert d.flow_bound == pytest.approx(0.16540193819026033, rel=1e-12)
 
     def test_opening_gap_tracks_the_descent_bound(self):
-        d = solve_follower_control(make_state(30.0), -20.0, -1.0, 0.0,
+        d = solve_follower_control(30.0, -20.0, -1.0, 0.0,
                                    False, PARAMS)
         assert d.accel == d.flow_bound
         assert d.accel == pytest.approx(-0.16540193819026033, rel=1e-12)
@@ -47,35 +42,35 @@ class TestFollowerSolve:
         assert "drag_flow" in d.active
 
     def test_active_deadline_pins_the_command_at_zero(self):
-        d = solve_follower_control(make_state(30.0), -20.0, 2.0, 0.0,
+        d = solve_follower_control(30.0, -20.0, 2.0, 0.0,
                                    True, PARAMS)
         assert d.accel == 0.0
         assert d.verdict is FeasibilityVerdict.FEASIBLE
         assert "deadline" in d.active
 
     def test_floor_conflict_when_descent_demands_braking_at_the_floor(self):
-        d = solve_follower_control(make_state(20.0), -20.0, -1.0, 0.0,
+        d = solve_follower_control(20.0, -20.0, -1.0, 0.0,
                                    False, PARAMS)
         assert d.verdict is FeasibilityVerdict.FLOOR_CONFLICT
         assert d.verdict.splits
         assert d.accel == 0.0
 
     def test_brake_conflict_when_descent_outruns_the_actuator(self):
-        d = solve_follower_control(make_state(22.0), -6.0, -10.0, 0.0,
+        d = solve_follower_control(22.0, -6.0, -10.0, 0.0,
                                    False, PARAMS)
         assert d.flow_bound < PARAMS.a_min
         assert d.verdict is FeasibilityVerdict.BRAKE_CONFLICT
         assert d.accel == PARAMS.a_min
 
     def test_deadline_against_descent_splits(self):
-        d = solve_follower_control(make_state(25.0), -20.0, -2.0, 0.0,
+        d = solve_follower_control(25.0, -20.0, -2.0, 0.0,
                                    True, PARAMS)
         assert d.verdict is FeasibilityVerdict.DEADLINE_DRAG_CONFLICT
         assert d.verdict.splits
         assert d.accel == PARAMS.a_min
 
     def test_deadline_against_envelope_relaxes_and_brakes(self):
-        d = solve_follower_control(make_state(30.0), -13.0, 6.0, 0.0,
+        d = solve_follower_control(30.0, -13.0, 6.0, 0.0,
                                    True, PARAMS)
         assert d.verdict is FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT
         assert not d.verdict.splits
@@ -88,9 +83,9 @@ class TestFollowerSolve:
     def test_worst_case_switch_ignores_communicated_command(self):
         import dataclasses
         worst = dataclasses.replace(PARAMS, worst_case_pred_accel=True)
-        trusting = solve_follower_control(make_state(30.0), -16.0, 7.0, 3.0,
+        trusting = solve_follower_control(30.0, -16.0, 7.0, 3.0,
                                           False, PARAMS)
-        paranoid = solve_follower_control(make_state(30.0), -16.0, 7.0, 3.0,
+        paranoid = solve_follower_control(30.0, -16.0, 7.0, 3.0,
                                           False, worst)
         assert paranoid.accel <= trusting.accel
 
@@ -105,62 +100,54 @@ class TestFollowerSolve:
         # predecessor speed must respect the floor, so v_hat <= v - v_min
         v_hat = closing_frac * (v - PARAMS.v_min) if closing_frac > 0 \
             else closing_frac * 15.0
-        d = solve_follower_control(make_state(v), p_hat, v_hat, pred,
+        d = solve_follower_control(v, p_hat, v_hat, pred,
                                    deadline, PARAMS)
         assert PARAMS.a_min <= d.accel <= PARAMS.a_max
 
 
 class TestLeaderPolicy:
     def test_front_leader_brakes_toward_the_floor(self):
-        d = leader_control(make_state(30.0, VehicleMode.LEADER), 500.0, 30.0,
-                           None, False, PARAMS)
+        d = leader_control(30.0, 500.0, 30.0, None, False, False, PARAMS)
         assert d.accel == PARAMS.a_min
         assert math.isnan(d.gs_margin)
         assert d.verdict is FeasibilityVerdict.FEASIBLE
 
     def test_front_leader_cruises_at_the_floor(self):
-        d = leader_control(make_state(20.0, VehicleMode.LEADER), 500.0, 20.0,
-                           None, False, PARAMS)
+        d = leader_control(20.0, 500.0, 20.0, None, False, False, PARAMS)
         assert d.accel == 0.0
         assert "speed_floor" in d.active
 
     def test_recovering_head_floors_the_throttle(self):
-        d = leader_control(make_state(30.0, VehicleMode.LEADER_RECOVERING),
-                           500.0, 30.0, None, False, PARAMS)
+        d = leader_control(30.0, 500.0, 30.0, None, True, False, PARAMS)
         assert d.accel == PARAMS.a_max
 
     def test_recovering_head_respects_the_ceiling(self):
-        d = leader_control(make_state(35.0, VehicleMode.LEADER_RECOVERING),
-                           500.0, 35.0, None, False, PARAMS)
+        d = leader_control(35.0, 500.0, 35.0, None, True, False, PARAMS)
         assert d.accel == 0.0
         assert "speed_ceiling" in d.active
 
     def test_recovering_head_respects_the_envelope(self):
-        d = leader_control(make_state(30.0, VehicleMode.LEADER_RECOVERING),
-                           -13.0, 6.0, 0.0, False, PARAMS)
+        d = leader_control(30.0, -13.0, 6.0, 0.0, True, False, PARAMS)
         assert d.accel == -3.4
         assert "safety" in d.active
 
     def test_a_head_held_at_the_ceiling_names_only_the_ceiling(self):
         # Falling back from its predecessor, the envelope does not bind
         # (its cap is inf): only the speed ceiling holds the command at 0.
-        d = leader_control(make_state(PARAMS.v_max,
-                                      VehicleMode.LEADER_RECOVERING),
-                           -200.0, -1.0, 0.0, False, PARAMS)
+        d = leader_control(PARAMS.v_max, -200.0, -1.0, 0.0, True, False,
+                           PARAMS)
         assert d.accel == 0.0
         assert d.active == frozenset({"speed_ceiling"})
 
     def test_parked_head_behind_parked_pred_stays_split(self):
         # opening or steady at the floor reads as a floor conflict, which
         # is what keeps a parked pair from merging and re-arming deadlines
-        d = leader_control(make_state(20.0, VehicleMode.LEADER), -9.0, -0.5,
-                           0.0, False, PARAMS)
+        d = leader_control(20.0, -9.0, -0.5, 0.0, False, False, PARAMS)
         assert d.accel == 0.0
         assert d.verdict is FeasibilityVerdict.FLOOR_CONFLICT
 
     def test_closing_head_reads_feasible_and_may_merge(self):
-        d = leader_control(make_state(30.0, VehicleMode.LEADER), -40.0, 2.0,
-                           0.0, False, PARAMS)
+        d = leader_control(30.0, -40.0, 2.0, 0.0, False, False, PARAMS)
         assert d.verdict is FeasibilityVerdict.FEASIBLE
 
 
@@ -292,18 +279,17 @@ class TestHeadsUseTheWorldsDragLaw:
         law = self.LAWS[name]
         params = replace(PARAMS, drag=law)
         v, p_hat, v_hat = 22.0, -6.0, -10.0
-        bound = law.descent_bound(v, p_hat, v_hat, True)
+        bound = law.descent_bound(v, p_hat, v_hat)
         default = PARAMS.drag
-        assert bound != default.descent_bound(v, p_hat, v_hat, True)
-        follower = solve_follower_control(make_state(v), p_hat, v_hat, 0.0,
+        assert bound != default.descent_bound(v, p_hat, v_hat)
+        follower = solve_follower_control(v, p_hat, v_hat, 0.0,
                                           False, params)
-        head = leader_control(make_state(v, VehicleMode.LEADER), p_hat,
-                              v_hat, 0.0, False, params)
+        head = leader_control(v, p_hat, v_hat, 0.0, False, False, params)
         assert follower.verdict is head.verdict is FeasibilityVerdict.FEASIBLE
         assert follower.flow_bound == head.flow_bound == bound
         # The default law reads this state as a brake conflict.
-        assert leader_control(make_state(v, VehicleMode.LEADER), p_hat,
-                              v_hat, 0.0, False, PARAMS).verdict \
+        assert leader_control(v, p_hat, v_hat, 0.0, False, False,
+                              PARAMS).verdict \
             is FeasibilityVerdict.BRAKE_CONFLICT
 
     @pytest.mark.parametrize("name", LAWS)
@@ -313,10 +299,10 @@ class TestHeadsUseTheWorldsDragLaw:
             self, name, v, v_pred, p_hat, deadline):
         law = self.LAWS[name]
         v_hat = v - v_pred
-        d = leader_control(make_state(v, VehicleMode.LEADER), p_hat, v_hat,
-                           0.0, deadline, replace(PARAMS, drag=law))
+        d = leader_control(v, p_hat, v_hat, 0.0, False, deadline,
+                           replace(PARAMS, drag=law))
         bound, g = d.flow_bound, d.gs_margin
-        assert bound == law.descent_bound(v, p_hat, v_hat, True)
+        assert bound == law.descent_bound(v, p_hat, v_hat)
         assert g == stopping_margin(v, p_hat, v_hat, PARAMS)
         assert d.verdict is FeasibilityVerdict(kernels.classify(
             v, v_hat, bound, deadline, g, d.hi, PARAMS.v_min,

@@ -21,21 +21,21 @@ def test_wake_force_reference_value():
 
 
 def test_partials_reference_values():
-    f_v, f_p = LAW.partials(30.0, -20.0, True)
+    f_v, f_p = LAW.partials(30.0, -20.0)
     assert f_v == 0.021092690140876964
     assert f_p == -0.003488771830947645
 
 
 def test_flow_bound_reference_value():
     # closing at 2 m/s the ceiling is |F_p|/F_v * v_hat
-    bound = LAW.descent_bound(30.0, -20.0, 2.0, True)
+    bound = LAW.descent_bound(30.0, -20.0, 2.0)
     assert math.isclose(bound, 0.33080387638052067, rel_tol=1e-12)
 
 
 def test_flow_bound_scales_with_closing_speed():
-    one = LAW.descent_bound(22.0, -6.0, 1.0, True)
+    one = LAW.descent_bound(22.0, -6.0, 1.0)
     assert math.isclose(one, 0.5196469853590147, rel_tol=1e-12)
-    assert math.isclose(LAW.descent_bound(22.0, -6.0, -3.0, True),
+    assert math.isclose(LAW.descent_bound(22.0, -6.0, -3.0),
                         -3.0 * one, rel_tol=1e-12)
 
 
@@ -44,17 +44,14 @@ def test_law_object_matches_module_functions():
     assert LAW.force(22.0, -6.0, True) == 0.1217221212077987
     assert LAW.force(22.0, -6.0, True) \
         == kernels.drag_force(22.0, -6.0, True, *c)
-    assert LAW.partials(30.0, -20.0, True) == kernels.drag_partials(
-        30.0, -20.0, True, *c)
-    assert LAW.descent_bound(30.0, -20.0, 2.0, True) \
-        == kernels.flow_bound(30.0, -20.0, 2.0, True, *c)
+    assert LAW.partials(30.0, -20.0) == kernels.drag_partials(
+        30.0, -20.0, *c)
+    assert LAW.descent_bound(30.0, -20.0, 2.0) \
+        == kernels.flow_bound(30.0, -20.0, 2.0, *c)
 
 
 def test_solo_vehicle_ignores_gap():
     assert LAW.force(28.0, -3.0, False) == LAW.force(28.0, -900.0, False)
-    f_v, f_p = LAW.partials(28.0, -3.0, False)
-    assert f_p == 0.0
-    assert f_v > 0.0
 
 
 @given(v=speeds, p_hat=gaps)
@@ -64,7 +61,7 @@ def test_wake_discount_reduces_drag(v, p_hat):
 
 @given(v=speeds, p_hat=gaps)
 def test_force_increases_with_speed_decreases_with_gap(v, p_hat):
-    f_v, f_p = LAW.partials(v, p_hat, True)
+    f_v, f_p = LAW.partials(v, p_hat)
     assert f_v > 0.0
     assert f_p < 0.0
 
@@ -72,7 +69,7 @@ def test_force_increases_with_speed_decreases_with_gap(v, p_hat):
 @given(v=speeds, p_hat=gaps)
 def test_partials_match_difference_quotient(v, p_hat):
     h = 1e-5
-    f_v, f_p = LAW.partials(v, p_hat, True)
+    f_v, f_p = LAW.partials(v, p_hat)
     fd_v = (LAW.force(v + h, p_hat, True)
             - LAW.force(v - h, p_hat, True)) / (2 * h)
     fd_p = (LAW.force(v, p_hat + h, True)
@@ -85,7 +82,7 @@ def test_partials_match_difference_quotient(v, p_hat):
 @example(v=1.0, p_hat=-120.0, v_hat=5e-324)
 @example(v=1.0, p_hat=-120.0, v_hat=-5e-324)
 def test_flow_bound_sign_follows_closing_speed(v, p_hat, v_hat):
-    bound = LAW.descent_bound(v, p_hat, v_hat, True)
+    bound = LAW.descent_bound(v, p_hat, v_hat)
     if v_hat == 0:
         assert bound == 0.0
     elif abs(v_hat) < sys.float_info.min:
@@ -100,7 +97,7 @@ def test_flow_bound_sign_follows_closing_speed(v, p_hat, v_hat):
 
 @given(v=speeds, p_hat=gaps, v_hat=st.floats(min_value=-10.0, max_value=10.0))
 def test_flow_bound_agrees_with_partial_ratio(v, p_hat, v_hat):
-    f_v, f_p = LAW.partials(v, p_hat, True)
+    f_v, f_p = LAW.partials(v, p_hat)
     expected = -f_p * v_hat / f_v
-    bound = LAW.descent_bound(v, p_hat, v_hat, True)
+    bound = LAW.descent_bound(v, p_hat, v_hat)
     assert math.isclose(bound, expected, rel_tol=1e-9, abs_tol=1e-12)

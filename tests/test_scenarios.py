@@ -104,7 +104,7 @@ def test_valid_scenarios_run_clean_and_brake_only(params):
                 default=-math.inf)
     assert worst <= 0.0
     assert derived_bytes(tr) == recompute_derived(tr, params, targets)
-    out = summarize(SimResult(tr, world.events), params)
+    out = summarize(SimResult(tr, world.events))
     assert (out["total_drag_sq_integral"], out["total_positive_work"]) == \
         pytest.approx(per_vehicle_energy(tr), rel=1e-12, abs=0.0)
     kinds = Counter(e.kind for e in world.events)

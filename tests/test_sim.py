@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -77,11 +78,13 @@ class TestInsertVehicle:
         b = place(world, 200.0, 25.0)
         assert [v.vid for v in world.vehicles] == [a.vid, b.vid, c.vid]
 
-    def test_an_explicit_head_starts_a_fresh_platoon(self, params):
+    @pytest.mark.parametrize("mode", [VehicleMode.LEADER, 3],
+                             ids=["head", "recovering_head_code"])
+    def test_an_explicit_head_starts_a_fresh_platoon(self, params, mode):
         world = quiet_world(params)
         front = place(world, 300.0, 25.0)
-        rear = place(world, 200.0, 25.0, mode=VehicleMode.LEADER)
-        assert rear.mode is VehicleMode.LEADER
+        rear = place(world, 200.0, 25.0, mode=mode)
+        assert rear.mode is VehicleMode(mode)
         assert rear.platoon_id != front.platoon_id
         assert world.next_platoon_id == rear.platoon_id + 1
 
@@ -100,8 +103,8 @@ class TestInsertVehicle:
         assert front.platoon_id == middle.platoon_id == rear.platoon_id
 
     @pytest.mark.parametrize("mode", [
-        VehicleMode.FOLLOWER, VehicleMode.FOLLOWER_DEADLINE_RELAXED],
-        ids=["follower", "follower_relaxed"])
+        VehicleMode.FOLLOWER, VehicleMode.FOLLOWER_DEADLINE_RELAXED, 0],
+        ids=["follower", "follower_relaxed", "follower_code"])
     def test_a_follower_mode_needs_a_vehicle_ahead(self, params, mode):
         world = quiet_world(params)
         with pytest.raises(ValueError, match="no vehicle ahead"):
@@ -109,6 +112,29 @@ class TestInsertVehicle:
         front = place(world, 100.0, 25.0)
         with pytest.raises(ValueError, match="no vehicle ahead"):
             place(world, 200.0, 25.0, mode=mode)
+        assert world.vehicles == [front]
+        assert world.next_vehicle_id == 1
+
+    @pytest.mark.parametrize("where,value", [
+        ("p", math.nan), ("p", math.inf), ("exit_pos", math.nan),
+        ("deadline", -math.inf)],
+        ids=["p_nan", "p_inf", "exit_nan", "deadline_inf"])
+    def test_a_value_that_is_not_finite_is_refused(self, params, where,
+                                                    value):
+        world = quiet_world(params)
+        rear = place(world, 100.0, 25.0)
+        spot = {"p": 200.0, "exit_pos": FAR, "deadline": FAR, where: value}
+        with pytest.raises(ValueError, match=f"{where}=.* is not finite"):
+            insert_vehicle(world, spot["p"], 25.0, exit_pos=spot["exit_pos"],
+                           deadline=spot["deadline"])
+        assert world.vehicles == [rear]
+        assert world.next_vehicle_id == 1
+
+    def test_a_code_outside_the_modes_is_refused(self, params):
+        world = quiet_world(params)
+        front = place(world, 300.0, 25.0)
+        with pytest.raises(ValueError, match="7 is not a valid VehicleMode"):
+            place(world, 200.0, 25.0, mode=7)
         assert world.vehicles == [front]
         assert world.next_vehicle_id == 1
 
@@ -493,15 +519,20 @@ def test_the_engine_solves_what_the_public_api_reports(params):
                 params.enforce_deadlines and veh.mode < 2
                 and deadline_margin(veh.p, veh.v, world.t, veh.exit_pos,
                                     veh.deadline) >= -params.eps_d)
+            recovering = veh.mode == VehicleMode.LEADER_RECOVERING
             if pred is None:
-                d = leader_control(veh, veh.p, veh.v, None, deadline_active,
+                d = leader_control(veh.v, veh.p, veh.v, None, recovering,
+                                   deadline_active, params)
+            elif veh.mode & 1:
+                d = leader_control(veh.v, veh.p - pred.p, veh.v - pred.v,
+                                   pred.accel, recovering, deadline_active,
                                    params)
+                solved["head"] += 1
             else:
-                solve, role = ((leader_control, "head") if veh.mode & 1
-                               else (solve_follower_control, "follower"))
-                d = solve(veh, veh.p - pred.p, veh.v - pred.v, pred.accel,
-                          deadline_active, params)
-                solved[role] += 1
+                d = solve_follower_control(veh.v, veh.p - pred.p,
+                                           veh.v - pred.v, pred.accel,
+                                           deadline_active, params)
+                solved["follower"] += 1
             assert (veh.command, veh.verdict) == (d.accel, d.verdict.value)
             pred = veh
         step(world)

@@ -46,25 +46,24 @@ def reference_vehicle_paths(tr, lo_t, hi_t, sx, sy):
     return parts
 
 
-def assert_matches_reference(monkeypatch, trajectory, params, t0=None,
-                             t1=None):
-    svg = render_timespace(trajectory, params, t0, t1)
+def assert_matches_reference(monkeypatch, trajectory, t0=None, t1=None):
+    svg = render_timespace(trajectory, t0, t1)
     with monkeypatch.context() as m:
         m.setattr(svgplot, "_vehicle_paths", reference_vehicle_paths)
-        expected = render_timespace(trajectory, params, t0, t1)
+        expected = render_timespace(trajectory, t0, t1)
     assert svg == expected
     return svg
 
 
 def test_the_whole_run(monkeypatch, short_run):
-    svg = assert_matches_reference(monkeypatch, short_run.trajectory, SHORT)
+    svg = assert_matches_reference(monkeypatch, short_run.trajectory)
     assert svg.count("<polyline") == len(set(short_run.trajectory.vehicle_id))
 
 
 def test_a_one_step_window(monkeypatch, short_run):
     times = short_run.trajectory.times
     t = times[100]
-    svg = assert_matches_reference(monkeypatch, short_run.trajectory, SHORT,
+    svg = assert_matches_reference(monkeypatch, short_run.trajectory,
                                    t - 0.25 * SHORT.dt, t + 0.25 * SHORT.dt)
     assert svg.count("<polyline") == short_run.trajectory.offsets[101] \
         - short_run.trajectory.offsets[100]
@@ -72,7 +71,7 @@ def test_a_one_step_window(monkeypatch, short_run):
 
 def test_a_window_whose_ends_are_step_stamps(monkeypatch, short_run):
     times = short_run.trajectory.times
-    assert_matches_reference(monkeypatch, short_run.trajectory, SHORT,
+    assert_matches_reference(monkeypatch, short_run.trajectory,
                              times[40], times[90])
 
 
@@ -83,25 +82,33 @@ def test_a_window_with_no_steps(monkeypatch, short_run, where):
         window = (times[7] + 0.25 * SHORT.dt, times[8] - 0.25 * SHORT.dt)
     else:
         window = (times[-1] + 1.0, times[-1] + 2.0)
-    svg = assert_matches_reference(monkeypatch, short_run.trajectory, SHORT,
+    svg = assert_matches_reference(monkeypatch, short_run.trajectory,
                                    *window)
     assert "<polyline" not in svg
 
 
-def hand_records():
+def hand_records(params):
     """Vehicles 4 and 1 in two steps; 7 and 12 in one step each, as
-    columns built from hand-made records."""
+    columns built from hand-made records under ``params``."""
     def rec(time, vid, p):
         return TrajectoryRecord(time, vid, 0, p, 25.0, 0.0, 0.0, 0.0,
                                 0.0, -1.0, "follower")
     return Trajectory.from_records([
         rec(0.1, 4, 300.0), rec(0.1, 1, 250.0),
         rec(0.2, 7, 400.0), rec(0.2, 4, 302.5), rec(0.2, 1, 252.5),
-        rec(0.3, 12, 120.0)])
+        rec(0.3, 12, 120.0)], params)
 
 
 def test_record_lists_and_one_step_vehicles(monkeypatch):
-    params = SimParams(duration=0.3)
-    svg = assert_matches_reference(monkeypatch, hand_records(), params)
+    tr = hand_records(SimParams(duration=0.3))
+    svg = assert_matches_reference(monkeypatch, tr)
     assert svg.count("<polyline") == 4
-    assert_matches_reference(monkeypatch, hand_records(), params, 0.15, 0.3)
+    assert_matches_reference(monkeypatch, tr, 0.15, 0.3)
+
+
+def test_the_default_window_ends_at_the_runs_duration(short_run):
+    tr = short_run.trajectory
+    assert tr.params.duration == SHORT.duration
+    svg = render_timespace(tr)
+    assert svg == render_timespace(tr, 0.0, tr.params.duration)
+    assert svg != render_timespace(tr, 0.0, SimParams().duration)

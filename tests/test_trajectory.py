@@ -38,7 +38,7 @@ def test_mode_codes_carry_the_head_and_relaxed_bits():
     for mode in VehicleMode:
         rec = TrajectoryRecord(0.1, 1, 1, 0.0, 20.0, 0.0, 0.0, 0.0,
                                math.nan, -1.0, MODE_NAMES[mode])
-        code = Trajectory.from_records([rec]).mode[0]
+        code = Trajectory.from_records([rec], SimParams()).mode[0]
         assert code == mode
         assert bool(code & 1) == MODE_NAMES[mode].startswith("leader")
         assert bool(code & 2) == (mode in (
@@ -49,20 +49,21 @@ def test_mode_codes_carry_the_head_and_relaxed_bits():
 class TestColumns:
     def test_from_records_reproduces_the_columns(self, short_run):
         tr = short_run.trajectory
-        rebuilt = Trajectory.from_records(list(tr))
+        rebuilt = Trajectory.from_records(list(tr), tr.params)
         assert columns(rebuilt) == columns(tr)
         assert rebuilt == tr
 
     def test_from_records_orders_shuffled_records(self, short_run):
         records = list(short_run.trajectory)
         random.Random(5).shuffle(records)
-        assert Trajectory.from_records(records) == short_run.trajectory
+        assert Trajectory.from_records(
+            records, short_run.trajectory.params) == short_run.trajectory
 
     def test_from_records_rejects_an_unknown_mode(self):
         rec = TrajectoryRecord(0.1, 1, 1, 0.0, 20.0, 0.0, 0.0, 0.0,
                                math.nan, -1.0, "cruising")
         with pytest.raises(ValueError, match="cruising"):
-            Trajectory.from_records([rec])
+            Trajectory.from_records([rec], SimParams())
 
     def test_indexing_matches_iteration(self, short_run):
         tr = short_run.trajectory
@@ -116,7 +117,7 @@ class TestRecordViews:
 
     def test_snapshots_match_those_of_the_record_list(self, short_run):
         tr = short_run.trajectory
-        rebuilt = Trajectory.from_records(list(tr))
+        rebuilt = Trajectory.from_records(list(tr), tr.params)
         assert records_by_time(tr) == records_by_time(rebuilt)
         assert records_by_vehicle(tr) == records_by_vehicle(rebuilt)
         last = max(records_by_time(tr))
@@ -164,13 +165,6 @@ class TestDerivedColumns:
         assert derived_bytes(fresh.trajectory) == second
         assert recompute_derived(tr, params, targets) == second
 
-    def test_a_trajectory_without_a_drag_law_cannot_derive(self):
-        tr = Trajectory()
-        tr.append_step(0.1, [0], [0], [10.0], [25.0], [0.0], [1])
-        assert list(tr.p) == [10.0]
-        with pytest.raises(ValueError, match="drag law"):
-            tr.drag
-
     def test_the_params_a_trajectory_derives_under_are_read_only(self):
         params = SimParams(duration=20.0, seed=1)
         world = WorldState.initial(params)
@@ -179,8 +173,9 @@ class TestDerivedColumns:
         with pytest.raises(AttributeError):
             tr.params = replace(params, v_min=25.0)
         assert tr.params is world.params is params
-        assert Trajectory().params is None
-        assert Trajectory.from_records(list(tr)).params is None
+        assert Trajectory.from_records(list(tr), params).params is params
+        with pytest.raises(TypeError):
+            Trajectory()
 
 
 def hand_built(steps, params, registered=None):
@@ -252,7 +247,7 @@ class TestDeriveEdges:
 
     def test_a_negative_id_cannot_be_registered(self):
         with pytest.raises(ValueError, match="negative"):
-            Trajectory().register(-1, 100.0, 10.0)
+            Trajectory(self.params).register(-1, 100.0, 10.0)
 
 
 def test_reads_between_steps_leave_the_world_steppable():

@@ -200,8 +200,9 @@ PLANTED_DRAG = [0.3, 0.2, 0.2, 0.6, 0.2005, 0.201, 0.2, 0.9, 0.9, 0.21,
 
 def descent_trajectory(drag: list[float]) -> Trajectory:
     return Trajectory.from_records(
-        TrajectoryRecord(time, vid, 0, p, 25.0, 0.0, 0.0, d, 0.0, 0.0, mode)
-        for (time, vid, p, mode), d in zip(DESCENT_ROWS, drag))
+        [TrajectoryRecord(time, vid, 0, p, 25.0, 0.0, 0.0, d, 0.0, 0.0, mode)
+         for (time, vid, p, mode), d in zip(DESCENT_ROWS, drag)],
+        SimParams())
 
 
 @pytest.mark.parametrize("drag,expected", [
