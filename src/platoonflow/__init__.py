@@ -7,14 +7,13 @@ arrival deadline.  Platoons form, split, and merge purely from those
 local decisions; the engine only integrates, audits, and bookkeeps.
 """
 
-from ._kernels_py import deadline_margin
+from ._kernels_py import deadline_margin, stopping_margin
 from .controller import (
     ControlDecision,
     FeasibilityVerdict,
     leader_control,
     safe_accel_interval,
     solve_follower_control,
-    stopping_margin,
 )
 from .core import (
     DragCoefficients,

@@ -1,21 +1,27 @@
 """Scalar kernels for the per-vehicle hot path.
 
 These functions carry the entire numerical semantics of the controller;
-the rest of the package binds parameters and reports their results.
+the rest of the package reports their results.  A kernel reads every
+constant of its run from the run's ``SimParams`` (``params``), and a
+drag kernel from its law (``params.drag``), not from flat floats.
 Each rule is stated once: ``advance`` is the vehicle update, which
 moves the engine's vehicles and those of the feasibility check;
 ``safe_interval`` is the speed box intersected with the stopping
-envelope, which both decisions start from; ``drag_force``,
-``drag_partials`` and ``flow_bound`` are the wake drag law;
-``classify`` is the verdict both decisions return, a split for a
-follower and a merge for a head.  They take flat float arguments
-and allocate nothing beyond result tuples, so the engine can call them
-per vehicle and step.
+envelope, which both decisions start from; ``envelope_cap`` alone reads
+a predecessor's command, and applies the worst-case rule to it;
+``drag_force``, ``drag_partials`` and ``flow_bound`` are the wake drag
+law; ``classify`` is the verdict both decisions return, a split for a
+follower and a merge for a head.  They allocate nothing beyond result
+tuples, so the engine can call them per vehicle and step.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # core imports this module
+    from .core import DragCoefficients, SimParams
 
 # Exact-equality guard for speeds parked on a bound by the projection step.
 SPEED_EDGE_TOL = 1e-9
@@ -30,66 +36,72 @@ VERDICT_BRAKE_CONFLICT = 2
 VERDICT_DEADLINE_DRAG_CONFLICT = 3
 VERDICT_DEADLINE_SAFETY_CONFLICT = 4
 
+# (accel, verdict, lo, hi, g, cap, bound): what both decisions return.
+Decision = tuple[float, int, float, float, float, float, float]
 
-def advance(p: float, v: float, a: float, dt: float,
-            v_min: float, v_max: float) -> tuple[float, float]:
-    """Position and speed ``(p', v')`` after one step of ``dt`` under
-    the command ``a``.
+
+def advance(p: float, v: float, a: float,
+            params: SimParams) -> tuple[float, float]:
+    """Position and speed ``(p', v')`` after one step of ``params.dt``
+    under the command ``a``.
 
     Position takes the double-integrator step under the raw command;
     speed takes ``v + a * dt`` projected onto ``[v_min, v_max]``.  The
     position does not see that projection.
     """
+    dt = params.dt
     v_new = v + a * dt
-    if v_new < v_min:
-        v_new = v_min
-    elif v_new > v_max:
-        v_new = v_max
+    if v_new < params.v_min:
+        v_new = params.v_min
+    elif v_new > params.v_max:
+        v_new = params.v_max
     return p + v * dt + 0.5 * a * dt * dt, v_new
 
 
 def drag_force(v: float, p_hat: float, in_wake: bool,
-               c0: float, c1: float, c2: float) -> float:
+               law: DragCoefficients) -> float:
     """Aerodynamic drag: quadratic in speed, discounted in a wake."""
     if in_wake:
-        return c0 * v * v * (1.0 - c1 * math.exp(c2 * p_hat))
-    return c0 * v * v
+        return law.c0 * v * v * (1.0 - law.c1 * math.exp(law.c2 * p_hat))
+    return law.c0 * v * v
 
 
 def drag_partials(v: float, p_hat: float,
-                  c0: float, c1: float, c2: float) -> tuple[float, float]:
+                  law: DragCoefficients) -> tuple[float, float]:
     """Closed-form partials of the wake drag force w.r.t. speed and gap."""
+    c0, c1, c2 = law.c0, law.c1, law.c2
     w = math.exp(c2 * p_hat)
     return 2.0 * c0 * v * (1.0 - c1 * w), -c0 * v * v * c1 * c2 * w
 
 
 def flow_bound(v: float, p_hat: float, v_hat: float,
-               c0: float, c1: float, c2: float) -> float:
+               law: DragCoefficients) -> float:
     """Upper bound on acceleration that keeps drag energy non-increasing.
 
     Requiring d(F^2)/dt <= 0 for the wake drag law yields
     a <= (|dF/dp_hat| / dF/dv) * v_hat.  A vehicle with no predecessor
     has no wake to hold; ``leader_decision`` gives it the bound 0.
     """
-    w = math.exp(c2 * p_hat)
+    w = math.exp(law.c2 * p_hat)
     # dF/dv > 0 on the admissible domain (v >= v_min > 0, c1 < 1).
-    ratio = (v * c1 * c2 * w) / (2.0 * (1.0 - c1 * w))
+    ratio = (v * law.c1 * law.c2 * w) / (2.0 * (1.0 - law.c1 * w))
     return ratio * v_hat
 
 
 def stopping_margin(v: float, p_hat: float, v_hat: float,
-                    v_min: float, a_min: float, delta: float) -> float:
-    """Stopping-envelope margin; the pair is safe iff this is <= 0.
+                    params: SimParams) -> float:
+    """Stopping-envelope margin; safe iff <= 0, which implies a gap of
+    at least delta even if both vehicles brake to the speed floor.
 
     A closing vehicle (v_hat > 0) books the distance it would cede while
     braking to the predecessor's worst-case cruise speed; otherwise the
     plain gap-minus-delta test applies.
     """
     if v_hat <= 0.0:
-        return p_hat + delta
-    return (p_hat + delta
-            + v_hat * (v_min - v) / a_min
-            + v_hat * v_hat / (2.0 * a_min))
+        return p_hat + params.delta
+    return (p_hat + params.delta
+            + v_hat * (params.v_min - v) / params.a_min
+            + v_hat * v_hat / (2.0 * params.a_min))
 
 
 def deadline_margin(p: float, v: float, t: float,
@@ -104,30 +116,32 @@ def deadline_margin(p: float, v: float, t: float,
 
 
 def envelope_cap(v: float, v_hat: float, g: float, pred_accel: float,
-                 v_min: float, a_min: float, gamma: float) -> float:
+                 params: SimParams) -> float:
     """Acceleration cap keeping the envelope margin from growing.
 
     Solves d(g)/dt <= -gamma * g for the ego acceleration, given the
-    predecessor's commanded acceleration.  Only meaningful for a closing
-    pair (v_hat > 0) whose ego is above the speed floor; the caller
-    guards that.
+    predecessor's commanded acceleration, or full braking under
+    ``params.worst_case_pred_accel``: this only reader of ``pred_accel``
+    owns the worst-case rule.  Only meaningful for a closing pair
+    (v_hat > 0) whose ego is above the speed floor; the caller guards
+    that.
 
     The raw bound is floored at a_min: a discrete overshoot past the
     envelope can push it lower, but full braking is the strongest
     recovery physically available and never grows the margin.
     """
+    v_min, a_min = params.v_min, params.a_min
+    pred_accel = a_min if params.worst_case_pred_accel else pred_accel
     k = (v_min - v) / a_min
     r = v_hat - pred_accel * (v_min - v + v_hat) / a_min
-    cap = (-gamma * g - r) / k
+    cap = (-params.gamma * g - r) / k
     if cap < a_min:
         cap = a_min
     return cap
 
 
 def safe_interval(v: float, p_hat: float, v_hat: float,
-                  pred_accel: float, has_pred: bool,
-                  v_min: float, v_max: float, a_min: float, a_max: float,
-                  delta: float, eps_g: float, gamma: float
+                  pred_accel: float, has_pred: bool, params: SimParams
                   ) -> tuple[float, float, float, float]:
     """``(lo, hi, g, cap)``: the admissible acceleration interval from
     the speed box and the stopping envelope, the envelope margin and the
@@ -145,18 +159,19 @@ def safe_interval(v: float, p_hat: float, v_hat: float,
     brake any further, and the cap, which divides by the ego's headroom
     above the floor, is undefined there.
     """
-    lo = a_min
-    hi = a_max
-    at_floor = v <= v_min + SPEED_EDGE_TOL
+    lo = params.a_min
+    hi = params.a_max
+    at_floor = v <= params.v_min + SPEED_EDGE_TOL
     if at_floor:
         lo = 0.0
-    if v >= v_max - SPEED_EDGE_TOL:
+    if v >= params.v_max - SPEED_EDGE_TOL:
         hi = 0.0
     if not has_pred:
         return lo, hi, NAN, INF
-    g = stopping_margin(v, p_hat, v_hat, v_min, a_min, delta)
-    if v_hat > 0.0 and not at_floor and (g >= -eps_g or gamma > 0.0):
-        cap = envelope_cap(v, v_hat, g, pred_accel, v_min, a_min, gamma)
+    g = stopping_margin(v, p_hat, v_hat, params)
+    if v_hat > 0.0 and not at_floor and (g >= -params.eps_g
+                                         or params.gamma > 0.0):
+        cap = envelope_cap(v, v_hat, g, pred_accel, params)
         if cap < hi:
             hi = cap
         return lo, hi, g, cap
@@ -164,18 +179,17 @@ def safe_interval(v: float, p_hat: float, v_hat: float,
 
 
 def classify(v: float, v_hat: float, bound: float, deadline_active: bool,
-             g: float, cap: float, v_min: float, a_min: float,
-             eps_g: float) -> int:
+             g: float, cap: float, params: SimParams) -> int:
     """Feasibility verdict for the follower problem, in precedence order.
     The envelope binds a closing pair in the ``eps_g`` band or capped
     below zero."""
-    if v <= v_min + SPEED_EDGE_TOL and bound < 0.0:
+    if v <= params.v_min + SPEED_EDGE_TOL and bound < 0.0:
         return VERDICT_FLOOR_CONFLICT
-    if bound < a_min:
+    if bound < params.a_min:
         return VERDICT_BRAKE_CONFLICT
     if deadline_active and bound < 0.0:
         return VERDICT_DEADLINE_DRAG_CONFLICT
-    if deadline_active and v_hat > 0.0 and (g >= -eps_g or cap < 0.0):
+    if deadline_active and v_hat > 0.0 and (g >= -params.eps_g or cap < 0.0):
         return VERDICT_DEADLINE_SAFETY_CONFLICT
     return VERDICT_FEASIBLE
 
@@ -191,12 +205,7 @@ def _clamp_to_zero(lo: float, hi: float) -> float:
 
 def follower_decision(v: float, p_hat: float, v_hat: float,
                       pred_accel: float, deadline_active: bool,
-                      v_min: float, v_max: float,
-                      a_min: float, a_max: float,
-                      delta: float, eps_g: float, gamma: float,
-                      c0: float, c1: float, c2: float
-                      ) -> tuple[float, int, float, float, float, float,
-                                 float]:
+                      params: SimParams) -> Decision:
     """Full follower control decision.
 
     Returns (accel, verdict, lo, hi, g, cap, bound) where [lo, hi] is the
@@ -211,9 +220,8 @@ def follower_decision(v: float, p_hat: float, v_hat: float,
     re-solves.
     """
     lo, hi_safe, g, cap = safe_interval(v, p_hat, v_hat, pred_accel, True,
-                                        v_min, v_max, a_min, a_max, delta,
-                                        eps_g, gamma)
-    bound = flow_bound(v, p_hat, v_hat, c0, c1, c2)
+                                        params)
+    bound = flow_bound(v, p_hat, v_hat, params.drag)
 
     hi = hi_safe
     if bound < hi:
@@ -227,14 +235,13 @@ def follower_decision(v: float, p_hat: float, v_hat: float,
         accel = _clamp_to_zero(lo_full, hi)
         lo = lo_full
     else:
-        verdict = classify(v, v_hat, bound, deadline_active, g, cap, v_min,
-                           a_min, eps_g)
+        verdict = classify(v, v_hat, bound, deadline_active, g, cap, params)
         if verdict == VERDICT_DEADLINE_SAFETY_CONFLICT:
             # Drop the deadline and re-solve; the caller flips the mode.
             accel = _clamp_to_zero(lo, hi)
         elif verdict != VERDICT_FEASIBLE:
             # Split triggers: brake on the leader policy, envelope intact.
-            accel = a_min if a_min > lo else lo
+            accel = params.a_min if params.a_min > lo else lo
             hi = hi_safe
         else:
             raise AssertionError("empty feasible interval with no verdict")
@@ -243,12 +250,7 @@ def follower_decision(v: float, p_hat: float, v_hat: float,
 
 def leader_decision(v: float, p_hat: float, v_hat: float,
                     pred_accel: float, has_pred: bool, recovering: bool,
-                    deadline_active: bool, v_min: float, v_max: float,
-                    a_min: float, a_max: float,
-                    delta: float, eps_g: float, gamma: float,
-                    c0: float, c1: float, c2: float
-                    ) -> tuple[float, int, float, float, float, float,
-                               float]:
+                    deadline_active: bool, params: SimParams) -> Decision:
     """Platoon-head control: brake to the floor, or accelerate to recover.
 
     Returns the tuple of ``follower_decision``.  The admissible interval
@@ -258,17 +260,15 @@ def leader_decision(v: float, p_hat: float, v_hat: float,
     without one it is FEASIBLE, with ``bound`` 0 and ``g`` nan.
     """
     lo, hi, g, cap = safe_interval(v, p_hat, v_hat, pred_accel, has_pred,
-                                   v_min, v_max, a_min, a_max, delta, eps_g,
-                                   gamma)
+                                   params)
     if recovering:
         accel = hi
     else:
-        accel = a_min if a_min > lo else lo
+        accel = params.a_min if params.a_min > lo else lo
         if accel > hi:
             accel = hi
     if not has_pred:
         return accel, VERDICT_FEASIBLE, lo, hi, g, cap, 0.0
-    bound = flow_bound(v, p_hat, v_hat, c0, c1, c2)
-    return (accel, classify(v, v_hat, bound, deadline_active, g, cap, v_min,
-                            a_min, eps_g),
+    bound = flow_bound(v, p_hat, v_hat, params.drag)
+    return (accel, classify(v, v_hat, bound, deadline_active, g, cap, params),
             lo, hi, g, cap, bound)

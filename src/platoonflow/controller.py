@@ -7,8 +7,8 @@ magnitude.  Platoon heads instead brake to the speed floor and cruise,
 or accelerate to recover a relaxed deadline.
 
 The kernels in ``_kernels_py`` decide every solve, its verdict
-included; this module passes them a solve's state and the constants of
-its ``params``, drag law included.  ``solve_follower_control`` and
+included; this module passes them a solve's state and its ``params``,
+which they read every constant from.  ``solve_follower_control`` and
 ``leader_control`` report the result as a ``ControlDecision`` of plain
 numbers, whose verdict the engine's resequencing acts on.  To solve
 under another drag law, pass ``replace(params, drag=law)``.
@@ -74,16 +74,13 @@ class ControlDecision:
 
 
 def _assumed(pred_accel: float | None, params: SimParams) -> float:
-    """The predecessor command a solve assumes: full braking when there
-    is none to trust (``None``, or ``params.worst_case_pred_accel``)."""
-    if pred_accel is None or params.worst_case_pred_accel:
-        return params.a_min
-    return pred_accel
+    """Full braking where no predecessor command is known (``None``); the
+    kernels apply ``params.worst_case_pred_accel`` themselves."""
+    return params.a_min if pred_accel is None else pred_accel
 
 
-def _decision(solve: tuple[float, int, float, float, float, float, float],
-              v: float, deadline_active: bool, follower: bool,
-              params: SimParams) -> ControlDecision:
+def _decision(solve: kernels.Decision, v: float, deadline_active: bool,
+              follower: bool, params: SimParams) -> ControlDecision:
     """Report a kernel's ``(accel, verdict, lo, hi, g, cap, bound)``,
     naming in ``active`` what binds the command, by one rule for both
     solves; the descent bound and the deadline bind followers only."""
@@ -113,11 +110,9 @@ def solve_follower_control(v: float, p_hat: float, v_hat: float,
     ``pred_accel`` is the predecessor's previous commanded acceleration
     (replaced by full braking under ``params.worst_case_pred_accel``).
     """
-    p, law = params, params.drag
     return _decision(kernels.follower_decision(
-        v, p_hat, v_hat, _assumed(pred_accel, p), deadline_active,
-        p.v_min, p.v_max, p.a_min, p.a_max, p.delta, p.eps_g, p.gamma,
-        law.c0, law.c1, law.c2), v, deadline_active, True, p)
+        v, p_hat, v_hat, _assumed(pred_accel, params), deadline_active,
+        params), v, deadline_active, True, params)
 
 
 def leader_control(v: float, p_hat: float, v_hat: float,
@@ -136,20 +131,10 @@ def leader_control(v: float, p_hat: float, v_hat: float,
     predecessor, under the descent bound of ``params.drag``;
     resequencing merges platoons whose head comes back FEASIBLE.
     """
-    p, law = params, params.drag
     return _decision(kernels.leader_decision(
-        v, p_hat, v_hat, _assumed(pred_accel, p), pred_accel is not None,
-        recovering, deadline_active, p.v_min, p.v_max, p.a_min, p.a_max,
-        p.delta, p.eps_g, p.gamma, law.c0, law.c1, law.c2),
-        v, deadline_active, False, p)
-
-
-def stopping_margin(v: float, p_hat: float, v_hat: float,
-                    params: SimParams) -> float:
-    """Stopping-envelope margin; safe iff <= 0, which implies a gap of
-    at least delta even if both vehicles brake to the speed floor."""
-    return kernels.stopping_margin(v, p_hat, v_hat,
-                                   params.v_min, params.a_min, params.delta)
+        v, p_hat, v_hat, _assumed(pred_accel, params), pred_accel is not None,
+        recovering, deadline_active, params),
+        v, deadline_active, False, params)
 
 
 def gap_allowance(params: SimParams) -> float:
@@ -168,8 +153,6 @@ def safe_accel_interval(v: float, p_hat: float, v_hat: float,
     (or set ``params.worst_case_pred_accel``) to assume full braking.
     Never empty (``lo > hi``) for engine-reachable states.
     """
-    p = params
-    return kernels.safe_interval(
-        v, p_hat, v_hat, _assumed(pred_accel, p), has_pred, p.v_min,
-        p.v_max, p.a_min, p.a_max, p.delta, p.eps_g, p.gamma)[:2]
+    return kernels.safe_interval(v, p_hat, v_hat, _assumed(pred_accel, params),
+                                 has_pred, params)[:2]
 

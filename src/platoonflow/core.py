@@ -63,17 +63,16 @@ class DragCoefficients:
 
     def force(self, v: float, p_hat: float, in_wake: bool) -> float:
         """Drag force (m/s^2, force per unit mass) at the given state."""
-        return kernels.drag_force(v, p_hat, in_wake, self.c0, self.c1,
-                                  self.c2)
+        return kernels.drag_force(v, p_hat, in_wake, self)
 
     def partials(self, v: float, p_hat: float) -> tuple[float, float]:
         """(dF/dv, dF/dp_hat) in the wake at the given state."""
-        return kernels.drag_partials(v, p_hat, self.c0, self.c1, self.c2)
+        return kernels.drag_partials(v, p_hat, self)
 
     def descent_bound(self, v: float, p_hat: float, v_hat: float) -> float:
         """Largest acceleration keeping squared drag in the wake
         non-increasing."""
-        return kernels.flow_bound(v, p_hat, v_hat, self.c0, self.c1, self.c2)
+        return kernels.flow_bound(v, p_hat, v_hat, self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,8 +111,8 @@ class SimParams:
     ahead of the boundary instead of only inside the ``eps_g`` band.
     Setting ``gamma=0`` recovers the hard banded rule.
 
-    ``worst_case_pred_accel`` ignores the communicated predecessor command
-    and assumes full braking when evaluating the envelope cap.
+    ``worst_case_pred_accel``: the controller's ``envelope_cap`` assumes
+    full braking ahead in place of the communicated predecessor command.
     """
 
     v_min: float = 20.0

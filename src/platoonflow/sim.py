@@ -52,8 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels_py as kernels
-from ._kernels_py import deadline_margin
-from .controller import SPLIT_CODES, gap_allowance, stopping_margin
+from ._kernels_py import deadline_margin, stopping_margin
+from .controller import SPLIT_CODES, gap_allowance
 from .core import (
     OrderingError,
     SafetyAuditError,
@@ -146,7 +146,8 @@ def insert_vehicle(world: WorldState, p: float, v: float, *,
     empty.  A head mode starts a fresh platoon, which the rest of a
     platoon it cuts into follows; a follower mode joins the platoon of
     the vehicle ahead.  ``ValueError`` refuses a position, exit or
-    deadline that is not finite, a mode that is no ``VehicleMode`` code,
+    deadline that is not finite, an exit at or behind ``p``, a deadline
+    at or before ``world.t``, a mode that is no ``VehicleMode`` code,
     a follower with none ahead, a position taken, a gap under ``delta``
     to the vehicle ahead or behind (exactly ``delta`` is placeable), and
     a speed outside ``[v_min, v_max]``.
@@ -154,6 +155,10 @@ def insert_vehicle(world: WorldState, p: float, v: float, *,
     for name, x in (("p", p), ("exit_pos", exit_pos), ("deadline", deadline)):
         if not math.isfinite(x):
             raise ValueError(f"{name}={x} is not finite")
+    if exit_pos <= p:
+        raise ValueError(f"exit_pos={exit_pos:g} is not ahead of p={p:g}")
+    if deadline <= world.t:
+        raise ValueError(f"deadline={deadline:g} is not after t={world.t:g}")
     if mode is not None:
         mode = VehicleMode(mode)
     idx = _slot(world, p)
@@ -228,7 +233,8 @@ def _decide(world: WorldState) -> None:
 
     Followers run the follower kernel; heads run the leader kernel,
     whose verdict against their physical predecessor decides merges.
-    All of them solve under ``world.params``.  The decision goes onto
+    The kernels read every constant from ``world.params``, and apply the
+    worst-case predecessor rule themselves.  The decision goes onto
     each vehicle's ``command``, ``verdict`` and ``control_mode``; the
     state the pass reads (``p``, ``v``, ``accel``, ``mode``) stays as it
     was, so a follower reads its predecessor's ``accel`` as the previous
@@ -238,8 +244,9 @@ def _decide(world: WorldState) -> None:
     p_hat, v_hat, pred_accel, deadline_active)`` under the world's fixed
     params, so a follower whose inputs compare equal to those of its
     stored ``last_solve`` (the deadline flag, a bool, by identity) takes
-    that solve's ``(accel, verdict)`` without calling the kernel.  Float
-    ``==`` is exact here, not just close:
+    that solve's ``(accel, verdict)`` without calling the kernel (the
+    raw predecessor command is compared, even where the kernel ignores
+    it).  Float ``==`` is exact here, not just close:
 
     - ``v >= v_min > 0`` and ``p_hat < 0`` strictly, as placement,
       integration and the ordering audit ensure, so neither is a signed zero;
@@ -249,8 +256,8 @@ def _decide(world: WorldState) -> None:
     - ``pred_accel`` may be ``0.0`` or ``-0.0``, which compare equal.  It
       enters the kernel only through ``envelope_cap`` and only when
       ``v_hat > 0``, where ``v_hat - pred_accel * x / a_min`` is exactly
-      ``v_hat`` for either zero, so both give the same result bit for
-      bit.
+      ``v_hat`` for either zero (or under the worst-case rule not at
+      all), so both give the same result bit for bit.
 
     Heads are always solved: their inputs seldom repeat.
     """
@@ -258,12 +265,6 @@ def _decide(world: WorldState) -> None:
     t = world.t
     neg_eps_d = -params.eps_d
     enforce = params.enforce_deadlines
-    v_min, v_max, a_min, a_max = (params.v_min, params.v_max, params.a_min,
-                                  params.a_max)
-    delta, eps_g, gamma = params.delta, params.eps_g, params.gamma
-    law = params.drag
-    c0, c1, c2 = law.c0, law.c1, law.c2
-    worst_pred = a_min if params.worst_case_pred_accel else None
     follower = kernels.follower_decision
     leader = kernels.leader_decision
 
@@ -278,7 +279,7 @@ def _decide(world: WorldState) -> None:
         if pred is not None:
             p_hat = veh.p - pred.p
             v_hat = v - pred.v
-            pred_accel = pred.accel if worst_pred is None else worst_pred
+            pred_accel = pred.accel
         elif mode & 1:
             # The leader kernel reads no predecessor input without one.
             p_hat = v_hat = pred_accel = 0.0
@@ -289,8 +290,7 @@ def _decide(world: WorldState) -> None:
         if mode & 1:
             accel, code, _, _, _, _, _ = leader(
                 v, p_hat, v_hat, pred_accel, pred is not None, mode == 3,
-                deadline_active, v_min, v_max, a_min, a_max, delta, eps_g,
-                gamma, c0, c1, c2)
+                deadline_active, params)
         else:
             last = veh.last_solve
             if (last is not None and last[0] == v and last[1] == p_hat
@@ -300,8 +300,7 @@ def _decide(world: WorldState) -> None:
                 code = last[6]
             else:
                 accel, code, _, _, _, _, _ = follower(
-                    v, p_hat, v_hat, pred_accel, deadline_active, v_min,
-                    v_max, a_min, a_max, delta, eps_g, gamma, c0, c1, c2)
+                    v, p_hat, v_hat, pred_accel, deadline_active, params)
                 veh.last_solve = (v, p_hat, v_hat, pred_accel,
                                   deadline_active, accel, code)
         veh.command, veh.verdict, veh.control_mode = accel, code, mode
@@ -310,12 +309,10 @@ def _decide(world: WorldState) -> None:
 
 def _integrate(world: WorldState) -> None:
     params = world.params
-    dt = params.dt
-    v_min, v_max = params.v_min, params.v_max
     advance = kernels.advance
     for veh in world.vehicles:
         a = veh.command
-        veh.p, veh.v = advance(veh.p, veh.v, a, dt, v_min, v_max)
+        veh.p, veh.v = advance(veh.p, veh.v, a, params)
         veh.accel = a
 
 

@@ -16,12 +16,12 @@ from typing import Iterator
 
 import numpy as np
 
-from ._kernels_py import advance
+from ._kernels_py import advance, stopping_margin
 from .analysis import (brute_force_follower, consecutive_gap_excess,
                        in_formation, previous_rows)
 from .cli import trajectory_csv_text
 from .controller import (gap_allowance, safe_accel_interval,
-                         solve_follower_control, stopping_margin)
+                         solve_follower_control)
 from .core import SimParams, SimulationError, VehicleMode
 from .sim import (EVENT_SPAWN, SimResult, WorldState, insert_vehicle, run,
                   step)
@@ -164,8 +164,7 @@ def check_recursive_feasibility(params: SimParams) -> CheckResult:
     the safe interval non-empty with a bounded per-step margin change."""
     name = "recursive_feasibility"
     rng = np.random.default_rng(90003)
-    dt = params.dt
-    allowed_jump = 2.0 * params.a_max * dt + 1e-9
+    allowed_jump = 2.0 * params.a_max * params.dt + 1e-9
     worst_jump = 0.0
     for episode in range(N_FEASIBILITY_EPISODES):
         # The margin is conserved along the worst-case flow only for a
@@ -191,10 +190,8 @@ def check_recursive_feasibility(params: SimParams) -> CheckResult:
                     f"p_hat={p_hat:.3f}, v_hat={v_hat:.3f}"
                 ))
             g_pre = stopping_margin(v, p_hat, v_hat, params)
-            p, v = advance(p, v, params.a_min, dt, params.v_min,
-                           params.v_max)
-            p_pred, v_pred = advance(p_pred, v_pred, pred_cmd, dt,
-                                     params.v_min, params.v_max)
+            p, v = advance(p, v, params.a_min, params)
+            p_pred, v_pred = advance(p_pred, v_pred, pred_cmd, params)
             p_hat = p - p_pred
             v_hat = v - v_pred
             jump = abs(stopping_margin(v, p_hat, v_hat, params) - g_pre)

@@ -1,4 +1,7 @@
+import inspect
+import itertools
 import math
+from dataclasses import replace
 
 from hypothesis import given, strategies as st
 
@@ -61,7 +64,7 @@ class TestDeadlineMargin:
 
 
 def advance(p, v, a):
-    return kernels.advance(p, v, a, PARAMS.dt, PARAMS.v_min, PARAMS.v_max)
+    return kernels.advance(p, v, a, PARAMS)
 
 
 class TestAdvance:
@@ -88,8 +91,7 @@ class TestAdvance:
 
 
 def envelope_cap(v, v_hat, g, pred_accel):
-    return kernels.envelope_cap(v, v_hat, g, pred_accel, PARAMS.v_min,
-                                PARAMS.a_min, PARAMS.gamma)
+    return kernels.envelope_cap(v, v_hat, g, pred_accel, PARAMS)
 
 
 class TestEnvelopeCap:
@@ -175,3 +177,51 @@ class TestVerdicts:
         assert FeasibilityVerdict.DEADLINE_DRAG_CONFLICT.splits
         assert not FeasibilityVerdict.FEASIBLE.splits
         assert not FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT.splits
+
+
+# The constants a run fixes, by the names a kernel would take them as.
+RUN_CONSTANTS = {"dt", "v_min", "v_max", "a_min", "a_max", "delta", "eps_g",
+                 "gamma", "c0", "c1", "c2"}
+
+
+class TestKernelsReadTheRunsParams:
+    def test_no_kernel_takes_a_run_constant_as_a_parameter(self):
+        kernel_fns = [fn for _, fn in inspect.getmembers(kernels,
+                                                         inspect.isfunction)
+                      if fn.__module__ == kernels.__name__]
+        assert len(kernel_fns) >= 12
+        for fn in kernel_fns:
+            taken = RUN_CONSTANTS & set(inspect.signature(fn).parameters)
+            assert not taken, f"{fn.__name__} takes {sorted(taken)}"
+        assert len(inspect.signature(kernels.follower_decision)
+                   .parameters) == 6
+        assert len(inspect.signature(kernels.leader_decision)
+                   .parameters) == 8
+
+    # Floor, near-floor, interior and ceiling speeds; gaps at, near and
+    # far from delta; opening, level and closing pairs.
+    STATES = list(itertools.product(
+        (20.0, 20.5, 27.3, 35.0), (-5.0, -6.2, -17.5, -60.0),
+        (-3.0, 0.0, 0.4, 4.0, 10.0)))
+    PRED_ACCELS = (-4.0, -1.5, -0.0, 0.0, 1.2, 3.0)
+
+    def test_the_worst_case_rule_is_full_braking_in_every_kernel(self):
+        for gamma in (0.0, 1.0):
+            params = replace(PARAMS, gamma=gamma)
+            worst = replace(params, worst_case_pred_accel=True)
+            a_min = params.a_min
+            matters = 0  # cases where the communicated command counts
+            for state, pred, flag in itertools.product(
+                    self.STATES, self.PRED_ACCELS, (False, True)):
+                for fn, rest in (
+                        (kernels.follower_decision, (flag,)),
+                        (kernels.safe_interval, (True,)),
+                        (kernels.leader_decision, (True, False, flag)),
+                        (kernels.leader_decision, (True, True, flag))):
+                    args = state + (pred,) + rest
+                    assumed = state + (a_min,) + rest
+                    assert repr(fn(*args, worst)) \
+                        == repr(fn(*assumed, params)), (fn.__name__, args)
+                    matters += repr(fn(*args, params)) != repr(fn(*assumed,
+                                                                params))
+            assert matters > 100

@@ -305,5 +305,4 @@ class TestHeadsUseTheWorldsDragLaw:
         assert bound == law.descent_bound(v, p_hat, v_hat)
         assert g == stopping_margin(v, p_hat, v_hat, PARAMS)
         assert d.verdict is FeasibilityVerdict(kernels.classify(
-            v, v_hat, bound, deadline, g, d.hi, PARAMS.v_min,
-            PARAMS.a_min, PARAMS.eps_g))
+            v, v_hat, bound, deadline, g, d.hi, PARAMS))

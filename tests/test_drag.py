@@ -40,14 +40,13 @@ def test_flow_bound_scales_with_closing_speed():
 
 
 def test_law_object_matches_module_functions():
-    c = (LAW.c0, LAW.c1, LAW.c2)
     assert LAW.force(22.0, -6.0, True) == 0.1217221212077987
     assert LAW.force(22.0, -6.0, True) \
-        == kernels.drag_force(22.0, -6.0, True, *c)
+        == kernels.drag_force(22.0, -6.0, True, LAW)
     assert LAW.partials(30.0, -20.0) == kernels.drag_partials(
-        30.0, -20.0, *c)
+        30.0, -20.0, LAW)
     assert LAW.descent_bound(30.0, -20.0, 2.0) \
-        == kernels.flow_bound(30.0, -20.0, 2.0, *c)
+        == kernels.flow_bound(30.0, -20.0, 2.0, LAW)
 
 
 def test_solo_vehicle_ignores_gap():

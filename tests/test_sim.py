@@ -130,6 +130,28 @@ class TestInsertVehicle:
         assert world.vehicles == [rear]
         assert world.next_vehicle_id == 1
 
+    @pytest.mark.parametrize("exit_pos", [100.0, 300.0],
+                             ids=["behind", "at_p"])
+    def test_an_exit_at_or_behind_the_vehicle_is_refused(self, params,
+                                                          exit_pos):
+        # Accepted, the next step reported an exit the vehicle never made.
+        world = quiet_world(params)
+        with pytest.raises(ValueError, match="is not ahead of p=300"):
+            insert_vehicle(world, 300.0, 25.0, exit_pos=exit_pos,
+                           deadline=FAR)
+        assert world.vehicles == []
+        assert world.next_vehicle_id == 0
+
+    @pytest.mark.parametrize("deadline", [-5.0, 1.0], ids=["past", "now"])
+    def test_a_deadline_already_due_is_refused(self, params, deadline):
+        world = quiet_world(params)
+        world.t = 1.0
+        with pytest.raises(ValueError, match="is not after t=1"):
+            insert_vehicle(world, 300.0, 25.0, exit_pos=FAR,
+                           deadline=deadline)
+        assert world.vehicles == []
+        assert world.next_vehicle_id == 0
+
     def test_a_code_outside_the_modes_is_refused(self, params):
         world = quiet_world(params)
         front = place(world, 300.0, 25.0)
@@ -489,13 +511,9 @@ class TestSolveReuse:
            gamma=st.one_of(st.just(0.0), st.floats(0.1, 3.0)))
     def test_the_kernel_cannot_tell_the_two_zero_commands_apart(
             self, v, p_hat, v_hat, deadline, gamma):
-        p = SimParams()
-        consts = (p.v_min, p.v_max, p.a_min, p.a_max, p.delta, p.eps_g,
-                  gamma, p.drag.c0, p.drag.c1, p.drag.c2)
-        plus = kernels.follower_decision(v, p_hat, v_hat, 0.0, deadline,
-                                         *consts)
-        minus = kernels.follower_decision(v, p_hat, v_hat, -0.0, deadline,
-                                          *consts)
+        p = SimParams(gamma=gamma)
+        plus = kernels.follower_decision(v, p_hat, v_hat, 0.0, deadline, p)
+        minus = kernels.follower_decision(v, p_hat, v_hat, -0.0, deadline, p)
         assert [repr(x) for x in plus] == [repr(x) for x in minus]
 
 
@@ -537,3 +555,40 @@ def test_the_engine_solves_what_the_public_api_reports(params):
             pred = veh
         step(world)
     assert solved["follower"] > 1000 and solved["head"] > 100
+
+
+class TestBrakingHeadString:
+    """A braking head's disturbance does not grow down a platoon.
+
+    Thirty vehicles cruise at ``v0``, each exactly ``delta`` behind the
+    one ahead, when the head, a ``LEADER``, starts braking to the floor.
+    The worst gap loss of each link (``delta`` less its least bumper
+    gap) may not grow from one link to the next, nor exceed the losses
+    recorded below: a change to the sampled-data model may only lower
+    them.
+    """
+
+    # (v0, dt) -> worst gap loss per link (m), the same at every link
+    # and for both gamma values.
+    MEASURED = {(25.0, 0.1): 0.50, (35.0, 0.1): 1.50,
+                (25.0, 0.2): 1.04, (35.0, 0.2): 3.00}
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    @pytest.mark.parametrize("v0,dt", list(MEASURED))
+    def test_the_gap_loss_never_grows_down_the_platoon(self, v0, dt, gamma):
+        params = SimParams(dt=dt, gamma=gamma, duration=30.0)
+        world = quiet_world(params)
+        for i in range(30):
+            place(world, 1000.0 - i * params.delta, v0)
+        assert world.vehicles[0].mode is VehicleMode.LEADER
+        ids = [veh.vid for veh in world.vehicles]
+        loss = [0.0] * 29
+        for _ in range(round(params.duration / dt)):
+            step(world)
+            assert [veh.vid for veh in world.vehicles] == ids
+            p = [veh.p for veh in world.vehicles]
+            loss = [max(worst, params.delta - (p[i] - p[i + 1]))
+                    for i, worst in enumerate(loss)]
+        assert world.vehicles[0].v == params.v_min
+        assert all(b <= a + 1e-9 for a, b in zip(loss, loss[1:]))
+        assert max(loss) <= self.MEASURED[v0, dt] + 1e-9
