@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -32,6 +33,16 @@ from .trajectory import (Trajectory, TrajectoryRecord, _stopping_margins,
 
 _INEQ_TOL = 1e-9  # slack applied to every brute-force inequality
 _GRID_POINTS = 10001  # evenly spaced candidates from a_min to a_max
+
+
+@lru_cache(maxsize=8)
+def _oracle_grid(a_min: float, a_max: float) -> np.ndarray:
+    """The oracle's ``_GRID_POINTS`` evenly spaced candidates from
+    ``a_min`` to ``a_max``, built once per pair of acceleration bounds.
+    Read-only, since every call with those bounds shares it."""
+    grid = np.linspace(a_min, a_max, _GRID_POINTS)
+    grid.flags.writeable = False
+    return grid
 
 
 def records_by_time(tr: Trajectory) -> dict[float, list[TrajectoryRecord]]:
@@ -168,7 +179,7 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
     decays = (v_hat > 0.0 and not at_floor
               and (params.gamma > 0.0 or g >= -params.eps_g))
 
-    cand = [np.linspace(params.a_min, params.a_max, _GRID_POINTS), [0.0],
+    cand = [_oracle_grid(params.a_min, params.a_max), [0.0],
             [-f_p * v_hat / f_v]]
     if decays:
         k = (params.v_min - v) / params.a_min

@@ -158,20 +158,30 @@ def _sig(x: float) -> str:
     return f"{x:.6g}"
 
 
-def trajectory_csv_text(tr: Trajectory) -> str:
-    """CSV of every record, ordered by time and then vehicle id."""
+def trajectory_csv_text(tr: Trajectory, start: int = 0,
+                        stop: Optional[int] = None) -> str:
+    """CSV of the records of steps ``start:stop`` (every step by
+    default), ordered by time and then vehicle id.
+
+    The header line leads a range that starts at step 0 and no other,
+    so the texts of steps ``0:k`` and ``k:`` join into the whole text
+    for any ``k > 0``; the default call returns that whole text, the
+    header alone when ``tr`` has no step.  This is the one statement of
+    the row format: ``trajectory.csv`` is written as one call per block
+    of ``tr.blocks()``.
+    """
     vid, pid, mode = tr.vehicle_id, tr.platoon_id, tr.mode
     p, v, accel, u, drag = tr.p, tr.v, tr.accel, tr.u, tr.drag
     gs, dm = tr.gs_margin, tr.deadline_margin
     # One string per step, not per row: a list of rows would hold one
     # string object per record until the final join.
-    steps = [",".join(_CSV_HEADER) + "\n"]
-    for time, start, stop in tr.steps():
+    steps = [",".join(_CSV_HEADER) + "\n"] if start == 0 else []
+    for time, lo, hi in tr.steps(start, stop):
         t = _sig(time)
         steps.append("".join([
             _CSV_ROW % (t, vid[i], pid[i], p[i], v[i], accel[i], u[i],
                         drag[i], gs[i], dm[i], MODE_NAMES[mode[i]])
-            for i in sorted(range(start, stop), key=vid.__getitem__)]))
+            for i in sorted(range(lo, hi), key=vid.__getitem__)]))
     return "".join(steps)
 
 
@@ -208,19 +218,28 @@ def _make_out_dir(out_dir: Path) -> None:
         raise ConfigError(f"cannot write {out_dir}: {exc}") from exc
 
 
-def _replace(path: Path, text: Optional[str]) -> None:
-    """Replace ``path`` by a new file holding ``text``, or only remove it
-    when ``text`` is None.
+def _replace(path: Path, chunks: Optional[Iterable[str]]) -> None:
+    """Replace ``path`` by a new file holding ``chunks``, written one
+    after another as they are made, or only remove it when ``chunks`` is
+    None.
 
-    Unlinking first makes every write one to a fresh file.  Truncating
+    Unlinking first makes every write one to a fresh file, and a write
+    that raises part way removes it again.  Truncating
     a file written moments before costs a flush of its old blocks on
     ext4 (``auto_da_alloc``), many times the write itself.  So a symlink
     or hard link at ``path`` is replaced, and its target left alone.
     """
     try:
         path.unlink(missing_ok=True)
-        if text is not None:
-            path.write_text(text)
+        if chunks is not None:
+            with path.open("w") as f:
+                try:
+                    f.writelines(chunks)
+                except BaseException:
+                    # A chunk that fails to build or to write leaves no
+                    # short file that reads like a whole one.
+                    path.unlink()
+                    raise
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -230,18 +249,28 @@ _ARTIFACTS = ("trajectory.csv", "events.csv", "metrics.txt", "config.echo",
               "timespace.svg")
 
 
+def _trajectory_csv_blocks(tr: Trajectory) -> Iterator[str]:
+    """The text of ``trajectory.csv``, one ``trajectory_csv_text`` call
+    per block of ``tr.blocks()``, so the writer holds one block of it at
+    a time; the header alone when ``tr`` has no step."""
+    if not tr.times:
+        yield trajectory_csv_text(tr)
+    for start, stop in tr.blocks():
+        yield trajectory_csv_text(tr, start, stop)
+
+
 def _artifact_texts(result: SimResult,
                     plot_window: Optional[tuple[float, float]]
-                    ) -> Iterator[Optional[str]]:
-    """The text of each of ``_ARTIFACTS`` in turn, built when asked for;
-    None for the plot without ``plot_window``."""
+                    ) -> Iterator[Optional[Iterable[str]]]:
+    """The text of each of ``_ARTIFACTS`` in turn, as chunks built when
+    written; None for the plot without ``plot_window``."""
     tr = result.trajectory
-    yield trajectory_csv_text(tr)
-    yield events_csv_text(result.events)
-    yield metrics_text(result)
-    yield yaml.safe_dump(params_to_dict(tr.params), sort_keys=False)
-    yield None if plot_window is None else render_timespace(
-        tr, plot_window[0], plot_window[1])
+    yield _trajectory_csv_blocks(tr)
+    yield (events_csv_text(result.events),)
+    yield (metrics_text(result),)
+    yield (yaml.safe_dump(params_to_dict(tr.params), sort_keys=False),)
+    yield None if plot_window is None else (
+        render_timespace(tr, plot_window[0], plot_window[1]),)
 
 
 def emit_outputs(result: SimResult, out_dir: Path,
@@ -253,8 +282,9 @@ def emit_outputs(result: SimResult, out_dir: Path,
     removed, so the directory never mixes two runs.
     """
     _make_out_dir(out_dir)
-    for name, text in zip(_ARTIFACTS, _artifact_texts(result, plot_window)):
-        _replace(out_dir / name, text)
+    for name, chunks in zip(_ARTIFACTS,
+                            _artifact_texts(result, plot_window)):
+        _replace(out_dir / name, chunks)
 
 
 def _parse_window(text: str) -> tuple[float, float]:

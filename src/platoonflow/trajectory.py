@@ -70,8 +70,9 @@ COLUMNS = INT_COLUMNS + FLOAT_COLUMNS + ("mode",)
 # Columns derived on read from the stored ones, each held in ``_<name>``.
 DERIVED_COLUMNS = ("u", "drag", "gs_margin", "deadline_margin")
 STORED_COLUMNS = tuple(c for c in COLUMNS if c not in DERIVED_COLUMNS)
-# Rows per block of a derive: whole steps up to about this many rows.
-DERIVE_BLOCK_ROWS = 8192
+# Rows per block of ``Trajectory.blocks``, which the derive and the CSV
+# writer both work in: whole steps up to about this many rows.
+DERIVE_BLOCK_ROWS = 4096
 
 
 def pair_rows(offsets: Iterable[int]) -> np.ndarray:
@@ -192,15 +193,11 @@ class Trajectory:
     def _derive(self) -> None:
         """Fill the derived columns for every step appended since the
         last fill, block by block of whole steps."""
-        offsets, n_steps = self.offsets, len(self.times)
-        k = self._derived_steps
-        while k < n_steps:
-            stop = bisect_right(offsets, offsets[k] + DERIVE_BLOCK_ROWS,
-                                k + 2, n_steps + 1) - 1
+        for k, stop in self.blocks(self._derived_steps):
             self._derive_block(k, stop)
             # The watermark moves after each block has reached all four
             # columns, so a block that raises leaves them whole.
-            self._derived_steps = k = stop
+            self._derived_steps = stop
 
     def _derive_block(self, k: int, stop: int) -> None:
         """Append the derived rows of steps ``k:stop``.
@@ -287,10 +284,30 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.vehicle_id)
 
-    def steps(self) -> Iterator[tuple[float, int, int]]:
-        """``(time, start, stop)`` of every stored step, in time order."""
-        offsets = self.offsets
-        return zip(self.times, offsets, offsets[1:])
+    def steps(self, start: int = 0,
+              stop: int | None = None) -> Iterator[tuple[float, int, int]]:
+        """``(time, start, stop)`` of the stored steps ``start:stop``
+        (every one by default), in time order."""
+        offsets = self.offsets[start:None if stop is None else stop + 1]
+        return zip(self.times[start:stop], offsets, offsets[1:])
+
+    def blocks(self, k: int = 0) -> Iterator[tuple[int, int]]:
+        """``(start, stop)`` step ranges that cut steps ``k:`` into
+        consecutive blocks of whole steps, in time order.
+
+        Each block holds as many steps as fit in ``DERIVE_BLOCK_ROWS``
+        rows, and at least one, so a step longer than that is a block of
+        its own.  The steps are counted when the first block is asked
+        for.  The derive fills its columns a block at a time, and the
+        CSV writer formats them a block at a time, so neither holds
+        more than a block of temporaries.
+        """
+        offsets, n_steps = self.offsets, len(self.times)
+        while k < n_steps:
+            stop = bisect_right(offsets, offsets[k] + DERIVE_BLOCK_ROWS,
+                                k + 2, n_steps + 1) - 1
+            yield k, stop
+            k = stop
 
     def record(self, i: int, time: float) -> TrajectoryRecord:
         """Row ``i`` as a record; ``time`` is the stamp of its step."""

@@ -367,6 +367,41 @@ def check_solver_oracle(params: SimParams) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
+def _drag_descent_seed(params: SimParams,
+                       allowed: float) -> tuple[int, float, str | None]:
+    """Follower step pairs, worst F^2 rise, and the failure detail of the
+    first rise beyond ``allowed`` (None when there is none) of one run.
+
+    Nothing of the run outlives the call, so the next seed's run never
+    shares memory with this one's trajectory and derived columns.
+    """
+    tr = run(params).trajectory
+    n = len(tr)
+    back = pair_rows(tr.offsets)
+    has_ahead = np.zeros(n, np.bool_)
+    has_ahead[back] = True
+    last = previous_rows(tr)
+    step = np.repeat(np.arange(len(tr.times)), np.diff(tr.offsets))
+    vid = np.array(tr.vehicle_id)
+    # Follower rows whose previous row is in the step before and had
+    # the same vehicle ahead.
+    back = back[np.array(tr.mode)[back] == VehicleMode.FOLLOWER]
+    prev = last[back]
+    keep = ((prev >= 0) & (step[prev] == step[back] - 1)
+            & has_ahead[prev] & (vid[prev - 1] == vid[back - 1]))
+    back, prev = back[keep], prev[keep]
+    drag = np.array(tr.drag)
+    rise = drag[back] ** 2 - drag[prev] ** 2
+    over = np.flatnonzero(rise > allowed)
+    failure = None
+    if len(over):
+        i = back[over[0]]
+        failure = (f"seed {params.seed}: F^2 rose {rise[over[0]]:.3e} in one "
+                   f"step for vehicle {vid[i]} at t={tr.times[step[i]]:.1f} "
+                   f"(allowed {allowed:.3e})")
+    return len(rise), rise.max(initial=-math.inf), failure
+
+
 def check_drag_descent(params: SimParams) -> CheckResult:
     """With deadlines off, each follower's squared drag force never grows
     across one step beyond the second-order discretisation slack."""
@@ -378,36 +413,14 @@ def check_drag_descent(params: SimParams) -> CheckResult:
     for offset in range(N_DESCENT_SEEDS):
         p8 = replace(params, seed=7000 + offset, enforce_deadlines=False)
         try:
-            tr = run(p8).trajectory
+            seed_pairs, seed_worst, failure = _drag_descent_seed(p8, allowed)
         except SimulationError as exc:
             return CheckResult(name, False, (
                 f"engine audit tripped, seed {p8.seed}: {exc}"))
-        n = len(tr)
-        back = pair_rows(tr.offsets)
-        has_ahead = np.zeros(n, np.bool_)
-        has_ahead[back] = True
-        last = previous_rows(tr)
-        step = np.repeat(np.arange(len(tr.times)), np.diff(tr.offsets))
-        vid = np.array(tr.vehicle_id)
-        # Follower rows whose previous row is in the step before and had
-        # the same vehicle ahead.
-        back = back[np.array(tr.mode)[back] == VehicleMode.FOLLOWER]
-        prev = last[back]
-        keep = ((prev >= 0) & (step[prev] == step[back] - 1)
-                & has_ahead[prev] & (vid[prev - 1] == vid[back - 1]))
-        back, prev = back[keep], prev[keep]
-        drag = np.array(tr.drag)
-        rise = drag[back] ** 2 - drag[prev] ** 2
-        pairs += len(rise)
-        worst = max(worst, rise.max(initial=-math.inf))
-        over = np.flatnonzero(rise > allowed)
-        if len(over):
-            i = back[over[0]]
-            return CheckResult(name, False, (
-                f"seed {p8.seed}: F^2 rose {rise[over[0]]:.3e} in one step "
-                f"for vehicle {vid[i]} at t={tr.times[step[i]]:.1f} "
-                f"(allowed {allowed:.3e})"
-            ))
+        if failure is not None:
+            return CheckResult(name, False, failure)
+        pairs += seed_pairs
+        worst = max(worst, seed_worst)
     if not pairs:
         return CheckResult(name, False, (
             f"no follower step pairs in {N_DESCENT_SEEDS} deadline-free "
@@ -418,30 +431,41 @@ def check_drag_descent(params: SimParams) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
-def _csv_bytes(params: SimParams) -> tuple[int, bytes]:
-    """Record count and trajectory CSV bytes of one seeded run."""
-    tr = run(params).trajectory
-    return len(tr), trajectory_csv_text(tr).encode()
-
-
 def check_determinism(params: SimParams) -> CheckResult:
     """Identical config and seed must reproduce the trajectory CSV byte
-    for byte."""
+    for byte.
+
+    Both runs are made first.  Their CSVs are then compared over the
+    same step ranges, one ``trajectory_csv_text`` call per block of
+    ``Trajectory.blocks``, so neither CSV is ever held whole; the check
+    fails on unequal step counts or on the first unequal block.  The
+    detail counts the encoded bytes of every block.
+    """
     name = "determinism_bytes"
     try:
-        rows, first = _csv_bytes(params)
-        if not rows:
+        first = run(params).trajectory
+        if not len(first):
             return CheckResult(name, False, (
                 "the seeded run recorded no rows, so there were no bytes "
                 "to compare"))
-        second = _csv_bytes(params)[1]
+        second = run(params).trajectory
     except SimulationError as exc:
         return CheckResult(name, False, (
             f"engine audit tripped, seed {params.seed}: {exc}"))
-    ok = first == second
-    state = "identical" if ok else "differ"
-    return CheckResult(name, ok,
-                       f"two seeded runs, {len(first)} CSV bytes {state}")
+    n_steps = len(first.times)
+    if len(second.times) != n_steps:
+        return CheckResult(name, False, (
+            f"two seeded runs, {n_steps} and {len(second.times)} steps"))
+    size = 0
+    for start, stop in first.blocks():
+        text = trajectory_csv_text(first, start, stop)
+        if text != trajectory_csv_text(second, start, stop):
+            return CheckResult(name, False, (
+                f"two seeded runs, CSV bytes differ in steps {start}:{stop} "
+                f"of {n_steps}"))
+        size += len(text.encode())
+    return CheckResult(name, True,
+                       f"two seeded runs, {size} CSV bytes identical")
 
 
 def _partial_error(fd: float, exact: float) -> float:

@@ -1,13 +1,19 @@
 import math
 import re
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 import yaml
 
-from platoonflow import Event, SimParams, Trajectory, TrajectoryRecord, run
+import platoonflow.cli as cli
+from platoonflow import (Event, SimParams, Trajectory, TrajectoryRecord, run,
+                         trajectory)
 from platoonflow.cli import (
     ConfigError,
     _parse_window,
+    _trajectory_csv_blocks,
+    emit_outputs,
     events_csv_text,
     main,
     params_from_dict,
@@ -15,6 +21,10 @@ from platoonflow.cli import (
     trajectory_csv_text,
 )
 from platoonflow.verify import CheckResult
+
+from test_golden import CONFIGS, DURATION
+
+CSV_HEADER = "t,id,platoon_id,p,v,a,u,drag,gs_margin,deadline_margin,mode\n"
 
 
 class TestConfigParsing:
@@ -138,6 +148,89 @@ class TestCsvWriters:
             "0.6,deadline_relax,4,margin -0.000",
             "0.7,deadline_recover,4,margin -2.500",
         ]
+
+
+class TestCsvBlocks:
+    """``trajectory.csv`` is written one ``trajectory_csv_text`` call per
+    block of ``Trajectory.blocks``."""
+
+    @pytest.mark.parametrize("rows", [None, 333])
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_blocks_join_into_the_whole_text(self, monkeypatch, name, rows):
+        if rows is not None:
+            monkeypatch.setattr(trajectory, "DERIVE_BLOCK_ROWS", rows)
+        params = replace(params_from_dict(yaml.safe_load(CONFIGS[name])),
+                         duration=DURATION)
+        tr = run(params).trajectory
+        whole = trajectory_csv_text(tr)
+        blocks = list(_trajectory_csv_blocks(tr))
+        assert len(blocks) == len(list(tr.blocks()))
+        if rows is not None:
+            assert len(blocks) > 1
+        assert "".join(blocks) == whole
+        assert whole.startswith(CSV_HEADER)
+        assert whole.count(CSV_HEADER) == 1
+
+    def test_any_two_step_ranges_join(self, short_run):
+        tr = short_run.trajectory
+        whole = trajectory_csv_text(tr)
+        for k in (1, len(tr.times) // 3, len(tr.times)):
+            assert (trajectory_csv_text(tr, 0, k)
+                    + trajectory_csv_text(tr, k)) == whole
+
+    def test_an_empty_trajectory_is_its_header(self):
+        tr = Trajectory(SimParams())
+        assert list(_trajectory_csv_blocks(tr)) == [CSV_HEADER]
+
+    def test_a_one_step_trajectory_is_one_block(self):
+        records = [TrajectoryRecord(time=0.1, vehicle_id=vid, platoon_id=0,
+                                    p=100.0 - 10.0 * vid, v=20.0, accel=0.0,
+                                    u=0.0, drag=0.0, gs_margin=math.nan,
+                                    deadline_margin=-1.0, mode="leader")
+                   for vid in (2, 0, 1)]
+        tr = Trajectory.from_records(records, SimParams())
+        assert list(tr.blocks()) == [(0, 1)]
+        blocks = list(_trajectory_csv_blocks(tr))
+        assert blocks == [trajectory_csv_text(tr)]
+        assert blocks[0].startswith(CSV_HEADER)
+        assert blocks[0].count("\n") == 4
+        assert trajectory_csv_text(tr, 0, 0) == CSV_HEADER
+        assert trajectory_csv_text(tr, 1) == ""
+
+    def test_a_block_that_raises_leaves_no_short_file(self, tmp_path):
+        # Vehicle 0 was never registered, so its physics cannot be read.
+        tr = Trajectory(SimParams())
+        tr.append_step(0.1, [0], [0], [100.0], [20.0], [0.0], [1])
+        path = tmp_path / "trajectory.csv"
+        path.write_text("an earlier run\n")
+        with pytest.raises(KeyError):
+            cli._replace(path, _trajectory_csv_blocks(tr))
+        assert not path.exists()
+
+    def test_the_writer_holds_a_block_not_the_file(self, tmp_path,
+                                                   monkeypatch):
+        # The whole text, and then its encoding, would peak at about
+        # twice the file's size.
+        result = run(SimParams())
+        result.trajectory.u  # derived before tracing starts
+        peaks = []
+        replace_file = cli._replace
+
+        def traced(path, chunks):
+            replace_file(path, chunks)
+            if path.name == "trajectory.csv":
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "_replace", traced)
+        tracemalloc.start()
+        try:
+            emit_outputs(result, tmp_path)
+        finally:
+            tracemalloc.stop()
+        written = (tmp_path / "trajectory.csv").read_text()
+        assert written == trajectory_csv_text(result.trajectory)
+        assert peaks[0] < len(written) / 4
 
 
 class TestWindowParsing:

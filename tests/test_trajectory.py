@@ -233,6 +233,25 @@ class TestDeriveEdges:
                  rng.uniform(20.0, 30.0)) for vid in range(n)]))
         self.check(steps)
 
+    @pytest.mark.parametrize("block", [1, 7, 100, 4096])
+    def test_blocks_cut_maximal_runs_of_whole_steps(self, monkeypatch,
+                                                     short_run, block):
+        monkeypatch.setattr(trajectory, "DERIVE_BLOCK_ROWS", block)
+        tr = short_run.trajectory
+        offsets, n_steps = tr.offsets, len(tr.times)
+        for first in (0, 1, n_steps // 2):
+            blocks = list(tr.blocks(first))
+            assert [start for start, _ in blocks] == (
+                [first] + [stop for _, stop in blocks[:-1]])
+            assert blocks[-1][1] == n_steps
+            for start, stop in blocks:
+                rows = offsets[stop] - offsets[start]
+                assert rows <= block or stop == start + 1
+                assert (stop == n_steps
+                        or offsets[stop + 1] - offsets[start] > block)
+        assert list(tr.blocks(n_steps)) == []
+        assert list(Trajectory(self.params).blocks()) == []
+
     def test_ids_registered_out_of_order(self):
         steps = [(0.1, [(5, 400.0, 25.0), (2, 390.0, 26.0),
                         (0, 350.0, 24.0), (3, 340.0, 24.5)])]

@@ -11,6 +11,7 @@ import platoonflow.verify as verify
 from platoonflow import (DragCoefficients, RoadNetwork, SimParams, Trajectory,
                          TrajectoryRecord, run)
 from platoonflow.core import SafetyAuditError
+from platoonflow.trajectory import STORED_COLUMNS
 from platoonflow.verify import (RunCorpus, check_braking_only,
                                 check_determinism, check_drag_descent,
                                 check_equilibrium_hold, check_partials,
@@ -171,6 +172,51 @@ def test_stepping_checks_fail_with_the_audits_message(monkeypatch):
         ("determinism_bytes", False,
          "engine audit tripped, seed 0: t=0.100: gap breach"),
     ]
+
+
+def with_second_run_changed(monkeypatch, change):
+    """Make ``verify.run`` hand the trajectory of its second run to
+    ``change`` before returning it; the runs made go into the list
+    returned."""
+    runs = []
+
+    def changed_run(params):
+        result = run(params)
+        runs.append(result)
+        if len(runs) == 2:
+            change(result.trajectory)
+        return result
+
+    monkeypatch.setattr(verify, "run", changed_run)
+    return runs
+
+
+def test_determinism_fails_on_one_row_of_a_late_block(monkeypatch):
+    def nudge(tr):
+        tr.p[tr.offsets[-2]] += 1.0
+
+    runs = with_second_run_changed(monkeypatch, nudge)
+    result = check_determinism(SimParams())
+    blocks = list(runs[0].trajectory.blocks())
+    assert len(blocks) > 1
+    start, stop = blocks[-1]
+    assert (result.passed, result.detail) == (False, (
+        f"two seeded runs, CSV bytes differ in steps {start}:{stop} of "
+        f"{stop}"))
+
+
+def test_determinism_fails_on_one_extra_step(monkeypatch):
+    def extend(tr):
+        lo, hi = tr.offsets[-2], tr.offsets[-1]
+        tr.append_step(tr.times[-1] + tr.params.dt,
+                       *(getattr(tr, name)[lo:hi].tolist()
+                         for name in STORED_COLUMNS))
+
+    runs = with_second_run_changed(monkeypatch, extend)
+    result = check_determinism(SHORT)
+    n_steps = len(runs[0].trajectory.times)
+    assert (result.passed, result.detail) == (
+        False, f"two seeded runs, {n_steps} and {n_steps + 1} steps")
 
 
 # (time, vehicle id, p, mode) of every row of a short road: vehicle 1
