@@ -25,16 +25,41 @@ from .core import (DragCoefficients, RoadNetwork, SimParams, SimulationError,
                    validate_params)
 from .sim import Event, SimResult, run
 from .svgplot import render_timespace
-from .trajectory import MODE_NAMES, Trajectory
+from .trajectory import Trajectory, _sig, trajectory_csv_text
 
 
 class ConfigError(ValueError):
     """Bad configuration file, key, value, or override."""
 
 
+def _text_number_hint(value: object) -> str:
+    """A hint for a config value that YAML read as text though Python
+    reads it as a number; "" for any other value.
+
+    PyYAML follows YAML 1.1, where a number with an exponent needs a dot
+    in its mantissa and a sign on its exponent: ``1e-3`` is text, and
+    ``1.0e-3`` a float.
+    """
+    if not isinstance(value, str):
+        return ""
+    try:
+        float(value)
+    except ValueError:
+        return ""
+    mantissa, e, exponent = value.strip().lower().partition("e")
+    if not e:
+        return " (YAML read it as text)"
+    if "." not in mantissa:
+        mantissa += ".0"
+    if exponent[0] not in "+-":
+        exponent = "+" + exponent
+    return f" (YAML reads {value} as text; write {mantissa}e{exponent})"
+
+
 def _need_number(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+        raise ConfigError(f"{path}: expected a number, got {value!r}"
+                          + _text_number_hint(value))
     try:
         return float(value)
     except OverflowError:
@@ -54,9 +79,7 @@ def _need_bool(value: object, path: str) -> bool:
 
 
 def _need_positions(value: object, path: str) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)) or any(
-            isinstance(x, bool) or not isinstance(x, (int, float))
-            for x in value):
+    if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{path}: expected a list of numbers, got {value!r}")
     return tuple(_need_number(x, path) for x in value)
 
@@ -146,43 +169,6 @@ def params_to_dict(params: SimParams) -> dict[str, dict[str, object]]:
             value = getattr(source, _FIELD_NAMES.get((section, key), key))
             fields[key] = list(value) if isinstance(value, tuple) else value
     return out
-
-
-_CSV_HEADER = ("t", "id", "platoon_id", "p", "v", "a", "u", "drag",
-               "gs_margin", "deadline_margin", "mode")
-# One row of _CSV_HEADER's columns; ``%.6g`` formats a float as _sig does.
-_CSV_ROW = "%s,%d,%d,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%s\n"
-
-
-def _sig(x: float) -> str:
-    return f"{x:.6g}"
-
-
-def trajectory_csv_text(tr: Trajectory, start: int = 0,
-                        stop: Optional[int] = None) -> str:
-    """CSV of the records of steps ``start:stop`` (every step by
-    default), ordered by time and then vehicle id.
-
-    The header line leads a range that starts at step 0 and no other,
-    so the texts of steps ``0:k`` and ``k:`` join into the whole text
-    for any ``k > 0``; the default call returns that whole text, the
-    header alone when ``tr`` has no step.  This is the one statement of
-    the row format: ``trajectory.csv`` is written as one call per block
-    of ``tr.blocks()``.
-    """
-    vid, pid, mode = tr.vehicle_id, tr.platoon_id, tr.mode
-    p, v, accel, u, drag = tr.p, tr.v, tr.accel, tr.u, tr.drag
-    gs, dm = tr.gs_margin, tr.deadline_margin
-    # One string per step, not per row: a list of rows would hold one
-    # string object per record until the final join.
-    steps = [",".join(_CSV_HEADER) + "\n"] if start == 0 else []
-    for time, lo, hi in tr.steps(start, stop):
-        t = _sig(time)
-        steps.append("".join([
-            _CSV_ROW % (t, vid[i], pid[i], p[i], v[i], accel[i], u[i],
-                        drag[i], gs[i], dm[i], MODE_NAMES[mode[i]])
-            for i in sorted(range(lo, hi), key=vid.__getitem__)]))
-    return "".join(steps)
 
 
 # The ``detail`` column of each event kind, formatted from its facts.

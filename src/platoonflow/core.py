@@ -241,8 +241,11 @@ def validate_params(params: SimParams) -> list[str]:
     if road.length <= 0.0:
         bad.append("road.length must be positive")
     for label, ramps in (("on_ramps", road.on_ramps), ("off_ramps", road.off_ramps)):
-        if list(ramps) != sorted(ramps):
-            bad.append(f"road.{label} must be sorted ascending")
+        if any(a >= b for a, b in zip(ramps, ramps[1:])):
+            # A repeated ramp would be drawn twice as often as the others.
+            repeated = sorted({r for r in ramps if ramps.count(r) > 1})
+            bad.append(f"road.{label} must be strictly ascending" + "".join(
+                f"; {r:g} is repeated" for r in repeated))
         if any(not 0.0 < r < road.length for r in ramps):
             bad.append(f"road.{label} must lie strictly inside the road")
     return bad

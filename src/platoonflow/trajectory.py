@@ -18,6 +18,9 @@ the rows stay derived after that, so a run that nobody reads them from
 never pays for them.  The fill works on whole columns, a bounded block
 of rows at a time, so its temporaries do not grow with the trajectory.
 ``from_records`` stores the values it is given instead.
+
+``trajectory_csv_text`` formats the rows as the lines of
+``trajectory.csv``.
 """
 
 from __future__ import annotations
@@ -355,3 +358,39 @@ class Trajectory:
     def __repr__(self) -> str:
         return f"<Trajectory: {len(self)} records in {len(self.times)} steps>"
 
+
+_CSV_HEADER = ("t", "id", "platoon_id", "p", "v", "a", "u", "drag",
+               "gs_margin", "deadline_margin", "mode")
+# One row of _CSV_HEADER's columns; ``%.6g`` formats a float as _sig does.
+_CSV_ROW = "%s,%d,%d,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%s\n"
+
+
+def _sig(x: float) -> str:
+    return f"{x:.6g}"
+
+
+def trajectory_csv_text(tr: Trajectory, start: int = 0,
+                        stop: int | None = None) -> str:
+    """CSV of the records of steps ``start:stop`` (every step by
+    default), ordered by time and then vehicle id.
+
+    The header line leads a range that starts at step 0 and no other,
+    so the texts of steps ``0:k`` and ``k:`` join into the whole text
+    for any ``k > 0``; the default call returns that whole text, the
+    header alone when ``tr`` has no step.  This is the one statement of
+    the row format: ``trajectory.csv`` is written as one call per block
+    of ``tr.blocks()``.
+    """
+    vid, pid, mode = tr.vehicle_id, tr.platoon_id, tr.mode
+    p, v, accel, u, drag = tr.p, tr.v, tr.accel, tr.u, tr.drag
+    gs, dm = tr.gs_margin, tr.deadline_margin
+    # One string per step, not per row: a list of rows would hold one
+    # string object per record until the final join.
+    steps = [",".join(_CSV_HEADER) + "\n"] if start == 0 else []
+    for time, lo, hi in tr.steps(start, stop):
+        t = _sig(time)
+        steps.append("".join([
+            _CSV_ROW % (t, vid[i], pid[i], p[i], v[i], accel[i], u[i],
+                        drag[i], gs[i], dm[i], MODE_NAMES[mode[i]])
+            for i in sorted(range(lo, hi), key=vid.__getitem__)]))
+    return "".join(steps)

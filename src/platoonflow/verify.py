@@ -19,13 +19,12 @@ import numpy as np
 from ._kernels_py import advance, stopping_margin
 from .analysis import (brute_force_follower, consecutive_gap_excess,
                        in_formation, previous_rows)
-from .cli import trajectory_csv_text
 from .controller import (gap_allowance, safe_accel_interval,
                          solve_follower_control)
 from .core import SimParams, SimulationError, VehicleMode
 from .sim import (EVENT_SPAWN, SimResult, WorldState, insert_vehicle, run,
                   step)
-from .trajectory import pair_rows
+from .trajectory import pair_rows, trajectory_csv_text
 
 N_CORPUS_SEEDS = 50
 SPAWN_COUNT_BAND = (120.0, 155.0)
@@ -180,6 +179,8 @@ def check_recursive_feasibility(params: SimParams) -> CheckResult:
         # The ego starts at p_hat, its predecessor at 0.
         p, p_pred = p_hat, 0.0
         floored = 0
+        # The margin of the state each step starts from.
+        g = stopping_margin(v, p_hat, v_hat, params)
         for _ in range(80):
             pred_cmd = params.a_min if v_pred > params.v_min else 0.0
             lo, hi = safe_accel_interval(v, p_hat, v_hat, pred_cmd, True,
@@ -189,12 +190,12 @@ def check_recursive_feasibility(params: SimParams) -> CheckResult:
                     f"episode {episode}: empty safe interval at v={v:.3f}, "
                     f"p_hat={p_hat:.3f}, v_hat={v_hat:.3f}"
                 ))
-            g_pre = stopping_margin(v, p_hat, v_hat, params)
             p, v = advance(p, v, params.a_min, params)
             p_pred, v_pred = advance(p_pred, v_pred, pred_cmd, params)
             p_hat = p - p_pred
             v_hat = v - v_pred
-            jump = abs(stopping_margin(v, p_hat, v_hat, params) - g_pre)
+            g_pre, g = g, stopping_margin(v, p_hat, v_hat, params)
+            jump = abs(g - g_pre)
             if jump > worst_jump:
                 worst_jump = jump
             if jump > allowed_jump:

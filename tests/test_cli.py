@@ -18,8 +18,8 @@ from platoonflow.cli import (
     main,
     params_from_dict,
     params_to_dict,
-    trajectory_csv_text,
 )
+from platoonflow.trajectory import trajectory_csv_text
 from platoonflow.verify import CheckResult
 
 from test_golden import CONFIGS, DURATION
@@ -416,6 +416,47 @@ class TestRunCommand:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"road.{ramps}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ramps", ["on_ramps", "off_ramps"])
+    def test_repeated_ramp_is_a_config_error(self, tmp_path, capsys, ramps):
+        cfg = tmp_path / "twice.yaml"
+        cfg.write_text(f"road:\n  {ramps}: [100, 100, 400]\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: road.{ramps} must be strictly ascending; "
+            "100 is repeated\n")
+        assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("text, hint", [
+        ("run:\n  dt: 1e-3\n", "'1e-3' (YAML reads 1e-3 as text; "
+                                "write 1.0e-3)"),
+        ("run:\n  duration: 1E2\n", "'1E2' (YAML reads 1E2 as text; "
+                                     "write 1.0e+2)"),
+        ("road:\n  on_ramps: [100, 2.0e2]\n",
+         "'2.0e2' (YAML reads 2.0e2 as text; write 2.0e+2)"),
+        ("run:\n  dt: '0.1'\n", "'0.1' (YAML read it as text)"),
+        ("run:\n  dt: fast\n", "'fast'"),
+    ])
+    def test_number_read_as_text_gets_a_hint(self, tmp_path, capsys, text,
+                                             hint):
+        cfg = tmp_path / "text.yaml"
+        cfg.write_text(text)
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f": expected a number, got {hint}\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["1e-3", "1E3", "-2e+2", "1.0e3",
+                                      "+1e0", " 5e-1 "])
+    def test_the_hinted_spelling_reads_as_the_same_number(self, text):
+        hint = cli._text_number_hint(text)
+        written = re.fullmatch(r" \(YAML reads .* as text; write (\S+)\)",
+                               hint).group(1)
+        assert isinstance(yaml.safe_load(text), str)
+        assert yaml.safe_load(written) == float(text)
 
     def test_missing_config_is_a_config_error(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.yaml"),

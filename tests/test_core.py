@@ -90,6 +90,16 @@ def test_ramps_must_be_sorted_and_interior():
         assert any(fragment in m for m in validate_params(params))
 
 
+@pytest.mark.parametrize("label", ["on_ramps", "off_ramps"])
+def test_a_repeated_ramp_is_named(label):
+    # A repeat would be drawn as an entry or exit twice as often.
+    road = RoadNetwork(**{label: (100.0, 100.0, 400.0, 400.0)})
+    params = dataclasses.replace(SimParams(), road=road)
+    assert validate_params(params) == [
+        f"road.{label} must be strictly ascending; 100 is repeated; "
+        "400 is repeated"]
+
+
 def test_entry_points_include_road_start():
     road = RoadNetwork()
     assert road.entry_points()[0] == 0.0
