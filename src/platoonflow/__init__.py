@@ -7,7 +7,13 @@ arrival deadline.  Platoons form, split, and merge purely from those
 local decisions; the engine only integrates, audits, and bookkeeps.
 """
 
-from ._kernels_py import deadline_margin, stopping_margin
+from ._kernels_py import (
+    deadline_margin,
+    drag_force,
+    drag_partials,
+    flow_bound,
+    stopping_margin,
+)
 from .controller import (
     ControlDecision,
     FeasibilityVerdict,
@@ -62,6 +68,9 @@ __all__ = [
     "WorldState",
     "backend_name",
     "deadline_margin",
+    "drag_force",
+    "drag_partials",
+    "flow_bound",
     "insert_vehicle",
     "leader_control",
     "run",

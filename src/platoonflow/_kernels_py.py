@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # core imports this module
+if TYPE_CHECKING:  # annotations only; the kernels import no package module
     from .core import DragCoefficients, SimParams
 
 # Exact-equality guard for speeds parked on a bound by the projection step.
@@ -60,7 +60,8 @@ def advance(p: float, v: float, a: float,
 
 def drag_force(v: float, p_hat: float, in_wake: bool,
                law: DragCoefficients) -> float:
-    """Aerodynamic drag: quadratic in speed, discounted in a wake."""
+    """Aerodynamic drag (m/s^2, force per unit mass): quadratic in speed,
+    discounted in a wake."""
     if in_wake:
         return law.c0 * v * v * (1.0 - law.c1 * math.exp(law.c2 * p_hat))
     return law.c0 * v * v

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels_py import SPEED_EDGE_TOL, stopping_margin
+from ._kernels_py import SPEED_EDGE_TOL, drag_partials, stopping_margin
 from .controller import FeasibilityVerdict, gap_allowance
 from .core import SimParams
 from .sim import (EVENT_DISCARD, EVENT_EXIT, EVENT_MERGE, EVENT_RECOVER,
@@ -54,8 +54,9 @@ def records_by_time(tr: Trajectory) -> dict[float, list[TrajectoryRecord]]:
 def records_by_vehicle(tr: Trajectory) -> dict[int, list[TrajectoryRecord]]:
     """Group records per vehicle in time order."""
     out: dict[int, list[TrajectoryRecord]] = defaultdict(list)
-    for rec in tr:
-        out[rec.vehicle_id].append(rec)
+    for time, start, stop in tr.steps():
+        for i in range(start, stop):
+            out[tr.vehicle_id[i]].append(tr.record(i, time))
     return dict(out)
 
 
@@ -125,8 +126,8 @@ def detect_formations(tr: Trajectory, k: int) -> list[tuple[int, ...]]:
 
     The step's vehicles, front to back, are split wherever a vehicle is
     not ``in_formation`` with the one ahead.  ``k`` may be negative, as
-    in ``Trajectory.snapshot``.  This is measured from positions alone
-    and is independent of the engine's platoon bookkeeping.
+    a list index may.  This is measured from positions alone and is
+    independent of the engine's platoon bookkeeping.
     """
     k = range(len(tr.times))[k]
     start, stop = tr.offsets[k], tr.offsets[k + 1]
@@ -172,7 +173,7 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
     on a speed box as narrow as [1, 2] m/s.
     """
     g = stopping_margin(v, p_hat, v_hat, params)
-    f_v, f_p = params.drag.partials(v, p_hat)
+    f_v, f_p = drag_partials(v, p_hat, params.drag)
     pred = params.a_min if params.worst_case_pred_accel else pred_accel
     at_floor = v <= params.v_min + SPEED_EDGE_TOL
     at_ceiling = v >= params.v_max - SPEED_EDGE_TOL

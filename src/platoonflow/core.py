@@ -15,8 +15,6 @@ import numbers
 from dataclasses import dataclass, field, fields
 from typing import Iterator
 
-from . import _kernels_py as kernels
-
 
 class VehicleMode(enum.IntEnum):
     """Role of a vehicle inside the platoon partition.
@@ -53,26 +51,14 @@ class DragCoefficients:
     predecessor sees ``c0 * v**2 * (1 - c1 * exp(c2 * p_hat))``: the wake
     discount decays exponentially as the gap opens.  The controller needs
     no more than the force, its two partials and the descent bound they
-    give, all computed by the kernels from these coefficients.  A run's
-    law is its ``SimParams.drag``, fixed with the rest of its params.
+    give, which the kernels ``drag_force``, ``drag_partials`` and
+    ``flow_bound`` compute from these coefficients.  A run's law is its
+    ``SimParams.drag``, fixed with the rest of its params.
     """
 
     c0: float = 4.0e-4
     c1: float = 0.6
     c2: float = 0.08
-
-    def force(self, v: float, p_hat: float, in_wake: bool) -> float:
-        """Drag force (m/s^2, force per unit mass) at the given state."""
-        return kernels.drag_force(v, p_hat, in_wake, self)
-
-    def partials(self, v: float, p_hat: float) -> tuple[float, float]:
-        """(dF/dv, dF/dp_hat) in the wake at the given state."""
-        return kernels.drag_partials(v, p_hat, self)
-
-    def descent_bound(self, v: float, p_hat: float, v_hat: float) -> float:
-        """Largest acceleration keeping squared drag in the wake
-        non-increasing."""
-        return kernels.flow_bound(v, p_hat, v_hat, self)
 
 
 @dataclass(frozen=True, slots=True)

@@ -369,30 +369,33 @@ def resequence(world: WorldState, stamp: float) -> None:
     of ``control_mode`` says who headed a platoon at control, so heads
     promoted only this step sit out the merge test.
 
-    Between the two, each vehicle's mode takes its two bits by one rule
-    each.  Bit 0, "heads a platoon", is what the platoon ids say once the
-    splits are in: a split, or its head's exit, makes a vehicle a head.
-    Bit 1, "deadline relaxed", is set by a ``FOLLOWER``'s deadline-safety
-    conflict and cleared once a ``LEADER_RECOVERING`` head's deadline
-    margin is at most ``-eps_d``; every other mode keeps it.  A
-    ``deadline_relax`` event marks it turning on, a ``deadline_recover``
-    event turning off.  A merge then makes its head a plain ``FOLLOWER``,
-    clearing both bits.
+    One pass front to back first applies a vehicle's split and then
+    gives its mode two bits by one rule each.  That is exact: a split
+    relabels only its vehicle and those behind it, which the pass has
+    not reached, so every vehicle takes its bits after every split
+    ahead of it.  Bit 0, "heads a platoon", is what the platoon ids say
+    once those splits are in: a split, or its head's exit, makes a
+    vehicle a head.  Bit 1, "deadline relaxed", is set by a
+    ``FOLLOWER``'s deadline-safety conflict and cleared once a
+    ``LEADER_RECOVERING`` head's deadline margin is at most ``-eps_d``;
+    every other mode keeps it.  A ``deadline_relax`` event marks it
+    turning on, a ``deadline_recover`` event turning off; they follow
+    the step's split events, which keeps the event order of applying
+    every split first.  A merge then makes its head a plain
+    ``FOLLOWER``, clearing both bits.
     """
     vehicles = world.vehicles
-
+    neg_eps_d = -world.params.eps_d
+    conflict = kernels.VERDICT_DEADLINE_SAFETY_CONFLICT
+    flips = []
+    ahead_pid = None
     for i, veh in enumerate(vehicles):
         if veh.verdict in SPLIT_CODES and not veh.control_mode & 1:
             new = world.next_platoon_id
             world.next_platoon_id += 1
             old = _relabel(vehicles, i, new)
-            world.events.append(Event(stamp, EVENT_SPLIT, vehicles[i].vid,
+            world.events.append(Event(stamp, EVENT_SPLIT, veh.vid,
                                       (old, new)))
-
-    neg_eps_d = -world.params.eps_d
-    conflict = kernels.VERDICT_DEADLINE_SAFETY_CONFLICT
-    ahead_pid = None
-    for veh in vehicles:
         pid = veh.platoon_id
         head = pid != ahead_pid
         ahead_pid = pid
@@ -402,16 +405,16 @@ def resequence(world: WorldState, stamp: float) -> None:
                                      veh.exit_pos, veh.deadline)
             relaxed = 2
             if mode == 0:
-                world.events.append(Event(stamp, EVENT_RELAX, veh.vid,
-                                          (margin,)))
+                flips.append(Event(stamp, EVENT_RELAX, veh.vid, (margin,)))
             elif margin <= neg_eps_d:
                 relaxed = 0
-                world.events.append(Event(stamp, EVENT_RECOVER, veh.vid,
-                                          (margin,)))
+                flips.append(Event(stamp, EVENT_RECOVER, veh.vid,
+                                   (margin,)))
             veh.mode = VehicleMode(head | relaxed)
         elif head != mode & 1:
             # Outside bit 1's rules only bit 0 can change.
             veh.mode = VehicleMode(head | mode & 2)
+    world.events += flips
 
     feasible = kernels.VERDICT_FEASIBLE
     for i in range(1, len(vehicles)):

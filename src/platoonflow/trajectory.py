@@ -4,9 +4,8 @@ The engine appends one step at a time: its stamp plus one row per
 vehicle on the road, front to back.  Every field is a typed ``array``
 column, so a record costs a few dozen bytes instead of an object, and a
 reader takes step ``k`` as the row slice ``offsets[k]:offsets[k + 1]``,
-already ordered front to back.  ``TrajectoryRecord`` stays the row type
-for callers that want objects: indexing and iteration build one per row
-on demand.
+already ordered front to back.  ``record`` builds a row as a
+``TrajectoryRecord`` object, for callers that want one.
 
 The engine stores only state: ids, position, speed, command and mode.
 The four physics columns (``u``, ``drag``, ``gs_margin`` and
@@ -324,26 +323,6 @@ class Trajectory:
             time, self.vehicle_id[i], self.platoon_id[i], self.p[i],
             self.v[i], self.accel[i], self._u[i], self._drag[i],
             gs, self._deadline_margin[i], MODE_NAMES[self.mode[i]])
-
-    def snapshot(self, k: int) -> list[TrajectoryRecord]:
-        """Records of step ``k``, front to back."""
-        time = self.times[k]
-        k %= len(self.times)
-        return [self.record(i, time)
-                for i in range(self.offsets[k], self.offsets[k + 1])]
-
-    def __getitem__(self, i: int) -> TrajectoryRecord:
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("trajectory index out of range")
-        return self.record(i, self.times[bisect_right(self.offsets, i) - 1])
-
-    def __iter__(self) -> Iterator[TrajectoryRecord]:
-        for time, start, stop in self.steps():
-            for i in range(start, stop):
-                yield self.record(i, time)
 
     def __eq__(self, other: object) -> bool:
         # Bitwise, so runs that record the same nan compare equal.

@@ -16,7 +16,8 @@ from typing import Iterator
 
 import numpy as np
 
-from ._kernels_py import advance, stopping_margin
+from ._kernels_py import (advance, drag_force, drag_partials,
+                          stopping_margin)
 from .analysis import (brute_force_follower, consecutive_gap_excess,
                        in_formation, previous_rows)
 from .controller import (gap_allowance, safe_accel_interval,
@@ -488,11 +489,11 @@ def check_partials(params: SimParams) -> CheckResult:
         v = float(v)
         for p_hat in np.linspace(-40.0, -1.0, 50):
             p_hat = float(p_hat)
-            f_v, f_p = law.partials(v, p_hat)
-            fd_v = (law.force(v + h, p_hat, True)
-                    - law.force(v - h, p_hat, True)) / (2.0 * h)
-            fd_p = (law.force(v, p_hat + h, True)
-                    - law.force(v, p_hat - h, True)) / (2.0 * h)
+            f_v, f_p = drag_partials(v, p_hat, law)
+            fd_v = (drag_force(v + h, p_hat, True, law)
+                    - drag_force(v - h, p_hat, True, law)) / (2.0 * h)
+            fd_p = (drag_force(v, p_hat + h, True, law)
+                    - drag_force(v, p_hat - h, True, law)) / (2.0 * h)
             err = max(_partial_error(fd_v, f_v), _partial_error(fd_p, f_p))
             if err > worst:
                 worst = err

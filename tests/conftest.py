@@ -4,7 +4,7 @@ from array import array
 import pytest
 
 from platoonflow import SimParams, run, step
-from platoonflow import deadline_margin, stopping_margin
+from platoonflow import deadline_margin, drag_force, stopping_margin
 from platoonflow.trajectory import COLUMNS, DERIVED_COLUMNS
 from platoonflow.verify import RunCorpus
 
@@ -64,11 +64,11 @@ def recompute_derived(tr, params, targets):
     for time, start, stop in tr.steps():
         for i in range(start, stop):
             if i == start:
-                drag = law.force(v[i], 0.0, False)
+                drag = drag_force(v[i], 0.0, False, law)
                 gs = math.nan
             else:
                 p_hat = p[i] - p[i - 1]
-                drag = law.force(v[i], p_hat, True)
+                drag = drag_force(v[i], p_hat, True, law)
                 gs = stopping_margin(v[i], p_hat, v[i] - v[i - 1], params)
             exit_pos, deadline = targets[tr.vehicle_id[i]]
             out["u"].append(tr.accel[i] + drag)

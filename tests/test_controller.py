@@ -11,6 +11,7 @@ from platoonflow import (
     SimParams,
     VehicleMode,
     VehicleState,
+    flow_bound,
     leader_control,
     WorldState,
     solve_follower_control,
@@ -279,9 +280,8 @@ class TestHeadsUseTheWorldsDragLaw:
         law = self.LAWS[name]
         params = replace(PARAMS, drag=law)
         v, p_hat, v_hat = 22.0, -6.0, -10.0
-        bound = law.descent_bound(v, p_hat, v_hat)
-        default = PARAMS.drag
-        assert bound != default.descent_bound(v, p_hat, v_hat)
+        bound = flow_bound(v, p_hat, v_hat, law)
+        assert bound != flow_bound(v, p_hat, v_hat, PARAMS.drag)
         follower = solve_follower_control(v, p_hat, v_hat, 0.0,
                                           False, params)
         head = leader_control(v, p_hat, v_hat, 0.0, False, False, params)
@@ -302,7 +302,7 @@ class TestHeadsUseTheWorldsDragLaw:
         d = leader_control(v, p_hat, v_hat, 0.0, False, deadline,
                            replace(PARAMS, drag=law))
         bound, g = d.flow_bound, d.gs_margin
-        assert bound == law.descent_bound(v, p_hat, v_hat)
+        assert bound == flow_bound(v, p_hat, v_hat, law)
         assert g == stopping_margin(v, p_hat, v_hat, PARAMS)
         assert d.verdict is FeasibilityVerdict(kernels.classify(
             v, v_hat, bound, deadline, g, d.hi, PARAMS))

@@ -3,7 +3,8 @@ import sys
 
 from hypothesis import example, given, strategies as st
 
-from platoonflow import DragCoefficients
+from platoonflow import (DragCoefficients, drag_force, drag_partials,
+                         flow_bound)
 from platoonflow import _kernels_py as kernels
 
 LAW = DragCoefficients()
@@ -13,54 +14,59 @@ gaps = st.floats(min_value=-120.0, max_value=-0.5)
 
 
 def test_solo_force_reference_value():
-    assert LAW.force(30.0, 0.0, False) == 0.36
+    assert drag_force(30.0, 0.0, False, LAW) == 0.36
 
 
 def test_wake_force_reference_value():
-    assert LAW.force(30.0, -20.0, True) == 0.3163903521131544
+    assert drag_force(30.0, -20.0, True, LAW) == 0.3163903521131544
 
 
 def test_partials_reference_values():
-    f_v, f_p = LAW.partials(30.0, -20.0)
+    f_v, f_p = drag_partials(30.0, -20.0, LAW)
     assert f_v == 0.021092690140876964
     assert f_p == -0.003488771830947645
 
 
 def test_flow_bound_reference_value():
     # closing at 2 m/s the ceiling is |F_p|/F_v * v_hat
-    bound = LAW.descent_bound(30.0, -20.0, 2.0)
+    bound = flow_bound(30.0, -20.0, 2.0, LAW)
     assert math.isclose(bound, 0.33080387638052067, rel_tol=1e-12)
 
 
 def test_flow_bound_scales_with_closing_speed():
-    one = LAW.descent_bound(22.0, -6.0, 1.0)
+    one = flow_bound(22.0, -6.0, 1.0, LAW)
     assert math.isclose(one, 0.5196469853590147, rel_tol=1e-12)
-    assert math.isclose(LAW.descent_bound(22.0, -6.0, -3.0),
+    assert math.isclose(flow_bound(22.0, -6.0, -3.0, LAW),
                         -3.0 * one, rel_tol=1e-12)
 
 
 def test_law_object_matches_module_functions():
-    assert LAW.force(22.0, -6.0, True) == 0.1217221212077987
-    assert LAW.force(22.0, -6.0, True) \
+    # the package exports the kernels' law; the coefficients carry no
+    # second copy of it
+    assert drag_force(22.0, -6.0, True, LAW) == 0.1217221212077987
+    assert drag_force(22.0, -6.0, True, LAW) \
         == kernels.drag_force(22.0, -6.0, True, LAW)
-    assert LAW.partials(30.0, -20.0) == kernels.drag_partials(
+    assert drag_partials(30.0, -20.0, LAW) == kernels.drag_partials(
         30.0, -20.0, LAW)
-    assert LAW.descent_bound(30.0, -20.0, 2.0) \
+    assert flow_bound(30.0, -20.0, 2.0, LAW) \
         == kernels.flow_bound(30.0, -20.0, 2.0, LAW)
+    for method in ("force", "partials", "descent_bound"):
+        assert not hasattr(LAW, method)
 
 
 def test_solo_vehicle_ignores_gap():
-    assert LAW.force(28.0, -3.0, False) == LAW.force(28.0, -900.0, False)
+    assert drag_force(28.0, -3.0, False, LAW) \
+        == drag_force(28.0, -900.0, False, LAW)
 
 
 @given(v=speeds, p_hat=gaps)
 def test_wake_discount_reduces_drag(v, p_hat):
-    assert LAW.force(v, p_hat, True) < LAW.force(v, p_hat, False)
+    assert drag_force(v, p_hat, True, LAW) < drag_force(v, p_hat, False, LAW)
 
 
 @given(v=speeds, p_hat=gaps)
 def test_force_increases_with_speed_decreases_with_gap(v, p_hat):
-    f_v, f_p = LAW.partials(v, p_hat)
+    f_v, f_p = drag_partials(v, p_hat, LAW)
     assert f_v > 0.0
     assert f_p < 0.0
 
@@ -68,11 +74,11 @@ def test_force_increases_with_speed_decreases_with_gap(v, p_hat):
 @given(v=speeds, p_hat=gaps)
 def test_partials_match_difference_quotient(v, p_hat):
     h = 1e-5
-    f_v, f_p = LAW.partials(v, p_hat)
-    fd_v = (LAW.force(v + h, p_hat, True)
-            - LAW.force(v - h, p_hat, True)) / (2 * h)
-    fd_p = (LAW.force(v, p_hat + h, True)
-            - LAW.force(v, p_hat - h, True)) / (2 * h)
+    f_v, f_p = drag_partials(v, p_hat, LAW)
+    fd_v = (drag_force(v + h, p_hat, True, LAW)
+            - drag_force(v - h, p_hat, True, LAW)) / (2 * h)
+    fd_p = (drag_force(v, p_hat + h, True, LAW)
+            - drag_force(v, p_hat - h, True, LAW)) / (2 * h)
     assert math.isclose(f_v, fd_v, rel_tol=1e-5)
     assert math.isclose(f_p, fd_p, rel_tol=1e-5)
 
@@ -81,7 +87,7 @@ def test_partials_match_difference_quotient(v, p_hat):
 @example(v=1.0, p_hat=-120.0, v_hat=5e-324)
 @example(v=1.0, p_hat=-120.0, v_hat=-5e-324)
 def test_flow_bound_sign_follows_closing_speed(v, p_hat, v_hat):
-    bound = LAW.descent_bound(v, p_hat, v_hat)
+    bound = flow_bound(v, p_hat, v_hat, LAW)
     if v_hat == 0:
         assert bound == 0.0
     elif abs(v_hat) < sys.float_info.min:
@@ -96,7 +102,7 @@ def test_flow_bound_sign_follows_closing_speed(v, p_hat, v_hat):
 
 @given(v=speeds, p_hat=gaps, v_hat=st.floats(min_value=-10.0, max_value=10.0))
 def test_flow_bound_agrees_with_partial_ratio(v, p_hat, v_hat):
-    f_v, f_p = LAW.partials(v, p_hat)
+    f_v, f_p = drag_partials(v, p_hat, LAW)
     expected = -f_p * v_hat / f_v
-    bound = LAW.descent_bound(v, p_hat, v_hat)
+    bound = flow_bound(v, p_hat, v_hat, LAW)
     assert math.isclose(bound, expected, rel_tol=1e-9, abs_tol=1e-12)

@@ -36,6 +36,7 @@ import pytest
 
 from platoonflow import SimParams, backend_name, run
 from platoonflow.cli import main, parse_config
+from platoonflow.trajectory import MODE_NAMES
 from platoonflow.verify import run_all
 
 DATA = Path(__file__).with_name("golden_digests.json")
@@ -67,15 +68,19 @@ def artifact_digests(name: str, workdir: Path) -> dict[str, str]:
     return digests
 
 
-def records_digest(trajectory) -> str:
-    """Digest of every record field, floats in exact hex, in engine order."""
+def records_digest(tr) -> str:
+    """Digest of every record field, floats in exact hex, in engine order:
+    one line per row of time, the two ids, the seven float columns and
+    the mode's name."""
+    floats = (tr.p, tr.v, tr.accel, tr.u, tr.drag, tr.gs_margin,
+              tr.deadline_margin)
     h = hashlib.sha256()
-    for rec in trajectory:
-        h.update(",".join(
-            x.hex() if isinstance(x, float) else str(x)
-            for x in (rec.time, rec.vehicle_id, rec.platoon_id, rec.p, rec.v,
-                      rec.accel, rec.u, rec.drag, rec.gs_margin,
-                      rec.deadline_margin, rec.mode)).encode() + b"\n")
+    for time, start, stop in tr.steps():
+        for i in range(start, stop):
+            h.update(",".join([
+                time.hex(), str(tr.vehicle_id[i]), str(tr.platoon_id[i]),
+                *(column[i].hex() for column in floats),
+                MODE_NAMES[tr.mode[i]]]).encode() + b"\n")
     return h.hexdigest()
 
 

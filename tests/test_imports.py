@@ -1,10 +1,16 @@
-"""What each entry point of the package loads.
+"""What each entry point of the package loads, and which way the
+layers import.
 
 The acceptance checks and the library need neither the YAML front end
 nor the argument parser, and a fresh process compiles every module it
 loads when no bytecode is cached, so a stray import shows up as setup
 time.  Each probe runs in a child, ``-B`` keeping it from writing
 bytecode, so the modules this test process has loaded do not count.
+
+The layering runs one way: ``core`` holds the types and imports no
+module of the package, and ``_kernels_py`` imports one only for its
+annotations.  A probe cannot show that, since importing any submodule
+runs the package ``__init__`` first, so it is read from the source.
 """
 
 import ast
@@ -54,3 +60,43 @@ def test_cli_and_trajectory_share_one_csv_writer():
     import platoonflow.verify as verify
     assert cli.trajectory_csv_text is trajectory.trajectory_csv_text
     assert verify.trajectory_csv_text is trajectory.trajectory_csv_text
+
+
+PACKAGE = ROOT / "src" / "platoonflow"
+GUARDS = ("TYPE_CHECKING", "typing.TYPE_CHECKING")
+
+
+def package_imports(source):
+    """``(line, guarded)`` of each import of a ``platoonflow`` module in
+    ``source``; ``guarded`` when it sits under ``if TYPE_CHECKING:``,
+    which only a type checker runs."""
+    tree = ast.parse(source)
+    guarded = {id(inner) for node in ast.walk(tree)
+               if isinstance(node, ast.If) and ast.unparse(node.test) in GUARDS
+               for stmt in node.body for inner in ast.walk(stmt)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else ["platoonflow"]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[0] == "platoonflow" for name in names):
+            found.append((node.lineno, id(node) in guarded))
+    return found
+
+
+def test_the_reader_sees_each_kind_of_package_import():
+    source = ("import math\nfrom . import sim\nimport platoonflow.cli\n"
+              "if TYPE_CHECKING:\n    from .core import SimParams\n")
+    assert package_imports(source) == [(2, False), (3, False), (5, True)]
+
+
+def test_core_imports_no_package_module():
+    assert package_imports((PACKAGE / "core.py").read_text()) == []
+
+
+def test_the_kernels_import_package_modules_for_annotations_only():
+    found = package_imports((PACKAGE / "_kernels_py.py").read_text())
+    assert [guarded for _, guarded in found] == [True] * len(found)

@@ -19,7 +19,7 @@ from platoonflow import (
     step,
 )
 from platoonflow.analysis import records_by_time, records_by_vehicle
-from platoonflow import deadline_margin, stopping_margin
+from platoonflow import deadline_margin, drag_force, stopping_margin
 from platoonflow import trajectory
 from platoonflow.trajectory import COLUMNS, DERIVED_COLUMNS, MODE_NAMES
 
@@ -29,6 +29,11 @@ from conftest import derived_bytes, recompute_derived, step_world
 def columns(tr):
     return {name: getattr(tr, name).tobytes()
             for name in ("times", "offsets") + COLUMNS}
+
+
+def records(tr):
+    """Every row of ``tr`` as a record, in stored order."""
+    return [rec for step in records_by_time(tr).values() for rec in step]
 
 
 def test_mode_codes_carry_the_head_and_relaxed_bits():
@@ -49,15 +54,15 @@ def test_mode_codes_carry_the_head_and_relaxed_bits():
 class TestColumns:
     def test_from_records_reproduces_the_columns(self, short_run):
         tr = short_run.trajectory
-        rebuilt = Trajectory.from_records(list(tr), tr.params)
+        rebuilt = Trajectory.from_records(records(tr), tr.params)
         assert columns(rebuilt) == columns(tr)
         assert rebuilt == tr
 
     def test_from_records_orders_shuffled_records(self, short_run):
-        records = list(short_run.trajectory)
-        random.Random(5).shuffle(records)
+        shuffled = records(short_run.trajectory)
+        random.Random(5).shuffle(shuffled)
         assert Trajectory.from_records(
-            records, short_run.trajectory.params) == short_run.trajectory
+            shuffled, short_run.trajectory.params) == short_run.trajectory
 
     def test_from_records_rejects_an_unknown_mode(self):
         rec = TrajectoryRecord(0.1, 1, 1, 0.0, 20.0, 0.0, 0.0, 0.0,
@@ -65,22 +70,25 @@ class TestColumns:
         with pytest.raises(ValueError, match="cruising"):
             Trajectory.from_records([rec], SimParams())
 
-    def test_indexing_matches_iteration(self, short_run):
+    def test_rows_are_read_by_column_not_as_a_sequence(self, short_run):
         tr = short_run.trajectory
-        records = list(tr)
-        assert len(records) == len(tr)
-        for i in (0, 1, 57, len(tr) // 2, len(tr) - 1):
-            assert tr[i] == records[i]
-        assert tr[-1] == records[-1]
-        with pytest.raises(IndexError):
-            tr[len(tr)]
+        time, start, stop = list(tr.steps())[-1]
+        assert stop == len(tr)
+        rec = tr.record(stop - 1, time)
+        assert (rec.time, rec.vehicle_id, rec.p, rec.mode) == (
+            tr.times[-1], tr.vehicle_id[-1], tr.p[-1],
+            MODE_NAMES[tr.mode[-1]])
+        with pytest.raises(TypeError):
+            iter(tr)
+        with pytest.raises(TypeError):
+            tr[0]
 
     def test_equality_is_per_run(self):
         a = run(SimParams(duration=10.0, seed=2)).trajectory
         b = run(SimParams(duration=10.0, seed=3)).trajectory
         assert a != b
         assert a == run(SimParams(duration=10.0, seed=2)).trajectory
-        assert a != list(a)
+        assert a != records(a)
 
     def test_records_stay_under_one_hundred_bytes(self, short_run):
         tr = short_run.trajectory
@@ -98,7 +106,7 @@ class TestRecordViews:
         for _ in range(3):
             step(world)
         front, rear = world.vehicles
-        snap = world.trajectory.snapshot(-1)
+        snap = records_by_time(world.trajectory)[world.t]
         assert [r.vehicle_id for r in snap] == [front.vid, rear.vid]
         for rec, veh in zip(snap, world.vehicles):
             assert rec.time == world.t
@@ -108,20 +116,24 @@ class TestRecordViews:
             assert rec.deadline_margin == deadline_margin(
                 veh.p, veh.v, world.t, veh.exit_pos, veh.deadline)
             assert rec.mode == MODE_NAMES[veh.mode]
-        assert snap[0].drag == law.force(front.v, 0.0, False)
+        assert snap[0].drag == drag_force(front.v, 0.0, False, law)
         assert math.isnan(snap[0].gs_margin)
         p_hat, v_hat = rear.p - front.p, rear.v - front.v
-        assert snap[1].drag == law.force(rear.v, p_hat, True)
+        assert snap[1].drag == drag_force(rear.v, p_hat, True, law)
         assert snap[1].gs_margin == stopping_margin(rear.v, p_hat, v_hat,
                                                     params)
 
     def test_snapshots_match_those_of_the_record_list(self, short_run):
         tr = short_run.trajectory
-        rebuilt = Trajectory.from_records(list(tr), tr.params)
+        rebuilt = Trajectory.from_records(records(tr), tr.params)
         assert records_by_time(tr) == records_by_time(rebuilt)
-        assert records_by_vehicle(tr) == records_by_vehicle(rebuilt)
-        last = max(records_by_time(tr))
-        assert records_by_time(tr)[last] == tr.snapshot(-1)
+        by_vehicle = records_by_vehicle(tr)
+        assert by_vehicle == records_by_vehicle(rebuilt)
+        # Each vehicle's history is its rows of the steps, in time order.
+        expected = {}
+        for rec in records(tr):
+            expected.setdefault(rec.vehicle_id, []).append(rec)
+        assert by_vehicle == expected
 
 
 # A law that differs from the default by its wake length.
@@ -132,11 +144,11 @@ def test_a_swapped_in_drag_law_runs_through_the_engine():
     result = run(SimParams(duration=20.0, seed=1, drag=LONG_WAKE))
     assert len(result.trajectory) > 0
     for snap in records_by_time(result.trajectory).values():
-        assert snap[0].drag == LONG_WAKE.force(snap[0].v, 0.0, False)
+        assert snap[0].drag == drag_force(snap[0].v, 0.0, False, LONG_WAKE)
         for ahead, rec in zip(snap, snap[1:]):
-            assert rec.drag == LONG_WAKE.force(rec.v, rec.p - ahead.p, True)
-    modes = {rec.mode for rec in result.trajectory}
-    assert MODE_NAMES[VehicleMode.FOLLOWER] in modes
+            assert rec.drag == drag_force(rec.v, rec.p - ahead.p, True,
+                                          LONG_WAKE)
+    assert VehicleMode.FOLLOWER in result.trajectory.mode
 
 
 class TestDerivedColumns:
@@ -173,7 +185,7 @@ class TestDerivedColumns:
         with pytest.raises(AttributeError):
             tr.params = replace(params, v_min=25.0)
         assert tr.params is world.params is params
-        assert Trajectory.from_records(list(tr), params).params is params
+        assert Trajectory.from_records(records(tr), params).params is params
         with pytest.raises(TypeError):
             Trajectory()
 

@@ -10,6 +10,7 @@ import platoonflow.sim as sim
 import platoonflow.verify as verify
 from platoonflow import (DragCoefficients, RoadNetwork, SimParams, Trajectory,
                          TrajectoryRecord, run)
+from platoonflow.analysis import records_by_time
 from platoonflow.core import SafetyAuditError
 from platoonflow.trajectory import STORED_COLUMNS
 from platoonflow.verify import (RunCorpus, check_braking_only,
@@ -27,8 +28,7 @@ def direct_figures(params: SimParams, seed: int) -> tuple:
     allowed = params.eps_g + params.v_max * params.dt
     excess = []
     commands = []
-    for k in range(len(result.trajectory.times)):
-        snapshot = result.trajectory.snapshot(k)
+    for snapshot in records_by_time(result.trajectory).values():
         excess += [(back.p - front.p) + params.delta
                    for front, back in zip(snapshot, snapshot[1:])]
         commands += [rec.accel for rec in snapshot
