@@ -10,6 +10,7 @@ few figures those checks read from each run.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -25,7 +26,7 @@ from .controller import (gap_allowance, safe_accel_interval,
 from .core import SimParams, SimulationError, VehicleMode
 from .sim import (EVENT_SPAWN, SimResult, WorldState, insert_vehicle, run,
                   step)
-from .trajectory import pair_rows, trajectory_csv_text
+from .trajectory import Trajectory, pair_rows, trajectory_csv_text
 
 N_CORPUS_SEEDS = 50
 SPAWN_COUNT_BAND = (120.0, 155.0)
@@ -374,32 +375,38 @@ def _drag_descent_seed(params: SimParams,
     """Follower step pairs, worst F^2 rise, and the failure detail of the
     first rise beyond ``allowed`` (None when there is none) of one run.
 
-    Nothing of the run outlives the call, so the next seed's run never
-    shares memory with this one's trajectory and derived columns.
+    Each row's previous row is found before the physics columns are
+    derived, and the trajectory is dropped once the columns the pairing
+    reads are copied out, so the pairing's temporaries never share
+    memory with the run, and the next seed's run never shares it with
+    anything of this one.
     """
     tr = run(params).trajectory
-    n = len(tr)
-    back = pair_rows(tr.offsets)
-    has_ahead = np.zeros(n, np.bool_)
-    has_ahead[back] = True
     last = previous_rows(tr)
-    step = np.repeat(np.arange(len(tr.times)), np.diff(tr.offsets))
+    drag = np.array(tr.drag)
+    offsets = np.array(tr.offsets)
     vid = np.array(tr.vehicle_id)
+    mode = np.array(tr.mode)
+    times = np.array(tr.times)
+    del tr
+    back = pair_rows(offsets)
+    has_ahead = np.zeros(len(vid), np.bool_)
+    has_ahead[back] = True
+    step = np.repeat(np.arange(len(times)), np.diff(offsets))
     # Follower rows whose previous row is in the step before and had
     # the same vehicle ahead.
-    back = back[np.array(tr.mode)[back] == VehicleMode.FOLLOWER]
+    back = back[mode[back] == VehicleMode.FOLLOWER]
     prev = last[back]
     keep = ((prev >= 0) & (step[prev] == step[back] - 1)
             & has_ahead[prev] & (vid[prev - 1] == vid[back - 1]))
     back, prev = back[keep], prev[keep]
-    drag = np.array(tr.drag)
     rise = drag[back] ** 2 - drag[prev] ** 2
     over = np.flatnonzero(rise > allowed)
     failure = None
     if len(over):
         i = back[over[0]]
         failure = (f"seed {params.seed}: F^2 rose {rise[over[0]]:.3e} in one "
-                   f"step for vehicle {vid[i]} at t={tr.times[step[i]]:.1f} "
+                   f"step for vehicle {vid[i]} at t={times[step[i]]:.1f} "
                    f"(allowed {allowed:.3e})")
     return len(rise), rise.max(initial=-math.inf), failure
 
@@ -433,15 +440,26 @@ def check_drag_descent(params: SimParams) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
+def _csv_block_digests(tr: Trajectory, blocks: list[tuple[int, int]]
+                       ) -> Iterator[tuple[bytes, int]]:
+    """SHA-256 digest and byte count of the encoded CSV of each step
+    range of ``blocks``, one ``trajectory_csv_text`` call at a time."""
+    for start, stop in blocks:
+        data = trajectory_csv_text(tr, start, stop).encode()
+        yield hashlib.sha256(data).digest(), len(data)
+
+
 def check_determinism(params: SimParams) -> CheckResult:
     """Identical config and seed must reproduce the trajectory CSV byte
     for byte.
 
-    Both runs are made first.  Their CSVs are then compared over the
-    same step ranges, one ``trajectory_csv_text`` call per block of
-    ``Trajectory.blocks``, so neither CSV is ever held whole; the check
-    fails on unequal step counts or on the first unequal block.  The
-    detail counts the encoded bytes of every block.
+    The first run's CSV is folded into one SHA-256 digest and byte
+    count per block of its ``Trajectory.blocks``, and the run is
+    dropped before the second one starts, so only one run is ever
+    alive.  The second run's CSV is then digested over the same step
+    ranges; the check fails on unequal step counts or on the first
+    block whose digest differs.  Neither CSV is ever held whole, and
+    the detail counts the encoded bytes of every block.
     """
     name = "determinism_bytes"
     try:
@@ -450,22 +468,24 @@ def check_determinism(params: SimParams) -> CheckResult:
             return CheckResult(name, False, (
                 "the seeded run recorded no rows, so there were no bytes "
                 "to compare"))
+        n_steps = len(first.times)
+        blocks = list(first.blocks())
+        digests = list(_csv_block_digests(first, blocks))
+        del first
         second = run(params).trajectory
     except SimulationError as exc:
         return CheckResult(name, False, (
             f"engine audit tripped, seed {params.seed}: {exc}"))
-    n_steps = len(first.times)
     if len(second.times) != n_steps:
         return CheckResult(name, False, (
             f"two seeded runs, {n_steps} and {len(second.times)} steps"))
-    size = 0
-    for start, stop in first.blocks():
-        text = trajectory_csv_text(first, start, stop)
-        if text != trajectory_csv_text(second, start, stop):
+    for (start, stop), digest, again in zip(
+            blocks, digests, _csv_block_digests(second, blocks)):
+        if again != digest:
             return CheckResult(name, False, (
                 f"two seeded runs, CSV bytes differ in steps {start}:{stop} "
                 f"of {n_steps}"))
-        size += len(text.encode())
+    size = sum(n_bytes for _, n_bytes in digests)
     return CheckResult(name, True,
                        f"two seeded runs, {size} CSV bytes identical")
 

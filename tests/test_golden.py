@@ -10,6 +10,10 @@ one-ulp change in a kernel already moves.  The digests depend on libm's
 ``exp``, so the data file records the platform they were taken on, and
 a mismatch reports it next to the running one.
 
+Those runs end at DURATION, before most of a run's events, so the
+``events.csv`` of two full-length (140 s) runs is pinned as well: an
+engine change that reorders events late in a run fails there.
+
 The data file also pins the detail line of each of the ten ``verify``
 checks for default parameters; ``test_acceptance.py`` asserts every
 check's line against it where it runs the check.
@@ -51,21 +55,43 @@ CONFIGS = {
     "no_deadlines": "control:\n  enforce_deadlines: false\n",
     "dt_0.05": "run:\n  dt: 0.05\n",
 }
+# name -> YAML config body of a full-length run whose events.csv is pinned.
+FULL_LENGTH = {
+    "seed0": CONFIGS["seed0"],
+    "gamma0_dt_0.2": CONFIGS["gamma0"] + "run:\n  dt: 0.2\n",
+}
+
+
+def run_config(body: str, out: Path, *options: str) -> Path:
+    """Write ``body`` to a config file next to ``out``, run
+    ``platoonflow run`` on it with ``options`` into ``out``, and return
+    the config's path."""
+    config = out.with_suffix(".yaml")
+    config.write_text(body)
+    with redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", str(config), "--out", str(out),
+                     *options]) == 0
+    return config
+
+
+def file_digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def artifact_digests(name: str, workdir: Path) -> dict[str, str]:
-    config = workdir / f"{name}.yaml"
-    config.write_text(CONFIGS[name])
     out = workdir / name
-    argv = ["run", "--config", str(config), "--out", str(out),
-            "--duration", str(DURATION), "--plot", f"0:{DURATION:g}"]
-    with redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
-    digests = {a: hashlib.sha256((out / a).read_bytes()).hexdigest()
-               for a in ARTIFACTS}
+    config = run_config(CONFIGS[name], out, "--duration", str(DURATION),
+                        "--plot", f"0:{DURATION:g}")
+    digests = {a: file_digest(out / a) for a in ARTIFACTS}
     params = replace(parse_config(config), duration=DURATION)
     digests["records"] = records_digest(run(params).trajectory)
     return digests
+
+
+def full_length_events_digest(name: str, workdir: Path) -> str:
+    out = workdir / f"full_{name}"
+    run_config(FULL_LENGTH[name], out)
+    return file_digest(out / "events.csv")
 
 
 def records_digest(tr) -> str:
@@ -98,6 +124,7 @@ def current_platform() -> dict[str, str]:
 def test_matrix_is_pinned():
     data = json.loads(DATA.read_text())
     assert set(data["digests"]) == set(CONFIGS)
+    assert set(data["full_length_events"]) == set(FULL_LENGTH)
     assert data["duration_s"] == DURATION
 
 
@@ -117,12 +144,39 @@ def test_artifacts_match_golden_digests(name, tmp_path):
         f"digests of {name!r} changed; {platform_note(data)}")
 
 
+@pytest.mark.parametrize("name", sorted(FULL_LENGTH))
+def test_full_length_events_match_golden_digests(name, tmp_path):
+    data = json.loads(DATA.read_text())
+    assert (full_length_events_digest(name, tmp_path)
+            == data["full_length_events"][name]), (
+        f"full-length events.csv of {name!r} changed; {platform_note(data)}")
+
+
+def golden_data(workdir: Path) -> dict:
+    """The data file for the current code, with its ``source`` note
+    carried over from the file as it stands."""
+    return {
+        "digests": {n: artifact_digests(n, workdir) for n in sorted(CONFIGS)},
+        "duration_s": DURATION,
+        "full_length_events": {n: full_length_events_digest(n, workdir)
+                               for n in sorted(FULL_LENGTH)},
+        "platform": current_platform(),
+        "source": json.loads(DATA.read_text())["source"],
+        "verify": {r.name: r.detail for r in run_all(SimParams())},
+    }
+
+
+def test_the_regenerator_writes_every_key(monkeypatch, tmp_path):
+    # Stand-ins for the runs: only the keys are compared.
+    monkeypatch.setitem(globals(), "artifact_digests", lambda n, w: {})
+    monkeypatch.setitem(globals(), "full_length_events_digest",
+                        lambda n, w: "")
+    monkeypatch.setitem(globals(), "run_all", lambda params: [])
+    assert golden_data(tmp_path).keys() == json.loads(DATA.read_text()).keys()
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {n: artifact_digests(n, Path(tmp)) for n in sorted(CONFIGS)}
-    json.dump({"digests": digests, "duration_s": DURATION,
-               "platform": current_platform(),
-               "source": json.loads(DATA.read_text())["source"],
-               "verify": {r.name: r.detail for r in run_all(SimParams())}},
-              sys.stdout, indent=1, sort_keys=True)
+        json.dump(golden_data(Path(tmp)), sys.stdout, indent=1,
+                  sort_keys=True)
     print()

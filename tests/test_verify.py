@@ -1,6 +1,8 @@
 """The verify corpus: the per-seed fold, its memory, and its error path."""
 
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -52,16 +54,20 @@ def test_fold_equals_figures_read_from_each_run(monkeypatch):
             direct_figures(SHORT, seed)
 
 
-def build_peak(monkeypatch, seeds: int) -> int:
-    """Peak traced bytes of building a corpus of 40 s runs."""
-    monkeypatch.setattr(verify, "N_CORPUS_SEEDS", seeds)
-    corpus = RunCorpus(replace(SHORT, duration=40.0))
+def traced_peak(call) -> int:
+    """Peak traced bytes of ``call()``."""
     tracemalloc.start()
     try:
-        corpus.build()
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def build_peak(monkeypatch, seeds: int) -> int:
+    """Peak traced bytes of building a corpus of 40 s runs."""
+    monkeypatch.setattr(verify, "N_CORPUS_SEEDS", seeds)
+    return traced_peak(RunCorpus(replace(SHORT, duration=40.0)).build)
 
 
 def test_build_memory_does_not_grow_with_the_seed_count(monkeypatch):
@@ -217,6 +223,42 @@ def test_determinism_fails_on_one_extra_step(monkeypatch):
     n_steps = len(runs[0].trajectory.times)
     assert (result.passed, result.detail) == (
         False, f"two seeded runs, {n_steps} and {n_steps + 1} steps")
+
+
+def test_every_check_holds_at_most_one_run(monkeypatch):
+    # A trajectory's slots leave no room for a weak reference, so each
+    # run is tracked by one to its vehicle id column.
+    alive = []
+
+    def tracked_run(params, **kwargs):
+        gc.collect()
+        earlier = sum(ref() is not None for ref in alive)
+        assert not earlier, (
+            f"run({params.seed}) started with {earlier} earlier run(s) alive")
+        result = run(params, **kwargs)
+        alive.append(weakref.ref(result.trajectory.vehicle_id))
+        return result
+
+    monkeypatch.setattr(verify, "run", tracked_run)
+    # The last three counts only shorten checks that make no run.
+    for name, count in [("N_CORPUS_SEEDS", 2), ("N_DESCENT_SEEDS", 2),
+                        ("N_FEASIBILITY_EPISODES", 10), ("N_PURSUITS", 5),
+                        ("N_ORACLE_STATES", 10)]:
+        monkeypatch.setattr(verify, name, count)
+    list(verify.run_all(SimParams()))
+    # Corpus, equilibrium, drag descent and determinism runs.
+    assert len(alive) == 2 + 1 + 2 + 2
+
+
+def test_determinism_peaks_near_one_run():
+    params = SimParams()
+    # A short check first takes the one-time allocations out of the
+    # measured ones.
+    check_determinism(replace(params, duration=1.0))
+    one_run = traced_peak(lambda: run(params).trajectory.u)
+    peak = traced_peak(lambda: check_determinism(params))
+    assert peak < 1.5 * one_run, (
+        f"peak {peak} B for the check vs {one_run} B for one derived run")
 
 
 # (time, vehicle id, p, mode) of every row of a short road: vehicle 1
