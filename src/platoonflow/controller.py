@@ -111,8 +111,8 @@ def solve_follower_control(v: float, p_hat: float, v_hat: float,
     (replaced by full braking under ``params.worst_case_pred_accel``).
     """
     return _decision(kernels.follower_decision(
-        v, p_hat, v_hat, _assumed(pred_accel, params), deadline_active,
-        params), v, deadline_active, True, params)
+        v, p_hat, v_hat, pred_accel, deadline_active, params),
+        v, deadline_active, True, params)
 
 
 def leader_control(v: float, p_hat: float, v_hat: float,

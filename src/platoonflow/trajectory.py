@@ -16,7 +16,8 @@ read of any of them derives every row appended since the last read, and
 the rows stay derived after that, so a run that nobody reads them from
 never pays for them.  The fill works on whole columns, a bounded block
 of rows at a time, so its temporaries do not grow with the trajectory.
-``from_records`` stores the values it is given instead.
+A trajectory is written only by ``register`` and ``append_step``, so
+its physics columns only ever hold what the derive computed.
 
 ``trajectory_csv_text`` formats the rows as the lines of
 ``trajectory.csv``.
@@ -38,7 +39,6 @@ from .core import SimParams
 # Labels of the ``mode`` column's codes, which are ``VehicleMode``
 # values: ``MODE_NAMES[mode]``.
 MODE_NAMES = ("follower", "leader", "follower_relaxed", "leader_recovering")
-_NAME_CODES = {name: code for code, name in enumerate(MODE_NAMES)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,38 +250,6 @@ class Trajectory:
             raise KeyError(int(vids[np.argmin(known)]))
         return (np.array(self._exit_pos)[vids],
                 np.array(self._deadline)[vids])
-
-    @classmethod
-    def from_records(cls, records: Iterable[TrajectoryRecord],
-                     params: SimParams) -> "Trajectory":
-        """Columns for hand-built records, in any order, under ``params``.
-
-        Records with equal ``time`` form one step, ordered front to back
-        (ties keep their input order), and steps run in time order.  The
-        physics columns hold the records' own values.
-        """
-        out = cls(params)
-        rows = sorted(records, key=lambda r: (r.time, -r.p))
-        start = 0
-        while start < len(rows):
-            stop = start + 1
-            while stop < len(rows) and rows[stop].time == rows[start].time:
-                stop += 1
-            step = rows[start:stop]
-            try:
-                modes = [_NAME_CODES[r.mode] for r in step]
-            except KeyError as exc:
-                raise ValueError(f"unknown vehicle mode {exc}") from None
-            out.append_step(
-                rows[start].time, *([getattr(r, name) for r in step]
-                                    for name in STORED_COLUMNS[:-1]),
-                modes)
-            for name in DERIVED_COLUMNS:
-                getattr(out, "_" + name).fromlist(
-                    [getattr(r, name) for r in step])
-            start = stop
-        out._derived_steps = len(out.times)
-        return out
 
     def __len__(self) -> int:
         return len(self.vehicle_id)

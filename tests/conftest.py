@@ -3,10 +3,18 @@ from array import array
 
 import pytest
 
-from platoonflow import SimParams, run, step
+from platoonflow import SimParams, Trajectory, run, step
 from platoonflow import deadline_margin, drag_force, stopping_margin
 from platoonflow.trajectory import COLUMNS, DERIVED_COLUMNS
 from platoonflow.verify import RunCorpus
+
+# Full-length runs that tests read whole, every row and every event.
+RUNS = {
+    "seed0": SimParams(seed=0),
+    "seed7": SimParams(seed=7),
+    "gamma0_dt0.2": SimParams(gamma=0.0, dt=0.2, seed=3),
+    "worst_case_pred_accel": SimParams(worst_case_pred_accel=True, seed=1),
+}
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +33,32 @@ def corpus():
     """The default-parameter verify corpus, built once per session by the
     first check that reads it."""
     return RunCorpus(SimParams())
+
+
+def hand_built(steps, params, registered=None):
+    """A trajectory of ``steps``, appended as the engine appends them and
+    derived under ``params``, and the targets it registered.
+
+    Each step is ``(time, rows)``, its rows front to back, each row
+    ``(vid, p, v)`` optionally followed by ``accel``, ``platoon_id`` and
+    the mode code.  These default to ``0.25 * (vid % 3) - 0.25``, 0 and
+    0 (``FOLLOWER``).  Every vehicle is registered, as ``targets[vid] =
+    (exit_pos, deadline)``, unless ``registered`` names the ids to
+    register.
+    """
+    tr = Trajectory(params)
+    targets = {}
+    vids = sorted({row[0] for _, rows in steps for row in rows})
+    for vid in vids if registered is None else registered:
+        targets[vid] = (1000.0 + 10.0 * vid, 50.0 + vid)
+        tr.register(vid, *targets[vid])
+    for time, rows in steps:
+        vid, p, v, accel, pid, mode = zip(*(
+            tuple(row) + (0.25 * (row[0] % 3) - 0.25, 0, 0)[len(row) - 3:]
+            for row in rows))
+        tr.append_step(time, list(vid), list(pid), list(p), list(v),
+                       list(accel), list(mode))
+    return tr, targets
 
 
 def derived_bytes(tr):

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from platoonflow import (FeasibilityVerdict, SimParams, SimResult,
-                         Trajectory, TrajectoryRecord, analysis, cli, run,
-                         svgplot, verify)
+                         Trajectory, analysis, cli, run, svgplot, verify)
 from platoonflow.analysis import (
     brute_force_follower,
     check_ordering,
@@ -23,31 +22,28 @@ from platoonflow.analysis import (
 from platoonflow import solve_follower_control
 from platoonflow.trajectory import pair_rows
 
+from conftest import hand_built
+
 PARAMS = SimParams()
 
 
-def rec(time=0.0, vehicle_id=1, platoon_id=1, p=0.0, v=25.0, accel=0.0,
-        u=0.0, drag=0.0, gs_margin=-10.0, deadline_margin=-10.0,
-        mode="follower"):
-    return TrajectoryRecord(time=time, vehicle_id=vehicle_id,
-                            platoon_id=platoon_id, p=p, v=v, accel=accel,
-                            u=u, drag=drag, gs_margin=gs_margin,
-                            deadline_margin=deadline_margin, mode=mode)
+def built(steps):
+    """``hand_built``'s trajectory of ``steps`` under ``PARAMS``."""
+    return hand_built(steps, PARAMS)[0]
 
 
 class TestGrouping:
     def test_snapshots_sort_front_to_back(self):
-        rows = [rec(time=0.1, vehicle_id=1, p=50.0),
-                rec(time=0.1, vehicle_id=2, p=80.0),
-                rec(time=0.2, vehicle_id=1, p=52.0)]
-        snaps = records_by_time(Trajectory.from_records(rows, PARAMS))
+        snaps = records_by_time(built([
+            (0.1, [(2, 80.0, 25.0), (1, 50.0, 25.0)]),
+            (0.2, [(1, 52.0, 25.0)])]))
         assert list(snaps) == [0.1, 0.2]
         assert [r.vehicle_id for r in snaps[0.1]] == [2, 1]
 
     def test_histories_sort_by_time(self):
-        rows = [rec(time=0.2, vehicle_id=7), rec(time=0.1, vehicle_id=7),
-                rec(time=0.1, vehicle_id=9)]
-        hist = records_by_vehicle(Trajectory.from_records(rows, PARAMS))
+        hist = records_by_vehicle(built([
+            (0.1, [(9, 80.0, 25.0), (7, 50.0, 25.0)]),
+            (0.2, [(7, 52.5, 25.0)])]))
         assert [r.time for r in hist[7]] == [0.1, 0.2]
         assert set(hist) == {7, 9}
 
@@ -58,29 +54,25 @@ class TestAudits:
         assert check_safety(short_run.trajectory) == []
 
     def test_ordering_flags_a_swap(self):
-        rows = [rec(vehicle_id=1, p=100.0), rec(vehicle_id=2, p=100.0)]
-        problems = check_ordering(Trajectory.from_records(rows, PARAMS))
+        problems = check_ordering(built([
+            (0.0, [(1, 100.0, 25.0), (2, 100.0, 25.0)])]))
         assert len(problems) == 1
         assert "not behind" in problems[0]
 
     def test_ordering_reads_the_rows_in_stored_order(self):
-        # from_records orders each step front to back, so only stored
-        # columns can hold a vehicle ahead of the one in front of it.
-        tr = Trajectory(PARAMS)
-        tr.append_step(0.5, [1, 2, 3], [1, 1, 1], [100.0, 90.0, 95.0],
-                       [25.0] * 3, [0.0] * 3, [0] * 3)
+        # The check reads each step in its stored order, the order the
+        # rows were appended in, and does not sort it front to back.
+        tr = built([(0.5, [(1, 100.0, 25.0), (2, 90.0, 25.0),
+                           (3, 95.0, 25.0)])])
         assert check_ordering(tr) == [
             "t=0.500: vehicle 3 (p=95.000000) not behind vehicle 2 "
             "(p=90.000000)"]
 
     def test_ordering_lists_every_violation_in_row_order(self):
-        tr = Trajectory(PARAMS)
-        tr.append_step(0.5, [1, 2, 3], [1, 1, 1], [100.0, 90.0, 95.0],
-                       [25.0] * 3, [0.0] * 3, [0] * 3)
-        tr.append_step(0.6, [1, 2], [1, 1], [103.0, 93.0], [25.0] * 2,
-                       [0.0] * 2, [0] * 2)
-        tr.append_step(0.7, [4, 1, 2], [4, 1, 1], [90.0, 105.5, 96.0],
-                       [25.0] * 3, [0.0] * 3, [0] * 3)
+        tr = built([
+            (0.5, [(1, 100.0, 25.0), (2, 90.0, 25.0), (3, 95.0, 25.0)]),
+            (0.6, [(1, 103.0, 25.0), (2, 93.0, 25.0)]),
+            (0.7, [(4, 90.0, 25.0), (1, 105.5, 25.0), (2, 96.0, 25.0)])])
         assert check_ordering(tr) == [
             "t=0.500: vehicle 3 (p=95.000000) not behind vehicle 2 "
             "(p=90.000000)",
@@ -89,51 +81,44 @@ class TestAudits:
         ]
 
     def test_safety_flags_a_crushed_gap(self):
-        rows = [rec(vehicle_id=1, p=100.0, v=20.0),
-                rec(vehicle_id=2, p=99.0, v=20.0)]
-        problems = check_safety(Trajectory.from_records(rows, PARAMS))
+        problems = check_safety(built([
+            (0.0, [(1, 100.0, 20.0), (2, 99.0, 20.0)])]))
         assert len(problems) == 1
         assert "margin" in problems[0]
 
     def test_safety_flags_a_closing_pair_outside_its_stopping_margin(self):
         # Both bumper gaps exceed delta; only the pair closing at 10 m/s
         # would cede more than the allowance while braking to the floor.
-        rows = [rec(time=0.2, vehicle_id=1, p=100.0, v=20.0, gs_margin=0.0),
-                rec(time=0.2, vehicle_id=2, p=90.0, v=30.0, gs_margin=0.0),
-                rec(time=0.2, vehicle_id=3, p=70.0, v=31.0, gs_margin=0.0)]
-        assert check_safety(Trajectory.from_records(rows, PARAMS)) == [
+        tr = built([(0.2, [(1, 100.0, 20.0), (2, 90.0, 30.0),
+                           (3, 70.0, 31.0)])])
+        assert check_safety(tr) == [
             "t=0.200: margin 7.500000 > 3.510000 between 1 and 2"]
 
 
 def formations(snap):
-    return detect_formations(Trajectory.from_records(snap, PARAMS), -1)
+    """The formations of one step of ``(vid, p, v)`` rows, front to
+    back."""
+    return detect_formations(built([(0.0, snap)]), -1)
 
 
 class TestFormations:
     def test_groups_tight_consecutive_pairs(self):
-        snap = [rec(vehicle_id=1, p=100.0, v=20.0),
-                rec(vehicle_id=2, p=95.0, v=20.0),
-                rec(vehicle_id=3, p=90.0, v=20.0),
-                rec(vehicle_id=4, p=60.0, v=20.0),
-                rec(vehicle_id=5, p=55.0, v=20.0)]
+        snap = [(1, 100.0, 20.0), (2, 95.0, 20.0), (3, 90.0, 20.0),
+                (4, 60.0, 20.0), (5, 55.0, 20.0)]
         assert formations(snap) == [(1, 2, 3), (4, 5)]
 
     def test_speed_mismatch_splits_the_partition(self):
-        snap = [rec(vehicle_id=1, p=100.0, v=20.0),
-                rec(vehicle_id=2, p=95.0, v=20.2)]
+        snap = [(1, 100.0, 20.0), (2, 95.0, 20.2)]
         assert formations(snap) == [(1,), (2,)]
 
     def test_gap_slack_is_tolerated_up_to_the_band(self):
-        snap = [rec(vehicle_id=1, p=100.0, v=20.0),
-                rec(vehicle_id=2, p=95.0 - 0.09, v=20.0)]
+        snap = [(1, 100.0, 20.0), (2, 95.0 - 0.09, 20.0)]
         assert formations(snap) == [(1, 2)]
 
     def test_reads_the_step_it_is_given(self):
-        tr = Trajectory.from_records([
-            rec(time=0.1, vehicle_id=1, p=100.0, v=20.0),
-            rec(time=0.1, vehicle_id=2, p=95.0, v=20.0),
-            rec(time=0.1, vehicle_id=3, p=80.0, v=20.0),
-            rec(time=0.2, vehicle_id=4, p=50.0, v=20.0)], PARAMS)
+        tr = built([
+            (0.1, [(1, 100.0, 20.0), (2, 95.0, 20.0), (3, 80.0, 20.0)]),
+            (0.2, [(4, 50.0, 20.0)])])
         assert detect_formations(tr, 0) == [(1, 2), (3,)]
         assert detect_formations(tr, -2) == [(1, 2), (3,)]
         assert detect_formations(tr, 1) == [(4,)]
@@ -150,43 +135,62 @@ class TestFormations:
         assert columns.tolist() == floats
 
 
-def summary_of(rows):
-    """``summarize`` of hand-built records and no events."""
-    return summarize(SimResult(Trajectory.from_records(rows, PARAMS), []))
+C0 = PARAMS.drag.c0
+
+
+def summary_of(steps):
+    """``summarize`` of a hand-built trajectory of ``steps`` and no
+    events."""
+    return summarize(SimResult(built(steps), []))
+
+
+def lone(vid, p0, samples):
+    """Steps of one vehicle alone on the road, ``p0`` ahead of the
+    origin, from ``(time, v, accel)`` samples."""
+    return [(t, [(vid, p0 + t, v, a)]) for t, v, a in samples]
 
 
 class TestEnergy:
+    # A vehicle alone on the road sees the solo drag ``c0 * v**2``, and
+    # its effort is ``u = accel + drag``.
+
     def test_drag_square_integral_matches_hand_value(self):
-        rows = [rec(time=0.0, drag=0.3), rec(time=0.1, drag=0.4),
-                rec(time=0.2, drag=0.5)]
-        out = summary_of(rows)
-        assert out["total_drag_sq_integral"] == pytest.approx(0.033)
+        samples = [(0.0, 20.0, 0.0), (0.1, 25.0, 0.0), (0.2, 30.0, 0.0)]
+        sq = [(C0 * v * v) ** 2 for _, v, _ in samples]
+        out = summary_of(lone(1, 50.0, samples))
+        assert out["total_drag_sq_integral"] == pytest.approx(
+            0.1 * (sq[0] + sq[1]) / 2.0 + 0.1 * (sq[1] + sq[2]) / 2.0)
 
     def test_positive_work_ignores_regeneration(self):
-        rows = [rec(time=0.0, u=1.0, v=20.0),
-                rec(time=0.1, u=-0.5, v=21.0),
-                rec(time=0.2, u=2.0, v=22.0)]
-        out = summary_of(rows)
-        assert out["total_positive_work"] == pytest.approx(3.2)
+        samples = [(0.0, 20.0, 1.0), (0.1, 21.0, -0.5), (0.2, 22.0, 2.0)]
+        u = [a + C0 * v * v for _, v, a in samples]
+        assert u[1] < 0.0
+        out = summary_of(lone(1, 50.0, samples))
+        # The regenerating middle sample adds no work to either interval.
+        assert out["total_positive_work"] == pytest.approx(
+            0.1 * u[0] * 20.0 / 2.0 + 0.1 * u[2] * 22.0 / 2.0)
 
     def test_single_sample_integrates_to_zero(self):
-        out = summary_of([rec(time=0.0, drag=0.9, u=3.0)])
+        out = summary_of(lone(1, 50.0, [(0.0, 30.0, 3.0)]))
         assert out["total_drag_sq_integral"] == 0.0
         assert out["total_positive_work"] == 0.0
 
     def test_no_link_crosses_vehicles(self):
         # Vehicle 2 drives ahead of vehicle 1 and joins a step later, so
         # the two vehicles' rows interleave in every step they share.
-        one = [rec(time=t, vehicle_id=1, p=50.0 + t, v=20.0, u=u, drag=d)
-               for t, u, d in ((0.0, 1.0, 0.3), (0.1, -0.5, 0.4),
-                               (0.2, 2.0, 0.5), (0.3, 0.5, 0.1))]
-        two = [rec(time=t, vehicle_id=2, p=90.0 + t, v=25.0, u=u, drag=d)
-               for t, u, d in ((0.1, 3.0, 0.9), (0.2, 0.2, 0.7),
-                               (0.3, -1.0, 0.8))]
-        both = summary_of(one + two)
+        # It is far enough ahead that its wake leaves vehicle 1 the solo
+        # drag.
+        one = lone(1, 50.0, [(0.0, 20.0, 1.0), (0.1, 21.0, -0.5),
+                             (0.2, 22.0, 2.0), (0.3, 21.0, 0.5)])
+        two = lone(2, 2000.0, [(0.1, 25.0, 3.0), (0.2, 26.0, 0.2),
+                               (0.3, 24.0, -1.0)])
+        both = one[:1] + [(t, ahead + behind) for (t, behind), (_, ahead)
+                          in zip(one[1:], two)]
+        together = summary_of(both)
         apart = [summary_of(one), summary_of(two)]
         for key in ("total_drag_sq_integral", "total_positive_work"):
-            assert both[key] == pytest.approx(sum(s[key] for s in apart))
+            assert together[key] == pytest.approx(
+                sum(s[key] for s in apart))
 
 
 class TestPreviousRows:

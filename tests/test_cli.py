@@ -7,8 +7,7 @@ import pytest
 import yaml
 
 import platoonflow.cli as cli
-from platoonflow import (Event, SimParams, Trajectory, TrajectoryRecord, run,
-                         trajectory)
+from platoonflow import Event, SimParams, Trajectory, run, trajectory
 from platoonflow.cli import (
     ConfigError,
     _parse_window,
@@ -19,9 +18,10 @@ from platoonflow.cli import (
     params_from_dict,
     params_to_dict,
 )
-from platoonflow.trajectory import trajectory_csv_text
+from platoonflow.trajectory import _CSV_ROW, trajectory_csv_text
 from platoonflow.verify import CheckResult
 
+from conftest import hand_built
 from test_golden import CONFIGS, DURATION
 
 CSV_HEADER = "t,id,platoon_id,p,v,a,u,drag,gs_margin,deadline_margin,mode\n"
@@ -90,41 +90,35 @@ class TestCsvWriters:
                         "gs_margin,deadline_margin,mode\n")
 
     def test_rows_sort_by_time_then_vehicle(self):
-        def row(time, vid):
-            return TrajectoryRecord(time=time, vehicle_id=vid, platoon_id=1,
-                                    p=0.0, v=20.0, accel=0.0, u=0.0,
-                                    drag=0.0, gs_margin=math.nan,
-                                    deadline_margin=-1.0, mode="leader")
-        text = trajectory_csv_text(Trajectory.from_records(
-            [row(0.2, 1), row(0.1, 2), row(0.1, 1)], SimParams()))
+        tr, _ = hand_built([(0.1, [(2, 10.0, 20.0), (1, 0.0, 20.0)]),
+                            (0.2, [(1, 2.0, 20.0)])], SimParams())
+        text = trajectory_csv_text(tr)
         ids = [line.split(",")[:2] for line in text.splitlines()[1:]]
         assert ids == [["0.1", "1"], ["0.1", "2"], ["0.2", "1"]]
 
     def test_values_use_six_significant_digits(self):
-        rec = TrajectoryRecord(time=0.30000000000000004, vehicle_id=1,
-                               platoon_id=1, p=123.456789, v=20.0,
-                               accel=0.0, u=0.0, drag=0.0,
-                               gs_margin=math.nan, deadline_margin=-1.0,
-                               mode="leader")
-        line = trajectory_csv_text(
-            Trajectory.from_records([rec], SimParams())).splitlines()[1]
+        tr, _ = hand_built([(0.30000000000000004,
+                             [(1, 123.456789, 20.0, 0.0, 1, 1)])],
+                           SimParams())
+        line = trajectory_csv_text(tr).splitlines()[1]
         assert line.startswith("0.3,1,1,123.457,20,")
         assert "nan" in line
 
     def test_extreme_values_format_like_six_digit_f_strings(self):
         values = (-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300)
-        records = [TrajectoryRecord(time=0.1 * (k + 1), vehicle_id=k,
-                                    platoon_id=-k, p=x, v=x, accel=x, u=x,
-                                    drag=x, gs_margin=x, deadline_margin=x,
-                                    mode="follower")
-                   for k, x in enumerate(values)]
-        rows = trajectory_csv_text(
-            Trajectory.from_records(records, SimParams())).splitlines()[1:]
-        assert rows == [
-            f"{r.time:.6g},{r.vehicle_id},{r.platoon_id},{r.p:.6g},"
-            f"{r.v:.6g},{r.accel:.6g},{r.u:.6g},{r.drag:.6g},"
-            f"{r.gs_margin:.6g},{r.deadline_margin:.6g},{r.mode}"
-            for r in records]
+        for k, x in enumerate(values):
+            t = 0.1 * (k + 1)
+            fields = (f"{t:.6g}", k, -k) + (x,) * 7 + ("follower",)
+            assert _CSV_ROW % fields == (
+                f"{t:.6g},{k},{-k},{x:.6g},{x:.6g},{x:.6g},{x:.6g},"
+                f"{x:.6g},{x:.6g},{x:.6g},follower\n")
+        # A trajectory's rows go through that format, its nan included.
+        tr, _ = hand_built([(0.1, [(3, 123.456789, 20.0, -0.0, -3, 0)])],
+                           SimParams())
+        assert trajectory_csv_text(tr).splitlines()[1:] == [
+            f"{0.1:.6g},3,-3,{tr.p[0]:.6g},{tr.v[0]:.6g},"
+            f"{tr.accel[0]:.6g},{tr.u[0]:.6g},{tr.drag[0]:.6g},"
+            f"{tr.gs_margin[0]:.6g},{tr.deadline_margin[0]:.6g},follower"]
 
     def test_events_header_is_stable(self):
         assert events_csv_text([]) == "t,kind,id,detail\n"
@@ -183,12 +177,8 @@ class TestCsvBlocks:
         assert list(_trajectory_csv_blocks(tr)) == [CSV_HEADER]
 
     def test_a_one_step_trajectory_is_one_block(self):
-        records = [TrajectoryRecord(time=0.1, vehicle_id=vid, platoon_id=0,
-                                    p=100.0 - 10.0 * vid, v=20.0, accel=0.0,
-                                    u=0.0, drag=0.0, gs_margin=math.nan,
-                                    deadline_margin=-1.0, mode="leader")
-                   for vid in (2, 0, 1)]
-        tr = Trajectory.from_records(records, SimParams())
+        tr, _ = hand_built([(0.1, [(vid, 100.0 - 10.0 * vid, 20.0)
+                                   for vid in (0, 1, 2)])], SimParams())
         assert list(tr.blocks()) == [(0, 1)]
         blocks = list(_trajectory_csv_blocks(tr))
         assert blocks == [trajectory_csv_text(tr)]

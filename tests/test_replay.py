@@ -11,16 +11,11 @@ first row has no step before it to replay from.
 
 import pytest
 
-from platoonflow import SimParams, run
+from platoonflow import run
 from platoonflow import _kernels_py as kernels
 from platoonflow.sim import EVENT_SPAWN
 
-RUNS = {
-    "seed0": SimParams(seed=0),
-    "seed7": SimParams(seed=7),
-    "gamma0_dt0.2": SimParams(gamma=0.0, dt=0.2, seed=3),
-    "worst_case_pred_accel": SimParams(worst_case_pred_accel=True, seed=1),
-}
+from conftest import RUNS
 
 
 def replay(tr):

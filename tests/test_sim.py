@@ -573,6 +573,32 @@ def test_the_engine_solves_what_the_public_api_reports(params):
     assert solved["follower"] > 1000 and solved["head"] > 100
 
 
+def string_gap_losses(params, v0, head_mode):
+    """Run thirty vehicles at ``v0``, each exactly ``delta`` behind the
+    one ahead and the head placed in ``head_mode`` (``insert_vehicle``'s
+    default when None), for the run's
+    duration; return the world and the worst gap loss of each link
+    (``delta`` less its least bumper gap), front to back."""
+    world = quiet_world(params)
+    place(world, 1000.0, v0, mode=head_mode)
+    for i in range(1, 30):
+        place(world, 1000.0 - i * params.delta, v0)
+    ids = [veh.vid for veh in world.vehicles]
+    loss = [0.0] * 29
+    for _ in range(round(params.duration / params.dt)):
+        step(world)
+        assert [veh.vid for veh in world.vehicles] == ids
+        p = [veh.p for veh in world.vehicles]
+        loss = [max(worst, params.delta - (p[i] - p[i + 1]))
+                for i, worst in enumerate(loss)]
+    return world, loss
+
+
+STRING_CASES = pytest.mark.parametrize("gamma,worst_case", [
+    (0.0, False), (1.0, False), (0.0, True), (1.0, True)],
+    ids=["0.0", "1.0", "0.0-worst_case", "1.0-worst_case"])
+
+
 class TestBrakingHeadString:
     """A braking head's disturbance does not grow down a platoon.
 
@@ -596,26 +622,57 @@ class TestBrakingHeadString:
     MEASURED = {(25.0, 0.1): 0.50, (35.0, 0.1): 1.50,
                 (25.0, 0.2): 1.04, (35.0, 0.2): 3.00}
 
-    @pytest.mark.parametrize("gamma,worst_case", [
-        (0.0, False), (1.0, False), (0.0, True), (1.0, True)],
-        ids=["0.0", "1.0", "0.0-worst_case", "1.0-worst_case"])
+    @STRING_CASES
     @pytest.mark.parametrize("v0,dt", list(MEASURED))
     def test_the_gap_loss_never_grows_down_the_platoon(self, v0, dt, gamma,
                                                        worst_case):
         params = SimParams(dt=dt, gamma=gamma, duration=30.0,
                            worst_case_pred_accel=worst_case)
-        world = quiet_world(params)
-        for i in range(30):
-            place(world, 1000.0 - i * params.delta, v0)
-        assert world.vehicles[0].mode is VehicleMode.LEADER
-        ids = [veh.vid for veh in world.vehicles]
-        loss = [0.0] * 29
-        for _ in range(round(params.duration / dt)):
-            step(world)
-            assert [veh.vid for veh in world.vehicles] == ids
-            p = [veh.p for veh in world.vehicles]
-            loss = [max(worst, params.delta - (p[i] - p[i + 1]))
-                    for i, worst in enumerate(loss)]
+        world, loss = string_gap_losses(params, v0, None)
+        assert world.trajectory.mode[0] == VehicleMode.LEADER
         assert world.vehicles[0].v == params.v_min
         assert all(b <= a + 1e-9 for a, b in zip(loss, loss[1:]))
         assert max(loss) <= self.MEASURED[v0, dt] + 1e-9
+
+
+class TestRecoveringHeadString:
+    """The mirrored case: the same string's head accelerates away.
+
+    The head is placed as a ``LEADER_RECOVERING`` whose deadline is far
+    off, so its margin is far below ``-eps_d``.  It takes the largest
+    admissible acceleration for one step (none at ``v0 = v_max``),
+    recovers, and as a ``LEADER`` brakes to the floor.  The followers
+    first open their gaps and then close them as in the braking case.
+
+    Each case's worst gap loss of any link may not exceed the value
+    recorded below, so a change to the sampled-data model may only
+    lower it.  The loss is not pinned to stay flat down the string: at
+    ``gamma = 0`` with ``v0 = 25`` it grows, from 0.500 m at link 2 to
+    0.504 m at link 29 at ``dt = 0.1``, and it peaks at 1.048 m at
+    ``dt = 0.2``, past the braking case's ``(v0 - v_min) * dt``.  At
+    ``gamma = 1`` the worst losses are the braking case's, but they
+    rise and fall along the string.
+    """
+
+    # (v0, dt, gamma, worst_case) -> worst gap loss of any link (m),
+    # where it is not the braking case's.
+    GROWING = {(25.0, 0.1, 0.0, False): 0.503658,
+               (25.0, 0.2, 0.0, False): 1.048319}
+
+    @STRING_CASES
+    @pytest.mark.parametrize("v0,dt", list(TestBrakingHeadString.MEASURED))
+    def test_the_gap_loss_stays_at_its_recorded_worst(self, v0, dt, gamma,
+                                                      worst_case):
+        params = SimParams(dt=dt, gamma=gamma, duration=30.0,
+                           worst_case_pred_accel=worst_case)
+        world, loss = string_gap_losses(params, v0,
+                                        VehicleMode.LEADER_RECOVERING)
+        tr = world.trajectory
+        # The head's rows in the first two steps.
+        assert tr.mode[0] == VehicleMode.LEADER_RECOVERING
+        assert tr.accel[0] == (params.a_max if v0 < params.v_max else 0.0)
+        assert tr.mode[tr.offsets[1]] == VehicleMode.LEADER
+        assert world.vehicles[0].v == params.v_min
+        worst = self.GROWING.get((v0, dt, gamma, worst_case),
+                                 TestBrakingHeadString.MEASURED[v0, dt])
+        assert max(loss) <= worst + 1e-9

@@ -3,8 +3,10 @@
 import pytest
 
 import platoonflow.svgplot as svgplot
-from platoonflow import SimParams, Trajectory, TrajectoryRecord
+from platoonflow import SimParams
 from platoonflow.svgplot import PALETTE, _fmt, render_timespace
+
+from conftest import hand_built
 
 SHORT = SimParams(duration=40.0, seed=1)
 
@@ -87,20 +89,12 @@ def test_a_window_with_no_steps(monkeypatch, short_run, where):
     assert "<polyline" not in svg
 
 
-def hand_records(params):
-    """Vehicles 4 and 1 in two steps; 7 and 12 in one step each, as
-    columns built from hand-made records under ``params``."""
-    def rec(time, vid, p):
-        return TrajectoryRecord(time, vid, 0, p, 25.0, 0.0, 0.0, 0.0,
-                                0.0, -1.0, "follower")
-    return Trajectory.from_records([
-        rec(0.1, 4, 300.0), rec(0.1, 1, 250.0),
-        rec(0.2, 7, 400.0), rec(0.2, 4, 302.5), rec(0.2, 1, 252.5),
-        rec(0.3, 12, 120.0)], params)
-
-
 def test_record_lists_and_one_step_vehicles(monkeypatch):
-    tr = hand_records(SimParams(duration=0.3))
+    # Vehicles 4 and 1 in two steps; 7 and 12 in one step each.
+    tr, _ = hand_built([
+        (0.1, [(4, 300.0, 25.0), (1, 250.0, 25.0)]),
+        (0.2, [(7, 400.0, 25.0), (4, 302.5, 25.0), (1, 252.5, 25.0)]),
+        (0.3, [(12, 120.0, 25.0)])], SimParams(duration=0.3))
     svg = assert_matches_reference(monkeypatch, tr)
     assert svg.count("<polyline") == 4
     assert_matches_reference(monkeypatch, tr, 0.15, 0.3)

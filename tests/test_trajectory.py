@@ -10,7 +10,6 @@ from platoonflow import (
     DragCoefficients,
     SimParams,
     Trajectory,
-    TrajectoryRecord,
     VehicleMode,
     VehicleState,
     WorldState,
@@ -23,12 +22,8 @@ from platoonflow import deadline_margin, drag_force, stopping_margin
 from platoonflow import trajectory
 from platoonflow.trajectory import COLUMNS, DERIVED_COLUMNS, MODE_NAMES
 
-from conftest import derived_bytes, recompute_derived, step_world
-
-
-def columns(tr):
-    return {name: getattr(tr, name).tobytes()
-            for name in ("times", "offsets") + COLUMNS}
+from conftest import (derived_bytes, hand_built, recompute_derived,
+                      step_world)
 
 
 def records(tr):
@@ -37,39 +32,21 @@ def records(tr):
 
 
 def test_mode_codes_carry_the_head_and_relaxed_bits():
-    # A record's mode label is read back into the VehicleMode code, whose
-    # bit 0 marks a platoon head and bit 1 a relaxed deadline.
+    # A row's VehicleMode code reads back as its label; bit 0 of the code
+    # marks a platoon head and bit 1 a relaxed deadline.
     assert len(MODE_NAMES) == len(VehicleMode)
     for mode in VehicleMode:
-        rec = TrajectoryRecord(0.1, 1, 1, 0.0, 20.0, 0.0, 0.0, 0.0,
-                               math.nan, -1.0, MODE_NAMES[mode])
-        code = Trajectory.from_records([rec], SimParams()).mode[0]
-        assert code == mode
-        assert bool(code & 1) == MODE_NAMES[mode].startswith("leader")
-        assert bool(code & 2) == (mode in (
+        tr, _ = hand_built([(0.1, [(1, 0.0, 20.0, 0.0, 1, mode)])],
+                           SimParams())
+        assert tr.mode[0] == mode
+        assert tr.record(0, 0.1).mode == MODE_NAMES[mode]
+        assert bool(mode & 1) == MODE_NAMES[mode].startswith("leader")
+        assert bool(mode & 2) == (mode in (
             VehicleMode.FOLLOWER_DEADLINE_RELAXED,
             VehicleMode.LEADER_RECOVERING))
 
 
 class TestColumns:
-    def test_from_records_reproduces_the_columns(self, short_run):
-        tr = short_run.trajectory
-        rebuilt = Trajectory.from_records(records(tr), tr.params)
-        assert columns(rebuilt) == columns(tr)
-        assert rebuilt == tr
-
-    def test_from_records_orders_shuffled_records(self, short_run):
-        shuffled = records(short_run.trajectory)
-        random.Random(5).shuffle(shuffled)
-        assert Trajectory.from_records(
-            shuffled, short_run.trajectory.params) == short_run.trajectory
-
-    def test_from_records_rejects_an_unknown_mode(self):
-        rec = TrajectoryRecord(0.1, 1, 1, 0.0, 20.0, 0.0, 0.0, 0.0,
-                               math.nan, -1.0, "cruising")
-        with pytest.raises(ValueError, match="cruising"):
-            Trajectory.from_records([rec], SimParams())
-
     def test_rows_are_read_by_column_not_as_a_sequence(self, short_run):
         tr = short_run.trajectory
         time, start, stop = list(tr.steps())[-1]
@@ -125,10 +102,7 @@ class TestRecordViews:
 
     def test_snapshots_match_those_of_the_record_list(self, short_run):
         tr = short_run.trajectory
-        rebuilt = Trajectory.from_records(records(tr), tr.params)
-        assert records_by_time(tr) == records_by_time(rebuilt)
         by_vehicle = records_by_vehicle(tr)
-        assert by_vehicle == records_by_vehicle(rebuilt)
         # Each vehicle's history is its rows of the steps, in time order.
         expected = {}
         for rec in records(tr):
@@ -185,27 +159,9 @@ class TestDerivedColumns:
         with pytest.raises(AttributeError):
             tr.params = replace(params, v_min=25.0)
         assert tr.params is world.params is params
-        assert Trajectory.from_records(records(tr), params).params is params
+        assert Trajectory(params).params is params
         with pytest.raises(TypeError):
             Trajectory()
-
-
-def hand_built(steps, params, registered=None):
-    """A trajectory of ``steps``, each ``(time, [(vid, p, v), ...])``
-    front to back, derived under ``params``; every vehicle is registered
-    unless ``registered`` names the ids to register."""
-    tr = Trajectory(params)
-    targets = {}
-    vids = sorted({vid for _, rows in steps for vid, _, _ in rows})
-    for vid in vids if registered is None else registered:
-        targets[vid] = (1000.0 + 10.0 * vid, 50.0 + vid)
-        tr.register(vid, *targets[vid])
-    for time, rows in steps:
-        tr.append_step(time, [r[0] for r in rows], [0] * len(rows),
-                       [r[1] for r in rows], [r[2] for r in rows],
-                       [0.25 * (r[0] % 3) - 0.25 for r in rows],
-                       [0] * len(rows))
-    return tr, targets
 
 
 class TestDeriveEdges:

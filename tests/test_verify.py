@@ -4,14 +4,15 @@ import gc
 import tracemalloc
 import weakref
 from dataclasses import replace
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
 
 import platoonflow.sim as sim
 import platoonflow.verify as verify
-from platoonflow import (DragCoefficients, RoadNetwork, SimParams, Trajectory,
-                         TrajectoryRecord, run)
+from platoonflow import (DragCoefficients, RoadNetwork, SimParams,
+                         VehicleMode, run)
 from platoonflow.analysis import records_by_time
 from platoonflow.core import SafetyAuditError
 from platoonflow.trajectory import STORED_COLUMNS
@@ -261,23 +262,21 @@ def test_determinism_peaks_near_one_run():
         f"peak {peak} B for the check vs {one_run} B for one derived run")
 
 
-# (time, vehicle id, p, mode) of every row of a short road: vehicle 1
-# leaves after 0.2 s, so vehicle 2 then follows vehicle 0, and vehicle 3
-# joins at 0.2 s and relaxes its deadline at 0.4 s.  Only four rows are
-# follower rows behind the same vehicle as one step before: vehicles 1
-# and 2 at 0.2 s, 3 at 0.3 s and 2 at 0.4 s.  The rises of every other
-# row are far past the allowance.
-DESCENT_ROWS = [
-    (0.1, 0, 300.0, "leader"), (0.1, 1, 290.0, "follower"),
-    (0.1, 2, 280.0, "follower"),
-    (0.2, 0, 302.0, "leader"), (0.2, 1, 292.0, "follower"),
-    (0.2, 2, 282.0, "follower"), (0.2, 3, 270.0, "follower"),
-    (0.3, 0, 304.0, "leader"), (0.3, 2, 284.0, "follower"),
-    (0.3, 3, 272.0, "follower"),
-    (0.4, 0, 306.0, "leader"), (0.4, 2, 286.0, "follower"),
-    (0.4, 3, 274.0, "follower_relaxed"),
+# Each step of a short road, with the (vehicle id, mode) of its rows
+# front to back: vehicle 1 leaves after 0.2 s, so vehicle 2 then follows
+# vehicle 0, and vehicle 3 joins at 0.2 s and relaxes its deadline at
+# 0.4 s.  Only four rows are follower rows behind the same vehicle as
+# one step before: vehicles 1 and 2 at 0.2 s, 3 at 0.3 s and 2 at
+# 0.4 s.  The rises of every other row are far past the allowance.
+LEADER, FOLLOWER = VehicleMode.LEADER, VehicleMode.FOLLOWER
+DESCENT_STEPS = [
+    (0.1, [(0, LEADER), (1, FOLLOWER), (2, FOLLOWER)]),
+    (0.2, [(0, LEADER), (1, FOLLOWER), (2, FOLLOWER), (3, FOLLOWER)]),
+    (0.3, [(0, LEADER), (2, FOLLOWER), (3, FOLLOWER)]),
+    (0.4, [(0, LEADER), (2, FOLLOWER),
+           (3, VehicleMode.FOLLOWER_DEADLINE_RELAXED)]),
 ]
-# The drag of each row of DESCENT_ROWS, with small rises on the four
+# The drag of each row of DESCENT_STEPS, with small rises on the four
 # pairs, and the same with two rises past the allowance planted: on
 # vehicle 3 at 0.3 s, the first in row order, and on vehicle 2 at 0.4 s.
 DESCENT_DRAG = [0.3, 0.2, 0.2, 0.6, 0.2005, 0.201, 0.2, 0.9, 0.9, 0.2003,
@@ -286,11 +285,16 @@ PLANTED_DRAG = [0.3, 0.2, 0.2, 0.6, 0.2005, 0.201, 0.2, 0.9, 0.9, 0.21,
                 1.2, 0.91, 1.5]
 
 
-def descent_trajectory(drag: list[float]) -> Trajectory:
-    return Trajectory.from_records(
-        [TrajectoryRecord(time, vid, 0, p, 25.0, 0.0, 0.0, d, 0.0, 0.0, mode)
-         for (time, vid, p, mode), d in zip(DESCENT_ROWS, drag)],
-        SimParams())
+def descent_columns(drag: list[float]) -> SimpleNamespace:
+    """The columns the drag-descent check reads from a run's trajectory,
+    for the rows of DESCENT_STEPS with ``drag``."""
+    rows = [row for _, step in DESCENT_STEPS for row in step]
+    return SimpleNamespace(
+        times=[time for time, _ in DESCENT_STEPS],
+        offsets=list(accumulate((len(step) for _, step in DESCENT_STEPS),
+                                initial=0)),
+        vehicle_id=[vid for vid, _ in rows],
+        mode=[mode for _, mode in rows], drag=drag)
 
 
 @pytest.mark.parametrize("drag,expected", [
@@ -303,8 +307,8 @@ def descent_trajectory(drag: list[float]) -> Trajectory:
 ], ids=["small_rises", "two_planted_rises"])
 def test_drag_descent_pairs_each_follower_with_its_previous_step(
         monkeypatch, drag, expected):
-    runs = {7000: descent_trajectory(DESCENT_DRAG),
-            7001: descent_trajectory(drag)}
+    runs = {7000: descent_columns(DESCENT_DRAG),
+            7001: descent_columns(drag)}
     monkeypatch.setattr(verify, "N_DESCENT_SEEDS", 2)
     monkeypatch.setattr(verify, "run", lambda params: SimpleNamespace(
         trajectory=runs[params.seed]))
