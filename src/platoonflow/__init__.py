@@ -12,13 +12,13 @@ from ._kernels_py import (
     drag_force,
     drag_partials,
     flow_bound,
+    safe_interval,
     stopping_margin,
 )
 from .controller import (
     ControlDecision,
     FeasibilityVerdict,
     leader_control,
-    safe_accel_interval,
     solve_follower_control,
 )
 from .core import (
@@ -74,7 +74,7 @@ __all__ = [
     "insert_vehicle",
     "leader_control",
     "run",
-    "safe_accel_interval",
+    "safe_interval",
     "solve_follower_control",
     "step",
     "stopping_margin",

@@ -28,8 +28,7 @@ from .controller import FeasibilityVerdict, gap_allowance
 from .core import SimParams
 from .sim import (EVENT_DISCARD, EVENT_EXIT, EVENT_MERGE, EVENT_RECOVER,
                   EVENT_RELAX, EVENT_SPAWN, EVENT_SPLIT, SimResult)
-from .trajectory import (Trajectory, TrajectoryRecord, _stopping_margins,
-                         pair_rows)
+from .trajectory import Trajectory, TrajectoryRecord, pair_rows
 
 _INEQ_TOL = 1e-9  # slack applied to every brute-force inequality
 _GRID_POINTS = 10001  # evenly spaced candidates from a_min to a_max
@@ -97,12 +96,12 @@ def check_ordering(tr: Trajectory) -> list[str]:
 
 def check_safety(tr: Trajectory) -> list[str]:
     """Stopping-envelope audit over all consecutive pairs at all times,
-    allowing ``gap_allowance(tr.params)``."""
+    allowing ``gap_allowance(tr.params)``.  It reads the derived
+    ``gs_margin`` column, so like every physics read it raises
+    ``KeyError`` on a vehicle that was never registered."""
     allowed = gap_allowance(tr.params)
-    p, v = np.array(tr.p), np.array(tr.v)
     back = pair_rows(tr.offsets)
-    g = _stopping_margins(v[back], p[back] - p[back - 1],
-                          v[back] - v[back - 1], tr.params)
+    g = np.array(tr.gs_margin)[back]
     bad = g > allowed
     t, vid = row_times(tr), tr.vehicle_id
     return [f"t={t[b]:.3f}: margin {gb:.6f} > {allowed:.6f} between "

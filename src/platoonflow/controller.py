@@ -7,51 +7,22 @@ magnitude.  Platoon heads instead brake to the speed floor and cruise,
 or accelerate to recover a relaxed deadline.
 
 The kernels in ``_kernels_py`` decide every solve, its verdict
-included; this module passes them a solve's state and its ``params``,
-which they read every constant from.  ``solve_follower_control`` and
-``leader_control`` report the result as a ``ControlDecision`` of plain
-numbers, whose verdict the engine's resequencing acts on.  To solve
-under another drag law, pass ``replace(params, drag=law)``.
+included, and own the rule for a predecessor's command; this module
+passes them a solve's state and its ``params``, which they read every
+constant from.  ``solve_follower_control`` and ``leader_control`` report
+the result as a ``ControlDecision`` of plain numbers and the kernels'
+own ``FeasibilityVerdict``, re-exported here, whose verdict the engine's
+resequencing acts on.  To solve under another drag law, pass
+``replace(params, drag=law)``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from . import _kernels_py as kernels
+from ._kernels_py import FeasibilityVerdict
 from .core import SimParams
-
-
-class FeasibilityVerdict(enum.Enum):
-    """Outcome of the follower feasibility test, in precedence order.
-
-    The three split verdicts mean the follower must give up drafting and
-    head its own platoon; the deadline-safety conflict instead drops the
-    deadline and keeps following.
-    """
-
-    FEASIBLE = 0
-    #: Parked at the speed floor while drag descent demands deceleration.
-    FLOOR_CONFLICT = 1
-    #: Drag descent demands more braking than the actuator has.
-    BRAKE_CONFLICT = 2
-    #: Holding the deadline needs a >= 0, drag descent needs a < 0.
-    DEADLINE_DRAG_CONFLICT = 3
-    #: Holding the deadline needs a >= 0, the stopping envelope forbids it.
-    DEADLINE_SAFETY_CONFLICT = 4
-
-    @property
-    def splits(self) -> bool:
-        """Whether this verdict makes the follower head a new platoon."""
-        return self in (
-            FeasibilityVerdict.FLOOR_CONFLICT,
-            FeasibilityVerdict.BRAKE_CONFLICT,
-            FeasibilityVerdict.DEADLINE_DRAG_CONFLICT,
-        )
-
-
-SPLIT_CODES = frozenset(v.value for v in FeasibilityVerdict if v.splits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,18 +44,12 @@ class ControlDecision:
     flow_bound: float
 
 
-def _assumed(pred_accel: float | None, params: SimParams) -> float:
-    """Full braking where no predecessor command is known (``None``); the
-    kernels apply ``params.worst_case_pred_accel`` themselves."""
-    return params.a_min if pred_accel is None else pred_accel
-
-
 def _decision(solve: kernels.Decision, v: float, deadline_active: bool,
               follower: bool, params: SimParams) -> ControlDecision:
     """Report a kernel's ``(accel, verdict, lo, hi, g, cap, bound)``,
     naming in ``active`` what binds the command, by one rule for both
     solves; the descent bound and the deadline bind followers only."""
-    accel, code, lo, hi, g, cap, bound = solve
+    accel, verdict, lo, hi, g, cap, bound = solve
     active = []
     if accel == 0.0 and lo == 0.0 \
             and v <= params.v_min + kernels.SPEED_EDGE_TOL:
@@ -96,10 +61,10 @@ def _decision(solve: kernels.Decision, v: float, deadline_active: bool,
     if follower and accel == bound:
         active.append("drag_flow")
     if follower and deadline_active and accel == 0.0 \
-            and code != kernels.VERDICT_DEADLINE_SAFETY_CONFLICT:
+            and verdict != kernels.VERDICT_DEADLINE_SAFETY_CONFLICT:
         active.append("deadline")
-    return ControlDecision(accel, FeasibilityVerdict(code), frozenset(active),
-                           lo, hi, g, bound)
+    return ControlDecision(accel, verdict, frozenset(active), lo, hi, g,
+                           bound)
 
 
 def solve_follower_control(v: float, p_hat: float, v_hat: float,
@@ -107,8 +72,8 @@ def solve_follower_control(v: float, p_hat: float, v_hat: float,
                            params: SimParams) -> ControlDecision:
     """Minimum-magnitude feasible acceleration for a follower.
 
-    ``pred_accel`` is the predecessor's previous commanded acceleration
-    (replaced by full braking under ``params.worst_case_pred_accel``).
+    ``pred_accel`` is the predecessor's previous commanded acceleration,
+    as ``kernels.envelope_cap`` reads it.
     """
     return _decision(kernels.follower_decision(
         v, p_hat, v_hat, pred_accel, deadline_active, params),
@@ -132,8 +97,8 @@ def leader_control(v: float, p_hat: float, v_hat: float,
     resequencing merges platoons whose head comes back FEASIBLE.
     """
     return _decision(kernels.leader_decision(
-        v, p_hat, v_hat, _assumed(pred_accel, params), pred_accel is not None,
-        recovering, deadline_active, params),
+        v, p_hat, v_hat, 0.0 if pred_accel is None else pred_accel,
+        pred_accel is not None, recovering, deadline_active, params),
         v, deadline_active, False, params)
 
 
@@ -142,17 +107,3 @@ def gap_allowance(params: SimParams) -> float:
     accept: the band tolerance plus one step of drift at top speed, the
     tightest bound a sampled-data controller can hold."""
     return params.eps_g + params.v_max * params.dt
-
-
-def safe_accel_interval(v: float, p_hat: float, v_hat: float,
-                        pred_accel: float | None, has_pred: bool,
-                        params: SimParams) -> tuple[float, float]:
-    """Admissible ``(lo, hi)`` from the speed box and stopping envelope.
-
-    ``pred_accel`` is the predecessor's communicated command; pass None
-    (or set ``params.worst_case_pred_accel``) to assume full braking.
-    Never empty (``lo > hi``) for engine-reachable states.
-    """
-    return kernels.safe_interval(v, p_hat, v_hat, _assumed(pred_accel, params),
-                                 has_pred, params)[:2]
-

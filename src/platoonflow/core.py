@@ -132,10 +132,11 @@ class VehicleState:
     The last four fields are the engine's own and take no part in
     comparison or ``repr``.  ``command``, ``verdict`` and
     ``control_mode`` are this step's decision (see ``sim._decide``):
-    the command, the kernel's verdict code and the mode that produced
-    them, which the trajectory records.  ``last_solve`` holds the inputs
-    and ``(accel, verdict)`` of the latest follower solve, reused while
-    the inputs stand still; ``None`` means there is nothing to reuse.
+    the command, the kernel's ``FeasibilityVerdict`` and the mode that
+    produced them, which the trajectory records.  ``last_solve`` holds
+    the inputs and ``(accel, verdict)`` of the latest follower solve,
+    reused while the inputs stand still; ``None`` means there is nothing
+    to reuse.
     """
 
     vid: int

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import _kernels_py as kernels
 from ._kernels_py import deadline_margin, stopping_margin
-from .controller import SPLIT_CODES, gap_allowance
+from .controller import gap_allowance
 from .core import (
     OrderingError,
     SafetyAuditError,
@@ -89,7 +89,8 @@ class WorldState:
 
     ``vehicles`` is ordered front to back: positions strictly decrease
     with list index, and platoons are contiguous runs of ``platoon_id``.
-    ``next_spawn`` is the due time of the single arrival process.
+    ``next_spawn`` is the due time of the single arrival process, inf
+    in a world that spawns nothing.
     ``trajectory`` holds the run's ``params``, derives its physics under
     them, and knows the exit and deadline of every vehicle placed by
     ``insert_vehicle`` or the spawn path.
@@ -101,7 +102,6 @@ class WorldState:
     next_spawn: float
     next_vehicle_id: int
     next_platoon_id: int
-    spawning: bool
     trajectory: Trajectory
     events: list[Event] = field(default_factory=list)
 
@@ -113,8 +113,9 @@ class WorldState:
     @classmethod
     def initial(cls, params: SimParams, *, spawning: bool = True
                 ) -> "WorldState":
-        """An empty world at t=0; ``ValueError`` lists what
-        ``validate_params`` finds wrong with ``params``."""
+        """An empty world at t=0, with no arrival ever due unless
+        ``spawning``; ``ValueError`` lists what ``validate_params`` finds
+        wrong with ``params``."""
         problems = validate_params(params)
         if problems:
             raise ValueError("; ".join(problems))
@@ -122,10 +123,9 @@ class WorldState:
             t=0.0,
             vehicles=[],
             rng=np.random.default_rng(params.seed),
-            next_spawn=0.0,
+            next_spawn=0.0 if spawning else math.inf,
             next_vehicle_id=0,
             next_platoon_id=0,
-            spawning=spawning,
             trajectory=Trajectory(params),
         )
 
@@ -202,6 +202,7 @@ def _place(world: WorldState, idx: int, p: float, v: float,
     veh = VehicleState(
         vid=world.next_vehicle_id, p=p, v=v, accel=0.0, deadline=deadline,
         exit_pos=exit_pos, mode=mode, control_mode=mode,
+        verdict=kernels.VERDICT_FEASIBLE,
         platoon_id=(world.next_platoon_id if ahead is None
                     else ahead.platoon_id),
     )
@@ -386,11 +387,12 @@ def resequence(world: WorldState, stamp: float) -> None:
     """
     vehicles = world.vehicles
     neg_eps_d = -world.params.eps_d
+    splits = kernels.SPLITS
     conflict = kernels.VERDICT_DEADLINE_SAFETY_CONFLICT
     flips = []
     ahead_pid = None
     for i, veh in enumerate(vehicles):
-        if veh.verdict in SPLIT_CODES and not veh.control_mode & 1:
+        if veh.verdict in splits and not veh.control_mode & 1:
             new = world.next_platoon_id
             world.next_platoon_id += 1
             old = _relabel(vehicles, i, new)
@@ -443,7 +445,7 @@ def try_spawn(world: WorldState, stamp: float) -> None:
     params = world.params
     road = params.road
     entries = road.entry_points()
-    while world.spawning and world.next_spawn <= world.t + 1e-9:
+    while world.next_spawn <= world.t + 1e-9:
         rng = world.rng
         delay = float(rng.uniform(0.5, 1.5))
         world.next_spawn = world.next_spawn + delay

@@ -91,17 +91,6 @@ def pair_rows(offsets: Iterable[int]) -> np.ndarray:
     return np.flatnonzero(behind)
 
 
-def _stopping_margins(v: np.ndarray, p_hat: np.ndarray, v_hat: np.ndarray,
-                      params: SimParams) -> np.ndarray:
-    """Column form of ``kernels.stopping_margin``, in the kernel's own
-    operation order, so every element has the kernel's bits.  The derive
-    and ``analysis.check_safety`` both call it."""
-    v_min, a_min, delta = params.v_min, params.a_min, params.delta
-    return np.where(v_hat <= 0.0, p_hat + delta,
-                    p_hat + delta + v_hat * (v_min - v) / a_min
-                    + v_hat * v_hat / (2.0 * a_min))
-
-
 def _derived(name: str) -> property:
     slot = "_" + name
 
@@ -219,20 +208,24 @@ class Trajectory:
         back = pair_rows(bounds)
         p_hat = p[back] - p[back - 1]
 
-        # Column forms of kernels.drag_force and (in _stopping_margins)
-        # kernels.stopping_margin, in the kernels' own operation order;
-        # tests/conftest.py recompute_derived, which calls the kernels row
-        # by row, is their reference.  The wake takes libm's exp, not
-        # np.exp, which differs from it in the last bit on some
-        # wake-range inputs.
-        law = self.params.drag
+        # Column forms of kernels.drag_force and kernels.stopping_margin,
+        # in the kernels' own operation order, so every element has the
+        # kernels' bits; tests/conftest.py recompute_derived, which calls
+        # the kernels row by row, is their reference.  The wake takes
+        # libm's exp, not np.exp, which differs from it in the last bit
+        # on some wake-range inputs.
+        params = self.params
+        law = params.drag
         w = np.fromiter(map(math.exp, (law.c2 * p_hat).tolist()), np.float64,
                         len(p_hat))
         drag = law.c0 * v * v
         drag[back] *= 1.0 - law.c1 * w
+        v_min, a_min, delta = params.v_min, params.a_min, params.delta
+        ego, v_hat = v[back], v[back] - v[back - 1]
         gs = np.full(len(p), math.nan)
-        gs[back] = _stopping_margins(v[back], p_hat, v[back] - v[back - 1],
-                                     self.params)
+        gs[back] = np.where(v_hat <= 0.0, p_hat + delta,
+                            p_hat + delta + v_hat * (v_min - ego) / a_min
+                            + v_hat * v_hat / (2.0 * a_min))
 
         self._drag.frombytes(drag.tobytes())
         self._u.frombytes((np.frombuffer(self.accel[lo:hi]) + drag).tobytes())

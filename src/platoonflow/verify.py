@@ -18,11 +18,10 @@ from typing import Iterator
 import numpy as np
 
 from ._kernels_py import (advance, drag_force, drag_partials,
-                          stopping_margin)
+                          safe_interval, stopping_margin)
 from .analysis import (brute_force_follower, consecutive_gap_excess,
                        in_formation, previous_rows)
-from .controller import (gap_allowance, safe_accel_interval,
-                         solve_follower_control)
+from .controller import gap_allowance, solve_follower_control
 from .core import SimParams, SimulationError, VehicleMode
 from .sim import (EVENT_SPAWN, SimResult, WorldState, insert_vehicle, run,
                   step)
@@ -185,7 +184,7 @@ def check_recursive_feasibility(params: SimParams) -> CheckResult:
         g = stopping_margin(v, p_hat, v_hat, params)
         for _ in range(80):
             pred_cmd = params.a_min if v_pred > params.v_min else 0.0
-            lo, hi = safe_accel_interval(v, p_hat, v_hat, pred_cmd, True,
+            lo, hi, _, _ = safe_interval(v, p_hat, v_hat, pred_cmd, True,
                                          params)
             if lo > hi:
                 return CheckResult(name, False, (

@@ -9,7 +9,7 @@ from platoonflow import (
     FeasibilityVerdict,
     SimParams,
     deadline_margin,
-    safe_accel_interval,
+    safe_interval,
     stopping_margin,
 )
 from platoonflow import _kernels_py as kernels
@@ -134,37 +134,37 @@ class TestClampToZero:
 
 class TestSafeAccelInterval:
     def test_far_apart_leaves_full_box(self):
-        assert safe_accel_interval(30.0, -150.0, 1.0, 0.0, True, PARAMS) \
-            == (PARAMS.a_min, PARAMS.a_max)
+        lo, hi, _, _ = safe_interval(30.0, -150.0, 1.0, 0.0, True, PARAMS)
+        assert (lo, hi) == (PARAMS.a_min, PARAMS.a_max)
 
     def test_speed_floor_lifts_lower_bound(self):
-        lo, _ = safe_accel_interval(20.0, -50.0, -2.0, 0.0, True, PARAMS)
+        lo, _, _, _ = safe_interval(20.0, -50.0, -2.0, 0.0, True, PARAMS)
         assert lo == 0.0
 
     def test_speed_ceiling_drops_upper_bound(self):
-        _, hi = safe_accel_interval(35.0, -50.0, 5.0, -4.0, False, PARAMS)
+        _, hi, _, _ = safe_interval(35.0, -50.0, 5.0, -4.0, False, PARAMS)
         assert hi == 0.0
 
     def test_closing_near_boundary_forces_braking(self):
         # The closing speed at which this state meets the envelope (see
         # TestStoppingMargin.test_zero_at_the_critical_state).
         v_hat = 10.0
-        lo, hi = safe_accel_interval(30.0, -17.5, v_hat, -4.0, True, PARAMS)
+        lo, hi, _, _ = safe_interval(30.0, -17.5, v_hat, -4.0, True, PARAMS)
         assert hi == -4.0
         assert lo <= hi
 
     def test_worst_case_switch_overrides_communication(self):
         import dataclasses
         worst = dataclasses.replace(PARAMS, worst_case_pred_accel=True)
-        _, optimistic = safe_accel_interval(30.0, -18.0, 9.0, 3.0, True,
+        _, optimistic, _, _ = safe_interval(30.0, -18.0, 9.0, 3.0, True,
                                             PARAMS)
-        _, forced = safe_accel_interval(30.0, -18.0, 9.0, 3.0, True, worst)
+        _, forced, _, _ = safe_interval(30.0, -18.0, 9.0, 3.0, True, worst)
         assert forced <= optimistic
 
     @given(v=speeds, p_hat=gaps, v_hat=rel_speeds,
            pred=st.floats(min_value=-4.0, max_value=3.0))
     def test_interval_stays_inside_the_box(self, v, p_hat, v_hat, pred):
-        lo, hi = safe_accel_interval(v, p_hat, v_hat, pred, True, PARAMS)
+        lo, hi, _, _ = safe_interval(v, p_hat, v_hat, pred, True, PARAMS)
         if lo <= hi:
             assert lo >= PARAMS.a_min - 1e-12
             assert hi <= PARAMS.a_max + 1e-12

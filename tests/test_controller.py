@@ -12,12 +12,15 @@ from platoonflow import (
     VehicleMode,
     VehicleState,
     flow_bound,
+    insert_vehicle,
     leader_control,
     WorldState,
+    run,
     solve_follower_control,
     stopping_margin,
 )
 from platoonflow import _kernels_py as kernels
+from platoonflow import controller
 from platoonflow.sim import resequence
 from platoonflow.trajectory import MODE_NAMES
 
@@ -164,7 +167,7 @@ def decided(vid, mode, platoon_id, verdict=FeasibilityVerdict.FEASIBLE,
     veh = VehicleState(vid=vid, p=p, v=25.0, accel=0.0, deadline=STAMP + 40.0,
                        exit_pos=p + 1000.0 + margin, mode=mode,
                        platoon_id=platoon_id)
-    veh.verdict, veh.control_mode = verdict.value, mode
+    veh.verdict, veh.control_mode = verdict, mode
     return veh
 
 
@@ -304,5 +307,43 @@ class TestHeadsUseTheWorldsDragLaw:
         bound, g = d.flow_bound, d.gs_margin
         assert bound == flow_bound(v, p_hat, v_hat, law)
         assert g == stopping_margin(v, p_hat, v_hat, PARAMS)
-        assert d.verdict is FeasibilityVerdict(kernels.classify(
-            v, v_hat, bound, deadline, g, d.hi, PARAMS))
+        assert d.verdict is kernels.classify(v, v_hat, bound, deadline, g,
+                                             d.hi, PARAMS)
+
+
+class TestOneVerdictVocabulary:
+    """The kernels' ``FeasibilityVerdict`` is the one verdict type: the
+    controller re-exports it, the kernels' ``VERDICT_*`` names are its
+    members, and the engine leaves members on its vehicles.  The type is
+    an ``IntEnum``, which equals its int, so membership is checked with
+    ``type(...) is``."""
+
+    def test_the_controller_reexports_the_kernels_type(self):
+        assert controller.FeasibilityVerdict is kernels.FeasibilityVerdict
+        assert FeasibilityVerdict is kernels.FeasibilityVerdict
+
+    def test_every_verdict_name_is_a_member(self):
+        names = [name for name in vars(kernels) if name.startswith("VERDICT_")]
+        assert len(names) == len(FeasibilityVerdict)
+        for name in names:
+            verdict = getattr(kernels, name)
+            assert type(verdict) is FeasibilityVerdict
+            assert verdict.name == name.removeprefix("VERDICT_")
+
+    def test_splits_are_the_members_that_split(self):
+        assert kernels.SPLITS == {v for v in FeasibilityVerdict if v.splits}
+        assert all(type(v) is FeasibilityVerdict for v in kernels.SPLITS)
+
+    def test_the_engine_leaves_members_on_its_vehicles(self):
+        params = SimParams(duration=40.0, seed=1)
+        world = WorldState.initial(params)
+        run(params, world=world)
+        assert world.vehicles
+        for veh in world.vehicles:
+            assert type(veh.verdict) is FeasibilityVerdict, veh.vid
+
+    def test_a_placed_vehicle_starts_with_a_member(self):
+        world = WorldState.initial(PARAMS, spawning=False)
+        veh = insert_vehicle(world, 0.0, 25.0, exit_pos=1000.0,
+                             deadline=60.0)
+        assert type(veh.verdict) is FeasibilityVerdict

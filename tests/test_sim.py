@@ -567,7 +567,7 @@ def test_the_engine_solves_what_the_public_api_reports(params):
                                            veh.v - pred.v, pred.accel,
                                            deadline_active, params)
                 solved["follower"] += 1
-            assert (veh.command, veh.verdict) == (d.accel, d.verdict.value)
+            assert veh.command == d.accel and veh.verdict is d.verdict
             pred = veh
         step(world)
     assert solved["follower"] > 1000 and solved["head"] > 100
