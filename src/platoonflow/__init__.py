@@ -8,6 +8,7 @@ local decisions; the engine only integrates, audits, and bookkeeps.
 """
 
 from ._kernels_py import (
+    FeasibilityVerdict,
     deadline_margin,
     drag_force,
     drag_partials,
@@ -17,7 +18,6 @@ from ._kernels_py import (
 )
 from .controller import (
     ControlDecision,
-    FeasibilityVerdict,
     leader_control,
     solve_follower_control,
 )

@@ -7,8 +7,9 @@ drag kernel from its law (``params.drag``), not from flat floats.
 Each rule is stated once: ``advance`` is the vehicle update, which
 moves the engine's vehicles and those of the feasibility check;
 ``safe_interval`` is the speed box intersected with the stopping
-envelope, which both decisions start from; ``envelope_cap`` alone reads
-a predecessor's command, and applies the worst-case rule to it;
+envelope, which both decisions start from; ``gap_allowance`` bounds
+the stopping margin the audits accept; ``envelope_cap`` alone reads a
+predecessor's command, and applies the worst-case rule to it;
 ``drag_force``, ``drag_partials`` and ``flow_bound`` are the wake drag
 law; ``classify`` is the verdict both decisions return, a split for a
 follower and a merge for a head.  ``FeasibilityVerdict`` is that
@@ -134,6 +135,13 @@ def stopping_margin(v: float, p_hat: float, v_hat: float,
     return (p_hat + params.delta
             + v_hat * (params.v_min - v) / params.a_min
             + v_hat * v_hat / (2.0 * params.a_min))
+
+
+def gap_allowance(params: SimParams) -> float:
+    """Largest stopping margin or bumper-gap shortfall the audits
+    accept: the band tolerance plus one step of drift at top speed, the
+    tightest bound a sampled-data controller can hold."""
+    return params.eps_g + params.v_max * params.dt
 
 
 def deadline_margin(p: float, v: float, t: float,

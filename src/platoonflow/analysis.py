@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels_py import SPEED_EDGE_TOL, drag_partials, stopping_margin
-from .controller import FeasibilityVerdict, gap_allowance
+from ._kernels_py import (SPEED_EDGE_TOL, FeasibilityVerdict, drag_partials,
+                          gap_allowance, stopping_margin)
 from .core import SimParams
 from .sim import (EVENT_DISCARD, EVENT_EXIT, EVENT_MERGE, EVENT_RECOVER,
                   EVENT_RELAX, EVENT_SPAWN, EVENT_SPLIT, SimResult)

@@ -14,6 +14,10 @@ the result as a ``ControlDecision`` of plain numbers and the kernels'
 own ``FeasibilityVerdict``, re-exported here, whose verdict the engine's
 resequencing acts on.  To solve under another drag law, pass
 ``replace(params, drag=law)``.
+
+This module is the solves' report API and nothing else: the engine,
+the trajectory, the analysis, the renderer and the command line call
+the kernels directly and import nothing from here.
 """
 
 from __future__ import annotations
@@ -100,10 +104,3 @@ def leader_control(v: float, p_hat: float, v_hat: float,
         v, p_hat, v_hat, 0.0 if pred_accel is None else pred_accel,
         pred_accel is not None, recovering, deadline_active, params),
         v, deadline_active, False, params)
-
-
-def gap_allowance(params: SimParams) -> float:
-    """Largest stopping margin or bumper-gap shortfall the audits
-    accept: the band tolerance plus one step of drift at top speed, the
-    tightest bound a sampled-data controller can hold."""
-    return params.eps_g + params.v_max * params.dt

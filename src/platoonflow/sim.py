@@ -52,8 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels_py as kernels
-from ._kernels_py import deadline_margin, stopping_margin
-from .controller import gap_allowance
+from ._kernels_py import deadline_margin, gap_allowance, stopping_margin
 from .core import (
     OrderingError,
     SafetyAuditError,

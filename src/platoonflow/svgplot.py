@@ -28,6 +28,7 @@ PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#17becf", "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22",
 )
+AXIS = "#333333"
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -49,6 +50,23 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}".rstrip("0").rstrip(".")
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, style: str) -> str:
+    """A ``<line>`` from (x1, y1) to (x2, y2) with the attributes
+    ``style``."""
+    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
+            f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" {style}/>')
+
+
+def _text(x: float, y: float, size: float, anchor: str, body: str,
+          extra: str = "") -> str:
+    """A ``<text>`` of ``body`` at (x, y) in the axis colour, ``size``
+    points high and anchored at ``anchor``; ``extra`` follows its
+    attributes."""
+    return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{_fmt(size)}" '
+            f'font-family="sans-serif" text-anchor="{anchor}" '
+            f'fill="{AXIS}"{extra}>{body}</text>')
 
 
 def _vehicle_paths(tr: Trajectory, lo_t: float, hi_t: float,
@@ -123,66 +141,33 @@ def render_timespace(tr: Trajectory, t0: Optional[float] = None,
         f'<rect width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" fill="#ffffff"/>',
     ]
 
-    for p in params.road.on_ramps:
-        y = _fmt(sy(p))
-        parts.append(
-            f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{y}" '
-            f'x2="{_fmt(WIDTH - MARGIN_RIGHT)}" y2="{y}" '
-            f'stroke="#999999" stroke-width="0.8" '
-            f'stroke-dasharray="8 3 2 3"/>'
-        )
-    for p in params.road.off_ramps:
-        y = _fmt(sy(p))
-        parts.append(
-            f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{y}" '
-            f'x2="{_fmt(WIDTH - MARGIN_RIGHT)}" y2="{y}" '
-            f'stroke="#bbbbbb" stroke-width="0.8" stroke-dasharray="2 4"/>'
-        )
+    for ramps, style in (
+            (params.road.on_ramps,
+             'stroke="#999999" stroke-width="0.8" stroke-dasharray="8 3 2 3"'),
+            (params.road.off_ramps,
+             'stroke="#bbbbbb" stroke-width="0.8" stroke-dasharray="2 4"')):
+        for p in ramps:
+            y = sy(p)
+            parts.append(_line(MARGIN_LEFT, y, WIDTH - MARGIN_RIGHT, y, style))
 
     parts += _vehicle_paths(tr, lo_t, hi_t, sx, sy)
 
-    axis = '#333333'
-    parts.append(
-        f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(HEIGHT - MARGIN_BOTTOM)}" '
-        f'x2="{_fmt(WIDTH - MARGIN_RIGHT)}" '
-        f'y2="{_fmt(HEIGHT - MARGIN_BOTTOM)}" stroke="{axis}"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(MARGIN_TOP)}" '
-        f'x2="{_fmt(MARGIN_LEFT)}" y2="{_fmt(HEIGHT - MARGIN_BOTTOM)}" '
-        f'stroke="{axis}"/>'
-    )
+    axis = f'stroke="{AXIS}"'
     y0 = HEIGHT - MARGIN_BOTTOM
+    parts.append(_line(MARGIN_LEFT, y0, WIDTH - MARGIN_RIGHT, y0, axis))
+    parts.append(_line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, y0, axis))
     for t in _ticks(lo_t, hi_t):
         x = sx(t)
-        parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(y0)}" '
-                     f'x2="{_fmt(x)}" y2="{_fmt(y0 + 4)}" stroke="{axis}"/>')
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y0 + 16)}" font-size="11" '
-            f'font-family="sans-serif" text-anchor="middle" '
-            f'fill="{axis}">{_fmt(t)}</text>'
-        )
+        parts.append(_line(x, y0, x, y0 + 4, axis))
+        parts.append(_text(x, y0 + 16, 11, "middle", _fmt(t)))
     for p in _ticks(lo_p, hi_p):
         y = sy(p)
-        parts.append(
-            f'<line x1="{_fmt(MARGIN_LEFT - 4)}" y1="{_fmt(y)}" '
-            f'x2="{_fmt(MARGIN_LEFT)}" y2="{_fmt(y)}" stroke="{axis}"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(MARGIN_LEFT - 7)}" y="{_fmt(y + 3.5)}" '
-            f'font-size="11" font-family="sans-serif" text-anchor="end" '
-            f'fill="{axis}">{_fmt(p)}</text>'
-        )
-    parts.append(
-        f'<text x="{_fmt(MARGIN_LEFT + x_span / 2)}" '
-        f'y="{_fmt(HEIGHT - 8)}" font-size="12" font-family="sans-serif" '
-        f'text-anchor="middle" fill="{axis}">time (s)</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{_fmt(MARGIN_TOP + y_span / 2)}" font-size="12" '
-        f'font-family="sans-serif" text-anchor="middle" fill="{axis}" '
-        f'transform="rotate(-90 14 {_fmt(MARGIN_TOP + y_span / 2)})">'
-        f'position (m)</text>'
-    )
+        parts.append(_line(MARGIN_LEFT - 4, y, MARGIN_LEFT, y, axis))
+        parts.append(_text(MARGIN_LEFT - 7, y + 3.5, 11, "end", _fmt(p)))
+    parts.append(_text(MARGIN_LEFT + x_span / 2, HEIGHT - 8, 12, "middle",
+                       "time (s)"))
+    y_mid = MARGIN_TOP + y_span / 2
+    parts.append(_text(14, y_mid, 12, "middle", "position (m)",
+                       f' transform="rotate(-90 14 {_fmt(y_mid)})"'))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

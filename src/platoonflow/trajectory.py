@@ -115,8 +115,7 @@ class Trajectory:
 
     __slots__ = (("times", "offsets") + STORED_COLUMNS
                  + tuple("_" + name for name in DERIVED_COLUMNS)
-                 + ("_derived_steps", "_params", "_exit_pos", "_deadline",
-                    "_registered"))
+                 + ("_derived_steps", "_params", "_exit_pos", "_deadline"))
 
     u = _derived("u")
     drag = _derived("drag")
@@ -134,11 +133,10 @@ class Trajectory:
         self.mode = array("b")
         self._derived_steps = 0
         self._params = params
-        # Exit position and deadline by vehicle id, and whether the id
-        # was registered at all: engine ids are dense from 0.
+        # Exit position and deadline by vehicle id, nan for an id never
+        # registered: engine ids are dense from 0.
         self._exit_pos = array("d")
         self._deadline = array("d")
-        self._registered = array("b")
 
     @property
     def params(self) -> SimParams:
@@ -151,18 +149,20 @@ class Trajectory:
         ``deadline_margin`` rows.
 
         Ids index a table, so they must be non-negative, and small like
-        the engine's, which count up from 0.
+        the engine's, which count up from 0.  ``ValueError`` refuses an
+        exit or deadline that is not finite, as ``insert_vehicle`` does.
         """
         if vehicle_id < 0:
             raise ValueError(f"vehicle id {vehicle_id} is negative")
-        grow = vehicle_id + 1 - len(self._registered)
+        for name, x in (("exit_pos", exit_pos), ("deadline", deadline)):
+            if not math.isfinite(x):
+                raise ValueError(f"{name}={x} is not finite")
+        grow = vehicle_id + 1 - len(self._exit_pos)
         if grow > 0:
             self._exit_pos.extend([math.nan] * grow)
             self._deadline.extend([math.nan] * grow)
-            self._registered.extend([0] * grow)
         self._exit_pos[vehicle_id] = exit_pos
         self._deadline[vehicle_id] = deadline
-        self._registered[vehicle_id] = 1
 
     def append_step(self, time: float, vehicle_id: list[int],
                     platoon_id: list[int], p: list[float], v: list[float],
@@ -235,14 +235,13 @@ class Trajectory:
 
     def _targets(self, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exit positions and deadlines of ``vids``; ``KeyError`` names
-        the first id never registered."""
-        registered = np.array(self._registered, np.bool_)
-        known = (vids >= 0) & (vids < len(registered))
-        known[known] = registered[vids[known]]
+        the first id never registered, whose exit is nan."""
+        exit_pos = np.array(self._exit_pos)
+        known = (vids >= 0) & (vids < len(exit_pos))
+        known[known] = ~np.isnan(exit_pos[vids[known]])
         if not known.all():
             raise KeyError(int(vids[np.argmin(known)]))
-        return (np.array(self._exit_pos)[vids],
-                np.array(self._deadline)[vids])
+        return exit_pos[vids], np.array(self._deadline)[vids]
 
     def __len__(self) -> int:
         return len(self.vehicle_id)
@@ -274,16 +273,14 @@ class Trajectory:
 
     def record(self, i: int, time: float) -> TrajectoryRecord:
         """Row ``i`` as a record; ``time`` is the stamp of its step."""
-        if self._derived_steps != len(self.times):
-            self._derive()
-        gs = self._gs_margin[i]
+        gs = self.gs_margin[i]
         if gs != gs:
             # The shared nan object keeps front-vehicle records equal.
             gs = math.nan
         return TrajectoryRecord(
             time, self.vehicle_id[i], self.platoon_id[i], self.p[i],
-            self.v[i], self.accel[i], self._u[i], self._drag[i],
-            gs, self._deadline_margin[i], MODE_NAMES[self.mode[i]])
+            self.v[i], self.accel[i], self.u[i], self.drag[i],
+            gs, self.deadline_margin[i], MODE_NAMES[self.mode[i]])
 
     def __eq__(self, other: object) -> bool:
         # Bitwise, so runs that record the same nan compare equal.

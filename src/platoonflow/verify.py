@@ -17,11 +17,11 @@ from typing import Iterator
 
 import numpy as np
 
-from ._kernels_py import (advance, drag_force, drag_partials,
+from ._kernels_py import (advance, drag_force, drag_partials, gap_allowance,
                           safe_interval, stopping_margin)
 from .analysis import (brute_force_follower, consecutive_gap_excess,
                        in_formation, previous_rows)
-from .controller import gap_allowance, solve_follower_control
+from .controller import solve_follower_control
 from .core import SimParams, SimulationError, VehicleMode
 from .sim import (EVENT_SPAWN, SimResult, WorldState, insert_vehicle, run,
                   step)

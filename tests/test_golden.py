@@ -54,6 +54,7 @@ CONFIGS = {
     "worst_case_pred_accel": "control:\n  worst_case_pred_accel: true\n",
     "no_deadlines": "control:\n  enforce_deadlines: false\n",
     "dt_0.05": "run:\n  dt: 0.05\n",
+    "no_ramps": "road:\n  on_ramps: []\n  off_ramps: []\n",
 }
 # name -> YAML config body of a full-length run whose events.csv is pinned.
 FULL_LENGTH = {

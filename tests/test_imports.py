@@ -67,9 +67,11 @@ GUARDS = ("TYPE_CHECKING", "typing.TYPE_CHECKING")
 
 
 def package_imports(source):
-    """``(line, guarded)`` of each import of a ``platoonflow`` module in
-    ``source``; ``guarded`` when it sits under ``if TYPE_CHECKING:``,
-    which only a type checker runs."""
+    """``(line, module, guarded)`` of each ``platoonflow`` module an
+    import in ``source`` names, read as a module of the package (a
+    relative import is from ``platoonflow``, and a name imported from
+    the package itself is its submodule); ``guarded`` when the import
+    sits under ``if TYPE_CHECKING:``, which only a type checker runs."""
     tree = ast.parse(source)
     guarded = {id(inner) for node in ast.walk(tree)
                if isinstance(node, ast.If) and ast.unparse(node.test) in GUARDS
@@ -77,20 +79,30 @@ def package_imports(source):
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            names = [node.module or ""] if node.level == 0 else ["platoonflow"]
+            base = ((node.module or "") if node.level == 0 else
+                    ".".join(filter(None, ("platoonflow", node.module))))
+            names = ([f"{base}.{alias.name}" for alias in node.names]
+                     if base == "platoonflow" else [base])
         elif isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         else:
             continue
-        if any(name.split(".")[0] == "platoonflow" for name in names):
-            found.append((node.lineno, id(node) in guarded))
+        found += [(node.lineno, name, id(node) in guarded) for name in names
+                  if name.split(".")[0] == "platoonflow"]
     return found
 
 
 def test_the_reader_sees_each_kind_of_package_import():
-    source = ("import math\nfrom . import sim\nimport platoonflow.cli\n"
+    source = ("import math\nfrom . import sim, cli as c\n"
+              "import platoonflow.cli\nfrom platoonflow import core\n"
+              "from .controller import leader_control\n"
+              "from platoonflow.sim import run\n"
               "if TYPE_CHECKING:\n    from .core import SimParams\n")
-    assert package_imports(source) == [(2, False), (3, False), (5, True)]
+    assert package_imports(source) == [
+        (2, "platoonflow.sim", False), (2, "platoonflow.cli", False),
+        (3, "platoonflow.cli", False), (4, "platoonflow.core", False),
+        (5, "platoonflow.controller", False), (6, "platoonflow.sim", False),
+        (8, "platoonflow.core", True)]
 
 
 def test_core_imports_no_package_module():
@@ -99,7 +111,17 @@ def test_core_imports_no_package_module():
 
 def test_the_kernels_import_package_modules_for_annotations_only():
     found = package_imports((PACKAGE / "_kernels_py.py").read_text())
-    assert [guarded for _, guarded in found] == [True] * len(found)
+    assert [guarded for _, _, guarded in found] == [True] * len(found)
+
+
+@pytest.mark.parametrize("module", ["sim", "trajectory", "analysis",
+                                    "svgplot", "cli"])
+def test_the_engine_and_readers_import_nothing_from_the_controller(module):
+    # The controller is the solves' report API: the engine and the
+    # readers call the kernels directly.
+    found = package_imports((PACKAGE / f"{module}.py").read_text())
+    assert [line for line, name, _ in found
+            if name == "platoonflow.controller"] == []
 
 
 def attribute_writers(source, attr):

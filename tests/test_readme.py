@@ -1,7 +1,13 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and its tables and
+layout match the package."""
 
 import re
 from pathlib import Path
+
+import yaml
+
+from platoonflow import SimParams
+from platoonflow.cli import _SCHEMA, params_to_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +32,16 @@ def test_layout_names_every_module_of_the_package():
     package = README.parent / "src" / "platoonflow"
     modules = {path.name for path in package.glob("*.py")}
     assert listed == modules - {"__init__.py"}
+
+
+def test_config_table_gives_every_key_and_its_default():
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| `([^`]*)` \|",
+                      README.read_text(), re.M)
+    assert [(section, key) for section, key, _ in rows] == [
+        (section, key) for section, schema in _SCHEMA.items()
+        for key in schema]
+    defaults = params_to_dict(SimParams())
+    for section, key, cell in rows:
+        # The cell is what a user copies into a config file.
+        assert yaml.safe_load(cell) == defaults[section][key], (
+            f"{section}.{key}: {cell}")

@@ -236,6 +236,19 @@ class TestDeriveEdges:
         with pytest.raises(ValueError, match="negative"):
             Trajectory(self.params).register(-1, 100.0, 10.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["exit_pos", "deadline"])
+    def test_a_target_that_is_not_finite_cannot_be_registered(self, name,
+                                                              value):
+        tr, _ = hand_built([(0.1, [(0, 100.0, 25.0)])], self.params,
+                           registered=[])
+        targets = {"exit_pos": 1000.0, "deadline": 50.0, name: value}
+        with pytest.raises(ValueError, match=f"{name}=.* is not finite"):
+            tr.register(0, **targets)
+        # The refused vehicle stays unknown.
+        with pytest.raises(KeyError, match="0"):
+            tr.deadline_margin
+
 
 def test_reads_between_steps_leave_the_world_steppable():
     params = SimParams(seed=4)
