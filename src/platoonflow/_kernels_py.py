@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # annotations only; the kernels import no package module
 SPEED_EDGE_TOL = 1e-9
 
 INF = float("inf")
-NAN = float("nan")
 
 
 class FeasibilityVerdict(enum.IntEnum):
@@ -90,13 +89,10 @@ def advance(p: float, v: float, a: float,
     return p + v * dt + 0.5 * a * dt * dt, v_new
 
 
-def drag_force(v: float, p_hat: float, in_wake: bool,
-               law: DragCoefficients) -> float:
+def drag_force(v: float, p_hat: float, law: DragCoefficients) -> float:
     """Aerodynamic drag (m/s^2, force per unit mass): quadratic in speed,
-    discounted in a wake."""
-    if in_wake:
-        return law.c0 * v * v * (1.0 - law.c1 * math.exp(law.c2 * p_hat))
-    return law.c0 * v * v
+    discounted in a wake, and not at all with nobody ahead."""
+    return law.c0 * v * v * (1.0 - law.c1 * math.exp(law.c2 * p_hat))
 
 
 def drag_partials(v: float, p_hat: float,
@@ -112,8 +108,8 @@ def flow_bound(v: float, p_hat: float, v_hat: float,
     """Upper bound on acceleration that keeps drag energy non-increasing.
 
     Requiring d(F^2)/dt <= 0 for the wake drag law yields
-    a <= (|dF/dp_hat| / dF/dv) * v_hat.  A vehicle with no predecessor
-    has no wake to hold; ``leader_decision`` gives it the bound 0.
+    a <= (|dF/dp_hat| / dF/dv) * v_hat.  With nobody ahead (see
+    ``safe_interval``) there is no wake to hold, and the bound is 0.
     """
     w = math.exp(law.c2 * p_hat)
     # dF/dv > 0 on the admissible domain (v >= v_min > 0, c1 < 1).
@@ -181,14 +177,19 @@ def envelope_cap(v: float, v_hat: float, g: float, pred_accel: float,
 
 
 def safe_interval(v: float, p_hat: float, v_hat: float,
-                  pred_accel: float, has_pred: bool, params: SimParams
+                  pred_accel: float, params: SimParams
                   ) -> tuple[float, float, float, float]:
     """``(lo, hi, g, cap)``: the admissible acceleration interval from
     the speed box and the stopping envelope, the envelope margin and the
     acceleration cap it imposes.
 
-    ``g`` is nan without a predecessor.  ``cap`` is inf where the
-    envelope does not bind: without a predecessor, for a pair that is
+    Nobody ahead is a predecessor infinitely far ahead and not closing:
+    ``(p_hat, v_hat, pred_accel) = (-inf, 0.0, 0.0)``.  Since
+    ``c2 > 0``, its wake discount and descent bound are exactly 0, ``g``
+    is -inf and no cap binds, so every kernel treats it as it treats a
+    far, non-closing predecessor.
+
+    ``cap`` is inf where the envelope does not bind: for a pair that is
     not closing, for an ego at the speed floor, and with ``gamma == 0``
     outside the ``eps_g`` band.  With ``gamma > 0`` it binds every other
     closing pair, engaging smoothly ahead of the boundary.  The interval
@@ -206,8 +207,6 @@ def safe_interval(v: float, p_hat: float, v_hat: float,
         lo = 0.0
     if v >= params.v_max - SPEED_EDGE_TOL:
         hi = 0.0
-    if not has_pred:
-        return lo, hi, NAN, INF
     g = stopping_margin(v, p_hat, v_hat, params)
     if v_hat > 0.0 and not at_floor and (g >= -params.eps_g
                                          or params.gamma > 0.0):
@@ -260,8 +259,7 @@ def follower_decision(v: float, p_hat: float, v_hat: float,
     policy; an envelope-vs-deadline conflict drops the deadline and
     re-solves.
     """
-    lo, hi_safe, g, cap = safe_interval(v, p_hat, v_hat, pred_accel, True,
-                                        params)
+    lo, hi_safe, g, cap = safe_interval(v, p_hat, v_hat, pred_accel, params)
     bound = flow_bound(v, p_hat, v_hat, params.drag)
 
     hi = hi_safe
@@ -290,26 +288,23 @@ def follower_decision(v: float, p_hat: float, v_hat: float,
 
 
 def leader_decision(v: float, p_hat: float, v_hat: float,
-                    pred_accel: float, has_pred: bool, recovering: bool,
+                    pred_accel: float, recovering: bool,
                     deadline_active: bool, params: SimParams) -> Decision:
     """Platoon-head control: brake to the floor, or accelerate to recover.
 
     Returns the tuple of ``follower_decision``.  The admissible interval
     is the speed box intersected with the envelope cap against the
-    physical predecessor, when one exists.  The verdict, which decides
-    merges, classifies the head as a follower of that predecessor;
-    without one it is FEASIBLE, with ``bound`` 0 and ``g`` nan.
+    physical predecessor.  The verdict, which decides merges, classifies
+    the head as a follower of that predecessor; with nobody ahead (see
+    ``safe_interval``) it is FEASIBLE, with ``bound`` 0 and ``g`` -inf.
     """
-    lo, hi, g, cap = safe_interval(v, p_hat, v_hat, pred_accel, has_pred,
-                                   params)
+    lo, hi, g, cap = safe_interval(v, p_hat, v_hat, pred_accel, params)
     if recovering:
         accel = hi
     else:
         accel = params.a_min if params.a_min > lo else lo
         if accel > hi:
             accel = hi
-    if not has_pred:
-        return accel, VERDICT_FEASIBLE, lo, hi, g, cap, 0.0
     bound = flow_bound(v, p_hat, v_hat, params.drag)
     return (accel, classify(v, v_hat, bound, deadline_active, g, cap, params),
             lo, hi, g, cap, bound)

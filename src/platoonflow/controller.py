@@ -36,7 +36,7 @@ class ControlDecision:
     ``[lo, hi]`` is the final feasible interval the command was drawn
     from; when the verdict is not FEASIBLE the command came from the
     fallback policy instead and the interval reflects the relaxation.
-    ``gs_margin`` is nan for a vehicle with no predecessor.
+    ``gs_margin`` is -inf for a head with nobody ahead.
     """
 
     accel: float
@@ -85,7 +85,7 @@ def solve_follower_control(v: float, p_hat: float, v_hat: float,
 
 
 def leader_control(v: float, p_hat: float, v_hat: float,
-                   pred_accel: float | None, recovering: bool,
+                   pred_accel: float, recovering: bool,
                    deadline_active: bool,
                    params: SimParams) -> ControlDecision:
     """Platoon-head policy plus the merge-eligibility verdict.
@@ -93,14 +93,14 @@ def leader_control(v: float, p_hat: float, v_hat: float,
     A LEADER brakes at the limit until the speed floor lifts the
     admissible interval to zero; a LEADER_RECOVERING head
     (``recovering``) applies the largest admissible acceleration.  Both
-    respect the stopping envelope against the physical predecessor when
-    one exists (``pred_accel`` is None when there is none).
+    respect the stopping envelope against the physical predecessor; with
+    nobody ahead, ``(p_hat, v_hat, pred_accel)`` is ``(-inf, 0.0, 0.0)``
+    (see ``kernels.safe_interval``).
 
     The verdict classifies the head as if it were following its physical
     predecessor, under the descent bound of ``params.drag``;
     resequencing merges platoons whose head comes back FEASIBLE.
     """
     return _decision(kernels.leader_decision(
-        v, p_hat, v_hat, 0.0 if pred_accel is None else pred_accel,
-        pred_accel is not None, recovering, deadline_active, params),
+        v, p_hat, v_hat, pred_accel, recovering, deadline_active, params),
         v, deadline_active, False, params)

@@ -195,6 +195,13 @@ def validate_params(params: SimParams) -> list[str]:
         bad.append("speed bounds must satisfy 0 < v_min < v_max")
     if not params.a_min < 0.0 < params.a_max:
         bad.append("acceleration bounds must satisfy a_min < 0 < a_max")
+    if params.dt > 0.0 and params.v_min > 0.0 \
+            and params.a_min * params.dt < -2.0 * params.v_min:
+        # Position moves under the raw command, so from just above v_min
+        # one step at a_min would move a vehicle backwards.  The exact
+        # kinematics of ROADMAP item 2 may lift this rule.
+        bad.append("a_min * dt must be at least -2 * v_min, or one step "
+                   "of braking moves a vehicle backwards")
     if params.delta <= 0.0:
         bad.append("delta must be positive")
     if params.dt <= 0.0:

@@ -233,6 +233,8 @@ def _decide(world: WorldState) -> None:
 
     Followers run the follower kernel; heads run the leader kernel,
     whose verdict against their physical predecessor decides merges.
+    The front head has none, and passes the kernels' predecessor
+    infinitely far ahead (see ``kernels.safe_interval``).
     The kernels read every constant from ``world.params``, and apply the
     worst-case predecessor rule themselves.  The decision goes onto
     each vehicle's ``command``, ``verdict`` and ``control_mode``; the
@@ -281,16 +283,15 @@ def _decide(world: WorldState) -> None:
             v_hat = v - pred.v
             pred_accel = pred.accel
         elif mode & 1:
-            # The leader kernel reads no predecessor input without one.
-            p_hat = v_hat = pred_accel = 0.0
+            p_hat, v_hat, pred_accel = -math.inf, 0.0, 0.0
         else:
             raise OrderingError(
                 f"follower {veh.vid} has no predecessor at t={t:.3f}"
             )
         if mode & 1:
             accel, code, _, _, _, _, _ = leader(
-                v, p_hat, v_hat, pred_accel, pred is not None, mode == 3,
-                deadline_active, params)
+                v, p_hat, v_hat, pred_accel, mode == 3, deadline_active,
+                params)
         else:
             last = veh.last_solve
             if (last is not None and last[0] == v and last[1] == p_hat

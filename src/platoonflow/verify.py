@@ -83,40 +83,36 @@ class RunCorpus:
 
     ``build`` folds each run into a ``SeedSummary`` as soon as it
     returns and drops the run, so memory holds one run at a time, not
-    the whole corpus.  ``summaries`` maps seed to summary and ``errors``
-    seed to the message of the ``SimulationError`` that stopped it.
+    the whole corpus.  ``summaries`` maps seed to summary.  The first
+    ``SimulationError`` stops the build, since no check reads past it.
     """
 
     def __init__(self, params: SimParams):
         self.params = params
         self.summaries: dict[int, SeedSummary] = {}
-        self.errors: dict[int, str] = {}
         self._built = False
+        self._error: str | None = None
 
-    def build(self) -> None:
-        if self._built:
-            return
-        for seed in range(N_CORPUS_SEEDS):
-            try:
-                self.summaries[seed] = summarize_seed(
-                    run(replace(self.params, seed=seed)))
-            except SimulationError as exc:
-                self.errors[seed] = str(exc)
-        self._built = True
-
-    def first_error(self) -> str | None:
-        if not self.errors:
-            return None
-        seed = min(self.errors)
-        return f"seed {seed}: {self.errors[seed]}"
+    def build(self) -> str | None:
+        """Run the corpus once; ``"seed N: <message>"`` for the first
+        seed whose run failed, or None when every seed ran."""
+        if not self._built:
+            self._built = True
+            for seed in range(N_CORPUS_SEEDS):
+                try:
+                    self.summaries[seed] = summarize_seed(
+                        run(replace(self.params, seed=seed)))
+                except SimulationError as exc:
+                    self._error = f"seed {seed}: {exc}"
+                    break
+        return self._error
 
 
 def check_safety(params: SimParams, corpus: RunCorpus) -> CheckResult:
     """No recorded bumper gap may breach the envelope band plus one
     step of drift at top speed, across the whole seeded corpus."""
-    corpus.build()
+    err = corpus.build()
     name = "safety_50_seeds"
-    err = corpus.first_error()
     if err is not None:
         return CheckResult(name, False, f"engine audit tripped, {err}")
     worst = -math.inf
@@ -138,9 +134,8 @@ def check_safety(params: SimParams, corpus: RunCorpus) -> CheckResult:
 def check_throughput(params: SimParams, corpus: RunCorpus) -> CheckResult:
     """Mean admitted-vehicle count over the corpus must sit in the
     reproduction band, with implied hourly inflow near the target."""
-    corpus.build()
+    err = corpus.build()
     name = "throughput_band"
-    err = corpus.first_error()
     if err is not None:
         return CheckResult(name, False, f"corpus incomplete, {err}")
     if params.duration <= 0.0:
@@ -184,8 +179,7 @@ def check_recursive_feasibility(params: SimParams) -> CheckResult:
         g = stopping_margin(v, p_hat, v_hat, params)
         for _ in range(80):
             pred_cmd = params.a_min if v_pred > params.v_min else 0.0
-            lo, hi, _, _ = safe_interval(v, p_hat, v_hat, pred_cmd, True,
-                                         params)
+            lo, hi, _, _ = safe_interval(v, p_hat, v_hat, pred_cmd, params)
             if lo > hi:
                 return CheckResult(name, False, (
                     f"episode {episode}: empty safe interval at v={v:.3f}, "
@@ -216,9 +210,8 @@ def check_recursive_feasibility(params: SimParams) -> CheckResult:
 
 def check_braking_only(params: SimParams, corpus: RunCorpus) -> CheckResult:
     """Only a head recovering its deadline may ever accelerate."""
-    corpus.build()
+    err = corpus.build()
     name = "braking_only_commands"
-    err = corpus.first_error()
     if err is not None:
         return CheckResult(name, False, f"corpus incomplete, {err}")
     worst = -math.inf
@@ -391,21 +384,21 @@ def _drag_descent_seed(params: SimParams,
     back = pair_rows(offsets)
     has_ahead = np.zeros(len(vid), np.bool_)
     has_ahead[back] = True
-    step = np.repeat(np.arange(len(times)), np.diff(offsets))
-    # Follower rows whose previous row is in the step before and had
-    # the same vehicle ahead.
+    # Follower rows whose previous row had the same vehicle ahead.  A
+    # vehicle is stored at every step it is on the road, so its previous
+    # row is always in the step before.
     back = back[mode[back] == VehicleMode.FOLLOWER]
     prev = last[back]
-    keep = ((prev >= 0) & (step[prev] == step[back] - 1)
-            & has_ahead[prev] & (vid[prev - 1] == vid[back - 1]))
+    keep = ((prev >= 0) & has_ahead[prev] & (vid[prev - 1] == vid[back - 1]))
     back, prev = back[keep], prev[keep]
     rise = drag[back] ** 2 - drag[prev] ** 2
     over = np.flatnonzero(rise > allowed)
     failure = None
     if len(over):
         i = back[over[0]]
+        t = times[np.searchsorted(offsets, i, side="right") - 1]
         failure = (f"seed {params.seed}: F^2 rose {rise[over[0]]:.3e} in one "
-                   f"step for vehicle {vid[i]} at t={times[step[i]]:.1f} "
+                   f"step for vehicle {vid[i]} at t={t:.1f} "
                    f"(allowed {allowed:.3e})")
     return len(rise), rise.max(initial=-math.inf), failure
 
@@ -509,10 +502,10 @@ def check_partials(params: SimParams) -> CheckResult:
         for p_hat in np.linspace(-40.0, -1.0, 50):
             p_hat = float(p_hat)
             f_v, f_p = drag_partials(v, p_hat, law)
-            fd_v = (drag_force(v + h, p_hat, True, law)
-                    - drag_force(v - h, p_hat, True, law)) / (2.0 * h)
-            fd_p = (drag_force(v, p_hat + h, True, law)
-                    - drag_force(v, p_hat - h, True, law)) / (2.0 * h)
+            fd_v = (drag_force(v + h, p_hat, law)
+                    - drag_force(v - h, p_hat, law)) / (2.0 * h)
+            fd_p = (drag_force(v, p_hat + h, law)
+                    - drag_force(v, p_hat - h, law)) / (2.0 * h)
             err = max(_partial_error(fd_v, f_v), _partial_error(fd_p, f_p))
             if err > worst:
                 worst = err

@@ -98,11 +98,11 @@ def recompute_derived(tr, params, targets):
     for time, start, stop in tr.steps():
         for i in range(start, stop):
             if i == start:
-                drag = drag_force(v[i], 0.0, False, law)
+                drag = drag_force(v[i], -math.inf, law)
                 gs = math.nan
             else:
                 p_hat = p[i] - p[i - 1]
-                drag = drag_force(v[i], p_hat, True, law)
+                drag = drag_force(v[i], p_hat, law)
                 gs = stopping_margin(v[i], p_hat, v[i] - v[i - 1], params)
             exit_pos, deadline = targets[tr.vehicle_id[i]]
             out["u"].append(tr.accel[i] + drag)

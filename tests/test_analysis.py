@@ -22,9 +22,12 @@ from platoonflow.analysis import (
 from platoonflow import solve_follower_control
 from platoonflow.trajectory import pair_rows
 
-from conftest import hand_built
+from conftest import RUNS, hand_built
 
 PARAMS = SimParams()
+# RUNS and a deadline-free run of the drag-descent check.
+PAIRED_RUNS = {**RUNS,
+               "deadline_free": SimParams(seed=7000, enforce_deadlines=False)}
 
 
 def built(steps):
@@ -207,6 +210,17 @@ class TestPreviousRows:
     def test_an_empty_trajectory_has_no_links(self):
         tr = run(SimParams(duration=0.0)).trajectory
         assert previous_rows(tr).tolist() == []
+
+    @pytest.mark.parametrize("name", PAIRED_RUNS)
+    def test_each_previous_row_lies_in_the_step_before(self, name):
+        # A vehicle is stored at every step until it exits, which lets the
+        # drag-descent check pair rows through previous_rows alone.
+        tr = run(PAIRED_RUNS[name]).trajectory
+        step = np.repeat(np.arange(len(tr.times)), np.diff(tr.offsets))
+        prev = previous_rows(tr)
+        later = np.flatnonzero(prev >= 0)
+        assert len(later) > 0
+        assert (step[prev[later]] == step[later] - 1).all()
 
 
 class TestBruteForce:

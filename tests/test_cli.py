@@ -364,6 +364,18 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_backward_braking_a_min_is_a_config_error(self, tmp_path,
+                                                      capsys):
+        # Past the bound, the engine's ordering audit would stop the run.
+        cfg = tmp_path / "brake.yaml"
+        cfg.write_text("vehicle:\n  a_min: -1.0e+300\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "a_min * dt must be at least -2 * v_min" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_override_is_a_config_error(self, config_file,
                                                    tmp_path, capsys):
         rc = main(["run", "--config", str(config_file),

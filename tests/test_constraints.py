@@ -6,11 +6,13 @@ from dataclasses import replace
 from hypothesis import given, strategies as st
 
 from platoonflow import (
+    DragCoefficients,
     FeasibilityVerdict,
     SimParams,
     deadline_margin,
     safe_interval,
     stopping_margin,
+    validate_params,
 )
 from platoonflow import _kernels_py as kernels
 
@@ -134,37 +136,36 @@ class TestClampToZero:
 
 class TestSafeAccelInterval:
     def test_far_apart_leaves_full_box(self):
-        lo, hi, _, _ = safe_interval(30.0, -150.0, 1.0, 0.0, True, PARAMS)
+        lo, hi, _, _ = safe_interval(30.0, -150.0, 1.0, 0.0, PARAMS)
         assert (lo, hi) == (PARAMS.a_min, PARAMS.a_max)
 
     def test_speed_floor_lifts_lower_bound(self):
-        lo, _, _, _ = safe_interval(20.0, -50.0, -2.0, 0.0, True, PARAMS)
+        lo, _, _, _ = safe_interval(20.0, -50.0, -2.0, 0.0, PARAMS)
         assert lo == 0.0
 
     def test_speed_ceiling_drops_upper_bound(self):
-        _, hi, _, _ = safe_interval(35.0, -50.0, 5.0, -4.0, False, PARAMS)
+        _, hi, _, _ = safe_interval(35.0, -math.inf, 0.0, 0.0, PARAMS)
         assert hi == 0.0
 
     def test_closing_near_boundary_forces_braking(self):
         # The closing speed at which this state meets the envelope (see
         # TestStoppingMargin.test_zero_at_the_critical_state).
         v_hat = 10.0
-        lo, hi, _, _ = safe_interval(30.0, -17.5, v_hat, -4.0, True, PARAMS)
+        lo, hi, _, _ = safe_interval(30.0, -17.5, v_hat, -4.0, PARAMS)
         assert hi == -4.0
         assert lo <= hi
 
     def test_worst_case_switch_overrides_communication(self):
         import dataclasses
         worst = dataclasses.replace(PARAMS, worst_case_pred_accel=True)
-        _, optimistic, _, _ = safe_interval(30.0, -18.0, 9.0, 3.0, True,
-                                            PARAMS)
-        _, forced, _, _ = safe_interval(30.0, -18.0, 9.0, 3.0, True, worst)
+        _, optimistic, _, _ = safe_interval(30.0, -18.0, 9.0, 3.0, PARAMS)
+        _, forced, _, _ = safe_interval(30.0, -18.0, 9.0, 3.0, worst)
         assert forced <= optimistic
 
     @given(v=speeds, p_hat=gaps, v_hat=rel_speeds,
            pred=st.floats(min_value=-4.0, max_value=3.0))
     def test_interval_stays_inside_the_box(self, v, p_hat, v_hat, pred):
-        lo, hi, _, _ = safe_interval(v, p_hat, v_hat, pred, True, PARAMS)
+        lo, hi, _, _ = safe_interval(v, p_hat, v_hat, pred, PARAMS)
         if lo <= hi:
             assert lo >= PARAMS.a_min - 1e-12
             assert hi <= PARAMS.a_max + 1e-12
@@ -196,7 +197,7 @@ class TestKernelsReadTheRunsParams:
         assert len(inspect.signature(kernels.follower_decision)
                    .parameters) == 6
         assert len(inspect.signature(kernels.leader_decision)
-                   .parameters) == 8
+                   .parameters) == 7
 
     # Floor, near-floor, interior and ceiling speeds; gaps at, near and
     # far from delta; opening, level and closing pairs.
@@ -215,9 +216,9 @@ class TestKernelsReadTheRunsParams:
                     self.STATES, self.PRED_ACCELS, (False, True)):
                 for fn, rest in (
                         (kernels.follower_decision, (flag,)),
-                        (kernels.safe_interval, (True,)),
-                        (kernels.leader_decision, (True, False, flag)),
-                        (kernels.leader_decision, (True, True, flag))):
+                        (kernels.safe_interval, ()),
+                        (kernels.leader_decision, (False, flag)),
+                        (kernels.leader_decision, (True, flag))):
                     args = state + (pred,) + rest
                     assumed = state + (a_min,) + rest
                     assert repr(fn(*args, worst)) \
@@ -225,3 +226,36 @@ class TestKernelsReadTheRunsParams:
                     matters += repr(fn(*args, params)) != repr(fn(*assumed,
                                                                 params))
             assert matters > 100
+
+
+class TestNobodyAhead:
+    """A head with nobody ahead passes a predecessor infinitely far
+    ahead and not closing, ``(p_hat, v_hat, pred_accel) = (-inf, 0, 0)``."""
+
+    def test_the_head_is_feasible_and_brakes_in_its_box(self):
+        cases = itertools.product(
+            (PARAMS.v_min, 27.3, PARAMS.v_max), (False, True),
+            (False, True), (0.0, 1.0), (False, True))
+        for v, recovering, deadline, gamma, worst in cases:
+            params = replace(PARAMS, gamma=gamma,
+                             worst_case_pred_accel=worst)
+            lo = 0.0 if v == params.v_min else params.a_min
+            hi = 0.0 if v == params.v_max else params.a_max
+            accel = hi if recovering else min(max(params.a_min, lo), hi)
+            # repr compares the floats bit for bit, signed zeros included.
+            assert repr(kernels.leader_decision(
+                v, -math.inf, 0.0, 0.0, recovering, deadline, params)) \
+                == repr((accel, FeasibilityVerdict.FEASIBLE, lo, hi,
+                         -math.inf, math.inf, 0.0))
+
+    @given(v=st.floats(min_value=0.0, max_value=1e6),
+           c0=st.floats(min_value=0.0, exclude_min=True,
+                        allow_infinity=False),
+           c1=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+           c2=st.floats(min_value=0.0, exclude_min=True,
+                        allow_infinity=False))
+    def test_the_drag_is_the_solo_drag_bit_for_bit(self, v, c0, c1, c2):
+        law = DragCoefficients(c0=c0, c1=c1, c2=c2)
+        assert validate_params(replace(PARAMS, drag=law)) == []
+        assert kernels.drag_force(v, -math.inf, law).hex() \
+            == (c0 * v * v).hex()

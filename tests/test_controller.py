@@ -111,22 +111,22 @@ class TestFollowerSolve:
 
 class TestLeaderPolicy:
     def test_front_leader_brakes_toward_the_floor(self):
-        d = leader_control(30.0, 500.0, 30.0, None, False, False, PARAMS)
+        d = leader_control(30.0, -math.inf, 0.0, 0.0, False, False, PARAMS)
         assert d.accel == PARAMS.a_min
-        assert math.isnan(d.gs_margin)
+        assert d.gs_margin == -math.inf
         assert d.verdict is FeasibilityVerdict.FEASIBLE
 
     def test_front_leader_cruises_at_the_floor(self):
-        d = leader_control(20.0, 500.0, 20.0, None, False, False, PARAMS)
+        d = leader_control(20.0, -math.inf, 0.0, 0.0, False, False, PARAMS)
         assert d.accel == 0.0
         assert "speed_floor" in d.active
 
     def test_recovering_head_floors_the_throttle(self):
-        d = leader_control(30.0, 500.0, 30.0, None, True, False, PARAMS)
+        d = leader_control(30.0, -math.inf, 0.0, 0.0, True, False, PARAMS)
         assert d.accel == PARAMS.a_max
 
     def test_recovering_head_respects_the_ceiling(self):
-        d = leader_control(35.0, 500.0, 35.0, None, True, False, PARAMS)
+        d = leader_control(35.0, -math.inf, 0.0, 0.0, True, False, PARAMS)
         assert d.accel == 0.0
         assert "speed_ceiling" in d.active
 

@@ -33,6 +33,8 @@ def test_default_params_validate_clean():
     ("eps_platoon_gap", math.nan, "eps_platoon_gap must be finite"),
     ("gamma", math.inf, "gamma must be finite"),
     ("dt", 1e-310, "duration / dt must be finite"),
+    # One step at a_min from just above v_min would move a vehicle back.
+    ("a_min", -400.5, "a_min * dt must be at least -2 * v_min"),
 ])
 def test_bad_scalar_params_are_reported(field, value, fragment):
     params = dataclasses.replace(SimParams(), **{field: value})
@@ -52,6 +54,12 @@ def test_a_numpy_integer_seed_is_valid():
     params = dataclasses.replace(SimParams(duration=1.0), seed=np.int64(7))
     assert validate_params(params) == []
     assert run(params).events == run(SimParams(duration=1.0, seed=7)).events
+
+
+def test_a_min_on_the_backward_braking_bound_is_valid():
+    # At the defaults (v_min 20, dt 0.1) the bound is a_min = -400 exactly.
+    assert validate_params(dataclasses.replace(SimParams(), a_min=-400.0)) \
+        == []
 
 
 def test_zero_duration_is_allowed():

@@ -14,11 +14,11 @@ gaps = st.floats(min_value=-120.0, max_value=-0.5)
 
 
 def test_solo_force_reference_value():
-    assert drag_force(30.0, 0.0, False, LAW) == 0.36
+    assert drag_force(30.0, -math.inf, LAW) == 0.36
 
 
 def test_wake_force_reference_value():
-    assert drag_force(30.0, -20.0, True, LAW) == 0.3163903521131544
+    assert drag_force(30.0, -20.0, LAW) == 0.3163903521131544
 
 
 def test_partials_reference_values():
@@ -43,9 +43,9 @@ def test_flow_bound_scales_with_closing_speed():
 def test_law_object_matches_module_functions():
     # the package exports the kernels' law; the coefficients carry no
     # second copy of it
-    assert drag_force(22.0, -6.0, True, LAW) == 0.1217221212077987
-    assert drag_force(22.0, -6.0, True, LAW) \
-        == kernels.drag_force(22.0, -6.0, True, LAW)
+    assert drag_force(22.0, -6.0, LAW) == 0.1217221212077987
+    assert drag_force(22.0, -6.0, LAW) \
+        == kernels.drag_force(22.0, -6.0, LAW)
     assert drag_partials(30.0, -20.0, LAW) == kernels.drag_partials(
         30.0, -20.0, LAW)
     assert flow_bound(30.0, -20.0, 2.0, LAW) \
@@ -54,14 +54,13 @@ def test_law_object_matches_module_functions():
         assert not hasattr(LAW, method)
 
 
-def test_solo_vehicle_ignores_gap():
-    assert drag_force(28.0, -3.0, False, LAW) \
-        == drag_force(28.0, -900.0, False, LAW)
+def test_no_vehicle_ahead_is_the_solo_drag():
+    assert drag_force(28.0, -math.inf, LAW) == LAW.c0 * 28.0 * 28.0
 
 
 @given(v=speeds, p_hat=gaps)
 def test_wake_discount_reduces_drag(v, p_hat):
-    assert drag_force(v, p_hat, True, LAW) < drag_force(v, p_hat, False, LAW)
+    assert drag_force(v, p_hat, LAW) < drag_force(v, -math.inf, LAW)
 
 
 @given(v=speeds, p_hat=gaps)
@@ -75,10 +74,10 @@ def test_force_increases_with_speed_decreases_with_gap(v, p_hat):
 def test_partials_match_difference_quotient(v, p_hat):
     h = 1e-5
     f_v, f_p = drag_partials(v, p_hat, LAW)
-    fd_v = (drag_force(v + h, p_hat, True, LAW)
-            - drag_force(v - h, p_hat, True, LAW)) / (2 * h)
-    fd_p = (drag_force(v, p_hat + h, True, LAW)
-            - drag_force(v, p_hat - h, True, LAW)) / (2 * h)
+    fd_v = (drag_force(v + h, p_hat, LAW)
+            - drag_force(v - h, p_hat, LAW)) / (2 * h)
+    fd_p = (drag_force(v, p_hat + h, LAW)
+            - drag_force(v, p_hat - h, LAW)) / (2 * h)
     assert math.isclose(f_v, fd_v, rel_tol=1e-5)
     assert math.isclose(f_p, fd_p, rel_tol=1e-5)
 

@@ -9,6 +9,8 @@ column, must return the row's ``accel`` bit for bit.  Only a vehicle's
 first row has no step before it to replay from.
 """
 
+import math
+
 import pytest
 
 from platoonflow import run
@@ -37,17 +39,16 @@ def replay(tr):
             m = mode[i]
             deadline_active = (params.enforce_deadlines and m < 2
                                and margin[j] >= -params.eps_d)
-            ahead = j > lo
-            if ahead:
+            if j > lo:
                 p_hat, v_hat = p[j] - p[j - 1], v[j] - v[j - 1]
                 pred_accel = accel[j - 1]
             else:
                 assert m & 1, f"follower {vid[i]} had no predecessor"
-                p_hat = v_hat = pred_accel = 0.0
+                p_hat, v_hat, pred_accel = -math.inf, 0.0, 0.0
             if m & 1:
                 decision = kernels.leader_decision(
-                    v[j], p_hat, v_hat, pred_accel, ahead, m == 3,
-                    deadline_active, params)
+                    v[j], p_hat, v_hat, pred_accel, m == 3, deadline_active,
+                    params)
             else:
                 decision = kernels.follower_decision(
                     v[j], p_hat, v_hat, pred_accel, deadline_active, params)

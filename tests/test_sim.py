@@ -555,7 +555,7 @@ def test_the_engine_solves_what_the_public_api_reports(params):
                                     veh.deadline) >= -params.eps_d)
             recovering = veh.mode == VehicleMode.LEADER_RECOVERING
             if pred is None:
-                d = leader_control(veh.v, veh.p, veh.v, None, recovering,
+                d = leader_control(veh.v, -math.inf, 0.0, 0.0, recovering,
                                    deadline_active, params)
             elif veh.mode & 1:
                 d = leader_control(veh.v, veh.p - pred.p, veh.v - pred.v,

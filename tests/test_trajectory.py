@@ -93,10 +93,10 @@ class TestRecordViews:
             assert rec.deadline_margin == deadline_margin(
                 veh.p, veh.v, world.t, veh.exit_pos, veh.deadline)
             assert rec.mode == MODE_NAMES[veh.mode]
-        assert snap[0].drag == drag_force(front.v, 0.0, False, law)
+        assert snap[0].drag == drag_force(front.v, -math.inf, law)
         assert math.isnan(snap[0].gs_margin)
         p_hat, v_hat = rear.p - front.p, rear.v - front.v
-        assert snap[1].drag == drag_force(rear.v, p_hat, True, law)
+        assert snap[1].drag == drag_force(rear.v, p_hat, law)
         assert snap[1].gs_margin == stopping_margin(rear.v, p_hat, v_hat,
                                                     params)
 
@@ -118,10 +118,9 @@ def test_a_swapped_in_drag_law_runs_through_the_engine():
     result = run(SimParams(duration=20.0, seed=1, drag=LONG_WAKE))
     assert len(result.trajectory) > 0
     for snap in records_by_time(result.trajectory).values():
-        assert snap[0].drag == drag_force(snap[0].v, 0.0, False, LONG_WAKE)
+        assert snap[0].drag == drag_force(snap[0].v, -math.inf, LONG_WAKE)
         for ahead, rec in zip(snap, snap[1:]):
-            assert rec.drag == drag_force(rec.v, rec.p - ahead.p, True,
-                                          LONG_WAKE)
+            assert rec.drag == drag_force(rec.v, rec.p - ahead.p, LONG_WAKE)
     assert VehicleMode.FOLLOWER in result.trajectory.mode
 
 

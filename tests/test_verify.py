@@ -45,8 +45,7 @@ def direct_figures(params: SimParams, seed: int) -> tuple:
 def test_fold_equals_figures_read_from_each_run(monkeypatch):
     monkeypatch.setattr(verify, "N_CORPUS_SEEDS", 3)
     corpus = RunCorpus(SHORT)
-    corpus.build()
-    assert corpus.errors == {}
+    assert corpus.build() is None
     assert list(corpus.summaries) == [0, 1, 2]
     for seed, summary in corpus.summaries.items():
         assert summary.worst_gap_excess is not None
@@ -96,8 +95,9 @@ def test_corpus_checks_name_the_first_failed_seed(monkeypatch):
     corpus = RunCorpus(params)
     results = [check_safety(params, corpus), check_throughput(params, corpus),
                check_braking_only(params, corpus)]
-    assert calls == [0, 1, 2, 3]
-    assert corpus.first_error() == "seed 1: gap breach in seed 1"
+    # The build stops at the first failed seed, and runs it only once.
+    assert calls == [0, 1]
+    assert corpus.build() == "seed 1: gap breach in seed 1"
     assert [(r.name, r.passed, r.detail) for r in results] == [
         ("safety_50_seeds", False,
          "engine audit tripped, seed 1: gap breach in seed 1"),
