@@ -146,7 +146,8 @@ def deadline_margin(p: float, v: float, t: float,
 
     Negative while cruising at v covers the remaining distance in time;
     zero on the boundary; positive once the deadline cannot be met
-    without accelerating.  The derive calls it on numpy columns.
+    without accelerating.  ``Trajectory.physics`` calls it on numpy
+    columns.
     """
     return (exit_pos - p) - (deadline - t) * v
 

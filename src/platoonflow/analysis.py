@@ -16,6 +16,7 @@ shares no code path with the closed-form controller it checks.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,7 +29,7 @@ from ._kernels_py import (SPEED_EDGE_TOL, FeasibilityVerdict, drag_partials,
 from .core import SimParams
 from .sim import (EVENT_DISCARD, EVENT_EXIT, EVENT_MERGE, EVENT_RECOVER,
                   EVENT_RELAX, EVENT_SPAWN, EVENT_SPLIT, SimResult)
-from .trajectory import Trajectory, TrajectoryRecord, pair_rows
+from .trajectory import MODE_NAMES, Trajectory, TrajectoryRecord, pair_rows
 
 _INEQ_TOL = 1e-9  # slack applied to every brute-force inequality
 _GRID_POINTS = 10001  # evenly spaced candidates from a_min to a_max
@@ -44,19 +45,30 @@ def _oracle_grid(a_min: float, a_max: float) -> np.ndarray:
     return grid
 
 
+def _records(tr: Trajectory, key: str) -> dict:
+    """Every row of ``tr`` as a record, grouped by the record field
+    ``key`` in stored order."""
+    out: dict = defaultdict(list)
+    physics = zip(*(column.tolist() for column in tr.physics()))
+    for time, start, stop in tr.steps():
+        for i, (u, drag, gs, dm) in zip(range(start, stop), physics):
+            # The shared nan object keeps front-vehicle records equal.
+            rec = TrajectoryRecord(
+                time, tr.vehicle_id[i], tr.platoon_id[i], tr.p[i], tr.v[i],
+                tr.accel[i], u, drag, gs if gs == gs else math.nan, dm,
+                MODE_NAMES[tr.mode[i]])
+            out[getattr(rec, key)].append(rec)
+    return dict(out)
+
+
 def records_by_time(tr: Trajectory) -> dict[float, list[TrajectoryRecord]]:
     """Group records into per-time snapshots ordered front to back."""
-    return {time: [tr.record(i, time) for i in range(start, stop)]
-            for time, start, stop in tr.steps()}
+    return _records(tr, "time")
 
 
 def records_by_vehicle(tr: Trajectory) -> dict[int, list[TrajectoryRecord]]:
     """Group records per vehicle in time order."""
-    out: dict[int, list[TrajectoryRecord]] = defaultdict(list)
-    for time, start, stop in tr.steps():
-        for i in range(start, stop):
-            out[tr.vehicle_id[i]].append(tr.record(i, time))
-    return dict(out)
+    return _records(tr, "vehicle_id")
 
 
 def previous_rows(tr: Trajectory) -> np.ndarray:
@@ -96,12 +108,12 @@ def check_ordering(tr: Trajectory) -> list[str]:
 
 def check_safety(tr: Trajectory) -> list[str]:
     """Stopping-envelope audit over all consecutive pairs at all times,
-    allowing ``gap_allowance(tr.params)``.  It reads the derived
-    ``gs_margin`` column, so like every physics read it raises
+    allowing ``gap_allowance(tr.params)``.  It reads the physics
+    column ``gs_margin``, so like every physics read it raises
     ``KeyError`` on a vehicle that was never registered."""
     allowed = gap_allowance(tr.params)
     back = pair_rows(tr.offsets)
-    g = np.array(tr.gs_margin)[back]
+    g = tr.physics().gs_margin[back]
     bad = g > allowed
     t, vid = row_times(tr), tr.vehicle_id
     return [f"t={t[b]:.3f}: margin {gb:.6f} > {allowed:.6f} between "
@@ -235,8 +247,8 @@ def summarize(result: SimResult) -> dict[str, object]:
     prev = prev[rows]
     t = row_times(tr)
     dt = t[rows] - t[prev]
-    drag = np.array(tr.drag)
-    work = np.maximum(np.array(tr.u), 0.0) * np.array(tr.v)
+    u, drag = tr.physics()[:2]
+    work = np.maximum(u, 0.0) * np.array(tr.v)
 
     def integral(y: np.ndarray) -> float:
         # ``np.trapezoid``'s term, over every vehicle's row pairs at once.

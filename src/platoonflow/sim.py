@@ -2,7 +2,7 @@
 
 A world's ``params``, and with them its drag law ``params.drag``, are
 fixed when ``WorldState.initial`` builds it: they are its trajectory's
-``params``, which the trajectory derives under and which every phase of
+``params``, which its physics is computed under and which every phase of
 ``step(world)`` reads through ``world.params``.
 
 One step covers the interval [t, t + dt):
@@ -25,8 +25,8 @@ One step covers the interval [t, t + dt):
 7. trajectory records: the state columns of ``world.trajectory`` (ids,
    position, speed, command, mode).  The physics a reader may want
    besides (drag, actuator effort, stopping and deadline margins) is
-   not computed here: the trajectory derives it from the stored state
-   on its first read, with the vehicles' exit positions and deadlines
+   not stored: ``Trajectory.physics`` computes it from the stored
+   state on each read, with the vehicles' exit positions and deadlines
    that the engine registers once when it places or spawns a vehicle.
 
 Each vehicle carries its own decision: the decide pass leaves it on
@@ -90,7 +90,7 @@ class WorldState:
     with list index, and platoons are contiguous runs of ``platoon_id``.
     ``next_spawn`` is the due time of the single arrival process, inf
     in a world that spawns nothing.
-    ``trajectory`` holds the run's ``params``, derives its physics under
+    ``trajectory`` holds the run's ``params``, computes its physics under
     them, and knows the exit and deadline of every vehicle placed by
     ``insert_vehicle`` or the spawn path.
     """

@@ -4,20 +4,17 @@ The engine appends one step at a time: its stamp plus one row per
 vehicle on the road, front to back.  Every field is a typed ``array``
 column, so a record costs a few dozen bytes instead of an object, and a
 reader takes step ``k`` as the row slice ``offsets[k]:offsets[k + 1]``,
-already ordered front to back.  ``record`` builds a row as a
-``TrajectoryRecord`` object, for callers that want one.
+already ordered front to back.
 
-The engine stores only state: ids, position, speed, command and mode.
+A trajectory keeps only what the engine wrote: ids, position, speed,
+command and mode, and the exit and deadline it registers per vehicle.
 The four physics columns (``u``, ``drag``, ``gs_margin`` and
-``deadline_margin``) are derived from that state, the ``params`` every
-trajectory is built with (its envelope constants and ``params.drag``),
-and the exit and deadline the engine registers per vehicle.  The first
-read of any of them derives every row appended since the last read, and
-the rows stay derived after that, so a run that nobody reads them from
-never pays for them.  The fill works on whole columns, a bounded block
-of rows at a time, so its temporaries do not grow with the trajectory.
-A trajectory is written only by ``register`` and ``append_step``, so
-its physics columns only ever hold what the derive computed.
+``deadline_margin``) are computed from those and the ``params`` every
+trajectory is built with (its envelope constants and ``params.drag``)
+on each call of ``Trajectory.physics``, for any range of steps, and
+the trajectory keeps none of them.  The computation works on whole
+columns, a bounded block of rows at a time, so its temporaries do not
+grow with the range.
 
 ``trajectory_csv_text`` formats the rows as the lines of
 ``trajectory.csv``.
@@ -29,7 +26,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -64,15 +61,21 @@ class TrajectoryRecord:
     mode: str
 
 
-# Per-row columns in TrajectoryRecord field order (time is per step).
-INT_COLUMNS = ("vehicle_id", "platoon_id")
-FLOAT_COLUMNS = ("p", "v", "accel", "u", "drag", "gs_margin",
-                 "deadline_margin")
-COLUMNS = INT_COLUMNS + FLOAT_COLUMNS + ("mode",)
-# Columns derived on read from the stored ones, each held in ``_<name>``.
-DERIVED_COLUMNS = ("u", "drag", "gs_margin", "deadline_margin")
-STORED_COLUMNS = tuple(c for c in COLUMNS if c not in DERIVED_COLUMNS)
-# Rows per block of ``Trajectory.blocks``, which the derive and the CSV
+class Physics(NamedTuple):
+    """The physics columns of a range of rows, one element per row, as
+    ``Trajectory.physics`` returns them: fresh float64 arrays."""
+
+    u: np.ndarray
+    drag: np.ndarray
+    gs_margin: np.ndarray
+    deadline_margin: np.ndarray
+
+
+# The per-row columns a trajectory stores, in ``append_step`` order (time
+# is per step), and the ones ``Trajectory.physics`` computes from them.
+STORED_COLUMNS = ("vehicle_id", "platoon_id", "p", "v", "accel", "mode")
+DERIVED_COLUMNS = Physics._fields
+# Rows per block of ``Trajectory.blocks``, which the physics and the CSV
 # writer both work in: whole steps up to about this many rows.
 DERIVE_BLOCK_ROWS = 4096
 
@@ -91,47 +94,26 @@ def pair_rows(offsets: Iterable[int]) -> np.ndarray:
     return np.flatnonzero(behind)
 
 
-def _derived(name: str) -> property:
-    slot = "_" + name
-
-    def get(self: "Trajectory") -> array:
-        if self._derived_steps != len(self.times):
-            self._derive()
-        return getattr(self, slot)
-
-    return property(get, doc=f"The ``{name}`` column, derived on read.")
-
-
 class Trajectory:
-    """Recorded snapshots, one typed column per record field.
+    """Recorded snapshots, one typed column per stored field.
 
     ``times[k]`` is the stamp of step ``k`` and its rows are
     ``offsets[k]:offsets[k + 1]``; steps with no vehicle on the road are
-    not stored.  ``mode`` holds ``VehicleMode`` values.  The columns in
-    ``DERIVED_COLUMNS`` are filled up to the last stored step when one
-    of them is read (see the module docstring), under ``params``, the
-    run's constants that every reader of the trajectory takes.
+    not stored.  ``mode`` holds ``VehicleMode`` values.  ``physics``
+    computes the columns in ``DERIVED_COLUMNS`` (see the module
+    docstring) under ``params``, the run's constants that every reader
+    of the trajectory takes.
     """
 
     __slots__ = (("times", "offsets") + STORED_COLUMNS
-                 + tuple("_" + name for name in DERIVED_COLUMNS)
-                 + ("_derived_steps", "_params", "_exit_pos", "_deadline"))
-
-    u = _derived("u")
-    drag = _derived("drag")
-    gs_margin = _derived("gs_margin")
-    deadline_margin = _derived("deadline_margin")
+                 + ("_params", "_exit_pos", "_deadline"))
 
     def __init__(self, params: SimParams) -> None:
         self.times = array("d")
         self.offsets = array("q", [0])
-        for name in INT_COLUMNS:
-            setattr(self, name, array("q"))
-        for name in FLOAT_COLUMNS:
-            setattr(self, name if name in STORED_COLUMNS else "_" + name,
-                    array("d"))
+        self.vehicle_id, self.platoon_id = array("q"), array("q")
+        self.p, self.v, self.accel = array("d"), array("d"), array("d")
         self.mode = array("b")
-        self._derived_steps = 0
         self._params = params
         # Exit position and deadline by vehicle id, nan for an id never
         # registered: engine ids are dense from 0.
@@ -140,7 +122,8 @@ class Trajectory:
 
     @property
     def params(self) -> SimParams:
-        """The run's constants every row derives under; read-only."""
+        """The run's constants the physics is computed under;
+        read-only."""
         return self._params
 
     def register(self, vehicle_id: int, exit_pos: float,
@@ -169,8 +152,8 @@ class Trajectory:
                     accel: list[float], mode: list[int]) -> None:
         """Append one non-empty snapshot of state, as equal-length lists.
 
-        Every vehicle in it must be registered before its physics
-        columns are read.
+        Every vehicle in it must be registered before the physics of its
+        rows is read.
         """
         self.times.append(time)
         self.vehicle_id.fromlist(vehicle_id)
@@ -181,17 +164,27 @@ class Trajectory:
         self.mode.fromlist(mode)
         self.offsets.append(len(self.vehicle_id))
 
-    def _derive(self) -> None:
-        """Fill the derived columns for every step appended since the
-        last fill, block by block of whole steps."""
-        for k, stop in self.blocks(self._derived_steps):
-            self._derive_block(k, stop)
-            # The watermark moves after each block has reached all four
-            # columns, so a block that raises leaves them whole.
-            self._derived_steps = stop
+    def physics(self, start: int = 0, stop: int | None = None) -> Physics:
+        """The physics of the rows of steps ``start:stop`` (every step
+        by default), computed on this call a block of ``blocks`` at a
+        time.  ``KeyError`` names the first vehicle of the range that
+        was never registered.
+        """
+        stop = len(self.times) if stop is None else stop
+        base = self.offsets[start]
+        out = Physics(*(np.empty(self.offsets[stop] - base)
+                        for _ in DERIVED_COLUMNS))
+        for k, end in self.blocks(start):
+            if k >= stop:
+                break
+            end = min(end, stop)
+            rows = slice(self.offsets[k] - base, self.offsets[end] - base)
+            for column, block in zip(out, self._derive_block(k, end)):
+                column[rows] = block
+        return out
 
-    def _derive_block(self, k: int, stop: int) -> None:
-        """Append the derived rows of steps ``k:stop``.
+    def _derive_block(self, k: int, stop: int) -> Physics:
+        """The physics of the rows of steps ``k:stop``.
 
         Every numpy array here reads a slice copy of a column, never the
         live column: an exported buffer would make the engine's next
@@ -227,11 +220,8 @@ class Trajectory:
                             p_hat + delta + v_hat * (v_min - ego) / a_min
                             + v_hat * v_hat / (2.0 * a_min))
 
-        self._drag.frombytes(drag.tobytes())
-        self._u.frombytes((np.frombuffer(self.accel[lo:hi]) + drag).tobytes())
-        self._gs_margin.frombytes(gs.tobytes())
-        self._deadline_margin.frombytes(
-            deadline_margin(p, v, time, exit_pos, deadline).tobytes())
+        return Physics(np.frombuffer(self.accel[lo:hi]) + drag, drag, gs,
+                       deadline_margin(p, v, time, exit_pos, deadline))
 
     def _targets(self, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exit positions and deadlines of ``vids``; ``KeyError`` names
@@ -260,8 +250,8 @@ class Trajectory:
         Each block holds as many steps as fit in ``DERIVE_BLOCK_ROWS``
         rows, and at least one, so a step longer than that is a block of
         its own.  The steps are counted when the first block is asked
-        for.  The derive fills its columns a block at a time, and the
-        CSV writer formats them a block at a time, so neither holds
+        for.  ``physics`` computes its range a block at a time, and the
+        CSV writer formats the rows a block at a time, so neither holds
         more than a block of temporaries.
         """
         offsets, n_steps = self.offsets, len(self.times)
@@ -271,24 +261,16 @@ class Trajectory:
             yield k, stop
             k = stop
 
-    def record(self, i: int, time: float) -> TrajectoryRecord:
-        """Row ``i`` as a record; ``time`` is the stamp of its step."""
-        gs = self.gs_margin[i]
-        if gs != gs:
-            # The shared nan object keeps front-vehicle records equal.
-            gs = math.nan
-        return TrajectoryRecord(
-            time, self.vehicle_id[i], self.platoon_id[i], self.p[i],
-            self.v[i], self.accel[i], self.u[i], self.drag[i],
-            gs, self.deadline_margin[i], MODE_NAMES[self.mode[i]])
-
     def __eq__(self, other: object) -> bool:
-        # Bitwise, so runs that record the same nan compare equal.
+        # Bitwise, so runs that record the same nan compare equal; the
+        # physics too, so the registered exits and deadlines count.
         if not isinstance(other, Trajectory):
             return NotImplemented
-        return all(getattr(self, name).tobytes()
-                   == getattr(other, name).tobytes()
-                   for name in ("times", "offsets") + COLUMNS)
+        return (all(getattr(self, name).tobytes()
+                    == getattr(other, name).tobytes()
+                    for name in ("times", "offsets") + STORED_COLUMNS)
+                and all(a.tobytes() == b.tobytes()
+                        for a, b in zip(self.physics(), other.physics())))
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -318,16 +300,19 @@ def trajectory_csv_text(tr: Trajectory, start: int = 0,
     the row format: ``trajectory.csv`` is written as one call per block
     of ``tr.blocks()``.
     """
-    vid, pid, mode = tr.vehicle_id, tr.platoon_id, tr.mode
-    p, v, accel, u, drag = tr.p, tr.v, tr.accel, tr.u, tr.drag
-    gs, dm = tr.gs_margin, tr.deadline_margin
+    vid, pid, mode, p, v, accel = (tr.vehicle_id, tr.platoon_id, tr.mode,
+                                   tr.p, tr.v, tr.accel)
+    # The range's physics is indexed from its first row, ``base``.
+    base = tr.offsets[start]
+    u, drag, gs, dm = map(memoryview, tr.physics(start, stop))
     # One string per step, not per row: a list of rows would hold one
     # string object per record until the final join.
     steps = [",".join(_CSV_HEADER) + "\n"] if start == 0 else []
     for time, lo, hi in tr.steps(start, stop):
         t = _sig(time)
         steps.append("".join([
-            _CSV_ROW % (t, vid[i], pid[i], p[i], v[i], accel[i], u[i],
-                        drag[i], gs[i], dm[i], MODE_NAMES[mode[i]])
-            for i in sorted(range(lo, hi), key=vid.__getitem__)]))
+            _CSV_ROW % (t, vid[i], pid[i], p[i], v[i], accel[i], u[j],
+                        drag[j], gs[j], dm[j], MODE_NAMES[mode[i]])
+            for i in sorted(range(lo, hi), key=vid.__getitem__)
+            for j in [i - base]]))
     return "".join(steps)

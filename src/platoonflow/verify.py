@@ -367,15 +367,15 @@ def _drag_descent_seed(params: SimParams,
     """Follower step pairs, worst F^2 rise, and the failure detail of the
     first rise beyond ``allowed`` (None when there is none) of one run.
 
-    Each row's previous row is found before the physics columns are
-    derived, and the trajectory is dropped once the columns the pairing
-    reads are copied out, so the pairing's temporaries never share
+    Each row's previous row is found before the physics is computed,
+    and the trajectory is dropped once the columns the pairing reads
+    are copied out, so the pairing's temporaries never share
     memory with the run, and the next seed's run never shares it with
     anything of this one.
     """
     tr = run(params).trajectory
     last = previous_rows(tr)
-    drag = np.array(tr.drag)
+    drag = tr.physics().drag
     offsets = np.array(tr.offsets)
     vid = np.array(tr.vehicle_id)
     mode = np.array(tr.mode)

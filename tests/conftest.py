@@ -5,7 +5,7 @@ import pytest
 
 from platoonflow import SimParams, Trajectory, run, step
 from platoonflow import deadline_margin, drag_force, stopping_margin
-from platoonflow.trajectory import COLUMNS, DERIVED_COLUMNS
+from platoonflow.trajectory import DERIVED_COLUMNS, STORED_COLUMNS
 from platoonflow.verify import RunCorpus
 
 # Full-length runs that tests read whole, every row and every event.
@@ -37,7 +37,7 @@ def corpus():
 
 def hand_built(steps, params, registered=None):
     """A trajectory of ``steps``, appended as the engine appends them and
-    derived under ``params``, and the targets it registered.
+    its physics computed under ``params``, and the targets it registered.
 
     Each step is ``(time, rows)``, its rows front to back, each row
     ``(vid, p, v)`` optionally followed by ``accel``, ``platoon_id`` and
@@ -61,9 +61,11 @@ def hand_built(steps, params, registered=None):
     return tr, targets
 
 
-def derived_bytes(tr):
-    """The trajectory's derived columns as bytes, by column name."""
-    return {name: getattr(tr, name).tobytes() for name in DERIVED_COLUMNS}
+def derived_bytes(tr, start=0, stop=None):
+    """The physics of ``tr``'s steps ``start:stop`` as bytes, by column
+    name."""
+    return {name: column.tobytes() for name, column
+            in zip(DERIVED_COLUMNS, tr.physics(start, stop))}
 
 
 def step_world(world, n, targets, *, fresh=False):
@@ -81,16 +83,17 @@ def step_world(world, n, targets, *, fresh=False):
 
 
 def world_bytes(world):
-    """Every trajectory column and the events of ``world``, in a form
-    that compares equal only when bitwise equal."""
+    """Every stored trajectory column, the trajectory's physics and the
+    events of ``world``, in a form that compares equal only when bitwise
+    equal."""
     tr = world.trajectory
     columns = {name: getattr(tr, name).tobytes()
-               for name in ("times", "offsets") + COLUMNS}
-    return columns, [repr(e) for e in world.events]
+               for name in ("times", "offsets") + STORED_COLUMNS}
+    return columns, derived_bytes(tr), [repr(e) for e in world.events]
 
 
 def recompute_derived(tr, params, targets):
-    """The derived columns of ``tr`` recomputed row by row from its state
+    """The physics of ``tr`` recomputed row by row from its stored
     columns under ``params``, as bytes by column name."""
     law = params.drag
     out = {name: array("d") for name in DERIVED_COLUMNS}

@@ -115,10 +115,11 @@ class TestCsvWriters:
         # A trajectory's rows go through that format, its nan included.
         tr, _ = hand_built([(0.1, [(3, 123.456789, 20.0, -0.0, -3, 0)])],
                            SimParams())
+        u, drag, gs, dm = (column[0] for column in tr.physics())
         assert trajectory_csv_text(tr).splitlines()[1:] == [
             f"{0.1:.6g},3,-3,{tr.p[0]:.6g},{tr.v[0]:.6g},"
-            f"{tr.accel[0]:.6g},{tr.u[0]:.6g},{tr.drag[0]:.6g},"
-            f"{tr.gs_margin[0]:.6g},{tr.deadline_margin[0]:.6g},follower"]
+            f"{tr.accel[0]:.6g},{u:.6g},{drag:.6g},"
+            f"{gs:.6g},{dm:.6g},follower"]
 
     def test_events_header_is_stable(self):
         assert events_csv_text([]) == "t,kind,id,detail\n"
@@ -202,7 +203,6 @@ class TestCsvBlocks:
         # The whole text, and then its encoding, would peak at about
         # twice the file's size.
         result = run(SimParams())
-        result.trajectory.u  # derived before tracing starts
         peaks = []
         replace_file = cli._replace
 

@@ -24,7 +24,7 @@ def trajectory(request):
 
 def test_drafting_saves_energy(trajectory):
     c0 = trajectory.params.drag.c0
-    drag, v = np.array(trajectory.drag), np.array(trajectory.v)
+    drag, v = trajectory.physics().drag, np.array(trajectory.v)
     saving = 1.0 - np.sum(drag ** 2) / np.sum((c0 * v ** 2) ** 2)
     assert saving > 0.0
 

@@ -99,8 +99,7 @@ def records_digest(tr) -> str:
     """Digest of every record field, floats in exact hex, in engine order:
     one line per row of time, the two ids, the seven float columns and
     the mode's name."""
-    floats = (tr.p, tr.v, tr.accel, tr.u, tr.drag, tr.gs_margin,
-              tr.deadline_margin)
+    floats = (tr.p, tr.v, tr.accel, *tr.physics())
     h = hashlib.sha256()
     for time, start, stop in tr.steps():
         for i in range(start, stop):

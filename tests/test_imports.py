@@ -123,59 +123,3 @@ def test_the_engine_and_readers_import_nothing_from_the_controller(module):
     assert [line for line, name, _ in found
             if name == "platoonflow.controller"] == []
 
-
-def attribute_writers(source, attr):
-    """Qualified name of the function or class around each statement of
-    ``source`` that assigns an attribute named ``attr``, by assignment or
-    by ``setattr`` with a literal name."""
-    found = []
-
-    def assigned(target):
-        if isinstance(target, (ast.Tuple, ast.List)):
-            return any(assigned(elt) for elt in target.elts)
-        if isinstance(target, ast.Starred):
-            return assigned(target.value)
-        return isinstance(target, ast.Attribute) and target.attr == attr
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Assign):
-                written = any(map(assigned, child.targets))
-            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
-                written = assigned(child.target)
-            else:
-                written = (isinstance(child, ast.Call)
-                           and isinstance(child.func, ast.Name)
-                           and child.func.id == "setattr"
-                           and len(child.args) > 1
-                           and isinstance(child.args[1], ast.Constant)
-                           and child.args[1].value == attr)
-            if written:
-                found.append(".".join(scope))
-            visit(child, scope)
-
-    visit(ast.parse(source), ())
-    return found
-
-
-def test_the_reader_sees_each_kind_of_attribute_write():
-    source = ("class A:\n    def f(self):\n        self.x = 1\n"
-              "    def g(self, o):\n        o.y.x += 1\n"
-              "def h(o):\n    setattr(o, 'x', 2)\n    o.x.z = 3\n"
-              "    a, *o.x = 1, 2\n"
-              "o.x: int = 4\n")
-    assert attribute_writers(source, "x") == ["A.f", "A.g", "h", "h", ""]
-
-
-def test_only_the_derive_moves_the_derive_watermark():
-    # The physics columns hold exactly the derived rows up to
-    # ``_derived_steps``, so no other code may move it.
-    writers = {(path.name, scope) for path in PACKAGE.glob("*.py")
-               for scope in attribute_writers(path.read_text(),
-                                              "_derived_steps")}
-    assert writers == {("trajectory.py", "Trajectory.__init__"),
-                       ("trajectory.py", "Trajectory._derive")}

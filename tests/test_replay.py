@@ -27,7 +27,7 @@ def replay(tr):
     in any bit."""
     params = tr.params
     vid, p, v, accel, mode = tr.vehicle_id, tr.p, tr.v, tr.accel, tr.mode
-    margin = tr.deadline_margin
+    margin = tr.physics().deadline_margin
     steps = list(tr.steps())
     replayed, mismatched = 0, []
     for (_, lo, hi), (time, start, stop) in zip(steps, steps[1:]):

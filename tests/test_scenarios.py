@@ -51,8 +51,9 @@ def per_vehicle_energy(tr):
     """Reference for ``summarize``'s two integrals: each vehicle's rows
     integrated apart by ``numpy``'s trapezoid rule, then summed."""
     t = row_times(tr)
-    drag = np.array(tr.drag)
-    work = np.maximum(np.array(tr.u), 0.0) * np.array(tr.v)
+    physics = tr.physics()
+    drag = physics.drag
+    work = np.maximum(physics.u, 0.0) * np.array(tr.v)
     vid = np.array(tr.vehicle_id)
     drag_sq = positive_work = 0.0
     for v in np.unique(vid):

@@ -326,7 +326,8 @@ class TestRunInvariants:
         v, accel = np.array(tr.v), np.array(tr.accel)
         assert ((params.v_min <= v) & (v <= params.v_max)).all()
         assert ((params.a_min <= accel) & (accel <= params.a_max)).all()
-        assert (np.array(tr.u) == accel + np.array(tr.drag)).all()
+        physics = tr.physics()
+        assert (physics.u == accel + physics.drag).all()
         assert set(tr.mode) <= set(VehicleMode)
 
     def test_snapshots_keep_strict_ordering_and_contiguous_platoons(

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -17,12 +18,14 @@ from platoonflow import (
     run,
     step,
 )
-from platoonflow.analysis import records_by_time, records_by_vehicle
+from platoonflow.analysis import (check_safety, records_by_time,
+                                  records_by_vehicle, summarize)
 from platoonflow import deadline_margin, drag_force, stopping_margin
 from platoonflow import trajectory
-from platoonflow.trajectory import COLUMNS, DERIVED_COLUMNS, MODE_NAMES
+from platoonflow.trajectory import (DERIVED_COLUMNS, MODE_NAMES,
+                                    STORED_COLUMNS, trajectory_csv_text)
 
-from conftest import (derived_bytes, hand_built, recompute_derived,
+from conftest import (RUNS, derived_bytes, hand_built, recompute_derived,
                       step_world)
 
 
@@ -39,7 +42,7 @@ def test_mode_codes_carry_the_head_and_relaxed_bits():
         tr, _ = hand_built([(0.1, [(1, 0.0, 20.0, 0.0, 1, mode)])],
                            SimParams())
         assert tr.mode[0] == mode
-        assert tr.record(0, 0.1).mode == MODE_NAMES[mode]
+        assert records(tr)[0].mode == MODE_NAMES[mode]
         assert bool(mode & 1) == MODE_NAMES[mode].startswith("leader")
         assert bool(mode & 2) == (mode in (
             VehicleMode.FOLLOWER_DEADLINE_RELAXED,
@@ -51,7 +54,7 @@ class TestColumns:
         tr = short_run.trajectory
         time, start, stop = list(tr.steps())[-1]
         assert stop == len(tr)
-        rec = tr.record(stop - 1, time)
+        rec = records(tr)[-1]
         assert (rec.time, rec.vehicle_id, rec.p, rec.mode) == (
             tr.times[-1], tr.vehicle_id[-1], tr.p[-1],
             MODE_NAMES[tr.mode[-1]])
@@ -67,10 +70,24 @@ class TestColumns:
         assert a == run(SimParams(duration=10.0, seed=2)).trajectory
         assert a != records(a)
 
+    def test_equality_counts_the_registered_targets(self):
+        # Equal in every stored column, but vehicle 1's deadline differs,
+        # and with it its deadline_margin rows.
+        steps = [(0.1, [(0, 300.0, 25.0), (1, 280.0, 24.0)]),
+                 (0.2, [(0, 302.5, 25.0), (1, 282.4, 24.0)])]
+        a, targets = hand_built(steps, SimParams())
+        b, _ = hand_built(steps, SimParams())
+        assert a == b
+        exit_pos, deadline = targets[1]
+        b.register(1, exit_pos, deadline + 1.0)
+        assert all(getattr(a, name) == getattr(b, name)
+                   for name in ("times", "offsets") + STORED_COLUMNS)
+        assert a != b
+
     def test_records_stay_under_one_hundred_bytes(self, short_run):
         tr = short_run.trajectory
         held = sum(sys.getsizeof(getattr(tr, name))
-                   for name in ("times", "offsets") + COLUMNS)
+                   for name in ("times", "offsets") + STORED_COLUMNS)
         assert held / len(tr) <= 100.0
 
 
@@ -124,22 +141,25 @@ def test_a_swapped_in_drag_law_runs_through_the_engine():
     assert VehicleMode.FOLLOWER in result.trajectory.mode
 
 
-class TestDerivedColumns:
-    """The physics columns are derived on read, from a fill watermark."""
+class TestPhysics:
+    """The physics columns are computed on each read, for any range of
+    steps, and the trajectory keeps none of them."""
 
     @pytest.mark.parametrize("custom", [False, True],
                              ids=["default_law", "custom_law"])
-    def test_columns_fill_from_the_watermark(self, custom):
+    def test_appending_steps_leaves_earlier_rows_physics_unchanged(
+            self, custom):
         params = SimParams(seed=4, drag=LONG_WAKE if custom
                            else DragCoefficients())
         live, targets = WorldState.initial(params), {}
         step_world(live, 150, targets)
         tr = live.trajectory
-        rows = len(tr)
+        steps, rows = len(tr.times), len(tr)
         first = derived_bytes(tr)
         step_world(live, 100, targets)
         assert 0 < rows < len(tr)
         second = derived_bytes(tr)
+        assert derived_bytes(tr, 0, steps) == first
         for name in DERIVED_COLUMNS:
             assert len(first[name]) == 8 * rows
             assert second[name][:8 * rows] == first[name]
@@ -162,6 +182,58 @@ class TestDerivedColumns:
         with pytest.raises(TypeError):
             Trajectory()
 
+    @pytest.mark.parametrize("block", [1, 7, 100, 4096])
+    def test_a_range_is_those_rows_of_the_whole(self, monkeypatch,
+                                                short_run, block):
+        monkeypatch.setattr(trajectory, "DERIVE_BLOCK_ROWS", block)
+        tr = short_run.trajectory
+        whole = tr.physics()
+        n_steps = len(tr.times)
+        cuts = [stop for _, stop in tr.blocks()]
+        ranges = [(0, n_steps), (0, 1), (n_steps - 1, n_steps),
+                  (n_steps // 2, n_steps // 2 + 1), (0, 0), (n_steps, n_steps),
+                  (n_steps // 3, n_steps // 3)]
+        # Ranges that start or stop one step off a block boundary, so
+        # that they straddle it.
+        ranges += [(max(cut - 1, 0), min(cut + 1, n_steps)) for cut in cuts]
+        ranges += [(cut - 1, None) for cut in cuts[:3]]
+        for start, stop in ranges:
+            lo = tr.offsets[start]
+            hi = tr.offsets[n_steps if stop is None else stop]
+            part = tr.physics(start, stop)
+            for column, of_whole in zip(part, whole):
+                assert column.tobytes() == of_whole[lo:hi].tobytes()
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_physics_matches_the_row_by_row_kernels(self, name):
+        params = RUNS[name]
+        world, targets = WorldState.initial(params), {}
+        step_world(world, round(params.duration / params.dt), targets)
+        tr = world.trajectory
+        assert tr == run(params).trajectory
+        assert derived_bytes(tr) == recompute_derived(tr, params, targets)
+
+    def test_slots_name_no_physics_column(self):
+        assert [slot for slot in Trajectory.__slots__
+                if slot.lstrip("_") in DERIVED_COLUMNS] == []
+
+    def test_reading_physics_keeps_nothing(self):
+        result = run(SimParams(duration=20.0, seed=1))
+        tr = result.trajectory
+
+        def held():
+            return {name: sys.getsizeof(getattr(tr, name))
+                    for name in Trajectory.__slots__
+                    if isinstance(getattr(tr, name), array)}
+
+        before = held()
+        assert len(before) == len(STORED_COLUMNS) + 4
+        tr.physics()
+        trajectory_csv_text(tr)
+        summarize(result)
+        check_safety(tr)
+        assert held() == before
+
 
 class TestDeriveEdges:
     """Whole-column derives against the row-by-row kernels."""
@@ -178,14 +250,15 @@ class TestDeriveEdges:
         delta = self.params.delta
         tr = self.check([(0.1, [(0, 300.0, 25.0), (1, 300.0 - delta, 25.0),
                                 (2, 250.0, 24.0), (3, 240.0, 24.0)])])
-        assert list(tr.gs_margin)[1:] == [0.0, -45.0 + delta, -10.0 + delta]
+        assert tr.physics().gs_margin.tolist()[1:] == [
+            0.0, -45.0 + delta, -10.0 + delta]
 
     def test_steps_of_one_vehicle(self):
         tr = self.check([(0.1, [(0, 100.0, 22.0)]),
                          (0.2, [(0, 102.2, 22.0)]),
                          (0.3, [(0, 104.4, 22.5), (1, 90.0, 23.0)]),
                          (0.4, [(1, 92.3, 23.0)])])
-        assert [math.isnan(g) for g in tr.gs_margin] == [
+        assert [math.isnan(g) for g in tr.physics().gs_margin] == [
             True, True, True, False, True]
 
     @pytest.mark.parametrize("block", [1, 5, 6, 7, 100])
@@ -226,10 +299,14 @@ class TestDeriveEdges:
 
     @pytest.mark.parametrize("vid", [-1, 2, 9, 10 ** 12])
     def test_an_unregistered_vehicle_is_a_key_error(self, vid):
-        tr, _ = hand_built([(0.1, [(3, 100.0, 25.0), (vid, 90.0, 25.0)])],
+        tr, _ = hand_built([(0.1, [(3, 100.0, 25.0)]),
+                            (0.2, [(3, 102.5, 25.0), (vid, 90.0, 25.0)])],
                            self.params, registered=[0, 1, 3])
-        with pytest.raises(KeyError, match=str(vid)):
-            tr.deadline_margin
+        for start in (0, 1):
+            with pytest.raises(KeyError, match=str(vid)):
+                tr.physics(start)
+        # A range without its rows reads.
+        assert len(tr.physics(0, 1).u) == 1
 
     def test_a_negative_id_cannot_be_registered(self):
         with pytest.raises(ValueError, match="negative"):
@@ -246,7 +323,7 @@ class TestDeriveEdges:
             tr.register(0, **targets)
         # The refused vehicle stays unknown.
         with pytest.raises(KeyError, match="0"):
-            tr.deadline_margin
+            tr.physics()
 
 
 def test_reads_between_steps_leave_the_world_steppable():
@@ -254,7 +331,7 @@ def test_reads_between_steps_leave_the_world_steppable():
     world, targets = WorldState.initial(params), {}
     step_world(world, 40, targets)
     tr = world.trajectory
-    tr.drag
+    tr.physics()
     step_world(world, 40, targets)
     # A vehicle put on the road by hand is unknown to the trajectory.
     front = world.vehicles[0]
@@ -265,7 +342,7 @@ def test_reads_between_steps_leave_the_world_steppable():
     world.vehicles.insert(0, stray)
     step(world)
     with pytest.raises(KeyError, match=str(stray.vid)):
-        tr.u
+        tr.physics()
     step_world(world, 40, targets)
     tr.register(stray.vid, stray.exit_pos, stray.deadline)
     targets[stray.vid] = (stray.exit_pos, stray.deadline)
@@ -274,20 +351,20 @@ def test_reads_between_steps_leave_the_world_steppable():
 
 
 def derive_peak(n_steps: int) -> int:
-    """Peak traced bytes of deriving a hand-built trajectory of
-    ``n_steps`` steps of 40 vehicles, less the derived columns' own."""
+    """Peak traced bytes of computing the physics of a hand-built
+    trajectory of ``n_steps`` steps of 40 vehicles, less the returned
+    arrays' own."""
     params = SimParams()
     steps = [(0.1 * k, [(vid, 3000.0 - 7.0 * vid + 0.01 * k, 25.0)
                         for vid in range(40)]) for k in range(n_steps)]
     tr, _ = hand_built(steps, params)
     tracemalloc.start()
     try:
-        tr.drag
+        physics = tr.physics()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - sum(sys.getsizeof(getattr(tr, name))
-                      for name in DERIVED_COLUMNS)
+    return peak - sum(column.nbytes for column in physics)
 
 
 def test_derive_memory_does_not_grow_with_the_trajectory():

@@ -7,6 +7,7 @@ from dataclasses import replace
 from itertools import accumulate
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import platoonflow.sim as sim
@@ -256,10 +257,11 @@ def test_determinism_peaks_near_one_run():
     # A short check first takes the one-time allocations out of the
     # measured ones.
     check_determinism(replace(params, duration=1.0))
-    one_run = traced_peak(lambda: run(params).trajectory.u)
+    one_run = traced_peak(lambda: run(params).trajectory.physics())
     peak = traced_peak(lambda: check_determinism(params))
     assert peak < 1.5 * one_run, (
-        f"peak {peak} B for the check vs {one_run} B for one derived run")
+        f"peak {peak} B for the check vs {one_run} B for one run and its "
+        f"physics")
 
 
 # Each step of a short road, with the (vehicle id, mode) of its rows
@@ -286,15 +288,16 @@ PLANTED_DRAG = [0.3, 0.2, 0.2, 0.6, 0.2005, 0.201, 0.2, 0.9, 0.9, 0.21,
 
 
 def descent_columns(drag: list[float]) -> SimpleNamespace:
-    """The columns the drag-descent check reads from a run's trajectory,
-    for the rows of DESCENT_STEPS with ``drag``."""
+    """The columns and the physics the drag-descent check reads from a
+    run's trajectory, for the rows of DESCENT_STEPS with ``drag``."""
     rows = [row for _, step in DESCENT_STEPS for row in step]
     return SimpleNamespace(
         times=[time for time, _ in DESCENT_STEPS],
         offsets=list(accumulate((len(step) for _, step in DESCENT_STEPS),
                                 initial=0)),
         vehicle_id=[vid for vid, _ in rows],
-        mode=[mode for _, mode in rows], drag=drag)
+        mode=[mode for _, mode in rows],
+        physics=lambda: SimpleNamespace(drag=np.array(drag)))
 
 
 @pytest.mark.parametrize("drag,expected", [
