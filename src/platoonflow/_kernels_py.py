@@ -7,9 +7,9 @@ drag kernel from its law (``params.drag``), not from flat floats.
 Each rule is stated once: ``advance`` is the vehicle update, which
 moves the engine's vehicles and those of the feasibility check;
 ``safe_interval`` is the speed box intersected with the stopping
-envelope, which both decisions start from; ``gap_allowance`` bounds
-the stopping margin the audits accept; ``envelope_cap`` alone reads a
-predecessor's command, and applies the worst-case rule to it;
+envelope, which both decisions start from, and alone reads a
+predecessor's command, applying the worst-case rule to it;
+``gap_allowance`` bounds the stopping margin the audits accept;
 ``drag_force``, ``drag_partials`` and ``flow_bound`` are the wake drag
 law; ``classify`` is the verdict both decisions return, a split for a
 follower and a merge for a head.  ``FeasibilityVerdict`` is that
@@ -152,31 +152,6 @@ def deadline_margin(p: float, v: float, t: float,
     return (exit_pos - p) - (deadline - t) * v
 
 
-def envelope_cap(v: float, v_hat: float, g: float, pred_accel: float,
-                 params: SimParams) -> float:
-    """Acceleration cap keeping the envelope margin from growing.
-
-    Solves d(g)/dt <= -gamma * g for the ego acceleration, given the
-    predecessor's commanded acceleration, or full braking under
-    ``params.worst_case_pred_accel``: this only reader of ``pred_accel``
-    owns the worst-case rule.  Only meaningful for a closing pair
-    (v_hat > 0) whose ego is above the speed floor; the caller guards
-    that.
-
-    The raw bound is floored at a_min: a discrete overshoot past the
-    envelope can push it lower, but full braking is the strongest
-    recovery physically available and never grows the margin.
-    """
-    v_min, a_min = params.v_min, params.a_min
-    pred_accel = a_min if params.worst_case_pred_accel else pred_accel
-    k = (v_min - v) / a_min
-    r = v_hat - pred_accel * (v_min - v + v_hat) / a_min
-    cap = (-params.gamma * g - r) / k
-    if cap < a_min:
-        cap = a_min
-    return cap
-
-
 def safe_interval(v: float, p_hat: float, v_hat: float,
                   pred_accel: float, params: SimParams
                   ) -> tuple[float, float, float, float]:
@@ -184,38 +159,58 @@ def safe_interval(v: float, p_hat: float, v_hat: float,
     the speed box and the stopping envelope, the envelope margin and the
     acceleration cap it imposes.
 
+    Under params that ``validate_params`` accepts, ``lo`` is ``a_min``,
+    or ``0.0`` for an ego at the speed floor, and
+    ``a_min <= lo <= min(0.0, hi)``: the interval is never empty, and
+    braking at ``lo`` is always admissible.
+
     Nobody ahead is a predecessor infinitely far ahead and not closing:
     ``(p_hat, v_hat, pred_accel) = (-inf, 0.0, 0.0)``.  Since
     ``c2 > 0``, its wake discount and descent bound are exactly 0, ``g``
     is -inf and no cap binds, so every kernel treats it as it treats a
     far, non-closing predecessor.
 
+    ``cap`` keeps the envelope margin from growing: it solves
+    d(g)/dt <= -gamma * g for the ego acceleration, given the
+    predecessor's commanded acceleration, or full braking under
+    ``params.worst_case_pred_accel``.  This is the one reader of
+    ``pred_accel``, so it owns the worst-case rule.  The raw bound is
+    floored at ``a_min``: a discrete overshoot past the envelope can
+    push it lower, but full braking is the strongest recovery physically
+    available and never grows the margin.
+
     ``cap`` is inf where the envelope does not bind: for a pair that is
     not closing, for an ego at the speed floor, and with ``gamma == 0``
     outside the ``eps_g`` band.  With ``gamma > 0`` it binds every other
-    closing pair, engaging smoothly ahead of the boundary.  The interval
-    is never empty for states reachable by the engine.
+    closing pair, engaging smoothly ahead of the boundary.
 
     An ego at the floor may still close on a predecessor parked at the
     floor a little below it, by less than ``SPEED_EDGE_TOL``.  It cannot
     brake any further, and the cap, which divides by the ego's headroom
     above the floor, is undefined there.
     """
-    lo = params.a_min
+    v_min, a_min = params.v_min, params.a_min
+    lo = a_min
     hi = params.a_max
-    at_floor = v <= params.v_min + SPEED_EDGE_TOL
+    at_floor = v <= v_min + SPEED_EDGE_TOL
     if at_floor:
         lo = 0.0
     if v >= params.v_max - SPEED_EDGE_TOL:
         hi = 0.0
     g = stopping_margin(v, p_hat, v_hat, params)
+    cap = INF
     if v_hat > 0.0 and not at_floor and (g >= -params.eps_g
                                          or params.gamma > 0.0):
-        cap = envelope_cap(v, v_hat, g, pred_accel, params)
+        if params.worst_case_pred_accel:
+            pred_accel = a_min
+        k = (v_min - v) / a_min
+        r = v_hat - pred_accel * (v_min - v + v_hat) / a_min
+        cap = (-params.gamma * g - r) / k
+        if cap < a_min:
+            cap = a_min
         if cap < hi:
             hi = cap
-        return lo, hi, g, cap
-    return lo, hi, g, INF
+    return lo, hi, g, cap
 
 
 def classify(v: float, v_hat: float, bound: float, deadline_active: bool,
@@ -235,15 +230,6 @@ def classify(v: float, v_hat: float, bound: float, deadline_active: bool,
     return VERDICT_FEASIBLE
 
 
-def _clamp_to_zero(lo: float, hi: float) -> float:
-    # Minimum-magnitude element of [lo, hi]: the feasible value closest to 0.
-    if lo > 0.0:
-        return lo
-    if hi < 0.0:
-        return hi
-    return 0.0
-
-
 def follower_decision(v: float, p_hat: float, v_hat: float,
                       pred_accel: float, deadline_active: bool,
                       params: SimParams) -> Decision:
@@ -254,11 +240,12 @@ def follower_decision(v: float, p_hat: float, v_hat: float,
     stopping-envelope margin, ``cap`` the envelope's acceleration cap
     (inf where it does not bind) and ``bound`` the drag-descent cap.
 
-    The command is the feasible acceleration of least magnitude.  When the
-    constraint set is empty, the verdict explains why and the command
-    falls back: drag-vs-deadline and box conflicts brake on the leader
-    policy; an envelope-vs-deadline conflict drops the deadline and
-    re-solves.
+    The command is the feasible acceleration of least magnitude, which
+    is ``hi`` or 0 since ``lo <= 0``.  When the constraint set is empty,
+    the verdict explains why and the command falls back: drag-vs-deadline
+    and box conflicts split and brake at ``lo``, as a head does, inside
+    the envelope; an envelope-vs-deadline conflict drops the deadline
+    and re-solves.
     """
     lo, hi_safe, g, cap = safe_interval(v, p_hat, v_hat, pred_accel, params)
     bound = flow_bound(v, p_hat, v_hat, params.drag)
@@ -266,26 +253,20 @@ def follower_decision(v: float, p_hat: float, v_hat: float,
     hi = hi_safe
     if bound < hi:
         hi = bound
-    lo_full = lo
-    if deadline_active and lo_full < 0.0:
-        lo_full = 0.0
+    lo_full = 0.0 if deadline_active else lo
 
     verdict = VERDICT_FEASIBLE
     if lo_full <= hi:
-        accel = _clamp_to_zero(lo_full, hi)
         lo = lo_full
     else:
         verdict = classify(v, v_hat, bound, deadline_active, g, cap, params)
-        if verdict == VERDICT_DEADLINE_SAFETY_CONFLICT:
-            # Drop the deadline and re-solve; the caller flips the mode.
-            accel = _clamp_to_zero(lo, hi)
-        elif verdict != VERDICT_FEASIBLE:
-            # Split triggers: brake on the leader policy, envelope intact.
-            accel = params.a_min if params.a_min > lo else lo
-            hi = hi_safe
-        else:
+        if verdict == VERDICT_FEASIBLE:
             raise AssertionError("empty feasible interval with no verdict")
-    return accel, verdict, lo, hi, g, cap, bound
+        if verdict != VERDICT_DEADLINE_SAFETY_CONFLICT:
+            # Split triggers: brake at lo, envelope intact.
+            return lo, verdict, lo, hi_safe, g, cap, bound
+        # Drop the deadline and re-solve; the caller flips the mode.
+    return hi if hi < 0.0 else 0.0, verdict, lo, hi, g, cap, bound
 
 
 def leader_decision(v: float, p_hat: float, v_hat: float,
@@ -300,12 +281,7 @@ def leader_decision(v: float, p_hat: float, v_hat: float,
     ``safe_interval``) it is FEASIBLE, with ``bound`` 0 and ``g`` -inf.
     """
     lo, hi, g, cap = safe_interval(v, p_hat, v_hat, pred_accel, params)
-    if recovering:
-        accel = hi
-    else:
-        accel = params.a_min if params.a_min > lo else lo
-        if accel > hi:
-            accel = hi
+    accel = hi if recovering else lo
     bound = flow_bound(v, p_hat, v_hat, params.drag)
     return (accel, classify(v, v_hat, bound, deadline_active, g, cap, params),
             lo, hi, g, cap, bound)

@@ -77,7 +77,7 @@ def solve_follower_control(v: float, p_hat: float, v_hat: float,
     """Minimum-magnitude feasible acceleration for a follower.
 
     ``pred_accel`` is the predecessor's previous commanded acceleration,
-    as ``kernels.envelope_cap`` reads it.
+    as ``kernels.safe_interval`` reads it.
     """
     return _decision(kernels.follower_decision(
         v, p_hat, v_hat, pred_accel, deadline_active, params),

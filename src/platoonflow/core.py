@@ -97,7 +97,7 @@ class SimParams:
     ahead of the boundary instead of only inside the ``eps_g`` band.
     Setting ``gamma=0`` recovers the hard banded rule.
 
-    ``worst_case_pred_accel``: the controller's ``envelope_cap`` assumes
+    ``worst_case_pred_accel``: the kernels' ``safe_interval`` assumes
     full braking ahead in place of the communicated predecessor command.
     """
 

@@ -256,7 +256,7 @@ def _decide(world: WorldState) -> None:
     - no NaN reaches the kernel (``validate_params`` rejects it, and the
       state is built from finite values);
     - ``pred_accel`` may be ``0.0`` or ``-0.0``, which compare equal.  It
-      enters the kernel only through ``envelope_cap`` and only when
+      enters the kernel only through ``safe_interval``'s cap and only when
       ``v_hat > 0``, where ``v_hat - pred_accel * x / a_min`` is exactly
       ``v_hat`` for either zero (or under the worst-case rule not at
       all), so both give the same result bit for bit.

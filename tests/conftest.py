@@ -82,14 +82,19 @@ def step_world(world, n, targets, *, fresh=False):
             targets[veh.vid] = (veh.exit_pos, veh.deadline)
 
 
-def world_bytes(world):
-    """Every stored trajectory column, the trajectory's physics and the
-    events of ``world``, in a form that compares equal only when bitwise
+def written_bytes(world):
+    """Every stored trajectory column and the events of ``world``, or of
+    a run's result, in a form that compares equal only when bitwise
     equal."""
     tr = world.trajectory
     columns = {name: getattr(tr, name).tobytes()
                for name in ("times", "offsets") + STORED_COLUMNS}
-    return columns, derived_bytes(tr), [repr(e) for e in world.events]
+    return columns, [repr(e) for e in world.events]
+
+
+def world_bytes(world):
+    """``written_bytes`` of ``world`` and its trajectory's physics."""
+    return written_bytes(world) + (derived_bytes(world.trajectory),)
 
 
 def recompute_derived(tr, params, targets):

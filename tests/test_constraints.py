@@ -3,7 +3,7 @@ import itertools
 import math
 from dataclasses import replace
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from platoonflow import (
     DragCoefficients,
@@ -92,46 +92,85 @@ class TestAdvance:
                                     PARAMS.v_max)
 
 
-def envelope_cap(v, v_hat, g, pred_accel):
-    return kernels.envelope_cap(v, v_hat, g, pred_accel, PARAMS)
+def envelope(v, p_hat, v_hat, pred_accel, g):
+    """``safe_interval``'s ``(hi, cap)`` for a closing pair, whose
+    ``p_hat`` puts its stopping margin at exactly ``g``."""
+    _, hi, margin, cap = safe_interval(v, p_hat, v_hat, pred_accel, PARAMS)
+    assert margin == g
+    return hi, cap
 
 
-class TestEnvelopeCap:
+class TestEnvelopeCapInSafeInterval:
     def test_worst_case_pred_at_boundary_allows_full_brake_only(self):
-        assert envelope_cap(30.0, 5.0, 0.0, -4.0) == -4.0
+        assert envelope(30.0, -14.375, 5.0, -4.0, 0.0) == (-4.0, -4.0)
 
     def test_cruising_pred_at_boundary(self):
-        assert envelope_cap(30.0, 5.0, 0.0, 0.0) == -2.0
+        assert envelope(30.0, -14.375, 5.0, 0.0, 0.0) == (-2.0, -2.0)
 
     def test_cap_clips_at_brake_limit(self):
-        assert envelope_cap(22.0, 2.0, 0.0, 0.0) == -4.0
+        assert envelope(22.0, -5.5, 2.0, 0.0, 0.0) == (-4.0, -4.0)
 
     def test_accelerating_pred_can_lift_cap_to_zero(self):
-        assert envelope_cap(30.0, 2.0, 0.0, 1.0) == -0.0
+        assert envelope(30.0, -9.5, 2.0, 1.0, 0.0) == (-0.0, -0.0)
 
     def test_negative_margin_relaxes_the_cap(self):
-        tight = envelope_cap(30.0, 5.0, 0.0, 0.0)
-        loose = envelope_cap(30.0, 5.0, -10.0, 0.0)
+        _, tight = envelope(30.0, -14.375, 5.0, 0.0, 0.0)
+        _, loose = envelope(30.0, -24.375, 5.0, 0.0, -10.0)
         assert loose > tight
 
 
-class TestClampToZero:
-    def test_clamp_prefers_zero_when_interior(self):
-        assert kernels._clamp_to_zero(-4.0, 3.0) == 0.0
+@st.composite
+def kernel_cases(draw):
+    """Validated params and a state the engine can reach under them: a
+    speed in the box, and a predecessor ahead, also in the box, or
+    nobody ahead, ``(p_hat, v_hat, pred_accel) = (-inf, 0.0, 0.0)``."""
+    v_min = draw(st.floats(min_value=0.5, max_value=40.0))
+    params = replace(
+        PARAMS, v_min=v_min,
+        v_max=v_min + draw(st.floats(min_value=0.1, max_value=30.0)),
+        a_min=draw(st.floats(min_value=-10.0, max_value=-0.1)),
+        a_max=draw(st.floats(min_value=0.1, max_value=10.0)),
+        dt=draw(st.floats(min_value=0.01, max_value=0.5)),
+        delta=draw(st.floats(min_value=0.5, max_value=20.0)),
+        eps_g=draw(st.floats(min_value=1e-3, max_value=5.0)),
+        gamma=draw(st.sampled_from((0.0, 0.5, 1.0, 4.0))),
+        worst_case_pred_accel=draw(st.booleans()))
+    assume(validate_params(params) == [])
+    in_box = st.floats(min_value=params.v_min, max_value=params.v_max)
+    v = draw(in_box)
+    if draw(st.booleans()):
+        ahead = (-math.inf, 0.0, 0.0)
+    else:
+        ahead = (draw(st.floats(min_value=-300.0, max_value=-1e-3)),
+                 v - draw(in_box),
+                 draw(st.floats(min_value=params.a_min,
+                                max_value=params.a_max)))
+    return params, (v,) + ahead
 
-    def test_clamp_takes_nearest_endpoint(self):
-        assert kernels._clamp_to_zero(0.5, 3.0) == 0.5
-        assert kernels._clamp_to_zero(-4.0, -0.25) == -0.25
 
-    @given(lo=st.floats(min_value=-4.0, max_value=3.0),
-           hi=st.floats(min_value=-4.0, max_value=3.0))
-    def test_clamp_is_the_minimum_magnitude_element(self, lo, hi):
-        if lo > hi:
-            return
-        a = kernels._clamp_to_zero(lo, hi)
-        assert lo <= a <= hi
-        for probe in (lo, hi, min(max(0.0, lo), hi)):
-            assert abs(a) <= abs(probe) + 1e-15
+class TestTheIntervalEnds:
+    """The ends ``safe_interval`` returns, on which the decisions rely."""
+
+    @given(case=kernel_cases())
+    def test_lo_is_a_min_or_zero_at_the_floor_and_never_above_hi(self, case):
+        params, state = case
+        lo, hi, _, _ = safe_interval(*state, params)
+        at_floor = state[0] <= params.v_min + kernels.SPEED_EDGE_TOL
+        assert lo == (0.0 if at_floor else params.a_min)
+        assert lo <= min(0.0, hi)
+
+    @given(case=kernel_cases(), deadline_active=st.booleans())
+    def test_the_follower_takes_least_magnitude_or_brakes_at_lo(
+            self, case, deadline_active):
+        params, state = case
+        accel, verdict, lo, hi, _, _, _ = kernels.follower_decision(
+            *state, deadline_active, params)
+        if verdict.splits:
+            assert accel == lo
+        else:
+            assert lo <= accel <= hi
+            for probe in (lo, hi, min(max(0.0, lo), hi)):
+                assert abs(accel) <= abs(probe)
 
 
 class TestSafeAccelInterval:
@@ -190,7 +229,11 @@ class TestKernelsReadTheRunsParams:
         kernel_fns = [fn for _, fn in inspect.getmembers(kernels,
                                                          inspect.isfunction)
                       if fn.__module__ == kernels.__name__]
-        assert len(kernel_fns) >= 12
+        assert sorted(fn.__name__ for fn in kernel_fns) == [
+            "advance", "classify", "deadline_margin", "drag_force",
+            "drag_partials", "flow_bound", "follower_decision",
+            "gap_allowance", "leader_decision", "safe_interval",
+            "stopping_margin"]
         for fn in kernel_fns:
             taken = RUN_CONSTANTS & set(inspect.signature(fn).parameters)
             assert not taken, f"{fn.__name__} takes {sorted(taken)}"

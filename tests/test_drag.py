@@ -1,11 +1,16 @@
 import math
 import sys
+from dataclasses import replace
 
+import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
 from platoonflow import (DragCoefficients, drag_force, drag_partials,
-                         flow_bound)
+                         flow_bound, run)
 from platoonflow import _kernels_py as kernels
+from platoonflow.analysis import summarize
+from conftest import RUNS, written_bytes
 
 LAW = DragCoefficients()
 
@@ -105,3 +110,31 @@ def test_flow_bound_agrees_with_partial_ratio(v, p_hat, v_hat):
     expected = -f_p * v_hat / f_v
     bound = flow_bound(v, p_hat, v_hat, LAW)
     assert math.isclose(bound, expected, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def with_law(params, **coefficients):
+    return replace(params, drag=replace(params.drag, **coefficients))
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_no_decision_reads_c0(name):
+    # flow_bound's ratio cancels c0 and safe_interval has no drag term, so
+    # doubling c0 moves nothing the engine writes and scales the drag
+    # exactly, a power of two being exact in every product.
+    params = RUNS[name]
+    base = run(params)
+    doubled = run(with_law(params, c0=2.0 * params.drag.c0))
+    assert written_bytes(doubled) == written_bytes(base)
+    assert doubled.trajectory.physics().drag.tobytes() \
+        == (2.0 * base.trajectory.physics().drag).tobytes()
+    assert summarize(doubled)["total_drag_sq_integral"] \
+        == 4.0 * summarize(base)["total_drag_sq_integral"]
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_without_a_wake_every_row_has_the_solo_drag(name):
+    params = with_law(RUNS[name], c1=0.0)
+    tr = run(params).trajectory
+    v = np.array(tr.v)
+    assert tr.physics().drag.tobytes() \
+        == (params.drag.c0 * v * v).tobytes()
