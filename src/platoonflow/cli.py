@@ -283,15 +283,14 @@ def _parse_window(text: str) -> tuple[float, float]:
         raise ConfigError(f"--plot expects numbers, got {text!r}") from exc
 
 
+# The ``run`` flags that override the SimParams field of the same name.
+_OVERRIDES = ("seed", "duration", "dt")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     params = parse_config(args.config)
-    overrides: dict[str, object] = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.dt is not None:
-        overrides["dt"] = args.dt
+    overrides = {name: getattr(args, name) for name in _OVERRIDES
+                 if getattr(args, name) is not None}
     if overrides:
         params = replace(params, **overrides)
         _validate_or_raise(params)

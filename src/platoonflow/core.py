@@ -13,7 +13,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from typing import Iterator
+from operator import attrgetter
 
 
 class VehicleMode(enum.IntEnum):
@@ -167,48 +167,56 @@ class SafetyAuditError(SimulationError):
     """A bumper gap shrank beyond the discretisation slack."""
 
 
-def _numbers(params: SimParams) -> Iterator[tuple[str, float]]:
-    """Every numeric setting with its dotted name, ramps one by one."""
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            yield f.name, value
-    for f in fields(params.drag):
-        yield f"drag.{f.name}", getattr(params.drag, f.name)
-    road = params.road
-    yield "road.length", road.length
-    for label, ramps in (("on_ramps", road.on_ramps),
-                         ("off_ramps", road.off_ramps)):
-        for r in ramps:
-            yield f"road.{label}", r
+# Every setting that holds a number, or a tuple of numbers (the ramps),
+# by dotted name; a float field added to SimParams or a section joins it.
+_NUMERIC = tuple(prefix + f.name for cls, prefix in (
+    (SimParams, ""), (DragCoefficients, "drag."), (RoadNetwork, "road."))
+    for f in fields(cls) if f.type in ("float", "tuple[float, ...]"))
+_read_numeric = attrgetter(*_NUMERIC)
+
+# The settings that must be above 0, and those that must not be below it.
+_POSITIVE = ("delta", "dt", "eps_g", "eps_d", "eps_platoon_gap",
+             "eps_platoon_speed", "drag.c0", "drag.c2", "road.length")
+_NON_NEGATIVE = ("duration", "gamma")
 
 
 def validate_params(params: SimParams) -> list[str]:
-    """Check parameter sanity; returns a list of violations (empty if fine)."""
+    """Check parameter sanity; returns a list of violations (empty if fine).
+    A non-number is reported, and the rules that read it are skipped."""
     bad: list[str] = []
-    for name, value in _numbers(params):
-        # nan slips through every comparison below; inf overflows the
-        # step count.  An int is always finite (and may not fit a float).
-        if isinstance(value, float) and not math.isfinite(value):
-            bad.append(f"{name} must be finite, got {value}")
-    if not 0.0 < params.v_min < params.v_max:
+    setting = dict(zip(_NUMERIC, _read_numeric(params)))
+    wrong: set[str] = set()  # the settings that hold a non-number
+    for name, value in setting.items():
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, float):
+                # nan slips through every comparison below, and inf
+                # overflows the step count.  An int is always finite.
+                if not math.isfinite(x):
+                    bad.append(f"{name} must be finite, got {x}")
+            elif isinstance(x, bool) or not isinstance(x, int):
+                bad.append(f"{name} must be a number, got {x!r}")
+                wrong.add(name)
+    ok = wrong.isdisjoint
+    if ok(("v_min", "v_max")) and not 0.0 < params.v_min < params.v_max:
         bad.append("speed bounds must satisfy 0 < v_min < v_max")
-    if not params.a_min < 0.0 < params.a_max:
+    if ok(("a_min", "a_max")) and not params.a_min < 0.0 < params.a_max:
         bad.append("acceleration bounds must satisfy a_min < 0 < a_max")
-    if params.dt > 0.0 and params.v_min > 0.0 \
+    if ok(("a_min", "dt", "v_min")) and params.dt > 0.0 \
+            and params.v_min > 0.0 \
             and params.a_min * params.dt < -2.0 * params.v_min:
         # Position moves under the raw command, so from just above v_min
         # one step at a_min would move a vehicle backwards.  The exact
         # kinematics of ROADMAP item 2 may lift this rule.
         bad.append("a_min * dt must be at least -2 * v_min, or one step "
                    "of braking moves a vehicle backwards")
-    if params.delta <= 0.0:
-        bad.append("delta must be positive")
-    if params.dt <= 0.0:
-        bad.append("dt must be positive")
-    if params.duration < 0.0:
-        bad.append("duration must be non-negative")
-    if (params.dt > 0.0 and math.isfinite(params.duration)
+    for name in _POSITIVE:
+        if name not in wrong and setting[name] <= 0.0:
+            bad.append(f"{name} must be positive")
+    for name in _NON_NEGATIVE:
+        if name not in wrong and setting[name] < 0.0:
+            bad.append(f"{name} must be non-negative")
+    if (ok(("dt", "duration")) and params.dt > 0.0
+            and math.isfinite(params.duration)
             and not math.isfinite(params.duration / params.dt)):
         # Each finite alone, the two can still overflow the step count.
         bad.append("duration / dt must be finite, got "
@@ -218,28 +226,20 @@ def validate_params(params: SimParams) -> list[str]:
         bad.append(f"seed must be an integer, got {seed!r}")
     elif seed < 0:
         bad.append("seed must be non-negative")
-    for name in ("eps_g", "eps_d", "eps_platoon_gap", "eps_platoon_speed"):
-        if getattr(params, name) <= 0.0:
-            bad.append(f"{name} must be positive")
-    if params.gamma < 0.0:
-        bad.append("gamma must be non-negative")
-    if params.drag.c0 <= 0.0:
-        bad.append("drag.c0 must be positive")
-    if not 0.0 <= params.drag.c1 < 1.0:
+    if ok(("drag.c1",)) and not 0.0 <= params.drag.c1 < 1.0:
         # c1 < 1 keeps the wake discount strictly below full drag, so the
         # drag force and its speed partial stay positive at any gap.
         bad.append("drag.c1 must lie in [0, 1)")
-    if params.drag.c2 <= 0.0:
-        bad.append("drag.c2 must be positive")
-    road = params.road
-    if road.length <= 0.0:
-        bad.append("road.length must be positive")
-    for label, ramps in (("on_ramps", road.on_ramps), ("off_ramps", road.off_ramps)):
+    for name in ("road.on_ramps", "road.off_ramps"):
+        if name in wrong:
+            continue
+        ramps = setting[name]
         if any(a >= b for a, b in zip(ramps, ramps[1:])):
             # A repeated ramp would be drawn twice as often as the others.
             repeated = sorted({r for r in ramps if ramps.count(r) > 1})
-            bad.append(f"road.{label} must be strictly ascending" + "".join(
+            bad.append(f"{name} must be strictly ascending" + "".join(
                 f"; {r:g} is repeated" for r in repeated))
-        if any(not 0.0 < r < road.length for r in ramps):
-            bad.append(f"road.{label} must lie strictly inside the road")
+        if ok(("road.length",)) and any(
+                not 0.0 < r < params.road.length for r in ramps):
+            bad.append(f"{name} must lie strictly inside the road")
     return bad

@@ -18,10 +18,12 @@ from platoonflow.cli import (
     params_from_dict,
     params_to_dict,
 )
+from platoonflow.core import _POSITIVE
 from platoonflow.trajectory import _CSV_ROW, trajectory_csv_text
 from platoonflow.verify import CheckResult
 
 from conftest import hand_built
+from test_core import with_setting
 from test_golden import CONFIGS, DURATION
 
 CSV_HEADER = "t,id,platoon_id,p,v,a,u,drag,gs_margin,deadline_margin,mode\n"
@@ -332,14 +334,6 @@ class TestRunCommand:
         assert runs == []
         assert a_file.read_text() == "not a directory\n"
 
-    def test_seed_override_lands_in_the_echo(self, config_file, tmp_path):
-        out = tmp_path / "out"
-        rc = main(["run", "--config", str(config_file), "--out", str(out),
-                   "--seed", "5"])
-        assert rc == 0
-        echo = yaml.safe_load((out / "config.echo").read_text())
-        assert echo["run"]["seed"] == 5
-
     def test_bad_plot_window_is_a_config_error(self, config_file, tmp_path,
                                                capsys):
         rc = main(["run", "--config", str(config_file),
@@ -375,6 +369,24 @@ class TestRunCommand:
         assert "a_min * dt must be at least -2 * v_min" \
             in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", _POSITIVE)
+    def test_a_positive_setting_at_zero_exits_2(self, tmp_path, capsys,
+                                                 name):
+        cfg = tmp_path / "zero.yaml"
+        cfg.write_text(yaml.safe_dump(params_to_dict(with_setting(name, 0.0))))
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert f"{name} must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_override_lands_in_the_echo(self, config_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file), "--out", str(out),
+                     "--seed", "5", "--duration", "3", "--dt", "0.05"]) == 0
+        echo = yaml.safe_load((out / "config.echo").read_text())
+        assert echo["run"] == {"seed": 5, "duration": 3.0, "dt": 0.05}
 
     def test_non_finite_override_is_a_config_error(self, config_file,
                                                    tmp_path, capsys):

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from platoonflow import (
+    DragCoefficients,
     RoadNetwork,
     SimParams,
     VehicleMode,
+    WorldState,
     run,
     validate_params,
 )
+from platoonflow.core import _NON_NEGATIVE, _POSITIVE
 
 
 def test_default_params_validate_clean():
@@ -42,6 +45,41 @@ def test_bad_scalar_params_are_reported(field, value, fragment):
     assert any(fragment in m for m in messages)
 
 
+def with_setting(name, value):
+    """Default params with the setting of dotted ``name`` at ``value``."""
+    section, _, key = name.rpartition(".")
+    params = SimParams()
+    if section:
+        value = dataclasses.replace(getattr(params, section), **{key: value})
+        key = section
+    return dataclasses.replace(params, **{key: value})
+
+
+@pytest.mark.parametrize("name,value,message", [
+    *((name, 0.0, f"{name} must be positive") for name in _POSITIVE),
+    *((name, -1.0, f"{name} must be non-negative") for name in _NON_NEGATIVE),
+])
+def test_each_sign_rule_names_its_setting(name, value, message):
+    assert message in validate_params(with_setting(name, value))
+
+
+@pytest.mark.parametrize("name,value", [
+    ("v_min", "20"),
+    ("delta", None),
+    ("gamma", True),
+    ("drag.c0", "x"),
+    ("road.on_ramps", (100.0, "a")),
+])
+def test_a_non_number_setting_is_reported_not_raised(name, value):
+    # The rules that would compare the value are skipped.
+    params = with_setting(name, value)
+    got = value[-1] if isinstance(value, tuple) else value
+    assert validate_params(params) == [f"{name} must be a number, got {got!r}"]
+    for start in (run, WorldState.initial):
+        with pytest.raises(ValueError, match=f"^{name} must be a number"):
+            start(params)
+
+
 @pytest.mark.parametrize("seed", [1.5, True, "3", math.nan])
 def test_a_seed_that_is_not_an_integer_is_reported(seed):
     params = dataclasses.replace(SimParams(), seed=seed)
@@ -67,7 +105,6 @@ def test_zero_duration_is_allowed():
 
 
 def test_bad_drag_coefficients_are_reported():
-    from platoonflow import DragCoefficients
     for coeffs, fragment in [
         (DragCoefficients(c0=0.0), "c0"),
         (DragCoefficients(c1=1.0), "c1"),

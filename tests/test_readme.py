@@ -2,12 +2,13 @@
 layout match the package."""
 
 import re
+import shlex
 from pathlib import Path
 
 import yaml
 
 from platoonflow import SimParams
-from platoonflow.cli import _SCHEMA, params_to_dict
+from platoonflow.cli import _SCHEMA, main, params_to_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -45,3 +46,18 @@ def test_config_table_gives_every_key_and_its_default():
         # The cell is what a user copies into a config file.
         assert yaml.safe_load(cell) == defaults[section][key], (
             f"{section}.{key}: {cell}")
+
+
+def test_quick_start_writes_the_files_its_table_lists(tmp_path, monkeypatch):
+    quick = README.read_text().partition("## Quick start\n")[2] \
+        .partition("\n## ")[0]
+    config = re.search(r"^```yaml\n# (\S+)\n(.*?)^```$", quick, re.M | re.S)
+    command = re.search(r"^platoonflow (run .*)$", quick, re.M)
+    listed = re.findall(r"^\| `(\S+)` +\|", quick, re.M)
+    assert config and command and listed
+    monkeypatch.chdir(tmp_path)
+    Path(config.group(1)).write_text(config.group(2))
+    args = shlex.split(command.group(1))
+    assert main(args) == 0
+    out = Path(args[args.index("--out") + 1])
+    assert sorted(path.name for path in out.iterdir()) == sorted(listed)
