@@ -21,8 +21,8 @@ import yaml
 
 from . import sim
 from .analysis import summarize
-from .core import (DragCoefficients, RoadNetwork, SimParams, SimulationError,
-                   validate_params)
+from .core import (_DECLARED, DragCoefficients, RoadNetwork, SimParams,
+                   SimulationError, validate_params)
 from .sim import Event, SimResult, run
 from .svgplot import render_timespace
 from .trajectory import Trajectory, _sig, trajectory_csv_text
@@ -84,20 +84,6 @@ def _need_positions(value: object, path: str) -> tuple[float, ...]:
     return tuple(_need_number(x, path) for x in value)
 
 
-_SCHEMA = {
-    "run": {"seed": _need_int, "duration": _need_number, "dt": _need_number},
-    "vehicle": {"v_min": _need_number, "v_max": _need_number,
-                "a_min": _need_number, "a_max": _need_number},
-    "control": {"delta": _need_number, "eps_g": _need_number,
-                "eps_d": _need_number, "gamma": _need_number,
-                "worst_case_pred_accel": _need_bool,
-                "enforce_deadlines": _need_bool},
-    "formation": {"gap_tol": _need_number, "speed_tol": _need_number},
-    "drag": {"c0": _need_number, "c1": _need_number, "c2": _need_number},
-    "road": {"length": _need_number, "on_ramps": _need_positions,
-             "off_ramps": _need_positions},
-}
-
 # config keys whose SimParams field is named differently
 _FIELD_NAMES = {
     ("formation", "gap_tol"): "eps_platoon_gap",
@@ -105,6 +91,19 @@ _FIELD_NAMES = {
 }
 # sections held in a SimParams field of their own type
 _NESTED = {"drag": DragCoefficients, "road": RoadNetwork}
+# The converter of a config value, by the declared type of its field.
+_CONVERT = {float: _need_number, int: _need_int, bool: _need_bool,
+            tuple[float, ...]: _need_positions}
+
+_SCHEMA = {
+    "run": ("seed", "duration", "dt"),
+    "vehicle": ("v_min", "v_max", "a_min", "a_max"),
+    "control": ("delta", "eps_g", "eps_d", "gamma", "worst_case_pred_accel",
+                "enforce_deadlines"),
+    "formation": ("gap_tol", "speed_tol"),
+    "drag": ("c0", "c1", "c2"),
+    "road": ("length", "on_ramps", "off_ramps"),
+}
 
 
 def params_from_dict(raw: object) -> SimParams:
@@ -124,14 +123,12 @@ def params_from_dict(raw: object) -> SimParams:
         if not isinstance(content, dict):
             raise ConfigError(f"{section}: expected a mapping of keys")
         for key, value in content.items():
-            convert = schema.get(key)
-            if convert is None:
+            if key not in schema:
                 raise ConfigError(f"unknown config key: {section}.{key}")
-            parsed = convert(value, f"{section}.{key}")
-            if section in nested:
-                nested[section][key] = parsed
-            else:
-                kwargs[_FIELD_NAMES.get((section, key), key)] = parsed
+            name = _FIELD_NAMES.get((section, key), key)
+            dotted = f"{section}.{name}" if section in nested else name
+            parsed = _CONVERT[_DECLARED[dotted]](value, f"{section}.{key}")
+            nested.get(section, kwargs)[name] = parsed
     for section, fields in nested.items():
         if fields:
             kwargs[section] = _NESTED[section](**fields)
@@ -154,7 +151,7 @@ def parse_config(path: str | Path) -> SimParams:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: 4300+ digits
         raise ConfigError(f"{path}: {exc}") from exc
     return params_from_dict(raw)
 
@@ -162,10 +159,10 @@ def parse_config(path: str | Path) -> SimParams:
 def params_to_dict(params: SimParams) -> dict[str, dict[str, object]]:
     """Inverse of params_from_dict, used for the config echo."""
     out: dict[str, dict[str, object]] = {}
-    for section, schema in _SCHEMA.items():
+    for section, keys in _SCHEMA.items():
         source = getattr(params, section) if section in _NESTED else params
         out[section] = fields = {}
-        for key in schema:
+        for key in keys:
             value = getattr(source, _FIELD_NAMES.get((section, key), key))
             fields[key] = list(value) if isinstance(value, tuple) else value
     return out

@@ -12,8 +12,9 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, is_dataclass
 from operator import attrgetter
+from typing import Iterator, get_type_hints
 
 
 class VehicleMode(enum.IntEnum):
@@ -167,35 +168,76 @@ class SafetyAuditError(SimulationError):
     """A bumper gap shrank beyond the discretisation slack."""
 
 
-# Every setting that holds a number, or a tuple of numbers (the ramps),
-# by dotted name; a float field added to SimParams or a section joins it.
-_NUMERIC = tuple(prefix + f.name for cls, prefix in (
-    (SimParams, ""), (DragCoefficients, "drag."), (RoadNetwork, "road."))
-    for f in fields(cls) if f.type in ("float", "tuple[float, ...]"))
-_read_numeric = attrgetter(*_NUMERIC)
+def _declared(cls: type, section: str = "") -> Iterator[tuple]:
+    """``(dotted name, section, declared type)`` of every setting and
+    section of ``cls``, each section before its own settings."""
+    for name, kind in get_type_hints(cls).items():
+        name = f"{section}.{name}" if section else name
+        yield name, section, kind
+        if is_dataclass(kind):
+            yield from _declared(kind, name)
+
+
+# The field annotations are the only statement of each setting's type.
+_SETTINGS = tuple((name, section, kind, attrgetter(name))
+                  for name, section, kind in _declared(SimParams))
+_DECLARED = {name: kind for name, _, kind, _ in _SETTINGS}
+_RAMPS = tuple[float, ...]
 
 # The settings that must be above 0, and those that must not be below it.
 _POSITIVE = ("delta", "dt", "eps_g", "eps_d", "eps_platoon_gap",
              "eps_platoon_speed", "drag.c0", "drag.c2", "road.length")
-_NON_NEGATIVE = ("duration", "gamma")
+_NON_NEGATIVE = ("duration", "gamma", "seed")
+
+
+def _shown(x: object) -> str:
+    try:
+        return repr(x)
+    except ValueError:  # an int of over 4300 digits, or a list holding one
+        return f"an object of type {type(x).__name__}"
+
+
+def _fault(kind: type, x: object) -> str:
+    """What keeps ``x`` from holding a setting declared as ``kind``, or ""
+    if nothing does.  A float is finite (nan slips through every rule, and
+    inf overflows the step count) or an int that fits one; an int is an
+    ``Integral``; no bool is a number; a ramp tuple holds floats."""
+    if kind is float:
+        if isinstance(x, float):
+            return "" if math.isfinite(x) else f"must be finite, got {x}"
+        if isinstance(x, bool) or not isinstance(x, int):
+            return f"must be a number, got {_shown(x)}"
+        try:
+            float(x)
+        except OverflowError:
+            return "must fit a float"
+    elif kind is int:
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            return f"must be an integer, got {_shown(x)}"
+    elif kind == _RAMPS:
+        if not isinstance(x, tuple):
+            return f"must be a tuple, got {_shown(x)}"
+        return next(filter(None, (_fault(float, r) for r in x)), "")
+    elif not isinstance(x, kind):
+        return f"must be a {kind.__name__}, got {_shown(x)}"
+    return ""
 
 
 def validate_params(params: SimParams) -> list[str]:
     """Check parameter sanity; returns a list of violations (empty if fine).
-    A non-number is reported, and the rules that read it are skipped."""
+    A setting or section that breaks its type's rule (``_fault``) is
+    reported, and the rules that read it, or a setting in it, skipped."""
     bad: list[str] = []
-    setting = dict(zip(_NUMERIC, _read_numeric(params)))
-    wrong: set[str] = set()  # the settings that hold a non-number
-    for name, value in setting.items():
-        for x in value if isinstance(value, tuple) else (value,):
-            if isinstance(x, float):
-                # nan slips through every comparison below, and inf
-                # overflows the step count.  An int is always finite.
-                if not math.isfinite(x):
-                    bad.append(f"{name} must be finite, got {x}")
-            elif isinstance(x, bool) or not isinstance(x, int):
-                bad.append(f"{name} must be a number, got {x!r}")
-                wrong.add(name)
+    setting: dict[str, object] = {}
+    wrong: set[str] = set()
+    for name, section, kind, read in _SETTINGS:
+        if section in wrong:
+            wrong.add(name)
+        elif fault := _fault(kind, value := read(params)):
+            bad.append(f"{name} {fault}")
+            wrong.add(name)
+        else:
+            setting[name] = value
     ok = wrong.isdisjoint
     if ok(("v_min", "v_max")) and not 0.0 < params.v_min < params.v_max:
         bad.append("speed bounds must satisfy 0 < v_min < v_max")
@@ -216,16 +258,10 @@ def validate_params(params: SimParams) -> list[str]:
         if name not in wrong and setting[name] < 0.0:
             bad.append(f"{name} must be non-negative")
     if (ok(("dt", "duration")) and params.dt > 0.0
-            and math.isfinite(params.duration)
             and not math.isfinite(params.duration / params.dt)):
         # Each finite alone, the two can still overflow the step count.
         bad.append("duration / dt must be finite, got "
                    f"{params.duration / params.dt}")
-    seed = params.seed
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        bad.append(f"seed must be an integer, got {seed!r}")
-    elif seed < 0:
-        bad.append("seed must be non-negative")
     if ok(("drag.c1",)) and not 0.0 <= params.drag.c1 < 1.0:
         # c1 < 1 keeps the wake discount strictly below full drag, so the
         # drag force and its speed partial stay positive at any gap.

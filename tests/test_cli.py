@@ -238,6 +238,18 @@ class TestWindowParsing:
             _parse_window("a:b")
 
 
+# YAML values of the wrong type for a config key, by the type of its
+# default: a number key takes no text, bool, null, list or number too
+# large for a float, the seed no fraction, text or bool, a flag only
+# true or false, and a ramp key only a list of numbers.
+WRONG_YAML = {
+    float: ["fast", "true", "null", "[1.0]", str(10 ** 400)],
+    int: ["1.5", "'3'", "true"],
+    bool: ["'no'", "0", "null"],
+    list: ["100.0", "[100.0, x]", "{a: 1}"],
+}
+
+
 ARTIFACTS = ("trajectory.csv", "events.csv", "metrics.txt", "config.echo",
              "timespace.svg")
 
@@ -477,6 +489,30 @@ class TestRunCommand:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,text", [
+        (section, key, text)
+        for section, fields in params_to_dict(SimParams()).items()
+        for key, default in fields.items()
+        for text in WRONG_YAML[type(default)]])
+    def test_a_value_of_the_wrong_type_names_its_key(self, tmp_path, capsys,
+                                                     section, key, text):
+        cfg = tmp_path / "wrong.yaml"
+        cfg.write_text(f"{section}:\n  {key}: {text}\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {section}.{key}: ")
+        assert not out.exists()
+
+    def test_a_number_too_long_to_read_is_a_config_error(self, tmp_path,
+                                                        capsys):
+        # Python reads no int of more than 4300 digits from text.
+        cfg = tmp_path / "long.yaml"
+        cfg.write_text(f"run:\n  seed: {'1' * 5000}\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
 
 
 class TestEngineFailure:

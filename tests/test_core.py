@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from platoonflow import (
     DragCoefficients,
@@ -13,7 +15,7 @@ from platoonflow import (
     run,
     validate_params,
 )
-from platoonflow.core import _NON_NEGATIVE, _POSITIVE
+from platoonflow.core import _DECLARED, _NON_NEGATIVE, _POSITIVE
 
 
 def test_default_params_validate_clean():
@@ -57,7 +59,8 @@ def with_setting(name, value):
 
 @pytest.mark.parametrize("name,value,message", [
     *((name, 0.0, f"{name} must be positive") for name in _POSITIVE),
-    *((name, -1.0, f"{name} must be non-negative") for name in _NON_NEGATIVE),
+    *((name, _DECLARED[name](-1), f"{name} must be non-negative")
+      for name in _NON_NEGATIVE),
 ])
 def test_each_sign_rule_names_its_setting(name, value, message):
     assert message in validate_params(with_setting(name, value))
@@ -78,6 +81,78 @@ def test_a_non_number_setting_is_reported_not_raised(name, value):
     for start in (run, WorldState.initial):
         with pytest.raises(ValueError, match=f"^{name} must be a number"):
             start(params)
+
+
+# Values that break the rule of each declared type: a float setting
+# takes a finite float or an int that fits one, the seed an integer, a
+# flag only a bool, and a ramp setting a tuple of what a float takes.
+WRONG = {
+    "float": ["20", None, True, [20.0], 10 ** 400, -10 ** 400],
+    "int": ["3", None, True, 1.5],
+    "bool": ["no", None, 0, 10 ** 5000],
+    "tuple[float, ...]": [[100.0], (10 ** 400,)],
+}
+
+
+def declared(cls=SimParams, prefix=""):
+    """``(dotted name, declared type)`` of every setting and section of
+    ``cls``, a section's type being its class's name."""
+    for f in dataclasses.fields(cls):
+        yield prefix + f.name, f.type
+        default = getattr(cls(), f.name)
+        if dataclasses.is_dataclass(default):
+            yield from declared(type(default), f"{prefix}{f.name}.")
+
+
+def wrong_cases():
+    for name, kind in declared():
+        for i, value in enumerate(WRONG.get(kind, [None])):
+            yield pytest.param(name, value, id=f"{name}-{i}")
+
+
+@pytest.mark.parametrize("name,value", wrong_cases())
+def test_a_value_of_the_wrong_type_is_one_message(name, value):
+    # Whatever the value, the rules that would compare it are skipped,
+    # and a section's own settings are not read.
+    params = with_setting(name, value)
+    messages = validate_params(params)
+    assert len(messages) == 1 and messages[0].startswith(f"{name} must "), \
+        messages
+    for start in (run, WorldState.initial):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must "):
+            start(params)
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("delta", 10 ** 400, "delta must fit a float"),
+    ("enforce_deadlines", "no", "enforce_deadlines must be a bool, got 'no'"),
+    # repr refuses an int of over 4300 digits.
+    ("enforce_deadlines", 10 ** 5000,
+     "enforce_deadlines must be a bool, got an object of type int"),
+    ("road.on_ramps", [100.0], "road.on_ramps must be a tuple, got [100.0]"),
+    ("drag", None, "drag must be a DragCoefficients, got None"),
+], ids=["float", "flag", "long int", "ramp list", "section"])
+def test_each_type_rule_has_its_message(name, value, message):
+    assert validate_params(with_setting(name, value)) == [message]
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from([name for name, _ in declared()]),
+       value=st.one_of(
+           st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+           st.integers(-10 ** 400, 10 ** 400), st.builds(object),
+           st.lists(st.floats(), max_size=3),
+           st.tuples(st.integers(-10 ** 400, 10 ** 400), st.text())))
+def test_validate_params_never_raises(name, value):
+    assert isinstance(validate_params(with_setting(name, value)), list)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("delta", 10 ** 300),
+    ("road.on_ramps", (100, 600.0)),
+])
+def test_an_int_that_fits_a_float_is_valid(name, value):
+    assert validate_params(with_setting(name, value)) == []
 
 
 @pytest.mark.parametrize("seed", [1.5, True, "3", math.nan])

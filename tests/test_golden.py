@@ -29,6 +29,7 @@ import hashlib
 import io
 import json
 import platform
+import re
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -126,6 +127,14 @@ def test_matrix_is_pinned():
     assert set(data["digests"]) == set(CONFIGS)
     assert set(data["full_length_events"]) == set(FULL_LENGTH)
     assert data["duration_s"] == DURATION
+
+
+def test_ci_installs_the_recorded_numpy():
+    # NEP 19 does not promise that Generator streams stay the same
+    # across numpy releases, so CI installs the one the digests record.
+    workflow = DATA.parents[1] / ".github" / "workflows" / "tier1.yml"
+    assert re.findall(r"\bnumpy==(\S+)", workflow.read_text()) == [
+        json.loads(DATA.read_text())["platform"]["numpy"]]
 
 
 def platform_note(data: dict) -> str:
