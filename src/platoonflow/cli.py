@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 from time import perf_counter
 from typing import Iterable, Iterator, Optional
@@ -21,8 +22,8 @@ import yaml
 
 from . import sim
 from .analysis import summarize
-from .core import (_DECLARED, DragCoefficients, RoadNetwork, SimParams,
-                   SimulationError, validate_params)
+from .core import (_DECLARED, _RAMPS, SimParams, SimulationError, _fault,
+                   validate_params)
 from .sim import Event, SimResult, run
 from .svgplot import render_timespace
 from .trajectory import Trajectory, _sig, trajectory_csv_text
@@ -56,45 +57,7 @@ def _text_number_hint(value: object) -> str:
     return f" (YAML reads {value} as text; write {mantissa}e{exponent})"
 
 
-def _need_number(value: object, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}"
-                          + _text_number_hint(value))
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{path}: {value} does not fit a float") from None
-
-
-def _need_int(value: object, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _need_bool(value: object, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true/false, got {value!r}")
-    return value
-
-
-def _need_positions(value: object, path: str) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{path}: expected a list of numbers, got {value!r}")
-    return tuple(_need_number(x, path) for x in value)
-
-
-# config keys whose SimParams field is named differently
-_FIELD_NAMES = {
-    ("formation", "gap_tol"): "eps_platoon_gap",
-    ("formation", "speed_tol"): "eps_platoon_speed",
-}
-# sections held in a SimParams field of their own type
-_NESTED = {"drag": DragCoefficients, "road": RoadNetwork}
-# The converter of a config value, by the declared type of its field.
-_CONVERT = {float: _need_number, int: _need_int, bool: _need_bool,
-            tuple[float, ...]: _need_positions}
-
+# The config keys of each section, in the order the echo writes them.
 _SCHEMA = {
     "run": ("seed", "duration", "dt"),
     "vehicle": ("v_min", "v_max", "a_min", "a_max"),
@@ -104,6 +67,33 @@ _SCHEMA = {
     "drag": ("c0", "c1", "c2"),
     "road": ("length", "on_ramps", "off_ramps"),
 }
+# The dotted SimParams setting of each config key ``section.key``: a key
+# of a section held in a field of its own (``drag``, ``road``) is that
+# field's setting, any other the SimParams field of its name, bar two.
+_SETTING_OF = {
+    f"{section}.{key}": f"{section}.{key}" if section in _DECLARED else key
+    for section, keys in _SCHEMA.items() for key in keys
+} | {"formation.gap_tol": "eps_platoon_gap",
+     "formation.speed_tol": "eps_platoon_speed"}
+_KEY_OF = {setting: key for key, setting in _SETTING_OF.items()}
+
+
+def _setting_value(key: str, value: object) -> object:
+    """Config ``key``'s value as its setting holds it: a float for a
+    float setting, a tuple of floats for a ramp one, where YAML gives an
+    int or a list.  A value its setting's type rule (``core._fault``)
+    refuses is a ConfigError naming ``key``."""
+    kind = _DECLARED[_SETTING_OF[key]]
+    if kind == _RAMPS and isinstance(value, list):
+        value = tuple(value)
+    if fault := _fault(kind, value):
+        if kind == _RAMPS and isinstance(value, tuple):
+            kind, value = float, next(x for x in value if _fault(float, x))
+        hint = _text_number_hint(value) if kind is float else ""
+        raise ConfigError(f"{key} {fault}{hint}")
+    if kind == _RAMPS:
+        return tuple(map(float, value))
+    return float(value) if kind is float else value
 
 
 def params_from_dict(raw: object) -> SimParams:
@@ -112,33 +102,35 @@ def params_from_dict(raw: object) -> SimParams:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be a mapping")
-    kwargs: dict[str, object] = {}
-    nested: dict[str, dict[str, object]] = {name: {} for name in _NESTED}
+    # The settings given, by the section field that holds them ("" for
+    # SimParams itself).
+    fields: dict[str, dict[str, object]] = {}
     for section, content in raw.items():
-        schema = _SCHEMA.get(section)
-        if schema is None:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown config section: {section}")
         if content is None:
             continue
         if not isinstance(content, dict):
             raise ConfigError(f"{section}: expected a mapping of keys")
         for key, value in content.items():
-            if key not in schema:
-                raise ConfigError(f"unknown config key: {section}.{key}")
-            name = _FIELD_NAMES.get((section, key), key)
-            dotted = f"{section}.{name}" if section in nested else name
-            parsed = _CONVERT[_DECLARED[dotted]](value, f"{section}.{key}")
-            nested.get(section, kwargs)[name] = parsed
-    for section, fields in nested.items():
-        if fields:
-            kwargs[section] = _NESTED[section](**fields)
+            key = f"{section}.{key}"
+            if key not in _SETTING_OF:
+                raise ConfigError(f"unknown config key: {key}")
+            owner, _, name = _SETTING_OF[key].rpartition(".")
+            fields.setdefault(owner, {})[name] = _setting_value(key, value)
+    kwargs = fields.pop("", {})
+    for owner, values in fields.items():
+        kwargs[owner] = _DECLARED[owner](**values)
     params = SimParams(**kwargs)
     _validate_or_raise(params)
     return params
 
 
 def _validate_or_raise(params: SimParams) -> None:
-    problems = validate_params(params)
+    """Raise every problem ``validate_params`` finds in ``params`` as one
+    ConfigError, each rule of one setting naming its config key."""
+    problems = [_KEY_OF.get(name, name) + must + rule for name, must, rule
+                in (p.partition(" must ") for p in validate_params(params))]
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -158,13 +150,11 @@ def parse_config(path: str | Path) -> SimParams:
 
 def params_to_dict(params: SimParams) -> dict[str, dict[str, object]]:
     """Inverse of params_from_dict, used for the config echo."""
-    out: dict[str, dict[str, object]] = {}
-    for section, keys in _SCHEMA.items():
-        source = getattr(params, section) if section in _NESTED else params
-        out[section] = fields = {}
-        for key in keys:
-            value = getattr(source, _FIELD_NAMES.get((section, key), key))
-            fields[key] = list(value) if isinstance(value, tuple) else value
+    out: dict[str, dict[str, object]] = {section: {} for section in _SCHEMA}
+    for key, setting in _SETTING_OF.items():
+        section, _, name = key.partition(".")
+        value = attrgetter(setting)(params)
+        out[section][name] = list(value) if isinstance(value, tuple) else value
     return out
 
 

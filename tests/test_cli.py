@@ -18,7 +18,7 @@ from platoonflow.cli import (
     params_from_dict,
     params_to_dict,
 )
-from platoonflow.core import _POSITIVE
+from platoonflow.core import _DECLARED, _POSITIVE, _RAMPS, _fault
 from platoonflow.trajectory import _CSV_ROW, trajectory_csv_text
 from platoonflow.verify import CheckResult
 
@@ -79,6 +79,15 @@ class TestConfigParsing:
     def test_scalar_section_is_rejected(self):
         with pytest.raises(ConfigError, match="expected a mapping"):
             params_from_dict({"run": 3})
+
+    def test_an_int_is_read_as_a_float_and_a_list_as_a_ramp_tuple(self):
+        params = params_from_dict({"run": {"duration": 140},
+                                   "road": {"on_ramps": [100, 600]}})
+        assert type(params.duration) is float
+        assert params.road.on_ramps == (100.0, 600.0)
+        assert [type(r) for r in params.road.on_ramps] == [float, float]
+        echo = yaml.safe_dump(params_to_dict(params), sort_keys=False)
+        assert "\n  duration: 140.0\n" in echo
 
     def test_semantic_validation_still_applies(self):
         with pytest.raises(ConfigError, match="speed bounds"):
@@ -240,10 +249,11 @@ class TestWindowParsing:
 
 # YAML values of the wrong type for a config key, by the type of its
 # default: a number key takes no text, bool, null, list or number too
-# large for a float, the seed no fraction, text or bool, a flag only
-# true or false, and a ramp key only a list of numbers.
+# large for a float or not finite, the seed no fraction, text or bool, a
+# flag only true or false, and a ramp key only a list of numbers.  None
+# of them reads as a number, so no message gets a hint.
 WRONG_YAML = {
-    float: ["fast", "true", "null", "[1.0]", str(10 ** 400)],
+    float: ["fast", "true", "null", "[1.0]", str(10 ** 400), ".nan", ".inf"],
     int: ["1.5", "'3'", "true"],
     bool: ["'no'", "0", "null"],
     list: ["100.0", "[100.0, x]", "{a: 1}"],
@@ -390,7 +400,12 @@ class TestRunCommand:
         out = tmp_path / "out"
         rc = main(["run", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
-        assert f"{name} must be positive" in capsys.readouterr().err
+        # A road of length 0 also holds no ramp strictly inside it.
+        also = ("; road.on_ramps must lie strictly inside the road"
+                "; road.off_ramps must lie strictly inside the road"
+                if name == "road.length" else "")
+        assert capsys.readouterr().err == (
+            f"error: {cli._KEY_OF[name]} must be positive{also}\n")
         assert not out.exists()
 
     def test_every_override_lands_in_the_echo(self, config_file, tmp_path):
@@ -472,7 +487,7 @@ class TestRunCommand:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.endswith(f": expected a number, got {hint}\n")
+        assert err.endswith(f" must be a number, got {hint}\n")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("text", ["1e-3", "1E3", "-2e+2", "1.0e3",
@@ -502,7 +517,12 @@ class TestRunCommand:
         out = tmp_path / "out"
         rc = main(["run", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: {section}.{key}: ")
+        kind = _DECLARED[cli._SETTING_OF[f"{section}.{key}"]]
+        value = yaml.safe_load(text)
+        if kind == _RAMPS and isinstance(value, list):
+            value = tuple(value)
+        assert capsys.readouterr().err == (
+            f"error: {section}.{key} {_fault(kind, value)}\n")
         assert not out.exists()
 
     def test_a_number_too_long_to_read_is_a_config_error(self, tmp_path,
