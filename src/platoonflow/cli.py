@@ -11,6 +11,7 @@ from its artifacts alone.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 from operator import attrgetter
@@ -23,7 +24,7 @@ import yaml
 from . import sim
 from .analysis import summarize
 from .core import (_DECLARED, _RAMPS, SimParams, SimulationError, _fault,
-                   validate_params)
+                   _shown, validate_params)
 from .sim import Event, SimResult, run
 from .svgplot import render_timespace
 from .trajectory import Trajectory, _sig, trajectory_csv_text
@@ -33,28 +34,16 @@ class ConfigError(ValueError):
     """Bad configuration file, key, value, or override."""
 
 
-def _text_number_hint(value: object) -> str:
-    """A hint for a config value that YAML read as text though Python
-    reads it as a number; "" for any other value.
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, but reading a number with an exponent as
+    YAML 1.2 does: ``1e-3`` is a float, where YAML 1.1 reads it as text.
+    Any scalar YAML 1.1 reads as a number reads the same."""
 
-    PyYAML follows YAML 1.1, where a number with an exponent needs a dot
-    in its mantissa and a sign on its exponent: ``1e-3`` is text, and
-    ``1.0e-3`` a float.
-    """
-    if not isinstance(value, str):
-        return ""
-    try:
-        float(value)
-    except ValueError:
-        return ""
-    mantissa, e, exponent = value.strip().lower().partition("e")
-    if not e:
-        return " (YAML read it as text)"
-    if "." not in mantissa:
-        mantissa += ".0"
-    if exponent[0] not in "+-":
-        exponent = "+" + exponent
-    return f" (YAML reads {value} as text; write {mantissa}e{exponent})"
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
 
 
 # The config keys of each section, in the order the echo writes them.
@@ -84,13 +73,12 @@ def _setting_value(key: str, value: object) -> object:
     int or a list.  A value its setting's type rule (``core._fault``)
     refuses is a ConfigError naming ``key``."""
     kind = _DECLARED[_SETTING_OF[key]]
-    if kind == _RAMPS and isinstance(value, list):
+    if kind == _RAMPS:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {_shown(value)}")
         value = tuple(value)
     if fault := _fault(kind, value):
-        if kind == _RAMPS and isinstance(value, tuple):
-            kind, value = float, next(x for x in value if _fault(float, x))
-        hint = _text_number_hint(value) if kind is float else ""
-        raise ConfigError(f"{key} {fault}{hint}")
+        raise ConfigError(f"{key} {fault}")
     if kind == _RAMPS:
         return tuple(map(float, value))
     return float(value) if kind is float else value
@@ -128,9 +116,11 @@ def params_from_dict(raw: object) -> SimParams:
 
 def _validate_or_raise(params: SimParams) -> None:
     """Raise every problem ``validate_params`` finds in ``params`` as one
-    ConfigError, each rule of one setting naming its config key."""
-    problems = [_KEY_OF.get(name, name) + must + rule for name, must, rule
-                in (p.partition(" must ") for p in validate_params(params))]
+    ConfigError, each setting named before a message's ``got`` value
+    named by its config key."""
+    problems = [re.sub(r"[\w.]+", lambda m: _KEY_OF.get(m[0], m[0]), rule)
+                + got + value for rule, got, value
+                in (p.partition(" got ") for p in validate_params(params))]
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -142,7 +132,7 @@ def parse_config(path: str | Path) -> SimParams:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, _Loader)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: 4300+ digits
         raise ConfigError(f"{path}: {exc}") from exc
     return params_from_dict(raw)

@@ -261,19 +261,6 @@ class Trajectory:
             yield k, stop
             k = stop
 
-    def __eq__(self, other: object) -> bool:
-        # Bitwise, so runs that record the same nan compare equal; the
-        # physics too, so the registered exits and deadlines count.
-        if not isinstance(other, Trajectory):
-            return NotImplemented
-        return (all(getattr(self, name).tobytes()
-                    == getattr(other, name).tobytes()
-                    for name in ("times", "offsets") + STORED_COLUMNS)
-                and all(a.tobytes() == b.tobytes()
-                        for a, b in zip(self.physics(), other.physics())))
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
         return f"<Trajectory: {len(self)} records in {len(self.times)} steps>"
 

@@ -1,5 +1,6 @@
 import math
 from array import array
+from functools import cache
 
 import pytest
 
@@ -26,6 +27,15 @@ def params():
 def short_run():
     """One seeded 40 s open-highway run shared by engine-level tests."""
     return run(SimParams(duration=40.0, seed=1))
+
+
+@pytest.fixture(scope="session")
+def run_of():
+    """``run_of(params)`` is ``run(params)``, run once per session by the
+    first test that asks for it.  Tests share each result, so a test only
+    reads one: a test that changes a run makes its own, and a test that
+    compares two runs makes at least one of them."""
+    return cache(run)
 
 
 @pytest.fixture(scope="session")

@@ -212,10 +212,10 @@ class TestPreviousRows:
         assert previous_rows(tr).tolist() == []
 
     @pytest.mark.parametrize("name", PAIRED_RUNS)
-    def test_each_previous_row_lies_in_the_step_before(self, name):
+    def test_each_previous_row_lies_in_the_step_before(self, run_of, name):
         # A vehicle is stored at every step until it exits, which lets the
         # drag-descent check pair rows through previous_rows alone.
-        tr = run(PAIRED_RUNS[name]).trajectory
+        tr = run_of(PAIRED_RUNS[name]).trajectory
         step = np.repeat(np.arange(len(tr.times)), np.diff(tr.offsets))
         prev = previous_rows(tr)
         later = np.flatnonzero(prev >= 0)

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 
 import platoonflow.cli as cli
 from platoonflow import Event, SimParams, Trajectory, run, trajectory
@@ -250,8 +251,7 @@ class TestWindowParsing:
 # YAML values of the wrong type for a config key, by the type of its
 # default: a number key takes no text, bool, null, list or number too
 # large for a float or not finite, the seed no fraction, text or bool, a
-# flag only true or false, and a ramp key only a list of numbers.  None
-# of them reads as a number, so no message gets a hint.
+# flag only true or false, and a ramp key only a list of numbers.
 WRONG_YAML = {
     float: ["fast", "true", "null", "[1.0]", str(10 ** 400), ".nan", ".inf"],
     int: ["1.5", "'3'", "true"],
@@ -364,11 +364,13 @@ class TestRunCommand:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,message", [
-        ("control:\n  delta: .nan\n", "delta must be finite"),
-        ("run:\n  duration: .inf\n", "duration must be finite"),
+        ("control:\n  delta: .nan\n", "control.delta must be finite, got nan"),
+        ("run:\n  duration: .inf\n", "run.duration must be finite, got inf"),
         # Each finite alone, these overflow the step count.
-        ("run:\n  duration: 1.0e+308\n", "duration / dt must be finite"),
-        ("run:\n  dt: 1.0e-310\n", "duration / dt must be finite"),
+        ("run:\n  duration: 1.0e+308\n",
+         "run.duration / run.dt must be finite, got inf"),
+        ("run:\n  dt: 1.0e-310\n",
+         "run.duration / run.dt must be finite, got inf"),
     ])
     def test_non_finite_values_exit_with_a_config_error(
             self, tmp_path, capsys, text, message):
@@ -377,7 +379,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         rc = main(["run", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_backward_braking_a_min_is_a_config_error(self, tmp_path,
@@ -388,8 +390,27 @@ class TestRunCommand:
         out = tmp_path / "out"
         rc = main(["run", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
-        assert "a_min * dt must be at least -2 * v_min" \
-            in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: vehicle.a_min * run.dt must be at least -2 * "
+            "vehicle.v_min, or one step of braking moves a vehicle "
+            "backwards\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("vehicle:\n  v_min: 40.0\n",
+         "speed bounds must satisfy 0 < vehicle.v_min < vehicle.v_max"),
+        ("vehicle:\n  a_min: 1.0\n",
+         "acceleration bounds must satisfy vehicle.a_min < 0 < "
+         "vehicle.a_max"),
+    ])
+    def test_a_rule_joining_keys_names_each_key(self, tmp_path, capsys, text,
+                                                message):
+        cfg = tmp_path / "bounds.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("name", _POSITIVE)
@@ -470,34 +491,54 @@ class TestRunCommand:
             "100 is repeated\n")
         assert not (out / "trajectory.csv").exists()
 
-    @pytest.mark.parametrize("text, hint", [
-        ("run:\n  dt: 1e-3\n", "'1e-3' (YAML reads 1e-3 as text; "
-                                "write 1.0e-3)"),
-        ("run:\n  duration: 1E2\n", "'1E2' (YAML reads 1E2 as text; "
-                                     "write 1.0e+2)"),
-        ("road:\n  on_ramps: [100, 2.0e2]\n",
-         "'2.0e2' (YAML reads 2.0e2 as text; write 2.0e+2)"),
-        ("run:\n  dt: '0.1'\n", "'0.1' (YAML read it as text)"),
+    @pytest.mark.parametrize("text, section, key, echoed", [
+        ("run:\n  duration: 2.0\n  dt: 1e-3\n", "run", "dt", 0.001),
+        ("run:\n  duration: 1E2\n", "run", "duration", 100.0),
+        ("run:\n  duration: 2.0\nroad:\n  on_ramps: [100, 2.0e2]\n",
+         "road", "on_ramps", [100.0, 200.0]),
+    ], ids=["dt", "duration", "on_ramps"])
+    def test_a_number_with_an_exponent_runs(self, tmp_path, text, section,
+                                            key, echoed):
+        cfg = tmp_path / "exponent.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        echo = yaml.safe_load((out / "config.echo").read_text())
+        assert repr(echo[section][key]) == repr(echoed)
+
+    @pytest.mark.parametrize("text, shown", [
+        ("run:\n  dt: '0.1'\n", "'0.1'"),
         ("run:\n  dt: fast\n", "'fast'"),
-    ])
-    def test_number_read_as_text_gets_a_hint(self, tmp_path, capsys, text,
-                                             hint):
+    ], ids=["quoted_number", "word"])
+    def test_text_is_not_a_number(self, tmp_path, capsys, text, shown):
         cfg = tmp_path / "text.yaml"
         cfg.write_text(text)
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.endswith(f" must be a number, got {hint}\n")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            f"error: run.dt must be a number, got {shown}\n")
+
+    @given(x=st.floats(min_value=0.0, max_value=1e300))
+    def test_a_number_reads_as_python_reads_it(self, tmp_path_factory, x):
+        # 1e300 / dt still counts a finite number of steps.
+        cfg = tmp_path_factory.getbasetemp() / "number.yaml"
+        for text in (repr(x), f"{x:e}", f"{x:E}"):
+            cfg.write_text(f"run:\n  duration: {text}\n")
+            assert cli.parse_config(cfg).duration.hex() == float(text).hex()
+            negative = yaml.load(f"-{text}", cli._Loader)
+            assert negative.hex() == float(f"-{text}").hex()
 
     @pytest.mark.parametrize("text", ["1e-3", "1E3", "-2e+2", "1.0e3",
                                       "+1e0", " 5e-1 "])
     def test_the_hinted_spelling_reads_as_the_same_number(self, text):
-        hint = cli._text_number_hint(text)
-        written = re.fullmatch(r" \(YAML reads .* as text; write (\S+)\)",
-                               hint).group(1)
+        # Spellings YAML 1.1 reads as text; the config loader reads the
+        # number float() reads, so none needs rewriting.
         assert isinstance(yaml.safe_load(text), str)
-        assert yaml.safe_load(written) == float(text)
+        assert yaml.load(text, cli._Loader).hex() == float(text).hex()
+
+    def test_the_stock_safe_loader_still_reads_yaml_1_1(self):
+        assert yaml.safe_load("1e-3") == "1e-3"
+        assert yaml.load("1e-3", cli._Loader) == 0.001
 
     def test_missing_config_is_a_config_error(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.yaml"),
@@ -518,12 +559,26 @@ class TestRunCommand:
         rc = main(["run", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         kind = _DECLARED[cli._SETTING_OF[f"{section}.{key}"]]
-        value = yaml.safe_load(text)
-        if kind == _RAMPS and isinstance(value, list):
-            value = tuple(value)
-        assert capsys.readouterr().err == (
-            f"error: {section}.{key} {_fault(kind, value)}\n")
+        value = yaml.load(text, cli._Loader)
+        if kind != _RAMPS:
+            fault = _fault(kind, value)
+        elif isinstance(value, list):
+            fault = _fault(kind, tuple(value))
+        else:
+            fault = f"must be a list, got {value!r}"
+        assert capsys.readouterr().err == f"error: {section}.{key} {fault}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, shown", [
+        ("100.0", "100.0"), ("{a: 1}", "{'a': 1}")])
+    def test_a_ramp_key_takes_only_a_list(self, tmp_path, capsys, text,
+                                          shown):
+        cfg = tmp_path / "ramps.yaml"
+        cfg.write_text(f"road:\n  on_ramps: {text}\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: road.on_ramps must be a list, got {shown}\n")
 
     def test_a_number_too_long_to_read_is_a_config_error(self, tmp_path,
                                                         capsys):

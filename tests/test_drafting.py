@@ -26,8 +26,8 @@ from conftest import RUNS
 
 
 @pytest.fixture(scope="module", params=list(RUNS))
-def trajectory(request):
-    return run(RUNS[request.param]).trajectory
+def trajectory(request, run_of):
+    return run_of(RUNS[request.param]).trajectory
 
 
 def test_drafting_saves_energy(trajectory):

@@ -117,12 +117,12 @@ def with_law(params, **coefficients):
 
 
 @pytest.mark.parametrize("name", RUNS)
-def test_no_decision_reads_c0(name):
+def test_no_decision_reads_c0(run_of, name):
     # flow_bound's ratio cancels c0 and safe_interval has no drag term, so
     # doubling c0 moves nothing the engine writes and scales the drag
     # exactly, a power of two being exact in every product.
     params = RUNS[name]
-    base = run(params)
+    base = run_of(params)
     doubled = run(with_law(params, c0=2.0 * params.drag.c0))
     assert written_bytes(doubled) == written_bytes(base)
     assert doubled.trajectory.physics().drag.tobytes() \

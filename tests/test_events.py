@@ -27,7 +27,6 @@ from dataclasses import replace
 
 import pytest
 
-from platoonflow import run
 from platoonflow.sim import (EVENT_EXIT, EVENT_MERGE, EVENT_RECOVER,
                              EVENT_RELAX, EVENT_SPAWN, EVENT_SPLIT)
 
@@ -97,8 +96,8 @@ def disagreements(tr, events):
 
 
 @pytest.mark.parametrize("name", RUNS)
-def test_the_events_agree_with_the_trajectory(name):
-    result = run(RUNS[name])
+def test_the_events_agree_with_the_trajectory(run_of, name):
+    result = run_of(RUNS[name])
     assert len(result.events) > 300
     assert disagreements(result.trajectory, result.events) == []
 

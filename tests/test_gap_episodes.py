@@ -24,7 +24,6 @@ ignores its predecessor's command (``pred_accel = 0.0`` in
 import numpy as np
 import pytest
 
-from platoonflow import run
 from platoonflow.analysis import previous_rows
 from platoonflow.trajectory import pair_rows
 
@@ -77,9 +76,9 @@ def gap_episodes(tr):
 
 
 @pytest.fixture(scope="module", params=list(RUNS))
-def census(request):
+def census(request, run_of):
     name = request.param
-    return name, gap_episodes(run(RUNS[name]).trajectory)
+    return name, gap_episodes(run_of(RUNS[name]).trajectory)
 
 
 def test_no_class_grows_past_its_worst(census):

@@ -13,7 +13,6 @@ import math
 
 import pytest
 
-from platoonflow import run
 from platoonflow import _kernels_py as kernels
 from platoonflow.sim import EVENT_SPAWN
 
@@ -59,8 +58,8 @@ def replay(tr):
 
 
 @pytest.mark.parametrize("name", RUNS)
-def test_every_command_replays_from_the_step_before(name):
-    result = run(RUNS[name])
+def test_every_command_replays_from_the_step_before(run_of, name):
+    result = run_of(RUNS[name])
     tr = result.trajectory
     replayed, mismatched = replay(tr)
     assert mismatched == []
