@@ -12,11 +12,12 @@ predecessor's command, applying the worst-case rule to it;
 ``gap_allowance`` bounds the stopping margin the audits accept;
 ``drag_force``, ``drag_partials`` and ``flow_bound`` are the wake drag
 law; ``classify`` is the verdict both decisions return, a split for a
-follower and a merge for a head.  ``FeasibilityVerdict`` is that
-verdict's one type, an ``IntEnum`` whose members the kernels return and
-the engine, the controller and the grid oracle compare; ``SPLITS``
-holds the members that split.  The kernels allocate nothing beyond
-result tuples, so the engine can call them per vehicle and step.
+follower and a merge for a head; ``binding`` names what holds a
+decision's command, by the names of ``ACTIVE``.  ``FeasibilityVerdict``
+is that verdict's one type, an ``IntEnum`` whose members the kernels
+return and the engine, the controller and the grid oracle compare;
+``SPLITS`` holds the members that split.  The kernels allocate nothing
+beyond result tuples, so the engine can call them per vehicle and step.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ SPLITS = frozenset((VERDICT_FLOOR_CONFLICT, VERDICT_BRAKE_CONFLICT,
 
 # (accel, verdict, lo, hi, g, cap, bound): what both decisions return.
 Decision = tuple[float, FeasibilityVerdict, float, float, float, float, float]
+
+# What can hold a command, in the order of ``binding``'s flags.
+ACTIVE = ("speed_floor", "speed_ceiling", "safety", "drag_flow", "deadline")
 
 
 def advance(p: float, v: float, a: float,
@@ -285,3 +289,24 @@ def leader_decision(v: float, p_hat: float, v_hat: float,
     bound = flow_bound(v, p_hat, v_hat, params.drag)
     return (accel, classify(v, v_hat, bound, deadline_active, g, cap, params),
             lo, hi, g, cap, bound)
+
+
+def binding(accel, verdict, lo, cap, bound, v, deadline_active, follower,
+            params: SimParams):
+    """What holds a decision's command: one flag per name of ``ACTIVE``.
+
+    It reads a decision's ``accel``, verdict, ``lo``, ``cap`` and
+    ``bound``, the speed and deadline flag it was solved with, and
+    whether the follower kernel solved it.  A speed edge holds a command
+    at zero, the envelope at its cap; for followers only, the descent
+    bound holds it at the bound and an armed deadline, not dropped, at
+    zero.  Works on one solve's floats and on ``analysis.replay``'s
+    columns alike; a nan command binds nothing.
+    """
+    held = accel == 0.0
+    return (held & (lo == 0.0) & (v <= params.v_min + SPEED_EDGE_TOL),
+            held & (v >= params.v_max - SPEED_EDGE_TOL),
+            accel == cap,
+            follower & (accel == bound),
+            follower & deadline_active & held
+            & (verdict != VERDICT_DEADLINE_SAFETY_CONFLICT))

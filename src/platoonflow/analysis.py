@@ -8,7 +8,7 @@ consecutive vehicles work on whole columns: each pairs the rows that
 ``trajectory.pair_rows`` gives with the row ahead of them, one row up
 in the same step.  ``summarize`` integrates along time over the pairs
 that ``previous_rows`` gives: each row with the same vehicle's row
-before it.
+before it, which ``replay`` re-solves each row's command from.
 The brute-force solver deliberately re-states each control constraint
 as a pointwise inequality and scans a dense acceleration grid; it
 shares no code path with the closed-form controller it checks.
@@ -20,12 +20,13 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ._kernels_py import (SPEED_EDGE_TOL, FeasibilityVerdict, drag_partials,
-                          gap_allowance, stopping_margin)
+                          follower_decision, gap_allowance, leader_decision,
+                          stopping_margin)
 from .core import SimParams
 from .sim import (EVENT_DISCARD, EVENT_EXIT, EVENT_MERGE, EVENT_RECOVER,
                   EVENT_RELAX, EVENT_SPAWN, EVENT_SPLIT, SimResult)
@@ -81,6 +82,66 @@ def previous_rows(tr: Trajectory) -> np.ndarray:
     prev = np.full(len(vid), -1)
     prev[later[same]] = earlier[same]
     return prev
+
+
+class Replay(NamedTuple):
+    """``replay``'s columns, one element per row: ``before``, the row its
+    command was decided from, then the decision kernel's tuple with the
+    verdict as its code, then the deadline flag it was solved with."""
+
+    before: np.ndarray
+    accel: np.ndarray
+    verdict: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    g: np.ndarray
+    cap: np.ndarray
+    bound: np.ndarray
+    deadline_active: np.ndarray
+
+
+def replay(tr: Trajectory) -> Replay:
+    """Re-solve every row's command from the step stored before it.
+
+    A row's ``accel`` is the command its vehicle was given from the
+    state of the step stored before it: its own row there, ``before``
+    (``previous_rows``), and the row ahead of that one, its
+    predecessor, whose ``accel`` was the predecessor's last command.  A
+    head with nobody ahead passes ``(p_hat, v_hat, pred_accel) = (-inf,
+    0.0, 0.0)``.  The deadline is armed when ``enforce_deadlines``, the
+    row's mode is below 2 and ``deadline_margin`` at ``before`` is at
+    least ``-eps_d``; bit 0 of the row's mode, the mode that produced
+    the command, picks the leader kernel or the follower kernel.  That
+    is the engine's decide rule, so on an engine's trajectory the
+    replayed ``accel`` is the recorded one bit for bit.  A vehicle's
+    first row has no step before it: ``before`` is -1 there, the
+    kernel columns nan, the verdict -1 and the flag False.
+
+    Every row calls the scalar kernels, since ``np.exp`` is not libm's
+    ``exp``; repeated inputs are solved again, not reused.
+    """
+    params = tr.params
+    before = previous_rows(tr)
+    rows = np.flatnonzero(before >= 0)
+    prior, mode = before[rows], np.array(tr.mode)[rows]
+    armed = np.zeros(len(before), np.bool_)
+    if params.enforce_deadlines:
+        armed[rows] = ((mode < 2) & (tr.physics().deadline_margin[prior]
+                                     >= -params.eps_d))
+    ahead = np.where(np.isin(prior, pair_rows(tr.offsets)), prior - 1, -1)
+
+    p, v, accel = tr.p, tr.v, tr.accel
+    solves = []
+    for j, a, m, dl in zip(prior.tolist(), ahead.tolist(), mode.tolist(),
+                           armed[rows].tolist()):
+        pred = ((p[j] - p[a], v[j] - v[a], accel[a]) if a >= 0
+                else (-math.inf, 0.0, 0.0))
+        solves.append(leader_decision(v[j], *pred, m == 3, dl, params)
+                      if m & 1 else follower_decision(v[j], *pred, dl, params))
+    table = np.full((7, len(before)), math.nan)
+    table[:, rows] = np.array(solves, np.float64).reshape(-1, 7).T
+    verdict = np.where(before >= 0, table[1], -1).astype(np.int64)
+    return Replay(before, table[0], verdict, *table[2:], armed)
 
 
 def row_times(tr: Trajectory) -> np.ndarray:

@@ -7,13 +7,13 @@ magnitude.  Platoon heads instead brake to the speed floor and cruise,
 or accelerate to recover a relaxed deadline.
 
 The kernels in ``_kernels_py`` decide every solve, its verdict
-included, and own the rule for a predecessor's command; this module
-passes them a solve's state and its ``params``, which they read every
-constant from.  ``solve_follower_control`` and ``leader_control`` report
-the result as a ``ControlDecision`` of plain numbers and the kernels'
-own ``FeasibilityVerdict``, re-exported here, whose verdict the engine's
-resequencing acts on.  To solve under another drag law, pass
-``replace(params, drag=law)``.
+included, name what binds its command, and own the rule for a
+predecessor's command; this module passes them a solve's state and its
+``params``, which they read every constant from.  ``solve_follower_control``
+and ``leader_control`` report the result as a ``ControlDecision`` of
+plain numbers and the kernels' own ``FeasibilityVerdict``, re-exported
+here, whose verdict the engine's resequencing acts on.  To solve under
+another drag law, pass ``replace(params, drag=law)``.
 
 This module is the solves' report API and nothing else: the engine,
 the trajectory, the analysis, the renderer and the command line call
@@ -23,6 +23,7 @@ the kernels directly and import nothing from here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from . import _kernels_py as kernels
 from ._kernels_py import FeasibilityVerdict
@@ -51,24 +52,12 @@ class ControlDecision:
 def _decision(solve: kernels.Decision, v: float, deadline_active: bool,
               follower: bool, params: SimParams) -> ControlDecision:
     """Report a kernel's ``(accel, verdict, lo, hi, g, cap, bound)``,
-    naming in ``active`` what binds the command, by one rule for both
-    solves; the descent bound and the deadline bind followers only."""
+    naming in ``active`` what ``kernels.binding`` finds holds the
+    command."""
     accel, verdict, lo, hi, g, cap, bound = solve
-    active = []
-    if accel == 0.0 and lo == 0.0 \
-            and v <= params.v_min + kernels.SPEED_EDGE_TOL:
-        active.append("speed_floor")
-    if accel == 0.0 and v >= params.v_max - kernels.SPEED_EDGE_TOL:
-        active.append("speed_ceiling")
-    if accel == cap:
-        active.append("safety")
-    if follower and accel == bound:
-        active.append("drag_flow")
-    if follower and deadline_active and accel == 0.0 \
-            and verdict != kernels.VERDICT_DEADLINE_SAFETY_CONFLICT:
-        active.append("deadline")
-    return ControlDecision(accel, verdict, frozenset(active), lo, hi, g,
-                           bound)
+    active = compress(kernels.ACTIVE, kernels.binding(
+        accel, verdict, lo, cap, bound, v, deadline_active, follower, params))
+    return ControlDecision(accel, verdict, frozenset(active), lo, hi, g, bound)
 
 
 def solve_follower_control(v: float, p_hat: float, v_hat: float,

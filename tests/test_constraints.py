@@ -230,10 +230,10 @@ class TestKernelsReadTheRunsParams:
                                                          inspect.isfunction)
                       if fn.__module__ == kernels.__name__]
         assert sorted(fn.__name__ for fn in kernel_fns) == [
-            "advance", "classify", "deadline_margin", "drag_force",
-            "drag_partials", "flow_bound", "follower_decision",
-            "gap_allowance", "leader_decision", "safe_interval",
-            "stopping_margin"]
+            "advance", "binding", "classify", "deadline_margin",
+            "drag_force", "drag_partials", "flow_bound",
+            "follower_decision", "gap_allowance", "leader_decision",
+            "safe_interval", "stopping_margin"]
         for fn in kernel_fns:
             taken = RUN_CONSTANTS & set(inspect.signature(fn).parameters)
             assert not taken, f"{fn.__name__} takes {sorted(taken)}"

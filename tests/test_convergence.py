@@ -24,18 +24,11 @@ import numpy as np
 import pytest
 
 from platoonflow import SimParams, run
-from platoonflow.analysis import consecutive_gap_excess, in_formation
-from platoonflow.trajectory import pair_rows
+from platoonflow.analysis import consecutive_gap_excess
+from conftest import formed_share
 
 SEEDS = range(6)
 STEPS = (0.2, 0.1, 0.05)
-
-
-def formed_share(tr):
-    p, v = np.array(tr.p), np.array(tr.v)
-    back = pair_rows(tr.offsets)
-    return in_formation(p[back - 1], v[back - 1], p[back], v[back],
-                        tr.params).mean()
 
 
 @pytest.fixture(scope="module")

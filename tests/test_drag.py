@@ -1,6 +1,5 @@
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from platoonflow import (DragCoefficients, drag_force, drag_partials,
                          flow_bound, run)
 from platoonflow import _kernels_py as kernels
 from platoonflow.analysis import summarize
-from conftest import RUNS, written_bytes
+from conftest import RUNS, with_law, written_bytes
 
 LAW = DragCoefficients()
 
@@ -110,10 +109,6 @@ def test_flow_bound_agrees_with_partial_ratio(v, p_hat, v_hat):
     expected = -f_p * v_hat / f_v
     bound = flow_bound(v, p_hat, v_hat, LAW)
     assert math.isclose(bound, expected, rel_tol=1e-9, abs_tol=1e-12)
-
-
-def with_law(params, **coefficients):
-    return replace(params, drag=replace(params.drag, **coefficients))
 
 
 @pytest.mark.parametrize("name", RUNS)

@@ -14,11 +14,8 @@ from platoonflow import (
     VehicleMode,
     VehicleState,
     WorldState,
-    deadline_margin,
     insert_vehicle,
-    leader_control,
     run,
-    solve_follower_control,
     step,
     validate_params,
 )
@@ -532,46 +529,6 @@ class TestSolveReuse:
         plus = kernels.follower_decision(v, p_hat, v_hat, 0.0, deadline, p)
         minus = kernels.follower_decision(v, p_hat, v_hat, -0.0, deadline, p)
         assert [repr(x) for x in plus] == [repr(x) for x in minus]
-
-
-@pytest.mark.parametrize("params", [
-    SimParams(duration=60.0, seed=1),
-    SimParams(duration=60.0, seed=2, gamma=0.0, worst_case_pred_accel=True)],
-    ids=["default", "worst_case_gamma0"])
-def test_the_engine_solves_what_the_public_api_reports(params):
-    """Every engine decision is the ``(accel, verdict)`` that
-    ``solve_follower_control`` or ``leader_control`` reports for the same
-    pre-step state."""
-    world = WorldState.initial(params)
-    solved = {"follower": 0, "head": 0}
-    for _ in range(round(params.duration / params.dt)):
-        for veh in world.vehicles:
-            veh.last_solve = None
-        _decide(world)
-        pred = None
-        for veh in world.vehicles:
-            deadline_active = (
-                params.enforce_deadlines and veh.mode < 2
-                and deadline_margin(veh.p, veh.v, world.t, veh.exit_pos,
-                                    veh.deadline) >= -params.eps_d)
-            recovering = veh.mode == VehicleMode.LEADER_RECOVERING
-            if pred is None:
-                d = leader_control(veh.v, -math.inf, 0.0, 0.0, recovering,
-                                   deadline_active, params)
-            elif veh.mode & 1:
-                d = leader_control(veh.v, veh.p - pred.p, veh.v - pred.v,
-                                   pred.accel, recovering, deadline_active,
-                                   params)
-                solved["head"] += 1
-            else:
-                d = solve_follower_control(veh.v, veh.p - pred.p,
-                                           veh.v - pred.v, pred.accel,
-                                           deadline_active, params)
-                solved["follower"] += 1
-            assert veh.command == d.accel and veh.verdict is d.verdict
-            pred = veh
-        step(world)
-    assert solved["follower"] > 1000 and solved["head"] > 100
 
 
 def string_gap_losses(params, v0, head_mode):
