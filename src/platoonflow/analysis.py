@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -115,7 +114,10 @@ def replay(tr: Trajectory) -> Replay:
     is the engine's decide rule, so on an engine's trajectory the
     replayed ``accel`` is the recorded one bit for bit.  A vehicle's
     first row has no step before it: ``before`` is -1 there, the
-    kernel columns nan, the verdict -1 and the flag False.
+    kernel columns nan, the verdict -1 and the flag False.  With
+    deadlines enforced it reads ``deadline_margin``, so like every
+    physics read it raises ``KeyError`` on a vehicle that was never
+    registered.
 
     Every row calls the scalar kernels, since ``np.exp`` is not libm's
     ``exp``; repeated inputs are solved again, not reused.
@@ -128,7 +130,9 @@ def replay(tr: Trajectory) -> Replay:
     if params.enforce_deadlines:
         armed[rows] = ((mode < 2) & (tr.physics().deadline_margin[prior]
                                      >= -params.eps_d))
-    ahead = np.where(np.isin(prior, pair_rows(tr.offsets)), prior - 1, -1)
+    has_ahead = np.zeros(len(before), np.bool_)
+    has_ahead[pair_rows(tr.offsets)] = True
+    ahead = np.where(has_ahead[prior], prior - 1, -1)
 
     p, v, accel = tr.p, tr.v, tr.accel
     solves = []
@@ -211,18 +215,13 @@ def detect_formations(tr: Trajectory, k: int) -> list[tuple[int, ...]]:
     return [tuple(vid[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-@dataclass(frozen=True, slots=True)
-class OracleDecision:
-    """Grid-search result: command (None if nothing feasible) and verdict."""
-
-    accel: Optional[float]
-    verdict: FeasibilityVerdict
-
-
 def brute_force_follower(v: float, p_hat: float, v_hat: float,
                          pred_accel: float, deadline_active: bool,
-                         params: SimParams) -> OracleDecision:
-    """Reference follower decision by dense grid search.
+                         params: SimParams
+                         ) -> tuple[Optional[float], FeasibilityVerdict]:
+    """Reference follower decision by dense grid search: ``(accel,
+    verdict)``, the head of ``follower_decision``'s tuple, with ``accel``
+    None when nothing is feasible.
 
     Every candidate acceleration is tested against the raw constraint
     inequalities (no interval algebra): hold the speed box when pinned
@@ -230,11 +229,10 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
     whenever closing above the floor (full braking is always admissible
     there, since the envelope is defined by the full-brake stopping
     distance), keep drag non-increasing, and hold speed when a deadline
-    binds.  The
-    candidate set is the dense grid plus zero plus each inequality's
-    own boundary point, so feasible slivers narrower than the grid
-    spacing are still found.  The verdict is re-derived from the grid
-    masks in the same precedence the controller documents.
+    binds.  The candidate set is the dense grid plus zero plus each
+    inequality's own boundary point, so feasible slivers narrower than
+    the grid spacing are still found.  The verdict is re-derived from
+    the grid masks in the precedence ``classify`` documents.
 
     The drag inequality ``f_p * v_hat + f_v * a <= 0`` is stated per
     unit of acceleration, divided by ``f_v``, as the box and deadline
@@ -275,8 +273,8 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
     feasible = floor_ok & ceil_ok & safety_ok & flow_ok & dl_ok
     if feasible.any():
         pts = grid[feasible]
-        return OracleDecision(float(pts[np.argmin(np.abs(pts))]),
-                              FeasibilityVerdict.FEASIBLE)
+        return (float(pts[np.argmin(np.abs(pts))]),
+                FeasibilityVerdict.FEASIBLE)
 
     cap_negative = decays and not bool((decay_ok & (grid >= -_INEQ_TOL)).any())
     safety_active = g >= -params.eps_g or cap_negative
@@ -290,7 +288,7 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
         verdict = FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT
     else:
         verdict = FeasibilityVerdict.FEASIBLE
-    return OracleDecision(None, verdict)
+    return None, verdict
 
 
 def summarize(result: SimResult) -> dict[str, object]:

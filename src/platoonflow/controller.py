@@ -16,8 +16,9 @@ here, whose verdict the engine's resequencing acts on.  To solve under
 another drag law, pass ``replace(params, drag=law)``.
 
 This module is the solves' report API and nothing else: the engine,
-the trajectory, the analysis, the renderer and the command line call
-the kernels directly and import nothing from here.
+the trajectory, the analysis, the acceptance checks, the renderer and
+the command line call the kernels directly and import nothing from
+here.
 """
 
 from __future__ import annotations

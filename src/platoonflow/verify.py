@@ -1,11 +1,11 @@
 """Acceptance checks shared by the CLI verify command and the test suite.
 
-Each check builds its own scenario against the public engine and
-controller surface and reports one pass/fail result with a short
-detail line.  Checks that need the seeded open-highway corpus (the
-default scenario run over many seeds) share one lazily built corpus so
-the expensive runs happen once per process; the corpus keeps only the
-few figures those checks read from each run.
+Each check builds its own scenario against the public engine and the
+kernels and reports one pass/fail result with a short detail line.
+Checks that need the seeded open-highway corpus (the default scenario
+run over many seeds) share one lazily built corpus so the expensive
+runs happen once per process; the corpus keeps only the few figures
+those checks read from each run.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from typing import Iterator
 
 import numpy as np
 
-from ._kernels_py import (advance, drag_force, drag_partials, gap_allowance,
-                          safe_interval, stopping_margin)
+from ._kernels_py import (advance, drag_force, drag_partials,
+                          follower_decision, gap_allowance, safe_interval,
+                          stopping_margin)
 from .analysis import (brute_force_follower, consecutive_gap_excess,
                        in_formation, previous_rows)
-from .controller import solve_follower_control
 from .core import SimParams, SimulationError, VehicleMode
 from .sim import (EVENT_SPAWN, SimResult, WorldState, insert_vehicle, run,
                   step)
@@ -337,25 +337,25 @@ def check_solver_oracle(params: SimParams) -> CheckResult:
         deadline_active = bool(rng.random() < 0.4)
         kin = stopping_margin(v, -params.delta, v_hat, params)
         p_hat = float(rng.uniform(-40.0, 2.0)) - params.delta - kin
-        dec = solve_follower_control(v, p_hat, v_hat, pred_accel,
-                                     deadline_active, params)
-        ref = brute_force_follower(v, p_hat, v_hat, pred_accel,
-                                   deadline_active, params)
-        if dec.verdict is not ref.verdict:
+        accel, verdict = follower_decision(v, p_hat, v_hat, pred_accel,
+                                           deadline_active, params)[:2]
+        ref_accel, ref_verdict = brute_force_follower(
+            v, p_hat, v_hat, pred_accel, deadline_active, params)
+        if verdict is not ref_verdict:
             return CheckResult(name, False, (
-                f"state {i}: verdict {dec.verdict.name} vs grid "
-                f"{ref.verdict.name} at v={v:.3f}, p_hat={p_hat:.3f}, "
+                f"state {i}: verdict {verdict.name} vs grid "
+                f"{ref_verdict.name} at v={v:.3f}, p_hat={p_hat:.3f}, "
                 f"v_hat={v_hat:.3f}, pred_accel={pred_accel:.3f}, "
                 f"deadline={deadline_active}"
             ))
-        if ref.accel is not None:
-            diff = abs(dec.accel - ref.accel)
+        if ref_accel is not None:
+            diff = abs(accel - ref_accel)
             if diff > worst:
                 worst = diff
             if diff > tol:
                 return CheckResult(name, False, (
-                    f"state {i}: command {dec.accel:.6f} vs grid "
-                    f"{ref.accel:.6f} (diff {diff:.2e}, allowed {tol:.2e})"
+                    f"state {i}: command {accel:.6f} vs grid "
+                    f"{ref_accel:.6f} (diff {diff:.2e}, allowed {tol:.2e})"
                 ))
     detail = (f"{N_ORACLE_STATES} states, verdicts identical, worst "
               f"command gap {worst:.2e} of {tol:.2e} allowed")

@@ -19,7 +19,7 @@ from platoonflow.analysis import (
     records_by_vehicle,
     summarize,
 )
-from platoonflow import solve_follower_control
+from platoonflow._kernels_py import follower_decision
 from platoonflow.trajectory import pair_rows
 
 from conftest import RUNS, hand_built
@@ -234,14 +234,15 @@ class TestBruteForce:
     ])
     def test_agrees_with_the_closed_form_solver(self, v, p_hat, v_hat,
                                                 pred, deadline):
-        oracle = brute_force_follower(v, p_hat, v_hat, pred, deadline, PARAMS)
-        solved = solve_follower_control(v, p_hat, v_hat, pred, deadline,
-                                        PARAMS)
-        assert oracle.verdict is solved.verdict
-        if oracle.verdict is FeasibilityVerdict.FEASIBLE:
-            assert solved.accel == pytest.approx(oracle.accel, abs=1e-3)
+        ref_accel, ref_verdict = brute_force_follower(v, p_hat, v_hat, pred,
+                                                      deadline, PARAMS)
+        accel, verdict = follower_decision(v, p_hat, v_hat, pred, deadline,
+                                           PARAMS)[:2]
+        assert ref_verdict is verdict
+        if verdict is FeasibilityVerdict.FEASIBLE:
+            assert accel == pytest.approx(ref_accel, abs=1e-3)
         else:
-            assert oracle.accel is None
+            assert ref_accel is None
 
 
 class TestSummarize:

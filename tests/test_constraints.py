@@ -3,7 +3,7 @@ import itertools
 import math
 from dataclasses import replace
 
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from platoonflow import (
     DragCoefficients,
@@ -171,6 +171,31 @@ class TestTheIntervalEnds:
             assert lo <= accel <= hi
             for probe in (lo, hi, min(max(0.0, lo), hi)):
                 assert abs(accel) <= abs(probe)
+
+
+class TestThePlatooningRegion:
+    """README's "Controller in brief": a follower keeps following while
+    its descent bound is at least ``a_min``, or at least 0 at the floor
+    or with its deadline armed, and splits outside that region."""
+
+    @given(case=kernel_cases(), deadline_active=st.booleans())
+    # At 25 m/s and a 5 m gap the edge is a pull-away speed of 5.95 m/s:
+    # a brake conflict just past it and a state just inside it, then a
+    # deadline-drag and a floor conflict, and a deadline-safety
+    # conflict, which keeps following.
+    @example(case=(PARAMS, (25.0, -5.0, -6.0, 0.0)), deadline_active=False)
+    @example(case=(PARAMS, (25.0, -5.0, -5.9, 0.0)), deadline_active=False)
+    @example(case=(PARAMS, (25.0, -5.0, -5.9, 0.0)), deadline_active=True)
+    @example(case=(PARAMS, (20.0, -5.0, -0.5, 0.0)), deadline_active=False)
+    @example(case=(PARAMS, (30.0, -14.375, 5.0, 0.0)), deadline_active=True)
+    def test_a_follower_splits_exactly_outside_it(self, case,
+                                                  deadline_active):
+        params, state = case
+        _, verdict, _, _, _, _, bound = kernels.follower_decision(
+            *state, deadline_active, params)
+        at_floor = state[0] <= params.v_min + kernels.SPEED_EDGE_TOL
+        least = 0.0 if at_floor or deadline_active else params.a_min
+        assert verdict.splits == (bound < least)
 
 
 class TestSafeAccelInterval:

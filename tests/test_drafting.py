@@ -16,16 +16,14 @@ rows driven solo, and a drafting part, ``1 - saving``, the twin's
 speed part is the higher in 10 of 10 seeds (median ratio 1.074) and its
 drafting part in 6 of 10 (median ratio 1.002): most of the gap comes
 from the wake term slowing the vehicles down, since solo effort per
-metre grows as ``v**3``.  Two relations of the drag law hold exactly:
-no decision reads ``drag.c0``, and with ``drag.c1 = 0`` every row has
-the solo drag.
+metre grows as ``v**3``.
 """
 
 import numpy as np
 import pytest
 
 from platoonflow import SimParams, drag_force, run
-from platoonflow.trajectory import STORED_COLUMNS, pair_rows
+from platoonflow.trajectory import pair_rows
 from conftest import RUNS, formed_share, with_law
 
 
@@ -43,29 +41,6 @@ def test_drafting_saves_energy(trajectory):
 
 def test_platoons_form(trajectory):
     assert formed_share(trajectory) > 0.0
-
-
-def test_no_decision_reads_drag_c0(trajectory):
-    # flow_bound's ratio cancels c0 and safe_interval has no drag term,
-    # so c0 is pure accounting: a power-of-two scale of it changes no
-    # stored bit and scales the drag column exactly.
-    params = trajectory.params
-    doubled = run(with_law(params, c0=2.0 * params.drag.c0)).trajectory
-    for name in ("times", "offsets") + STORED_COLUMNS:
-        assert getattr(doubled, name).tobytes() \
-            == getattr(trajectory, name).tobytes(), name
-    assert doubled.physics().drag.tobytes() \
-        == (2.0 * trajectory.physics().drag).tobytes()
-
-
-def test_without_wake_relief_every_row_has_the_solo_drag(trajectory):
-    # With c1 = 0 there is no saving to be had: the drag column is
-    # c0 * v**2 bit for bit.
-    params = with_law(trajectory.params, c1=0.0)
-    tr = run(params).trajectory
-    v = np.array(tr.v)
-    assert tr.physics().drag.tobytes() \
-        == (params.drag.c0 * v * v).tobytes()
 
 
 def drag_effort_per_metre(tr, law):

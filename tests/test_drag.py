@@ -1,3 +1,9 @@
+"""The wake drag law: its reference values, its partials and descent
+bound, and two relations that hold exactly on every run of ``RUNS``:
+no decision reads ``drag.c0``, and with ``drag.c1 = 0`` every row has
+the solo drag.
+"""
+
 import math
 import sys
 

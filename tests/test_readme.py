@@ -8,6 +8,7 @@ from pathlib import Path
 import yaml
 
 from platoonflow import SimParams
+from platoonflow._kernels_py import flow_bound
 from platoonflow.cli import _SCHEMA, main, params_to_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -61,3 +62,17 @@ def test_quick_start_writes_the_files_its_table_lists(tmp_path, monkeypatch):
     assert main(args) == 0
     out = Path(args[args.index("--out") + 1])
     assert sorted(path.name for path in out.iterdir()) == sorted(listed)
+
+
+def test_split_table_gives_the_pull_away_speed_of_the_descent_bound():
+    brief = README.read_text().partition("## Controller in brief\n")[2] \
+        .partition("\n## ")[0]
+    gaps = [float(gap) for gap in re.findall(r"\| (\d+) m gap ", brief)]
+    rows = re.findall(r"^\| (\d+) m/s \| (.*) \|$", brief, re.M)
+    assert gaps and rows
+    params = SimParams()
+    for v, cells in rows:
+        # flow_bound is linear in v_hat: at v_hat = 1 it is rho.
+        rho = [flow_bound(float(v), -gap, 1.0, params.drag) for gap in gaps]
+        assert cells.split(" | ") == [
+            f"{abs(params.a_min / r):.2f} m/s" for r in rho], f"{v} m/s"
