@@ -21,7 +21,9 @@ class VehicleMode(enum.IntEnum):
     """Role of a vehicle inside the platoon partition.
 
     A mode's value is its code in the trajectory's ``mode`` column: bit
-    0 marks a platoon head, bit 1 a relaxed deadline.
+    0 marks a platoon head, bit 1 a relaxed deadline.  The engine stores
+    only bit 1, as ``VehicleState.relaxed``: a vehicle heads a platoon
+    when nobody directly ahead shares its platoon id.
 
     FOLLOWER
         Solves the constrained minimum-effort problem against the vehicle
@@ -128,13 +130,14 @@ class VehicleState:
     ``accel`` is the last applied command; it is what neighbours read as
     the communicated value on the following step.  ``exit_pos`` is where
     the vehicle intends to leave the road and is the distance target of
-    its deadline.
+    its deadline.  ``relaxed``, a dropped deadline, is the one bit of its
+    ``VehicleMode`` it stores: the platoon ids say the other.
 
     The last four fields are the engine's own and take no part in
     comparison or ``repr``.  ``command``, ``verdict`` and
     ``control_mode`` are this step's decision (see ``sim._decide``):
-    the command, the kernel's ``FeasibilityVerdict`` and the mode that
-    produced them, which the trajectory records.  ``last_solve`` holds
+    the command, the kernel's ``FeasibilityVerdict`` and the mode code
+    that produced them, which the trajectory records.  ``last_solve`` holds
     the inputs and ``(accel, verdict)`` of the latest follower solve,
     reused while the inputs stand still; ``None`` means there is nothing
     to reuse.
@@ -146,12 +149,11 @@ class VehicleState:
     accel: float
     deadline: float
     exit_pos: float
-    mode: VehicleMode
     platoon_id: int
+    relaxed: bool = False
     command: float = field(default=0.0, compare=False, repr=False)
     verdict: int = field(default=0, compare=False, repr=False)
-    control_mode: VehicleMode | None = field(default=None, compare=False,
-                                             repr=False)
+    control_mode: int | None = field(default=None, compare=False, repr=False)
     last_solve: tuple | None = field(default=None, compare=False,
                                      repr=False)
 

@@ -19,8 +19,8 @@ One step covers the interval [t, t + dt):
 3. exit removal (a vehicle leaves at its drawn exit position);
 4. ordering and bumper-gap audits (failures are engine bugs, not model
    outcomes, and raise);
-5. resequencing: splits, then each vehicle's two mode bits by their
-   rules in ``resequence``, then merges;
+5. resequencing: splits, then each vehicle's relaxed flag by its rule
+   in ``resequence``, then merges;
 6. spawn attempts due under the single arrival process;
 7. trajectory records: the state columns of ``world.trajectory`` (ids,
    position, speed, command, mode).  The physics a reader may want
@@ -29,6 +29,8 @@ One step covers the interval [t, t + dt):
    state on each read, with the vehicles' exit positions and deadlines
    that the engine registers once when it places or spawns a vehicle.
 
+A vehicle heads a platoon when nobody directly ahead shares its platoon
+id; it stores only its relaxed flag (see ``core.VehicleMode``).
 Each vehicle carries its own decision: the decide pass leaves it on
 ``VehicleState.command``, ``verdict`` and ``control_mode``, where the
 later phases read it; no object is built per vehicle and step.
@@ -59,6 +61,7 @@ from .core import (
     SimParams,
     VehicleMode,
     VehicleState,
+    _fault,
     validate_params,
 )
 from .trajectory import Trajectory
@@ -146,10 +149,10 @@ def insert_vehicle(world: WorldState, p: float, v: float, *,
     platoon it cuts into follows; a follower mode joins the platoon of
     the vehicle ahead.  ``ValueError`` refuses a position, exit or
     deadline that is not finite, an exit at or behind ``p``, a deadline
-    at or before ``world.t``, a mode that is no ``VehicleMode`` code,
-    a follower with none ahead, a position taken, a gap under ``delta``
-    to the vehicle ahead or behind (exactly ``delta`` is placeable), and
-    a speed outside ``[v_min, v_max]``.
+    at or before ``world.t``, a mode that is no ``VehicleMode`` code (a
+    bool or a float is none), a follower with none ahead, a position
+    taken, a gap under ``delta`` to the vehicle ahead or behind (exactly
+    ``delta`` is placeable), and a speed outside ``[v_min, v_max]``.
     """
     for name, x in (("p", p), ("exit_pos", exit_pos), ("deadline", deadline)):
         if not math.isfinite(x):
@@ -159,6 +162,8 @@ def insert_vehicle(world: WorldState, p: float, v: float, *,
     if deadline <= world.t:
         raise ValueError(f"deadline={deadline:g} is not after t={world.t:g}")
     if mode is not None:
+        if fault := _fault(int, mode):
+            raise ValueError(f"mode {fault}")
         mode = VehicleMode(mode)
     idx = _slot(world, p)
     vehicles = world.vehicles
@@ -192,15 +197,15 @@ def _slot(world: WorldState, p: float) -> int:
 def _place(world: WorldState, idx: int, p: float, v: float,
            exit_pos: float, deadline: float, mode: VehicleMode | None = None
            ) -> VehicleState:
-    """Insert a fresh vehicle at list index ``idx`` with the next id and
-    register its exit and deadline with the trajectory."""
+    """Insert a fresh vehicle in ``mode`` at list index ``idx`` with the
+    next id and register its exit and deadline with the trajectory."""
     vehicles = world.vehicles
     ahead = vehicles[idx - 1] if idx > 0 else None
     if mode is None:
         mode = VehicleMode.FOLLOWER if ahead is not None else VehicleMode.LEADER
     veh = VehicleState(
         vid=world.next_vehicle_id, p=p, v=v, accel=0.0, deadline=deadline,
-        exit_pos=exit_pos, mode=mode, control_mode=mode,
+        exit_pos=exit_pos, relaxed=mode > 1, control_mode=mode,
         verdict=kernels.VERDICT_FEASIBLE,
         platoon_id=(world.next_platoon_id if ahead is None
                     else ahead.platoon_id),
@@ -231,16 +236,19 @@ def draw_deadline(rng: np.random.Generator, p0: float, v0: float,
 def _decide(world: WorldState) -> None:
     """Control decisions for all vehicles from the frozen pre-step state.
 
-    Followers run the follower kernel; heads run the leader kernel,
-    whose verdict against their physical predecessor decides merges.
-    The front head has none, and passes the kernels' predecessor
-    infinitely far ahead (see ``kernels.safe_interval``).
+    Walking front to back, the pass reads each vehicle's role from the
+    platoon ids: it heads a platoon when nobody directly ahead shares
+    its id.  Followers run the follower kernel; heads run the leader
+    kernel, whose verdict against their physical predecessor decides
+    merges.  The front head has none, and passes the kernels'
+    predecessor infinitely far ahead (see ``kernels.safe_interval``).
     The kernels read every constant from ``world.params``, and apply the
     worst-case predecessor rule themselves.  The decision goes onto
-    each vehicle's ``command``, ``verdict`` and ``control_mode``; the
-    state the pass reads (``p``, ``v``, ``accel``, ``mode``) stays as it
-    was, so a follower reads its predecessor's ``accel`` as the previous
-    command and deciding twice gives the same result.
+    each vehicle's ``command``, ``verdict`` and ``control_mode``, the
+    ``VehicleMode`` code of its role and relaxed flag; the state the
+    pass reads (``p``, ``v``, ``accel``, ``platoon_id``, ``relaxed``)
+    stays as it was, so a follower reads its predecessor's ``accel`` as
+    the previous command and deciding twice gives the same result.
 
     A follower's kernel result is a pure function of its inputs ``(v,
     p_hat, v_hat, pred_accel, deadline_active)`` under the world's fixed
@@ -272,27 +280,26 @@ def _decide(world: WorldState) -> None:
 
     pred = None
     for veh in world.vehicles:
-        # bit 0 of the mode: heads a platoon; bit 1: deadline relaxed
-        mode = veh.mode
+        relaxed = veh.relaxed
         v = veh.v
-        deadline_active = (enforce and mode < 2
+        deadline_active = (enforce and not relaxed
                            and deadline_margin(veh.p, v, t, veh.exit_pos,
                                                veh.deadline) >= neg_eps_d)
-        if pred is not None:
+        if pred is None:
+            head = True
+            p_hat, v_hat, pred_accel = -math.inf, 0.0, 0.0
+        else:
+            head = pred.platoon_id != veh.platoon_id
             p_hat = veh.p - pred.p
             v_hat = v - pred.v
             pred_accel = pred.accel
-        elif mode & 1:
-            p_hat, v_hat, pred_accel = -math.inf, 0.0, 0.0
-        else:
-            raise OrderingError(
-                f"follower {veh.vid} has no predecessor at t={t:.3f}"
-            )
-        if mode & 1:
+        if head:
+            mode = 3 if relaxed else 1
             accel, code, _, _, _, _, _ = leader(
-                v, p_hat, v_hat, pred_accel, mode == 3, deadline_active,
+                v, p_hat, v_hat, pred_accel, relaxed, deadline_active,
                 params)
         else:
+            mode = 2 if relaxed else 0
             last = veh.last_solve
             if (last is not None and last[0] == v and last[1] == p_hat
                     and last[2] == v_hat and last[3] == pred_accel
@@ -363,59 +370,46 @@ def _relabel(vehicles: list[VehicleState], i: int, new: int) -> int:
 
 
 def resequence(world: WorldState, stamp: float) -> None:
-    """Apply splits, mode transitions and merges for this step.
+    """Apply splits, deadline relaxations and merges for this step.
 
-    Splits act on this step's follower verdicts; merges act on heads
-    whose against-predecessor classification came back feasible.  Bit 0
-    of ``control_mode`` says who headed a platoon at control, so heads
-    promoted only this step sit out the merge test.
+    Every rule reads the ``control_mode`` that produced a vehicle's
+    command.  Splits act on this step's follower verdicts; merges act on
+    heads whose against-predecessor classification came back feasible,
+    so heads promoted only this step sit out the merge test.  A split
+    gives its vehicle and those behind it a new platoon id, which makes
+    the vehicle a head.
 
-    One pass front to back first applies a vehicle's split and then
-    gives its mode two bits by one rule each.  That is exact: a split
-    relabels only its vehicle and those behind it, which the pass has
-    not reached, so every vehicle takes its bits after every split
-    ahead of it.  Bit 0, "heads a platoon", is what the platoon ids say
-    once those splits are in: a split, or its head's exit, makes a
-    vehicle a head.  Bit 1, "deadline relaxed", is set by a
-    ``FOLLOWER``'s deadline-safety conflict and cleared once a
-    ``LEADER_RECOVERING`` head's deadline margin is at most ``-eps_d``;
-    every other mode keeps it.  A ``deadline_relax`` event marks it
-    turning on, a ``deadline_recover`` event turning off; they follow
-    the step's split events, which keeps the event order of applying
-    every split first.  A merge then makes its head a plain
-    ``FOLLOWER``, clearing both bits.
+    The relaxed flag is set by a ``FOLLOWER``'s deadline-safety conflict
+    and cleared once a ``LEADER_RECOVERING`` head's deadline margin is
+    at most ``-eps_d``; every other mode keeps it.  A ``deadline_relax``
+    event marks it turning on, a ``deadline_recover`` event turning off;
+    they follow the step's split events, although one pass front to back
+    applies both.  A merge then joins its head to the platoon ahead and
+    clears its flag: it is a plain ``FOLLOWER``.
     """
     vehicles = world.vehicles
     neg_eps_d = -world.params.eps_d
     splits = kernels.SPLITS
     conflict = kernels.VERDICT_DEADLINE_SAFETY_CONFLICT
     flips = []
-    ahead_pid = None
     for i, veh in enumerate(vehicles):
-        if veh.verdict in splits and not veh.control_mode & 1:
+        mode = veh.control_mode
+        if veh.verdict in splits and not mode & 1:
             new = world.next_platoon_id
             world.next_platoon_id += 1
             old = _relabel(vehicles, i, new)
             world.events.append(Event(stamp, EVENT_SPLIT, veh.vid,
                                       (old, new)))
-        pid = veh.platoon_id
-        head = pid != ahead_pid
-        ahead_pid = pid
-        mode = veh.mode
-        if (veh.verdict == conflict and mode == 0) or mode == 3:
+        if mode == 3 or mode == 0 and veh.verdict == conflict:
             margin = deadline_margin(veh.p, veh.v, stamp,
                                      veh.exit_pos, veh.deadline)
-            relaxed = 2
             if mode == 0:
+                veh.relaxed = True
                 flips.append(Event(stamp, EVENT_RELAX, veh.vid, (margin,)))
             elif margin <= neg_eps_d:
-                relaxed = 0
+                veh.relaxed = False
                 flips.append(Event(stamp, EVENT_RECOVER, veh.vid,
                                    (margin,)))
-            veh.mode = VehicleMode(head | relaxed)
-        elif head != mode & 1:
-            # Outside bit 1's rules only bit 0 can change.
-            veh.mode = VehicleMode(head | mode & 2)
     world.events += flips
 
     feasible = kernels.VERDICT_FEASIBLE
@@ -430,7 +424,7 @@ def resequence(world: WorldState, stamp: float) -> None:
         # conflict instead of resuming the recovery burst, which is what
         # keeps a hopeless deadline from ratcheting a vehicle into the
         # gap ahead one burst at a time.
-        veh.mode = VehicleMode.FOLLOWER
+        veh.relaxed = False
         world.events.append(Event(stamp, EVENT_MERGE, veh.vid,
                                   (old, target)))
 

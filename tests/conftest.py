@@ -6,7 +6,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from platoonflow import SimParams, Trajectory, run, step
+from platoonflow import SimParams, Trajectory, VehicleMode, run, step
 from platoonflow import deadline_margin, drag_force, stopping_margin
 from platoonflow.analysis import in_formation
 from platoonflow.trajectory import DERIVED_COLUMNS, STORED_COLUMNS, pair_rows
@@ -34,6 +34,16 @@ def formed_share(tr):
     back = pair_rows(tr.offsets)
     return in_formation(p[back - 1], v[back - 1], p[back], v[back],
                         tr.params).mean()
+
+
+def modes(world):
+    """Each vehicle's ``VehicleMode``, front to back: bit 0 when nobody
+    directly ahead shares its platoon id, bit 1 its relaxed flag."""
+    out, ahead = [], None
+    for veh in world.vehicles:
+        out.append(VehicleMode((veh.platoon_id != ahead) | 2 * veh.relaxed))
+        ahead = veh.platoon_id
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,8 @@ from platoonflow import controller
 from platoonflow.sim import resequence
 from platoonflow.trajectory import MODE_NAMES
 
+from conftest import modes
+
 PARAMS = SimParams()
 
 
@@ -161,12 +163,12 @@ STAMP = 1.0
 def decided(vid, mode, platoon_id, verdict=FeasibilityVerdict.FEASIBLE,
             margin=-100.0):
     """A vehicle 100 m behind vehicle ``vid - 1``, decided in ``mode``
-    with ``verdict``, whose deadline margin at STAMP is ``margin``
-    (exactly, for a whole number)."""
+    with ``verdict``, relaxed as bit 1 of ``mode`` says, whose deadline
+    margin at STAMP is ``margin`` (exactly, for a whole number)."""
     p = 1000.0 - 100.0 * vid
     veh = VehicleState(vid=vid, p=p, v=25.0, accel=0.0, deadline=STAMP + 40.0,
-                       exit_pos=p + 1000.0 + margin, mode=mode,
-                       platoon_id=platoon_id)
+                       exit_pos=p + 1000.0 + margin, platoon_id=platoon_id,
+                       relaxed=bool(mode & 2))
     veh.verdict, veh.control_mode = verdict, mode
     return veh
 
@@ -178,14 +180,14 @@ def resequenced(*vehicles, params=PARAMS):
     world.vehicles.extend(vehicles)
     world.next_platoon_id = 100  # above every hand-set platoon id
     resequence(world, STAMP)
-    return ([veh.mode for veh in vehicles],
+    return (modes(world),
             [(e.kind, e.vehicle_id) for e in world.events])
 
 
 class TestModeMachine:
-    """``resequence`` takes each mode's two bits by one rule each: bit 0
-    from the platoon ids once the splits are in, bit 1 set by a
-    follower's deadline-safety conflict and cleared by a recovering
+    """A vehicle's mode after ``resequence``: bit 0 read from the platoon
+    ids once the splits and merges are in, bit 1 its relaxed flag, set
+    by a follower's deadline-safety conflict and cleared by a recovering
     head's comfortable margin."""
 
     F = VehicleMode.FOLLOWER
@@ -208,7 +210,7 @@ class TestModeMachine:
         world.vehicles.extend([decided(0, self.L, 0),
                                decided(1, self.F, 0, self.CONFLICT, -3.0)])
         resequence(world, STAMP)
-        assert world.vehicles[1].mode is self.R
+        assert modes(world)[1] is self.R
         assert world.events == [Event(STAMP, "deadline_relax", 1, (-3.0,))]
 
     def test_follower_promoted_and_conflicted_recovers_as_head(self):
@@ -259,8 +261,8 @@ class TestModeMachine:
     def test_a_mode_keeps_bit_1_and_takes_bit_0_from_the_platoon_ids(
             self, mode, is_head):
         # With no rule of bit 1 firing, every mode leaves as its platoon
-        # ids say, even one the engine never reaches (a LEADER inside a
-        # platoon).  A head's non-feasible verdict keeps it from merging.
+        # ids say, even one the engine never decides in (a LEADER inside
+        # a platoon).  A head's non-feasible verdict keeps it from merging.
         verdict = (FeasibilityVerdict.BRAKE_CONFLICT if mode & 1
                    else FeasibilityVerdict.FEASIBLE)
         modes, events = resequenced(

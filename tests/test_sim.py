@@ -20,12 +20,12 @@ from platoonflow import (
     validate_params,
 )
 from platoonflow import _kernels_py as kernels
-from platoonflow.analysis import records_by_time
+from platoonflow.analysis import previous_rows, records_by_time
 from platoonflow._kernels_py import SPEED_EDGE_TOL
 from platoonflow import sim
 from platoonflow.sim import _decide
 
-from conftest import step_world, world_bytes
+from conftest import modes, step_world, world_bytes
 
 FAR = 1e9
 
@@ -42,10 +42,8 @@ def hand_pair(p_front, v_front, p_rear, v_rear):
     """A head and its follower built by hand, past ``insert_vehicle``'s
     checks."""
     return [VehicleState(vid=vid, p=p, v=v, accel=0.0, deadline=FAR,
-                         exit_pos=FAR, mode=mode, platoon_id=0)
-            for vid, p, v, mode in ((0, p_front, v_front, VehicleMode.LEADER),
-                                    (1, p_rear, v_rear,
-                                     VehicleMode.FOLLOWER))]
+                         exit_pos=FAR, platoon_id=0)
+            for vid, p, v in ((0, p_front, v_front), (1, p_rear, v_rear))]
 
 
 def decided(world):
@@ -59,14 +57,14 @@ class TestInsertVehicle:
     def test_front_of_empty_road_heads_a_platoon(self, params):
         world = quiet_world(params)
         veh = place(world, 300.0, 25.0)
-        assert veh.mode is VehicleMode.LEADER
+        assert modes(world) == [VehicleMode.LEADER]
         assert world.vehicles == [veh]
 
     def test_behind_another_joins_its_platoon(self, params):
         world = quiet_world(params)
         front = place(world, 300.0, 25.0)
         rear = place(world, 200.0, 25.0)
-        assert rear.mode is VehicleMode.FOLLOWER
+        assert modes(world)[1] is VehicleMode.FOLLOWER
         assert rear.platoon_id == front.platoon_id
         assert [v.vid for v in world.vehicles] == [front.vid, rear.vid]
 
@@ -83,7 +81,7 @@ class TestInsertVehicle:
         world = quiet_world(params)
         front = place(world, 300.0, 25.0)
         rear = place(world, 200.0, 25.0, mode=mode)
-        assert rear.mode is VehicleMode(mode)
+        assert modes(world)[1] is VehicleMode(mode)
         assert rear.platoon_id != front.platoon_id
         assert world.next_platoon_id == rear.platoon_id + 1
 
@@ -94,11 +92,11 @@ class TestInsertVehicle:
         middle = place(world, 250.0, 25.0, mode=VehicleMode.LEADER)
         assert middle.platoon_id != front.platoon_id
         assert rear.platoon_id == middle.platoon_id
-        assert rear.mode is VehicleMode.FOLLOWER
+        assert modes(world)[2] is VehicleMode.FOLLOWER
         step(world)
         assert [(e.kind, e.vehicle_id) for e in world.events] == [
             ("merge", middle.vid)]
-        assert rear.mode is VehicleMode.FOLLOWER
+        assert modes(world)[2] is VehicleMode.FOLLOWER
         assert front.platoon_id == middle.platoon_id == rear.platoon_id
 
     @pytest.mark.parametrize("mode", [
@@ -150,6 +148,19 @@ class TestInsertVehicle:
                            deadline=deadline)
         assert world.vehicles == []
         assert world.next_vehicle_id == 0
+
+    @pytest.mark.parametrize("mode", [True, False, 1.0, 2.5, "1"],
+                             ids=["true", "false", "one_float", "2.5", "str"])
+    def test_a_mode_that_is_no_integer_is_refused(self, params, mode):
+        # VehicleMode(True) and VehicleMode(1.0) are LEADER; a mode is an
+        # integer as an int setting is, and no bool or float is one.
+        world = quiet_world(params)
+        front = place(world, 300.0, 25.0)
+        with pytest.raises(ValueError,
+                           match=f"mode must be an integer, got {mode!r}"):
+            place(world, 200.0, 25.0, mode=mode)
+        assert world.vehicles == [front]
+        assert world.next_vehicle_id == 1
 
     def test_a_code_outside_the_modes_is_refused(self, params):
         world = quiet_world(params)
@@ -209,7 +220,7 @@ class TestInsertVehicle:
         rear = place(world, 200.0, 25.0, mode=VehicleMode.FOLLOWER)
         assert rear.platoon_id == front.platoon_id
         step(world)
-        assert rear.mode is VehicleMode.FOLLOWER
+        assert modes(world)[1] is VehicleMode.FOLLOWER
         assert rear.platoon_id == front.platoon_id
         assert world.events == []
 
@@ -251,15 +262,21 @@ class TestStepDynamics:
         with pytest.raises(SafetyAuditError, match="gap between"):
             step(world)
 
-    def test_front_follower_is_rejected(self, params):
-        # insert_vehicle refuses one; a vehicle put in by hand meets the
-        # decide pass's guard.
-        world = quiet_world(params)
-        world.vehicles.append(VehicleState(
-            vid=0, p=100.0, v=25.0, accel=0.0, deadline=FAR, exit_pos=FAR,
-            mode=VehicleMode.FOLLOWER, platoon_id=0))
-        with pytest.raises(OrderingError, match="no predecessor"):
+    def test_a_vehicle_put_at_the_front_by_hand_decides_as_a_head(
+            self, params):
+        # Nobody ahead shares its platoon id, so it heads one: the leader
+        # kernel brakes it to the floor, or, relaxed, speeds it up to
+        # recover its deadline.
+        for relaxed, mode, accel in (
+                (False, VehicleMode.LEADER, params.a_min),
+                (True, VehicleMode.LEADER_RECOVERING, params.a_max)):
+            world = quiet_world(params)
+            world.vehicles.append(VehicleState(
+                vid=0, p=100.0, v=25.0, accel=0.0, deadline=FAR,
+                exit_pos=FAR, platoon_id=0, relaxed=relaxed))
             step(world)
+            assert list(world.trajectory.mode) == [mode]
+            assert world.vehicles[0].accel == accel
 
     def test_zero_duration_run_is_empty(self):
         result = run(SimParams(duration=0.0))
@@ -286,7 +303,7 @@ class TestSplitAndMerge:
         assert split != front.platoon_id
         assert [(e.kind, e.vehicle_id, e.facts) for e in world.events] == [
             ("split", rear.vid, (front.platoon_id, split))]
-        assert rear.mode is VehicleMode.LEADER
+        assert modes(world)[1] is VehicleMode.LEADER
         # the record carries the mode that produced the command
         tr = world.trajectory
         assert tr.vehicle_id[-1] == rear.vid
@@ -296,7 +313,7 @@ class TestSplitAndMerge:
         step(world)
         assert [(e.kind, e.facts) for e in world.events[1:]] == [
             ("merge", (split, front.platoon_id))]
-        assert rear.mode is VehicleMode.FOLLOWER
+        assert modes(world)[1] is VehicleMode.FOLLOWER
         assert rear.platoon_id == front.platoon_id
         assert [e.kind for e in world.events] == ["split", "merge"]
 
@@ -371,16 +388,19 @@ class TestRunInvariants:
         ids=["default", "worst_case_gamma0", "no_deadlines",
              "seed1", "seed2", "seed3", "seed4"])
     def test_a_head_by_mode_is_a_head_by_platoon_id(self, params):
-        # The engine reads "heads a platoon" from bit 0 of the mode alone,
-        # which resequence must leave equal to what the platoon ids say.
-        world = WorldState.initial(params)
-        for _ in range(round(params.duration / params.dt)):
-            step(world)
-            ahead = None
-            for veh in world.vehicles:
-                heads = ahead is None or ahead.platoon_id != veh.platoon_id
-                assert bool(veh.mode & 1) is heads, (world.t, veh)
-                ahead = veh
+        # A row's command was decided from its vehicle's previous row b:
+        # bit 0 of its mode says that nobody directly ahead of b, in b's
+        # step, shared b's platoon id.  A vehicle's first row reads its
+        # own step, where it was placed.
+        tr = run(params).trajectory
+        pid = np.array(tr.platoon_id)
+        front = np.zeros(len(pid), np.bool_)
+        front[np.array(tr.offsets[:-1])] = True
+        heads_a_platoon = front | (pid != np.roll(pid, 1))
+        before = previous_rows(tr)
+        decided_at = np.where(before >= 0, before, np.arange(len(pid)))
+        assert ((np.array(tr.mode) & 1 == 1)
+                == heads_a_platoon[decided_at]).all()
 
     def test_each_vehicle_is_recorded_in_its_mode_at_control(self):
         # A vehicle put into world.vehicles by hand does not take the
@@ -393,9 +413,9 @@ class TestRunInvariants:
         front = world.vehicles[0]
         world.vehicles.insert(0, VehicleState(
             vid=10**6, p=front.p + 200.0, v=front.v, accel=0.0,
-            deadline=FAR, exit_pos=FAR, mode=VehicleMode.LEADER,
-            platoon_id=10**6))
-        at_control = {veh.vid: veh.mode for veh in world.vehicles}
+            deadline=FAR, exit_pos=FAR, platoon_id=10**6))
+        at_control = {veh.vid: mode
+                      for veh, mode in zip(world.vehicles, modes(world))}
         step(world)
         tr = world.trajectory
         rows = range(tr.offsets[-2], tr.offsets[-1])
@@ -485,14 +505,14 @@ class TestSolveReuse:
 
     def test_repeated_inputs_skip_the_kernel(self, params, kernel_calls):
         world = self.followers(params)
-        state = [(veh.p, veh.v, veh.accel, veh.mode, veh.platoon_id)
+        state = [(veh.p, veh.v, veh.accel, veh.relaxed, veh.platoon_id)
                  for veh in world.vehicles]
         first = decided(world)
         assert kernel_calls[0] == 2
         assert decided(world) == first
         assert kernel_calls[0] == 2
         # Deciding leaves the pre-step state it reads as it found it.
-        assert [(veh.p, veh.v, veh.accel, veh.mode, veh.platoon_id)
+        assert [(veh.p, veh.v, veh.accel, veh.relaxed, veh.platoon_id)
                 for veh in world.vehicles] == state
 
     @pytest.mark.parametrize("change", [

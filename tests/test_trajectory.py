@@ -25,8 +25,8 @@ from platoonflow import trajectory
 from platoonflow.trajectory import (DERIVED_COLUMNS, MODE_NAMES,
                                     STORED_COLUMNS, trajectory_csv_text)
 
-from conftest import (RUNS, derived_bytes, hand_built, recompute_derived,
-                      step_world, world_bytes)
+from conftest import (RUNS, derived_bytes, hand_built, modes,
+                      recompute_derived, step_world, world_bytes)
 
 
 def records(tr):
@@ -101,14 +101,14 @@ class TestRecordViews:
         front, rear = world.vehicles
         snap = records_by_time(world.trajectory)[world.t]
         assert [r.vehicle_id for r in snap] == [front.vid, rear.vid]
-        for rec, veh in zip(snap, world.vehicles):
+        for rec, veh, mode in zip(snap, world.vehicles, modes(world)):
             assert rec.time == world.t
             assert (rec.platoon_id, rec.p, rec.v, rec.accel) == (
                 veh.platoon_id, veh.p, veh.v, veh.accel)
             assert rec.u == rec.accel + rec.drag
             assert rec.deadline_margin == deadline_margin(
                 veh.p, veh.v, world.t, veh.exit_pos, veh.deadline)
-            assert rec.mode == MODE_NAMES[veh.mode]
+            assert rec.mode == MODE_NAMES[mode]
         assert snap[0].drag == drag_force(front.v, -math.inf, law)
         assert math.isnan(snap[0].gs_margin)
         p_hat, v_hat = rear.p - front.p, rear.v - front.v
@@ -336,7 +336,7 @@ def test_reads_between_steps_leave_the_world_steppable():
     front = world.vehicles[0]
     stray = VehicleState(vid=world.next_vehicle_id, p=front.p + 200.0,
                          v=front.v, accel=0.0, deadline=1e9, exit_pos=1e9,
-                         mode=VehicleMode.LEADER, platoon_id=999)
+                         platoon_id=999)
     world.next_vehicle_id += 1
     world.vehicles.insert(0, stray)
     step(world)
