@@ -5,6 +5,8 @@ than the actuator floor, never accelerate while the spacing envelope or
 the wake-drag descent direction forbids it, and keep an eye on the
 arrival deadline.  Platoons form, split, and merge purely from those
 local decisions; the engine only integrates, audits, and bookkeeps.
+The root loads only the kernels, the engine and the trajectory's
+columns; a run's readers are in ``platoonflow.analysis``.
 """
 
 from ._kernels_py import (
@@ -13,13 +15,10 @@ from ._kernels_py import (
     drag_force,
     drag_partials,
     flow_bound,
+    follower_decision,
+    leader_decision,
     safe_interval,
     stopping_margin,
-)
-from .controller import (
-    ControlDecision,
-    leader_control,
-    solve_follower_control,
 )
 from .core import (
     DragCoefficients,
@@ -40,7 +39,7 @@ from .sim import (
     run,
     step,
 )
-from .trajectory import Trajectory, TrajectoryRecord
+from .trajectory import Trajectory
 
 __version__ = "0.1.0"
 
@@ -51,7 +50,6 @@ def backend_name() -> str:
 
 
 __all__ = [
-    "ControlDecision",
     "DragCoefficients",
     "Event",
     "FeasibilityVerdict",
@@ -62,7 +60,6 @@ __all__ = [
     "SimResult",
     "SimulationError",
     "Trajectory",
-    "TrajectoryRecord",
     "VehicleMode",
     "VehicleState",
     "WorldState",
@@ -71,11 +68,11 @@ __all__ = [
     "drag_force",
     "drag_partials",
     "flow_bound",
+    "follower_decision",
     "insert_vehicle",
-    "leader_control",
+    "leader_decision",
     "run",
     "safe_interval",
-    "solve_follower_control",
     "step",
     "stopping_margin",
     "validate_params",

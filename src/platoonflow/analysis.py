@@ -3,12 +3,15 @@
 Everything here works from the engine's output alone, its trajectory
 columns and events, so it audits what the engine actually emitted
 rather than trusting its internal state; each reader judges a run by
-the params its trajectory holds, ``tr.params``.  The audits of
-consecutive vehicles work on whole columns: each pairs the rows that
-``trajectory.pair_rows`` gives with the row ahead of them, one row up
-in the same step.  ``summarize`` integrates along time over the pairs
-that ``previous_rows`` gives: each row with the same vehicle's row
-before it, which ``replay`` re-solves each row's command from.
+the params its trajectory holds, ``tr.params``.  The row view is
+here: ``records_by_time`` and ``records_by_vehicle`` build a
+``TrajectoryRecord`` per row for a reader that wants objects.  The
+audits of consecutive vehicles work on whole columns: each pairs the
+rows that ``trajectory.pair_rows`` gives with the row ahead of them,
+one row up in the same step.  ``summarize`` integrates along time
+over the pairs that ``previous_rows`` gives: each row with the same
+vehicle's row before it, which ``replay`` re-solves each row's
+command from.
 The brute-force solver deliberately re-states each control constraint
 as a pointwise inequality and scans a dense acceleration grid; it
 shares no code path with the closed-form controller it checks.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -29,7 +33,7 @@ from ._kernels_py import (SPEED_EDGE_TOL, FeasibilityVerdict, drag_partials,
 from .core import SimParams
 from .sim import (EVENT_DISCARD, EVENT_EXIT, EVENT_MERGE, EVENT_RECOVER,
                   EVENT_RELAX, EVENT_SPAWN, EVENT_SPLIT, SimResult)
-from .trajectory import MODE_NAMES, Trajectory, TrajectoryRecord, pair_rows
+from .trajectory import MODE_NAMES, Trajectory, pair_rows
 
 _INEQ_TOL = 1e-9  # slack applied to every brute-force inequality
 _GRID_POINTS = 10001  # evenly spaced candidates from a_min to a_max
@@ -43,6 +47,29 @@ def _oracle_grid(a_min: float, a_max: float) -> np.ndarray:
     grid = np.linspace(a_min, a_max, _GRID_POINTS)
     grid.flags.writeable = False
     return grid
+
+
+@dataclass(frozen=True, slots=True)
+class TrajectoryRecord:
+    """Post-step snapshot of one vehicle.
+
+    ``accel`` is the command applied over the step that produced this
+    state; ``mode`` the mode that produced the command.  ``u`` is the
+    actuator effort implied by the dynamics (accel plus drag).
+    ``gs_margin`` is nan for the front vehicle of the road.
+    """
+
+    time: float
+    vehicle_id: int
+    platoon_id: int
+    p: float
+    v: float
+    accel: float
+    u: float
+    drag: float
+    gs_margin: float
+    deadline_margin: float
+    mode: str
 
 
 def _records(tr: Trajectory, key: str) -> dict:

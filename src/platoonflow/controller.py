@@ -1,24 +1,20 @@
-"""Per-vehicle control policies and their typed reports.
+"""Typed reports of the two solves, kept for the benchmark's tracing.
 
-Followers solve a one-dimensional constrained problem each step: among
-accelerations admitted by the speed box, the stopping envelope, the
-drag-descent cap and (when active) the deadline, apply the one of least
-magnitude.  Platoon heads instead brake to the speed floor and cruise,
-or accelerate to recover a relaxed deadline.
+``solve_follower_control`` and ``leader_control`` pass a solve's state
+and its ``params`` to ``kernels.follower_decision`` and
+``kernels.leader_decision``, which decide it, and report the kernels'
+``(accel, verdict, lo, hi, g, cap, bound)`` as a ``ControlDecision``:
+``g`` as ``gs_margin``, ``bound`` as ``flow_bound`` and, in
+``active``, the names of ``kernels.ACTIVE`` that ``kernels.binding``
+finds hold the command.  The verdict is the kernels' own
+``FeasibilityVerdict``, re-exported here.
 
-The kernels in ``_kernels_py`` decide every solve, its verdict
-included, name what binds its command, and own the rule for a
-predecessor's command; this module passes them a solve's state and its
-``params``, which they read every constant from.  ``solve_follower_control``
-and ``leader_control`` report the result as a ``ControlDecision`` of
-plain numbers and the kernels' own ``FeasibilityVerdict``, re-exported
-here, whose verdict the engine's resequencing acts on.  To solve under
-another drag law, pass ``replace(params, drag=law)``.
-
-This module is the solves' report API and nothing else: the engine,
-the trajectory, the analysis, the acceptance checks, the renderer and
-the command line call the kernels directly and import nothing from
-here.
+No module of the package imports this one, and the package root does
+not export it: a solve is a kernel call.  It remains because
+``perfbench/tracing.py`` wraps ``solve_follower_control`` and
+``leader_control`` and reads ``kernels`` and ``FeasibilityVerdict``
+from it.  Once ROADMAP item 18 counts the verdicts without those
+wraps and they are dropped, item 21 deletes this module.
 """
 
 from __future__ import annotations

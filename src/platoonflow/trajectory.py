@@ -16,8 +16,9 @@ the trajectory keeps none of them.  The computation works on whole
 columns, a bounded block of rows at a time, so its temporaries do not
 grow with the range.
 
-``trajectory_csv_text`` formats the rows as the lines of
-``trajectory.csv``.
+The module stores and derives columns only, and has no row object
+(that is ``analysis.TrajectoryRecord``); ``trajectory_csv_text``
+formats the rows as the lines of ``trajectory.csv``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -36,29 +36,6 @@ from .core import SimParams
 # Labels of the ``mode`` column's codes, which are ``VehicleMode``
 # values: ``MODE_NAMES[mode]``.
 MODE_NAMES = ("follower", "leader", "follower_relaxed", "leader_recovering")
-
-
-@dataclass(frozen=True, slots=True)
-class TrajectoryRecord:
-    """Post-step snapshot of one vehicle.
-
-    ``accel`` is the command applied over the step that produced this
-    state; ``mode`` the mode that produced the command.  ``u`` is the
-    actuator effort implied by the dynamics (accel plus drag).
-    ``gs_margin`` is nan for the front vehicle of the road.
-    """
-
-    time: float
-    vehicle_id: int
-    platoon_id: int
-    p: float
-    v: float
-    accel: float
-    u: float
-    drag: float
-    gs_margin: float
-    deadline_margin: float
-    mode: str
 
 
 class Physics(NamedTuple):

@@ -1,5 +1,16 @@
+"""The paper's control law as the kernels state it: a follower's solve,
+a head's policy and merge verdict under the world's drag law, the mode
+machine that ``sim.resequence`` runs on those verdicts, and the one
+verdict vocabulary.  A solve is a call of ``follower_decision`` or
+``leader_decision``, and ``active`` names what holds its command.
+
+Only the tests of the shim import ``controller``, which reports the
+kernels' tuples while the benchmark traces it; they go when it goes.
+"""
+
 import math
 from dataclasses import replace
+from itertools import compress
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,11 +23,11 @@ from platoonflow import (
     VehicleMode,
     VehicleState,
     flow_bound,
+    follower_decision,
     insert_vehicle,
-    leader_control,
+    leader_decision,
     WorldState,
     run,
-    solve_follower_control,
     stopping_margin,
 )
 from platoonflow import _kernels_py as kernels
@@ -25,75 +36,84 @@ from platoonflow.sim import resequence
 from platoonflow.trajectory import MODE_NAMES
 
 from conftest import modes
+from test_constraints import kernel_cases
 
 PARAMS = SimParams()
 
 
+def active(solve, v, deadline_active, follower, params=PARAMS):
+    """The names of ``kernels.ACTIVE`` that ``kernels.binding`` finds
+    hold the command of ``solve``, a decision kernel's tuple solved at
+    speed ``v`` with ``deadline_active``, by the follower kernel when
+    ``follower``."""
+    accel, verdict, lo, _, _, cap, bound = solve
+    return frozenset(compress(kernels.ACTIVE, kernels.binding(
+        accel, verdict, lo, cap, bound, v, deadline_active, follower,
+        params)))
+
+
 class TestFollowerSolve:
     def test_unconstrained_interior_coasts(self):
-        d = solve_follower_control(30.0, -20.0, 1.0, 0.0,
-                                   False, PARAMS)
-        assert d.accel == 0.0
-        assert d.verdict is FeasibilityVerdict.FEASIBLE
-        assert d.active == frozenset()
-        assert d.gs_margin == -12.625
-        assert d.flow_bound == pytest.approx(0.16540193819026033, rel=1e-12)
+        solve = follower_decision(30.0, -20.0, 1.0, 0.0, False, PARAMS)
+        accel, verdict, _, _, g, _, bound = solve
+        assert accel == 0.0
+        assert verdict is FeasibilityVerdict.FEASIBLE
+        assert active(solve, 30.0, False, True) == frozenset()
+        assert g == -12.625
+        assert bound == pytest.approx(0.16540193819026033, rel=1e-12)
 
     def test_opening_gap_tracks_the_descent_bound(self):
-        d = solve_follower_control(30.0, -20.0, -1.0, 0.0,
-                                   False, PARAMS)
-        assert d.accel == d.flow_bound
-        assert d.accel == pytest.approx(-0.16540193819026033, rel=1e-12)
-        assert d.accel < 0.0
-        assert "drag_flow" in d.active
+        solve = follower_decision(30.0, -20.0, -1.0, 0.0, False, PARAMS)
+        accel, _, _, _, _, _, bound = solve
+        assert accel == bound
+        assert accel == pytest.approx(-0.16540193819026033, rel=1e-12)
+        assert accel < 0.0
+        assert "drag_flow" in active(solve, 30.0, False, True)
 
     def test_active_deadline_pins_the_command_at_zero(self):
-        d = solve_follower_control(30.0, -20.0, 2.0, 0.0,
-                                   True, PARAMS)
-        assert d.accel == 0.0
-        assert d.verdict is FeasibilityVerdict.FEASIBLE
-        assert "deadline" in d.active
+        solve = follower_decision(30.0, -20.0, 2.0, 0.0, True, PARAMS)
+        accel, verdict, _, _, _, _, _ = solve
+        assert accel == 0.0
+        assert verdict is FeasibilityVerdict.FEASIBLE
+        assert "deadline" in active(solve, 30.0, True, True)
 
     def test_floor_conflict_when_descent_demands_braking_at_the_floor(self):
-        d = solve_follower_control(20.0, -20.0, -1.0, 0.0,
-                                   False, PARAMS)
-        assert d.verdict is FeasibilityVerdict.FLOOR_CONFLICT
-        assert d.verdict.splits
-        assert d.accel == 0.0
+        accel, verdict, _, _, _, _, _ = follower_decision(
+            20.0, -20.0, -1.0, 0.0, False, PARAMS)
+        assert verdict is FeasibilityVerdict.FLOOR_CONFLICT
+        assert verdict.splits
+        assert accel == 0.0
 
     def test_brake_conflict_when_descent_outruns_the_actuator(self):
-        d = solve_follower_control(22.0, -6.0, -10.0, 0.0,
-                                   False, PARAMS)
-        assert d.flow_bound < PARAMS.a_min
-        assert d.verdict is FeasibilityVerdict.BRAKE_CONFLICT
-        assert d.accel == PARAMS.a_min
+        accel, verdict, _, _, _, _, bound = follower_decision(
+            22.0, -6.0, -10.0, 0.0, False, PARAMS)
+        assert bound < PARAMS.a_min
+        assert verdict is FeasibilityVerdict.BRAKE_CONFLICT
+        assert accel == PARAMS.a_min
 
     def test_deadline_against_descent_splits(self):
-        d = solve_follower_control(25.0, -20.0, -2.0, 0.0,
-                                   True, PARAMS)
-        assert d.verdict is FeasibilityVerdict.DEADLINE_DRAG_CONFLICT
-        assert d.verdict.splits
-        assert d.accel == PARAMS.a_min
+        accel, verdict, _, _, _, _, _ = follower_decision(
+            25.0, -20.0, -2.0, 0.0, True, PARAMS)
+        assert verdict is FeasibilityVerdict.DEADLINE_DRAG_CONFLICT
+        assert verdict.splits
+        assert accel == PARAMS.a_min
 
     def test_deadline_against_envelope_relaxes_and_brakes(self):
-        d = solve_follower_control(30.0, -13.0, 6.0, 0.0,
-                                   True, PARAMS)
-        assert d.verdict is FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT
-        assert not d.verdict.splits
-        assert d.gs_margin == 2.5
+        solve = follower_decision(30.0, -13.0, 6.0, 0.0, True, PARAMS)
+        accel, verdict, _, hi, g, _, _ = solve
+        assert verdict is FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT
+        assert not verdict.splits
+        assert g == 2.5
         # the command comes from the solve with the deadline dropped
-        assert d.accel == -3.4
-        assert d.hi == -3.4
-        assert "safety" in d.active
+        assert accel == -3.4
+        assert hi == -3.4
+        assert "safety" in active(solve, 30.0, True, True)
 
     def test_worst_case_switch_ignores_communicated_command(self):
-        import dataclasses
-        worst = dataclasses.replace(PARAMS, worst_case_pred_accel=True)
-        trusting = solve_follower_control(30.0, -16.0, 7.0, 3.0,
-                                          False, PARAMS)
-        paranoid = solve_follower_control(30.0, -16.0, 7.0, 3.0,
-                                          False, worst)
-        assert paranoid.accel <= trusting.accel
+        worst = replace(PARAMS, worst_case_pred_accel=True)
+        trusting = follower_decision(30.0, -16.0, 7.0, 3.0, False, PARAMS)
+        paranoid = follower_decision(30.0, -16.0, 7.0, 3.0, False, worst)
+        assert paranoid[0] <= trusting[0]
 
     @given(v=st.floats(min_value=20.0, max_value=35.0),
            p_hat=st.floats(min_value=-200.0, max_value=-0.1),
@@ -106,55 +126,60 @@ class TestFollowerSolve:
         # predecessor speed must respect the floor, so v_hat <= v - v_min
         v_hat = closing_frac * (v - PARAMS.v_min) if closing_frac > 0 \
             else closing_frac * 15.0
-        d = solve_follower_control(v, p_hat, v_hat, pred,
-                                   deadline, PARAMS)
-        assert PARAMS.a_min <= d.accel <= PARAMS.a_max
+        accel = follower_decision(v, p_hat, v_hat, pred, deadline,
+                                  PARAMS)[0]
+        assert PARAMS.a_min <= accel <= PARAMS.a_max
 
 
 class TestLeaderPolicy:
     def test_front_leader_brakes_toward_the_floor(self):
-        d = leader_control(30.0, -math.inf, 0.0, 0.0, False, False, PARAMS)
-        assert d.accel == PARAMS.a_min
-        assert d.gs_margin == -math.inf
-        assert d.verdict is FeasibilityVerdict.FEASIBLE
+        accel, verdict, _, _, g, _, _ = leader_decision(
+            30.0, -math.inf, 0.0, 0.0, False, False, PARAMS)
+        assert accel == PARAMS.a_min
+        assert g == -math.inf
+        assert verdict is FeasibilityVerdict.FEASIBLE
 
     def test_front_leader_cruises_at_the_floor(self):
-        d = leader_control(20.0, -math.inf, 0.0, 0.0, False, False, PARAMS)
-        assert d.accel == 0.0
-        assert "speed_floor" in d.active
+        solve = leader_decision(20.0, -math.inf, 0.0, 0.0, False, False,
+                                PARAMS)
+        assert solve[0] == 0.0
+        assert "speed_floor" in active(solve, 20.0, False, False)
 
     def test_recovering_head_floors_the_throttle(self):
-        d = leader_control(30.0, -math.inf, 0.0, 0.0, True, False, PARAMS)
-        assert d.accel == PARAMS.a_max
+        assert leader_decision(30.0, -math.inf, 0.0, 0.0, True, False,
+                               PARAMS)[0] == PARAMS.a_max
 
     def test_recovering_head_respects_the_ceiling(self):
-        d = leader_control(35.0, -math.inf, 0.0, 0.0, True, False, PARAMS)
-        assert d.accel == 0.0
-        assert "speed_ceiling" in d.active
+        solve = leader_decision(35.0, -math.inf, 0.0, 0.0, True, False,
+                                PARAMS)
+        assert solve[0] == 0.0
+        assert "speed_ceiling" in active(solve, 35.0, False, False)
 
     def test_recovering_head_respects_the_envelope(self):
-        d = leader_control(30.0, -13.0, 6.0, 0.0, True, False, PARAMS)
-        assert d.accel == -3.4
-        assert "safety" in d.active
+        solve = leader_decision(30.0, -13.0, 6.0, 0.0, True, False, PARAMS)
+        assert solve[0] == -3.4
+        assert "safety" in active(solve, 30.0, False, False)
 
     def test_a_head_held_at_the_ceiling_names_only_the_ceiling(self):
         # Falling back from its predecessor, the envelope does not bind
         # (its cap is inf): only the speed ceiling holds the command at 0.
-        d = leader_control(PARAMS.v_max, -200.0, -1.0, 0.0, True, False,
-                           PARAMS)
-        assert d.accel == 0.0
-        assert d.active == frozenset({"speed_ceiling"})
+        solve = leader_decision(PARAMS.v_max, -200.0, -1.0, 0.0, True,
+                                False, PARAMS)
+        assert solve[0] == 0.0
+        assert active(solve, PARAMS.v_max, False, False) \
+            == frozenset({"speed_ceiling"})
 
     def test_parked_head_behind_parked_pred_stays_split(self):
         # opening or steady at the floor reads as a floor conflict, which
         # is what keeps a parked pair from merging and re-arming deadlines
-        d = leader_control(20.0, -9.0, -0.5, 0.0, False, False, PARAMS)
-        assert d.accel == 0.0
-        assert d.verdict is FeasibilityVerdict.FLOOR_CONFLICT
+        accel, verdict, _, _, _, _, _ = leader_decision(
+            20.0, -9.0, -0.5, 0.0, False, False, PARAMS)
+        assert accel == 0.0
+        assert verdict is FeasibilityVerdict.FLOOR_CONFLICT
 
     def test_closing_head_reads_feasible_and_may_merge(self):
-        d = leader_control(30.0, -40.0, 2.0, 0.0, False, False, PARAMS)
-        assert d.verdict is FeasibilityVerdict.FEASIBLE
+        assert leader_decision(30.0, -40.0, 2.0, 0.0, False, False,
+                               PARAMS)[1] is FeasibilityVerdict.FEASIBLE
 
 
 STAMP = 1.0
@@ -287,14 +312,15 @@ class TestHeadsUseTheWorldsDragLaw:
         v, p_hat, v_hat = 22.0, -6.0, -10.0
         bound = flow_bound(v, p_hat, v_hat, law)
         assert bound != flow_bound(v, p_hat, v_hat, PARAMS.drag)
-        follower = solve_follower_control(v, p_hat, v_hat, 0.0,
-                                          False, params)
-        head = leader_control(v, p_hat, v_hat, 0.0, False, False, params)
-        assert follower.verdict is head.verdict is FeasibilityVerdict.FEASIBLE
-        assert follower.flow_bound == head.flow_bound == bound
+        _, follower, _, _, _, _, follower_bound = follower_decision(
+            v, p_hat, v_hat, 0.0, False, params)
+        _, head, _, _, _, _, head_bound = leader_decision(
+            v, p_hat, v_hat, 0.0, False, False, params)
+        assert follower is head is FeasibilityVerdict.FEASIBLE
+        assert follower_bound == head_bound == bound
         # The default law reads this state as a brake conflict.
-        assert leader_control(v, p_hat, v_hat, 0.0, False, False,
-                              PARAMS).verdict \
+        assert leader_decision(v, p_hat, v_hat, 0.0, False, False,
+                               PARAMS)[1] \
             is FeasibilityVerdict.BRAKE_CONFLICT
 
     @pytest.mark.parametrize("name", LAWS)
@@ -304,13 +330,12 @@ class TestHeadsUseTheWorldsDragLaw:
             self, name, v, v_pred, p_hat, deadline):
         law = self.LAWS[name]
         v_hat = v - v_pred
-        d = leader_control(v, p_hat, v_hat, 0.0, False, deadline,
-                           replace(PARAMS, drag=law))
-        bound, g = d.flow_bound, d.gs_margin
+        _, verdict, _, hi, g, _, bound = leader_decision(
+            v, p_hat, v_hat, 0.0, False, deadline, replace(PARAMS, drag=law))
         assert bound == flow_bound(v, p_hat, v_hat, law)
         assert g == stopping_margin(v, p_hat, v_hat, PARAMS)
-        assert d.verdict is kernels.classify(v, v_hat, bound, deadline, g,
-                                             d.hi, PARAMS)
+        assert verdict is kernels.classify(v, v_hat, bound, deadline, g, hi,
+                                           PARAMS)
 
 
 class TestOneVerdictVocabulary:
@@ -318,11 +343,34 @@ class TestOneVerdictVocabulary:
     controller re-exports it, the kernels' ``VERDICT_*`` names are its
     members, and the engine leaves members on its vehicles.  The type is
     an ``IntEnum``, which equals its int, so membership is checked with
-    ``type(...) is``."""
+    ``type(...) is``.  While the controller remains, its reports carry
+    each kernel's tuple unchanged, verdict member included."""
 
     def test_the_controller_reexports_the_kernels_type(self):
         assert controller.FeasibilityVerdict is kernels.FeasibilityVerdict
         assert FeasibilityVerdict is kernels.FeasibilityVerdict
+
+    @given(case=kernel_cases(), deadline_active=st.booleans(),
+           recovering=st.booleans())
+    def test_the_controller_reports_exactly_the_kernels_tuple(
+            self, case, deadline_active, recovering):
+        params, state = case
+        for report, solve, follower in (
+                (controller.solve_follower_control(
+                    *state, deadline_active, params),
+                 follower_decision(*state, deadline_active, params), True),
+                (controller.leader_control(
+                    *state, recovering, deadline_active, params),
+                 leader_decision(*state, recovering, deadline_active,
+                                 params), False)):
+            accel, verdict, lo, hi, g, _, bound = solve
+            # repr compares the floats bit for bit, signed zeros included.
+            assert repr((report.accel, report.lo, report.hi,
+                         report.gs_margin, report.flow_bound)) \
+                == repr((accel, lo, hi, g, bound))
+            assert report.verdict is verdict
+            assert report.active == active(solve, state[0], deadline_active,
+                                           follower, params)
 
     def test_every_verdict_name_is_a_member(self):
         names = [name for name in vars(kernels) if name.startswith("VERDICT_")]

@@ -2,10 +2,11 @@
 layers import.
 
 The acceptance checks and the library need neither the YAML front end
-nor the argument parser, and a fresh process compiles every module it
-loads when no bytecode is cached, so a stray import shows up as setup
-time.  Each probe runs in a child, ``-B`` keeping it from writing
-bytecode, so the modules this test process has loaded do not count.
+nor the argument parser, and no entry point needs the controller.  A
+fresh process compiles every module it loads when no bytecode is
+cached, so a stray import shows up as setup time.  Each probe runs in
+a child, ``-B`` keeping it from writing bytecode, so the modules this
+test process has loaded do not count.
 
 The layering runs one way: ``core`` holds the types and imports no
 module of the package, and ``_kernels_py`` imports one only for its
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "platoonflow"
 
 PROBE = """
 import sys
@@ -49,6 +51,20 @@ def test_import_leaves_the_front_end_unloaded(module, unloaded):
     assert loaded(module, unloaded) == []
 
 
+@pytest.mark.parametrize("module", [
+    "platoonflow", "platoonflow.verify", "platoonflow.cli"])
+def test_no_entry_point_loads_the_controller(module):
+    assert loaded(module, ("platoonflow.controller",)) == []
+
+
+def test_the_root_loads_the_kernels_the_engine_and_the_columns():
+    package = [f"platoonflow.{path.stem}" for path in PACKAGE.glob("*.py")
+               if path.stem != "__init__"]
+    assert loaded("platoonflow", package) == [
+        "platoonflow._kernels_py", "platoonflow.core", "platoonflow.sim",
+        "platoonflow.trajectory"]
+
+
 def test_the_probe_sees_a_loaded_module():
     assert loaded("platoonflow.cli", ("platoonflow.cli", "yaml")) == [
         "platoonflow.cli", "yaml"]
@@ -62,7 +78,6 @@ def test_cli_and_trajectory_share_one_csv_writer():
     assert verify.trajectory_csv_text is trajectory.trajectory_csv_text
 
 
-PACKAGE = ROOT / "src" / "platoonflow"
 GUARDS = ("TYPE_CHECKING", "typing.TYPE_CHECKING")
 
 
@@ -115,12 +130,11 @@ def test_the_kernels_import_package_modules_for_annotations_only():
 
 
 @pytest.mark.parametrize("module", sorted(
-    path.stem for path in PACKAGE.glob("*.py")
-    if path.stem not in ("__init__", "controller")))
+    path.stem for path in PACKAGE.glob("*.py") if path.stem != "controller"))
 def test_the_engine_and_readers_import_nothing_from_the_controller(module):
-    # The controller is the solves' report API: every other module of
-    # the package calls the kernels directly, and only the package root
-    # exports it.
+    # No module of the package imports the controller, the package root
+    # included: every one calls the kernels directly, and the controller
+    # remains only for the benchmark's tracing, which imports it itself.
     found = package_imports((PACKAGE / f"{module}.py").read_text())
     assert [line for line, name, _ in found
             if name == "platoonflow.controller"] == []
