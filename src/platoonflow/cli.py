@@ -14,7 +14,7 @@ import argparse
 import re
 import sys
 from dataclasses import replace
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from time import perf_counter
 from typing import Iterable, Iterator, Optional
@@ -27,7 +27,8 @@ from .core import (_DECLARED, _RAMPS, SimParams, SimulationError, _fault,
                    _shown, validate_params)
 from .sim import Event, SimResult, run
 from .svgplot import render_timespace
-from .trajectory import Trajectory, _sig, trajectory_csv_text
+# trajectory_csv_text stays bound here: the benchmark wraps and imports it.
+from .trajectory import _sig, trajectory_csv_blocks, trajectory_csv_text
 
 
 class ConfigError(ValueError):
@@ -212,23 +213,14 @@ _ARTIFACTS = ("trajectory.csv", "events.csv", "metrics.txt", "config.echo",
               "timespace.svg")
 
 
-def _trajectory_csv_blocks(tr: Trajectory) -> Iterator[str]:
-    """The text of ``trajectory.csv``, one ``trajectory_csv_text`` call
-    per block of ``tr.blocks()``, so the writer holds one block of it at
-    a time; the header alone when ``tr`` has no step."""
-    if not tr.times:
-        yield trajectory_csv_text(tr)
-    for start, stop in tr.blocks():
-        yield trajectory_csv_text(tr, start, stop)
-
-
 def _artifact_texts(result: SimResult,
                     plot_window: Optional[tuple[float, float]]
                     ) -> Iterator[Optional[Iterable[str]]]:
     """The text of each of ``_ARTIFACTS`` in turn, as chunks built when
     written; None for the plot without ``plot_window``."""
     tr = result.trajectory
-    yield _trajectory_csv_blocks(tr)
+    # ``map`` keeps no block alive while it makes the next one.
+    yield map(itemgetter(2), trajectory_csv_blocks(tr))
     yield (events_csv_text(result.events),)
     yield (metrics_text(result),)
     yield (yaml.safe_dump(params_to_dict(tr.params), sort_keys=False),)

@@ -259,11 +259,14 @@ def validate_params(params: SimParams) -> list[str]:
     for name in _NON_NEGATIVE:
         if name not in wrong and setting[name] < 0.0:
             bad.append(f"{name} must be non-negative")
-    if (ok(("dt", "duration")) and params.dt > 0.0
-            and not math.isfinite(params.duration / params.dt)):
-        # Each finite alone, the two can still overflow the step count.
-        bad.append("duration / dt must be finite, got "
-                   f"{params.duration / params.dt}")
+    if ok(("dt", "duration")) and params.dt > 0.0:
+        # Each finite alone, the two can still overflow the step count or
+        # pass 2**53 steps, past which a float64 clock stops counting.
+        steps = params.duration / params.dt
+        if not math.isfinite(steps):
+            bad.append(f"duration / dt must be finite, got {steps}")
+        elif steps > 2.0 ** 53:
+            bad.append(f"duration / dt must be at most 2**53, got {steps}")
     if ok(("drag.c1",)) and not 0.0 <= params.drag.c1 < 1.0:
         # c1 < 1 keeps the wake discount strictly below full drag, so the
         # drag force and its speed partial stay positive at any gap.

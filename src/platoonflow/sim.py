@@ -165,10 +165,7 @@ def insert_vehicle(world: WorldState, p: float, v: float, *,
         if fault := _fault(int, mode):
             raise ValueError(f"mode {fault}")
         mode = VehicleMode(mode)
-    idx = _slot(world, p)
-    vehicles = world.vehicles
-    ahead = vehicles[idx - 1] if idx else None
-    behind = vehicles[idx] if idx < len(vehicles) else None
+    idx, ahead, behind = _slot(world, p)
     delta = world.params.delta
     if ahead is None and mode is not None and not mode & 1:
         raise ValueError(f"a {mode.name} at p={p:g} has no vehicle ahead")
@@ -182,25 +179,28 @@ def insert_vehicle(world: WorldState, p: float, v: float, *,
                          f"{behind.vid}, under delta={delta:g}")
     if not world.params.v_min <= v <= world.params.v_max:
         raise ValueError(f"v={v:g} lies outside the speed box")
-    return _place(world, idx, p, v, exit_pos, deadline, mode)
+    return _place(world, idx, ahead, p, v, exit_pos, deadline, mode)
 
 
-def _slot(world: WorldState, p: float) -> int:
-    """List index a vehicle at position ``p`` slots into: behind every
-    vehicle at or ahead of ``p``."""
-    idx = 0
-    while idx < len(world.vehicles) and world.vehicles[idx].p >= p:
-        idx += 1
-    return idx
-
-
-def _place(world: WorldState, idx: int, p: float, v: float,
-           exit_pos: float, deadline: float, mode: VehicleMode | None = None
-           ) -> VehicleState:
-    """Insert a fresh vehicle in ``mode`` at list index ``idx`` with the
-    next id and register its exit and deadline with the trajectory."""
+def _slot(world: WorldState, p: float
+          ) -> tuple[int, VehicleState | None, VehicleState | None]:
+    """List index a vehicle at position ``p`` slots into, behind every
+    vehicle at or ahead of ``p``, and the vehicles it would then have
+    directly ahead of and behind it (None for none)."""
     vehicles = world.vehicles
-    ahead = vehicles[idx - 1] if idx > 0 else None
+    idx = 0
+    while idx < len(vehicles) and vehicles[idx].p >= p:
+        idx += 1
+    return (idx, vehicles[idx - 1] if idx else None,
+            vehicles[idx] if idx < len(vehicles) else None)
+
+
+def _place(world: WorldState, idx: int, ahead: VehicleState | None,
+           p: float, v: float, exit_pos: float, deadline: float,
+           mode: VehicleMode | None = None) -> VehicleState:
+    """Insert a fresh vehicle in ``mode`` at ``_slot``'s ``idx``, behind
+    its ``ahead``, with the next id and register its exit and deadline."""
+    vehicles = world.vehicles
     if mode is None:
         mode = VehicleMode.FOLLOWER if ahead is not None else VehicleMode.LEADER
     veh = VehicleState(
@@ -269,7 +269,10 @@ def _decide(world: WorldState) -> None:
       ``v_hat`` for either zero (or under the worst-case rule not at
       all), so both give the same result bit for bit.
 
-    Heads are always solved: their inputs seldom repeat.
+    Heads are always solved.  Over default seeds 0-4, 6,209 of 31,620
+    head solves (19.6%) repeat their previous inputs, mostly the front
+    head at the floor, yet a reuse rule for both roles, bit-identical on
+    10 configs, ran at 0.97x the speed on default and 0.87x on dense.
     """
     params = world.params
     t = world.t
@@ -445,9 +448,7 @@ def try_spawn(world: WorldState, stamp: float) -> None:
         world.next_spawn = world.next_spawn + delay
         entry = entries[int(rng.integers(0, len(entries)))]
 
-        idx = _slot(world, entry)
-        ahead = world.vehicles[idx - 1] if idx > 0 else None
-        behind = world.vehicles[idx] if idx < len(world.vehicles) else None
+        idx, ahead, behind = _slot(world, entry)
 
         if entry > 0.0 and ahead is not None and ahead.p - entry <= NEAR_RANGE:
             v0 = float(rng.uniform(params.v_min, min(params.v_max, ahead.v)))
@@ -470,7 +471,7 @@ def try_spawn(world: WorldState, stamp: float) -> None:
             continue
 
         t_f = draw_deadline(rng, entry, v0, exit_pos, stamp, params)
-        veh = _place(world, idx, entry, v0, exit_pos, t_f)
+        veh = _place(world, idx, ahead, entry, v0, exit_pos, t_f)
         world.events.append(Event(stamp, EVENT_SPAWN, veh.vid,
                                   (entry, exit_pos, v0)))
 

@@ -261,8 +261,7 @@ def trajectory_csv_text(tr: Trajectory, start: int = 0,
     so the texts of steps ``0:k`` and ``k:`` join into the whole text
     for any ``k > 0``; the default call returns that whole text, the
     header alone when ``tr`` has no step.  This is the one statement of
-    the row format: ``trajectory.csv`` is written as one call per block
-    of ``tr.blocks()``.
+    the row format, and ``trajectory_csv_blocks`` of how the file is cut.
     """
     vid, pid, mode, p, v, accel = (tr.vehicle_id, tr.platoon_id, tr.mode,
                                    tr.p, tr.v, tr.accel)
@@ -280,3 +279,14 @@ def trajectory_csv_text(tr: Trajectory, start: int = 0,
             for i in sorted(range(lo, hi), key=vid.__getitem__)
             for j in [i - base]]))
     return "".join(steps)
+
+
+def trajectory_csv_blocks(tr: Trajectory) -> Iterator[tuple[int, int, str]]:
+    """``(start, stop, text)`` of each block of ``tr.blocks()``, ``text``
+    its ``trajectory_csv_text``, so the header leads the first block;
+    ``(0, 0, header)`` alone when ``tr`` has no step.  The one statement
+    of how ``trajectory.csv`` is cut: ``platoonflow run`` writes these
+    texts and ``verify.check_determinism`` digests them.
+    """
+    for start, stop in tr.blocks() if tr.times else [(0, 0)]:
+        yield start, stop, trajectory_csv_text(tr, start, stop)

@@ -25,7 +25,7 @@ from .analysis import (brute_force_follower, consecutive_gap_excess,
 from .core import SimParams, SimulationError, VehicleMode
 from .sim import (EVENT_SPAWN, SimResult, WorldState, insert_vehicle, run,
                   step)
-from .trajectory import Trajectory, pair_rows, trajectory_csv_text
+from .trajectory import pair_rows, trajectory_csv_blocks
 
 N_CORPUS_SEEDS = 50
 SPAWN_COUNT_BAND = (120.0, 155.0)
@@ -432,26 +432,16 @@ def check_drag_descent(params: SimParams) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
-def _csv_block_digests(tr: Trajectory, blocks: list[tuple[int, int]]
-                       ) -> Iterator[tuple[bytes, int]]:
-    """SHA-256 digest and byte count of the encoded CSV of each step
-    range of ``blocks``, one ``trajectory_csv_text`` call at a time."""
-    for start, stop in blocks:
-        data = trajectory_csv_text(tr, start, stop).encode()
-        yield hashlib.sha256(data).digest(), len(data)
-
-
 def check_determinism(params: SimParams) -> CheckResult:
     """Identical config and seed must reproduce the trajectory CSV byte
     for byte.
 
-    The first run's CSV is folded into one SHA-256 digest and byte
-    count per block of its ``Trajectory.blocks``, and the run is
-    dropped before the second one starts, so only one run is ever
-    alive.  The second run's CSV is then digested over the same step
-    ranges; the check fails on unequal step counts or on the first
-    block whose digest differs.  Neither CSV is ever held whole, and
-    the detail counts the encoded bytes of every block.
+    The first run's CSV is folded into a SHA-256 digest and byte count
+    per block of ``trajectory_csv_blocks``, and the run is dropped
+    before the second one starts, so only one run is ever alive.  The
+    check fails on unequal step counts or on the first block of the
+    second run whose range or digest differs.  Neither CSV is ever held
+    whole, and the detail counts the encoded bytes of every block.
     """
     name = "determinism_bytes"
     try:
@@ -461,8 +451,9 @@ def check_determinism(params: SimParams) -> CheckResult:
                 "the seeded run recorded no rows, so there were no bytes "
                 "to compare"))
         n_steps = len(first.times)
-        blocks = list(first.blocks())
-        digests = list(_csv_block_digests(first, blocks))
+        blocks = [(start, stop, hashlib.sha256(data).digest(), len(data))
+                  for start, stop, text in trajectory_csv_blocks(first)
+                  for data in [text.encode()]]
         del first
         second = run(params).trajectory
     except SimulationError as exc:
@@ -471,13 +462,14 @@ def check_determinism(params: SimParams) -> CheckResult:
     if len(second.times) != n_steps:
         return CheckResult(name, False, (
             f"two seeded runs, {n_steps} and {len(second.times)} steps"))
-    for (start, stop), digest, again in zip(
-            blocks, digests, _csv_block_digests(second, blocks)):
-        if again != digest:
+    for (start, stop, digest, _), (*again, text) in zip(
+            blocks, trajectory_csv_blocks(second)):
+        if (again != [start, stop]
+                or hashlib.sha256(text.encode()).digest() != digest):
             return CheckResult(name, False, (
                 f"two seeded runs, CSV bytes differ in steps {start}:{stop} "
                 f"of {n_steps}"))
-    size = sum(n_bytes for _, n_bytes in digests)
+    size = sum(n_bytes for _, _, _, n_bytes in blocks)
     return CheckResult(name, True,
                        f"two seeded runs, {size} CSV bytes identical")
 

@@ -12,7 +12,6 @@ from platoonflow import Event, SimParams, Trajectory, run, trajectory
 from platoonflow.cli import (
     ConfigError,
     _parse_window,
-    _trajectory_csv_blocks,
     emit_outputs,
     events_csv_text,
     main,
@@ -20,8 +19,9 @@ from platoonflow.cli import (
     params_to_dict,
 )
 from platoonflow.core import _DECLARED, _POSITIVE, _RAMPS, _fault
-from platoonflow.trajectory import _CSV_ROW, trajectory_csv_text
-from platoonflow.verify import CheckResult
+from platoonflow.trajectory import (_CSV_ROW, trajectory_csv_blocks,
+                                    trajectory_csv_text)
+from platoonflow.verify import CheckResult, check_determinism
 
 from conftest import hand_built
 from test_core import with_setting
@@ -158,8 +158,8 @@ class TestCsvWriters:
 
 
 class TestCsvBlocks:
-    """``trajectory.csv`` is written one ``trajectory_csv_text`` call per
-    block of ``Trajectory.blocks``."""
+    """``trajectory_csv_blocks`` cuts ``trajectory.csv`` into one
+    ``trajectory_csv_text`` call per block of ``Trajectory.blocks``."""
 
     @pytest.mark.parametrize("rows", [None, 333])
     @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -170,11 +170,11 @@ class TestCsvBlocks:
                          duration=DURATION)
         tr = run(params).trajectory
         whole = trajectory_csv_text(tr)
-        blocks = list(_trajectory_csv_blocks(tr))
-        assert len(blocks) == len(list(tr.blocks()))
+        blocks = list(trajectory_csv_blocks(tr))
+        assert [block[:2] for block in blocks] == list(tr.blocks())
         if rows is not None:
             assert len(blocks) > 1
-        assert "".join(blocks) == whole
+        assert "".join(text for _, _, text in blocks) == whole
         assert whole.startswith(CSV_HEADER)
         assert whole.count(CSV_HEADER) == 1
 
@@ -187,16 +187,17 @@ class TestCsvBlocks:
 
     def test_an_empty_trajectory_is_its_header(self):
         tr = Trajectory(SimParams())
-        assert list(_trajectory_csv_blocks(tr)) == [CSV_HEADER]
+        assert list(trajectory_csv_blocks(tr)) == [(0, 0, CSV_HEADER)]
 
     def test_a_one_step_trajectory_is_one_block(self):
         tr, _ = hand_built([(0.1, [(vid, 100.0 - 10.0 * vid, 20.0)
                                    for vid in (0, 1, 2)])], SimParams())
         assert list(tr.blocks()) == [(0, 1)]
-        blocks = list(_trajectory_csv_blocks(tr))
-        assert blocks == [trajectory_csv_text(tr)]
-        assert blocks[0].startswith(CSV_HEADER)
-        assert blocks[0].count("\n") == 4
+        blocks = list(trajectory_csv_blocks(tr))
+        assert blocks == [(0, 1, trajectory_csv_text(tr))]
+        text = blocks[0][2]
+        assert text.startswith(CSV_HEADER)
+        assert text.count("\n") == 4
         assert trajectory_csv_text(tr, 0, 0) == CSV_HEADER
         assert trajectory_csv_text(tr, 1) == ""
 
@@ -207,7 +208,8 @@ class TestCsvBlocks:
         path = tmp_path / "trajectory.csv"
         path.write_text("an earlier run\n")
         with pytest.raises(KeyError):
-            cli._replace(path, _trajectory_csv_blocks(tr))
+            cli._replace(path, (text for _, _, text
+                                in trajectory_csv_blocks(tr)))
         assert not path.exists()
 
     def test_the_writer_holds_a_block_not_the_file(self, tmp_path,
@@ -285,6 +287,20 @@ class TestRunCommand:
         echo = yaml.safe_load((out / "config.echo").read_text())
         assert echo["run"]["seed"] == 2
         assert "wrote" in capsys.readouterr().out
+
+    def test_verify_counts_the_bytes_run_writes(self, config_file, tmp_path,
+                                                monkeypatch):
+        # Several blocks, so the header and every cut are counted.
+        monkeypatch.setattr(trajectory, "DERIVE_BLOCK_ROWS", 333)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file),
+                     "--out", str(out)]) == 0
+        params = cli.parse_config(config_file)
+        assert len(list(run(params).trajectory.blocks())) > 1
+        size = (out / "trajectory.csv").stat().st_size
+        assert check_determinism(params) == CheckResult(
+            "determinism_bytes", True,
+            f"two seeded runs, {size} CSV bytes identical")
 
     def test_reruns_are_byte_identical(self, config_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -380,6 +396,19 @@ class TestRunCommand:
         rc = main(["run", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_more_steps_than_the_clock_counts_is_a_config_error(
+            self, tmp_path, capsys):
+        # 1e300 steps is finite, but past 2**53 steps t + dt == t.
+        cfg = tmp_path / "tiny_dt.yaml"
+        cfg.write_text("run:\n  dt: 1.0e-300\n  duration: 1\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: run.duration / run.dt must be at most 2**53, "
+            "got 9.999999999999999e+299\n")
         assert not out.exists()
 
     def test_backward_braking_a_min_is_a_config_error(self, tmp_path,
@@ -520,11 +549,12 @@ class TestRunCommand:
 
     @given(x=st.floats(min_value=0.0, max_value=1e300))
     def test_a_number_reads_as_python_reads_it(self, tmp_path_factory, x):
-        # 1e300 / dt still counts a finite number of steps.
+        # control.gamma takes any finite x >= 0, as no rule joins it with
+        # another key; run.duration / run.dt is bounded by 2**53.
         cfg = tmp_path_factory.getbasetemp() / "number.yaml"
         for text in (repr(x), f"{x:e}", f"{x:E}"):
-            cfg.write_text(f"run:\n  duration: {text}\n")
-            assert cli.parse_config(cfg).duration.hex() == float(text).hex()
+            cfg.write_text(f"control:\n  gamma: {text}\n")
+            assert cli.parse_config(cfg).gamma.hex() == float(text).hex()
             negative = yaml.load(f"-{text}", cli._Loader)
             assert negative.hex() == float(f"-{text}").hex()
 

@@ -38,6 +38,8 @@ def test_default_params_validate_clean():
     ("eps_platoon_gap", math.nan, "eps_platoon_gap must be finite"),
     ("gamma", math.inf, "gamma must be finite"),
     ("dt", 1e-310, "duration / dt must be finite"),
+    # Finite, but past 2**53 steps a float64 clock stops counting.
+    ("dt", 1e-300, "duration / dt must be at most 2**53"),
     # One step at a_min from just above v_min would move a vehicle back.
     ("a_min", -400.5, "a_min * dt must be at least -2 * v_min"),
 ])
@@ -173,6 +175,16 @@ def test_a_min_on_the_backward_braking_bound_is_valid():
     # At the defaults (v_min 20, dt 0.1) the bound is a_min = -400 exactly.
     assert validate_params(dataclasses.replace(SimParams(), a_min=-400.0)) \
         == []
+
+
+def test_2_53_steps_are_allowed_and_no_more():
+    # dt = 0.5 divides exactly, so duration / dt is 2**53 and then the
+    # next float above it.
+    params = SimParams(dt=0.5, duration=2.0 ** 52)
+    assert validate_params(params) == []
+    params = dataclasses.replace(params, duration=2.0 ** 52 + 1.0)
+    assert validate_params(params) == [
+        f"duration / dt must be at most 2**53, got {2.0 ** 53 + 2.0}"]
 
 
 def test_zero_duration_is_allowed():

@@ -74,8 +74,11 @@ def test_cli_and_trajectory_share_one_csv_writer():
     import platoonflow.cli as cli
     import platoonflow.trajectory as trajectory
     import platoonflow.verify as verify
+    # run writes, and verify digests, the same cut of the file.
+    assert cli.trajectory_csv_blocks is trajectory.trajectory_csv_blocks
+    assert verify.trajectory_csv_blocks is trajectory.trajectory_csv_blocks
+    # The benchmark's tracer wraps the row formatter under this name.
     assert cli.trajectory_csv_text is trajectory.trajectory_csv_text
-    assert verify.trajectory_csv_text is trajectory.trajectory_csv_text
 
 
 GUARDS = ("TYPE_CHECKING", "typing.TYPE_CHECKING")
