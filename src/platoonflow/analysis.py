@@ -8,10 +8,12 @@ here: ``records_by_time`` and ``records_by_vehicle`` build a
 ``TrajectoryRecord`` per row for a reader that wants objects.  The
 audits of consecutive vehicles work on whole columns: each pairs the
 rows that ``trajectory.pair_rows`` gives with the row ahead of them,
-one row up in the same step.  ``summarize`` integrates along time
-over the pairs that ``previous_rows`` gives: each row with the same
-vehicle's row before it, which ``replay`` re-solves each row's
-command from.
+one row up in the same step.  ``outcome`` folds a run's figures once
+into an ``Outcome``: ``summarize`` is its view for ``metrics.txt``, and
+the ``verify`` corpus keeps one ``Outcome`` per seed.  It integrates
+along time over the pairs that ``previous_rows`` gives: each row with
+the same vehicle's row before it, which ``replay`` re-solves each
+row's command from.
 The brute-force solver deliberately re-states each control constraint
 as a pointwise inequality and scans a dense acceleration grid; it
 shares no code path with the closed-form controller it checks.
@@ -30,7 +32,7 @@ import numpy as np
 from ._kernels_py import (SPEED_EDGE_TOL, FeasibilityVerdict, drag_partials,
                           follower_decision, gap_allowance, leader_decision,
                           stopping_margin)
-from .core import SimParams
+from .core import SimParams, VehicleMode
 from .sim import (EVENT_DISCARD, EVENT_EXIT, EVENT_MERGE, EVENT_RECOVER,
                   EVENT_RELAX, EVENT_SPAWN, EVENT_SPLIT, SimResult)
 from .trajectory import MODE_NAMES, Trajectory, pair_rows
@@ -318,41 +320,117 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
     return None, verdict
 
 
-def summarize(result: SimResult) -> dict[str, object]:
-    """Aggregate run metrics for reporting: the run's duration, events
-    counted by kind, the most vehicles on the road at the end of any
-    step, the final formations, and two trapezoidal integrals over every
-    vehicle's lifetime, of ``drag**2`` and of ``max(u, 0) * v``, summed
-    over all vehicles."""
+class Outcome(NamedTuple):
+    """Every figure of one run, as ``outcome`` folds it.
+
+    The first 14 fields are the lines of ``metrics.txt``, in file
+    order; its integrals are trapezoidal over every vehicle's lifetime,
+    summed over all vehicles.  Then the figures the ``verify`` corpus
+    reads, and last the paper's outcome: the share of rows with a
+    vehicle ahead that are ``in_formation`` with it, and the drafting
+    saving ``1 - sum(drag**2) / sum((c0 * v**2)**2)`` over every row.
+    A figure with nothing to read is None: ``worst_gap_excess`` and
+    ``formed_pair_share`` with no two vehicles on the road in any step,
+    ``drafting_saving`` with no row, and ``worst_command`` when every
+    row is a recovering head.
+    """
+
+    duration: float
+    spawn_attempts: int
+    vehicles_spawned: int
+    spawns_discarded: int
+    vehicles_exited: int
+    peak_vehicle_count: int
+    platoon_splits: int
+    platoon_merges: int
+    deadline_relaxations: int
+    deadline_recoveries: int
+    final_formation_count: int
+    largest_final_formation: int
+    total_drag_sq_integral: float
+    total_positive_work: float
+    records: int
+    worst_gap_excess: Optional[float]
+    gap_violations: int
+    worst_command: Optional[float]
+    formed_pair_share: Optional[float]
+    drafting_saving: Optional[float]
+
+
+_N_METRICS = 14  # the leading fields of ``Outcome``: ``metrics.txt``
+
+
+def _audit_figures(tr: Trajectory) -> tuple:
+    """``Outcome``'s figures that audit the rows of ``tr``, in field
+    order: the worst gap excess, the count beyond ``gap_allowance``, the
+    worst command and the formed-pair share."""
+    accel = np.array(tr.accel)[np.array(tr.mode)
+                               != VehicleMode.LEADER_RECOVERING]
+    worst_command = float(accel.max()) if len(accel) else None
+    excess = consecutive_gap_excess(tr)
+    if not len(excess):
+        return None, 0, worst_command, None
+    p, v = np.array(tr.p), np.array(tr.v)
+    back = pair_rows(tr.offsets)
+    formed = in_formation(p[back - 1], v[back - 1], p[back], v[back],
+                          tr.params)
+    return (float(excess.max()),
+            int((excess > gap_allowance(tr.params)).sum()),
+            worst_command, float(formed.mean()))
+
+
+def outcome(result: SimResult) -> Outcome:
+    """Fold one run into its ``Outcome``, reading the physics and each
+    row's previous row once.  The audit figures are reduced to numbers
+    before the physics is computed, so the fold's peak memory stays near
+    that of the ``metrics.txt`` integrals alone."""
     n = Counter(e.kind for e in result.events)
     tr = result.trajectory
+    params = tr.params
     final = detect_formations(tr, -1) if len(tr) else []
     multi = [len(f) for f in final if len(f) > 1]
+    worst_excess, violations, worst_command, formed_share = \
+        _audit_figures(tr)
     prev = previous_rows(tr)
     rows = np.flatnonzero(prev >= 0)
     prev = prev[rows]
     t = row_times(tr)
     dt = t[rows] - t[prev]
     u, drag = tr.physics()[:2]
-    work = np.maximum(u, 0.0) * np.array(tr.v)
+    drag_sq = drag * drag
+    v = np.array(tr.v)
 
     def integral(y: np.ndarray) -> float:
         # ``np.trapezoid``'s term, over every vehicle's row pairs at once.
         return float((dt * (y[rows] + y[prev]) / 2.0).sum())
 
-    return {
-        "duration": tr.params.duration,
-        "spawn_attempts": n[EVENT_SPAWN] + n[EVENT_DISCARD],
-        "vehicles_spawned": n[EVENT_SPAWN],
-        "spawns_discarded": n[EVENT_DISCARD],
-        "vehicles_exited": n[EVENT_EXIT],
-        "peak_vehicle_count": int(np.diff(tr.offsets).max(initial=0)),
-        "platoon_splits": n[EVENT_SPLIT],
-        "platoon_merges": n[EVENT_MERGE],
-        "deadline_relaxations": n[EVENT_RELAX],
-        "deadline_recoveries": n[EVENT_RECOVER],
-        "final_formation_count": len(multi),
-        "largest_final_formation": max(multi, default=0),
-        "total_drag_sq_integral": integral(drag * drag),
-        "total_positive_work": integral(work),
-    }
+    return Outcome(
+        duration=params.duration,
+        spawn_attempts=n[EVENT_SPAWN] + n[EVENT_DISCARD],
+        vehicles_spawned=n[EVENT_SPAWN],
+        spawns_discarded=n[EVENT_DISCARD],
+        vehicles_exited=n[EVENT_EXIT],
+        peak_vehicle_count=int(np.diff(tr.offsets).max(initial=0)),
+        platoon_splits=n[EVENT_SPLIT],
+        platoon_merges=n[EVENT_MERGE],
+        deadline_relaxations=n[EVENT_RELAX],
+        deadline_recoveries=n[EVENT_RECOVER],
+        final_formation_count=len(multi),
+        largest_final_formation=max(multi, default=0),
+        total_drag_sq_integral=integral(drag_sq),
+        total_positive_work=integral(np.maximum(u, 0.0) * v),
+        records=len(tr),
+        worst_gap_excess=worst_excess,
+        gap_violations=violations,
+        worst_command=worst_command,
+        formed_pair_share=formed_share,
+        drafting_saving=(
+            float(1.0 - drag_sq.sum() / ((params.drag.c0 * v ** 2) ** 2).sum())
+            if len(tr) else None),
+    )
+
+
+def summarize(result: SimResult) -> dict[str, object]:
+    """The run's report, the lines of ``metrics.txt``: the leading
+    ``_N_METRICS`` figures of ``outcome(result)`` by name."""
+    return dict(zip(Outcome._fields[:_N_METRICS], outcome(result)))

@@ -117,10 +117,13 @@ def _vehicle_paths(tr: Trajectory, lo_t: float, hi_t: float,
 def render_timespace(tr: Trajectory, t0: Optional[float] = None,
                      t1: Optional[float] = None) -> str:
     """Render the run over [t0, t1], by default its whole horizon [0,
-    ``tr.params.duration``], as SVG text."""
+    ``tr.params.duration``], as SVG text.  ``ValueError`` names a window
+    with an end that is not finite, or that holds no time."""
     params = tr.params
     lo_t = 0.0 if t0 is None else t0
     hi_t = params.duration if t1 is None else t1
+    if not (math.isfinite(lo_t) and math.isfinite(hi_t)):
+        raise ValueError(f"time window [{lo_t}, {hi_t}] is not finite")
     if hi_t <= lo_t:
         raise ValueError(f"empty time window [{lo_t}, {hi_t}]")
     lo_p, hi_p = 0.0, params.road.length

@@ -4,8 +4,9 @@ Each check builds its own scenario against the public engine and the
 kernels and reports one pass/fail result with a short detail line.
 Checks that need the seeded open-highway corpus (the default scenario
 run over many seeds) share one lazily built corpus so the expensive
-runs happen once per process; the corpus keeps only the few figures
-those checks read from each run.
+runs happen once per process; the corpus keeps one
+``analysis.Outcome`` per seed, the figures ``analysis.outcome`` folds
+from each run, and drops the run.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import numpy as np
 from ._kernels_py import (advance, drag_force, drag_partials,
                           follower_decision, gap_allowance, safe_interval,
                           stopping_margin)
-from .analysis import (brute_force_follower, consecutive_gap_excess,
-                       in_formation, previous_rows)
+from .analysis import (Outcome, brute_force_follower,
+                       consecutive_gap_excess, in_formation, outcome,
+                       previous_rows)
 from .core import SimParams, SimulationError, VehicleMode
-from .sim import (EVENT_SPAWN, SimResult, WorldState, insert_vehicle, run,
-                  step)
+from .sim import WorldState, insert_vehicle, run, step
 from .trajectory import pair_rows, trajectory_csv_blocks
 
 N_CORPUS_SEEDS = 50
@@ -48,48 +49,18 @@ class CheckResult:
     detail: str
 
 
-@dataclass(frozen=True, slots=True)
-class SeedSummary:
-    """The figures the corpus checks read from one seeded run.
-
-    ``worst_gap_excess`` is None when no step had two vehicles on the
-    road, ``worst_command`` when every record was a recovering head.
-    """
-
-    spawned: int
-    records: int
-    worst_gap_excess: float | None
-    gap_violations: int
-    worst_command: float | None
-
-
-def summarize_seed(result: SimResult) -> SeedSummary:
-    """Fold one run into the figures the corpus checks aggregate."""
-    tr = result.trajectory
-    excess = consecutive_gap_excess(tr)
-    accel = np.array(tr.accel)[np.array(tr.mode)
-                               != VehicleMode.LEADER_RECOVERING]
-    return SeedSummary(
-        spawned=sum(e.kind == EVENT_SPAWN for e in result.events),
-        records=len(tr),
-        worst_gap_excess=float(excess.max()) if len(excess) else None,
-        gap_violations=int((excess > gap_allowance(tr.params)).sum()),
-        worst_command=float(accel.max()) if len(accel) else None,
-    )
-
-
 class RunCorpus:
     """Seeded default-scenario runs, built once and shared across checks.
 
-    ``build`` folds each run into a ``SeedSummary`` as soon as it
+    ``build`` folds each run into its ``Outcome`` as soon as it
     returns and drops the run, so memory holds one run at a time, not
-    the whole corpus.  ``summaries`` maps seed to summary.  The first
+    the whole corpus.  ``summaries`` maps seed to outcome.  The first
     ``SimulationError`` stops the build, since no check reads past it.
     """
 
     def __init__(self, params: SimParams):
         self.params = params
-        self.summaries: dict[int, SeedSummary] = {}
+        self.summaries: dict[int, Outcome] = {}
         self._built = False
         self._error: str | None = None
 
@@ -100,7 +71,7 @@ class RunCorpus:
             self._built = True
             for seed in range(N_CORPUS_SEEDS):
                 try:
-                    self.summaries[seed] = summarize_seed(
+                    self.summaries[seed] = outcome(
                         run(replace(self.params, seed=seed)))
                 except SimulationError as exc:
                     self._error = f"seed {seed}: {exc}"
@@ -142,7 +113,8 @@ def check_throughput(params: SimParams, corpus: RunCorpus) -> CheckResult:
         return CheckResult(name, False, (
             f"run.duration is {params.duration:g} s, so no inflow per "
             f"hour can be measured"))
-    counts = [summary.spawned for summary in corpus.summaries.values()]
+    counts = [summary.vehicles_spawned
+              for summary in corpus.summaries.values()]
     mean = sum(counts) / len(counts)
     inflow = mean / params.duration * 3600.0
     lo, hi = SPAWN_COUNT_BAND

@@ -3,13 +3,11 @@ from array import array
 from dataclasses import replace
 from functools import cache
 
-import numpy as np
 import pytest
 
 from platoonflow import SimParams, Trajectory, VehicleMode, run, step
 from platoonflow import deadline_margin, drag_force, stopping_margin
-from platoonflow.analysis import in_formation
-from platoonflow.trajectory import DERIVED_COLUMNS, STORED_COLUMNS, pair_rows
+from platoonflow.trajectory import DERIVED_COLUMNS, STORED_COLUMNS
 from platoonflow.verify import RunCorpus
 
 # Full-length runs that tests read whole, every row and every event.
@@ -25,15 +23,6 @@ def with_law(params, **coefficients):
     """``params`` with the drag-law coefficients ``coefficients``
     replaced."""
     return replace(params, drag=replace(params.drag, **coefficients))
-
-
-def formed_share(tr):
-    """The share of ``tr``'s rows with a vehicle ahead that are
-    ``in_formation`` with it."""
-    p, v = np.array(tr.p), np.array(tr.v)
-    back = pair_rows(tr.offsets)
-    return in_formation(p[back - 1], v[back - 1], p[back], v[back],
-                        tr.params).mean()
 
 
 def modes(world):

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from platoonflow import (FeasibilityVerdict, SimParams, SimResult,
-                         Trajectory, analysis, cli, run, svgplot, verify)
+                         Trajectory, WorldState, analysis, cli,
+                         insert_vehicle, run, svgplot)
 from platoonflow.analysis import (
     brute_force_follower,
     check_ordering,
     check_safety,
     detect_formations,
     in_formation,
+    outcome,
     previous_rows,
     records_by_time,
     records_by_vehicle,
@@ -266,8 +268,53 @@ class TestSummarize:
             == result.trajectory.params.duration == 3.5
 
 
+class TestOutcome:
+    # The figures with nothing to read.  Warnings are errors here, so an
+    # empty ``max`` or ``mean`` would fail these tests.
 
-@pytest.mark.parametrize("module", [analysis, cli, svgplot, verify],
+    def test_a_run_with_no_row_has_no_figure(self):
+        out = outcome(run(SimParams(duration=0.0)))
+        assert (out.records, out.gap_violations) == (0, 0)
+        assert (out.worst_gap_excess, out.worst_command,
+                out.formed_pair_share, out.drafting_saving) == (None,) * 4
+
+    def test_a_vehicle_alone_forms_no_pair(self):
+        params = SimParams(duration=5.0)
+        world = WorldState.initial(params, spawning=False)
+        insert_vehicle(world, 100.0, 25.0, exit_pos=1e9, deadline=1e9)
+        out = outcome(run(params, world=world))
+        assert out.records == 50
+        assert out.worst_gap_excess is None
+        assert out.formed_pair_share is None
+        assert out.gap_violations == 0
+        assert out.worst_command is not None
+        # Alone on the road, the drag is the solo drag.
+        assert out.drafting_saving == pytest.approx(0.0, abs=1e-12)
+
+    def test_every_row_a_recovering_head_has_no_command(self):
+        out = outcome(SimResult(built([
+            (0.0, [(1, 50.0, 20.0, 0.5, 0, 3)]),
+            (0.1, [(1, 52.0, 20.05, 0.5, 0, 3)])]), []))
+        assert out.records == 2
+        assert out.worst_command is None
+
+    def test_formed_pairs_are_rows_minus_formations(self, short_run):
+        # A step's vehicles split into formations wherever a vehicle is
+        # not in formation with the one ahead, so each step has as many
+        # formed pairs as rows less formations.
+        tr = short_run.trajectory
+        formed = sum(stop - start - len(detect_formations(tr, k))
+                     for k, (_, start, stop) in enumerate(tr.steps())
+                     if stop > start)
+        assert formed > 0
+        share = outcome(short_run).formed_pair_share
+        assert share * len(pair_rows(tr.offsets)) == pytest.approx(
+            formed, rel=1e-12)
+
+
+# ``verify`` reads runs only through ``analysis``: it has no public
+# reader of a run to list here.
+@pytest.mark.parametrize("module", [analysis, cli, svgplot],
                          ids=lambda m: m.__name__.rsplit(".", 1)[-1])
 def test_no_reader_of_a_run_takes_params_besides(module):
     # A run's params are its trajectory's: a reader that took them as

@@ -24,8 +24,7 @@ import numpy as np
 import pytest
 
 from platoonflow import SimParams, run
-from platoonflow.analysis import consecutive_gap_excess
-from conftest import formed_share
+from platoonflow.analysis import outcome
 
 SEEDS = range(6)
 STEPS = (0.2, 0.1, 0.05)
@@ -34,12 +33,12 @@ STEPS = (0.2, 0.1, 0.05)
 @pytest.fixture(scope="module")
 def by_dt():
     """For each ``dt``, every seed's worst gap excess and formed-pair
-    share."""
+    share, as ``analysis.outcome`` folds them."""
     out = {}
     for dt in STEPS:
-        trs = [run(SimParams(seed=seed, dt=dt)).trajectory for seed in SEEDS]
-        out[dt] = ([consecutive_gap_excess(tr).max() for tr in trs],
-                   [formed_share(tr) for tr in trs])
+        runs = [outcome(run(SimParams(seed=seed, dt=dt))) for seed in SEEDS]
+        out[dt] = ([o.worst_gap_excess for o in runs],
+                   [o.formed_pair_share for o in runs])
     return out
 
 

@@ -1,11 +1,12 @@
 """The paper's outcome on every run of ``RUNS``: drafting saves energy
 and platoons form.
 
-The saving compares each run's drag effort, ``sum(drag**2)`` over every
-row, with the same speeds driven solo, ``sum((c0*v**2)**2)``.  A row is
-in a formed pair when ``analysis.in_formation`` holds for it and the row
-ahead.  Both bounds are plain positivity, not thresholds fitted to
-today's values.
+Both figures are read from ``analysis.outcome``.  Its drafting saving
+compares each run's drag effort, ``sum(drag**2)`` over every row, with
+the same speeds driven solo, ``sum((c0*v**2)**2)``.  Its formed-pair
+share counts a row as formed when ``analysis.in_formation`` holds for
+it and the row ahead.  Both bounds are plain positivity, not thresholds
+fitted to today's values.
 
 Over seeds 0-9, each run also spends less drag effort per metre than
 its wake-blind twin, a run whose controller reads ``drag.c1 = 0``,
@@ -23,24 +24,22 @@ import numpy as np
 import pytest
 
 from platoonflow import SimParams, drag_force, run
+from platoonflow.analysis import outcome
 from platoonflow.trajectory import pair_rows
-from conftest import RUNS, formed_share, with_law
+from conftest import RUNS, with_law
 
 
 @pytest.fixture(scope="module", params=list(RUNS))
-def trajectory(request, run_of):
-    return run_of(RUNS[request.param]).trajectory
+def run_outcome(request, run_of):
+    return outcome(run_of(RUNS[request.param]))
 
 
-def test_drafting_saves_energy(trajectory):
-    c0 = trajectory.params.drag.c0
-    drag, v = trajectory.physics().drag, np.array(trajectory.v)
-    saving = 1.0 - np.sum(drag ** 2) / np.sum((c0 * v ** 2) ** 2)
-    assert saving > 0.0
+def test_drafting_saves_energy(run_outcome):
+    assert run_outcome.drafting_saving > 0.0
 
 
-def test_platoons_form(trajectory):
-    assert formed_share(trajectory) > 0.0
+def test_platoons_form(run_outcome):
+    assert run_outcome.formed_pair_share > 0.0
 
 
 def drag_effort_per_metre(tr, law):

@@ -106,3 +106,12 @@ def test_the_default_window_ends_at_the_runs_duration(short_run):
     svg = render_timespace(tr)
     assert svg == render_timespace(tr, 0.0, tr.params.duration)
     assert svg != render_timespace(tr, 0.0, SimParams().duration)
+
+
+@pytest.mark.parametrize("window", [
+    (0.0, float("nan")), (float("nan"), 3.0), (-float("inf"), 3.0),
+    (0.0, float("inf"))], ids=["nan_end", "nan_start", "inf_start",
+                               "inf_end"])
+def test_a_window_that_is_not_finite_is_refused(short_run, window):
+    with pytest.raises(ValueError, match=r"time window \[.*\] is not finite"):
+        render_timespace(short_run.trajectory, *window)

@@ -13,7 +13,7 @@ import pytest
 import platoonflow.sim as sim
 import platoonflow.verify as verify
 from platoonflow import (DragCoefficients, RoadNetwork, SimParams,
-                         VehicleMode, run)
+                         Trajectory, VehicleMode, run)
 from platoonflow.analysis import records_by_time
 from platoonflow.core import SafetyAuditError
 from platoonflow.trajectory import STORED_COLUMNS
@@ -50,9 +50,23 @@ def test_fold_equals_figures_read_from_each_run(monkeypatch):
     assert list(corpus.summaries) == [0, 1, 2]
     for seed, summary in corpus.summaries.items():
         assert summary.worst_gap_excess is not None
-        assert (summary.spawned, summary.records, summary.worst_gap_excess,
-                summary.gap_violations, summary.worst_command) == \
-            direct_figures(SHORT, seed)
+        assert (summary.vehicles_spawned, summary.records,
+                summary.worst_gap_excess, summary.gap_violations,
+                summary.worst_command) == direct_figures(SHORT, seed)
+
+
+def test_a_corpus_reads_each_runs_physics_once(monkeypatch):
+    monkeypatch.setattr(verify, "N_CORPUS_SEEDS", 3)
+    physics = Trajectory.physics
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(len(self))
+        return physics(self, *args, **kwargs)
+
+    monkeypatch.setattr(Trajectory, "physics", counted)
+    assert RunCorpus(SHORT).build() is None
+    assert len(calls) == 3
 
 
 def traced_peak(call) -> int:
