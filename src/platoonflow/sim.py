@@ -344,20 +344,21 @@ def _audit(world: WorldState, stamp: float) -> None:
     # (the final closing step shrinks the gap with the pre-step relative
     # speed); anything past it is an engine bug.
     slack = gap_allowance(params)
+    delta = params.delta
     vehicles = world.vehicles
-    for i in range(1, len(vehicles)):
-        ahead, veh = vehicles[i - 1], vehicles[i]
+    # Pairs front to back: the front-most bad pair raises.
+    for ahead, veh in zip(vehicles, vehicles[1:]):
         if veh.p >= ahead.p:
             raise OrderingError(
                 f"t={stamp:.3f}: vehicle {veh.vid} at p={veh.p:.6f} "
                 f"reached vehicle {ahead.vid} at p={ahead.p:.6f}"
             )
-        shortfall = (veh.p - ahead.p) + params.delta
+        shortfall = (veh.p - ahead.p) + delta
         if shortfall > slack:
             raise SafetyAuditError(
                 f"t={stamp:.3f}: gap between {ahead.vid} and {veh.vid} "
-                f"is {params.delta - shortfall:.6f} m, required "
-                f"{params.delta:g} m within {slack:.6f}"
+                f"is {delta - shortfall:.6f} m, required "
+                f"{delta:g} m within {slack:.6f}"
             )
 
 
@@ -387,23 +388,34 @@ def resequence(world: WorldState, stamp: float) -> None:
     at most ``-eps_d``; every other mode keeps it.  A ``deadline_relax``
     event marks it turning on, a ``deadline_recover`` event turning off;
     they follow the step's split events, although one pass front to back
-    applies both.  A merge then joins its head to the platoon ahead and
-    clears its flag: it is a plain ``FOLLOWER``.
+    applies both.  That pass skips a feasible vehicle in any mode but
+    ``LEADER_RECOVERING``: it neither splits nor flips.  It also notes
+    each feasible head behind the front vehicle, and the merge pass then
+    joins those heads, front to back, to the platoon ahead and clears
+    their flags: each is a plain ``FOLLOWER``.
     """
     vehicles = world.vehicles
     neg_eps_d = -world.params.eps_d
     splits = kernels.SPLITS
     conflict = kernels.VERDICT_DEADLINE_SAFETY_CONFLICT
+    feasible = kernels.VERDICT_FEASIBLE
     flips = []
+    merging = []
     for i, veh in enumerate(vehicles):
         mode = veh.control_mode
-        if veh.verdict in splits and not mode & 1:
+        verdict = veh.verdict
+        if verdict == feasible:
+            if mode & 1 and i:
+                merging.append(i)
+            if mode != 3:
+                continue
+        if verdict in splits and not mode & 1:
             new = world.next_platoon_id
             world.next_platoon_id += 1
             old = _relabel(vehicles, i, new)
             world.events.append(Event(stamp, EVENT_SPLIT, veh.vid,
                                       (old, new)))
-        if mode == 3 or mode == 0 and veh.verdict == conflict:
+        if mode == 3 or mode == 0 and verdict == conflict:
             margin = deadline_margin(veh.p, veh.v, stamp,
                                      veh.exit_pos, veh.deadline)
             if mode == 0:
@@ -415,11 +427,8 @@ def resequence(world: WorldState, stamp: float) -> None:
                                    (margin,)))
     world.events += flips
 
-    feasible = kernels.VERDICT_FEASIBLE
-    for i in range(1, len(vehicles)):
+    for i in merging:
         veh = vehicles[i]
-        if not veh.control_mode & 1 or veh.verdict != feasible:
-            continue
         target = vehicles[i - 1].platoon_id
         old = _relabel(vehicles, i, target)
         # Merging re-arms the deadline even for a recovering head: if it
@@ -439,10 +448,13 @@ def try_spawn(world: WorldState, stamp: float) -> None:
     stopping envelope for itself or for the vehicle it would cut off;
     discarded arrivals consume no vehicle id and no deadline draw.
     """
+    due = world.t + 1e-9
+    if world.next_spawn > due:
+        return
     params = world.params
     road = params.road
     entries = road.entry_points()
-    while world.next_spawn <= world.t + 1e-9:
+    while world.next_spawn <= due:
         rng = world.rng
         delay = float(rng.uniform(0.5, 1.5))
         world.next_spawn = world.next_spawn + delay

@@ -262,6 +262,40 @@ class TestStepDynamics:
         with pytest.raises(SafetyAuditError, match="gap between"):
             step(world)
 
+    @pytest.mark.parametrize("positions, error, match", [
+        # a gap breach between 0 and 1, then 2 overtaking 1
+        ((100.0, 99.0, 99.5), SafetyAuditError, "gap between 0 and 1 "),
+        # 1 overtaking 0, then a gap breach between 1 and 2
+        ((100.0, 101.0, 100.5), OrderingError, "vehicle 1 at p=101.0"),
+    ])
+    def test_the_audit_names_the_front_most_bad_pair(self, params,
+                                                     positions, error,
+                                                     match):
+        world = quiet_world(params)
+        world.vehicles += [
+            VehicleState(vid=vid, p=p, v=20.0, accel=0.0, deadline=FAR,
+                         exit_pos=FAR, platoon_id=0)
+            for vid, p in enumerate(positions)]
+        with pytest.raises(error, match=match):
+            sim._audit(world, 0.1)
+
+    def test_an_idle_spawn_step_touches_nothing(self, params):
+        world = WorldState.initial(params)
+        place(world, 300.0, 25.0)
+        world.t, world.next_spawn = 1.0, 2.0
+        rng_state = world.rng.bit_generator.state
+        vehicles = [replace(veh) for veh in world.vehicles]
+        events = list(world.events)
+        sim.try_spawn(world, 1.1)
+        assert world.rng.bit_generator.state == rng_state
+        assert world.vehicles == vehicles and world.events == events
+        assert world.next_spawn == 2.0
+        # Once due, the same call draws and moves the arrival on.
+        world.t = 2.0
+        sim.try_spawn(world, 2.1)
+        assert world.rng.bit_generator.state != rng_state
+        assert world.next_spawn > 2.0
+
     def test_a_vehicle_put_at_the_front_by_hand_decides_as_a_head(
             self, params):
         # Nobody ahead shares its platoon id, so it heads one: the leader
@@ -316,6 +350,58 @@ class TestSplitAndMerge:
         assert modes(world)[1] is VehicleMode.FOLLOWER
         assert rear.platoon_id == front.platoon_id
         assert [e.kind for e in world.events] == ["split", "merge"]
+
+    def test_one_resequence_call_orders_every_event_kind(self, params):
+        # Verdicts and modes set by hand, front to back, as a decide pass
+        # would leave them; stamp 10 s.  Expected, by vehicle id:
+        # 0 a head with nobody ahead: nothing;
+        # 1 a follower in a deadline-safety conflict: relaxes;
+        # 2 a follower at the floor in conflict: splits 0 -> 4;
+        # 3 a relaxed feasible follower: skipped, stays relaxed;
+        # 4 a feasible recovering head, its deadline back in reach:
+        #   recovers, then merges 1 -> 4;
+        # 5 a feasible head: merges 2 -> 4;
+        # 6 a follower in a brake conflict: splits 2 -> 5;
+        # 7 a feasible follower: skipped, rides along into platoon 5.
+        V = kernels.FeasibilityVerdict
+        rows = [  # vid, p, platoon, relaxed, control_mode, verdict
+            (0, 600.0, 0, False, VehicleMode.LEADER, V.FEASIBLE),
+            (1, 580.0, 0, False, VehicleMode.FOLLOWER,
+             V.DEADLINE_SAFETY_CONFLICT),
+            (2, 560.0, 0, False, VehicleMode.FOLLOWER, V.FLOOR_CONFLICT),
+            (3, 540.0, 0, True, VehicleMode.FOLLOWER_DEADLINE_RELAXED,
+             V.FEASIBLE),
+            (4, 520.0, 1, True, VehicleMode.LEADER_RECOVERING, V.FEASIBLE),
+            (5, 500.0, 2, False, VehicleMode.LEADER, V.FEASIBLE),
+            (6, 480.0, 2, False, VehicleMode.FOLLOWER, V.BRAKE_CONFLICT),
+            (7, 460.0, 2, False, VehicleMode.FOLLOWER, V.FEASIBLE),
+        ]
+        world = quiet_world(params)
+        world.next_platoon_id = 4
+        for vid, p, platoon, relaxed, mode, verdict in rows:
+            veh = VehicleState(vid=vid, p=p, v=20.0, accel=0.0,
+                               deadline=40.0, exit_pos=1000.0,
+                               platoon_id=platoon, relaxed=relaxed)
+            veh.control_mode, veh.verdict = int(mode), verdict
+            world.vehicles.append(veh)
+
+        sim.resequence(world, 10.0)
+
+        # deadline margin (1000 - p) - (40 - 10) * 20
+        assert [(e.time, e.kind, e.vehicle_id, e.facts)
+                for e in world.events] == [
+            (10.0, "split", 2, (0, 4)),
+            (10.0, "split", 6, (2, 5)),
+            (10.0, "deadline_relax", 1, (-180.0,)),
+            (10.0, "deadline_recover", 4, (-120.0,)),
+            (10.0, "merge", 4, (1, 4)),
+            (10.0, "merge", 5, (2, 4)),
+        ]
+        assert [veh.relaxed for veh in world.vehicles] == [
+            False, True, False, True, False, False, False, False]
+        assert [veh.platoon_id for veh in world.vehicles] == [
+            0, 0, 4, 4, 4, 4, 5, 5]
+        assert world.next_platoon_id == 6
 
     @pytest.mark.parametrize("c2", [0.02, 0.08])
     def test_a_head_merges_by_the_worlds_drag_law(self, params, c2):
