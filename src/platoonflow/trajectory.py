@@ -17,8 +17,12 @@ columns, a bounded block of rows at a time, so its temporaries do not
 grow with the range.
 
 The module stores and derives columns only, and has no row object
-(that is ``analysis.TrajectoryRecord``); ``trajectory_csv_text``
-formats the rows as the lines of ``trajectory.csv``.
+(that is ``analysis.TrajectoryRecord``).  ``trajectory_csv_text``
+formats the rows as the lines of ``trajectory.csv`` in the same
+blocks: one numpy sort puts a block's rows in (step, vehicle id)
+order, each stored and physics column is copied into a compact
+``array`` in that order, and every row is one ``%`` of ``_CSV_ROW``
+over the zipped columns.  Only the text grows with the range.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -36,6 +41,7 @@ from .core import SimParams
 # Labels of the ``mode`` column's codes, which are ``VehicleMode``
 # values: ``MODE_NAMES[mode]``.
 MODE_NAMES = ("follower", "leader", "follower_relaxed", "leader_recovering")
+_MODE_LABELS = np.array(MODE_NAMES, object)
 
 
 class Physics(NamedTuple):
@@ -53,8 +59,10 @@ class Physics(NamedTuple):
 STORED_COLUMNS = ("vehicle_id", "platoon_id", "p", "v", "accel", "mode")
 DERIVED_COLUMNS = Physics._fields
 # Rows per block of ``Trajectory.blocks``, which the physics and the CSV
-# writer both work in: whole steps up to about this many rows.
-DERIVE_BLOCK_ROWS = 4096
+# writer both work in: whole steps up to about this many rows.  The
+# writer holds a block's row strings until it joins them: at 4096 rows
+# its peak on a default run is twice that at 2048.
+DERIVE_BLOCK_ROWS = 2048
 
 
 def pair_rows(offsets: Iterable[int]) -> np.ndarray:
@@ -145,16 +153,14 @@ class Trajectory:
         """The physics of the rows of steps ``start:stop`` (every step
         by default), computed on this call a block of ``blocks`` at a
         time.  ``KeyError`` names the first vehicle of the range that
-        was never registered.
+        was never registered, and ``ValueError`` a range outside the
+        stored steps.
         """
-        stop = len(self.times) if stop is None else stop
+        stop = self._check_range(start, stop)
         base = self.offsets[start]
         out = Physics(*(np.empty(self.offsets[stop] - base)
                         for _ in DERIVED_COLUMNS))
-        for k, end in self.blocks(start):
-            if k >= stop:
-                break
-            end = min(end, stop)
+        for k, end in self.blocks(start, stop):
             rows = slice(self.offsets[k] - base, self.offsets[end] - base)
             for column, block in zip(out, self._derive_block(k, end)):
                 column[rows] = block
@@ -216,13 +222,18 @@ class Trajectory:
     def steps(self, start: int = 0,
               stop: int | None = None) -> Iterator[tuple[float, int, int]]:
         """``(time, start, stop)`` of the stored steps ``start:stop``
-        (every one by default), in time order."""
-        offsets = self.offsets[start:None if stop is None else stop + 1]
+        (every one by default), in time order; ``ValueError`` refuses a
+        range outside them."""
+        stop = self._check_range(start, stop)
+        offsets = self.offsets[start:stop + 1]
         return zip(self.times[start:stop], offsets, offsets[1:])
 
-    def blocks(self, k: int = 0) -> Iterator[tuple[int, int]]:
-        """``(start, stop)`` step ranges that cut steps ``k:`` into
-        consecutive blocks of whole steps, in time order.
+    def blocks(self, k: int = 0,
+               stop: int | None = None) -> Iterator[tuple[int, int]]:
+        """``(start, stop)`` step ranges that cut steps ``k:stop`` (to
+        the last step by default) into consecutive blocks of whole
+        steps, in time order; the last block is cut short at ``stop``.
+        ``ValueError`` refuses a range outside the stored steps.
 
         Each block holds as many steps as fit in ``DERIVE_BLOCK_ROWS``
         rows, and at least one, so a step longer than that is a block of
@@ -232,11 +243,23 @@ class Trajectory:
         more than a block of temporaries.
         """
         offsets, n_steps = self.offsets, len(self.times)
-        while k < n_steps:
-            stop = bisect_right(offsets, offsets[k] + DERIVE_BLOCK_ROWS,
-                                k + 2, n_steps + 1) - 1
-            yield k, stop
-            k = stop
+        stop = self._check_range(k, stop)
+        while k < stop:
+            end = bisect_right(offsets, offsets[k] + DERIVE_BLOCK_ROWS,
+                               k + 2, n_steps + 1) - 1
+            yield k, min(end, stop)
+            k = end
+
+    def _check_range(self, start: int, stop: int | None) -> int:
+        """``stop``, the last step's when None, once ``ValueError`` has
+        refused a range ``start:stop`` of steps that is not inside
+        ``0:len(times)``."""
+        n_steps = len(self.times)
+        stop = n_steps if stop is None else stop
+        if not 0 <= start <= stop <= n_steps:
+            raise ValueError(f"steps {start}:{stop} are not a range of the "
+                             f"{n_steps} stored steps")
+        return stop
 
     def __repr__(self) -> str:
         return f"<Trajectory: {len(self)} records in {len(self.times)} steps>"
@@ -244,7 +267,9 @@ class Trajectory:
 
 _CSV_HEADER = ("t", "id", "platoon_id", "p", "v", "a", "u", "drag",
                "gs_margin", "deadline_margin", "mode")
-# One row of _CSV_HEADER's columns; ``%.6g`` formats a float as _sig does.
+# One row of _CSV_HEADER's columns, formatted from a tuple of a block's
+# zipped columns: the stamp comes as its step's _sig text, and ``%.6g``
+# formats every other float as _sig does.
 _CSV_ROW = "%s,%d,%d,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%s\n"
 
 
@@ -262,23 +287,31 @@ def trajectory_csv_text(tr: Trajectory, start: int = 0,
     for any ``k > 0``; the default call returns that whole text, the
     header alone when ``tr`` has no step.  This is the one statement of
     the row format, and ``trajectory_csv_blocks`` of how the file is cut.
+    ``ValueError`` refuses a range outside the stored steps.
     """
-    vid, pid, mode, p, v, accel = (tr.vehicle_id, tr.platoon_id, tr.mode,
-                                   tr.p, tr.v, tr.accel)
-    # The range's physics is indexed from its first row, ``base``.
-    base = tr.offsets[start]
-    u, drag, gs, dm = map(memoryview, tr.physics(start, stop))
-    # One string per step, not per row: a list of rows would hold one
-    # string object per record until the final join.
-    steps = [",".join(_CSV_HEADER) + "\n"] if start == 0 else []
-    for time, lo, hi in tr.steps(start, stop):
-        t = _sig(time)
-        steps.append("".join([
-            _CSV_ROW % (t, vid[i], pid[i], p[i], v[i], accel[i], u[j],
-                        drag[j], gs[j], dm[j], MODE_NAMES[mode[i]])
-            for i in sorted(range(lo, hi), key=vid.__getitem__)
-            for j in [i - base]]))
-    return "".join(steps)
+    stop = tr._check_range(start, stop)
+    # CPython grows the only reference to a str in place on ``+=``, so
+    # the text is never held twice; a final join of the blocks, or
+    # StringIO's getvalue copy, raised dense_corridor's peak RSS by
+    # about 10 MB (41 MB of text).
+    text = ",".join(_CSV_HEADER) + "\n" if start == 0 else ""
+    for k, end in tr.blocks(start, stop):
+        lo, hi = tr.offsets[k], tr.offsets[end]
+        counts = np.diff(np.frombuffer(tr.offsets[k:end + 1], np.int64))
+        order = np.lexsort((np.frombuffer(tr.vehicle_id[lo:hi], np.int64),
+                            np.repeat(np.arange(end - k), counts)))
+        stored = (np.frombuffer(column[lo:hi], column.typecode) for column
+                  in (tr.vehicle_id, tr.platoon_id, tr.p, tr.v, tr.accel))
+        # Rows stay in step order, so each step's stamp repeats unmoved.
+        columns = [
+            list(chain.from_iterable(map(repeat, map(_sig, tr.times[k:end]),
+                                         counts.tolist()))),
+            *(array(column.dtype.char, column[order].tobytes())
+              for column in (*stored, *tr.physics(k, end))),
+            _MODE_LABELS[np.frombuffer(tr.mode[lo:hi], np.int8)[order]]
+            .tolist()]
+        text += "".join(map(_CSV_ROW.__mod__, zip(*columns)))
+    return text
 
 
 def trajectory_csv_blocks(tr: Trajectory) -> Iterator[tuple[int, int, str]]:

@@ -76,3 +76,17 @@ def test_split_table_gives_the_pull_away_speed_of_the_descent_bound():
         rho = [flow_bound(float(v), -gap, 1.0, params.drag) for gap in gaps]
         assert cells.split(" | ") == [
             f"{abs(params.a_min / r):.2f} m/s" for r in rho], f"{v} m/s"
+
+
+def test_install_first_installs_the_setuptools_the_build_requires():
+    # Under --no-build-isolation pip builds with the environment's own
+    # setuptools and never checks [build-system] requires.
+    pyproject = (README.parent / "pyproject.toml").read_text()
+    requires = re.search(r'^requires = \["(setuptools>=[\d.]+)"\]$',
+                         pyproject, re.M)
+    install = README.read_text().partition("## Install\n")[2] \
+        .partition("\n## ")[0]
+    commands = re.findall(r"^pip install .*$", install, re.M)
+    assert requires and len(commands) == 2
+    assert commands[0] == f'pip install "{requires.group(1)}"'
+    assert commands[1].endswith(" --no-build-isolation")

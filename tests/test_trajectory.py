@@ -22,7 +22,7 @@ from platoonflow.analysis import (check_safety, records_by_time,
                                   records_by_vehicle, summarize)
 from platoonflow import deadline_margin, drag_force, stopping_margin
 from platoonflow import trajectory
-from platoonflow.trajectory import (DERIVED_COLUMNS, MODE_NAMES,
+from platoonflow.trajectory import (_CSV_ROW, DERIVED_COLUMNS, MODE_NAMES,
                                     STORED_COLUMNS, trajectory_csv_text)
 
 from conftest import (RUNS, derived_bytes, hand_built, modes,
@@ -291,6 +291,18 @@ class TestDeriveEdges:
         assert list(tr.blocks(n_steps)) == []
         assert list(Trajectory(self.params).blocks()) == []
 
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_blocks_to_a_stop_are_cut_there(self, monkeypatch, short_run,
+                                            block):
+        monkeypatch.setattr(trajectory, "DERIVE_BLOCK_ROWS", block)
+        tr = short_run.trajectory
+        n_steps = len(tr.times)
+        for first, stop in [(0, n_steps), (0, n_steps // 2), (1, n_steps // 3),
+                            (n_steps // 2, n_steps // 2 + 1), (5, 5)]:
+            assert list(tr.blocks(first, stop)) == [
+                (k, min(end, stop)) for k, end in tr.blocks(first)
+                if k < stop]
+
     def test_ids_registered_out_of_order(self):
         steps = [(0.1, [(5, 400.0, 25.0), (2, 390.0, 26.0),
                         (0, 350.0, 24.0), (3, 340.0, 24.5)])]
@@ -374,3 +386,98 @@ def test_derive_memory_does_not_grow_with_the_trajectory():
     four = derive_peak(1600)
     assert four <= 1.5 * one, (
         f"transient peak {four} B for 64,000 rows vs {one} B for 16,000")
+
+
+class TestStepRanges:
+    """Every reader of a range of steps refuses one outside the stored
+    steps, and names it."""
+
+    @pytest.fixture
+    def tr(self):
+        return hand_built([(0.1 * (k + 1), [(0, 100.0 + k, 25.0)])
+                           for k in range(6)], SimParams())[0]
+
+    @pytest.mark.parametrize("reader", [
+        lambda tr, start, stop: tr.physics(start, stop),
+        lambda tr, start, stop: list(tr.steps(start, stop)),
+        lambda tr, start, stop: list(tr.blocks(start, stop)),
+        trajectory_csv_text])
+    @pytest.mark.parametrize("start, stop", [
+        (0, -1), (5, 3), (0, 11), (-1, None), (7, None), (7, 7)])
+    def test_a_range_outside_the_steps_is_refused(self, tr, reader, start,
+                                                  stop):
+        with pytest.raises(ValueError, match=f"steps {start}:"):
+            reader(tr, start, stop)
+
+    def test_the_edges_of_the_steps_read(self, tr):
+        assert len(tr.physics(6).u) == len(tr.physics(0, 0).u) == 0
+        assert list(tr.steps(6)) == list(tr.steps(2, 2)) == []
+        assert list(tr.blocks(6)) == list(tr.blocks(2, 2)) == []
+        assert trajectory_csv_text(tr, 6) == trajectory_csv_text(tr, 3, 3) \
+            == ""
+        assert len(tr.physics(0, 6).u) == len(list(tr.steps())) == 6
+
+
+def reference_csv(tr, start, stop):
+    """The CSV of steps ``start:stop`` of ``tr``, formatted a row at a
+    time from the stored columns and the whole trajectory's physics."""
+    physics = tr.physics()
+    rows = []
+    for k, (time, lo, hi) in enumerate(tr.steps()):
+        if start <= k < stop:
+            rows += [(time, tr.vehicle_id[i], _CSV_ROW % (
+                f"{time:.6g}", tr.vehicle_id[i], tr.platoon_id[i], tr.p[i],
+                tr.v[i], tr.accel[i], *(column[i] for column in physics),
+                MODE_NAMES[tr.mode[i]])) for i in range(lo, hi)]
+    header = ("t,id,platoon_id,p,v,a,u,drag,gs_margin,deadline_margin,"
+              "mode\n")
+    return (header if start == 0 else "") + "".join(
+        row for _, _, row in sorted(rows))
+
+
+class TestCsvWriter:
+    """The block writer against rows formatted one at a time."""
+
+    @pytest.fixture
+    def tr(self, monkeypatch):
+        # Ids out of position order within a step, and step 3 wider
+        # than a block of 4 rows.
+        monkeypatch.setattr(trajectory, "DERIVE_BLOCK_ROWS", 4)
+        rng = random.Random(43)
+        steps = []
+        for k, n in enumerate([3, 1, 2, 6, 2, 3, 1, 4, 2]):
+            vids = rng.sample(range(9), n)
+            steps.append((0.1 * (k + 1), [
+                (vid, 500.0 - 9.5 * rank + rng.uniform(-1.0, 1.0),
+                 rng.uniform(20.0, 30.0), rng.uniform(-3.0, 2.0),
+                 rng.randrange(3), rng.randrange(len(MODE_NAMES)))
+                for rank, vid in enumerate(vids)]))
+        tr, _ = hand_built(steps, SimParams())
+        assert any(tr.offsets[stop] - tr.offsets[start] > 4
+                   for start, stop in tr.blocks())
+        return tr
+
+    def test_every_range_matches_the_reference(self, tr):
+        n_steps = len(tr.times)
+        for start in range(n_steps + 1):
+            for stop in range(start, n_steps + 1):
+                assert trajectory_csv_text(tr, start, stop) \
+                    == reference_csv(tr, start, stop), (start, stop)
+
+    def test_the_whole_text_reads_the_physics_a_block_at_a_time(
+            self, tr, monkeypatch):
+        expected = reference_csv(tr, 0, len(tr.times))
+        ranges = []
+        physics = Trajectory.physics
+
+        def recorded(self, start=0, stop=None):
+            ranges.append((start, stop))
+            return physics(self, start, stop)
+
+        monkeypatch.setattr(Trajectory, "physics", recorded)
+        assert trajectory_csv_text(tr) == expected
+        blocks = list(tr.blocks())
+        assert len(blocks) > 1 and ranges
+        for start, stop in ranges:
+            assert any(lo <= start < stop <= hi for lo, hi in blocks), (
+                start, stop)
