@@ -5,29 +5,33 @@ fixed when ``WorldState.initial`` builds it: they are its trajectory's
 ``params``, which its physics is computed under and which every phase of
 ``step(world)`` reads through ``world.params``.
 
-One step covers the interval [t, t + dt):
+One step covers the interval [t, t + dt).  ``step`` runs the phases
+named in ``PHASES``, in order, each as ``phase(world, stamp)``:
 
-1. control decisions for every vehicle, all read from the frozen
-   pre-step state (predecessor accelerations are the previous commands).
-   A follower whose kernel inputs are those of its own previous follower
-   solve reuses that solve's command and verdict instead of calling the
-   kernel again: the kernel is a pure function of them, so the reuse is
-   exact (platoons at equilibrium repeat their inputs step after step);
-2. integration by ``_kernels_py.advance``: each vehicle's position
-   moves by ``v*dt + a*dt**2/2`` under its raw command, and its speed
-   by ``a*dt``, projected onto the speed box;
-3. exit removal (a vehicle leaves at its drawn exit position);
-4. ordering and bumper-gap audits (failures are engine bugs, not model
-   outcomes, and raise);
-5. resequencing: splits, then each vehicle's relaxed flag by its rule
-   in ``resequence``, then merges;
-6. spawn attempts due under the single arrival process;
-7. trajectory records: the state columns of ``world.trajectory`` (ids,
-   position, speed, command, mode).  The physics a reader may want
-   besides (drag, actuator effort, stopping and deadline margins) is
-   not stored: ``Trajectory.physics`` computes it from the stored
-   state on each read, with the vehicles' exit positions and deadlines
-   that the engine registers once when it places or spawns a vehicle.
+1. ``_decide``: control decisions for every vehicle, all read from the
+   frozen pre-step state (predecessor accelerations are the previous
+   commands).  A follower whose kernel inputs are those of its own
+   previous follower solve reuses that solve's command and verdict
+   instead of calling the kernel again: the kernel is a pure function
+   of them, so the reuse is exact (platoons at equilibrium repeat their
+   inputs step after step);
+2. ``_integrate``: integration by ``_kernels_py.advance``: each
+   vehicle's position moves by ``v*dt + a*dt**2/2`` under its raw
+   command, and its speed by ``a*dt``, projected onto the speed box;
+3. ``_process_exits``: exit removal (a vehicle leaves at its drawn exit
+   position);
+4. ``_audit``: ordering and bumper-gap audits (failures are engine
+   bugs, not model outcomes, and raise);
+5. ``resequence``: splits, then each vehicle's relaxed flag by its
+   rule, then merges;
+6. ``try_spawn``: spawn attempts due under the single arrival process;
+7. ``_record``: trajectory records, the state columns of
+   ``world.trajectory`` (ids, position, speed, command, mode).  The
+   physics a reader may want besides (drag, actuator effort, stopping
+   and deadline margins) is not stored: ``Trajectory.physics`` computes
+   it from the stored state on each read, with the vehicles' exit
+   positions and deadlines that the engine registers once when it
+   places or spawns a vehicle.
 
 A vehicle heads a platoon when nobody directly ahead shares its platoon
 id; it stores only its relaxed flag (see ``core.VehicleMode``).
@@ -75,6 +79,12 @@ EVENT_SPLIT = "split"
 EVENT_MERGE = "merge"
 EVENT_RELAX = "deadline_relax"
 EVENT_RECOVER = "deadline_recover"
+
+# The phases of a step, in the order ``step`` runs them, each looked up
+# by name in this module's namespace.
+PHASES = ("_decide", "_integrate", "_process_exits", "_audit", "resequence",
+          "try_spawn", "_record")
+_NAMESPACE = globals()
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,7 +243,7 @@ def draw_deadline(rng: np.random.Generator, p0: float, v0: float,
     return t0 + rng.uniform(dist / v0, dist / params.v_min)
 
 
-def _decide(world: WorldState) -> None:
+def _decide(world: WorldState, stamp: float) -> None:
     """Control decisions for all vehicles from the frozen pre-step state.
 
     Walking front to back, the pass reads each vehicle's role from the
@@ -318,7 +328,7 @@ def _decide(world: WorldState) -> None:
         pred = veh
 
 
-def _integrate(world: WorldState) -> None:
+def _integrate(world: WorldState, stamp: float) -> None:
     params = world.params
     advance = kernels.advance
     for veh in world.vehicles:
@@ -508,13 +518,10 @@ def _record(world: WorldState, stamp: float) -> None:
 def step(world: WorldState) -> None:
     """Advance the world by one control period."""
     stamp = world.t + world.params.dt
-    _decide(world)
-    _integrate(world)
-    _process_exits(world, stamp)
-    _audit(world, stamp)
-    resequence(world, stamp)
-    try_spawn(world, stamp)
-    _record(world, stamp)
+    # Looked up at call time: a rebound module attribute (a tracer's
+    # wrap, a test's monkeypatch) is what runs.
+    for name in PHASES:
+        _NAMESPACE[name](world, stamp)
     world.t = stamp
 
 

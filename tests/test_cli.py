@@ -265,6 +265,9 @@ WRONG_YAML = {
 ARTIFACTS = ("trajectory.csv", "events.csv", "metrics.txt", "config.echo",
              "timespace.svg")
 
+# A step and the longest run whose step times the CSV files tell apart.
+LIMITS = [(0.1, 1e5), (0.001, 1e3)]
+
 
 @pytest.fixture()
 def config_file(tmp_path):
@@ -618,6 +621,58 @@ class TestRunCommand:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+
+
+class TestStampLimit:
+    """``trajectory.csv`` and ``events.csv`` write times to six
+    significant digits, so a run may last only as long as they tell one
+    step's time from the next."""
+
+    class Ran(Exception):
+        """Raised in place of the simulation."""
+
+    @pytest.fixture()
+    def ran(self, monkeypatch):
+        runs = []
+
+        def fake_run(params):
+            runs.append(params)
+            raise self.Ran
+        monkeypatch.setattr(cli, "run", fake_run)
+        return runs
+
+    @pytest.mark.parametrize("dt,limit", LIMITS)
+    def test_the_limit_is_where_step_times_start_to_collide(self, dt, limit):
+        assert cli._longest_duration(dt) == limit
+        times = [k * dt for k in range(round(limit / dt) - 3,
+                                       round(limit / dt) + 3)]
+        shown = [cli._sig(t) for t in times]
+        # Up to the limit every step shows its own time; past it, not.
+        assert len(set(shown[:4])) == 4
+        assert shown[4] == shown[5]
+
+    @pytest.mark.parametrize("dt,limit", LIMITS)
+    def test_a_run_past_the_limit_is_refused_before_out_is_made(
+            self, tmp_path, capsys, ran, dt, limit):
+        cfg = tmp_path / "long.yaml"
+        cfg.write_text(f"run:\n  dt: {dt}\n  duration: {2 * limit}\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: run.duration must be at most {limit:g} at "
+            f"run.dt={dt:g}, or later steps share their time in "
+            f"trajectory.csv and events.csv, got {2 * limit:g}\n")
+        assert not out.exists()
+        assert ran == []
+
+    @pytest.mark.parametrize("dt,limit", LIMITS)
+    def test_a_run_to_the_limit_starts(self, tmp_path, ran, dt, limit):
+        cfg = tmp_path / "long.yaml"
+        cfg.write_text(f"run:\n  dt: {dt}\n  duration: {limit}\n")
+        with pytest.raises(self.Ran):
+            main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert [(p.dt, p.duration) for p in ran] == [(dt, limit)]
 
 
 class TestEngineFailure:

@@ -49,7 +49,7 @@ def hand_pair(p_front, v_front, p_rear, v_rear):
 def decided(world):
     """Run the decide pass and return each vehicle's ``(command,
     verdict)``, front to back."""
-    _decide(world)
+    _decide(world, world.t + world.params.dt)
     return [(veh.command, veh.verdict) for veh in world.vehicles]
 
 
