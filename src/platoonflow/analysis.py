@@ -9,11 +9,12 @@ here: ``records_by_time`` and ``records_by_vehicle`` build a
 audits of consecutive vehicles work on whole columns: each pairs the
 rows that ``trajectory.pair_rows`` gives with the row ahead of them,
 one row up in the same step.  ``outcome`` folds a run's figures once
-into an ``Outcome``: ``summarize`` is its view for ``metrics.txt``, and
-the ``verify`` corpus keeps one ``Outcome`` per seed.  It integrates
-along time over the pairs that ``previous_rows`` gives: each row with
-the same vehicle's row before it, which ``replay`` re-solves each
-row's command from.
+into an ``Outcome``: ``summarize`` is its view for ``metrics.txt``.
+Five of them, the ones the ``verify`` corpus checks print, come from
+``audit``, which reads no physics; the corpus keeps one ``Audit`` per
+seed.  ``outcome`` integrates the energy figures along time over the
+pairs that ``previous_rows`` gives: each row with the same vehicle's
+row before it, which ``replay`` re-solves each row's command from.
 The brute-force solver deliberately re-states each control constraint
 as a pointwise inequality and scans a dense acceleration grid; it
 shares no code path with the closed-form controller it checks.
@@ -49,6 +50,15 @@ def _oracle_grid(a_min: float, a_max: float) -> np.ndarray:
     grid = np.linspace(a_min, a_max, _GRID_POINTS)
     grid.flags.writeable = False
     return grid
+
+
+def _oracle_candidates(a_min: float, a_max: float,
+                       bounds: list[float]) -> np.ndarray:
+    """The oracle's candidates: the grid, then each of ``bounds`` that
+    lies in ``[a_min, a_max]``, in order.  ``linspace`` places the grid
+    there already, so only ``bounds`` is filtered."""
+    return np.concatenate((_oracle_grid(a_min, a_max),
+                           [a for a in bounds if a_min <= a <= a_max]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,27 +289,26 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
     decays = (v_hat > 0.0 and not at_floor
               and (params.gamma > 0.0 or g >= -params.eps_g))
 
-    cand = [_oracle_grid(params.a_min, params.a_max), [0.0],
-            [-f_p * v_hat / f_v]]
+    flow = f_p * v_hat / f_v
+    bounds = [0.0, -flow]
     if decays:
         k = (params.v_min - v) / params.a_min
         r = v_hat - pred * (params.v_min - v + v_hat) / params.a_min
-        cand.append([(-params.gamma * g - r) / k])
-    grid = np.concatenate(cand)
-    grid = grid[(grid >= params.a_min) & (grid <= params.a_max)]
+        bounds.append((-params.gamma * g - r) / k)
+    grid = _oracle_candidates(params.a_min, params.a_max, bounds)
 
-    floor_ok = grid >= -_INEQ_TOL if at_floor else np.ones(grid.shape, bool)
-    ceil_ok = grid <= _INEQ_TOL if at_ceiling else np.ones(grid.shape, bool)
+    # Only the inequalities this state has are tested.  The floor and
+    # the deadline state the same one: the speed may not fall.
+    flow_ok = flow + grid <= _INEQ_TOL
+    feasible = flow_ok
+    if at_floor or deadline_active:
+        hold_ok = grid >= -_INEQ_TOL
+        feasible = feasible & hold_ok
+    if at_ceiling:
+        feasible = feasible & (grid <= _INEQ_TOL)
     if decays:
         decay_ok = k * grid + r <= -params.gamma * g + _INEQ_TOL
-        safety_ok = decay_ok | (grid <= params.a_min + _INEQ_TOL)
-    else:
-        decay_ok = safety_ok = np.ones(grid.shape, bool)
-    flow_ok = f_p * v_hat / f_v + grid <= _INEQ_TOL
-    dl_ok = grid >= -_INEQ_TOL if deadline_active else np.ones(grid.shape,
-                                                               bool)
-
-    feasible = floor_ok & ceil_ok & safety_ok & flow_ok & dl_ok
+        feasible = feasible & (decay_ok | (grid <= params.a_min + _INEQ_TOL))
     if feasible.any():
         pts = grid[feasible]
         return (float(pts[np.argmin(np.abs(pts))]),
@@ -307,11 +316,11 @@ def brute_force_follower(v: float, p_hat: float, v_hat: float,
 
     cap_negative = decays and not bool((decay_ok & (grid >= -_INEQ_TOL)).any())
     safety_active = g >= -params.eps_g or cap_negative
-    if at_floor and not (floor_ok & flow_ok).any():
+    if at_floor and not (hold_ok & flow_ok).any():
         verdict = FeasibilityVerdict.FLOOR_CONFLICT
     elif not flow_ok.any():
         verdict = FeasibilityVerdict.BRAKE_CONFLICT
-    elif deadline_active and not (dl_ok & flow_ok).any():
+    elif deadline_active and not (hold_ok & flow_ok).any():
         verdict = FeasibilityVerdict.DEADLINE_DRAG_CONFLICT
     elif deadline_active and safety_active and v_hat > 0.0:
         verdict = FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT
@@ -325,11 +334,12 @@ class Outcome(NamedTuple):
 
     The first 14 fields are the lines of ``metrics.txt``, in file
     order; its integrals are trapezoidal over every vehicle's lifetime,
-    summed over all vehicles.  Then the figures the ``verify`` corpus
-    reads, and last the paper's outcome: the share of rows with a
-    vehicle ahead that are ``in_formation`` with it, and the drafting
-    saving ``1 - sum(drag**2) / sum((c0 * v**2)**2)`` over every row.
-    A figure with nothing to read is None: ``worst_gap_excess`` and
+    summed over all vehicles.  Then the rest of ``audit``'s figures,
+    which the ``verify`` corpus prints, and last the paper's outcome:
+    the share of rows with a vehicle ahead that are ``in_formation``
+    with it, and the drafting saving
+    ``1 - sum(drag**2) / sum((c0 * v**2)**2)`` over every row.  A
+    figure with nothing to read is None: ``worst_gap_excess`` and
     ``formed_pair_share`` with no two vehicles on the road in any step,
     ``drafting_saving`` with no row, and ``worst_command`` when every
     row is a recovering head.
@@ -360,37 +370,58 @@ class Outcome(NamedTuple):
 _N_METRICS = 14  # the leading fields of ``Outcome``: ``metrics.txt``
 
 
-def _audit_figures(tr: Trajectory) -> tuple:
-    """``Outcome``'s figures that audit the rows of ``tr``, in field
-    order: the worst gap excess, the count beyond ``gap_allowance``, the
-    worst command and the formed-pair share."""
+class Audit(NamedTuple):
+    """The five figures of one run that the ``verify`` corpus checks
+    print, as ``audit`` folds them; ``Outcome`` holds them under the
+    same names."""
+
+    vehicles_spawned: int
+    records: int
+    worst_gap_excess: Optional[float]
+    gap_violations: int
+    worst_command: Optional[float]
+
+
+def audit(result: SimResult) -> Audit:
+    """Fold one run into its ``Audit``, from its events and stored
+    columns alone: no physics and no previous rows."""
+    tr = result.trajectory
     accel = np.array(tr.accel)[np.array(tr.mode)
                                != VehicleMode.LEADER_RECOVERING]
-    worst_command = float(accel.max()) if len(accel) else None
     excess = consecutive_gap_excess(tr)
-    if not len(excess):
-        return None, 0, worst_command, None
-    p, v = np.array(tr.p), np.array(tr.v)
+    return Audit(
+        vehicles_spawned=[e.kind for e in result.events].count(EVENT_SPAWN),
+        records=len(tr),
+        worst_gap_excess=float(excess.max()) if len(excess) else None,
+        gap_violations=int((excess > gap_allowance(tr.params)).sum()),
+        worst_command=float(accel.max()) if len(accel) else None,
+    )
+
+
+def _formed_pair_share(tr: Trajectory) -> Optional[float]:
+    """The share of rows with a vehicle ahead that are ``in_formation``
+    with it, or None with no such row."""
     back = pair_rows(tr.offsets)
-    formed = in_formation(p[back - 1], v[back - 1], p[back], v[back],
-                          tr.params)
-    return (float(excess.max()),
-            int((excess > gap_allowance(tr.params)).sum()),
-            worst_command, float(formed.mean()))
+    if not len(back):
+        return None
+    p, v = np.array(tr.p), np.array(tr.v)
+    return float(in_formation(p[back - 1], v[back - 1], p[back], v[back],
+                              tr.params).mean())
 
 
 def outcome(result: SimResult) -> Outcome:
     """Fold one run into its ``Outcome``, reading the physics and each
-    row's previous row once.  The audit figures are reduced to numbers
-    before the physics is computed, so the fold's peak memory stays near
-    that of the ``metrics.txt`` integrals alone."""
+    row's previous row once.  The ``audit`` figures and the formed-pair
+    share are reduced to numbers before the physics is computed, so the
+    fold's peak memory stays near that of the ``metrics.txt`` integrals
+    alone."""
     n = Counter(e.kind for e in result.events)
     tr = result.trajectory
     params = tr.params
     final = detect_formations(tr, -1) if len(tr) else []
     multi = [len(f) for f in final if len(f) > 1]
-    worst_excess, violations, worst_command, formed_share = \
-        _audit_figures(tr)
+    figures = audit(result)
+    formed_share = _formed_pair_share(tr)
     prev = previous_rows(tr)
     rows = np.flatnonzero(prev >= 0)
     prev = prev[rows]
@@ -406,8 +437,7 @@ def outcome(result: SimResult) -> Outcome:
 
     return Outcome(
         duration=params.duration,
-        spawn_attempts=n[EVENT_SPAWN] + n[EVENT_DISCARD],
-        vehicles_spawned=n[EVENT_SPAWN],
+        spawn_attempts=figures.vehicles_spawned + n[EVENT_DISCARD],
         spawns_discarded=n[EVENT_DISCARD],
         vehicles_exited=n[EVENT_EXIT],
         peak_vehicle_count=int(np.diff(tr.offsets).max(initial=0)),
@@ -419,14 +449,11 @@ def outcome(result: SimResult) -> Outcome:
         largest_final_formation=max(multi, default=0),
         total_drag_sq_integral=integral(drag_sq),
         total_positive_work=integral(np.maximum(u, 0.0) * v),
-        records=len(tr),
-        worst_gap_excess=worst_excess,
-        gap_violations=violations,
-        worst_command=worst_command,
         formed_pair_share=formed_share,
         drafting_saving=(
             float(1.0 - drag_sq.sum() / ((params.drag.c0 * v ** 2) ** 2).sum())
             if len(tr) else None),
+        **figures._asdict(),
     )
 
 

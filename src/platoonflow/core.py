@@ -225,6 +225,17 @@ def _fault(kind: type, x: object) -> str:
     return ""
 
 
+def _longest_duration(dt: float) -> float:
+    """The longest run whose step times ``%.6g`` tells apart at step
+    ``dt``, as ``trajectory.csv`` and ``events.csv`` write them.  Six
+    significant digits resolve ``10**(k - 5)`` at a time of ``10**k`` or
+    more, so with ``10**e <= dt < 10**(e + 1)`` the times stay apart up
+    to ``10**(6 + e)`` and collide past it.  Past ``10**308`` no float
+    reaches the limit."""
+    e = 6 + math.floor(math.log10(dt))
+    return 10.0 ** e if e <= 308 else math.inf
+
+
 def validate_params(params: SimParams) -> list[str]:
     """Check parameter sanity; returns a list of violations (empty if fine).
     A setting or section that breaks its type's rule (``_fault``) is
@@ -262,11 +273,18 @@ def validate_params(params: SimParams) -> list[str]:
     if ok(("dt", "duration")) and params.dt > 0.0:
         # Each finite alone, the two can still overflow the step count or
         # pass 2**53 steps, past which a float64 clock stops counting.
+        # Short of that, a run may last only as long as the ``%.6g``
+        # stamps of its CSV files tell its steps apart.
         steps = params.duration / params.dt
         if not math.isfinite(steps):
             bad.append(f"duration / dt must be finite, got {steps}")
         elif steps > 2.0 ** 53:
             bad.append(f"duration / dt must be at most 2**53, got {steps}")
+        elif params.duration > (limit := _longest_duration(params.dt)):
+            bad.append(f"duration must be at most {limit:g} at "
+                       f"dt={params.dt:g}, or later steps share their time "
+                       f"in trajectory.csv and events.csv, got "
+                       f"{params.duration:g}")
     if ok(("drag.c1",)) and not 0.0 <= params.drag.c1 < 1.0:
         # c1 < 1 keeps the wake discount strictly below full drag, so the
         # drag force and its speed partial stay positive at any gap.

@@ -4,9 +4,10 @@ Each check builds its own scenario against the public engine and the
 kernels and reports one pass/fail result with a short detail line.
 Checks that need the seeded open-highway corpus (the default scenario
 run over many seeds) share one lazily built corpus so the expensive
-runs happen once per process; the corpus keeps one
-``analysis.Outcome`` per seed, the figures ``analysis.outcome`` folds
-from each run, and drops the run.
+runs happen once per process; the corpus keeps one ``analysis.Audit``
+per seed, the five figures its checks print, as ``analysis.audit``
+folds them from each run, and drops the run.  It computes no physics:
+the energy figures are folded only by ``analysis.outcome``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import numpy as np
 from ._kernels_py import (advance, drag_force, drag_partials,
                           follower_decision, gap_allowance, safe_interval,
                           stopping_margin)
-from .analysis import (Outcome, brute_force_follower,
-                       consecutive_gap_excess, in_formation, outcome,
-                       previous_rows)
+from .analysis import (Audit, audit, brute_force_follower,
+                       consecutive_gap_excess, in_formation, previous_rows)
 from .core import SimParams, SimulationError, VehicleMode
 from .sim import WorldState, insert_vehicle, run, step
 from .trajectory import pair_rows, trajectory_csv_blocks
@@ -52,15 +52,17 @@ class CheckResult:
 class RunCorpus:
     """Seeded default-scenario runs, built once and shared across checks.
 
-    ``build`` folds each run into its ``Outcome`` as soon as it
-    returns and drops the run, so memory holds one run at a time, not
-    the whole corpus.  ``summaries`` maps seed to outcome.  The first
-    ``SimulationError`` stops the build, since no check reads past it.
+    ``build`` folds each run into its ``Audit``, the five figures the
+    corpus checks print, as soon as it returns and drops the run, so
+    memory holds one run at a time, not the whole corpus, and no run's
+    physics is ever computed.  ``summaries`` maps seed to audit.  The
+    first ``SimulationError`` stops the build, since no check reads
+    past it.
     """
 
     def __init__(self, params: SimParams):
         self.params = params
-        self.summaries: dict[int, Outcome] = {}
+        self.summaries: dict[int, Audit] = {}
         self._built = False
         self._error: str | None = None
 
@@ -71,7 +73,7 @@ class RunCorpus:
             self._built = True
             for seed in range(N_CORPUS_SEEDS):
                 try:
-                    self.summaries[seed] = outcome(
+                    self.summaries[seed] = audit(
                         run(replace(self.params, seed=seed)))
                 except SimulationError as exc:
                     self._error = f"seed {seed}: {exc}"

@@ -21,7 +21,8 @@ from platoonflow.analysis import (
     records_by_vehicle,
     summarize,
 )
-from platoonflow._kernels_py import follower_decision
+from platoonflow._kernels_py import (SPEED_EDGE_TOL, drag_partials,
+                                     follower_decision, stopping_margin)
 from platoonflow.trajectory import pair_rows
 
 from conftest import RUNS, hand_built
@@ -245,6 +246,125 @@ class TestBruteForce:
             assert accel == pytest.approx(ref_accel, abs=1e-3)
         else:
             assert ref_accel is None
+
+
+def untrimmed_oracle(v, p_hat, v_hat, pred_accel, deadline_active, params):
+    """``brute_force_follower`` as first written: every candidate
+    filtered into ``[a_min, a_max]``, grid included, and a mask of ones
+    for each inequality the state does not have."""
+    g = stopping_margin(v, p_hat, v_hat, params)
+    f_v, f_p = drag_partials(v, p_hat, params.drag)
+    pred = params.a_min if params.worst_case_pred_accel else pred_accel
+    at_floor = v <= params.v_min + SPEED_EDGE_TOL
+    at_ceiling = v >= params.v_max - SPEED_EDGE_TOL
+    decays = (v_hat > 0.0 and not at_floor
+              and (params.gamma > 0.0 or g >= -params.eps_g))
+    tol = analysis._INEQ_TOL
+    cand = [analysis._oracle_grid(params.a_min, params.a_max), [0.0],
+            [-f_p * v_hat / f_v]]
+    if decays:
+        k = (params.v_min - v) / params.a_min
+        r = v_hat - pred * (params.v_min - v + v_hat) / params.a_min
+        cand.append([(-params.gamma * g - r) / k])
+    grid = np.concatenate(cand)
+    grid = grid[(grid >= params.a_min) & (grid <= params.a_max)]
+    ones = np.ones(grid.shape, bool)
+    floor_ok = grid >= -tol if at_floor else ones
+    ceil_ok = grid <= tol if at_ceiling else ones
+    if decays:
+        decay_ok = k * grid + r <= -params.gamma * g + tol
+        safety_ok = decay_ok | (grid <= params.a_min + tol)
+    else:
+        decay_ok = safety_ok = ones
+    flow_ok = f_p * v_hat / f_v + grid <= tol
+    dl_ok = grid >= -tol if deadline_active else ones
+    feasible = floor_ok & ceil_ok & safety_ok & flow_ok & dl_ok
+    if feasible.any():
+        pts = grid[feasible]
+        return (float(pts[np.argmin(np.abs(pts))]),
+                FeasibilityVerdict.FEASIBLE)
+    cap_negative = decays and not bool((decay_ok & (grid >= -tol)).any())
+    safety_active = g >= -params.eps_g or cap_negative
+    if at_floor and not (floor_ok & flow_ok).any():
+        verdict = FeasibilityVerdict.FLOOR_CONFLICT
+    elif not flow_ok.any():
+        verdict = FeasibilityVerdict.BRAKE_CONFLICT
+    elif deadline_active and not (dl_ok & flow_ok).any():
+        verdict = FeasibilityVerdict.DEADLINE_DRAG_CONFLICT
+    elif deadline_active and safety_active and v_hat > 0.0:
+        verdict = FeasibilityVerdict.DEADLINE_SAFETY_CONFLICT
+    else:
+        verdict = FeasibilityVerdict.FEASIBLE
+    return None, verdict
+
+
+class TestOracleCandidates:
+    """The oracle filters only the boundary points it adds to its grid,
+    since the grid lies inside the acceleration bounds already."""
+
+    @pytest.mark.parametrize("a_min,a_max", [
+        (-4.0, 3.0), (-1.0, 0.5), (-9.81, 1e-3), (-0.3, 7.7)])
+    def test_the_grid_lies_inside_its_bounds(self, a_min, a_max):
+        grid = analysis._oracle_grid(a_min, a_max)
+        assert (grid[0], grid[-1]) == (a_min, a_max)
+        assert ((grid >= a_min) & (grid <= a_max)).all()
+
+    # (v, p_hat, v_hat, pred_accel) at default params, with the flow
+    # boundary -f_p * v_hat / f_v above a_max (3), the decay boundary
+    # below a_min (-4), or both; at the floor nothing decays.
+    @pytest.mark.parametrize("state,outside", [
+        ((20.0, -7.0, 12.0, 0.0), [True]),
+        ((26.5, -5.5, 3.5, 0.0), [False, True]),
+        ((27.0, -8.5, 11.5, 0.0), [True, True]),
+        ((35.0, -8.0, 12.0, 0.0), [True, True]),
+    ], ids=["flow_at_floor", "decay", "both", "both_at_ceiling"])
+    @pytest.mark.parametrize("deadline", [False, True],
+                             ids=["free", "deadline"])
+    def test_a_boundary_outside_the_bounds_is_no_candidate(
+            self, monkeypatch, state, outside, deadline):
+        v, p_hat, v_hat, pred = state
+        f_v, f_p = drag_partials(v, p_hat, PARAMS.drag)
+        bounds = [-f_p * v_hat / f_v]
+        if len(outside) == 2:
+            g = stopping_margin(v, p_hat, v_hat, PARAMS)
+            k = (PARAMS.v_min - v) / PARAMS.a_min
+            r = v_hat - pred * (PARAMS.v_min - v + v_hat) / PARAMS.a_min
+            bounds.append((-PARAMS.gamma * g - r) / k)
+        assert [not PARAMS.a_min <= b <= PARAMS.a_max
+                for b in bounds] == outside
+        made = []
+
+        def kept(*args, make=analysis._oracle_candidates):
+            made.append(make(*args))
+            return made[-1]
+        monkeypatch.setattr(analysis, "_oracle_candidates", kept)
+        answer = brute_force_follower(v, p_hat, v_hat, pred, deadline,
+                                      PARAMS)
+        [cand] = made
+        grid_points = analysis._GRID_POINTS
+        assert cand[grid_points:].tolist() == [0.0] + [
+            b for b, out in zip(bounds, outside) if not out]
+        expected = untrimmed_oracle(v, p_hat, v_hat, pred, deadline, PARAMS)
+        assert (repr(answer[0]), answer[1]) \
+            == (repr(expected[0]), expected[1])
+
+    def test_random_states_answer_as_the_untrimmed_oracle(self):
+        rng = np.random.default_rng(4)
+        for params in (PARAMS, SimParams(gamma=0.0),
+                       SimParams(worst_case_pred_accel=True)):
+            for _ in range(300):
+                v = float(rng.choice([params.v_min, params.v_max,
+                                      rng.uniform(params.v_min,
+                                                  params.v_max)]))
+                v_hat = float(rng.uniform(-15.0, 15.0))
+                state = (v, float(rng.uniform(-60.0, 5.0)) - params.delta,
+                         v_hat, float(rng.uniform(params.a_min,
+                                                  params.a_max)),
+                         bool(rng.random() < 0.4), params)
+                answer = brute_force_follower(*state)
+                expected = untrimmed_oracle(*state)
+                assert (repr(answer[0]), answer[1]) \
+                    == (repr(expected[0]), expected[1])
 
 
 class TestSummarize:

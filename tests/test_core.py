@@ -15,7 +15,8 @@ from platoonflow import (
     run,
     validate_params,
 )
-from platoonflow.core import _DECLARED, _NON_NEGATIVE, _POSITIVE
+from platoonflow.core import (_DECLARED, _NON_NEGATIVE, _POSITIVE,
+                             _longest_duration)
 
 
 def test_default_params_validate_clean():
@@ -177,14 +178,37 @@ def test_a_min_on_the_backward_braking_bound_is_valid():
         == []
 
 
-def test_2_53_steps_are_allowed_and_no_more():
+def test_2_53_steps_pass_the_clock_rule_and_no_more():
     # dt = 0.5 divides exactly, so duration / dt is 2**53 and then the
-    # next float above it.
+    # next float above it.  The first run passes the clock's rule and
+    # meets the stamp limit's; the second meets only the clock's.
     params = SimParams(dt=0.5, duration=2.0 ** 52)
-    assert validate_params(params) == []
+    assert validate_params(params) == [
+        "duration must be at most 100000 at dt=0.5, or later steps share "
+        "their time in trajectory.csv and events.csv, got 4.5036e+15"]
     params = dataclasses.replace(params, duration=2.0 ** 52 + 1.0)
     assert validate_params(params) == [
         f"duration / dt must be at most 2**53, got {2.0 ** 53 + 2.0}"]
+
+
+@pytest.mark.parametrize("dt,limit", [(0.1, 1e5), (0.001, 1e3)])
+def test_the_library_refuses_a_run_past_the_stamp_limit(dt, limit):
+    # Past the limit, %.6g prints one time for several steps.
+    params = SimParams(dt=dt, duration=2 * limit)
+    message = (f"duration must be at most {limit:g} at dt={dt:g}, or later "
+               f"steps share their time in trajectory.csv and events.csv, "
+               f"got {2 * limit:g}")
+    assert validate_params(params) == [message]
+    for build in (run, WorldState.initial):
+        with pytest.raises(ValueError) as info:
+            build(params)
+        assert str(info.value) == message
+    assert validate_params(dataclasses.replace(params, duration=limit)) == []
+
+
+def test_the_stamp_limit_of_a_huge_step_does_not_overflow():
+    assert _longest_duration(1e302) == 1e308
+    assert _longest_duration(1e303) == math.inf
 
 
 def test_zero_duration_is_allowed():

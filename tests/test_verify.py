@@ -10,11 +10,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import platoonflow.analysis as analysis
 import platoonflow.sim as sim
 import platoonflow.verify as verify
 from platoonflow import (DragCoefficients, RoadNetwork, SimParams,
                          Trajectory, VehicleMode, run)
-from platoonflow.analysis import records_by_time
+from platoonflow.analysis import Audit, audit, outcome, records_by_time
 from platoonflow.core import SafetyAuditError
 from platoonflow.trajectory import STORED_COLUMNS
 from platoonflow.verify import (RunCorpus, check_braking_only,
@@ -22,6 +23,7 @@ from platoonflow.verify import (RunCorpus, check_braking_only,
                                 check_equilibrium_hold, check_partials,
                                 check_pursuit_convergence, check_safety,
                                 check_solver_oracle, check_throughput)
+from conftest import RUNS
 
 SHORT = SimParams(duration=20.0)
 
@@ -55,18 +57,34 @@ def test_fold_equals_figures_read_from_each_run(monkeypatch):
                 summary.worst_command) == direct_figures(SHORT, seed)
 
 
-def test_a_corpus_reads_each_runs_physics_once(monkeypatch):
+def test_a_corpus_reads_no_physics_and_no_previous_rows(monkeypatch):
     monkeypatch.setattr(verify, "N_CORPUS_SEEDS", 3)
-    physics = Trajectory.physics
     calls = []
 
-    def counted(self, *args, **kwargs):
-        calls.append(len(self))
-        return physics(self, *args, **kwargs)
+    def counted(name, read):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return read(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(Trajectory, "physics", counted)
-    assert RunCorpus(SHORT).build() is None
-    assert len(calls) == 3
+    monkeypatch.setattr(Trajectory, "physics",
+                        counted("physics", Trajectory.physics))
+    for module in (analysis, verify):
+        monkeypatch.setattr(module, "previous_rows", counted(
+            "previous_rows", module.previous_rows))
+    corpus = RunCorpus(SHORT)
+    assert corpus.build() is None
+    assert len(corpus.summaries) == 3
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_outcome_holds_the_corpus_fold_bit_for_bit(run_of, name):
+    result = run_of(RUNS[name])
+    figures = audit(result)
+    full = outcome(result)
+    assert [repr(getattr(full, field)) for field in Audit._fields] \
+        == [repr(x) for x in figures]
 
 
 def traced_peak(call) -> int:
