@@ -9,12 +9,13 @@ here: ``records_by_time`` and ``records_by_vehicle`` build a
 audits of consecutive vehicles work on whole columns: each pairs the
 rows that ``trajectory.pair_rows`` gives with the row ahead of them,
 one row up in the same step.  ``outcome`` folds a run's figures once
-into an ``Outcome``: ``summarize`` is its view for ``metrics.txt``.
-Five of them, the ones the ``verify`` corpus checks print, come from
-``audit``, which reads no physics; the corpus keeps one ``Audit`` per
-seed.  ``outcome`` integrates the energy figures along time over the
-pairs that ``previous_rows`` gives: each row with the same vehicle's
-row before it, which ``replay`` re-solves each row's command from.
+into an ``Outcome``.  ``summarize`` folds only its leading figures,
+the lines of ``metrics.txt``, and ``audit`` only the five that the
+``verify`` corpus checks print, with no physics; the corpus keeps one
+``Audit`` per seed.  The energy figures are integrated along time over
+the pairs that ``previous_rows`` gives: each row with the same
+vehicle's row before it, which ``replay`` re-solves each row's command
+from.
 The brute-force solver deliberately re-states each control constraint
 as a pointwise inequality and scans a dense acceleration grid; it
 shares no code path with the closed-form controller it checks.
@@ -36,7 +37,7 @@ from ._kernels_py import (SPEED_EDGE_TOL, FeasibilityVerdict, drag_partials,
 from .core import SimParams, VehicleMode
 from .sim import (EVENT_DISCARD, EVENT_EXIT, EVENT_MERGE, EVENT_RECOVER,
                   EVENT_RELAX, EVENT_SPAWN, EVENT_SPLIT, SimResult)
-from .trajectory import MODE_NAMES, Trajectory, pair_rows
+from .trajectory import MODE_NAMES, Trajectory, pair_rows, stable_order
 
 _INEQ_TOL = 1e-9  # slack applied to every brute-force inequality
 _GRID_POINTS = 10001  # evenly spaced candidates from a_min to a_max
@@ -114,7 +115,7 @@ def previous_rows(tr: Trajectory) -> np.ndarray:
     """Each row's previous row of the same vehicle, or -1 at the
     vehicle's first row."""
     vid = np.array(tr.vehicle_id)
-    order = np.argsort(vid, kind="stable")
+    order = stable_order(vid)
     later, earlier = order[1:], order[:-1]
     same = vid[later] == vid[earlier]
     prev = np.full(len(vid), -1)
@@ -195,8 +196,13 @@ def row_times(tr: Trajectory) -> np.ndarray:
 def consecutive_gap_excess(tr: Trajectory) -> np.ndarray:
     """Bumper-gap shortfall ``(p_back - p_front) + delta`` of every pair of
     consecutive vehicles in every snapshot (positive means inside delta)."""
-    p = np.array(tr.p)
-    back = pair_rows(tr.offsets)
+    return _gap_excess(tr, np.array(tr.p), pair_rows(tr.offsets))
+
+
+def _gap_excess(tr: Trajectory, p: np.ndarray,
+                back: np.ndarray) -> np.ndarray:
+    """``consecutive_gap_excess(tr)`` from ``p``, the positions of
+    ``tr``, and ``back``, its ``pair_rows``."""
     return (p[back] - p[back - 1]) + tr.params.delta
 
 
@@ -367,9 +373,6 @@ class Outcome(NamedTuple):
     drafting_saving: Optional[float]
 
 
-_N_METRICS = 14  # the leading fields of ``Outcome``: ``metrics.txt``
-
-
 class Audit(NamedTuple):
     """The five figures of one run that the ``verify`` corpus checks
     print, as ``audit`` folds them; ``Outcome`` holds them under the
@@ -382,15 +385,27 @@ class Audit(NamedTuple):
     worst_command: Optional[float]
 
 
+def _spawned(result: SimResult) -> int:
+    """``vehicles_spawned``: the run's spawn events."""
+    return [e.kind for e in result.events].count(EVENT_SPAWN)
+
+
 def audit(result: SimResult) -> Audit:
     """Fold one run into its ``Audit``, from its events and stored
     columns alone: no physics and no previous rows."""
     tr = result.trajectory
+    return _audit(result, np.array(tr.p), pair_rows(tr.offsets))
+
+
+def _audit(result: SimResult, p: np.ndarray, back: np.ndarray) -> Audit:
+    """``audit(result)`` from ``p``, the positions of its trajectory, and
+    ``back``, their ``pair_rows``."""
+    tr = result.trajectory
     accel = np.array(tr.accel)[np.array(tr.mode)
                                != VehicleMode.LEADER_RECOVERING]
-    excess = consecutive_gap_excess(tr)
+    excess = _gap_excess(tr, p, back)
     return Audit(
-        vehicles_spawned=[e.kind for e in result.events].count(EVENT_SPAWN),
+        vehicles_spawned=_spawned(result),
         records=len(tr),
         worst_gap_excess=float(excess.max()) if len(excess) else None,
         gap_violations=int((excess > gap_allowance(tr.params)).sum()),
@@ -398,46 +413,51 @@ def audit(result: SimResult) -> Audit:
     )
 
 
-def _formed_pair_share(tr: Trajectory) -> Optional[float]:
+def _formed_pair_share(tr: Trajectory, p: np.ndarray,
+                       back: np.ndarray) -> Optional[float]:
     """The share of rows with a vehicle ahead that are ``in_formation``
-    with it, or None with no such row."""
-    back = pair_rows(tr.offsets)
+    with it, or None with no such row; ``p`` and ``back`` as
+    ``_audit`` takes them."""
     if not len(back):
         return None
-    p, v = np.array(tr.p), np.array(tr.v)
+    v = np.array(tr.v)
     return float(in_formation(p[back - 1], v[back - 1], p[back], v[back],
                               tr.params).mean())
 
 
-def outcome(result: SimResult) -> Outcome:
-    """Fold one run into its ``Outcome``, reading the physics and each
-    row's previous row once.  The ``audit`` figures and the formed-pair
-    share are reduced to numbers before the physics is computed, so the
-    fold's peak memory stays near that of the ``metrics.txt`` integrals
-    alone."""
+def _pair_figures(result: SimResult) -> tuple[Audit, Optional[float]]:
+    """``audit(result)`` and the formed-pair share, from one copy of the
+    positions and one ``pair_rows``, which are dropped on return."""
+    tr = result.trajectory
+    p, back = np.array(tr.p), pair_rows(tr.offsets)
+    return _audit(result, p, back), _formed_pair_share(tr, p, back)
+
+
+def _metrics(result: SimResult, u: np.ndarray,
+             drag: np.ndarray) -> dict[str, object]:
+    """The first 14 figures of ``Outcome``, the lines of
+    ``metrics.txt``, by name and in field order, each stated once here,
+    from the run's ``u`` and ``drag`` columns."""
     n = Counter(e.kind for e in result.events)
     tr = result.trajectory
-    params = tr.params
     final = detect_formations(tr, -1) if len(tr) else []
     multi = [len(f) for f in final if len(f) > 1]
-    figures = audit(result)
-    formed_share = _formed_pair_share(tr)
+    spawned = _spawned(result)
     prev = previous_rows(tr)
     rows = np.flatnonzero(prev >= 0)
     prev = prev[rows]
     t = row_times(tr)
     dt = t[rows] - t[prev]
-    u, drag = tr.physics()[:2]
-    drag_sq = drag * drag
     v = np.array(tr.v)
 
     def integral(y: np.ndarray) -> float:
         # ``np.trapezoid``'s term, over every vehicle's row pairs at once.
         return float((dt * (y[rows] + y[prev]) / 2.0).sum())
 
-    return Outcome(
-        duration=params.duration,
-        spawn_attempts=figures.vehicles_spawned + n[EVENT_DISCARD],
+    return dict(
+        duration=tr.params.duration,
+        spawn_attempts=spawned + n[EVENT_DISCARD],
+        vehicles_spawned=spawned,
         spawns_discarded=n[EVENT_DISCARD],
         vehicles_exited=n[EVENT_EXIT],
         peak_vehicle_count=int(np.diff(tr.offsets).max(initial=0)),
@@ -447,17 +467,35 @@ def outcome(result: SimResult) -> Outcome:
         deadline_recoveries=n[EVENT_RECOVER],
         final_formation_count=len(multi),
         largest_final_formation=max(multi, default=0),
-        total_drag_sq_integral=integral(drag_sq),
+        total_drag_sq_integral=integral(drag * drag),
         total_positive_work=integral(np.maximum(u, 0.0) * v),
+    )
+
+
+def outcome(result: SimResult) -> Outcome:
+    """Fold one run into its ``Outcome``, reading the physics, only its
+    ``Forces``, and each row's previous row once.  The ``audit`` figures
+    and the formed-pair share are reduced to numbers before the physics
+    is computed, so the fold's peak memory stays near that of the
+    ``metrics.txt`` integrals alone."""
+    tr = result.trajectory
+    figures, formed_share = _pair_figures(result)
+    u, drag = tr.forces()
+    metrics = _metrics(result, u, drag)
+    v = np.array(tr.v)
+    return Outcome(
+        **figures._asdict() | metrics,
         formed_pair_share=formed_share,
         drafting_saving=(
-            float(1.0 - drag_sq.sum() / ((params.drag.c0 * v ** 2) ** 2).sum())
+            float(1.0 - (drag * drag).sum()
+                  / ((tr.params.drag.c0 * v ** 2) ** 2).sum())
             if len(tr) else None),
-        **figures._asdict(),
     )
 
 
 def summarize(result: SimResult) -> dict[str, object]:
-    """The run's report, the lines of ``metrics.txt``: the leading
-    ``_N_METRICS`` figures of ``outcome(result)`` by name."""
-    return dict(zip(Outcome._fields[:_N_METRICS], outcome(result)))
+    """The run's report, the lines of ``metrics.txt``: the first 14
+    figures of ``outcome(result)`` by name, bit for bit, folded alone.
+    It computes no other ``audit`` figure, no formed-pair share, and of
+    the physics only its ``Forces``."""
+    return _metrics(result, *result.trajectory.forces())

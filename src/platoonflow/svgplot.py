@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .trajectory import Trajectory
+from .trajectory import Trajectory, stable_order
 
 WIDTH = 900.0
 HEIGHT = 520.0
@@ -52,6 +52,21 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}".rstrip("0").rstrip(".")
 
 
+def _points(x_texts: list[str], ys: list[float]) -> str:
+    """The ``points`` of a polyline: ``" ".join(x + _fmt(y))`` over the
+    pairs of ``x_texts`` and ``ys``, in one ``%``.
+
+    Each y is ``%.2f`` text and a space, so the zeros ``_fmt`` strips
+    end in ``"0 "``: replacing ``"0 "`` by a space strips the last
+    one, then replacing ``".0 "`` strips a second one with its point.
+    No x text holds a space.
+    """
+    pairs = [None] * (2 * len(ys))
+    pairs[::2], pairs[1::2] = x_texts, ys
+    text = "%s%.2f " * len(ys) % tuple(pairs)
+    return text.replace("0 ", " ").replace(".0 ", " ")[:-1]
+
+
 def _line(x1: float, y1: float, x2: float, y2: float, style: str) -> str:
     """A ``<line>`` from (x1, y1) to (x2, y2) with the attributes
     ``style``."""
@@ -75,10 +90,10 @@ def _vehicle_paths(tr: Trajectory, lo_t: float, hi_t: float,
     the squares at its first and last one, in ascending vehicle id.
 
     The rows of the steps in the window are grouped per vehicle by one
-    stable sort on the id, which keeps each vehicle's rows in time
+    ``stable_order`` of the ids, which keeps each vehicle's rows in time
     order.  ``sy`` maps the window's positions as one array, each
     step's x is formatted once, and each vehicle's points are formatted
-    only while its polyline is joined.
+    by one ``_points``.
     """
     k0 = bisect_left(tr.times, lo_t)
     k1 = bisect_right(tr.times, hi_t)
@@ -87,7 +102,7 @@ def _vehicle_paths(tr: Trajectory, lo_t: float, hi_t: float,
     x_texts = np.array([_fmt(x) + "," for x in xs], dtype=object)
     counts = np.diff(np.frombuffer(tr.offsets[k0:k1 + 1], np.int64))
     vids = np.frombuffer(tr.vehicle_id[start:stop], np.int64)
-    order = np.argsort(vids, kind="stable")
+    order = stable_order(vids)
     vids = vids[order]
     steps = np.repeat(np.arange(k1 - k0), counts)[order]
     row_x_texts = x_texts[steps].tolist()
@@ -98,7 +113,7 @@ def _vehicle_paths(tr: Trajectory, lo_t: float, hi_t: float,
     parts = []
     for a, b in zip(firsts, firsts[1:] + [len(vids)]):
         ys = y[a:b].tolist()
-        points = " ".join(map(str.__add__, row_x_texts[a:b], map(_fmt, ys)))
+        points = _points(row_x_texts[a:b], ys)
         color = PALETTE[int(vids[a]) % len(PALETTE)]
         parts.append(
             f'<polyline points="{points}" fill="none" '

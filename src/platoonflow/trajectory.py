@@ -12,17 +12,19 @@ The four physics columns (``u``, ``drag``, ``gs_margin`` and
 ``deadline_margin``) are computed from those and the ``params`` every
 trajectory is built with (its envelope constants and ``params.drag``)
 on each call of ``Trajectory.physics``, for any range of steps, and
-the trajectory keeps none of them.  The computation works on whole
-columns, a bounded block of rows at a time, so its temporaries do not
-grow with the range.
+the trajectory keeps none of them.  ``Trajectory.forces`` computes
+``u`` and ``drag`` alone, by the same statements, for a reader that
+needs no margin.  The computation works on whole columns, a bounded
+block of rows at a time, so its temporaries do not grow with the range.
 
 The module stores and derives columns only, and has no row object
 (that is ``analysis.TrajectoryRecord``).  ``trajectory_csv_text``
 formats the rows as the lines of ``trajectory.csv`` in the same
-blocks: one numpy sort puts a block's rows in (step, vehicle id)
-order, each stored and physics column is copied into a compact
-``array`` in that order, and every row is one ``%`` of ``_CSV_ROW``
-over the zipped columns.  Only the text grows with the range.
+blocks: one ``stable_order`` of a single (step, vehicle id) key puts a
+block's rows in that order, each stored and physics column is copied
+into a compact ``array`` in that order, and every row is one ``%`` of
+``_CSV_ROW`` over the zipped columns.  Only the text grows with the
+range.
 """
 
 from __future__ import annotations
@@ -44,9 +46,18 @@ MODE_NAMES = ("follower", "leader", "follower_relaxed", "leader_recovering")
 _MODE_LABELS = np.array(MODE_NAMES, object)
 
 
+class Forces(NamedTuple):
+    """The ``u`` and ``drag`` columns of a range of rows, one element per
+    row, as ``Trajectory.forces`` returns them: fresh float64 arrays."""
+
+    u: np.ndarray
+    drag: np.ndarray
+
+
 class Physics(NamedTuple):
     """The physics columns of a range of rows, one element per row, as
-    ``Trajectory.physics`` returns them: fresh float64 arrays."""
+    ``Trajectory.physics`` returns them: fresh float64 arrays; the
+    first two are ``Forces``."""
 
     u: np.ndarray
     drag: np.ndarray
@@ -77,6 +88,20 @@ def pair_rows(offsets: Iterable[int]) -> np.ndarray:
     behind = np.ones(offsets[-1], np.bool_)
     behind[offsets[:-1]] = False
     return np.flatnonzero(behind)
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """The stable order of the integer column ``keys``: what
+    ``np.argsort(keys, kind="stable")`` gives.
+
+    Keys that all fit 16 bits unsigned are sorted as ``uint16``, which
+    numpy radix-sorts, in about a quarter of the time of its comparison
+    sort on a default run's 46k vehicle ids; other keys are sorted as
+    they are.
+    """
+    if len(keys) and 0 <= keys.min() and keys.max() <= 0xFFFF:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
 
 
 class Trajectory:
@@ -152,50 +177,76 @@ class Trajectory:
     def physics(self, start: int = 0, stop: int | None = None) -> Physics:
         """The physics of the rows of steps ``start:stop`` (every step
         by default), computed on this call a block of ``blocks`` at a
-        time.  ``KeyError`` names the first vehicle of the range that
-        was never registered, and ``ValueError`` a range outside the
-        stored steps.
+        time; ``forces`` computes its first two columns alone.
+        ``KeyError`` names the first vehicle of the range that was never
+        registered, and ``ValueError`` a range outside the stored steps.
         """
+        return self._columns(Physics, self._derive_block, start, stop)
+
+    def forces(self, start: int = 0, stop: int | None = None) -> Forces:
+        """The ``u`` and ``drag`` columns of ``physics(start, stop)``,
+        bit for bit, computed alone: no margin is computed, so no
+        vehicle needs to be registered.  ``ValueError`` refuses a range
+        outside the stored steps.
+        """
+        return self._columns(Forces, self._forces_block, start, stop)
+
+    def _columns(self, kind, derive, start: int, stop: int | None):
+        """The ``kind`` of the rows of steps ``start:stop``, a
+        ``NamedTuple`` of columns that ``derive(k, end)`` gives for each
+        block ``(k, end)`` of ``blocks(start, stop)``."""
         stop = self._check_range(start, stop)
         base = self.offsets[start]
-        out = Physics(*(np.empty(self.offsets[stop] - base)
-                        for _ in DERIVED_COLUMNS))
+        out = kind(*(np.empty(self.offsets[stop] - base)
+                     for _ in kind._fields))
         for k, end in self.blocks(start, stop):
             rows = slice(self.offsets[k] - base, self.offsets[end] - base)
-            for column, block in zip(out, self._derive_block(k, end)):
+            for column, block in zip(out, derive(k, end)):
                 column[rows] = block
         return out
 
-    def _derive_block(self, k: int, stop: int) -> Physics:
-        """The physics of the rows of steps ``k:stop``.
+    def _forces_block(self, k: int, stop: int) -> Forces:
+        """The ``Forces`` of the rows of steps ``k:stop``.
 
-        Every numpy array here reads a slice copy of a column, never the
-        live column: an exported buffer would make the engine's next
-        ``append_step`` raise ``BufferError``.
+        Every numpy array here and in ``_derive_block`` reads a slice
+        copy of a column, never the live column: an exported buffer
+        would make the engine's next ``append_step`` raise
+        ``BufferError``.
         """
+        lo, hi = self.offsets[k], self.offsets[stop]
+        p, v = np.frombuffer(self.p[lo:hi]), np.frombuffer(self.v[lo:hi])
+        # The front row of each step has the solo drag.
+        back = pair_rows(np.frombuffer(self.offsets[k:stop + 1], np.int64)
+                         - lo)
+        # Column form of kernels.drag_force, in the kernel's own
+        # operation order, so every element has the kernel's bits;
+        # tests/conftest.py recompute_derived, which calls the kernels
+        # row by row, is the reference of every physics column.  The
+        # wake takes libm's exp, not np.exp, which differs from it in
+        # the last bit on some wake-range inputs.
+        law = self.params.drag
+        w = np.fromiter(map(math.exp, (law.c2 * (p[back] - p[back - 1]))
+                            .tolist()), np.float64, len(back))
+        drag = law.c0 * v * v
+        drag[back] *= 1.0 - law.c1 * w
+        return Forces(np.frombuffer(self.accel[lo:hi]) + drag, drag)
+
+    def _derive_block(self, k: int, stop: int) -> Physics:
+        """The ``Physics`` of the rows of steps ``k:stop``: its
+        ``Forces``, then the margins."""
         lo, hi = self.offsets[k], self.offsets[stop]
         bounds = np.frombuffer(self.offsets[k:stop + 1], np.int64) - lo
         time = np.repeat(np.frombuffer(self.times[k:stop]), np.diff(bounds))
         exit_pos, deadline = self._targets(
             np.frombuffer(self.vehicle_id[lo:hi], np.int64))
-        p = np.frombuffer(self.p[lo:hi])
-        v = np.frombuffer(self.v[lo:hi])
-        # The front row of each step has the solo drag and no margin.
+        p, v = np.frombuffer(self.p[lo:hi]), np.frombuffer(self.v[lo:hi])
+        # The front row of each step has no margin.
         back = pair_rows(bounds)
         p_hat = p[back] - p[back - 1]
 
-        # Column forms of kernels.drag_force and kernels.stopping_margin,
-        # in the kernels' own operation order, so every element has the
-        # kernels' bits; tests/conftest.py recompute_derived, which calls
-        # the kernels row by row, is their reference.  The wake takes
-        # libm's exp, not np.exp, which differs from it in the last bit
-        # on some wake-range inputs.
+        # Column form of kernels.stopping_margin, in the kernel's own
+        # operation order, as in _forces_block.
         params = self.params
-        law = params.drag
-        w = np.fromiter(map(math.exp, (law.c2 * p_hat).tolist()), np.float64,
-                        len(p_hat))
-        drag = law.c0 * v * v
-        drag[back] *= 1.0 - law.c1 * w
         v_min, a_min, delta = params.v_min, params.a_min, params.delta
         ego, v_hat = v[back], v[back] - v[back - 1]
         gs = np.full(len(p), math.nan)
@@ -203,7 +254,7 @@ class Trajectory:
                             p_hat + delta + v_hat * (v_min - ego) / a_min
                             + v_hat * v_hat / (2.0 * a_min))
 
-        return Physics(np.frombuffer(self.accel[lo:hi]) + drag, drag, gs,
+        return Physics(*self._forces_block(k, stop), gs,
                        deadline_margin(p, v, time, exit_pos, deadline))
 
     def _targets(self, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,16 +349,18 @@ def trajectory_csv_text(tr: Trajectory, start: int = 0,
     for k, end in tr.blocks(start, stop):
         lo, hi = tr.offsets[k], tr.offsets[end]
         counts = np.diff(np.frombuffer(tr.offsets[k:end + 1], np.int64))
-        order = np.lexsort((np.frombuffer(tr.vehicle_id[lo:hi], np.int64),
-                            np.repeat(np.arange(end - k), counts)))
+        vids = np.frombuffer(tr.vehicle_id[lo:hi], np.int64)
+        # One key orders the rows by step, then by vehicle id.
+        order = stable_order(np.repeat(np.arange(end - k), counts)
+                             * (vids.max(initial=0) + 1) + vids)
         stored = (np.frombuffer(column[lo:hi], column.typecode) for column
-                  in (tr.vehicle_id, tr.platoon_id, tr.p, tr.v, tr.accel))
+                  in (tr.platoon_id, tr.p, tr.v, tr.accel))
         # Rows stay in step order, so each step's stamp repeats unmoved.
         columns = [
             list(chain.from_iterable(map(repeat, map(_sig, tr.times[k:end]),
                                          counts.tolist()))),
             *(array(column.dtype.char, column[order].tobytes())
-              for column in (*stored, *tr.physics(k, end))),
+              for column in (vids, *stored, *tr.physics(k, end))),
             _MODE_LABELS[np.frombuffer(tr.mode[lo:hi], np.int8)[order]]
             .tolist()]
         text += "".join(map(_CSV_ROW.__mod__, zip(*columns)))

@@ -15,6 +15,7 @@ from platoonflow.analysis import (
     check_safety,
     detect_formations,
     in_formation,
+    Outcome,
     outcome,
     previous_rows,
     records_by_time,
@@ -23,6 +24,7 @@ from platoonflow.analysis import (
 )
 from platoonflow._kernels_py import (SPEED_EDGE_TOL, drag_partials,
                                      follower_decision, stopping_margin)
+from platoonflow import trajectory
 from platoonflow.trajectory import pair_rows
 
 from conftest import RUNS, hand_built
@@ -386,6 +388,44 @@ class TestSummarize:
         result = run(SimParams(duration=3.5, seed=2))
         assert summarize(result)["duration"] \
             == result.trajectory.params.duration == 3.5
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_is_the_leading_figures_of_outcome_bit_for_bit(self, run_of,
+                                                           name):
+        result = run_of(RUNS[name])
+        full = outcome(result)
+        figures = [(key, repr(value))
+                   for key, value in zip(Outcome._fields, full)]
+        assert [(key, repr(value))
+                for key, value in summarize(result).items()] == figures[:14]
+
+    def test_folds_no_audit_no_formed_share_and_no_margin(self, short_run,
+                                                          monkeypatch):
+        calls = []
+
+        def spied(module, name):
+            read = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return read(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        for name in ("audit", "_audit", "_gap_excess", "_formed_pair_share",
+                     "consecutive_gap_excess"):
+            spied(analysis, name)
+        # ``_derive_block`` computes ``gs_margin``, and
+        # ``deadline_margin`` its column of that name.
+        spied(trajectory, "deadline_margin")
+        for name in ("physics", "_derive_block", "forces"):
+            spied(Trajectory, name)
+        summarize(short_run)
+        assert calls == ["forces"]
+        calls.clear()
+        outcome(short_run)
+        assert sorted(set(calls)) == ["_audit", "_formed_pair_share",
+                                      "_gap_excess", "forces"]
+        assert calls.count("forces") == 1
 
 
 class TestOutcome:

@@ -4,7 +4,7 @@ import pytest
 
 import platoonflow.svgplot as svgplot
 from platoonflow import SimParams
-from platoonflow.svgplot import PALETTE, _fmt, render_timespace
+from platoonflow.svgplot import PALETTE, _fmt, _points, render_timespace
 
 from conftest import hand_built
 
@@ -55,6 +55,20 @@ def assert_matches_reference(monkeypatch, trajectory, t0=None, t1=None):
         expected = render_timespace(trajectory, t0, t1)
     assert svg == expected
     return svg
+
+
+@pytest.mark.parametrize("ys", [
+    [12.0, 7.5, 3.05, 0.0, -0.0],
+    [0.001, -0.004, 0.005, 99.995, 100.0, 10.1],
+    [float("nan"), float("inf"), -float("inf"), 1e20, -1e20],
+    [-12.0, -7.5, -3.05, -0.5, -10.0, -100.25],
+    [250.0], [-0.0], [float("nan")], [3.5]],
+    ids=["round_half_tenth", "rounding", "not_finite_and_huge", "negative",
+         "one_point", "one_negative_zero", "one_nan", "one_half"])
+def test_points_are_the_joined_fmt_texts(ys):
+    x_texts = [_fmt(62.0 + 8.25 * i) + "," for i in range(len(ys))]
+    assert _points(x_texts, ys) \
+        == " ".join(x + _fmt(y) for x, y in zip(x_texts, ys))
 
 
 def test_the_whole_run(monkeypatch, short_run):

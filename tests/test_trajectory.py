@@ -5,6 +5,7 @@ import tracemalloc
 from array import array
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from platoonflow import (
@@ -23,7 +24,8 @@ from platoonflow.analysis import (check_safety, records_by_time,
 from platoonflow import deadline_margin, drag_force, stopping_margin
 from platoonflow import trajectory
 from platoonflow.trajectory import (_CSV_ROW, DERIVED_COLUMNS, MODE_NAMES,
-                                    STORED_COLUMNS, trajectory_csv_text)
+                                    STORED_COLUMNS, Forces, stable_order,
+                                    trajectory_csv_text)
 
 from conftest import (RUNS, derived_bytes, hand_built, modes,
                       recompute_derived, step_world, world_bytes)
@@ -212,6 +214,17 @@ class TestPhysics:
         assert world_bytes(world) == world_bytes(run_of(params))
         assert derived_bytes(tr) == recompute_derived(tr, params, targets)
 
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_forces_are_the_leading_physics_columns(self, run_of, name):
+        tr = run_of(RUNS[name]).trajectory
+        n_steps = len(tr.times)
+        for start, stop in [(0, None), (n_steps // 3, n_steps // 2)]:
+            forces = tr.forces(start, stop)
+            assert isinstance(forces, Forces)
+            assert [column.tobytes() for column in forces] \
+                == [column.tobytes() for column in
+                    tr.physics(start, stop)[:len(Forces._fields)]]
+
     def test_slots_name_no_physics_column(self):
         assert [slot for slot in Trajectory.__slots__
                 if slot.lstrip("_") in DERIVED_COLUMNS] == []
@@ -399,6 +412,7 @@ class TestStepRanges:
 
     @pytest.mark.parametrize("reader", [
         lambda tr, start, stop: tr.physics(start, stop),
+        lambda tr, start, stop: tr.forces(start, stop),
         lambda tr, start, stop: list(tr.steps(start, stop)),
         lambda tr, start, stop: list(tr.blocks(start, stop)),
         trajectory_csv_text])
@@ -416,6 +430,25 @@ class TestStepRanges:
         assert trajectory_csv_text(tr, 6) == trajectory_csv_text(tr, 3, 3) \
             == ""
         assert len(tr.physics(0, 6).u) == len(list(tr.steps())) == 6
+
+
+@pytest.mark.parametrize("keys", [
+    [], [0], [5, 3, 5, 0, 3, 3, 1], [0xFFFF, 0, 0xFFFF, 7],
+    [0x10000, 0, 0xFFFF, 0x10000, 2], [2**40, 9, 2**40, 9],
+    [-1, 4, -1, 0]], ids=["empty", "one", "small", "at_2_16",
+                          "above_2_16", "wide", "negative"])
+def test_stable_order_is_the_stable_argsort(keys):
+    keys = np.array(keys, np.int64)
+    assert stable_order(keys).tolist() \
+        == np.argsort(keys, kind="stable").tolist()
+
+
+def test_stable_order_of_many_ids_on_either_side_of_16_bits():
+    rng = np.random.default_rng(5)
+    for high in (0x10000, 0x10001, 0x20000):
+        keys = rng.integers(0, high, 5000)
+        assert stable_order(keys).tolist() \
+            == np.argsort(keys, kind="stable").tolist()
 
 
 def reference_csv(tr, start, stop):
@@ -463,6 +496,14 @@ class TestCsvWriter:
             for stop in range(start, n_steps + 1):
                 assert trajectory_csv_text(tr, start, stop) \
                     == reference_csv(tr, start, stop), (start, stop)
+
+    def test_ids_past_16_bits_keep_the_row_order(self):
+        # The writer's single (step, id) key does not fit 16 bits here.
+        tr, _ = hand_built([
+            (0.1, [(3, 300.0, 25.0), (70000, 250.0, 25.0),
+                   (0xFFFF, 200.0, 25.0)]),
+            (0.2, [(0xFFFF, 302.5, 25.0), (3, 252.5, 25.0)])], SimParams())
+        assert trajectory_csv_text(tr) == reference_csv(tr, 0, 2)
 
     def test_the_whole_text_reads_the_physics_a_block_at_a_time(
             self, tr, monkeypatch):
