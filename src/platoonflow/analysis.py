@@ -8,14 +8,14 @@ here: ``records_by_time`` and ``records_by_vehicle`` build a
 ``TrajectoryRecord`` per row for a reader that wants objects.  The
 audits of consecutive vehicles work on whole columns: each pairs the
 rows that ``trajectory.pair_rows`` gives with the row ahead of them,
-one row up in the same step.  ``outcome`` folds a run's figures once
-into an ``Outcome``.  ``summarize`` folds only its leading figures,
-the lines of ``metrics.txt``, and ``audit`` only the five that the
-``verify`` corpus checks print, with no physics; the corpus keeps one
-``Audit`` per seed.  The energy figures are integrated along time over
-the pairs that ``previous_rows`` gives: each row with the same
-vehicle's row before it, which ``replay`` re-solves each row's command
-from.
+one row up in the same step.  A run has three folds: ``audit``, the
+five figures the ``verify`` corpus checks print, with no physics (the
+corpus keeps one ``Audit`` per seed); ``summarize``, the lines of
+``metrics.txt``, reading only ``Trajectory.forces``; and ``outcome``,
+the two with the paper's figures, in one ``Outcome``.  The energy
+figures are integrated along time over the pairs that
+``previous_rows`` gives: each row with the same vehicle's row before
+it, which ``replay`` re-solves each row's command from.
 The brute-force solver deliberately re-states each control constraint
 as a pointwise inequality and scans a dense acceleration grid; it
 shares no code path with the closed-form controller it checks.
@@ -196,13 +196,7 @@ def row_times(tr: Trajectory) -> np.ndarray:
 def consecutive_gap_excess(tr: Trajectory) -> np.ndarray:
     """Bumper-gap shortfall ``(p_back - p_front) + delta`` of every pair of
     consecutive vehicles in every snapshot (positive means inside delta)."""
-    return _gap_excess(tr, np.array(tr.p), pair_rows(tr.offsets))
-
-
-def _gap_excess(tr: Trajectory, p: np.ndarray,
-                back: np.ndarray) -> np.ndarray:
-    """``consecutive_gap_excess(tr)`` from ``p``, the positions of
-    ``tr``, and ``back``, its ``pair_rows``."""
+    p, back = np.array(tr.p), pair_rows(tr.offsets)
     return (p[back] - p[back - 1]) + tr.params.delta
 
 
@@ -385,27 +379,15 @@ class Audit(NamedTuple):
     worst_command: Optional[float]
 
 
-def _spawned(result: SimResult) -> int:
-    """``vehicles_spawned``: the run's spawn events."""
-    return [e.kind for e in result.events].count(EVENT_SPAWN)
-
-
 def audit(result: SimResult) -> Audit:
     """Fold one run into its ``Audit``, from its events and stored
     columns alone: no physics and no previous rows."""
     tr = result.trajectory
-    return _audit(result, np.array(tr.p), pair_rows(tr.offsets))
-
-
-def _audit(result: SimResult, p: np.ndarray, back: np.ndarray) -> Audit:
-    """``audit(result)`` from ``p``, the positions of its trajectory, and
-    ``back``, their ``pair_rows``."""
-    tr = result.trajectory
+    excess = consecutive_gap_excess(tr)
     accel = np.array(tr.accel)[np.array(tr.mode)
                                != VehicleMode.LEADER_RECOVERING]
-    excess = _gap_excess(tr, p, back)
     return Audit(
-        vehicles_spawned=_spawned(result),
+        vehicles_spawned=[e.kind for e in result.events].count(EVENT_SPAWN),
         records=len(tr),
         worst_gap_excess=float(excess.max()) if len(excess) else None,
         gap_violations=int((excess > gap_allowance(tr.params)).sum()),
@@ -413,24 +395,15 @@ def _audit(result: SimResult, p: np.ndarray, back: np.ndarray) -> Audit:
     )
 
 
-def _formed_pair_share(tr: Trajectory, p: np.ndarray,
-                       back: np.ndarray) -> Optional[float]:
+def _formed_pair_share(tr: Trajectory) -> Optional[float]:
     """The share of rows with a vehicle ahead that are ``in_formation``
-    with it, or None with no such row; ``p`` and ``back`` as
-    ``_audit`` takes them."""
+    with it, or None with no such row."""
+    back = pair_rows(tr.offsets)
     if not len(back):
         return None
-    v = np.array(tr.v)
+    p, v = np.array(tr.p), np.array(tr.v)
     return float(in_formation(p[back - 1], v[back - 1], p[back], v[back],
                               tr.params).mean())
-
-
-def _pair_figures(result: SimResult) -> tuple[Audit, Optional[float]]:
-    """``audit(result)`` and the formed-pair share, from one copy of the
-    positions and one ``pair_rows``, which are dropped on return."""
-    tr = result.trajectory
-    p, back = np.array(tr.p), pair_rows(tr.offsets)
-    return _audit(result, p, back), _formed_pair_share(tr, p, back)
 
 
 def _metrics(result: SimResult, u: np.ndarray,
@@ -442,7 +415,6 @@ def _metrics(result: SimResult, u: np.ndarray,
     tr = result.trajectory
     final = detect_formations(tr, -1) if len(tr) else []
     multi = [len(f) for f in final if len(f) > 1]
-    spawned = _spawned(result)
     prev = previous_rows(tr)
     rows = np.flatnonzero(prev >= 0)
     prev = prev[rows]
@@ -456,8 +428,8 @@ def _metrics(result: SimResult, u: np.ndarray,
 
     return dict(
         duration=tr.params.duration,
-        spawn_attempts=spawned + n[EVENT_DISCARD],
-        vehicles_spawned=spawned,
+        spawn_attempts=n[EVENT_SPAWN] + n[EVENT_DISCARD],
+        vehicles_spawned=n[EVENT_SPAWN],
         spawns_discarded=n[EVENT_DISCARD],
         vehicles_exited=n[EVENT_EXIT],
         peak_vehicle_count=int(np.diff(tr.offsets).max(initial=0)),
@@ -473,22 +445,20 @@ def _metrics(result: SimResult, u: np.ndarray,
 
 
 def outcome(result: SimResult) -> Outcome:
-    """Fold one run into its ``Outcome``, reading the physics, only its
-    ``Forces``, and each row's previous row once.  The ``audit`` figures
-    and the formed-pair share are reduced to numbers before the physics
-    is computed, so the fold's peak memory stays near that of the
-    ``metrics.txt`` integrals alone."""
+    """Fold one run into its ``Outcome``: ``audit(result)``, the
+    ``metrics.txt`` figures, the formed-pair share and the drafting
+    saving, reading ``Forces`` once.  The formed-pair share is a number
+    before the forces are computed, so the fold's peak memory is that
+    of the integrals."""
     tr = result.trajectory
-    figures, formed_share = _pair_figures(result)
+    formed_share = _formed_pair_share(tr)
     u, drag = tr.forces()
-    metrics = _metrics(result, u, drag)
-    v = np.array(tr.v)
     return Outcome(
-        **figures._asdict() | metrics,
+        **audit(result)._asdict() | _metrics(result, u, drag),
         formed_pair_share=formed_share,
         drafting_saving=(
             float(1.0 - (drag * drag).sum()
-                  / ((tr.params.drag.c0 * v ** 2) ** 2).sum())
+                  / ((tr.params.drag.c0 * np.array(tr.v) ** 2) ** 2).sum())
             if len(tr) else None),
     )
 

@@ -23,10 +23,8 @@ import yaml
 
 from . import sim
 from .analysis import summarize
-# _longest_duration stays bound here: the CLI's tests read the limit
-# that its ConfigError names.
 from .core import (_DECLARED, _RAMPS, SimParams, SimulationError, _fault,
-                   _longest_duration, _shown, validate_params)
+                   _shown, validate_params)
 from .sim import Event, SimResult, run
 from .svgplot import render_timespace
 # trajectory_csv_text stays bound here: the benchmark wraps and imports it.

@@ -12,10 +12,10 @@ The four physics columns (``u``, ``drag``, ``gs_margin`` and
 ``deadline_margin``) are computed from those and the ``params`` every
 trajectory is built with (its envelope constants and ``params.drag``)
 on each call of ``Trajectory.physics``, for any range of steps, and
-the trajectory keeps none of them.  ``Trajectory.forces`` computes
-``u`` and ``drag`` alone, by the same statements, for a reader that
-needs no margin.  The computation works on whole columns, a bounded
-block of rows at a time, so its temporaries do not grow with the range.
+the trajectory keeps none of them.  One pass derives them in column
+order a bounded block of rows at a time, from one copy of the block's
+positions and speeds, so its temporaries do not grow with the range;
+``Trajectory.forces`` stops after ``u`` and ``drag``: it has no margin.
 
 The module stores and derives columns only, and has no row object
 (that is ``analysis.TrajectoryRecord``).  ``trajectory_csv_text``
@@ -181,7 +181,7 @@ class Trajectory:
         ``KeyError`` names the first vehicle of the range that was never
         registered, and ``ValueError`` a range outside the stored steps.
         """
-        return self._columns(Physics, self._derive_block, start, stop)
+        return self._columns(Physics, start, stop)
 
     def forces(self, start: int = 0, stop: int | None = None) -> Forces:
         """The ``u`` and ``drag`` columns of ``physics(start, stop)``,
@@ -189,35 +189,35 @@ class Trajectory:
         vehicle needs to be registered.  ``ValueError`` refuses a range
         outside the stored steps.
         """
-        return self._columns(Forces, self._forces_block, start, stop)
+        return self._columns(Forces, start, stop)
 
-    def _columns(self, kind, derive, start: int, stop: int | None):
-        """The ``kind`` of the rows of steps ``start:stop``, a
-        ``NamedTuple`` of columns that ``derive(k, end)`` gives for each
-        block ``(k, end)`` of ``blocks(start, stop)``."""
+    def _columns(self, kind, start: int, stop: int | None):
+        """The ``kind`` of the rows of steps ``start:stop``: the leading
+        columns of ``Physics`` that ``_derive_block(k, end)`` yields for
+        each block ``(k, end)`` of ``blocks(start, stop)``, up to
+        ``kind``'s last, past which nothing is computed."""
         stop = self._check_range(start, stop)
         base = self.offsets[start]
         out = kind(*(np.empty(self.offsets[stop] - base)
                      for _ in kind._fields))
         for k, end in self.blocks(start, stop):
             rows = slice(self.offsets[k] - base, self.offsets[end] - base)
-            for column, block in zip(out, derive(k, end)):
+            for column, block in zip(out, self._derive_block(k, end)):
                 column[rows] = block
         return out
 
-    def _forces_block(self, k: int, stop: int) -> Forces:
-        """The ``Forces`` of the rows of steps ``k:stop``.
-
-        Every numpy array here and in ``_derive_block`` reads a slice
-        copy of a column, never the live column: an exported buffer
-        would make the engine's next ``append_step`` raise
-        ``BufferError``.
-        """
+    def _derive_block(self, k: int, stop: int) -> Iterator[np.ndarray]:
+        """The ``Physics`` columns of the rows of steps ``k:stop``, in
+        field order, each computed when asked for, from one slice copy
+        of ``p`` and ``v`` and one ``pair_rows``.  No array here reads a
+        live column: an exported buffer would make the engine's next
+        ``append_step`` raise ``BufferError``."""
         lo, hi = self.offsets[k], self.offsets[stop]
+        bounds = np.frombuffer(self.offsets[k:stop + 1], np.int64) - lo
         p, v = np.frombuffer(self.p[lo:hi]), np.frombuffer(self.v[lo:hi])
-        # The front row of each step has the solo drag.
-        back = pair_rows(np.frombuffer(self.offsets[k:stop + 1], np.int64)
-                         - lo)
+        # The front row of each step has the solo drag and no margin.
+        back = pair_rows(bounds)
+        p_hat = p[back] - p[back - 1]
         # Column form of kernels.drag_force, in the kernel's own
         # operation order, so every element has the kernel's bits;
         # tests/conftest.py recompute_derived, which calls the kernels
@@ -225,27 +225,14 @@ class Trajectory:
         # wake takes libm's exp, not np.exp, which differs from it in
         # the last bit on some wake-range inputs.
         law = self.params.drag
-        w = np.fromiter(map(math.exp, (law.c2 * (p[back] - p[back - 1]))
-                            .tolist()), np.float64, len(back))
+        w = np.fromiter(map(math.exp, (law.c2 * p_hat).tolist()),
+                        np.float64, len(back))
         drag = law.c0 * v * v
         drag[back] *= 1.0 - law.c1 * w
-        return Forces(np.frombuffer(self.accel[lo:hi]) + drag, drag)
+        yield np.frombuffer(self.accel[lo:hi]) + drag
+        yield drag
 
-    def _derive_block(self, k: int, stop: int) -> Physics:
-        """The ``Physics`` of the rows of steps ``k:stop``: its
-        ``Forces``, then the margins."""
-        lo, hi = self.offsets[k], self.offsets[stop]
-        bounds = np.frombuffer(self.offsets[k:stop + 1], np.int64) - lo
-        time = np.repeat(np.frombuffer(self.times[k:stop]), np.diff(bounds))
-        exit_pos, deadline = self._targets(
-            np.frombuffer(self.vehicle_id[lo:hi], np.int64))
-        p, v = np.frombuffer(self.p[lo:hi]), np.frombuffer(self.v[lo:hi])
-        # The front row of each step has no margin.
-        back = pair_rows(bounds)
-        p_hat = p[back] - p[back - 1]
-
-        # Column form of kernels.stopping_margin, in the kernel's own
-        # operation order, as in _forces_block.
+        # Column form of kernels.stopping_margin, in the same way.
         params = self.params
         v_min, a_min, delta = params.v_min, params.a_min, params.delta
         ego, v_hat = v[back], v[back] - v[back - 1]
@@ -253,9 +240,12 @@ class Trajectory:
         gs[back] = np.where(v_hat <= 0.0, p_hat + delta,
                             p_hat + delta + v_hat * (v_min - ego) / a_min
                             + v_hat * v_hat / (2.0 * a_min))
+        yield gs
 
-        return Physics(*self._forces_block(k, stop), gs,
-                       deadline_margin(p, v, time, exit_pos, deadline))
+        time = np.repeat(np.frombuffer(self.times[k:stop]), np.diff(bounds))
+        exit_pos, deadline = self._targets(
+            np.frombuffer(self.vehicle_id[lo:hi], np.int64))
+        yield deadline_margin(p, v, time, exit_pos, deadline)
 
     def _targets(self, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exit positions and deadlines of ``vids``; ``KeyError`` names

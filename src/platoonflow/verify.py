@@ -7,7 +7,8 @@ run over many seeds) share one lazily built corpus so the expensive
 runs happen once per process; the corpus keeps one ``analysis.Audit``
 per seed, the five figures its checks print, as ``analysis.audit``
 folds them from each run, and drops the run.  It computes no physics:
-the energy figures are folded only by ``analysis.outcome``.
+the energy figures are folded by ``analysis.summarize`` and
+``analysis.outcome``.
 """
 
 from __future__ import annotations
@@ -349,7 +350,7 @@ def _drag_descent_seed(params: SimParams,
     """
     tr = run(params).trajectory
     last = previous_rows(tr)
-    drag = tr.physics().drag
+    drag = tr.forces().drag
     offsets = np.array(tr.offsets)
     vid = np.array(tr.vehicle_id)
     mode = np.array(tr.mode)

@@ -411,21 +411,20 @@ class TestSummarize:
                 return read(*args, **kwargs)
             monkeypatch.setattr(module, name, call)
 
-        for name in ("audit", "_audit", "_gap_excess", "_formed_pair_share",
+        for name in ("audit", "_formed_pair_share",
                      "consecutive_gap_excess"):
             spied(analysis, name)
-        # ``_derive_block`` computes ``gs_margin``, and
-        # ``deadline_margin`` its column of that name.
+        # A margin is computed past ``_targets``, which the
+        # ``deadline_margin`` column reads.
         spied(trajectory, "deadline_margin")
-        for name in ("physics", "_derive_block", "forces"):
+        for name in ("physics", "_targets", "forces"):
             spied(Trajectory, name)
         summarize(short_run)
         assert calls == ["forces"]
         calls.clear()
         outcome(short_run)
-        assert sorted(set(calls)) == ["_audit", "_formed_pair_share",
-                                      "_gap_excess", "forces"]
-        assert calls.count("forces") == 1
+        assert sorted(calls) == ["_formed_pair_share", "audit",
+                                 "consecutive_gap_excess", "forces"]
 
 
 class TestOutcome:

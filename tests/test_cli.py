@@ -18,7 +18,8 @@ from platoonflow.cli import (
     params_from_dict,
     params_to_dict,
 )
-from platoonflow.core import _DECLARED, _POSITIVE, _RAMPS, _fault
+from platoonflow.core import (_DECLARED, _POSITIVE, _RAMPS, _fault,
+                              _longest_duration)
 from platoonflow.trajectory import (_CSV_ROW, trajectory_csv_blocks,
                                     trajectory_csv_text)
 from platoonflow.verify import CheckResult, check_determinism
@@ -643,7 +644,7 @@ class TestStampLimit:
 
     @pytest.mark.parametrize("dt,limit", LIMITS)
     def test_the_limit_is_where_step_times_start_to_collide(self, dt, limit):
-        assert cli._longest_duration(dt) == limit
+        assert _longest_duration(dt) == limit
         times = [k * dt for k in range(round(limit / dt) - 3,
                                        round(limit / dt) + 3)]
         shown = [cli._sig(t) for t in times]

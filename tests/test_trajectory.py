@@ -225,6 +225,32 @@ class TestPhysics:
                 == [column.tobytes() for column in
                     tr.physics(start, stop)[:len(Forces._fields)]]
 
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_each_block_is_derived_from_one_pairing(self, monkeypatch,
+                                                     run_of, name):
+        tr = run_of(RUNS[name]).trajectory
+        calls = []
+
+        def spied(owner, attr):
+            read = getattr(owner, attr)
+
+            def call(*args, **kwargs):
+                calls.append(attr)
+                return read(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, call)
+
+        for owner, attr in ((trajectory, "pair_rows"),
+                            (trajectory, "deadline_margin"),
+                            (Trajectory, "_targets")):
+            spied(owner, attr)
+        n_blocks = len(list(tr.blocks()))
+        tr.physics()
+        assert calls.count("pair_rows") == n_blocks
+        calls.clear()
+        tr.forces()
+        # No margin: neither the targets nor the deadline margin.
+        assert calls == ["pair_rows"] * n_blocks
+
     def test_slots_name_no_physics_column(self):
         assert [slot for slot in Trajectory.__slots__
                 if slot.lstrip("_") in DERIVED_COLUMNS] == []

@@ -320,7 +320,7 @@ PLANTED_DRAG = [0.3, 0.2, 0.2, 0.6, 0.2005, 0.201, 0.2, 0.9, 0.9, 0.21,
 
 
 def descent_columns(drag: list[float]) -> SimpleNamespace:
-    """The columns and the physics the drag-descent check reads from a
+    """The columns and the forces the drag-descent check reads from a
     run's trajectory, for the rows of DESCENT_STEPS with ``drag``."""
     rows = [row for _, step in DESCENT_STEPS for row in step]
     return SimpleNamespace(
@@ -329,7 +329,7 @@ def descent_columns(drag: list[float]) -> SimpleNamespace:
                                 initial=0)),
         vehicle_id=[vid for vid, _ in rows],
         mode=[mode for _, mode in rows],
-        physics=lambda: SimpleNamespace(drag=np.array(drag)))
+        forces=lambda: SimpleNamespace(drag=np.array(drag)))
 
 
 @pytest.mark.parametrize("drag,expected", [
